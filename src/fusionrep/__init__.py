@@ -7,7 +7,7 @@ invariants, ringpres, spectrum, twisted, jobspec, cli).
 
 from .invariants import irreducible_invariants
 from .jobspec import load_jobspec, realize
-from .ringpres import completed_presentation, presentation
+from .ringpres import completed_presentation, structure_constants
 
 __version__ = "0.1.0"
 
@@ -16,6 +16,6 @@ __all__ = [
     "completed_presentation",
     "irreducible_invariants",
     "load_jobspec",
-    "presentation",
     "realize",
+    "structure_constants",
 ]

@@ -6,32 +6,47 @@ degree [G:H] satisfies [G:H]^2 <= |G|.  So only subgroups down to that index
 bound are visited (walking maximal-subgroup chains), linear characters are
 read off the abelianization H/[H,H], induced, and kept when their norm is 1.
 
-Values live in Q(zeta_e) for e = exp(G); a table's rows are sorted by degree
-and then by value vectors under the fixed total order on cyclotomic values,
-so row indices are canonical.
+Character values lie in Z[zeta_e] for e = exp(G), so a table holds them as
+integer power-basis coordinates X[irr, class, phi(e)].  Inner products are
+evaluated modulo one prime q = 1 (mod e) above |G|, through the ring map
+Z[zeta_e] -> F_q that sends zeta_e to a primitive e-th root of unity
+(Dixon's modular method).  A modular result is used only where it is exact:
+either the true value is an integer known to lie in [0, q), or an integer
+identity in coordinates certifies it.  The Cyclotomic values built from X
+serve display and JSON.  Rows are sorted by degree and then by value vectors
+under the fixed total order on cyclotomic values, so row indices are
+canonical.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
-from .cyclotomic import Cyclotomic, root_of_unity
+import numpy as np
+
+from .cyclotomic import Cyclotomic, degree_phi, power_table
 from .errors import (
     ConductorMismatch,
+    FusionRepError,
     GroupMismatch,
     NotAPrimePowerGroup,
-    NotASubgroup,
 )
+from .intlinalg import is_prime
 from .permgroup import (
     FiniteGroup,
     Subgroup,
     derived_subgroup,
     frattini_maximals,
     group_prime,
-    p_part,
 )
+
+# integer coordinates above this size take the exact path
+_COORD_LIMIT = 2 ** 31
+# bound on the entries of one numpy temporary in the table search
+_CHUNK = 1 << 20
 
 
 class ClassFunction:
@@ -103,30 +118,158 @@ class ClassFunction:
         return f"ClassFunction({[str(v) for v in self.values]})"
 
 
-class CharacterTable:
-    """Canonically ordered irreducible characters of a p-group."""
+class ModularImage:
+    """The ring map Z[zeta_e] -> F_q, zeta_e -> w, on power-basis coordinates.
 
-    def __init__(self, group: FiniteGroup, irreducibles: tuple):
+    q is the smallest prime with q = 1 (mod e) and q > |G|, and w is a
+    primitive e-th root of unity in F_q; w is a root of Phi_e mod q, so the
+    map is well defined.  weights[c] = |C_c| / |G| in F_q.
+    """
+
+    def __init__(self, G: FiniteGroup):
+        e = G.exponent()
+        q = (G.order // e) * e + 1
+        if q <= G.order:
+            q += e
+        while not is_prime(q):
+            q += e
+        classes = G.conjugacy_classes()
+        if len(classes) * q * q >= 2 ** 63:
+            raise FusionRepError(f"modulus {q} is too large for int64 sums")
+        w = _primitive_root(e, q)
+        phi = degree_phi(e)
+        self.q = q
+        self.up = np.array([pow(w, k, q) for k in range(phi)], dtype=np.int64)
+        self.down = np.array([pow(w, (e - k) % e, q) for k in range(phi)],
+                             dtype=np.int64)
+        sizes = np.array([len(c) for c in classes], dtype=np.int64)
+        self.weights = sizes * pow(G.order, -1, q) % q
+
+    def image(self, coords: np.ndarray) -> np.ndarray:
+        """Residues of the values, the power basis on the last axis."""
+        return coords @ self.up % self.q
+
+    def conj_image(self, coords: np.ndarray) -> np.ndarray:
+        """Residues of the complex conjugate values."""
+        return coords @ self.down % self.q
+
+
+def _primitive_root(e: int, q: int) -> int:
+    primes = [r for r in range(2, e + 1) if e % r == 0 and is_prime(r)]
+    for a in range(1, q):
+        w = pow(a, (q - 1) // e, q)
+        if all(pow(w, e // r, q) != 1 for r in primes):
+            return w
+    raise FusionRepError(f"no primitive {e}-th root of unity mod {q}")
+
+
+def _product_matrix(e: int) -> np.ndarray:
+    """M with (x outer y).reshape(phi^2) @ M = the coordinates of x*y."""
+    phi = degree_phi(e)
+    powers = np.array(power_table(e)[:2 * phi - 1], dtype=np.int64)
+    return powers[np.add.outer(np.arange(phi), np.arange(phi))].reshape(
+        phi * phi, phi)
+
+
+def _times(x: np.ndarray, y: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Exact products of coordinate arrays (power basis on the last axis)."""
+    phi = M.shape[1]
+    outer = x[..., :, None] * y[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (phi * phi,)) @ M
+
+
+class CharacterTable:
+    """Canonically ordered irreducible characters of a p-group.
+
+    coords[i, c] holds the power-basis coordinates of chi_i at class c, at
+    the conductor e = exp(G); the ClassFunction rows are built from it on
+    first use.
+    """
+
+    def __init__(self, group: FiniteGroup, coords: np.ndarray):
         self.group = group
-        self.irreducibles = irreducibles
+        self.coords = coords
+        self.conductor = group.exponent()
+        self._degrees = tuple(coords[:, 0, 0].tolist())
+        self.modular = ModularImage(group)
+        # dual[k, c] = |C_c| conj(chi_k(c)) / |G| in F_q
+        self._dual = (self.modular.conj_image(coords)
+                      * self.modular.weights % self.modular.q)
+        self._tensor = None
+
+    @cached_property
+    def irreducibles(self) -> tuple:
+        """The rows as ClassFunctions of exact Cyclotomic values."""
+        e = self.conductor
+        return tuple(ClassFunction(self.group, [Cyclotomic(e, v) for v in row])
+                     for row in self.coords.tolist())
 
     def __len__(self):
-        return len(self.irreducibles)
+        return len(self.coords)
 
     def __getitem__(self, k) -> ClassFunction:
         return self.irreducibles[k]
 
     def degrees(self) -> tuple:
-        return tuple(int(ch.degree()) for ch in self.irreducibles)
+        return self._degrees
+
+    def structure_tensor(self) -> np.ndarray:
+        """N[i, j, k] = <chi_i chi_j, chi_k>, computed once and cached.
+
+        Each entry is an integer in [0, d_i d_j], and d_i d_j <= |G| < q, so
+        its residue mod q is the entry.  The result is certified over Z
+        anyway: sum_k N[i, j, k] chi_k must equal chi_i chi_j in integer
+        coordinates.  The work runs one i at a time to bound memory.
+        """
+        if self._tensor is None:
+            X, q = self.coords, self.modular.q
+            n = len(self)
+            flat = X.reshape(n, -1)
+            V = self.modular.image(X)
+            M = _product_matrix(self.conductor)
+            N = np.empty((n, n, n), dtype=np.int64)
+            for i in range(n):
+                N[i] = V[i] * V % q @ self._dual.T % q
+                if not np.array_equal(N[i] @ flat,
+                                      _times(X[i], X, M).reshape(n, -1)):
+                    raise FusionRepError(
+                        f"products of chi{i + 1} fail the integer certificate")
+            self._tensor = N
+        return self._tensor
 
     def multiplicities(self, f: ClassFunction) -> tuple:
+        """<f, chi_k> for every irreducible, as Fractions.
+
+        When f has integer coordinates at the table's conductor, the
+        multiplicities are read mod q (in (-q/2, q/2]) and kept if
+        sum_k n_k chi_k reproduces f exactly.  Otherwise the exact inner
+        products are returned, with their errors.
+        """
+        C = self._integer_coords(f)
+        if C is not None:
+            q = self.modular.q
+            n = self.modular.image(C) @ self._dual.T % q
+            n = np.where(n > q // 2, n - q, n)
+            if np.array_equal(n @ self.coords.reshape(len(self), -1),
+                              C.reshape(-1)):
+                return tuple(Fraction(int(x)) for x in n)
         return tuple(inner_product(f, ch) for ch in self.irreducibles)
+
+    def _integer_coords(self, f: ClassFunction):
+        if f.group is not self.group or f.conductor != self.conductor:
+            return None
+        rows = [v.coeffs for v in f.values]
+        if any(c.denominator != 1 or abs(c) >= _COORD_LIMIT
+               for row in rows for c in row):
+            return None
+        return np.array([[int(c) for c in row] for row in rows],
+                        dtype=np.int64)
 
     def to_json(self) -> dict:
         classes = self.group.conjugacy_classes()
         return {
             "order": self.group.order,
-            "conductor": self.irreducibles[0].conductor if self.irreducibles else 1,
+            "conductor": self.conductor,
             "classes": [
                 {
                     "size": len(c),
@@ -136,8 +279,8 @@ class CharacterTable:
                 for c in classes
             ],
             "characters": [
-                {"degree": int(ch.degree()), "values": [v.to_json() for v in ch.values]}
-                for ch in self.irreducibles
+                {"degree": d, "values": [v.to_json() for v in ch.values]}
+                for d, ch in zip(self.degrees(), self.irreducibles)
             ],
         }
 
@@ -202,6 +345,35 @@ def restrict(f: ClassFunction, P: Subgroup) -> ClassFunction:
     return ClassFunction(H, vals)
 
 
+def _left_transversal(G: FiniteGroup, H: Subgroup) -> np.ndarray:
+    """The least element of every left coset gH, in increasing order."""
+    covered = np.zeros(G.order, dtype=bool)
+    out = []
+    for i in range(G.order):
+        if not covered[i]:
+            out.append(i)
+            covered[[G.mul(i, m) for m in H.members]] = True
+    return np.array(out, dtype=np.int64)
+
+
+def _conjugates(G: FiniteGroup, transversal: np.ndarray) -> np.ndarray:
+    """x[t, c] = t^-1 g_c t for the class representatives g_c."""
+    reps = [c[0] for c in G.conjugacy_classes()]
+    tab = G.table()
+    if tab is not None:
+        inv = G.inv_array()
+        return tab[tab[inv[transversal]][:, reps], transversal[:, None]]
+    return np.array([[G.mul(G.mul(G.inv(t), g), t) for g in reps]
+                     for t in transversal.tolist()], dtype=np.int64)
+
+
+def _positions(G: FiniteGroup, H: Subgroup) -> np.ndarray:
+    """pos[x] = index of x in H.members, or -1 off H."""
+    pos = np.full(G.order, -1, dtype=np.int64)
+    pos[list(H.members)] = np.arange(H.order)
+    return pos
+
+
 def induce(f: ClassFunction, H: Subgroup) -> ClassFunction:
     """Induction from a subgroup H (f lives on H realized as a group)."""
     G = H.parent
@@ -210,27 +382,35 @@ def induce(f: ClassFunction, H: Subgroup) -> ClassFunction:
         raise GroupMismatch("class function does not live on the given subgroup")
     e = G.exponent()
     e = e * f.conductor // gcd(e, f.conductor)
-    fv = [f.value_at_element(k).lift(e) for k in range(HG.order)]
-    # left transversal of H in G
-    covered = set()
-    transversal = []
-    for i in range(G.order):
-        if i in covered:
-            continue
-        transversal.append(i)
-        for m in H.members:
-            covered.add(G.mul(i, m))
+    fv = [f.value_at_element(HG.index[G.elements[m]]).lift(e)
+          for m in H.members]
+    pos = _positions(G, H)[_conjugates(G, _left_transversal(G, H))]
     vals = []
-    inv = G.inv_array()
-    for c in G.conjugacy_classes():
-        g = c[0]
+    for col in pos.T.tolist():
         acc = Cyclotomic.zero(e)
-        for t in transversal:
-            x = G.mul(G.mul(int(inv[t]), g), t)
-            if H.contains(x):
-                acc = acc + fv[HG.index[G.elements[x]]]
+        for k in col:
+            if k >= 0:
+                acc = acc + fv[k]
         vals.append(acc)
     return ClassFunction(G, vals)
+
+
+def _induced_coords(G: FiniteGroup, H: Subgroup, exps: np.ndarray,
+                    powers: np.ndarray) -> np.ndarray:
+    """Coordinates of the characters induced from linear characters of H.
+
+    exps[l, m] is the exponent k of the value zeta_e^k of the l-th linear
+    character at H.members[m]; powers[k] holds the coordinates of zeta_e^k.
+    The value at class c sums powers[exps[l, pos(t^-1 g_c t)]] over the
+    transversal elements t with t^-1 g_c t in H.
+    """
+    pos = _positions(G, H)[_conjugates(G, _left_transversal(G, H))]
+    inside = (pos >= 0)[:, :, None]
+    pos = np.where(pos >= 0, pos, 0)
+    step = max(1, _CHUNK // (pos.size * powers.shape[1]))
+    out = [(powers[chunk[:, pos]] * inside).sum(axis=1)
+           for chunk in np.split(exps, range(step, len(exps), step))]
+    return np.concatenate(out)
 
 
 # --- linear characters of a subgroup ------------------------------------------
@@ -292,9 +472,9 @@ def _abelian_basis(reps: list, qmul, qid, qorder) -> list:
     return out
 
 
-def _linear_characters(G: FiniteGroup, H: Subgroup, e: int) -> list:
-    """All linear characters of H, as value lists aligned with H.members,
-    values at conductor e (orders of abelianized elements divide e)."""
+def _linear_characters(G: FiniteGroup, H: Subgroup, e: int) -> np.ndarray:
+    """All linear characters of H as exponents mod e: row l, column m holds
+    k with chi_l(H.members[m]) = zeta_e^k (orders in H/[H,H] divide e)."""
     D = derived_subgroup(G, H)
     dm = D.members
     rep_of = {}
@@ -331,15 +511,13 @@ def _linear_characters(G: FiniteGroup, H: Subgroup, e: int) -> list:
                 grown[acc] = v + (k,)
         vec = grown
     assert len(vec) == len(reps), "abelian decomposition failed"
-    steps = [e // ob for _, ob in basis]
-    chars = []
-    for bvec in itertools.product(*[range(ob) for _, ob in basis]):
-        exps = {
-            r: sum(s * a * b for s, a, b in zip(steps, v, bvec)) % e
-            for r, v in vec.items()
-        }
-        chars.append([root_of_unity(e, exps[rep_of[m]]) for m in H.members])
-    return chars
+    nb = len(basis)
+    steps = np.array([e // ob for _, ob in basis], dtype=np.int64)
+    coords = np.array([vec[rep_of[m]] for m in H.members],
+                      dtype=np.int64).reshape(H.order, nb)
+    duals = np.array(list(itertools.product(*[range(ob) for _, ob in basis])),
+                     dtype=np.int64).reshape(-1, nb)
+    return (duals * steps) @ coords.T % e
 
 
 def _index_bounded_subgroups(G: FiniteGroup, p: int) -> list:
@@ -383,53 +561,38 @@ def _index_bounded_subgroups(G: FiniteGroup, p: int) -> list:
 
 def character_table(G: FiniteGroup) -> CharacterTable:
     """The full irreducible character table of a p-group (cached on G)."""
-    if G._chartable is not None:
-        return G._chartable
-    with G._lock:
-        if G._chartable is not None:
-            return G._chartable
-        table = _compute_table(G)
-        G._chartable = table
-    return table
+    if G._chartable is None:
+        G._chartable = _compute_table(G)
+    return G._chartable
 
 
 def _compute_table(G: FiniteGroup) -> CharacterTable:
     classes = G.conjugacy_classes()
     if G.order == 1:
-        return CharacterTable(G, (trivial_character(G, 1),))
+        return CharacterTable(G, np.ones((1, 1, 1), dtype=np.int64))
     p = group_prime(G)
     if p is None:
         raise NotAPrimePowerGroup(f"order {G.order} is not a prime power")
     e = G.exponent()
+    powers = np.array(power_table(e)[:e], dtype=np.int64)
+    modular = ModularImage(G)
     found = {}
     for H in _index_bounded_subgroups(G, p):
-        lin = _linear_characters(G, H, e)
-        if H.order == G.order:
-            for vals in lin:
-                ch = ClassFunction(G, [vals[H.pos(c[0])] for c in classes])
-                found.setdefault(tuple(ch.values), ch)
-            continue
-        for vals in lin:
-            ch = induce(ClassFunction(_subgroup_group(H),
-                                      _restrict_vals_to_classes(H, vals)), H)
-            if inner_product(ch, ch) == 1:
-                found.setdefault(tuple(ch.values), ch)
-    chars = sorted(found.values(), key=lambda c: (c.degree(), c.sort_key()))
+        chars = _induced_coords(G, H, _linear_characters(G, H, e), powers)
+        if H.order < G.order:
+            # <psi, psi> is an integer in [1, [G:H]] and q > |G|
+            norms = (modular.image(chars) * modular.conj_image(chars)
+                     % modular.q @ modular.weights % modular.q)
+            chars = chars[norms == 1]
+        for ch in chars:
+            found.setdefault(ch.tobytes(), ch)
+    chars = sorted(found.values(),
+                   key=lambda ch: (int(ch[0, 0]), (-ch).ravel().tolist()))
     if len(chars) != len(classes):
         raise NotAPrimePowerGroup(
             f"monomial search found {len(chars)} irreducibles, "
             f"expected {len(classes)}"
         )
-    total = sum(int(c.degree()) ** 2 for c in chars)
+    total = sum(int(ch[0, 0]) ** 2 for ch in chars)
     assert total == G.order, f"degree check failed: {total} != {G.order}"
-    return CharacterTable(G, tuple(chars))
-
-
-def _restrict_vals_to_classes(H: Subgroup, member_vals: list) -> list:
-    HG = _subgroup_group(H)
-    parent = H.parent
-    out = []
-    for c in HG.conjugacy_classes():
-        rep_parent = parent.index[HG.elements[c[0]]]
-        out.append(member_vals[H.pos(rep_parent)])
-    return out
+    return CharacterTable(G, np.array(chars))

@@ -24,10 +24,10 @@ from collections import Counter
 from .chartable import character_table
 from .errors import FusionRepError, InputError
 from .invariants import irreducible_invariants
-from .jobspec import _is_prime, load_jobspec, realize
+from .intlinalg import is_prime
+from .jobspec import load_jobspec, realize
 from .ringpres import (adic_equivalence_exponent, completed_presentation,
-                       presentation, quotient_by_ideal_power,
-                       structure_constants)
+                       quotient_by_ideal_power, structure_constants)
 from .spectrum import prime_symbols
 from .twisted import (completed_module, module_structure,
                       twisted_invariant_basis)
@@ -80,7 +80,7 @@ class _Options:
                     q = int(part.strip())
                 except ValueError:
                     raise InputError(f"bad prime {part.strip()!r}") from None
-                if not _is_prime(q):
+                if not is_prime(q):
                     raise InputError(f"{q} is not prime")
                 vals.append(q)
             self.primes = tuple(vals)
@@ -197,7 +197,7 @@ def _cmd_saturation(rj, mapping, opts, args):
 
 def _basis_and_presentation(rj, mapping, opts):
     B = irreducible_invariants(rj.fusion, **opts.cap_kw("hilbert", "cap"))
-    P = presentation(B, mapping)
+    P = structure_constants(B, mapping)
     return B, P
 
 
@@ -255,8 +255,8 @@ def _cmd_twisted(rj, mapping, opts, args):
     TB = twisted_invariant_basis(E, F_alpha, base=rj.fusion,
                                  **opts.cap_kw("hilbert", "cap"))
     TBm = TB.with_names(mapping)
-    TM = module_structure(rj.fusion, B, E, TB)
     P = structure_constants(B)
+    TM = module_structure(rj.fusion, B, E, TB, P)
     vnames = tuple(mapping.get(f"v{i + 1}", f"v{i + 1}")
                    for i in range(len(P.names)))
     CM = completed_module(TM, P, names=vnames,
@@ -284,7 +284,7 @@ def _cmd_adic(rj, mapping, opts, args):
     B, P = _basis_and_presentation(rj, mapping, opts)
     results = []
     for i in range(1, opts.k + 1):
-        m = adic_equivalence_exponent(rj.fusion, i,
+        m = adic_equivalence_exponent(rj.fusion, i, basis=B,
                                       **opts.cap_kw("adic", "cap"))
         q = quotient_by_ideal_power(P, i)
         results.append((i, m, q))

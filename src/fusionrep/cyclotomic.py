@@ -86,6 +86,11 @@ def degree_phi(e: int) -> int:
     return _ctx(e)[0]
 
 
+def power_table(e: int) -> tuple:
+    """Integer power-basis coordinates of z^m, for m < max(e, 2 phi(e) - 1)."""
+    return _ctx(e)[1]
+
+
 class Cyclotomic:
     """An element of Q(zeta_e) in canonical power-basis form."""
 
@@ -308,10 +313,3 @@ def root_of_unity(e: int, k: int = 1) -> Cyclotomic:
     phi, table = _ctx(e)
     return Cyclotomic(e, table[k % e])
 
-
-def lift_common(x: Cyclotomic, y: Cyclotomic):
-    """Lift both values to the lcm conductor (explicit coercion point)."""
-    from math import gcd
-
-    e = x.conductor * y.conductor // gcd(x.conductor, y.conductor)
-    return x.lift(e), y.lift(e)

@@ -12,8 +12,6 @@ the listed maps, their inverses, and inner conjugations.
 
 from __future__ import annotations
 
-import threading
-
 from .errors import (
     DomainNotSubgroup,
     GeneratorMovesA,
@@ -95,8 +93,7 @@ class SaturationReport:
 class FusionSystem:
     """Fusion system on S generated by a list of injective GroupHoms.
 
-    Immutable after construction; morphism caches are write-once behind an
-    re-entrant lock, so concurrent readers are safe.
+    Immutable after construction; morphism caches are write-once.
     """
 
     def __init__(self, S: FiniteGroup, generators: tuple):
@@ -116,7 +113,6 @@ class FusionSystem:
                 raise NotInjective("fusion generators must be injective")
             phi.validate()
         self._inverses = tuple(phi.inverse() for phi in self.generators)
-        self._lock = threading.RLock()
         self._element_classes = None
         self._element_class_of = None
         self._hom_cache = {}
@@ -129,10 +125,8 @@ class FusionSystem:
     def element_classes(self) -> tuple:
         """F-classes of elements, each sorted, ordered by minimal member."""
         if self._element_classes is None:
-            with self._lock:
-                if self._element_classes is None:
-                    self._element_classes, self._element_class_of = (
-                        self._compute_element_classes())
+            self._element_classes, self._element_class_of = (
+                self._compute_element_classes())
         return self._element_classes
 
     def element_class_of(self) -> tuple:
@@ -176,8 +170,7 @@ class FusionSystem:
 
     def _hom_states(self, gens: tuple, cap: int) -> tuple:
         """All F-morphisms out of <gens> as image tuples aligned with gens."""
-        with self._lock:
-            hit = self._hom_cache.get(gens)
+        hit = self._hom_cache.get(gens)
         if hit is not None:
             return hit
         S = self.S
@@ -203,8 +196,7 @@ class FusionSystem:
                         new.append(t)
             frontier = new
         out = tuple(sorted(seen))
-        with self._lock:
-            self._hom_cache[gens] = out
+        self._hom_cache[gens] = out
         return out
 
     def _sub_gens(self, P: Subgroup) -> tuple:
@@ -218,8 +210,7 @@ class FusionSystem:
         """(domain Subgroup, steps) where replaying steps extends any
         generator-image state to a full map.  steps[k] = (y, x, i) meaning
         image[y] = image[x] * state[i]."""
-        with self._lock:
-            hit = self._recipe_cache.get(gens)
+        hit = self._recipe_cache.get(gens)
         if hit is not None:
             return hit
         S = self.S
@@ -238,8 +229,7 @@ class FusionSystem:
                         new.append(y)
             frontier = new
         out = (dom, tuple(steps))
-        with self._lock:
-            self._recipe_cache[gens] = out
+        self._recipe_cache[gens] = out
         return out
 
     def _full_hom(self, gens: tuple, state: tuple) -> GroupHom:
@@ -446,22 +436,19 @@ class FusionSystem:
     def _conj_set(self, Q: Subgroup, qgens: tuple, NQ: Subgroup) -> frozenset:
         """Values of inner conjugations of N_S(Q) at Q's generators."""
         key = Q.members
-        with self._lock:
-            hit = self._conj_set_cache.get(key)
+        hit = self._conj_set_cache.get(key)
         if hit is not None:
             return hit
         S = self.S
         out = frozenset(tuple(S.conj(h, q) for q in qgens)
                         for h in NQ.members)
-        with self._lock:
-            self._conj_set_cache[key] = out
+        self._conj_set_cache[key] = out
         return out
 
     def _ext_index(self, gens_n: tuple, pgens: tuple, cap: int) -> frozenset:
         """Values at pgens of every closed morphism out of <gens_n>."""
         key = (gens_n, pgens)
-        with self._lock:
-            hit = self._ext_index_cache.get(key)
+        hit = self._ext_index_cache.get(key)
         if hit is not None:
             return hit
         S = self.S
@@ -473,8 +460,7 @@ class FusionSystem:
                 img[y] = S.mul(img[x], st[i])
             vals.add(tuple(img[pg] for pg in pgens))
         out = frozenset(vals)
-        with self._lock:
-            self._ext_index_cache[key] = out
+        self._ext_index_cache[key] = out
         return out
 
     def _axiom_two(self, P: Subgroup, pgens: tuple, st: tuple, Q: Subgroup,

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Z and Q.
+"""Exact linear algebra over Z, Q and F_q, and a primality test.
 
 Vectors and matrices are plain lists; integer work uses Python's unbounded
 ints, rational work uses fractions.Fraction.  Lattices are represented by
@@ -9,6 +9,17 @@ sums cheap and deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
 
 # --- Hermite normal form -----------------------------------------------------
@@ -67,10 +78,6 @@ def reduce_mod_lattice(basis_hnf: list, v) -> list:
 
 def lattice_member(basis_hnf: list, v) -> bool:
     return not any(reduce_mod_lattice(basis_hnf, v))
-
-
-def lattice_sum(h1: list, h2: list) -> list:
-    return hnf(list(h1) + list(h2))
 
 
 def lattice_eq(h1: list, h2: list) -> bool:
@@ -241,6 +248,36 @@ def rational_rank(A: list) -> int:
     return rank
 
 
+def nullspace_mod(mat, q):
+    """Basis of the kernel of a square matrix over F_q."""
+    n = len(mat)
+    m = [row[:] for row in mat]
+    pivots = {}
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, n) if m[i][c] % q), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], -1, q)
+        m[r] = [(x * inv) % q for x in m[r]]
+        for i in range(n):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(a - f * b) % q for a, b in zip(m[i], m[r])]
+        pivots[c] = r
+        r += 1
+    basis = []
+    free = [c for c in range(n) if c not in pivots]
+    for fc in free:
+        vec = [0] * n
+        vec[fc] = 1
+        for c, pr in pivots.items():
+            vec[c] = (-m[pr][fc]) % q
+        basis.append(vec)
+    return basis
+
+
 def mat_mul(A: list, B: list) -> list:
     """Integer matrix product."""
     if not A or not B:
@@ -250,11 +287,3 @@ def mat_mul(A: list, B: list) -> list:
     for row in A:
         out.append([sum(row[k] * B[k][j] for k in range(len(B))) for j in range(n)])
     return out
-
-
-def mat_vec(A: list, v: list) -> list:
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
-def identity_matrix(n: int) -> list:
-    return [[int(i == j) for j in range(n)] for i in range(n)]

@@ -12,7 +12,9 @@ vectors over them.
 from __future__ import annotations
 
 from collections import deque
-from math import gcd, lcm
+from math import gcd
+
+import numpy as np
 
 from .chartable import ClassFunction, character_table
 from .cyclotomic import Cyclotomic
@@ -25,20 +27,13 @@ from .errors import (
     NotInvariant,
 )
 from .fusion import FusionSystem
-from .intlinalg import kernel_basis, solve_rational
+from .intlinalg import kernel_basis, nullspace_mod, solve_rational
 from .permgroup import FiniteGroup
 
 DEFAULT_HILBERT_CAP = 100_000
 
 
 # --- the invariance conditions ------------------------------------------------
-
-
-def _table_conductor(table) -> int:
-    e = 1
-    for ch in table.irreducibles:
-        e = lcm(e, ch.conductor)
-    return e
 
 
 def _class_buckets(F: FusionSystem):
@@ -60,30 +55,23 @@ def invariance_matrix(F: FusionSystem) -> list:
     Columns follow the canonical irreducible order of S.  For every F-class,
     each S-class it contains beyond the first contributes the condition
     "value here = value at the first", one row per power-basis coordinate of
-    the common cyclotomic field, cleared to integers.  Zero rows are dropped.
+    the common cyclotomic field, divided by its content.  Zero rows are
+    dropped.
     """
-    table = character_table(F.S)
-    e = _table_conductor(table)
+    X = character_table(F.S).coords
     rows = []
     for _, ks in sorted(_class_buckets(F).items()):
         base = ks[0]
         for k in ks[1:]:
-            diffs = [(ch.values[k] - ch.values[base]).lift(e) for ch in table.irreducibles]
-            width = len(diffs[0].coeffs) if diffs else 0
-            for t in range(width):
-                row = [d.coeffs[t] for d in diffs]
+            for row in (X[:, k, :] - X[:, base, :]).T.tolist():
                 if not any(row):
                     continue
-                den = 1
-                for x in row:
-                    den = lcm(den, x.denominator)
-                ints = [int(x * den) for x in row]
                 g = 0
-                for x in ints:
+                for x in row:
                     g = gcd(g, x)
                 if g > 1:
-                    ints = [x // g for x in ints]
-                rows.append(ints)
+                    row = [x // g for x in row]
+                rows.append(row)
     return rows
 
 
@@ -186,7 +174,7 @@ def hilbert_basis(rows, ncols: int = None, cap: int = DEFAULT_HILBERT_CAP) -> li
 class RepVector:
     """A non-negative integer combination of the irreducibles of a group."""
 
-    __slots__ = ("group", "multiplicities", "_char")
+    __slots__ = ("group", "multiplicities", "_coords", "_char")
 
     def __init__(self, group: FiniteGroup, multiplicities):
         mults = tuple(int(m) for m in multiplicities)
@@ -197,6 +185,7 @@ class RepVector:
             raise InputError("multiplicities must be non-negative")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "multiplicities", mults)
+        object.__setattr__(self, "_coords", None)
         object.__setattr__(self, "_char", None)
 
     def __setattr__(self, *a):
@@ -207,18 +196,20 @@ class RepVector:
         return sum(m * d for m, d in zip(self.multiplicities, degs))
 
     @property
+    def coords(self) -> np.ndarray:
+        """Integer power-basis coordinates of the character, per class."""
+        if self._coords is None:
+            X = character_table(self.group).coords
+            object.__setattr__(self, "_coords", np.tensordot(
+                np.array(self.multiplicities, dtype=np.int64), X, 1))
+        return self._coords
+
+    @property
     def character(self) -> ClassFunction:
-        # idempotent build, so an unlocked benign race is fine
         if self._char is None:
-            table = character_table(self.group)
-            e = _table_conductor(table)
-            nclasses = len(self.group.conjugacy_classes())
-            vals = [Cyclotomic.zero(e)] * nclasses
-            total = ClassFunction(self.group, vals)
-            for m, ch in zip(self.multiplicities, table.irreducibles):
-                if m:
-                    total = total + ch.lift(e).scale(m)
-            object.__setattr__(self, "_char", total)
+            e = character_table(self.group).conductor
+            object.__setattr__(self, "_char", ClassFunction(
+                self.group, [Cyclotomic(e, v) for v in self.coords.tolist()]))
         return self._char
 
     def to_json(self) -> dict:
@@ -338,12 +329,12 @@ def irreducible_invariants(F: FusionSystem, cap: int = DEFAULT_HILBERT_CAP) -> I
     if "1" not in names:
         raise FusionRepError("the trivial character is missing from the basis")
     basis = InvariantBasis(F, vectors, names, rows)
-    reps = basis.class_representatives()
-    e = _table_conductor(table)
-    values = [
-        [vec.character.value_at_element(r).lift(e) for r in reps] for vec in vectors
-    ]
-    if _cyclotomic_rank(values) != nclasses:
+    # the value matrix is square; its rank mod q is at most its rank over
+    # Q(zeta), so only a kernel mod q needs the exact elimination
+    cls = [F.S.class_of()[r] for r in basis.class_representatives()]
+    residues = table.modular.image(np.stack([vec.coords[cls] for vec in vectors]))
+    if (nullspace_mod(residues.tolist(), table.modular.q)
+            and _cyclotomic_rank(basis.value_table()) != nclasses):
         raise FusionRepError("basis characters do not separate the classes")
     return basis
 

@@ -27,6 +27,7 @@ import re
 
 from .errors import InputError, ParseError, UnknownName
 from .fusion import FusionSystem, build_fusion
+from .intlinalg import is_prime
 from .permgroup import (FiniteGroup, NotAPermutation, build_group,
                         extraspecial_p3, make_hom, parse_cycles)
 from .twisted import (CentralExtensionData, Cocycle, central_extension,
@@ -41,17 +42,6 @@ _OPTION_KEYS = ("primes", "k", "conductor", "cap_order", "cap_subgroups",
                 "cap_morphisms", "cap_hilbert", "cap_saturation",
                 "cap_chain", "cap_adic")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _cycle_string(perm) -> str:
@@ -310,7 +300,7 @@ def parse_jobspec(text: str) -> JobSpec:
                              "cannot be combined")
         if p is None:
             raise ParseError(1, 1, "constructor extraspecial_p3 requires p")
-        if not _is_prime(p) or p == 2:
+        if not is_prime(p) or p == 2:
             raise ParseError(1, 1, f"p = {p} is not an odd prime")
         known_names = {"a", "b", "c"}
     else:
@@ -378,7 +368,7 @@ def parse_jobspec(text: str) -> JobSpec:
             vals = tuple(_parse_int(v.strip(), lineno, col, "prime")
                          for v in value.split(","))
             for q in vals:
-                if not _is_prime(q):
+                if not is_prime(q):
                     raise ParseError(lineno, col, f"{q} is not prime")
             options.append((key, vals))
         elif key == "conductor":

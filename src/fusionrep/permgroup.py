@@ -10,7 +10,6 @@ External notation (parsing and printing) is 1-based cycle notation.
 
 from __future__ import annotations
 
-import threading
 from math import gcd
 
 import numpy as np
@@ -132,8 +131,8 @@ class FiniteGroup:
     """Immutable permutation group with canonical element indexing.
 
     Construct through build_group / extraspecial_p3 / coset_action.  Lazy
-    caches (multiplication table, conjugacy classes) are write-once behind a
-    lock; all public fields are read-only by convention.
+    caches (multiplication table, conjugacy classes) are write-once; all
+    public fields are read-only by convention.
     """
 
     def __init__(self, degree: int, gens: tuple, elements: tuple, names=None):
@@ -145,7 +144,6 @@ class FiniteGroup:
         self.identity = self.index[identity_perm(degree)]
         self.gen_indices = tuple(self.index[g] for g in gens)
         self.names = dict(names) if names else {}  # name -> element index
-        self._lock = threading.RLock()  # caches call into each other while held
         self._table = None
         self._inv = None
         self._orders = None
@@ -173,9 +171,7 @@ class FiniteGroup:
         if self.order > _TABLE_LIMIT:
             return None
         if self._table is None:
-            with self._lock:
-                if self._table is None:
-                    self._table = self._build_table()
+            self._table = self._build_table()
         return self._table
 
     def _build_table(self):
@@ -190,19 +186,15 @@ class FiniteGroup:
 
     def inv_array(self):
         if self._inv is None:
-            with self._lock:
-                if self._inv is None:
-                    inv = np.empty(self.order, dtype=np.int32)
-                    for i, p in enumerate(self.elements):
-                        inv[i] = self.index[invert(p)]
-                    self._inv = inv
+            inv = np.empty(self.order, dtype=np.int32)
+            for i, p in enumerate(self.elements):
+                inv[i] = self.index[invert(p)]
+            self._inv = inv
         return self._inv
 
     def element_orders(self) -> tuple:
         if self._orders is None:
-            with self._lock:
-                if self._orders is None:
-                    self._orders = tuple(perm_order(p) for p in self.elements)
+            self._orders = tuple(perm_order(p) for p in self.elements)
         return self._orders
 
     def exponent(self) -> int:
@@ -234,9 +226,7 @@ class FiniteGroup:
     def conjugacy_classes(self) -> tuple:
         """Classes as sorted index tuples, ordered by (rep order, min index)."""
         if self._classes is None:
-            with self._lock:
-                if self._classes is None:
-                    self._classes, self._class_of = self._compute_classes()
+            self._classes, self._class_of = self._compute_classes()
         return self._classes
 
     def class_of(self) -> tuple:
@@ -344,9 +334,7 @@ class FiniteGroup:
 
     def all_subgroups(self, cap: int = DEFAULT_SUBGROUP_CAP) -> list:
         if self._subgroups is None:
-            with self._lock:
-                if self._subgroups is None:
-                    self._subgroups = self._enumerate_subgroups(cap)
+            self._subgroups = self._enumerate_subgroups(cap)
         return list(self._subgroups)
 
     def _enumerate_subgroups(self, cap: int) -> tuple:
@@ -624,11 +612,6 @@ def make_hom(domain: Subgroup, gen_images, codomain: FiniteGroup = None,
     if require_injective and not hom.is_injective():
         raise NotInjective("map collapses distinct elements")
     return hom
-
-
-def conj_hom(G: FiniteGroup, g: int, sub: Subgroup) -> GroupHom:
-    """Conjugation c_g : sub -> g sub g^-1 as a GroupHom into G."""
-    return GroupHom(sub, G, tuple(G.conj(g, x) for x in sub.members))
 
 
 def coset_action(G: FiniteGroup, N: Subgroup):

@@ -10,14 +10,15 @@ chosen ambient basis.
 
 from __future__ import annotations
 
-from math import lcm
+import numpy as np
 
-from .chartable import character_table, tensor
+from .chartable import character_table
 from .errors import (
     AmbientMismatch,
     DecompositionNotIntegral,
     ExponentCapExceeded,
     FusionRepError,
+    GroupMismatch,
     InputError,
     NonzeroConstantTerm,
     NotInSpan,
@@ -159,9 +160,10 @@ def _apply_names(auto, mapping):
 def structure_constants(B: InvariantBasis, names: dict = None) -> RingPresentation:
     """Multiply the nontrivial basis elements pairwise and rewrite linearly.
 
-    Each product character decomposes over the irreducibles with non-negative
-    integer multiplicities, then over the invariant basis; both steps are
-    verified exactly and a failure means an upstream bug, not bad input.
+    The product multiplicities over the irreducibles come from the
+    certified structure tensor of Irr(S); the rewriting over the invariant
+    basis is verified exactly, and a failure means an upstream bug, not bad
+    input.
     """
     table = character_table(B.fusion.S)
     positions = [k for k, n in enumerate(B.names) if n != "1"]
@@ -171,16 +173,15 @@ def structure_constants(B: InvariantBasis, names: dict = None) -> RingPresentati
     m = len(positions)
     constants = [[0] * m for _ in range(m)]
     coefficients = [[[0] * m for _ in range(m)] for _ in range(m)]
+    mults = np.array([B.vectors[k].multiplicities for k in positions],
+                     dtype=np.int64).reshape(m, len(table))
+    # products[a, b] = multiplicities of X_a X_b over Irr(S)
+    products = np.einsum("bj,ajk->abk", mults,
+                         np.tensordot(mults, table.structure_tensor(), 1))
     for i in range(m):
         for j in range(i, m):
-            prod = tensor(B.vectors[positions[i]].character, B.vectors[positions[j]].character)
-            mults = table.multiplicities(prod)
-            if any(q.denominator != 1 or q < 0 for q in mults):
-                raise DecompositionNotIntegral(
-                    f"{gen_names[i]}*{gen_names[j]} is not a genuine character"
-                )
             try:
-                coords = decompose([int(q) for q in mults], B)
+                coords = decompose(products[i, j].tolist(), B)
             except (NotInvariant, NotInSpan) as ex:
                 raise DecompositionNotIntegral(
                     f"{gen_names[i]}*{gen_names[j]}: {ex}"
@@ -212,9 +213,8 @@ def structure_constants(B: InvariantBasis, names: dict = None) -> RingPresentati
 
 
 def presentation(B: InvariantBasis, names: dict = None) -> RingPresentation:
-    """The quadratic relations present the ring: {1, X1..Xm} is a Z-basis,
-    so every polynomial in the generators reduces to a linear normal form
-    and the rewriting relations generate the kernel of Z[X1..Xm] -> R."""
+    """Alias of structure_constants, kept for the callers that use this
+    name (perfbench/trace_job.py)."""
     return structure_constants(B, names)
 
 
@@ -240,10 +240,6 @@ class GroupRingContext:
         self.group = group
         self.table = character_table(group)
         self.rank = len(self.table)
-        e = 1
-        for ch in self.table.irreducibles:
-            e = lcm(e, ch.conductor)
-        self._e = e
         self._cache = {}
 
     @property
@@ -251,18 +247,11 @@ class GroupRingContext:
         return ("irreducibles", id(self.group))
 
     def _basis_product(self, i: int, j: int) -> tuple:
-        if (i, j) not in self._cache:
-            prod = tensor(
-                self.table[i].lift(self._e), self.table[j].lift(self._e)
-            )
-            mults = self.table.multiplicities(prod)
-            if any(q.denominator != 1 or q < 0 for q in mults):
-                raise DecompositionNotIntegral(
-                    "irreducible product failed to decompose"
-                )
-            self._cache[(i, j)] = tuple(int(q) for q in mults)
-            self._cache[(j, i)] = self._cache[(i, j)]
-        return self._cache[(i, j)]
+        row = self._cache.get((i, j))
+        if row is None:
+            row = tuple(self.table.structure_tensor()[i, j].tolist())
+            self._cache[(i, j)] = self._cache[(j, i)] = row
+        return row
 
     def product(self, u, v) -> tuple:
         out = [0] * self.rank
@@ -402,18 +391,22 @@ def quotient_by_ideal_power(P: RingPresentation, k: int) -> dict:
 
 
 def adic_equivalence_exponent(F: FusionSystem, k: int = 1,
-                              cap: int = DEFAULT_EXPONENT_CAP) -> int:
+                              cap: int = DEFAULT_EXPONENT_CAP,
+                              basis: InvariantBasis = None) -> int:
     """Least m with I(S)^m inside the ideal generated by the restricted
     invariant augmentation ideal, raised to the k-th power.
 
     Both ideals live in the character ring of S.  The reverse containment
     (the restricted power sits inside I(S)^k) is checked as well.  Failure
     to find m below the cap is reported loudly: it would contradict the
-    equivalence of the two topologies.
+    equivalence of the two topologies.  Pass the invariant basis of F when
+    it is already built.
     """
     if k < 1:
         raise InputError("k must be at least 1")
-    B = irreducible_invariants(F)
+    B = basis if basis is not None else irreducible_invariants(F)
+    if B.fusion is not F:
+        raise GroupMismatch("invariant basis belongs to a different system")
     ctx = GroupRingContext(F.S)
     IS = augmentation_ideal(F.S)
     res_rows = []

@@ -16,6 +16,7 @@ from __future__ import annotations
 from .cyclotomic import cyclotomic_polynomial
 from .errors import ConductorMismatch, FusionRepError, InputError
 from .fusion import FusionSystem
+from .intlinalg import is_prime, nullspace_mod
 
 # polynomials over F_q are tuples of ints in [0, q), ascending degree,
 # normalized so the leading entry is nonzero
@@ -87,17 +88,6 @@ def _make_monic(a, q):
     return tuple((c * inv) % q for c in a)
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _mult_order(q: int, n: int) -> int:
     v, k = q % n, 1
     while v != 1:
@@ -133,7 +123,7 @@ class CycPrime:
         if (q is None) != (factor is None):
             raise InputError("a nonzero prime needs both q and a factor")
         if q is not None:
-            if not _is_prime(q):
+            if not is_prime(q):
                 raise InputError(f"{q} is not prime")
             factor = _reduce_mod(factor, q)
             if not factor or factor[-1] != 1:
@@ -206,7 +196,7 @@ def _berlekamp_factors(f, q):
     # nullspace of (Q - I)^T acting on coefficient vectors
     mat = [[(rows[j][i] - (1 if i == j else 0)) % q for j in range(n)]
            for i in range(n)]
-    basis = _nullspace_mod(mat, q)
+    basis = nullspace_mod(mat, q)
     factors = [f]
     for vec in basis:
         v = _trim(vec)
@@ -235,36 +225,6 @@ def _berlekamp_factors(f, q):
     return sorted(_make_monic(g, q) for g in factors)
 
 
-def _nullspace_mod(mat, q):
-    """Basis of the kernel of a square matrix over F_q."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    pivots = {}
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, n) if m[i][c] % q), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], -1, q)
-        m[r] = [(x * inv) % q for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % q for a, b in zip(m[i], m[r])]
-        pivots[c] = r
-        r += 1
-    basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
-        vec = [0] * n
-        vec[fc] = 1
-        for c, pr in pivots.items():
-            vec[c] = (-m[pr][fc]) % q
-        basis.append(vec)
-    return basis
-
-
 def primes_above(q: int, n: int) -> list:
     """All primes of Z[zeta_n] over the rational prime q, sorted.
 
@@ -275,7 +235,7 @@ def primes_above(q: int, n: int) -> list:
     n the reduction Phi_n = Phi_m^e mod q (m the prime-to-q part) hands the
     problem to the smaller conductor.
     """
-    if not _is_prime(q):
+    if not is_prime(q):
         raise InputError(f"{q} is not prime")
     if n < 1:
         raise InputError("conductor must be >= 1")

@@ -27,7 +27,7 @@ from .intlinalg import hnf, lattice_eq, snf_with_transforms, solve_rational
 from .invariants import (DEFAULT_HILBERT_CAP, CoveringReport, RepVector,
                          hilbert_basis, invariance_matrix)
 from .permgroup import FiniteGroup, GroupHom, Subgroup, group_prime, is_p_group
-from .cyclotomic import Cyclotomic, root_of_unity
+from .cyclotomic import Cyclotomic, power_table, root_of_unity
 from .ringpres import structure_constants
 
 DEFAULT_CHAIN_CAP = 64
@@ -295,13 +295,12 @@ def a_representations(E: CentralExtensionData) -> tuple:
     """Indices of the irreducibles of the big group on which the marked
     central generator acts by the primitive root of unity."""
     tab = character_table(E.group)
-    e = tab.irreducibles[0].conductor
-    zeta = root_of_unity(e, e // E.coeff)
-    out = []
-    for k, chi in enumerate(tab.irreducibles):
-        if chi.value_at_element(E.a_gen) == zeta * chi.value_at_element(E.group.identity):
-            out.append(k)
-    return tuple(out)
+    e = tab.conductor
+    zeta = np.array(power_table(e)[e // E.coeff], dtype=np.int64)
+    X = tab.coords
+    at_a = X[:, E.group.class_of()[E.a_gen]]
+    at_one = X[:, E.group.class_of()[E.group.identity], :1]
+    return tuple(np.flatnonzero((at_a == at_one * zeta).all(axis=1)).tolist())
 
 
 class TwistedBasis:
@@ -378,7 +377,7 @@ def twisted_invariant_basis(E: CentralExtensionData, F_alpha: FusionSystem,
     tab = character_table(E.group)
     rows = [list(r) for r in invariance_matrix(F_alpha)]
     keep = set(a_reps)
-    m = len(tab.irreducibles)
+    m = len(tab)
     for i in range(m):
         if i not in keep:
             unit = [0] * m
@@ -396,7 +395,7 @@ def in_twisted_monoid(TB: TwistedBasis, multiplicities) -> bool:
     E, F_alpha = TB.extension, TB.fusion
     tab = character_table(E.group)
     v = tuple(int(x) for x in multiplicities)
-    if len(v) != len(tab.irreducibles):
+    if len(v) != len(tab):
         raise InputError("one multiplicity per irreducible required")
     if any(x < 0 for x in v):
         return False
@@ -497,14 +496,14 @@ def action_matrix(TB: TwistedBasis, chi: ClassFunction) -> tuple:
     decomposed over the twisted basis."""
     E = TB.extension
     tab = character_table(E.group)
-    e = tab.irreducibles[0].conductor
+    e = tab.conductor
     classes = E.group.conjugacy_classes()
     values = []
     for cls in classes:
         rep = min(cls)
         values.append(chi.value_at_element(E.s_value(rep)).lift(e))
     pullback = ClassFunction(E.group, values)
-    m = len(tab.irreducibles)
+    m = len(tab)
     t = len(TB.vectors)
     cols = []
     for w in TB.vectors:
@@ -537,16 +536,20 @@ def action_matrix(TB: TwistedBasis, chi: ClassFunction) -> tuple:
 
 
 def module_structure(F: FusionSystem, B, E: CentralExtensionData,
-                     TB: TwistedBasis) -> TwistedModule:
+                     TB: TwistedBasis, P=None) -> TwistedModule:
     """Action of every nontrivial invariant basis generator on the twisted
-    basis, verified to commute and to satisfy the ring relations."""
+    basis, verified to commute and to satisfy the ring relations.  P is the
+    presentation structure_constants(B), built here when not passed."""
     if B.fusion is not F:
         raise GroupMismatch("invariant basis belongs to a different system")
     if F.S is not E.base:
         raise GroupMismatch("fusion system lives on the wrong group")
     if TB.extension is not E:
         raise GroupMismatch("twisted basis belongs to a different extension")
-    P = structure_constants(B)
+    if P is None:
+        P = structure_constants(B)
+    elif P.basis is not B:
+        raise GroupMismatch("presentation belongs to a different basis")
     t = len(TB.vectors)
     trivial_pos = B.names.index("1")
     ident = action_matrix(TB, B.vectors[trivial_pos].character)

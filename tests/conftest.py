@@ -4,7 +4,7 @@ import pytest
 
 from fusionrep.invariants import irreducible_invariants
 from fusionrep.jobspec import load_jobspec, realize
-from fusionrep.ringpres import completed_presentation, presentation
+from fusionrep.ringpres import completed_presentation, structure_constants
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir,
                         "src", "fusionrep", "fixtures")
@@ -35,7 +35,7 @@ class Pipeline:
         return self._basis
 
     def presentation(self, names=None):
-        return presentation(self.basis, names)
+        return structure_constants(self.basis, names)
 
     def completed(self, names=None, completed_names=None):
         return completed_presentation(self.presentation(names),

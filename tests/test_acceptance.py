@@ -28,8 +28,7 @@ from fusionrep.jobspec import load_jobspec, realize
 from fusionrep.permgroup import extraspecial_p3, make_hom
 from fusionrep.polynomials import IntPolynomial
 from fusionrep.ringpres import (adic_equivalence_exponent,
-                                completed_presentation, presentation,
-                                structure_constants)
+                                completed_presentation, structure_constants)
 from fusionrep.spectrum import prime_symbols
 from fusionrep.twisted import (completed_module, module_structure,
                                twisted_covering, twisted_invariant_basis)
@@ -194,7 +193,7 @@ def test_criterion_01_sigma_family():
         job = fresh(f"sigma_{p}")
         B = irreducible_invariants(job.fusion)
         ren, cren = gens_by_degree(B, {p - 1: ("x", "y")})
-        P = presentation(B, ren)
+        P = structure_constants(B, ren)
         C = completed_presentation(P, cren)
         took = time.monotonic() - t0
         assert str(P) == ring
@@ -208,7 +207,7 @@ def test_criterion_02_a4_klein_four():
     job = fresh("a4")
     B = irreducible_invariants(job.fusion)
     ren, cren = gens_by_degree(B, {3: ("x", "y")})
-    P = presentation(B, ren)
+    P = structure_constants(B, ren)
     C = completed_presentation(P, cren)
     took = time.monotonic() - t0
     assert str(P) == "Z[x]/( x^2 - 2x - 3 )"
@@ -261,7 +260,7 @@ def test_criterion_05_onan():
     B = irreducible_invariants(job.fusion)
     assert len(job.fusion.element_classes()) == 3
     ren, cren = gens_by_degree(B, {150: ("A", "z"), 192: ("B", "w")})
-    P = presentation(B, ren)
+    P = structure_constants(B, ren)
     C = completed_presentation(P, cren)
     took = time.monotonic() - t0
     vs = ("A", "B")
@@ -339,7 +338,7 @@ def test_criterion_06_he():
     assert sorted(ren.values()) == ["D1", "D2", "D3", "D4", "D5"]
     auto = [n for n in B.names if n != "1"]
     cren = {f"v{i + 1}": "v" + ren[n][1] for i, n in enumerate(auto)}
-    P = presentation(B, ren)
+    P = structure_constants(B, ren)
     C = completed_presentation(P, cren)
     took = time.monotonic() - t0
     vs = ("D1", "D2", "D3", "D4", "D5")
@@ -355,7 +354,7 @@ def test_criterion_07_he_2():
     job, B = ringdata("he_2")
     ren, cren = gens_by_degree(B, {96: ("M1", "t1"), 102: ("M2", "t2"),
                                    144: ("D5", "t3")})
-    P = presentation(B, ren)
+    P = structure_constants(B, ren)
     C = completed_presentation(P, cren)
     vs = ("M1", "M2", "D5")
     assert poly_set(P.relations) == quad_set(vs, [
@@ -381,7 +380,7 @@ def test_criterion_07_he_2():
 def test_criterion_08_fi24p():
     job, B = ringdata("fi24p")
     ren, cren = gens_by_degree(B, {96: ("M1", "r"), 246: ("N", "s")})
-    P = presentation(B, ren)
+    P = structure_constants(B, ren)
     C = completed_presentation(P, cren)
     vs = ("M1", "N")
     assert poly_set(P.relations) == quad_set(vs, [
@@ -402,7 +401,7 @@ def test_criterion_09_rv_family():
     for stem in ("rv1", "rv2", "rv3"):
         job, B = ringdata(stem)
         ren, cren = gens_by_degree(B, {342: ("U", "u")})
-        P = presentation(B, ren)
+        P = structure_constants(B, ren)
         C = completed_presentation(P, cren)
         assert str(P) == "Z[U]/( U^2 - 341U - 342 )", stem
         assert str(C) == "Z[[u]]/( u^2 + 343u )", stem
@@ -461,7 +460,7 @@ def test_criterion_12_property_suites():
         F = job.fusion
         assert len(B.names) == len(F.element_classes()), stem
         assert covering_check(F, B).ok, stem
-        P = presentation(B)
+        P = structure_constants(B)
         m = len(P.names) + 1
         units = [tuple(int(i == k) for k in range(m)) for i in range(m)]
         for u in units:

@@ -147,6 +147,40 @@ def test_adic(capsys):
                         "--k", "0"])[0] == 1
 
 
+def _count_calls(monkeypatch, name, modules):
+    """Wrap one function in each module that imported it; return the tally."""
+    calls = []
+    for mod in modules:
+        real = getattr(mod, name)
+
+        def counted(*a, _real=real, **kw):
+            calls.append(1)
+            return _real(*a, **kw)
+
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_adic_builds_the_basis_once(capsys, monkeypatch):
+    import fusionrep.cli
+    import fusionrep.ringpres
+    calls = _count_calls(monkeypatch, "irreducible_invariants",
+                         (fusionrep.cli, fusionrep.ringpres))
+    code, out, _ = run(capsys, ["adic", fixture_path("sigma_5.fus"),
+                                "--k", "3"])
+    assert code == 0 and len(out.splitlines()) == 3
+    assert len(calls) == 1
+
+
+def test_twisted_builds_the_presentation_once(capsys, monkeypatch):
+    import fusionrep.cli
+    import fusionrep.twisted
+    calls = _count_calls(monkeypatch, "structure_constants",
+                         (fusionrep.cli, fusionrep.twisted))
+    assert run(capsys, ["twisted", fixture_path("a4_sl23.fus")])[0] == 0
+    assert len(calls) == 1
+
+
 def test_error_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, ["repring", "/nonexistent/file.fus"])
     assert code == 1 and err.startswith("error:")
