@@ -196,6 +196,7 @@ class CharacterTable:
         self._dual = (self.modular.conj_image(coords)
                       * self.modular.weights % self.modular.q)
         self._tensor = None
+        self.ring = None  # populated by ringpres.character_ring
 
     @cached_property
     def irreducibles(self) -> tuple:
@@ -237,15 +238,32 @@ class CharacterTable:
             self._tensor = N
         return self._tensor
 
-    def multiplicities(self, f: ClassFunction) -> tuple:
+    def pullback_products(self, coords, conductor: int, class_map,
+                          vectors) -> np.ndarray:
+        """Coordinates of (f o pi) * v for every v in vectors, exactly.
+
+        f is a class function of a quotient group, given by its power-basis
+        coordinates at conductor (a divisor of this table's conductor), one
+        row per class of the quotient; class c of this group maps to class
+        class_map[c] of the quotient.  vectors has the shape
+        (t, classes, phi(e)) at this table's conductor e.
+        """
+        e = self.conductor
+        lift = np.array([power_table(e)[k * (e // conductor)]
+                         for k in range(degree_phi(conductor))], dtype=np.int64)
+        pullback = np.asarray(coords)[list(class_map)] @ lift
+        return _times(pullback, vectors, _product_matrix(e))
+
+    def multiplicities(self, f) -> tuple:
         """<f, chi_k> for every irreducible, as Fractions.
 
-        When f has integer coordinates at the table's conductor, the
-        multiplicities are read mod q (in (-q/2, q/2]) and kept if
-        sum_k n_k chi_k reproduces f exactly.  Otherwise the exact inner
-        products are returned, with their errors.
+        f is a ClassFunction or an int64 array of its power-basis
+        coordinates at the table's conductor, one row per class.  With
+        integer coordinates the multiplicities are read mod q (in
+        (-q/2, q/2]) and kept if sum_k n_k chi_k reproduces f exactly.
+        Otherwise the exact inner products are returned, with their errors.
         """
-        C = self._integer_coords(f)
+        C = f if isinstance(f, np.ndarray) else self._integer_coords(f)
         if C is not None:
             q = self.modular.q
             n = self.modular.image(C) @ self._dual.T % q
@@ -253,6 +271,8 @@ class CharacterTable:
             if np.array_equal(n @ self.coords.reshape(len(self), -1),
                               C.reshape(-1)):
                 return tuple(Fraction(int(x)) for x in n)
+            f = ClassFunction(self.group, [Cyclotomic(self.conductor, row)
+                                           for row in C.tolist()])
         return tuple(inner_product(f, ch) for ch in self.irreducibles)
 
     def _integer_coords(self, f: ClassFunction):

@@ -96,6 +96,8 @@ class _Options:
         self.caps = {}
         for cap in _CAPS:
             flag = getattr(args, f"cap_{cap}")
+            if flag is not None and flag < 1:
+                raise InputError(f"cap_{cap} must be positive")
             self.caps[cap] = (flag if flag is not None
                               else spec.option(f"cap_{cap}"))
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import cos, pi, sin
 
 from .errors import ConductorMismatch, NotRational
 
@@ -253,22 +252,11 @@ class Cyclotomic:
         """Fixed total order: descending lexicographic on coefficients."""
         return tuple(-c for c in self.coeffs)
 
-    def to_complex(self) -> complex:
-        e = self.conductor
-        return sum(
-            float(c) * complex(cos(2 * pi * k / e), sin(2 * pi * k / e))
-            for k, c in enumerate(self.coeffs)
-        )
-
     def to_json(self) -> dict:
         return {
             "conductor": self.conductor,
             "coeffs": [str(c) for c in self.coeffs],
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "Cyclotomic":
-        return Cyclotomic(obj["conductor"], [Fraction(c) for c in obj["coeffs"]])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -1,14 +1,17 @@
 """Exact linear algebra over Z, Q and F_q, and a primality test.
 
 Vectors and matrices are plain lists; integer work uses Python's unbounded
-ints, rational work uses fractions.Fraction.  Lattices are represented by
-their canonical row Hermite normal form, which makes equality, membership and
-sums cheap and deterministic.
+ints, rational work uses fractions.Fraction.  Integer matrix products run on
+numpy arrays of Python ints (dtype object).  Lattices are represented by
+their canonical row Hermite normal form, which makes equality, membership
+and sums cheap and deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 
 def is_prime(n: int) -> bool:
@@ -20,6 +23,11 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def int_matmul(A, B) -> np.ndarray:
+    """A @ B over Z, exact for any entries: the product runs in Python ints."""
+    return np.asarray(A, dtype=object) @ np.asarray(B, dtype=object)
 
 
 # --- Hermite normal form -----------------------------------------------------
@@ -80,10 +88,6 @@ def lattice_member(basis_hnf: list, v) -> bool:
     return not any(reduce_mod_lattice(basis_hnf, v))
 
 
-def lattice_eq(h1: list, h2: list) -> bool:
-    return hnf(h1) == hnf(h2)
-
-
 def lattice_contains(big_hnf: list, small_rows) -> bool:
     return all(lattice_member(big_hnf, r) for r in small_rows)
 
@@ -105,41 +109,18 @@ def kernel_basis(M: list, n: int) -> list:
 
 # --- Smith normal form -------------------------------------------------------
 
-def snf_with_transforms(M: list):
-    """U, A, V with U * M * V = A diagonal, d1 | d2 | ..., U and V unimodular.
+def smith_diagonal(M: list) -> list:
+    """The Smith normal form diagonal d1 | d2 | ... of an integer matrix.
 
-    Returns (diag, U, V) where diag is the list of nonzero diagonal entries
-    padded with zeros up to min(m, n).
+    The list has min(m, n) entries, non-negative, zeros last.
     """
     A = [list(r) for r in M]
     m = len(A)
     n = len(A[0]) if A else 0
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for row in A:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        A[dst] = [a + q * b for a, b in zip(A[dst], A[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(src, dst, q):
-        for row in A:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
 
     t = 0
     while t < min(m, n):
@@ -151,43 +132,37 @@ def snf_with_transforms(M: list):
                     best = (i, j)
         if best is None:
             break
-        swap_rows(t, best[0])
+        A[t], A[best[0]] = A[best[0]], A[t]
         swap_cols(t, best[1])
         while True:
             reduced = True
             for i in range(t + 1, m):
                 if A[i][t]:
                     q = A[i][t] // A[t][t]
-                    add_row(t, i, -q)
+                    A[i] = [a - q * b for a, b in zip(A[i], A[t])]
                     if A[i][t]:
-                        swap_rows(t, i)
+                        A[t], A[i] = A[i], A[t]
                         reduced = False
             for j in range(t + 1, n):
                 if A[t][j]:
                     q = A[t][j] // A[t][t]
-                    add_col(t, j, -q)
+                    for row in A:
+                        row[j] -= q * row[t]
                     if A[t][j]:
                         swap_cols(t, j)
                         reduced = False
             if reduced:
                 break
         if A[t][t] < 0:
-            negate_row(t)
+            A[t] = [-x for x in A[t]]
         # divisibility: fold any non-multiple into the pivot and redo
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % A[t][t]:
-                    bad = i
-                    break
-            if bad is not None:
-                break
+        bad = next((i for i in range(t + 1, m)
+                    if any(A[i][j] % A[t][t] for j in range(t + 1, n))), None)
         if bad is not None:
-            add_row(bad, t, 1)
+            A[t] = [a + b for a, b in zip(A[t], A[bad])]
             continue
         t += 1
-    diag = [A[i][i] for i in range(min(m, n))]
-    return diag, U, V
+    return [A[i][i] for i in range(min(m, n))]
 
 
 # --- rational elimination ----------------------------------------------------
@@ -277,13 +252,3 @@ def nullspace_mod(mat, q):
         basis.append(vec)
     return basis
 
-
-def mat_mul(A: list, B: list) -> list:
-    """Integer matrix product."""
-    if not A or not B:
-        return []
-    n = len(B[0])
-    out = []
-    for row in A:
-        out.append([sum(row[k] * B[k][j] for k in range(len(B))) for j in range(n)])
-    return out

@@ -366,13 +366,24 @@ def decompose(v, B: InvariantBasis) -> tuple:
     for row in B.invariance_rows:
         if sum(r * m for r, m in zip(row, mults)):
             raise NotInvariant("character is not constant on the fusion classes")
-    A = [[vec.multiplicities[i] for vec in B.vectors] for i in range(len(mults))]
-    x = solve_rational(A, list(mults))
+    return integer_solution([vec.multiplicities for vec in B.vectors], mults)
+
+
+def integer_solution(columns, target) -> tuple:
+    """Integers x with sum_j x_j columns[j] = target, verified exactly.
+
+    Raises NotInSpan when target is no integer combination of the columns.
+    """
+    A = [[col[i] for col in columns] for i in range(len(target))]
+    x = solve_rational(A, list(target))
     if x is None:
         raise NotInSpan("not in the rational span of the basis")
     if any(c.denominator != 1 for c in x):
         raise NotInSpan("coordinates over the basis are not integral")
-    return tuple(int(c) for c in x)
+    x = tuple(int(c) for c in x)
+    if any(sum(a * c for a, c in zip(row, x)) != b for row, b in zip(A, target)):
+        raise NotInSpan("the basis does not span the vector")
+    return x
 
 
 def is_stable(chi: ClassFunction, F: FusionSystem) -> bool:

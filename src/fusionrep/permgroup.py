@@ -327,11 +327,6 @@ class FiniteGroup:
     def center(self) -> "Subgroup":
         return self.centralizer(self.full_subgroup())
 
-    def conjugate_subgroup(self, sub: "Subgroup", g: int) -> "Subgroup":
-        members = tuple(sorted(self.conj(g, x) for x in sub.members))
-        gens = tuple(self.conj(g, x) for x in sub.gen_indices)
-        return Subgroup(self, members, gens)
-
     def all_subgroups(self, cap: int = DEFAULT_SUBGROUP_CAP) -> list:
         if self._subgroups is None:
             self._subgroups = self._enumerate_subgroups(cap)
@@ -412,9 +407,6 @@ class Subgroup:
         return all(
             self.parent.mul(x, y) in mset for x in self.members for y in self.members
         )
-
-    def contains_subgroup(self, other: "Subgroup") -> bool:
-        return set(other.members) <= set(self.members)
 
     def exponent(self) -> int:
         orders = self.parent.element_orders()

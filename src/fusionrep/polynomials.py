@@ -119,9 +119,6 @@ class IntPolynomial:
         zero = tuple(0 for _ in self.variables)
         return self.terms.get(zero, 0)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def sorted_terms(self) -> list:
         """(exponents, coefficient) pairs in descending graded-lex order."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)

@@ -4,8 +4,10 @@ The invariant basis {1, X1, .., Xm} is a Z-basis of the ring, so products of
 basis elements rewrite linearly and the quadratic rewriting relations present
 the ring over Z.  Shifting each generator by its degree turns the
 presentation into one whose relations lie in the augmentation ideal, which
-is the completed form.  Ideal powers are handled as integer lattices in the
-chosen ambient basis.
+is the completed form.  R(S) and R(F) are both a Ring: a Z-basis whose
+element 0 is 1, the basis degrees and an integer structure tensor.  Ideals
+are integer lattices in that basis, and every I-adic chain comes from
+lattice_chain.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
     NotInvariant,
 )
 from .fusion import FusionSystem
-from .intlinalg import hnf, lattice_contains, snf_with_transforms
+from .intlinalg import hnf, int_matmul, lattice_contains, smith_diagonal
 from .invariants import InvariantBasis, decompose, irreducible_invariants
 from .permgroup import FiniteGroup
 from .polynomials import IntPolynomial
@@ -33,7 +35,69 @@ from .polynomials import IntPolynomial
 DEFAULT_EXPONENT_CAP = 64
 
 
-# --- presentations -------------------------------------------------------------
+# --- rings and presentations ---------------------------------------------------
+
+
+class Ring:
+    """A commutative ring on a Z-basis e_0 = 1, e_1, .., e_{n-1}.
+
+    degrees[i] is the augmentation of e_i, and the integer structure tensor
+    gives e_i e_j = sum_k tensor[i, j, k] e_k.  The constructor checks that
+    e_0 is the unit, that the tensor is symmetric and non-negative, and that
+    the augmentation is multiplicative.  The powers of an ideal are built
+    once per ring and generating set, and kept.
+    """
+
+    def __init__(self, degrees, tensor):
+        d = np.array(degrees, dtype=np.int64)
+        T = np.asarray(tensor, dtype=np.int64)
+        n = len(d)
+        if T.shape != (n, n, n):
+            raise InputError("the structure tensor must be rank x rank x rank")
+        if d[0] != 1 or not np.array_equal(T[0], np.eye(n, dtype=np.int64)):
+            raise FusionRepError("basis element 0 is not the unit")
+        if not np.array_equal(T, T.transpose(1, 0, 2)):
+            raise FusionRepError("structure constants are not symmetric")
+        if (T < 0).any():
+            raise FusionRepError("negative structure constant")
+        if not np.array_equal(int_matmul(T, d), int_matmul(d[:, None], d[None])):
+            raise FusionRepError("structure constants break the degrees")
+        self.degrees = tuple(d.tolist())
+        self.tensor = T
+        self.rank = n
+        self._chains = {}  # generators -> (lattice_chain, powers drawn)
+
+    def times(self, u) -> np.ndarray:
+        """The matrix of multiplication by u, acting on row vectors; the
+        work is one n x n slice per nonzero coordinate of u."""
+        n = self.rank
+        nz = [i for i, c in enumerate(u) if c]
+        return int_matmul([[u[i] for i in nz]],
+                          self.tensor[nz].reshape(len(nz), n * n)).reshape(n, n)
+
+    def multiply(self, u, v) -> tuple:
+        """Product of two elements written over the basis."""
+        if len(u) != self.rank or len(v) != self.rank:
+            raise InputError("elements have one coordinate per basis member")
+        return tuple(int_matmul([v], self.times(u))[0].tolist())
+
+    def ideal_power(self, generators, k: int) -> "IdealLattice":
+        """I^k for the ideal I generated by the given elements."""
+        gens = tuple(tuple(int(c) for c in g) for g in generators)
+        if gens not in self._chains:
+            self._chains[gens] = (
+                lattice_chain([self.times(g) for g in gens], self.rank), [])
+        chain, powers = self._chains[gens]
+        while len(powers) < k:
+            powers.append(IdealLattice(self, next(chain)))
+        return powers[k - 1]
+
+    def augmentation_power(self, k: int) -> "IdealLattice":
+        """I^k for the augmentation ideal I, generated by {e_i - d_i}."""
+        n = self.rank
+        return self.ideal_power(
+            [[-d if j == 0 else int(j == i) for j in range(n)]
+             for i, d in enumerate(self.degrees) if i], k)
 
 
 class RingPresentation:
@@ -41,10 +105,11 @@ class RingPresentation:
 
     X_i X_j = constants[i][j] + sum_k coefficients[i][j][k] X_k, with the
     relation polynomials listed squares first, then mixed products in
-    lexicographic pair order.
+    lexicographic pair order.  ring is R(F) on the Z-basis (1, X1..Xm).
     """
 
-    __slots__ = ("names", "degrees", "constants", "coefficients", "relations", "basis")
+    __slots__ = ("names", "degrees", "constants", "coefficients", "relations",
+                 "basis", "ring")
 
     def __init__(self, names, degrees, constants, coefficients, relations, basis=None):
         names = tuple(names)
@@ -54,19 +119,11 @@ class RingPresentation:
         coefficients = tuple(
             tuple(tuple(int(x) for x in cell) for cell in row) for row in coefficients
         )
-        for i in range(m):
-            for j in range(m):
-                if constants[i][j] != constants[j][i] or (
-                    coefficients[i][j] != coefficients[j][i]
-                ):
-                    raise FusionRepError("structure constants are not symmetric")
-                if constants[i][j] < 0 or any(c < 0 for c in coefficients[i][j]):
-                    raise FusionRepError("negative structure constant")
-                total = constants[i][j] + sum(
-                    c * d for c, d in zip(coefficients[i][j], degrees)
-                )
-                if total != degrees[i] * degrees[j]:
-                    raise FusionRepError("structure constants break the degrees")
+        T = np.zeros((m + 1,) * 3, dtype=np.int64)
+        T[0] = T[:, 0] = np.eye(m + 1, dtype=np.int64)
+        T[1:, 1:, 0] = np.array(constants, dtype=np.int64).reshape(m, m)
+        T[1:, 1:, 1:] = np.array(coefficients, dtype=np.int64).reshape(m, m, m)
+        object.__setattr__(self, "ring", Ring((1,) + degrees, T))
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "constants", constants)
@@ -79,24 +136,7 @@ class RingPresentation:
 
     def multiply(self, u, v) -> tuple:
         """Product of two elements written over the Z-basis (1, X1..Xm)."""
-        m = len(self.names)
-        if len(u) != m + 1 or len(v) != m + 1:
-            raise InputError("elements have one coordinate per basis member")
-        out = [0] * (m + 1)
-        out[0] = u[0] * v[0]
-        for k in range(m):
-            out[k + 1] = u[0] * v[k + 1] + v[0] * u[k + 1]
-        for i in range(m):
-            if not u[i + 1]:
-                continue
-            for j in range(m):
-                w = u[i + 1] * v[j + 1]
-                if not w:
-                    continue
-                out[0] += w * self.constants[i][j]
-                for k in range(m):
-                    out[k + 1] += w * self.coefficients[i][j][k]
-        return tuple(out)
+        return self.ring.multiply(u, v)
 
     def __str__(self):
         if not self.names:
@@ -233,66 +273,40 @@ def completed_presentation(P: RingPresentation, names: dict = None) -> Completed
 # --- ideal lattices -------------------------------------------------------------
 
 
-class GroupRingContext:
-    """Multiplication of virtual characters over the irreducible basis."""
-
-    def __init__(self, group: FiniteGroup):
-        self.group = group
-        self.table = character_table(group)
-        self.rank = len(self.table)
-        self._cache = {}
-
-    @property
-    def key(self):
-        return ("irreducibles", id(self.group))
-
-    def _basis_product(self, i: int, j: int) -> tuple:
-        row = self._cache.get((i, j))
-        if row is None:
-            row = tuple(self.table.structure_tensor()[i, j].tolist())
-            self._cache[(i, j)] = self._cache[(j, i)] = row
-        return row
-
-    def product(self, u, v) -> tuple:
-        out = [0] * self.rank
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                w = ui * vj
-                for k, c in enumerate(self._basis_product(i, j)):
-                    if c:
-                        out[k] += w * c
-        return tuple(out)
+def character_ring(G: FiniteGroup) -> Ring:
+    """R(G) on the basis Irr(G), built once per character table."""
+    table = character_table(G)
+    if table.ring is None:
+        table.ring = Ring(table.degrees(), table.structure_tensor())
+    return table.ring
 
 
-class InvariantRingContext:
-    """Multiplication over the Z-basis (1, X1..Xm) of an invariant ring."""
+def lattice_chain(maps, n: int):
+    """Yield L_1, L_2, .. for L_0 = Z^n and L_{k+1} = HNF{v M}, M in maps and
+    v in the HNF basis of L_k, each as canonical HNF rows.
 
-    def __init__(self, pres: RingPresentation):
-        self.presentation = pres
-        self.rank = len(pres.names) + 1
-
-    @property
-    def key(self):
-        return ("invariants", id(self.presentation))
-
-    def product(self, u, v) -> tuple:
-        return self.presentation.multiply(u, v)
+    maps are n x n integer matrices acting on row vectors.  When they
+    multiply by the generators of an ideal, L_k is the k-th power of the
+    ideal.  Rows stay Python ints: HNF entries have no bound.
+    """
+    M = np.array(maps, dtype=object).reshape(len(maps), n, n)
+    current = [[int(i == j) for j in range(n)] for i in range(n)]
+    while True:
+        V = np.array(current, dtype=object).reshape(len(current), n)
+        current = hnf((V @ M).reshape(len(M) * len(current), n).tolist())
+        yield current
 
 
 class IdealLattice:
-    """A sublattice of the ambient ring, held in canonical HNF."""
+    """A sublattice of a ring, held in canonical HNF."""
 
-    __slots__ = ("context", "basis")
+    __slots__ = ("ring", "basis")
 
-    def __init__(self, context, rows):
+    def __init__(self, ring: Ring, rows):
         for r in rows:
-            if len(r) != context.rank:
+            if len(r) != ring.rank:
                 raise AmbientMismatch("vector length does not match the ambient rank")
-        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "basis", tuple(map(tuple, hnf([list(r) for r in rows]))))
 
     def __setattr__(self, *a):
@@ -304,24 +318,18 @@ class IdealLattice:
     def __eq__(self, other):
         if not isinstance(other, IdealLattice):
             return NotImplemented
-        return self.context.key == other.context.key and self.basis == other.basis
+        return self.ring is other.ring and self.basis == other.basis
 
     def __hash__(self):
-        return hash((self.context.key, self.basis))
+        return hash((id(self.ring), self.basis))
 
     def to_json(self) -> dict:
         return {"rank": self.rank(), "basis": [list(r) for r in self.basis]}
 
 
-def _same_ambient(*lattices):
-    keys = {L.context.key for L in lattices}
-    if len(keys) != 1:
+def _same_ambient(L1, L2):
+    if L1.ring is not L2.ring:
         raise AmbientMismatch("ideal lattices live in different rings")
-
-
-def unit_ideal(context) -> IdealLattice:
-    n = context.rank
-    return IdealLattice(context, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def augmentation_ideal(obj) -> IdealLattice:
@@ -334,55 +342,35 @@ def augmentation_ideal(obj) -> IdealLattice:
     if isinstance(obj, InvariantBasis):
         obj = structure_constants(obj)
     if isinstance(obj, RingPresentation):
-        ctx = InvariantRingContext(obj)
-        rows = []
-        for k, d in enumerate(obj.degrees):
-            row = [0] * ctx.rank
-            row[0] = -d
-            row[k + 1] = 1
-            rows.append(row)
-        return IdealLattice(ctx, rows)
+        return obj.ring.augmentation_power(1)
     if isinstance(obj, FiniteGroup):
-        ctx = GroupRingContext(obj)
-        degs = ctx.table.degrees()
-        rows = []
-        for i in range(1, ctx.rank):
-            row = [0] * ctx.rank
-            row[0] = -degs[i]
-            row[i] = 1
-            rows.append(row)
-        return IdealLattice(ctx, rows)
+        return character_ring(obj).augmentation_power(1)
     raise InputError("expected a presentation, an invariant basis, or a group")
 
 
-def ideal_product(L1: IdealLattice, L2: IdealLattice, context=None) -> IdealLattice:
+def ideal_product(L1: IdealLattice, L2: IdealLattice) -> IdealLattice:
     """Lattice spanned by pairwise products of the two bases."""
     _same_ambient(L1, L2)
-    ctx = context if context is not None else L1.context
-    if ctx.key != L1.context.key:
-        raise AmbientMismatch("context does not match the lattices")
-    rows = [ctx.product(u, v) for u in L1.basis for v in L2.basis]
-    return IdealLattice(ctx, rows)
+    ring = L1.ring
+    V = np.array(L2.basis, dtype=object).reshape(len(L2.basis), ring.rank)
+    rows = [r for u in L1.basis for r in int_matmul(V, ring.times(u)).tolist()]
+    return IdealLattice(ring, rows)
 
 
 def contains(L1: IdealLattice, L2: IdealLattice) -> bool:
     """Whether L2 is a sublattice of L1."""
     _same_ambient(L1, L2)
-    return lattice_contains([list(r) for r in L1.basis], [list(r) for r in L2.basis])
+    return lattice_contains([list(r) for r in L1.basis], L2.basis)
 
 
 def quotient_by_ideal_power(P: RingPresentation, k: int) -> dict:
     """The finite-rank data of R/I^k: free rank and invariant factors."""
     if k < 1:
         raise InputError("k must be at least 1")
-    L = augmentation_ideal(P)
-    Lk = L
-    for _ in range(k - 1):
-        Lk = ideal_product(Lk, L)
-    diag, _, _ = snf_with_transforms([list(r) for r in Lk.basis])
+    diag = smith_diagonal(P.ring.augmentation_power(k).basis)
     nonzero = [abs(d) for d in diag if d]
     return {
-        "free_rank": (len(P.names) + 1) - len(nonzero),
+        "free_rank": P.ring.rank - len(nonzero),
         "torsion": [d for d in nonzero if d > 1],
     }
 
@@ -396,46 +384,35 @@ def adic_equivalence_exponent(F: FusionSystem, k: int = 1,
     """Least m with I(S)^m inside the ideal generated by the restricted
     invariant augmentation ideal, raised to the k-th power.
 
-    Both ideals live in the character ring of S.  The reverse containment
-    (the restricted power sits inside I(S)^k) is checked as well.  Failure
-    to find m below the cap is reported loudly: it would contradict the
-    equivalence of the two topologies.  Pass the invariant basis of F when
-    it is already built.
+    Both ideals live in the character ring of S, which keeps their powers,
+    so calls for k = 1, 2, .. on one system build each power once.  The
+    reverse containment (the restricted power sits inside I(S)^k) is
+    checked as well.  Failure to find m below the cap is reported loudly:
+    it would contradict the equivalence of the two topologies.  Pass the
+    invariant basis of F when it is already built.
     """
     if k < 1:
         raise InputError("k must be at least 1")
     B = basis if basis is not None else irreducible_invariants(F)
     if B.fusion is not F:
         raise GroupMismatch("invariant basis belongs to a different system")
-    ctx = GroupRingContext(F.S)
-    IS = augmentation_ideal(F.S)
-    res_rows = []
+    ring = character_ring(F.S)
+    gens = []
     for name, vec in zip(B.names, B.vectors):
         if name == "1":
             continue
         row = list(vec.multiplicities)
         row[0] -= vec.degree()
-        res_rows.append(row)
-    if res_rows:
-        J = ideal_product(IdealLattice(ctx, res_rows), unit_ideal(ctx), ctx)
-    else:
-        J = IdealLattice(ctx, [])
-    Jk = J
-    for _ in range(k - 1):
-        Jk = ideal_product(Jk, J)
-    ISk = IS
-    for _ in range(k - 1):
-        ISk = ideal_product(ISk, IS)
-    if not lattice_contains([list(r) for r in ISk.basis], [list(r) for r in Jk.basis]):
+        gens.append(row)
+    Jk = ring.ideal_power(gens, k)
+    if not contains(ring.augmentation_power(k), Jk):
         raise FusionRepError("restricted ideal power escapes I(S)^k")
-    ISm = IS
     for m in range(1, cap + 1):
-        if lattice_contains([list(r) for r in Jk.basis], [list(r) for r in ISm.basis]):
+        ISm = ring.augmentation_power(m)
+        if contains(Jk, ISm):
             return m
-        nxt = ideal_product(ISm, IS)
-        if not lattice_contains([list(r) for r in ISm.basis], [list(r) for r in nxt.basis]):
+        if not contains(ISm, ring.augmentation_power(m + 1)):
             raise FusionRepError("ideal powers are not decreasing")
-        ISm = nxt
     raise ExponentCapExceeded(
         f"no exponent up to {cap} bounds I(S)-adic by the restricted ideal"
     )

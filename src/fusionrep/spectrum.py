@@ -147,15 +147,6 @@ class CycPrime:
     def is_zero(self) -> bool:
         return self.q is None
 
-    def rational_prime(self) -> int:
-        """The prime of Z below this prime; undefined for the zero ideal."""
-        if self.q is None:
-            raise FusionRepError("the zero ideal lies over no rational prime")
-        return self.q
-
-    def residue_degree(self) -> int:
-        return 0 if self.q is None else len(self.factor) - 1
-
     def sort_key(self):
         return (0, 0, ()) if self.q is None else (1, self.q, self.factor)
 
@@ -350,9 +341,6 @@ class SpectrumPoset:
 
     def maximal(self) -> tuple:
         return tuple(i for i, s in enumerate(self.nodes) if not s.is_minimal())
-
-    def leq(self, i: int, j: int) -> bool:
-        return i == j or (i, j) in set(self.edges)
 
     def is_connected(self) -> bool:
         n = len(self.nodes)

@@ -18,17 +18,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chartable import ClassFunction, character_table, tensor
+from .chartable import character_table
 from .errors import (AmbientMismatch, BadSection, DecompositionNotIntegral,
                      FusionRepError, GroupMismatch, InputError, InvalidCocycle,
-                     NotCentral, NotCyclicKernel, QuotientMismatch)
+                     NotCentral, NotCyclicKernel, NotInSpan, QuotientMismatch)
 from .fusion import FusionSystem, quotient_fusion
-from .intlinalg import hnf, lattice_eq, snf_with_transforms, solve_rational
+from .intlinalg import int_matmul, smith_diagonal
 from .invariants import (DEFAULT_HILBERT_CAP, CoveringReport, RepVector,
-                         hilbert_basis, invariance_matrix)
+                         hilbert_basis, integer_solution, invariance_matrix)
 from .permgroup import FiniteGroup, GroupHom, Subgroup, group_prime, is_p_group
 from .cyclotomic import Cyclotomic, power_table, root_of_unity
-from .ringpres import structure_constants
+from .ringpres import lattice_chain, structure_constants
 
 DEFAULT_CHAIN_CAP = 64
 _VIOLATION_LIMIT = 20
@@ -142,9 +142,6 @@ class CentralExtensionData:
         self.projection = projection
         self.section = section  # base element index -> group element index
         self.pairs = pairs      # group element index -> (a, s)
-
-    def a_value(self, x: int) -> int:
-        return self.pairs[x][0]
 
     def s_value(self, x: int) -> int:
         return self.pairs[x][1]
@@ -417,30 +414,6 @@ def twisted_covering(TB: TwistedBasis) -> CoveringReport:
 
 # --- module structure ---------------------------------------------------------
 
-def _mat_mul(A, B):
-    t = len(A)
-    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(t))
-                       for j in range(t)) for i in range(t))
-
-
-def _mat_add(A, B):
-    return tuple(tuple(a + b for a, b in zip(ra, rb))
-                 for ra, rb in zip(A, B))
-
-
-def _mat_scale(c, A):
-    return tuple(tuple(c * a for a in row) for row in A)
-
-
-def _mat_eye(t, c=1):
-    return tuple(tuple(c if i == j else 0 for j in range(t))
-                 for i in range(t))
-
-
-def _mat_is_zero(A):
-    return all(all(v == 0 for v in row) for row in A)
-
-
 class TwistedModule:
     """Integer action matrices of the invariant ring generators on the
     twisted basis; column j of a matrix decomposes the product with the
@@ -454,10 +427,11 @@ class TwistedModule:
                 raise InputError("action matrices must be square on the basis")
             if any(v < 0 for row in M for v in row):
                 raise FusionRepError("action matrix has a negative entry")
+        A = np.array(matrices, dtype=object).reshape(len(matrices), t, t)
+        prods = int_matmul(A[:, None], A[None])
         for i in range(len(matrices)):
             for j in range(i + 1, len(matrices)):
-                if _mat_mul(matrices[i], matrices[j]) != \
-                        _mat_mul(matrices[j], matrices[i]):
+                if not np.array_equal(prods[i, j], prods[j, i]):
                     raise FusionRepError(
                         f"action matrices for {names[i]} and {names[j]} "
                         "do not commute")
@@ -478,59 +452,36 @@ class TwistedModule:
         }
 
 
-def _evaluate_relation(rel, names, matrices, t):
-    """Relation polynomial evaluated on commuting matrices."""
-    total = _mat_eye(t, 0)
-    by_name = dict(zip(names, matrices))
-    for exps, coeff in rel.terms.items():
-        term = _mat_eye(t)
-        for var, e in zip(rel.variables, exps):
-            for _ in range(e):
-                term = _mat_mul(term, by_name[var])
-        total = _mat_add(total, _mat_scale(coeff, term))
-    return total
-
-
-def action_matrix(TB: TwistedBasis, chi: ClassFunction) -> tuple:
-    """Matrix of tensoring with the pullback of a base-group character,
-    decomposed over the twisted basis."""
+def action_matrix(TB: TwistedBasis, vec: RepVector) -> tuple:
+    """Matrix of tensoring with the pullback of a character of the base
+    group, decomposed over the twisted basis; vec is that character over
+    Irr of the base group."""
     E = TB.extension
     tab = character_table(E.group)
-    e = tab.conductor
-    classes = E.group.conjugacy_classes()
-    values = []
-    for cls in classes:
-        rep = min(cls)
-        values.append(chi.value_at_element(E.s_value(rep)).lift(e))
-    pullback = ClassFunction(E.group, values)
-    m = len(tab)
+    base_class = E.base.class_of()
+    at = [base_class[E.s_value(cls[0])] for cls in E.group.conjugacy_classes()]
+    products = tab.pullback_products(
+        vec.coords, character_table(E.base).conductor, at,
+        np.stack([w.coords for w in TB.vectors]))
     t = len(TB.vectors)
+    basis = [w.multiplicities for w in TB.vectors]
     cols = []
-    for w in TB.vectors:
-        prod = tensor(pullback, w.character)
-        mults = tab.multiplicities(prod)
+    for prod in products:
         target = []
-        for v in mults:
+        for v in tab.multiplicities(prod):
             if v.denominator != 1 or v < 0:
                 raise DecompositionNotIntegral(
                     f"product multiplicity {v} is not a non-negative integer")
             target.append(int(v))
-        rows = [[TB.vectors[j].multiplicities[i] for j in range(t)]
-                for i in range(m)]
-        sol = solve_rational(rows, target)
-        if sol is None:
+        try:
+            col = integer_solution(basis, target)
+        except NotInSpan as ex:
             raise DecompositionNotIntegral(
-                "product does not lie in the span of the twisted basis")
-        col = []
-        for v in sol:
-            if v.denominator != 1 or v < 0:
+                f"product with the twisted basis: {ex}") from ex
+        for v in col:
+            if v < 0:
                 raise DecompositionNotIntegral(
                     f"coefficient {v} is not a non-negative integer")
-            col.append(int(v))
-        check = [sum(rows[i][j] * col[j] for j in range(t)) for i in range(m)]
-        if check != target:
-            raise DecompositionNotIntegral(
-                "twisted basis does not span the product")
         cols.append(col)
     return tuple(tuple(cols[j][i] for j in range(t)) for i in range(t))
 
@@ -538,8 +489,9 @@ def action_matrix(TB: TwistedBasis, chi: ClassFunction) -> tuple:
 def module_structure(F: FusionSystem, B, E: CentralExtensionData,
                      TB: TwistedBasis, P=None) -> TwistedModule:
     """Action of every nontrivial invariant basis generator on the twisted
-    basis, verified to commute and to satisfy the ring relations.  P is the
-    presentation structure_constants(B), built here when not passed."""
+    basis, verified to commute and to satisfy the ring relations
+    M_i M_j = sum_k T[i, j, k] M_k of R(F), with M_0 the identity.  P is
+    the presentation structure_constants(B), built here when not passed."""
     if B.fusion is not F:
         raise GroupMismatch("invariant basis belongs to a different system")
     if F.S is not E.base:
@@ -551,19 +503,19 @@ def module_structure(F: FusionSystem, B, E: CentralExtensionData,
     elif P.basis is not B:
         raise GroupMismatch("presentation belongs to a different basis")
     t = len(TB.vectors)
-    trivial_pos = B.names.index("1")
-    ident = action_matrix(TB, B.vectors[trivial_pos].character)
-    if ident != _mat_eye(t):
+    ident = action_matrix(TB, B.vectors[B.names.index("1")])
+    if not np.array_equal(np.reshape(ident, (t, t)), np.eye(t)):
         raise FusionRepError("unit does not act as the identity")
-    matrices = []
-    for name in P.names:
-        pos = B.names.index(name)
-        matrices.append(action_matrix(TB, B.vectors[pos].character))
+    matrices = [action_matrix(TB, B.vectors[B.names.index(name)])
+                for name in P.names]
     TM = TwistedModule(TB, P.names, P.degrees, tuple(matrices))
-    for rel in P.relations:
-        if not _mat_is_zero(_evaluate_relation(rel, P.names, TM.matrices, t)):
-            raise FusionRepError(
-                "action matrices violate a ring relation")
+    n = P.ring.rank
+    Ms = np.array((ident,) + TM.matrices, dtype=object).reshape(n, t, t)
+    lhs = int_matmul(Ms[:, None], Ms[None])
+    rhs = int_matmul(P.ring.tensor.reshape(n * n, n),
+                     Ms.reshape(n, t * t)).reshape(n, n, t, t)
+    if not np.array_equal(lhs, rhs):
+        raise FusionRepError("action matrices violate a ring relation")
     tdegs = TB.degrees()
     for name, d, M in zip(TM.names, TM.degrees, TM.matrices):
         for j in range(t):
@@ -644,27 +596,26 @@ def completed_module(TM: TwistedModule, P, names=None,
         if len(names) != len(TM.names):
             raise InputError("one completed name per generator required")
     t = len(TM.basis.vectors)
-    shifted = tuple(_mat_add(M, _mat_eye(t, -d))
+    shifted = tuple(tuple(tuple(v - d * (i == j) for j, v in enumerate(row))
+                          for i, row in enumerate(M))
                     for M, d in zip(TM.matrices, TM.degrees))
-    current = hnf([list(row) for row in _mat_eye(t)])
+    # N acts on column vectors, so v -> N v is the row action of N^T
+    chain = lattice_chain([np.array(N, dtype=np.int64).reshape(t, t).T
+                           for N in shifted], t)
+    current = [[int(i == j) for j in range(t)] for i in range(t)]
     steps = 0
     stable = None
     while steps < cap:
-        images = []
-        for N in shifted:
-            for v in current:
-                images.append([sum(N[i][k] * v[k] for k in range(t))
-                               for i in range(t)])
-        nxt = hnf(images)
+        nxt = next(chain)
         steps += 1
-        if lattice_eq(nxt, current):
+        if nxt == current:
             stable = nxt
             break
         current = nxt
     if stable is None:
         return CompletedModule("symbolic", TM.basis.names, names, shifted,
                                steps=steps)
-    diag = snf_with_transforms([list(r) for r in stable] or [[0] * t])[0]
+    diag = smith_diagonal([list(r) for r in stable] or [[0] * t])
     nonzero = [d for d in diag if d != 0]
     return CompletedModule(
         "finite", TM.basis.names, names, shifted,

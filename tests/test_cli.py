@@ -172,6 +172,30 @@ def test_adic_builds_the_basis_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_adic_builds_each_power_once(capsys, monkeypatch):
+    import fusionrep.ringpres
+    real = fusionrep.ringpres.lattice_chain
+    chains = []  # [rank, generators, lattices drawn] per chain
+
+    def counted(maps, n):
+        tally = [n, len(maps), 0]
+        chains.append(tally)
+        for lattice in real(maps, n):
+            tally[2] += 1
+            yield lattice
+
+    monkeypatch.setattr(fusionrep.ringpres, "lattice_chain", counted)
+    code, out, _ = run(capsys, ["adic", fixture_path("sigma_5.fus"),
+                                "--k", "3", "--json"])
+    assert code == 0
+    ms = [r["m"] for r in json.loads(out)["results"]]
+    # R(Z/5) has rank 5: I(S) has the four generators chi_i - 1 and the
+    # restricted ideal J one; R(F) has rank 2.  One chain per ideal serves
+    # every k: I(S)^m is drawn once for m up to the largest m, and J^k and
+    # I(F)^k once for k up to 3
+    assert sorted(chains) == [[2, 1, 3], [5, 1, 3], [5, 4, max(ms)]]
+
+
 def test_twisted_builds_the_presentation_once(capsys, monkeypatch):
     import fusionrep.cli
     import fusionrep.twisted
@@ -194,6 +218,16 @@ def test_error_exit_codes(capsys, tmp_path):
     code, _, _ = run(capsys, ["repring", fixture_path("a4.fus"),
                               "--cap-order", "2"])
     assert code == 3
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("cap", ["order", "subgroups", "morphisms", "hilbert",
+                                 "saturation", "chain", "adic"])
+def test_non_positive_caps_are_rejected(capsys, cap, value):
+    code, out, err = run(capsys, ["adic", fixture_path("sigma_3.fus"),
+                                  f"--cap-{cap}", value])
+    assert code == 1 and out == ""
+    assert err == f"error: cap_{cap} must be positive\n"
 
 
 def test_names_override(capsys, tmp_path):

@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 from fusionrep.intlinalg import (hnf, kernel_basis, lattice_contains,
-                                 lattice_eq, mat_mul, snf_with_transforms,
-                                 solve_rational)
+                                 smith_diagonal, solve_rational)
 
 
 def test_hnf_basics():
@@ -12,7 +13,7 @@ def test_hnf_basics():
     H = hnf([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     # pivots positive, echelon shape
     assert all(next(v for v in row if v) > 0 for row in H)
-    assert lattice_eq(H, hnf([[10, 4, 16], [2, 4, 4], [-6, 6, 12]]))
+    assert H == hnf([[10, 4, 16], [2, 4, 4], [-6, 6, 12]])
 
 
 def test_hnf_canonical_for_equal_lattices():
@@ -25,19 +26,42 @@ def test_hnf_canonical_for_equal_lattices():
         assert hnf(scaled) == H1
 
 
+def _det(M):
+    if not M:
+        return 1
+    return sum((-1) ** j * M[0][j] * _det([row[:j] + row[j + 1:] for row in M[1:]])
+               for j in range(len(M)))
+
+
+def _determinantal_divisor(M, k):
+    """gcd of the k x k minors of M."""
+    g = 0
+    for rows in itertools.combinations(range(len(M)), k):
+        for cols in itertools.combinations(range(len(M[0])), k):
+            g = gcd(g, _det([[M[i][j] for j in cols] for i in rows]))
+    return g
+
+
 def test_snf_randomized():
     random.seed(0)
     for _ in range(30):
         m = [[random.randint(-9, 9) for _ in range(4)] for _ in range(3)]
-        d, U, V = snf_with_transforms(m)
-        P = mat_mul(mat_mul(U, m), V)
-        for i in range(3):
-            for j in range(4):
-                want = d[i] if i == j and i < len(d) else 0
-                assert P[i][j] == want
+        d = smith_diagonal(m)
+        assert len(d) == 3
+        # d1 d2 .. dk is the gcd of the k x k minors
+        prod = 1
+        for k in range(1, 4):
+            prod *= d[k - 1]
+            assert prod == _determinantal_divisor(m, k), (m, d)
         for i in range(len(d) - 1):
-            if d[i] and d[i + 1]:
+            assert d[i] >= 0
+            if d[i]:
                 assert d[i + 1] % d[i] == 0
+            else:
+                assert d[i + 1] == 0
+    # rank-deficient and empty shapes
+    assert smith_diagonal([[2, 4], [3, 6]]) == [1, 0]
+    assert smith_diagonal([]) == []
 
 
 def test_kernel_randomized():

@@ -8,7 +8,8 @@ from fusionrep.fusion import build_fusion
 from fusionrep.invariants import decompose, irreducible_invariants
 from fusionrep.permgroup import build_group, make_hom
 from fusionrep.polynomials import IntPolynomial
-from fusionrep.ringpres import (adic_equivalence_exponent, augmentation_ideal,
+from fusionrep.ringpres import (IdealLattice, adic_equivalence_exponent,
+                                augmentation_ideal, character_ring,
                                 completed_presentation, contains,
                                 ideal_product, presentation,
                                 quotient_by_ideal_power, structure_constants)
@@ -140,6 +141,28 @@ def test_adic_exponents():
         assert adic_equivalence_exponent(Ftriv, k) == k
     F, _ = sigma3_pipeline()
     assert adic_equivalence_exponent(F, 1) == 2
+
+
+@pytest.mark.parametrize("stem", ["sigma_3", "a4", "onan"])
+def test_chain_matches_repeated_products(pipeline, stem):
+    """The cached chain gives I^k = I^(k-1) * I for I(S) and I(F)."""
+    P = pipeline(stem)
+    for ring in (character_ring(P.group), P.presentation().ring):
+        n = ring.rank
+        gens = [[-d if j == 0 else int(j == i) for j in range(n)]
+                for i, d in enumerate(ring.degrees) if i]
+        I = IdealLattice(ring, gens)
+        power = I
+        assert ring.augmentation_power(1) == I, stem
+        for k in (2, 3):
+            power = ideal_product(power, I)
+            assert ring.augmentation_power(k) == power, (stem, k)
+
+
+@pytest.mark.slow
+def test_onan_adic_exponent(pipeline):
+    P = pipeline("onan")
+    assert adic_equivalence_exponent(P.fusion, 1, basis=P.basis) == 18
 
 
 def test_structure_constants_names_equal_presentation(pipeline):
