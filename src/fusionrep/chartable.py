@@ -34,7 +34,7 @@ from .errors import (
     GroupMismatch,
     NotAPrimePowerGroup,
 )
-from .intlinalg import is_prime
+from .intlinalg import hnf, is_prime, nullspace_mod
 from .permgroup import (
     FiniteGroup,
     Subgroup,
@@ -94,9 +94,6 @@ class ClassFunction:
 
     def conjugate(self) -> "ClassFunction":
         return ClassFunction(self.group, [v.conjugate() for v in self.values])
-
-    def lift(self, e: int) -> "ClassFunction":
-        return ClassFunction(self.group, [v.lift(e) for v in self.values])
 
     def sort_key(self):
         return tuple(v.sort_key() for v in self.values)
@@ -253,6 +250,25 @@ class CharacterTable:
                          for k in range(degree_phi(conductor))], dtype=np.int64)
         pullback = np.asarray(coords)[list(class_map)] @ lift
         return _times(pullback, vectors, _product_matrix(e))
+
+    def rank(self, values: np.ndarray) -> int:
+        """Rank over Q(zeta_e) of a matrix of values in Z[zeta_e].
+
+        values holds integer power-basis coordinates, rows x columns x
+        phi(e).  The rank mod q is at most the rank over Q(zeta_e), so a
+        square image with no kernel mod q certifies full rank.  Otherwise
+        the rank is read from the integer matrix of the same map over Q
+        (restriction of scalars): block (i, j) multiplies by values[i, j],
+        and its rank over Q is phi(e) times the rank over Q(zeta_e).
+        """
+        rows, cols, phi = values.shape
+        residues = self.modular.image(values).tolist()
+        if rows == cols and not nullspace_mod(residues, self.modular.q):
+            return rows
+        blocks = _times(values[:, :, None, :], np.eye(phi, dtype=np.int64),
+                        _product_matrix(self.conductor))
+        scalars = blocks.transpose(0, 2, 1, 3).reshape(rows * phi, cols * phi)
+        return len(hnf(scalars.tolist())) // phi
 
     def multiplicities(self, f) -> tuple:
         """<f, chi_k> for every irreducible, as Fractions.

@@ -230,7 +230,11 @@ def _cmd_ktheory(rj, mapping, opts, args):
 
 
 def _cmd_spectrum(rj, mapping, opts, args):
-    primes = opts.primes if opts.primes is not None else (rj.fusion.p,)
+    primes = opts.primes
+    if primes is None:
+        if rj.fusion.p is None:
+            raise InputError("the trivial group has no prime; give --primes")
+        primes = (rj.fusion.p,)
     poset = prime_symbols(rj.fusion, primes, conductor=opts.conductor)
     if args.dot:
         return poset.to_dot()

@@ -207,27 +207,6 @@ class Cyclotomic:
                         out[i] += c * row[i]
         return Cyclotomic(e, out)
 
-    def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via the multiplication matrix."""
-        from .intlinalg import solve_rational
-
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        phi, table = _ctx(self.conductor)
-        cols = []
-        for k in range(phi):
-            unit = [0] * phi
-            unit[k] = 1
-            prod = self * Cyclotomic(self.conductor, unit)
-            cols.append(prod.coeffs)
-        # matrix with column k = self * z^k; solve M x = e_0
-        M = [[cols[k][i] for k in range(phi)] for i in range(phi)]
-        rhs = [1] + [0] * (phi - 1)
-        x = solve_rational(M, rhs)
-        if x is None:
-            raise ZeroDivisionError("value is a zero divisor (not a field element?)")
-        return Cyclotomic(self.conductor, x)
-
     def lift(self, e2: int) -> "Cyclotomic":
         """The same value at a larger conductor e2 (conductor | e2)."""
         e = self.conductor

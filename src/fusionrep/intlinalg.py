@@ -1,17 +1,17 @@
-"""Exact linear algebra over Z, Q and F_q, and a primality test.
+"""Exact linear algebra over Z and F_q, and a primality test.
 
-Vectors and matrices are plain lists; integer work uses Python's unbounded
-ints, rational work uses fractions.Fraction.  Integer matrix products run on
-numpy arrays of Python ints (dtype object).  Lattices are represented by
-their canonical row Hermite normal form, which makes equality, membership
-and sums cheap and deterministic.
+Vectors and matrices are plain lists of Python's unbounded ints.  Integer
+matrix products run on numpy arrays of Python ints (dtype object).  Lattices
+are represented by their canonical row Hermite normal form, which makes
+equality, membership, sums, ranks and integer solves cheap and
+deterministic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
+
+from .errors import NotInSpan
 
 
 def is_prime(n: int) -> bool:
@@ -94,17 +94,45 @@ def lattice_contains(big_hnf: list, small_rows) -> bool:
 
 # --- integer kernels ---------------------------------------------------------
 
+def _tagged_hnf(columns) -> list:
+    """HNF of the rows (columns[j] | e_j).
+
+    Every row is (sum_j a_j columns[j] | a), so the rows with a zero first
+    block span the integer relations among the columns.
+    """
+    t = len(columns)
+    return hnf([list(col) + [int(i == j) for i in range(t)]
+                for j, col in enumerate(columns)])
+
+
 def kernel_basis(M: list, n: int) -> list:
     """Basis of {x in Z^n : M x = 0} for an integer matrix M (list of rows)."""
     m = len(M)
-    B = []
-    for i in range(n):
-        row = [M[j][i] for j in range(m)] + [0] * n
-        row[m + i] = 1
-        B.append(row)
-    H = hnf(B)
-    out = [row[m:] for row in H if not any(row[:m])]
-    return out
+    H = _tagged_hnf([[row[i] for row in M] for i in range(n)])
+    return [row[m:] for row in H if not any(row[:m])]
+
+
+def integer_solution(columns, target) -> tuple:
+    """Integers x with sum_j x_j columns[j] = target, verified exactly.
+
+    Reducing (target | 0) against the tagged HNF of the columns leaves
+    (target - sum_j x_j columns[j] | -x), with a zero first block exactly
+    when target lies in the Z-span.  Raises NotInSpan when the columns are
+    dependent or target is no integer combination of them.
+    """
+    t = len(columns)
+    H = _tagged_hnf(columns)
+    n = len(target)
+    if any(not any(row[:n]) for row in H):
+        raise NotInSpan("the basis vectors are linearly dependent")
+    rest = reduce_mod_lattice(H, list(target) + [0] * t)
+    if any(rest[:n]):
+        raise NotInSpan("not an integer combination of the basis")
+    x = tuple(-c for c in rest[n:])
+    if any(sum(c * col[i] for c, col in zip(x, columns)) != b
+           for i, b in enumerate(target)):
+        raise NotInSpan("the basis does not span the vector")
+    return x
 
 
 # --- Smith normal form -------------------------------------------------------
@@ -163,64 +191,6 @@ def smith_diagonal(M: list) -> list:
             continue
         t += 1
     return [A[i][i] for i in range(min(m, n))]
-
-
-# --- rational elimination ----------------------------------------------------
-
-def solve_rational(A: list, b: list):
-    """One exact solution x (Fractions) of A x = b, or None if inconsistent.
-
-    Free variables are set to zero.  A is a list of m rows of length n.
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    M = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(A, b)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(m):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if M[i][n]:
-            return None
-    x = [Fraction(0)] * n
-    for k, c in enumerate(pivots):
-        x[c] = M[k][n]
-    return x
-
-
-def rational_rank(A: list) -> int:
-    m = len(A)
-    n = len(A[0]) if m else 0
-    M = [[Fraction(x) for x in row] for row in A]
-    rank = 0
-    for c in range(n):
-        piv = next((i for i in range(rank, m) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = 1 / M[rank][c]
-        M[rank] = [x * inv for x in M[rank]]
-        for i in range(m):
-            if i != rank and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
 
 
 def nullspace_mod(mat, q):

@@ -23,11 +23,10 @@ from .errors import (
     GroupMismatch,
     HilbertCapExceeded,
     InputError,
-    NotInSpan,
     NotInvariant,
 )
 from .fusion import FusionSystem
-from .intlinalg import kernel_basis, nullspace_mod, solve_rational
+from .intlinalg import integer_solution, kernel_basis
 from .permgroup import FiniteGroup
 
 DEFAULT_HILBERT_CAP = 100_000
@@ -276,27 +275,6 @@ class InvariantBasis:
         }
 
 
-def _cyclotomic_rank(rows: list) -> int:
-    M = [list(r) for r in rows]
-    rank = 0
-    ncols = len(M[0]) if M else 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(M)) if not M[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = M[rank][c].inverse()
-        M[rank] = [x * inv for x in M[rank]]
-        for i in range(len(M)):
-            if i != rank and not M[i][c].is_zero():
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[rank])]
-        rank += 1
-        if rank == len(M):
-            break
-    return rank
-
-
 def irreducible_invariants(F: FusionSystem, cap: int = DEFAULT_HILBERT_CAP) -> InvariantBasis:
     """The minimal F-invariant characters, wrapped as a canonical basis.
 
@@ -329,12 +307,8 @@ def irreducible_invariants(F: FusionSystem, cap: int = DEFAULT_HILBERT_CAP) -> I
     if "1" not in names:
         raise FusionRepError("the trivial character is missing from the basis")
     basis = InvariantBasis(F, vectors, names, rows)
-    # the value matrix is square; its rank mod q is at most its rank over
-    # Q(zeta), so only a kernel mod q needs the exact elimination
     cls = [F.S.class_of()[r] for r in basis.class_representatives()]
-    residues = table.modular.image(np.stack([vec.coords[cls] for vec in vectors]))
-    if (nullspace_mod(residues.tolist(), table.modular.q)
-            and _cyclotomic_rank(basis.value_table()) != nclasses):
+    if table.rank(np.stack([vec.coords[cls] for vec in vectors])) != nclasses:
         raise FusionRepError("basis characters do not separate the classes")
     return basis
 
@@ -367,23 +341,6 @@ def decompose(v, B: InvariantBasis) -> tuple:
         if sum(r * m for r, m in zip(row, mults)):
             raise NotInvariant("character is not constant on the fusion classes")
     return integer_solution([vec.multiplicities for vec in B.vectors], mults)
-
-
-def integer_solution(columns, target) -> tuple:
-    """Integers x with sum_j x_j columns[j] = target, verified exactly.
-
-    Raises NotInSpan when target is no integer combination of the columns.
-    """
-    A = [[col[i] for col in columns] for i in range(len(target))]
-    x = solve_rational(A, list(target))
-    if x is None:
-        raise NotInSpan("not in the rational span of the basis")
-    if any(c.denominator != 1 for c in x):
-        raise NotInSpan("coordinates over the basis are not integral")
-    x = tuple(int(c) for c in x)
-    if any(sum(a * c for a, c in zip(row, x)) != b for row, b in zip(A, target)):
-        raise NotInSpan("the basis does not span the vector")
-    return x
 
 
 def is_stable(chi: ClassFunction, F: FusionSystem) -> bool:

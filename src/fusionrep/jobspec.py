@@ -29,9 +29,9 @@ from .errors import InputError, ParseError, UnknownName
 from .fusion import FusionSystem, build_fusion
 from .intlinalg import is_prime
 from .permgroup import (FiniteGroup, NotAPermutation, build_group,
-                        extraspecial_p3, make_hom, parse_cycles)
-from .twisted import (CentralExtensionData, Cocycle, central_extension,
-                      extension_from_groups)
+                        extraspecial_p3, format_cycles, make_hom,
+                        parse_cycles, perm_order)
+from .twisted import Cocycle, central_extension, extension_from_groups
 
 _SECTIONS = ("group", "subgroups", "fusion", "extension", "fusion_alpha",
              "options")
@@ -42,23 +42,6 @@ _OPTION_KEYS = ("primes", "k", "conductor", "cap_order", "cap_subgroups",
                 "cap_morphisms", "cap_hilbert", "cap_saturation",
                 "cap_chain", "cap_adic")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
-def _cycle_string(perm) -> str:
-    seen = [False] * len(perm)
-    parts = []
-    for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cyc = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            cyc.append(str(x + 1))
-            x = perm[x]
-        parts.append("(" + " ".join(cyc) + ")")
-    return "".join(parts) if parts else "()"
 
 
 def _word_text(word) -> str:
@@ -118,7 +101,7 @@ class JobSpec:
         else:
             out.append(f"degree = {self.group_degree}")
             for name, perm in self.group_gens:
-                out.append(f"{name} = {_cycle_string(perm)}")
+                out.append(f"{name} = {format_cycles(perm)}")
         if self.subgroups:
             out.append("")
             out.append("[subgroups]")
@@ -142,7 +125,7 @@ class JobSpec:
                 _, degree, gens, kernel, projections = self.extension
                 out.append(f"degree = {degree}")
                 for name, perm in gens:
-                    out.append(f"{name} = {_cycle_string(perm)}")
+                    out.append(f"{name} = {format_cycles(perm)}")
                 out.append(f"kernel = {_word_text(kernel)}")
                 out.append("projection = "
                            + ", ".join(map(_word_text, projections)))
@@ -212,6 +195,22 @@ def _parse_gl2(value: str, lineno: int, col: int):
     return ((m[0][0], m[0][1]), (m[1][0], m[1][1]))
 
 
+def _generator(key: str, value: str, lineno: int, col: int, degree,
+               gens) -> tuple:
+    """One 'name = cycles' line of [group] or [extension], checked against
+    the generators gens read before it."""
+    if not _NAME_RE.match(key):
+        raise ParseError(lineno, col, f"bad generator name {key!r}")
+    if any(key == name for name, _ in gens):
+        raise ParseError(lineno, col, f"duplicate generator {key!r}")
+    if degree is None:
+        raise ParseError(lineno, col, "degree must precede generator lines")
+    try:
+        return key, parse_cycles(value, degree)
+    except NotAPermutation as exc:
+        raise ParseError(lineno, col, str(exc)) from None
+
+
 def _parse_int(value: str, lineno: int, col: int, what: str) -> int:
     try:
         return int(value)
@@ -268,7 +267,6 @@ def parse_jobspec(text: str) -> JobSpec:
     # group section
     constructor = p = degree = None
     gens = []
-    gen_names = []
     for kind, key, value, lineno, col in group_raw:
         if kind != "=":
             raise ParseError(lineno, col, "morphism entries belong in [fusion]")
@@ -281,19 +279,7 @@ def parse_jobspec(text: str) -> JobSpec:
         elif key == "degree":
             degree = _parse_int(value, lineno, col, "degree")
         else:
-            if not _NAME_RE.match(key):
-                raise ParseError(lineno, col, f"bad generator name {key!r}")
-            if key in gen_names:
-                raise ParseError(lineno, col, f"duplicate generator {key!r}")
-            if degree is None:
-                raise ParseError(lineno, col,
-                                 "degree must precede generator lines")
-            try:
-                perm = parse_cycles(value, degree)
-            except NotAPermutation as exc:
-                raise ParseError(lineno, col, str(exc)) from None
-            gen_names.append(key)
-            gens.append((key, perm))
+            gens.append(_generator(key, value, lineno, col, degree, gens))
     if constructor is not None:
         if degree is not None or gens:
             raise ParseError(1, 1, "constructor and explicit generators "
@@ -309,7 +295,7 @@ def parse_jobspec(text: str) -> JobSpec:
                              "plus generators")
         if p is not None:
             raise ParseError(1, 1, "p is only valid with a constructor")
-        known_names = set(gen_names)
+        known_names = {name for name, _ in gens}
 
     # subgroups
     subgroups = []
@@ -408,7 +394,6 @@ def _parse_extension(ext_raw, base_names):
     transpose = False
     degree = kernel = projection = None
     gens = []
-    gen_names = []
     for kind, key, value, lineno, col in ext_raw:
         if kind != "=":
             raise ParseError(lineno, col, "expected 'key = value'")
@@ -431,19 +416,7 @@ def _parse_extension(ext_raw, base_names):
         elif key == "projection":
             projection = (value, lineno, col)
         else:
-            if not _NAME_RE.match(key):
-                raise ParseError(lineno, col, f"bad generator name {key!r}")
-            if key in gen_names:
-                raise ParseError(lineno, col, f"duplicate generator {key!r}")
-            if degree is None:
-                raise ParseError(lineno, col,
-                                 "degree must precede generator lines")
-            try:
-                perm = parse_cycles(value, degree)
-            except NotAPermutation as exc:
-                raise ParseError(lineno, col, str(exc)) from None
-            gen_names.append(key)
-            gens.append((key, perm))
+            gens.append(_generator(key, value, lineno, col, degree, gens))
     if cocycle is not None or coefficients is not None:
         if degree is not None or gens or kernel or projection:
             raise ParseError(1, 1, "[extension] mixes the cocycle and "
@@ -455,7 +428,7 @@ def _parse_extension(ext_raw, base_names):
     if degree is None or not gens or kernel is None or projection is None:
         raise ParseError(1, 1, "[extension] needs degree, generators, "
                          "kernel and projection")
-    names = set(gen_names)
+    names = {name for name, _ in gens}
     kword = _parse_word(kernel[0], kernel[1], kernel[2], names)
     pwords = _parse_words(projection[0], projection[1], projection[2],
                           base_names)
@@ -490,10 +463,7 @@ def _word_element(G: FiniteGroup, word) -> int:
     out = G.identity
     for name, exp in word:
         g = G.names[name]
-        if exp < 0:
-            g = G.inv(g)
-            exp = -exp
-        for _ in range(exp):
+        for _ in range(exp % perm_order(G.elements[g])):
             out = G.mul(out, g)
     return out
 

@@ -23,9 +23,9 @@ from .errors import (AmbientMismatch, BadSection, DecompositionNotIntegral,
                      FusionRepError, GroupMismatch, InputError, InvalidCocycle,
                      NotCentral, NotCyclicKernel, NotInSpan, QuotientMismatch)
 from .fusion import FusionSystem, quotient_fusion
-from .intlinalg import int_matmul, smith_diagonal
+from .intlinalg import int_matmul, integer_solution, smith_diagonal
 from .invariants import (DEFAULT_HILBERT_CAP, CoveringReport, RepVector,
-                         hilbert_basis, integer_solution, invariance_matrix)
+                         hilbert_basis, invariance_matrix)
 from .permgroup import FiniteGroup, GroupHom, Subgroup, group_prime, is_p_group
 from .cyclotomic import Cyclotomic, power_table, root_of_unity
 from .ringpres import lattice_chain, structure_constants

@@ -220,6 +220,16 @@ def test_error_exit_codes(capsys, tmp_path):
     assert code == 3
 
 
+def test_spectrum_on_the_trivial_group_asks_for_primes(capsys, tmp_path):
+    spec = tmp_path / "trivial.fus"
+    spec.write_text("[group]\ndegree = 1\nx = ()\n")
+    code, out, err = run(capsys, ["spectrum", str(spec)])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--primes" in err
+    code, _, err = run(capsys, ["spectrum", str(spec), "--primes", "2"])
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("cap", ["order", "subgroups", "morphisms", "hilbert",
                                  "saturation", "chain", "adic"])

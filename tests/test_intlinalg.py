@@ -1,10 +1,14 @@
 import itertools
 import random
-from fractions import Fraction
 from math import gcd
 
-from fusionrep.intlinalg import (hnf, kernel_basis, lattice_contains,
-                                 smith_diagonal, solve_rational)
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from fusionrep.errors import NotInSpan
+from fusionrep.intlinalg import (hnf, integer_solution, kernel_basis,
+                                 lattice_contains, smith_diagonal)
 
 
 def test_hnf_basics():
@@ -72,11 +76,36 @@ def test_kernel_randomized():
             assert all(sum(r[i] * k[i] for i in range(5)) == 0 for r in m)
 
 
-def test_solve_rational():
-    assert solve_rational([[1, 2], [3, 4]], [5, 6]) \
-        == [Fraction(-4), Fraction(9, 2)]
-    assert solve_rational([[1, 1]], [3]) == [Fraction(3), Fraction(0)]
-    assert solve_rational([[1], [1]], [1, 2]) is None
+@st.composite
+def independent_columns(draw):
+    t = draw(st.integers(1, 4))
+    n = draw(st.integers(t, 6))
+    columns = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n,
+                                     max_size=n), min_size=t, max_size=t))
+    assume(len(hnf(columns)) == t)
+    return columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(independent_columns(), st.data())
+def test_integer_solution_recovers_x(columns, data):
+    x = tuple(data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                                 min_size=len(columns),
+                                 max_size=len(columns))))
+    target = [sum(c * col[i] for c, col in zip(x, columns))
+              for i in range(len(columns[0]))]
+    assert integer_solution(columns, target) == x
+
+
+@pytest.mark.parametrize("columns, target", [
+    ([(2, 0), (0, 2)], (1, 1)),        # rational but not integral
+    ([(1, 0, 0), (0, 1, 0)], (0, 0, 1)),  # outside the span
+    ([(1, 0), (2, 0)], (1, 0)),        # dependent columns
+    ([(1, 2, 3), (1, 2, 3)], (0, 0, 0)),
+])
+def test_integer_solution_not_in_span(columns, target):
+    with pytest.raises(NotInSpan):
+        integer_solution(columns, target)
 
 
 def test_lattice_contains():

@@ -5,7 +5,7 @@ import pytest
 from fusionrep.chartable import character_table, regular_character
 from fusionrep.errors import HilbertCapExceeded, NotInvariant
 from fusionrep.fusion import build_fusion
-from fusionrep.intlinalg import kernel_basis, rational_rank
+from fusionrep.intlinalg import hnf, kernel_basis
 from fusionrep.invariants import (RepVector, covering_check, decompose,
                                   hilbert_basis, invariance_matrix,
                                   irreducible_invariants, is_stable)
@@ -82,7 +82,7 @@ def test_sigma3_basis():
     Z3 = build_group(3, ["(1 2 3)"], names=["s"])
     s = Z3.names["s"]
     F = build_fusion(Z3, [make_hom(Z3.full_subgroup(), (Z3.power(s, 2),))])
-    assert rational_rank(invariance_matrix(F)) == 1
+    assert len(hnf(invariance_matrix(F))) == 1
     B = irreducible_invariants(F)
     assert B.names == ("1", "X1")
     assert [v.degree() for v in B.vectors] == [1, 2]
@@ -150,3 +150,28 @@ def test_covering_all_fixtures(pipeline):
         P = pipeline(stem)
         rep = covering_check(P.fusion, P.basis)
         assert rep.ok, (stem, rep.uncovered)
+
+
+def test_exact_rank_when_the_modular_test_reports_a_kernel(pipeline,
+                                                           monkeypatch):
+    import fusionrep.chartable as chartable
+    stems = ("sigma_3", "a4", "onan", "he")
+    want = {stem: pipeline(stem).basis.vectors for stem in stems}
+    exact = []
+
+    def counted_hnf(rows):
+        exact.append(len(rows))
+        return hnf(rows)
+
+    monkeypatch.setattr(chartable, "nullspace_mod", lambda mat, q: [[1]])
+    monkeypatch.setattr(chartable, "hnf", counted_hnf)
+    for stem in stems:
+        assert irreducible_invariants(pipeline(stem).fusion).vectors \
+            == want[stem]
+    assert len(exact) == len(stems)
+    for stem in ("sigma_7", "a4"):
+        tab = character_table(pipeline(stem).group)
+        values = tab.coords.copy()
+        assert tab.rank(values) == len(tab)
+        values[-1] = values[0]
+        assert tab.rank(values) == len(tab) - 1

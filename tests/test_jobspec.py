@@ -78,6 +78,15 @@ def test_parse_errors():
               "coefficients = 2\ncocycle = t.csv\n", ParseError)
     check_bad("[group]\ndegree = 2\ng = (1 2)\n[extension]\n"
               "coefficients = 2\n", ParseError)
+    # generator lines read the same in [group] and [extension]
+    for section in ("[group]", "[group]\ndegree = 2\ng = (1 2)\n[extension]"):
+        for body, message in (("x = (1 2)\n", "degree must precede"),
+                              ("degree = 2\n2x = (1 2)\n", "bad generator"),
+                              ("degree = 2\nx = (1 2)\nx = ()\n",
+                               "duplicate generator"),
+                              ("degree = 2\nx = (1 3)\n", "")):
+            e = check_bad(f"{section}\n{body}", ParseError)
+            assert message in str(e)
 
 
 def test_structural_equality():
@@ -101,6 +110,17 @@ def test_realize_order_cap():
     from fusionrep.errors import OrderCapExceeded
     with pytest.raises(OrderCapExceeded):
         realize(spec, ".", order_cap=5)
+
+
+def test_word_exponents_reduce_modulo_the_generator_order():
+    spec = parse_jobspec("[group]\ndegree = 3\nx = (1 2 3)\n[subgroups]\n"
+                         "A = x^1000000000000000000\nB = x^-4\nC = x^-3\n")
+    job = realize(spec)
+    G = job.group
+    x = G.names["x"]
+    assert job.subgroups["A"].gen_indices == (G.power(x, 10 ** 18 % 3),)
+    assert job.subgroups["B"].gen_indices == (G.power(x, 2),)
+    assert job.subgroups["C"].gen_indices == (G.identity,)
 
 
 def test_transpose_flip():
