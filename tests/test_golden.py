@@ -30,7 +30,13 @@ CASES = (
     + [("twisted", "a4_sl23", ())]
     + [("adic", stem, ("--k", "2"))
        for stem in ("a4", "sigma_3", "sigma_5", "sigma_7")]
+    + [("saturation", stem, ())
+       for stem in ("sigma_3", "sigma_5", "sigma_7", "a4", "a4_sl23")]
 )
+# --dot excludes --json, so these cases have a text golden only.
+DOT_CASES = [("spectrum", stem, ("--dot",)) for stem in ("sigma_3", "a4")]
+MODES = ([(*case, json_mode) for case in CASES for json_mode in (False, True)]
+         + [(*case, False) for case in DOT_CASES])
 
 
 def _golden_name(cmd, stem, extra, json_mode):
@@ -49,10 +55,10 @@ def _run(cmd, stem, extra, json_mode):
     return code, buf.getvalue()
 
 
-@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
 @pytest.mark.parametrize(
-    "cmd,stem,extra", CASES,
-    ids=[_golden_name(c, s, e, False)[:-4] for c, s, e in CASES])
+    "cmd,stem,extra,json_mode", MODES,
+    ids=[_golden_name(c, s, e, False)[:-4] + ("-json" if j else "-text")
+         for c, s, e, j in MODES])
 def test_golden(cmd, stem, extra, json_mode):
     code, out = _run(cmd, stem, extra, json_mode)
     assert code == 0
@@ -63,13 +69,12 @@ def test_golden(cmd, stem, extra, json_mode):
 
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
-    for case in CASES:
-        for json_mode in (False, True):
-            code, out = _run(*case, json_mode)
-            if code != 0:
-                sys.exit(f"{case} exited {code}")
-            name = _golden_name(*case, json_mode)
-            with open(os.path.join(GOLDEN, name), "w", encoding="utf-8",
-                      newline="") as fh:
-                fh.write(out)
-            print(name, flush=True)
+    for case in MODES:
+        code, out = _run(*case)
+        if code != 0:
+            sys.exit(f"{case} exited {code}")
+        name = _golden_name(*case)
+        with open(os.path.join(GOLDEN, name), "w", encoding="utf-8",
+                  newline="") as fh:
+            fh.write(out)
+        print(name, flush=True)
