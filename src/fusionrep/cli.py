@@ -8,9 +8,14 @@ spectrum, twisted, adic.  Output is deterministic text, or JSON with
 1 input or parse problem, 2 mathematical validation failure, 3 cap
 exceeded.
 
+main settles the flags against the spec's [options] section and realizes
+the spec as one jobspec.Job with the caps and the name mapping; a command
+only formats the stages of that job, which builds each stage once.
+
 A name mapping file <spec stem>.names.json next to the spec file (or one
 given via --names) relabels basis generators (X1, ...), completed
 variables (v1, ...) and twisted basis elements (W1, ...) in every output.
+The names of one kind must be non-empty and pairwise distinct.
 """
 
 from __future__ import annotations
@@ -23,17 +28,9 @@ from collections import Counter
 
 from .chartable import character_table
 from .errors import FusionRepError, InputError
-from .invariants import irreducible_invariants
 from .intlinalg import is_prime
 from .jobspec import load_jobspec, realize
-from .ringpres import (adic_equivalence_exponent, completed_presentation,
-                       quotient_by_ideal_power, structure_constants)
-from .spectrum import prime_symbols
-from .twisted import (completed_module, module_structure,
-                      twisted_invariant_basis)
 
-COMMANDS = ("chartable", "fusion-classes", "saturation", "repring",
-            "ktheory", "spectrum", "twisted", "adic")
 _CAPS = ("order", "subgroups", "morphisms", "hilbert", "saturation",
          "chain", "adic")
 
@@ -44,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Representation rings of fusion systems on finite "
                     "p-groups: exact presentations, completions, prime "
                     "spectra and twisted analogues.")
-    ap.add_argument("command", choices=COMMANDS)
+    ap.add_argument("command", choices=_DISPATCH)
     ap.add_argument("specfile", help="job specification file")
     fmt = ap.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true",
@@ -69,41 +66,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-class _Options:
-    """Flag > [options] section > default, per knob."""
-
-    def __init__(self, args, spec):
-        if args.primes is not None:
-            vals = []
-            for part in args.primes.split(","):
-                try:
-                    q = int(part.strip())
-                except ValueError:
-                    raise InputError(f"bad prime {part.strip()!r}") from None
-                if not is_prime(q):
-                    raise InputError(f"{q} is not prime")
-                vals.append(q)
-            self.primes = tuple(vals)
-        else:
-            self.primes = spec.option("primes")  # None: default to (p,)
-        self.k = args.k if args.k is not None else spec.option("k", 1)
-        if self.k < 1:
-            raise InputError("k must be at least 1")
-        if args.conductor_order:
-            self.conductor = "order"
-        else:
-            self.conductor = spec.option("conductor", "exponent")
-        self.caps = {}
-        for cap in _CAPS:
-            flag = getattr(args, f"cap_{cap}")
-            if flag is not None and flag < 1:
-                raise InputError(f"cap_{cap} must be positive")
-            self.caps[cap] = (flag if flag is not None
-                              else spec.option(f"cap_{cap}"))
-
-    def cap_kw(self, cap: str, key: str) -> dict:
-        v = self.caps[cap]
-        return {} if v is None else {key: v}
+def _resolve_options(args, spec) -> dict:
+    """Settle args.primes, args.k and args.conductor, and return the caps:
+    each is the flag, else the [options] section, else the default."""
+    if args.primes is not None:
+        vals = []
+        for part in args.primes.split(","):
+            try:
+                q = int(part.strip())
+            except ValueError:
+                raise InputError(f"bad prime {part.strip()!r}") from None
+            if not is_prime(q):
+                raise InputError(f"{q} is not prime")
+            vals.append(q)
+        args.primes = tuple(vals)
+    else:
+        args.primes = spec.option("primes")  # None: default to (p,)
+    args.k = spec.option("k", 1) if args.k is None else args.k
+    if args.k < 1:
+        raise InputError("k must be at least 1")
+    args.conductor = ("order" if args.conductor_order
+                      else spec.option("conductor", "exponent"))
+    caps = {}
+    for cap in _CAPS:
+        flag = getattr(args, f"cap_{cap}")
+        if flag is not None and flag < 1:
+            raise InputError(f"cap_{cap} must be positive")
+        caps[cap] = flag if flag is not None else spec.option(f"cap_{cap}")
+    return caps
 
 
 def _load_mapping(args) -> dict:
@@ -127,8 +117,9 @@ def _load_mapping(args) -> dict:
     return data
 
 
-def _emit_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit_json(args, **payload) -> str:
+    return json.dumps({"schema": 1, "command": args.command, **payload},
+                      indent=2, sort_keys=True) + "\n"
 
 
 def _degree_summary(degrees) -> str:
@@ -140,169 +131,108 @@ def _degree_summary(degrees) -> str:
 # --- commands -------------------------------------------------------------------
 
 
-def _cmd_chartable(rj, mapping, opts, args):
-    tab = character_table(rj.group)
+def _cmd_chartable(job, args):
+    tab = character_table(job.group)
     if args.json:
-        return _emit_json({"schema": 1, "command": "chartable",
-                           "table": tab.to_json()})
-    classes = rj.group.conjugacy_classes()
-    lines = [f"order {rj.group.order}",
+        return _emit_json(args, table=tab.to_json())
+    classes = job.group.conjugacy_classes()
+    lines = [f"order {job.group.order}",
              f"classes {len(classes)}",
              f"degrees {_degree_summary(tab.degrees())}",
              "class representatives: "
-             + ", ".join(rj.group.describe_element(c[0]) for c in classes)]
-    for k, chi in enumerate(tab.irreducibles):
-        vals = ", ".join(str(v) for v in chi.values)
-        lines.append(f"chi{k + 1} ({int(chi.degree())}): {vals}")
+             + ", ".join(job.group.describe_element(c[0]) for c in classes),
+             *(f"chi{k + 1} ({int(chi.degree())}): "
+               + ", ".join(str(v) for v in chi.values)
+               for k, chi in enumerate(tab.irreducibles))]
     return "\n".join(lines)
 
 
-def _cmd_fusion_classes(rj, mapping, opts, args):
-    F = rj.fusion
-    classes = F.element_classes()
+def _cmd_fusion_classes(job, args):
+    classes = job.fusion.element_classes()
     if args.json:
-        return _emit_json({
-            "schema": 1, "command": "fusion-classes",
-            "classes": [{"size": len(c),
-                         "representative": rj.group.describe_element(c[0])}
-                        for c in classes]})
-    lines = [f"classes {len(classes)}"]
-    for i, c in enumerate(classes, 1):
-        lines.append(f"class {i}: size {len(c)}, "
-                     f"rep {rj.group.describe_element(c[0])}")
-    return "\n".join(lines)
+        return _emit_json(args, classes=[
+            {"size": len(c),
+             "representative": job.group.describe_element(c[0])}
+            for c in classes])
+    return "\n".join([f"classes {len(classes)}",
+                      *(f"class {i}: size {len(c)}, "
+                        f"rep {job.group.describe_element(c[0])}"
+                        for i, c in enumerate(classes, 1))])
 
 
-def _cmd_saturation(rj, mapping, opts, args):
-    kw = {}
-    kw.update(opts.cap_kw("saturation", "order_cap"))
-    kw.update(opts.cap_kw("morphisms", "cap"))
-    kw.update(opts.cap_kw("subgroups", "subgroup_cap"))
-    report = rj.fusion.check_saturation(allow_large=args.saturation_large,
-                                        **kw)
+def _cmd_saturation(job, args):
+    report = job.saturation(args.saturation_large)
     note = ("completed presentations and spectra assume a saturated system"
             if not report.ok else None)
     if args.json:
-        payload = {"schema": 1, "command": "saturation", **report.to_json()}
-        if note:
-            payload["note"] = note
-        return _emit_json(payload)
-    lines = [f"saturated {'yes' if report.ok else 'no'}"]
-    for v in report.violations:
-        lines.append(f"violation: {v}")
-    lines.append(f"subgroup classes checked {report.classes_checked}")
-    lines.append(f"morphisms checked {report.morphisms_checked}")
-    if note:
-        lines.append(f"note: {note}")
+        return _emit_json(args, **report.to_json(),
+                          **({"note": note} if note else {}))
+    lines = [f"saturated {'yes' if report.ok else 'no'}",
+             *(f"violation: {v}" for v in report.violations),
+             f"subgroup classes checked {report.classes_checked}",
+             f"morphisms checked {report.morphisms_checked}",
+             *([f"note: {note}"] if note else [])]
     return "\n".join(lines)
 
 
-def _basis_and_presentation(rj, mapping, opts):
-    B = irreducible_invariants(rj.fusion, **opts.cap_kw("hilbert", "cap"))
-    P = structure_constants(B, mapping)
-    return B, P
-
-
-def _cmd_repring(rj, mapping, opts, args):
-    B, P = _basis_and_presentation(rj, mapping, opts)
-    shown = [(mapping.get(n, n), v.degree())
-             for n, v in zip(B.names, B.vectors)]
+def _cmd_repring(job, args):
+    B, P = job.basis, job.presentation
     if args.json:
         payload = B.to_json()
-        for entry in payload["basis"]:
-            entry["name"] = mapping.get(entry["name"], entry["name"])
-        return _emit_json({"schema": 1, "command": "repring",
-                           **payload, "presentation": P.to_json(),
-                           "ring": str(P)})
-    lines = [f"classes {len(rj.fusion.element_classes())}",
-             "basis " + ", ".join(f"{n} ({d})" for n, d in shown),
+        for entry, name in zip(payload["basis"], job.basis_names):
+            entry["name"] = name
+        return _emit_json(args, **payload, presentation=P.to_json(),
+                          ring=str(P))
+    lines = [f"classes {len(job.fusion.element_classes())}",
+             "basis " + ", ".join(f"{n} ({v.degree()})" for n, v in
+                                  zip(job.basis_names, B.vectors)),
              str(P)]
     return "\n".join(lines)
 
 
-def _cmd_ktheory(rj, mapping, opts, args):
-    _, P = _basis_and_presentation(rj, mapping, opts)
-    C = completed_presentation(P, mapping)
+def _cmd_ktheory(job, args):
+    C = job.completed
     if args.json:
-        return _emit_json({"schema": 1, "command": "ktheory",
-                           **C.to_json()})
+        return _emit_json(args, **C.to_json())
     return str(C)
 
 
-def _cmd_spectrum(rj, mapping, opts, args):
-    primes = opts.primes
-    if primes is None:
-        if rj.fusion.p is None:
-            raise InputError("the trivial group has no prime; give --primes")
-        primes = (rj.fusion.p,)
-    poset = prime_symbols(rj.fusion, primes, conductor=opts.conductor)
+def _cmd_spectrum(job, args):
+    poset = job.spectrum(args.primes, args.conductor)
     if args.dot:
         return poset.to_dot()
     if args.json:
-        return _emit_json({"schema": 1, "command": "spectrum",
-                           **poset.to_json()})
-    lines = [f"conductor {poset.conductor}",
-             f"nodes {len(poset.nodes)}"]
-    for s in poset.nodes:
-        lines.append(str(s))
-    lines.append(f"edges {len(poset.edges)}")
-    for i, j in poset.edges:
-        lines.append(f"{poset.nodes[i]} < {poset.nodes[j]}")
-    lines.append(f"connected {'yes' if poset.is_connected() else 'no'}")
+        return _emit_json(args, **poset.to_json())
+    lines = [f"conductor {poset.conductor}", f"nodes {len(poset.nodes)}",
+             *map(str, poset.nodes), f"edges {len(poset.edges)}",
+             *(f"{poset.nodes[i]} < {poset.nodes[j]}" for i, j in poset.edges),
+             f"connected {'yes' if poset.is_connected() else 'no'}"]
     return "\n".join(lines)
 
 
-def _cmd_twisted(rj, mapping, opts, args):
-    if rj.extension is None:
-        raise InputError("the twisted command needs an [extension] section")
-    E = rj.extension
-    F_alpha = rj.fusion_alpha
-    B = irreducible_invariants(rj.fusion, **opts.cap_kw("hilbert", "cap"))
-    TB = twisted_invariant_basis(E, F_alpha, base=rj.fusion,
-                                 **opts.cap_kw("hilbert", "cap"))
-    TBm = TB.with_names(mapping)
-    P = structure_constants(B)
-    TM = module_structure(rj.fusion, B, E, TB, P)
-    vnames = tuple(mapping.get(f"v{i + 1}", f"v{i + 1}")
-                   for i in range(len(P.names)))
-    CM = completed_module(TM, P, names=vnames,
-                          **opts.cap_kw("chain", "cap"))
-    gen_names = tuple(mapping.get(n, n) for n in TM.names)
+def _cmd_twisted(job, args):
+    TB, TM, CM = job.twisted_basis, job.module, job.completed_module
+    E = job.extension
     if args.json:
-        module = TM.to_json()
-        module["names"] = list(gen_names)
-        return _emit_json({"schema": 1, "command": "twisted",
-                           "extension": E.to_json(),
-                           "basis": TBm.to_json(),
-                           "module": module,
-                           "completed": CM.to_json()})
+        return _emit_json(args, extension=E.to_json(), basis=TB.to_json(),
+                          module=TM.to_json(), completed=CM.to_json())
     lines = [f"extension order {E.group.order}, coefficients {E.coeff}",
              f"a-representations {len(TB.a_reps)}",
              "basis " + ", ".join(f"{n} ({v.degree()})" for n, v in
-                                  zip(TBm.names, TBm.vectors))]
-    for name, M in zip(gen_names, TM.matrices):
-        lines.append(f"{name} acts by {[list(r) for r in M]}")
-    lines.append(str(CM))
+                                  zip(TB.names, TB.vectors)),
+             *(f"{name} acts by {[list(r) for r in M]}"
+               for name, M in zip(TM.names, TM.matrices)),
+             str(CM)]
     return "\n".join(lines)
 
 
-def _cmd_adic(rj, mapping, opts, args):
-    B, P = _basis_and_presentation(rj, mapping, opts)
-    results = []
-    for i in range(1, opts.k + 1):
-        m = adic_equivalence_exponent(rj.fusion, i, basis=B,
-                                      **opts.cap_kw("adic", "cap"))
-        q = quotient_by_ideal_power(P, i)
-        results.append((i, m, q))
+def _cmd_adic(job, args):
+    results = [(i, *job.adic(i)) for i in range(1, args.k + 1)]
     if args.json:
-        return _emit_json({
-            "schema": 1, "command": "adic",
-            "results": [{"k": i, "m": m, **q} for i, m, q in results]})
-    lines = []
-    for i, m, q in results:
-        lines.append(f"k {i}: m {m}, free rank {q['free_rank']}, "
-                     f"torsion {q['torsion']}")
-    return "\n".join(lines)
+        return _emit_json(args, results=[{"k": i, "m": m, **q}
+                                         for i, m, q in results])
+    return "\n".join(f"k {i}: m {m}, free rank {q['free_rank']}, "
+                     f"torsion {q['torsion']}" for i, m, q in results)
 
 
 _DISPATCH = {
@@ -332,11 +262,11 @@ def main(argv=None) -> int:
             raise InputError(f"cannot read spec file: {exc}") from None
         base_dir = os.path.dirname(os.path.abspath(args.specfile))
         mapping = _load_mapping(args)
-        opts = _Options(args, spec)
+        caps = _resolve_options(args, spec)
         if args.transpose_cocycle:
             spec = spec.with_transposed_cocycle()
-        rj = realize(spec, base_dir, order_cap=opts.caps["order"])
-        out = _DISPATCH[args.command](rj, mapping, opts, args)
+        job = realize(spec, base_dir, caps, mapping)
+        out = _DISPATCH[args.command](job, args)
     except FusionRepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -250,11 +250,6 @@ class InvariantBasis:
     def class_representatives(self) -> tuple:
         return tuple(cls[0] for cls in self.fusion.element_classes())
 
-    def value_table(self) -> list:
-        """Character values of each basis element at the F-class representatives."""
-        reps = self.class_representatives()
-        return [[vec.character.value_at_element(r) for r in reps] for vec in self.vectors]
-
     def to_json(self) -> dict:
         reps = self.class_representatives()
         S = self.fusion.S

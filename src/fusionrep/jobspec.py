@@ -24,14 +24,22 @@ import csv
 import json
 import os
 import re
+from functools import cached_property
 
 from .errors import InputError, ParseError, UnknownName
 from .fusion import FusionSystem, build_fusion
 from .intlinalg import is_prime
+from .invariants import irreducible_invariants
 from .permgroup import (FiniteGroup, NotAPermutation, build_group,
                         extraspecial_p3, format_cycles, make_hom,
                         parse_cycles, perm_order)
-from .twisted import Cocycle, central_extension, extension_from_groups
+from .ringpres import (adic_equivalence_exponent, apply_names,
+                       completed_presentation, quotient_by_ideal_power,
+                       structure_constants)
+from .spectrum import prime_symbols
+from .twisted import (Cocycle, central_extension, completed_module,
+                      extension_from_groups, module_structure,
+                      twisted_invariant_basis)
 
 _SECTIONS = ("group", "subgroups", "fusion", "extension", "fusion_alpha",
              "options")
@@ -446,17 +454,98 @@ def load_jobspec(path: str) -> JobSpec:
 # --- realization ----------------------------------------------------------------
 
 
-class RealizedJob:
-    """Groups and fusion systems materialized from a JobSpec."""
+class Job:
+    """A realized JobSpec and the stages computed on it.
+
+    Each stage (the invariant basis of R(F), its presentation and
+    completion, the twisted basis, the module over R(F) and its completion,
+    and per k the adic exponent and R(F)/I^k) is built on first use, once,
+    with its own cap from caps and, where it names generators, the names
+    mapping; the commands pass neither.
+    """
 
     def __init__(self, spec: JobSpec, group: FiniteGroup, subgroups: dict,
-                 fusion: FusionSystem, extension, fusion_alpha):
+                 fusion: FusionSystem, extension, fusion_alpha, caps: dict,
+                 names: dict):
         self.spec = spec
         self.group = group
         self.subgroups = subgroups
         self.fusion = fusion
         self.extension = extension
         self.fusion_alpha = fusion_alpha
+        self.caps = caps
+        self.names = names
+        self._adic = {}
+
+    def _cap(self, cap: str, key: str = "cap") -> dict:
+        bound = self.caps.get(cap)
+        return {} if bound is None else {key: bound}
+
+    @cached_property
+    def basis(self):
+        """The invariant basis 1, X1, .. of R(F)."""
+        return irreducible_invariants(self.fusion, **self._cap("hilbert"))
+
+    @cached_property
+    def basis_names(self) -> tuple:
+        """The names of the invariant basis as displayed."""
+        return apply_names(self.basis.names, self.names)
+
+    @cached_property
+    def presentation(self):
+        return structure_constants(self.basis, self.names)
+
+    @cached_property
+    def completed(self):
+        return completed_presentation(self.presentation, self.names)
+
+    @cached_property
+    def twisted_basis(self):
+        if self.extension is None:
+            raise InputError(
+                "the twisted command needs an [extension] section")
+        TB = twisted_invariant_basis(self.extension, self.fusion_alpha,
+                                     base=self.fusion, **self._cap("hilbert"))
+        return TB.with_names(self.names)
+
+    @cached_property
+    def module(self):
+        """The twisted basis as a module over R(F), acted on by the
+        generators of the presentation."""
+        return module_structure(self.fusion, self.basis, self.extension,
+                                self.twisted_basis, self.presentation)
+
+    @cached_property
+    def completed_module(self):
+        variables = apply_names(
+            [f"v{i + 1}" for i in range(len(self.presentation.names))],
+            self.names)
+        return completed_module(self.module, self.presentation, variables,
+                                **self._cap("chain"))
+
+    def adic(self, k: int) -> tuple:
+        """(m, quotient): the adic equivalence exponent for k and the
+        free rank and torsion of R(F)/I(F)^k."""
+        if k not in self._adic:
+            m = adic_equivalence_exponent(self.fusion, k, basis=self.basis,
+                                          **self._cap("adic"))
+            self._adic[k] = (m, quotient_by_ideal_power(self.presentation, k))
+        return self._adic[k]
+
+    def saturation(self, allow_large: bool = False):
+        return self.fusion.check_saturation(
+            allow_large=allow_large, **self._cap("saturation", "order_cap"),
+            **self._cap("morphisms"), **self._cap("subgroups", "subgroup_cap"))
+
+    def spectrum(self, primes=None, conductor: str = "exponent"):
+        """The prime spectrum over the given rational primes, by default
+        the prime of S."""
+        if primes is None:
+            if self.fusion.p is None:
+                raise InputError(
+                    "the trivial group has no prime; give --primes")
+            primes = (self.fusion.p,)
+        return prime_symbols(self.fusion, primes, conductor=conductor)
 
 
 def _word_element(G: FiniteGroup, word) -> int:
@@ -517,15 +606,19 @@ def _fusion_homs(G: FiniteGroup, entries, subgroups: dict, p):
     return homs
 
 
-def realize(spec: JobSpec, base_dir: str = ".",
-            order_cap: int = None) -> RealizedJob:
-    """Materialize the groups and fusion systems a JobSpec describes.
+def realize(spec: JobSpec, base_dir: str = ".", caps: dict = None,
+            names: dict = None) -> Job:
+    """Materialize the groups and fusion systems a JobSpec describes, as a
+    Job.
 
     base_dir anchors relative cocycle file paths (the directory of the spec
-    file, for specs loaded from disk).  order_cap bounds the closure of
-    explicitly given generators.
+    file, for specs loaded from disk).  caps maps cap names without their
+    "cap_" prefix ("order", "hilbert", ..) to bounds, None for the default;
+    "order" bounds the closure of explicitly given generators.  names maps
+    the automatic names X1.., v1.. and W1.. to display names.
     """
-    bg_kw = {} if order_cap is None else {"cap": order_cap}
+    caps = caps or {}
+    bg_kw = {} if caps.get("order") is None else {"cap": caps["order"]}
     if spec.group_constructor is not None:
         S = extraspecial_p3(spec.group_p)
     else:
@@ -564,4 +657,5 @@ def realize(spec: JobSpec, base_dir: str = ".",
         E = extension
         homs = _fusion_homs(E.group, spec.fusion_alpha, {}, None)
         fusion_alpha = build_fusion(E.group, homs)
-    return RealizedJob(spec, S, subgroups, fusion, extension, fusion_alpha)
+    return Job(spec, S, subgroups, fusion, extension, fusion_alpha, caps,
+               names)

@@ -191,10 +191,18 @@ class CompletedPresentation:
         }
 
 
-def _apply_names(auto, mapping):
-    if mapping is None:
-        return tuple(auto)
-    return tuple(mapping.get(n, n) for n in auto)
+def apply_names(auto, mapping) -> tuple:
+    """Relabel the automatic names of one kind (X*, v* or W*) by the
+    mapping.  The results must be non-empty and pairwise distinct."""
+    auto = tuple(auto)
+    names = tuple((mapping or {}).get(n, n) for n in auto)
+    for i, name in enumerate(names):
+        if not name:
+            raise InputError(f"name mapping gives {auto[i]} an empty name")
+        if name in names[:i]:
+            raise InputError(f"name mapping gives {auto[names.index(name)]} "
+                             f"and {auto[i]} the same name {name!r}")
+    return names
 
 
 def structure_constants(B: InvariantBasis, names: dict = None) -> RingPresentation:
@@ -208,7 +216,7 @@ def structure_constants(B: InvariantBasis, names: dict = None) -> RingPresentati
     table = character_table(B.fusion.S)
     positions = [k for k, n in enumerate(B.names) if n != "1"]
     trivial_pos = B.names.index("1")
-    gen_names = _apply_names([B.names[k] for k in positions], names)
+    gen_names = apply_names([B.names[k] for k in positions], names)
     degrees = [B.vectors[k].degree() for k in positions]
     m = len(positions)
     constants = [[0] * m for _ in range(m)]
@@ -261,7 +269,7 @@ def presentation(B: InvariantBasis, names: dict = None) -> RingPresentation:
 def completed_presentation(P: RingPresentation, names: dict = None) -> CompletedPresentation:
     """Substitute X_i = v_i + d_i and expand; constant terms must vanish."""
     auto = [f"v{i + 1}" for i in range(len(P.names))]
-    new_names = _apply_names(auto, names)
+    new_names = apply_names(auto, names)
     mapping = {
         old: IntPolynomial.variable(new, new_names) + int(d)
         for old, new, d in zip(P.names, new_names, P.degrees)

@@ -339,9 +339,6 @@ class SpectrumPoset:
     def minimal(self) -> tuple:
         return tuple(i for i, s in enumerate(self.nodes) if s.is_minimal())
 
-    def maximal(self) -> tuple:
-        return tuple(i for i, s in enumerate(self.nodes) if not s.is_minimal())
-
     def is_connected(self) -> bool:
         n = len(self.nodes)
         if n == 0:

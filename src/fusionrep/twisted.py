@@ -28,7 +28,7 @@ from .invariants import (DEFAULT_HILBERT_CAP, CoveringReport, RepVector,
                          hilbert_basis, invariance_matrix)
 from .permgroup import FiniteGroup, GroupHom, Subgroup, group_prime, is_p_group
 from .cyclotomic import Cyclotomic, power_table, root_of_unity
-from .ringpres import lattice_chain, structure_constants
+from .ringpres import apply_names, lattice_chain, structure_constants
 
 DEFAULT_CHAIN_CAP = 64
 _VIOLATION_LIMIT = 20
@@ -317,8 +317,7 @@ class TwistedBasis:
 
     def with_names(self, mapping: dict) -> "TwistedBasis":
         return TwistedBasis(self.extension, self.fusion, self.a_reps,
-                            self.vectors,
-                            tuple(mapping.get(n, n) for n in self.names))
+                            self.vectors, apply_names(self.names, mapping))
 
     def to_json(self) -> dict:
         return {
@@ -441,9 +440,6 @@ class TwistedModule:
         self.matrices = tuple(tuple(tuple(row) for row in M)
                               for M in matrices)
 
-    def matrix(self, name: str) -> tuple:
-        return self.matrices[self.names.index(name)]
-
     def to_json(self) -> dict:
         return {
             "names": list(self.names),
@@ -491,7 +487,8 @@ def module_structure(F: FusionSystem, B, E: CentralExtensionData,
     """Action of every nontrivial invariant basis generator on the twisted
     basis, verified to commute and to satisfy the ring relations
     M_i M_j = sum_k T[i, j, k] M_k of R(F), with M_0 the identity.  P is
-    the presentation structure_constants(B), built here when not passed."""
+    the presentation structure_constants(B), with or without display names;
+    it is built here when not passed, and the module takes its names."""
     if B.fusion is not F:
         raise GroupMismatch("invariant basis belongs to a different system")
     if F.S is not E.base:
@@ -506,8 +503,8 @@ def module_structure(F: FusionSystem, B, E: CentralExtensionData,
     ident = action_matrix(TB, B.vectors[B.names.index("1")])
     if not np.array_equal(np.reshape(ident, (t, t)), np.eye(t)):
         raise FusionRepError("unit does not act as the identity")
-    matrices = [action_matrix(TB, B.vectors[B.names.index(name)])
-                for name in P.names]
+    matrices = [action_matrix(TB, v) for n, v in zip(B.names, B.vectors)
+                if n != "1"]
     TM = TwistedModule(TB, P.names, P.degrees, tuple(matrices))
     n = P.ring.rank
     Ms = np.array((ident,) + TM.matrices, dtype=object).reshape(n, t, t)

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -147,31 +148,6 @@ def test_adic(capsys):
                         "--k", "0"])[0] == 1
 
 
-def _count_calls(monkeypatch, name, modules):
-    """Wrap one function in each module that imported it; return the tally."""
-    calls = []
-    for mod in modules:
-        real = getattr(mod, name)
-
-        def counted(*a, _real=real, **kw):
-            calls.append(1)
-            return _real(*a, **kw)
-
-        monkeypatch.setattr(mod, name, counted)
-    return calls
-
-
-def test_adic_builds_the_basis_once(capsys, monkeypatch):
-    import fusionrep.cli
-    import fusionrep.ringpres
-    calls = _count_calls(monkeypatch, "irreducible_invariants",
-                         (fusionrep.cli, fusionrep.ringpres))
-    code, out, _ = run(capsys, ["adic", fixture_path("sigma_5.fus"),
-                                "--k", "3"])
-    assert code == 0 and len(out.splitlines()) == 3
-    assert len(calls) == 1
-
-
 def test_adic_builds_each_power_once(capsys, monkeypatch):
     import fusionrep.ringpres
     real = fusionrep.ringpres.lattice_chain
@@ -196,13 +172,51 @@ def test_adic_builds_each_power_once(capsys, monkeypatch):
     assert sorted(chains) == [[2, 1, 3], [5, 1, 3], [5, 4, max(ms)]]
 
 
-def test_twisted_builds_the_presentation_once(capsys, monkeypatch):
-    import fusionrep.cli
+# the stage functions a Job calls, by the names it imports them under
+_STAGES = ("irreducible_invariants", "structure_constants",
+           "completed_presentation", "twisted_invariant_basis",
+           "module_structure", "completed_module",
+           "adic_equivalence_exponent", "quotient_by_ideal_power",
+           "prime_symbols")
+_BASIS = ("irreducible_invariants",)
+_PRESENTATION = ("structure_constants",)
+
+
+@pytest.mark.parametrize("argv,lines,stages", [
+    (["repring", "sigma_5.fus"], 3, [_BASIS, _PRESENTATION]),
+    (["ktheory", "sigma_5.fus"], 1,
+     [_BASIS, _PRESENTATION, ("completed_presentation",)]),
+    (["adic", "sigma_5.fus", "--k", "3"], 3,
+     [_BASIS, _PRESENTATION]
+     + [(stage, k) for k in (1, 2, 3) for stage in
+        ("adic_equivalence_exponent", "quotient_by_ideal_power")]),
+    (["twisted", "a4_sl23.fus"], 6,
+     [_BASIS, _PRESENTATION, ("twisted_invariant_basis",),
+      ("module_structure",), ("completed_module",)]),
+], ids=["repring", "ktheory", "adic", "twisted"])
+def test_each_stage_runs_once_per_job(capsys, monkeypatch, argv, lines,
+                                      stages):
+    """Wrap every stage function where the job imports it, and the two
+    library call sites that build the basis or the presentation when they
+    are not passed one; tally the calls by name and integer arguments (k)."""
+    import fusionrep.jobspec
+    import fusionrep.ringpres
     import fusionrep.twisted
-    calls = _count_calls(monkeypatch, "structure_constants",
-                         (fusionrep.cli, fusionrep.twisted))
-    assert run(capsys, ["twisted", fixture_path("a4_sl23.fus")])[0] == 0
-    assert len(calls) == 1
+    calls = Counter()
+    sites = ([(fusionrep.jobspec, name) for name in _STAGES]
+             + [(fusionrep.ringpres, "irreducible_invariants"),
+                (fusionrep.twisted, "structure_constants")])
+    for mod, name in sites:
+        def counted(*a, _real=getattr(mod, name), _name=name, **kw):
+            calls[(_name,) + tuple(x for x in a if isinstance(x, int))] += 1
+            return _real(*a, **kw)
+
+        monkeypatch.setattr(mod, name, counted)
+    cmd, stem, *extra = argv
+    code, out, _ = run(capsys, [cmd, fixture_path(stem), *extra])
+    assert code == 0 and len(out.splitlines()) == lines
+    assert calls == Counter(stages)
+    assert calls[_BASIS] == 1 and calls[_PRESENTATION] == 1
 
 
 def test_error_exit_codes(capsys, tmp_path):
@@ -253,6 +267,33 @@ def test_names_override(capsys, tmp_path):
     badmap.write_text("[1, 2]")
     assert run(capsys, ["repring", fixture_path("sigma_3.fus"),
                         "--names", str(badmap)])[0] == 1
+
+
+@pytest.mark.parametrize("cmd,stem,mapping,message", [
+    ("repring", "onan", {"X1": "A", "X2": "A"}, "X1 and X2 the same name 'A'"),
+    ("ktheory", "onan", {"X1": "A", "X2": "A"}, "X1 and X2 the same name 'A'"),
+    ("repring", "onan", {"X1": "X2"}, "X1 and X2 the same name 'X2'"),
+    ("ktheory", "onan", {"v1": "w", "v2": "w"}, "v1 and v2 the same name 'w'"),
+    ("repring", "onan", {"X1": ""}, "X1 an empty name"),
+    ("twisted", "a4_sl23", {"v1": ""}, "v1 an empty name"),
+    ("twisted", "a4_sl23", {"W1": ""}, "W1 an empty name"),
+], ids=["repring-X", "ktheory-X", "repring-X-kept", "ktheory-v",
+        "repring-X-empty", "twisted-v-empty", "twisted-W-empty"])
+def test_names_must_be_non_empty_and_distinct(capsys, tmp_path, cmd, stem,
+                                              mapping, message):
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps(mapping))
+    code, out, err = run(capsys, [cmd, fixture_path(stem + ".fus"),
+                                  "--names", str(path)])
+    assert code == 1 and out == ""
+    assert err == f"error: name mapping gives {message}\n"
+
+
+def test_twisted_names_the_completed_module_basis(capsys):
+    code, out, _ = run(capsys, ["twisted", fixture_path("a4_sl23.fus"),
+                                "--cap-chain", "1"])
+    assert code == 0
+    assert "chain did not stabilize, generators (rho)" in out
 
 
 @pytest.mark.parametrize("cmd", ["repring", "ktheory"])

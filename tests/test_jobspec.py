@@ -109,7 +109,7 @@ def test_realize_order_cap():
     spec = parse_jobspec("[group]\ndegree = 9\ns = (1 2 3 4 5 6 7 8 9)\n")
     from fusionrep.errors import OrderCapExceeded
     with pytest.raises(OrderCapExceeded):
-        realize(spec, ".", order_cap=5)
+        realize(spec, ".", caps={"order": 5})
 
 
 def test_word_exponents_reduce_modulo_the_generator_order():
