@@ -9,8 +9,9 @@ spectrum, twisted, adic.  Output is deterministic text, or JSON with
 exceeded.
 
 main settles the flags against the spec's [options] section and realizes
-the spec as one jobspec.Job with the caps and the name mapping; a command
-only formats the stages of that job, which builds each stage once.
+the spec as one jobspec.Job with the cap flags and the name mapping (a cap
+flag wins over the spec's cap option); a command only formats the stages
+of that job, which builds each stage once.
 
 A name mapping file <spec stem>.names.json next to the spec file (or one
 given via --names) relabels basis generators (X1, ...), completed
@@ -67,8 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_options(args, spec) -> dict:
-    """Settle args.primes, args.k and args.conductor, and return the caps:
-    each is the flag, else the [options] section, else the default."""
+    """Settle args.primes, args.k and args.conductor, and return the cap
+    flags; realize fills the caps not given from the [options] section."""
     if args.primes is not None:
         vals = []
         for part in args.primes.split(","):
@@ -92,7 +93,7 @@ def _resolve_options(args, spec) -> dict:
         flag = getattr(args, f"cap_{cap}")
         if flag is not None and flag < 1:
             raise InputError(f"cap_{cap} must be positive")
-        caps[cap] = flag if flag is not None else spec.option(f"cap_{cap}")
+        caps[cap] = flag
     return caps
 
 

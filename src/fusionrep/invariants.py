@@ -4,9 +4,15 @@ A character of S is F-invariant when it is constant on every F-class of
 elements.  Over the canonical irreducible order this is a system of integer
 linear conditions on multiplicity vectors; the non-negative solutions form a
 monoid whose minimal generators are the irreducible F-invariant characters.
-This module builds the condition matrix, computes the minimal generators by
-Pottier-style completion, and decomposes invariant (possibly virtual)
-vectors over them.
+This module builds the condition matrix, computes the minimal generators,
+and decomposes invariant (possibly virtual) vectors over them.
+
+The minimal generators form the Hilbert basis of the monoid.  Columns that
+no condition touches split off as unit vectors.  The remaining columns are
+merged by the ray of their column in a kernel-lattice basis, which leaves
+at most six of the 55 columns on the order-343 fixtures, and a Pottier
+completion runs on the merged columns in small int64 arrays under an
+explicit entry bound; its non-negative minimal members lift back exactly.
 """
 
 from __future__ import annotations
@@ -76,27 +82,73 @@ def invariance_matrix(F: FusionSystem) -> list:
 
 # --- Hilbert basis of a lattice monoid ----------------------------------------
 
-
-def _pos_neg(v):
-    pos = tuple(x if x > 0 else 0 for x in v)
-    neg = tuple(-x if x < 0 else 0 for x in v)
-    return pos, neg
+# Every stored completion vector has entries below this bound in absolute
+# value, so the sum of two of them fits in an int64.
+_INT64_BOUND = 2 ** 62
 
 
-def _dominates(ap, an, bp, bn) -> bool:
-    # a "covers" b: b+ <= a+ and b- <= a- componentwise
-    return all(x <= y for x, y in zip(bp, ap)) and all(x <= y for x, y in zip(bn, an))
+def _check_bound(largest) -> None:
+    if largest >= _INT64_BOUND:
+        raise FusionRepError("a Hilbert completion entry reaches 2^62, "
+                             "past the int64 bound")
+
+
+def _column_rays(lattice: list, columns: list) -> tuple:
+    """Group the columns by the ray of their column in the lattice basis.
+
+    lattice is a basis over the given columns, one coordinate per column.
+    Returns (reps, lift): reps lists the coordinate of one representative
+    per ray, in order of first occurrence, and lift lists (j, k, g, g_k)
+    for every column j whose lattice column is nonzero: its ray is the k-th,
+    and g and g_k are the contents of its column and of the
+    representative's.  Zero lattice columns are forced to zero and appear
+    in neither.
+    """
+    reps, lift, ray_of = [], [], {}
+    for c, j in enumerate(columns):
+        col = [b[c] for b in lattice]
+        g = 0
+        for x in col:
+            g = gcd(g, x)
+        if not g:
+            continue
+        ray = tuple(x // g for x in col)
+        if ray not in ray_of:
+            ray_of[ray] = len(reps)
+            reps.append((c, g))
+        k = ray_of[ray]
+        lift.append((j, k, g, reps[k][1]))
+    return [c for c, _ in reps], lift
 
 
 def hilbert_basis(rows, ncols: int = None, cap: int = DEFAULT_HILBERT_CAP) -> list:
     """Minimal nonzero elements of {x in Z^n, x >= 0 : rows * x = 0}.
 
-    Pottier completion: seed with a kernel-lattice basis and its negatives,
-    close under pairwise sums reduced to normal form (subtracting any member
-    whose positive and negative parts are componentwise below), then keep
-    the componentwise-minimal non-negative members.  `cap` bounds both the
-    completion set and the pending-pair queue.  Output sorted by
-    (coordinate sum, entries).
+    Columns that no row touches are free: each contributes its unit vector
+    and takes no part in the rest.  The other columns are grouped by the ray
+    of their column in one kernel-lattice basis, up to positive scaling;
+    columns with a zero kernel column are forced to zero and dropped.  On a
+    lattice vector the columns of one group are positive multiples of one
+    another, so projecting onto one representative column per group is
+    injective and keeps signs and dominance: the completion on the
+    projection is the completion on the full columns, and each result lifts
+    back exactly through x_j = x_k * g_j / g_k for the contents g of the
+    kernel columns.
+
+    The completion (Pottier, ISSAC 1996) seeds with the projected lattice
+    basis and its negatives and closes under pairwise sums reduced to
+    normal form: subtract the first member, in insertion order, whose
+    positive and negative parts lie componentwise below.  A pair whose
+    members have no coordinate of opposite sign is skipped: its sum is
+    already a sum of two members that lie below it.  Members live in int64
+    arrays G, GP (positive parts) and GN (negative parts), grown row by
+    row; every entry stays below 2^62 in absolute value, and an entry past
+    that bound raises FusionRepError.
+    The non-negative members, minimal componentwise, lift to the basis.
+
+    `cap` bounds both the completion set and the pending-pair queue.
+    Output sorted by (coordinate sum, entries), except that an empty matrix
+    gives the unit vectors in column order.
     """
     rows = [list(r) for r in rows]
     if rows:
@@ -109,62 +161,71 @@ def hilbert_basis(rows, ncols: int = None, cap: int = DEFAULT_HILBERT_CAP) -> li
         if ncols is None:
             raise InputError("ncols is required for an empty matrix")
         n = ncols
-    if n == 0:
-        return []
+    touched = [j for j in range(n) if any(r[j] for r in rows)]
+    out = [tuple(int(i == j) for i in range(n))
+           for j in range(n) if j not in touched]
     if not rows:
-        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        return out
 
-    lattice = kernel_basis(rows, n)
-    if not lattice:
-        return []
+    # rebinding frees the full copy before kernel_basis builds its own
+    rows = [[r[j] for j in touched] for r in rows]
+    lattice = kernel_basis(rows, len(touched)) if touched else []
+    reps, lift = _column_rays(lattice, touched)
+    if reps:
+        seeds = []
+        for b in lattice:
+            v = [b[c] for c in reps]
+            seeds += [v, [-x for x in v]]
+        _check_bound(max(abs(x) for v in seeds for x in v))
+        G = np.array(seeds, dtype=np.int64)
+        GP, GN = np.maximum(G, 0), np.maximum(-G, 0)
+        pairs = deque()
 
-    gens = []  # (vector, positive part, negative part)
-    for b in lattice:
-        v = tuple(b)
-        for w in (v, tuple(-x for x in v)):
-            gens.append((w, *_pos_neg(w)))
+        def enqueue(k):
+            # earlier members with a coordinate of sign opposite to member k
+            clash = (((GP[:k] > 0) & (GN[k] > 0))
+                     | ((GN[:k] > 0) & (GP[k] > 0))).any(1)
+            pairs.extend((i, k) for i in np.flatnonzero(clash).tolist())
 
-    def normal_form(v):
-        while any(v):
-            vp, vn = _pos_neg(v)
-            hit = False
-            for g, gp, gn in gens:
-                if _dominates(vp, vn, gp, gn):
-                    v = tuple(x - y for x, y in zip(v, g))
-                    hit = True
+        for k in range(len(G)):
+            enqueue(k)
+        while pairs:
+            i, j = pairs.popleft()
+            v = G[i] + G[j]
+            _check_bound(np.abs(v).max())
+            while True:
+                vp, vn = np.maximum(v, 0), np.maximum(-v, 0)
+                hit = (GP <= vp).all(1) & (GN <= vn).all(1)
+                first = hit.argmax()
+                if not hit[first]:
                     break
-            if not hit:
-                break
-        return v
+                v = v - G[first]
+            if not v.any():
+                continue
+            k = len(G)
+            G = np.vstack([G, v])
+            GP, GN = np.vstack([GP, vp]), np.vstack([GN, vn])
+            if k + 1 > cap or len(pairs) + k > cap:
+                raise HilbertCapExceeded(
+                    f"completion exceeded {cap} vectors; raise the cap to continue"
+                )
+            enqueue(k)
 
-    pairs = deque(
-        (i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))
-    )
-    while pairs:
-        i, j = pairs.popleft()
-        s = tuple(x + y for x, y in zip(gens[i][0], gens[j][0]))
-        s = normal_form(s)
-        if not any(s):
-            continue
-        k = len(gens)
-        gens.append((s, *_pos_neg(s)))
-        if k + 1 > cap or len(pairs) + k > cap:
-            raise HilbertCapExceeded(
-                f"completion exceeded {cap} vectors; raise the cap to continue"
-            )
-        pairs.extend((i2, k) for i2 in range(k))
-
-    nonneg = sorted(
-        {g for g, gp, gn in gens if not any(gn)},
-        key=lambda v: (sum(v), v),
-    )
-    out = []
-    for v in nonneg:
-        if not any(
-            all(x <= y for x, y in zip(u, v)) for u in out
-        ):
-            out.append(v)
-    return out
+        # Members are pairwise distinct (each new one is in normal form), so
+        # a minimal one lies below itself only.
+        nonneg = G[~GN.any(1)]
+        # below[a, b]: member a lies componentwise below member b
+        below = (nonneg[:, None, :] <= nonneg[None, :, :]).all(2)
+        minimal = below.sum(0) == 1
+        for y in nonneg[minimal].tolist():
+            x = [0] * n
+            for j, k, g, g_rep in lift:
+                x[j], r = divmod(y[k] * g, g_rep)
+                if r:
+                    raise FusionRepError(
+                        f"Hilbert basis lift gives column {j} a non-integer")
+            out.append(tuple(x))
+    return sorted(out, key=lambda v: (sum(v), v))
 
 
 # --- invariant vectors and the canonical basis ---------------------------------

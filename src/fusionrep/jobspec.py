@@ -613,11 +613,15 @@ def realize(spec: JobSpec, base_dir: str = ".", caps: dict = None,
 
     base_dir anchors relative cocycle file paths (the directory of the spec
     file, for specs loaded from disk).  caps maps cap names without their
-    "cap_" prefix ("order", "hilbert", ..) to bounds, None for the default;
+    "cap_" prefix ("order", "hilbert", ..) to bounds; a cap missing from it
+    or None there is taken from the spec's [options], else the default.
     "order" bounds the closure of explicitly given generators.  names maps
     the automatic names X1.., v1.. and W1.. to display names.
     """
-    caps = caps or {}
+    caps = dict(caps or {})
+    for key, value in spec.options:
+        if key.startswith("cap_") and caps.get(key[4:]) is None:
+            caps[key[4:]] = value
     bg_kw = {} if caps.get("order") is None else {"cap": caps["order"]}
     if spec.group_constructor is not None:
         S = extraspecial_p3(spec.group_p)

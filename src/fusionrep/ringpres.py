@@ -193,12 +193,17 @@ class CompletedPresentation:
 
 def apply_names(auto, mapping) -> tuple:
     """Relabel the automatic names of one kind (X*, v* or W*) by the
-    mapping.  The results must be non-empty and pairwise distinct."""
+    mapping.  The results must be non-empty and pairwise distinct, and a
+    name the mapping gives must be an identifier."""
     auto = tuple(auto)
-    names = tuple((mapping or {}).get(n, n) for n in auto)
+    mapping = mapping or {}
+    names = tuple(mapping.get(n, n) for n in auto)
     for i, name in enumerate(names):
         if not name:
             raise InputError(f"name mapping gives {auto[i]} an empty name")
+        if auto[i] in mapping and not name.isidentifier():
+            raise InputError(f"name mapping gives {auto[i]} the name "
+                             f"{name!r}, which is not an identifier")
         if name in names[:i]:
             raise InputError(f"name mapping gives {auto[names.index(name)]} "
                              f"and {auto[i]} the same name {name!r}")

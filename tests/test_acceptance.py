@@ -16,7 +16,7 @@ import time
 import pytest
 
 from conftest import FIXTURES, fixture_path
-from test_invariants import brute_hilbert, small_fusions
+from oracles import brute_hilbert, small_fusions
 
 from fusionrep.chartable import _compute_table, character_table, inner_product
 from fusionrep.cli import main

@@ -277,8 +277,15 @@ def test_names_override(capsys, tmp_path):
     ("repring", "onan", {"X1": ""}, "X1 an empty name"),
     ("twisted", "a4_sl23", {"v1": ""}, "v1 an empty name"),
     ("twisted", "a4_sl23", {"W1": ""}, "W1 an empty name"),
+    ("repring", "sigma_3", {"X1": "2"},
+     "X1 the name '2', which is not an identifier"),
+    ("ktheory", "sigma_3", {"v1": "q r"},
+     "v1 the name 'q r', which is not an identifier"),
+    ("twisted", "a4_sl23", {"W1": "rho-1"},
+     "W1 the name 'rho-1', which is not an identifier"),
 ], ids=["repring-X", "ktheory-X", "repring-X-kept", "ktheory-v",
-        "repring-X-empty", "twisted-v-empty", "twisted-W-empty"])
+        "repring-X-empty", "twisted-v-empty", "twisted-W-empty",
+        "repring-X-digit", "ktheory-v-space", "twisted-W-dash"])
 def test_names_must_be_non_empty_and_distinct(capsys, tmp_path, cmd, stem,
                                               mapping, message):
     path = tmp_path / "names.json"

@@ -1,14 +1,21 @@
-import itertools
+import os
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import FIXTURES
+from oracles import brute_hilbert, pottier_hilbert_basis, small_fusions
 
 from fusionrep.chartable import character_table, regular_character
-from fusionrep.errors import HilbertCapExceeded, NotInvariant
+from fusionrep.errors import FusionRepError, HilbertCapExceeded, NotInvariant
 from fusionrep.fusion import build_fusion
 from fusionrep.intlinalg import hnf, kernel_basis
-from fusionrep.invariants import (RepVector, covering_check, decompose,
-                                  hilbert_basis, invariance_matrix,
-                                  irreducible_invariants, is_stable)
+from fusionrep import twisted
+from fusionrep.invariants import (DEFAULT_HILBERT_CAP, RepVector,
+                                  covering_check, decompose, hilbert_basis,
+                                  invariance_matrix, irreducible_invariants,
+                                  is_stable)
 from fusionrep.permgroup import build_group, extraspecial_p3, make_hom
 
 
@@ -25,45 +32,88 @@ def test_hilbert_cap():
         hilbert_basis([[1, 1, -2]], cap=2)
 
 
-def brute_hilbert(rows, ncols, bound):
-    """Irreducible nonneg solutions of rows . v = 0 with entries <= bound."""
-    sols = []
-    for v in itertools.product(range(bound + 1), repeat=ncols):
-        if any(v) and all(sum(r[i] * v[i] for i in range(ncols)) == 0
-                          for r in rows):
-            sols.append(v)
-    solset = set(sols)
-    irred = []
-    for v in sols:
-        decomposable = False
-        for u in sols:
-            if u == v:
-                continue
-            w = tuple(a - b for a, b in zip(v, u))
-            if all(x >= 0 for x in w) and any(w) and w in solset:
-                decomposable = True
-                break
-        if decomposable:
-            continue
-        irred.append(v)
-    return set(irred)
+def test_hilbert_lifts_merged_columns_exactly():
+    # columns 0 and 1 share one kernel ray with contents 3 and 2, so the
+    # lift from the representative multiplies by the ratio 2/3
+    assert hilbert_basis([[2, -3]]) == [(3, 2)]
+    rows = [[2, -3, 1, -1, 0], [0, 0, 2, -2, 0]]
+    assert hilbert_basis(rows) == pottier_hilbert_basis(rows)
+    assert hilbert_basis(rows) == [(0, 0, 0, 0, 1), (0, 0, 1, 1, 0),
+                                   (3, 2, 0, 0, 0)]
+    # column 1 is forced to zero and column 4 is free
+    rows = [[1, 0, 2, -4, 0], [0, 1, 0, 0, 0]]
+    assert hilbert_basis(rows) == pottier_hilbert_basis(rows) \
+        == [(0, 0, 0, 0, 1), (0, 0, 2, 1, 0), (2, 0, 1, 1, 0),
+            (4, 0, 0, 1, 0)]
 
 
-def small_fusions():
-    Z3 = build_group(3, ["(1 2 3)"], names=["s"])
-    s = Z3.names["s"]
-    yield build_fusion(Z3, [])
-    yield build_fusion(Z3, [make_hom(Z3.full_subgroup(), (Z3.power(s, 2),))])
-    V4 = build_group(4, ["(1 2)(3 4)", "(1 3)(2 4)"], names=["x", "y"])
-    x, y = V4.names["x"], V4.names["y"]
-    yield build_fusion(V4, [make_hom(V4.full_subgroup(), (y, V4.mul(x, y)))])
-    Q8 = build_group(8, ["(1 2 4 7)(3 6 8 5)", "(1 3 4 8)(2 5 7 6)"],
-                     names=["i", "j"])
-    i, j = Q8.names["i"], Q8.names["j"]
-    yield build_fusion(Q8, [make_hom(Q8.full_subgroup(), (j, Q8.mul(i, j)))])
-    Z9 = build_group(9, ["(1 2 3 4 5 6 7 8 9)"], names=["s"])
-    t = Z9.names["s"]
-    yield build_fusion(Z9, [make_hom(Z9.full_subgroup(), (Z9.power(t, 2),))])
+def test_hilbert_entry_bound():
+    with pytest.raises(FusionRepError) as info:
+        hilbert_basis([[1, -(2 ** 63)]])
+    assert info.value.exit_code == 2
+    assert "int64" in str(info.value)
+
+
+@st.composite
+def small_matrices(draw):
+    """1-3 rows and 2-6 columns with entries in -3..3, built column by
+    column; a column may repeat or scale an earlier one, or be zero."""
+    m = draw(st.integers(1, 3))
+    entry = st.integers(-3, 3)
+    cols = []
+    for _ in range(draw(st.integers(2, 6))):
+        kind = draw(st.sampled_from(["fresh", "repeat", "scale", "zero"]))
+        if kind == "fresh" or not cols:
+            col = draw(st.lists(entry, min_size=m, max_size=m))
+        elif kind == "zero":
+            col = [0] * m
+        else:
+            base = draw(st.sampled_from(cols))
+            k = 1 if kind == "repeat" else draw(st.sampled_from([-3, -2, 2, 3]))
+            col = [x * k for x in base]
+            if max(map(abs, col), default=0) > 3:
+                col = [-x for x in base]
+        cols.append(col)
+    return [[col[i] for col in cols] for i in range(m)]
+
+
+# Some 2 x 6 matrices already need completions of thousands of vectors,
+# minutes for either side; the oracle's cap discards those examples.
+ORACLE_CAP = 2000
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices())
+def test_hilbert_matches_the_pottier_oracle(rows):
+    try:
+        want = pottier_hilbert_basis(rows, cap=ORACLE_CAP)
+    except HilbertCapExceeded:
+        assume(False)
+    assert hilbert_basis(rows) == want
+
+
+@pytest.mark.parametrize("stem", sorted(
+    f[:-4] for f in os.listdir(FIXTURES) if f.endswith(".fus")))
+def test_hilbert_matches_the_oracle_on_every_fixture(pipeline, stem,
+                                                    monkeypatch):
+    job = pipeline(stem)
+    rows = invariance_matrix(job.fusion)
+    n = len(character_table(job.group))
+    assert hilbert_basis(rows, ncols=n) == pottier_hilbert_basis(rows, ncols=n)
+    if job.extension is None:
+        return
+    # the twisted basis adds a unit row for every forced-zero column
+    checked = []
+
+    def checked_hilbert_basis(rows, ncols=None, cap=DEFAULT_HILBERT_CAP):
+        got = hilbert_basis(rows, ncols, cap)
+        assert got == pottier_hilbert_basis(rows, ncols, cap)
+        checked.append(len(got))
+        return got
+
+    monkeypatch.setattr(twisted, "hilbert_basis", checked_hilbert_basis)
+    twisted.twisted_invariant_basis(job.extension, job.fusion_alpha)
+    assert checked
 
 
 def test_hilbert_against_bruteforce():

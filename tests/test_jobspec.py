@@ -112,6 +112,18 @@ def test_realize_order_cap():
         realize(spec, ".", caps={"order": 5})
 
 
+def test_realize_takes_missing_caps_from_the_options():
+    from fusionrep.errors import OrderCapExceeded
+    spec = parse_jobspec("[group]\ndegree = 9\ns = (1 2 3 4 5 6 7 8 9)\n"
+                         "[options]\ncap_order = 5\ncap_hilbert = 7\n")
+    for caps in (None, {}, {"order": None}):
+        with pytest.raises(OrderCapExceeded):
+            realize(spec, ".", caps=caps)
+    job = realize(spec, ".", caps={"order": 9})
+    assert job.group.order == 9
+    assert job.caps == {"order": 9, "hilbert": 7}
+
+
 def test_word_exponents_reduce_modulo_the_generator_order():
     spec = parse_jobspec("[group]\ndegree = 3\nx = (1 2 3)\n[subgroups]\n"
                          "A = x^1000000000000000000\nB = x^-4\nC = x^-3\n")
