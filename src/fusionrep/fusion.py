@@ -12,8 +12,11 @@ the listed maps, their inverses, and inner conjugations.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import (
     DomainNotSubgroup,
+    FusionRepError,
     GeneratorMovesA,
     GroupMismatch,
     MorphismCapExceeded,
@@ -36,6 +39,7 @@ from .permgroup import (
 
 DEFAULT_MORPHISM_CAP = 1_000_000
 DEFAULT_SATURATION_ORDER_CAP = 128
+_N_PHI_BATCH = 256  # morphisms per N_phi gather, to bound its arrays
 
 
 def _small_gens(G: FiniteGroup, members) -> tuple:
@@ -116,8 +120,9 @@ class FusionSystem:
         self._element_classes = None
         self._element_class_of = None
         self._hom_cache = {}
+        self._maps = None
         self._recipe_cache = {}
-        self._conj_set_cache = {}
+        self._aut_s_cache = {}
         self._ext_index_cache = {}
 
     # -- element classes --
@@ -169,35 +174,47 @@ class FusionSystem:
     # -- morphism closure over generator-image states --
 
     def _hom_states(self, gens: tuple, cap: int) -> tuple:
-        """All F-morphisms out of <gens> as image tuples aligned with gens."""
+        """All F-morphisms out of <gens> as image tuples aligned with gens.
+        A cached closure larger than `cap` raises as a fresh one would."""
         hit = self._hom_cache.get(gens)
         if hit is not None:
+            if len(hit) > cap:
+                raise MorphismCapExceeded(f"morphism closure exceeds cap {cap}")
             return hit
-        S = self.S
         start = tuple(gens)
         seen = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for st in frontier:
-                candidates = [tuple(S.conj(g, x) for x in st)
-                              for g in S.gen_indices]
-                for phi, inv in zip(self.generators, self._inverses):
-                    if all(phi.domain.contains(x) for x in st):
-                        candidates.append(tuple(phi.apply(x) for x in st))
-                    if all(inv.domain.contains(x) for x in st):
-                        candidates.append(tuple(inv.apply(x) for x in st))
-                for t in candidates:
-                    if t not in seen:
-                        if len(seen) >= cap:
-                            raise MorphismCapExceeded(
-                                f"morphism closure exceeds cap {cap}")
-                        seen.add(t)
-                        new.append(t)
-            frontier = new
+        frontier = np.array([start], dtype=np.int32).reshape(1, len(start))
+        while len(frontier):
+            steps = []
+            for m in self._step_maps():
+                t = m[frontier]
+                steps.append(t[(t >= 0).all(1)])
+            new = set(map(tuple, np.concatenate(steps).tolist())) - seen
+            seen |= new
+            if len(seen) > cap:
+                raise MorphismCapExceeded(f"morphism closure exceeds cap {cap}")
+            frontier = np.array(sorted(new), dtype=np.int32).reshape(
+                len(new), len(start))
         out = tuple(sorted(seen))
         self._hom_cache[gens] = out
         return out
+
+    def _step_maps(self) -> tuple:
+        """The maps a state is post-composed with, as arrays over S (-1
+        outside the domain): conjugation by each generator of S, then each
+        listed generator and its inverse."""
+        if self._maps is None:
+            S = self.S
+            every = np.arange(S.order, dtype=np.int32)
+            inv = S.inv_array()
+            maps = [S.mul_array(S.mul_array(g, every), inv[g])
+                    for g in S.gen_indices]
+            for phi in self.generators + self._inverses:
+                m = np.full(S.order, -1, dtype=np.int32)
+                m[np.array(phi.domain.members)] = phi.images
+                maps.append(m)
+            self._maps = tuple(maps)
+        return self._maps
 
     def _sub_gens(self, P: Subgroup) -> tuple:
         if P.order == 1:
@@ -209,7 +226,8 @@ class FusionSystem:
     def _recipe(self, gens: tuple):
         """(domain Subgroup, steps) where replaying steps extends any
         generator-image state to a full map.  steps[k] = (y, x, i) meaning
-        image[y] = image[x] * state[i]."""
+        image[y] = image[x] * state[i], with y and x positions in the
+        domain's member order."""
         hit = self._recipe_cache.get(gens)
         if hit is not None:
             return hit
@@ -225,22 +243,32 @@ class FusionSystem:
                     y = S.mul(x, g)
                     if y not in seen:
                         seen.add(y)
-                        steps.append((y, x, i))
+                        steps.append((dom.pos(y), dom.pos(x), i))
                         new.append(y)
             frontier = new
         out = (dom, tuple(steps))
         self._recipe_cache[gens] = out
         return out
 
-    def _full_hom(self, gens: tuple, state: tuple) -> GroupHom:
-        """Extend a generator-image state to a full GroupHom.  States come
-        from composing genuine homomorphisms, so no re-validation is done."""
+    def _replay(self, gens: tuple, states) -> np.ndarray:
+        """Full maps of generator-image states: column k holds the images of
+        the members of <gens>, in member order, under states[k].  One
+        gather per recipe step replays every state at once."""
         S = self.S
         dom, steps = self._recipe(gens)
-        img = {S.identity: S.identity}
+        st = np.array(states, dtype=np.int32).reshape(len(states), len(gens)).T
+        img = np.empty((dom.order, len(states)), dtype=np.int32)
+        img[dom.pos(S.identity)] = S.identity
         for y, x, i in steps:
-            img[y] = S.mul(img[x], state[i])
-        return GroupHom(dom, S, tuple(img[m] for m in dom.members))
+            img[y] = S.mul_array(img[x], st[i])
+        return img
+
+    def _full_homs(self, gens: tuple, states) -> list:
+        """Extend generator-image states to full GroupHoms.  States come
+        from composing genuine homomorphisms, so no re-validation is done."""
+        dom = self._recipe(gens)[0]
+        return [GroupHom(dom, self.S, tuple(col))
+                for col in self._replay(gens, states).T.tolist()]
 
     @staticmethod
     def _owning_member(st: tuple, member_sets: list):
@@ -277,6 +305,7 @@ class FusionSystem:
                 (j, frozenset(Q.members)) for j, Q in enumerate(family)
                 if Q.order == P.order
             ]
+            hits = {}
             for st in self._hom_states(gens, cap):
                 j = None
                 for jj, fs in sets_of_same_order:
@@ -288,7 +317,9 @@ class FusionSystem:
                 total += 1
                 if total > cap:
                     raise MorphismCapExceeded(f"morphism closure exceeds cap {cap}")
-                table.setdefault((i, j), []).append(self._full_hom(gens, st))
+                hits.setdefault(j, []).append(st)
+            for j, sts in hits.items():
+                table[(i, j)] = self._full_homs(gens, sts)
         table = {k: tuple(sorted(v, key=lambda h: h.images))
                  for k, v in table.items()}
         return MorphismSet(family, table)
@@ -309,9 +340,8 @@ class FusionSystem:
                              (self.S.identity,)),)
         gens = self._sub_gens(P)
         mem = frozenset(P.members)
-        out = [self._full_hom(gens, st)
-               for st in self._hom_states(gens, cap)
-               if all(x in mem for x in st)]
+        out = self._full_homs(gens, [st for st in self._hom_states(gens, cap)
+                                     if all(x in mem for x in st)])
         return tuple(sorted(out, key=lambda h: h.images))
 
     # -- centric / radical --
@@ -372,8 +402,19 @@ class FusionSystem:
 
         Axiom one is checked at every fully normalized member of every
         F-class of subgroups (fully centralized + Sylow condition); axiom two
-        searches, for every closed morphism onto a fully centralized member,
-        an extension to its N_phi among closed morphisms out of N_phi.
+        searches, for every closed morphism phi: P -> Q onto a fully
+        centralized member, an extension to its N_phi among closed
+        morphisms out of N_phi.
+
+        The work is gathers on the multiplication and conjugation tables.
+        The closed morphisms out of P are replayed once into an image array
+        (one gather per recipe step).  For each phi, row g of
+        phi(C[N_S(P), phi^-1(Q's generators)]) holds phi c_g phi^-1 at Q's
+        generators; N_phi is the set of g whose row is a row of Aut_S(Q),
+        both encoded as integers in base |Q|.  N_phi is one of the
+        enumerated subgroups and takes its generators from there, and the
+        values at P's generators of the closed morphisms out of N_phi come
+        from the same replay.
         """
         S = self.S
         if S.order > order_cap and not allow_large:
@@ -418,31 +459,87 @@ class FusionSystem:
                         f"not Sylow in Aut_F of order {aut_f}")
             if len(cls[0]) == 1:
                 continue  # morphisms out of the trivial subgroup all extend
-            member_sets = [frozenset(m) for m in cls]
+            inside = np.zeros((len(cls), S.order), dtype=bool)
+            for j, m in enumerate(cls):
+                inside[j, list(m)] = True
+            full_cent = np.array([cent_ord[m] == max_cent for m in cls])
             for mem in cls:
                 P = by_key[mem]
                 pgens = self._sub_gens(P)
-                for st in self._hom_states(pgens, cap):
-                    j = self._owning_member(st, member_sets)
-                    img = cls[j]
-                    if cent_ord[img] != max_cent:
+                states = self._hom_states(pgens, cap)
+                # a state's image is the one member holding all its values
+                st = np.array(states, dtype=np.int32).reshape(len(states), -1)
+                owner = inside[:, st].all(2).argmax(0)
+                checked = full_cent[owner]
+                morphisms += int(checked.sum())
+                NP = norm_sub[mem]
+                if NP.order == P.order:
+                    continue  # P <= N_phi <= N_S(P) = P: phi extends itself
+                images = self._replay(pgens, states)
+                targets = []
+                for j in np.unique(owner[checked]).tolist():
+                    cols = np.flatnonzero(checked & (owner == j))
+                    targets.append((by_key[cls[j]], norm_sub[cls[j]], cols))
+                n_phi = self._n_phi(P, NP, images, targets)
+                NPm = np.array(NP.members)
+                # where N_phi = P, phi extends itself
+                for k in np.flatnonzero(n_phi.sum(0) > P.order).tolist():
+                    n_mem = tuple(NPm[n_phi[:, k]].tolist())
+                    gens_n = self._sub_gens(by_key[n_mem])
+                    if states[k] in self._ext_index(gens_n, pgens, cap):
                         continue
-                    morphisms += 1
-                    self._axiom_two(P, pgens, st, by_key[img], norm_sub,
-                                    cap, violations)
+                    violations.append(
+                        f"axiom II: no extension of {_describe(S, mem)} -> "
+                        f"{_describe(S, cls[owner[k]])} to N_phi of order "
+                        f"{len(n_mem)}")
         return SaturationReport(not violations, violations,
                                 len(classes), morphisms)
 
-    def _conj_set(self, Q: Subgroup, qgens: tuple, NQ: Subgroup) -> frozenset:
-        """Values of inner conjugations of N_S(Q) at Q's generators."""
-        key = Q.members
-        hit = self._conj_set_cache.get(key)
+    def _n_phi(self, P: Subgroup, NP: Subgroup, images, targets) -> np.ndarray:
+        """N_phi = {g in N_S(P) : phi c_g phi^-1 in Aut_S(Q)} as a mask over
+        N_S(P) (rows) for each morphism phi: P -> Q given by a column of
+        images; targets lists (Q, N_S(Q), columns onto Q).  Columns not
+        listed stay empty."""
+        S = self.S
+        conj = S.conj_table()[np.array(NP.members)]
+        members = np.array(P.members, dtype=np.int32)
+        pos_p = np.full(S.order, -1, dtype=np.int32)
+        pos_p[members] = np.arange(P.order, dtype=np.int32)
+        out = np.zeros((NP.order, images.shape[1]), dtype=bool)
+        for Q, NQ, cols in targets:
+            qgens, pos_q, radix, codes = self._aut_s_codes(Q, NQ)
+            for lo in range(0, len(cols), _N_PHI_BATCH):
+                batch = cols[lo:lo + _N_PHI_BATCH]
+                phi = images[:, batch]
+                r = np.arange(len(batch))[:, None]
+                pre = np.empty((len(batch), S.order), dtype=np.int32)
+                pre[r, phi.T] = members  # phi^-1 on Q
+                # row g, column phi: phi c_g phi^-1 at Q's generators
+                values = phi[pos_p[conj[:, pre[:, qgens]]], r]
+                out[:, batch] = np.isin(pos_q[values] @ radix, codes)
+        return out
+
+    def _aut_s_codes(self, Q: Subgroup, NQ: Subgroup) -> tuple:
+        """(Q's generators, position in Q of each element of S or -1,
+        radix, sorted codes): the values of the inner conjugations by N_S(Q)
+        at Q's generators, each row read as its positions in Q in base |Q|.
+        The codes stay below |Q|^k for k generators, so k is checked to keep
+        them inside int64."""
+        hit = self._aut_s_cache.get(Q.members)
         if hit is not None:
             return hit
         S = self.S
-        out = frozenset(tuple(S.conj(h, q) for q in qgens)
-                        for h in NQ.members)
-        self._conj_set_cache[key] = out
+        qgens = np.array(self._sub_gens(Q), dtype=np.int32)
+        if Q.order ** len(qgens) > 2 ** 63:
+            raise FusionRepError(
+                f"Aut_S(Q) codes in base {Q.order} on {len(qgens)} generators "
+                "pass the int64 bound")
+        pos_q = np.full(S.order, -1, dtype=np.int64)
+        pos_q[np.array(Q.members)] = np.arange(Q.order)
+        radix = Q.order ** np.arange(len(qgens), dtype=np.int64)
+        rows = S.conj_table()[np.ix_(np.array(NQ.members), qgens)]
+        out = (qgens, pos_q, radix, np.unique(pos_q[rows] @ radix))
+        self._aut_s_cache[Q.members] = out
         return out
 
     def _ext_index(self, gens_n: tuple, pgens: tuple, cap: int) -> frozenset:
@@ -451,39 +548,12 @@ class FusionSystem:
         hit = self._ext_index_cache.get(key)
         if hit is not None:
             return hit
-        S = self.S
-        dom, steps = self._recipe(gens_n)
-        vals = set()
-        for st in self._hom_states(gens_n, cap):
-            img = {S.identity: S.identity}
-            for y, x, i in steps:
-                img[y] = S.mul(img[x], st[i])
-            vals.add(tuple(img[pg] for pg in pgens))
-        out = frozenset(vals)
+        dom = self._recipe(gens_n)[0]
+        images = self._replay(gens_n, self._hom_states(gens_n, cap))
+        rows = images[[dom.pos(g) for g in pgens]]
+        out = frozenset(zip(*rows.tolist()))
         self._ext_index_cache[key] = out
         return out
-
-    def _axiom_two(self, P: Subgroup, pgens: tuple, st: tuple, Q: Subgroup,
-                   norm_sub: dict, cap: int, violations: list):
-        S = self.S
-        phi = self._full_hom(pgens, st)
-        pre = {v: m for m, v in zip(phi.domain.members, phi.images)}
-        qgens = self._sub_gens(Q)
-        NQ = norm_sub[Q.members]
-        conj_set = self._conj_set(Q, qgens, NQ)
-        NP = norm_sub[P.members]
-        n_phi = [
-            g for g in NP.members
-            if tuple(phi.apply(S.conj(g, pre[q])) for q in qgens) in conj_set
-        ]
-        if len(n_phi) == P.order:
-            return  # N_phi = P and phi extends itself
-        gens_n = _small_gens(S, n_phi)
-        if st in self._ext_index(gens_n, pgens, cap):
-            return
-        violations.append(
-            f"axiom II: no extension of {_describe(S, P.members)} -> "
-            f"{_describe(S, Q.members)} to N_phi of order {len(n_phi)}")
 
 
 def _perm_set_gens(perms) -> tuple:

@@ -147,8 +147,7 @@ def hilbert_basis(rows, ncols: int = None, cap: int = DEFAULT_HILBERT_CAP) -> li
     The non-negative members, minimal componentwise, lift to the basis.
 
     `cap` bounds both the completion set and the pending-pair queue.
-    Output sorted by (coordinate sum, entries), except that an empty matrix
-    gives the unit vectors in column order.
+    Output sorted by (coordinate sum, entries).
     """
     rows = [list(r) for r in rows]
     if rows:
@@ -165,7 +164,7 @@ def hilbert_basis(rows, ncols: int = None, cap: int = DEFAULT_HILBERT_CAP) -> li
     out = [tuple(int(i == j) for i in range(n))
            for j in range(n) if j not in touched]
     if not rows:
-        return out
+        return sorted(out, key=_by_sum)
 
     # rebinding frees the full copy before kernel_basis builds its own
     rows = [[r[j] for j in touched] for r in rows]
@@ -225,7 +224,11 @@ def hilbert_basis(rows, ncols: int = None, cap: int = DEFAULT_HILBERT_CAP) -> li
                     raise FusionRepError(
                         f"Hilbert basis lift gives column {j} a non-integer")
             out.append(tuple(x))
-    return sorted(out, key=lambda v: (sum(v), v))
+    return sorted(out, key=_by_sum)
+
+
+def _by_sum(v: tuple) -> tuple:
+    return sum(v), v
 
 
 # --- invariant vectors and the canonical basis ---------------------------------

@@ -131,8 +131,9 @@ class FiniteGroup:
     """Immutable permutation group with canonical element indexing.
 
     Construct through build_group / extraspecial_p3 / coset_action.  Lazy
-    caches (multiplication table, conjugacy classes) are write-once; all
-    public fields are read-only by convention.
+    caches (multiplication and conjugation tables, conjugacy classes,
+    subgroups) are write-once; all public fields are read-only by
+    convention.
     """
 
     def __init__(self, degree: int, gens: tuple, elements: tuple, names=None):
@@ -145,6 +146,7 @@ class FiniteGroup:
         self.gen_indices = tuple(self.index[g] for g in gens)
         self.names = dict(names) if names else {}  # name -> element index
         self._table = None
+        self._conj = None
         self._inv = None
         self._orders = None
         self._classes = None
@@ -183,6 +185,25 @@ class FiniteGroup:
             rows = E[i][E]  # rows[j] = elements[i] o elements[j]
             table[i] = [key[tuple(r)] for r in rows.tolist()]
         return table
+
+    def mul_array(self, a, b):
+        """Products of two broadcast index arrays, elementwise: one gather
+        on the table, or mul per entry above _TABLE_LIMIT."""
+        t = self.table()
+        if t is not None:
+            return t[a, b]
+        a, b = np.broadcast_arrays(a, b)
+        out = [self.mul(x, y)
+               for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
+        return np.array(out, dtype=np.int32).reshape(a.shape)
+
+    def conj_table(self):
+        """C[g, x] = g x g^-1, built on first use."""
+        if self._conj is None:
+            g = np.arange(self.order, dtype=np.int32)
+            gx = self.mul_array(g[:, None], g[None, :])
+            self._conj = self.mul_array(gx, self.inv_array()[:, None])
+        return self._conj
 
     def inv_array(self):
         if self._inv is None:
@@ -279,31 +300,31 @@ class FiniteGroup:
         return sub
 
     def closure(self, gen_indices) -> Perm:
-        """Sorted member indices of the subgroup generated by gen_indices."""
-        t = self.table()
-        current = {self.identity}
-        current.update(int(g) for g in gen_indices)
-        frontier = sorted(current)
-        members = sorted(current)
-        while frontier:
-            if t is not None:
-                mem = np.fromiter(members, dtype=np.int32, count=len(members))
-                fr = np.fromiter(frontier, dtype=np.int32, count=len(frontier))
-                prods = np.concatenate(
-                    [t[np.ix_(fr, mem)].ravel(), t[np.ix_(mem, fr)].ravel()]
-                )
-                new = set(np.unique(prods).tolist()) - current
-            else:
-                new = set()
-                for x in frontier:
-                    for y in members:
-                        new.add(self.mul(x, y))
-                        new.add(self.mul(y, x))
-                new -= current
-            current.update(new)
-            members = sorted(current)
-            frontier = sorted(new)
-        return tuple(members)
+        """Sorted member indices of the subgroup generated by gen_indices.
+
+        The subgroup is the orbit of the identity under right multiplication
+        by the powers of the generators (in a finite group they generate the
+        same monoid as the generators, and it is the group).  Each level of
+        the breadth-first search is one mul_array gather, a table gather at
+        most _TABLE_LIMIT, and each member enters the frontier once.
+        """
+        powers = set()
+        for g in set(gen_indices):
+            x = int(g)
+            while x != self.identity:
+                powers.add(x)
+                x = self.mul(x, g)
+        powers = np.array(sorted(powers), dtype=np.int32)
+        seen = np.zeros(self.order, dtype=bool)
+        seen[self.identity] = True
+        frontier = np.array([self.identity], dtype=np.int32)
+        while frontier.size:
+            new = np.zeros(self.order, dtype=bool)
+            new[self.mul_array(frontier[:, None], powers[None, :])] = True
+            new &= ~seen
+            seen |= new
+            frontier = np.flatnonzero(new)
+        return tuple(np.flatnonzero(seen).tolist())
 
     def centralizer(self, sub: "Subgroup") -> "Subgroup":
         self._check_parent(sub)
@@ -328,12 +349,19 @@ class FiniteGroup:
         return self.centralizer(self.full_subgroup())
 
     def all_subgroups(self, cap: int = DEFAULT_SUBGROUP_CAP) -> list:
+        """All subgroups, ordered by (order, members).  The enumeration is
+        cached with its candidate count, so a later call with a smaller cap
+        raises as a fresh enumeration would."""
         if self._subgroups is None:
             self._subgroups = self._enumerate_subgroups(cap)
-        return list(self._subgroups)
+        subs, candidates = self._subgroups
+        if candidates > cap:
+            raise SubgroupEnumerationCapExceeded(f"more than {cap} candidates")
+        return list(subs)
 
     def _enumerate_subgroups(self, cap: int) -> tuple:
-        """All subgroups: cyclic ones, then closure under pairwise join."""
+        """(all subgroups, candidates tried): cyclic ones, then closure
+        under pairwise join."""
         candidates = 0
         known = {}  # frozenset of members -> generator tuple
         for i in range(self.order):
@@ -363,7 +391,7 @@ class FiniteGroup:
             work = new_work
         subs = [Subgroup(self, tuple(sorted(fs)), gens) for fs, gens in known.items()]
         subs.sort(key=lambda s: (s.order, s.members))
-        return tuple(subs)
+        return tuple(subs), candidates
 
     def _check_parent(self, sub: "Subgroup"):
         if sub.parent is not self:

@@ -4,17 +4,25 @@ pottier_hilbert_basis is the pure-Python Pottier completion that
 invariants.hilbert_basis replaced, kept verbatim as an oracle: it runs on
 the full columns, with tuples, and skips no pair.  brute_hilbert searches
 a box exhaustively.  small_fusions yields the fusion systems on every
-fixture group of order at most 16.
+fixture group of order at most 16.  closure and ExhaustiveSaturation are
+the scalar subgroup closure and saturation check that the table gathers
+of FiniteGroup.closure and FusionSystem.check_saturation replaced.
 """
 
 import itertools
 from collections import deque
 
-from fusionrep.errors import HilbertCapExceeded, InputError
-from fusionrep.fusion import build_fusion
+import numpy as np
+
+from fusionrep.errors import (HilbertCapExceeded, InputError,
+                              MorphismCapExceeded, SaturationCapExceeded)
+from fusionrep.fusion import (DEFAULT_MORPHISM_CAP,
+                              DEFAULT_SATURATION_ORDER_CAP, SaturationReport,
+                              _describe, _small_gens, build_fusion)
 from fusionrep.intlinalg import kernel_basis
 from fusionrep.invariants import DEFAULT_HILBERT_CAP
-from fusionrep.permgroup import build_group, make_hom
+from fusionrep.permgroup import (GroupHom, Subgroup, build_group, make_hom,
+                                 p_part)
 
 
 def _pos_neg(v):
@@ -146,3 +154,271 @@ def small_fusions():
     Z9 = build_group(9, ["(1 2 3 4 5 6 7 8 9)"], names=["s"])
     t = Z9.names["s"]
     yield build_fusion(Z9, [make_hom(Z9.full_subgroup(), (Z9.power(t, 2),))])
+
+
+# --- the exhaustive saturation check before the table gathers ----------------
+# closure and the methods of ExhaustiveSaturation are the code that
+# FiniteGroup.closure and FusionSystem.check_saturation replaced, kept
+# verbatim: two-sided frontier products in closure, and in the check a
+# scalar breadth-first search of the morphisms, a dict replay of each
+# morphism, N_phi by one conj and apply per element and generator, and
+# one _small_gens per morphism.
+
+
+def closure(self, gen_indices) -> tuple:
+    """Sorted member indices of the subgroup generated by gen_indices."""
+    t = self.table()
+    current = {self.identity}
+    current.update(int(g) for g in gen_indices)
+    frontier = sorted(current)
+    members = sorted(current)
+    while frontier:
+        if t is not None:
+            mem = np.fromiter(members, dtype=np.int32, count=len(members))
+            fr = np.fromiter(frontier, dtype=np.int32, count=len(frontier))
+            prods = np.concatenate(
+                [t[np.ix_(fr, mem)].ravel(), t[np.ix_(mem, fr)].ravel()]
+            )
+            new = set(np.unique(prods).tolist()) - current
+        else:
+            new = set()
+            for x in frontier:
+                for y in members:
+                    new.add(self.mul(x, y))
+                    new.add(self.mul(y, x))
+            new -= current
+        current.update(new)
+        members = sorted(current)
+        frontier = sorted(new)
+    return tuple(members)
+
+
+class ExhaustiveSaturation:
+    """check_saturation of a FusionSystem F with the scalar code it had
+    before the gathers.  Attributes it does not define (S, p, generators,
+    _inverses, _sub_gens, _owning_member) are F's."""
+
+    def __init__(self, F):
+        self.F = F
+        self._hom_cache = {}
+        self._recipe_cache = {}
+        self._conj_set_cache = {}
+        self._ext_index_cache = {}
+
+    def __getattr__(self, name):
+        return getattr(self.F, name)
+
+    def _hom_states(self, gens: tuple, cap: int) -> tuple:
+        """All F-morphisms out of <gens> as image tuples aligned with gens."""
+        hit = self._hom_cache.get(gens)
+        if hit is not None:
+            return hit
+        S = self.S
+        start = tuple(gens)
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            new = []
+            for st in frontier:
+                candidates = [tuple(S.conj(g, x) for x in st)
+                              for g in S.gen_indices]
+                for phi, inv in zip(self.generators, self._inverses):
+                    if all(phi.domain.contains(x) for x in st):
+                        candidates.append(tuple(phi.apply(x) for x in st))
+                    if all(inv.domain.contains(x) for x in st):
+                        candidates.append(tuple(inv.apply(x) for x in st))
+                for t in candidates:
+                    if t not in seen:
+                        if len(seen) >= cap:
+                            raise MorphismCapExceeded(
+                                f"morphism closure exceeds cap {cap}")
+                        seen.add(t)
+                        new.append(t)
+            frontier = new
+        out = tuple(sorted(seen))
+        self._hom_cache[gens] = out
+        return out
+
+    def _recipe(self, gens: tuple):
+        """(domain Subgroup, steps) where replaying steps extends any
+        generator-image state to a full map.  steps[k] = (y, x, i) meaning
+        image[y] = image[x] * state[i]."""
+        hit = self._recipe_cache.get(gens)
+        if hit is not None:
+            return hit
+        S = self.S
+        dom = S.subgroup(gens) if gens else S.trivial_subgroup()
+        steps = []
+        seen = {S.identity}
+        frontier = [S.identity]
+        while frontier:
+            new = []
+            for x in frontier:
+                for i, g in enumerate(gens):
+                    y = S.mul(x, g)
+                    if y not in seen:
+                        seen.add(y)
+                        steps.append((y, x, i))
+                        new.append(y)
+            frontier = new
+        out = (dom, tuple(steps))
+        self._recipe_cache[gens] = out
+        return out
+
+    def _full_hom(self, gens: tuple, state: tuple) -> GroupHom:
+        """Extend a generator-image state to a full GroupHom.  States come
+        from composing genuine homomorphisms, so no re-validation is done."""
+        S = self.S
+        dom, steps = self._recipe(gens)
+        img = {S.identity: S.identity}
+        for y, x, i in steps:
+            img[y] = S.mul(img[x], state[i])
+        return GroupHom(dom, S, tuple(img[m] for m in dom.members))
+
+    def subgroup_class(self, P: Subgroup, cap: int = DEFAULT_MORPHISM_CAP) -> tuple:
+        """The F-conjugates of P, as sorted member tuples (P included)."""
+        self.S._check_parent(P)
+        if P.order == 1:
+            return ((self.S.identity,),)
+        gens = self._sub_gens(P)
+        found = [P.members]
+        found_sets = [frozenset(P.members)]
+        for st in self._hom_states(gens, cap):
+            if self._owning_member(st, found_sets) is None:
+                img = tuple(self.S.closure(st))
+                found.append(img)
+                found_sets.append(frozenset(img))
+        return tuple(sorted(found))
+
+    def aut_count(self, P: Subgroup, cap: int = DEFAULT_MORPHISM_CAP) -> int:
+        """|Aut_F(P)| without materializing full maps."""
+        if P.order == 1:
+            return 1
+        gens = self._sub_gens(P)
+        mem = frozenset(P.members)
+        return sum(1 for st in self._hom_states(gens, cap)
+                   if all(x in mem for x in st))
+
+    def check_saturation(
+        self,
+        order_cap: int = DEFAULT_SATURATION_ORDER_CAP,
+        allow_large: bool = False,
+        cap: int = DEFAULT_MORPHISM_CAP,
+        subgroup_cap: int = None,
+    ) -> SaturationReport:
+        """Exhaustive test of the two saturation axioms over all subgroups.
+
+        Axiom one is checked at every fully normalized member of every
+        F-class of subgroups (fully centralized + Sylow condition); axiom two
+        searches, for every closed morphism onto a fully centralized member,
+        an extension to its N_phi among closed morphisms out of N_phi.
+        """
+        S = self.S
+        if S.order > order_cap and not allow_large:
+            raise SaturationCapExceeded(
+                f"|S| = {S.order} exceeds saturation cap {order_cap}; "
+                "rerun with the large-order flag to force the check")
+        if S.order == 1:
+            return SaturationReport(True, [], 1, 0)
+        p = self.p
+        subs = (S.all_subgroups() if subgroup_cap is None
+                else S.all_subgroups(subgroup_cap))
+        by_key = {sub.members: sub for sub in subs}
+        norm_sub = {sub.members: S.normalizer(sub) for sub in subs}
+        cent_ord = {sub.members: S.centralizer(sub).order for sub in subs}
+
+        seen = set()
+        classes = []
+        for sub in sorted(subs, key=lambda q: q.members):
+            if sub.members in seen:
+                continue
+            cls = self.subgroup_class(sub, cap)
+            seen.update(cls)
+            classes.append(cls)
+
+        violations = []
+        morphisms = 0
+        for cls in classes:
+            max_norm = max(norm_sub[mem].order for mem in cls)
+            max_cent = max(cent_ord[mem] for mem in cls)
+            for mem in cls:
+                if norm_sub[mem].order != max_norm:
+                    continue
+                if cent_ord[mem] != max_cent:
+                    violations.append(
+                        f"axiom I: fully normalized {_describe(S, mem)} is not "
+                        f"fully centralized ({cent_ord[mem]} < {max_cent})")
+                aut_s = norm_sub[mem].order // cent_ord[mem]
+                aut_f = self.aut_count(by_key[mem], cap)
+                if p_part(aut_f, p) != aut_s:
+                    violations.append(
+                        f"axiom I: Aut_S{_describe(S, mem)} of order {aut_s} is "
+                        f"not Sylow in Aut_F of order {aut_f}")
+            if len(cls[0]) == 1:
+                continue  # morphisms out of the trivial subgroup all extend
+            member_sets = [frozenset(m) for m in cls]
+            for mem in cls:
+                P = by_key[mem]
+                pgens = self._sub_gens(P)
+                for st in self._hom_states(pgens, cap):
+                    j = self._owning_member(st, member_sets)
+                    img = cls[j]
+                    if cent_ord[img] != max_cent:
+                        continue
+                    morphisms += 1
+                    self._axiom_two(P, pgens, st, by_key[img], norm_sub,
+                                    cap, violations)
+        return SaturationReport(not violations, violations,
+                                len(classes), morphisms)
+
+    def _conj_set(self, Q: Subgroup, qgens: tuple, NQ: Subgroup) -> frozenset:
+        """Values of inner conjugations of N_S(Q) at Q's generators."""
+        key = Q.members
+        hit = self._conj_set_cache.get(key)
+        if hit is not None:
+            return hit
+        S = self.S
+        out = frozenset(tuple(S.conj(h, q) for q in qgens)
+                        for h in NQ.members)
+        self._conj_set_cache[key] = out
+        return out
+
+    def _ext_index(self, gens_n: tuple, pgens: tuple, cap: int) -> frozenset:
+        """Values at pgens of every closed morphism out of <gens_n>."""
+        key = (gens_n, pgens)
+        hit = self._ext_index_cache.get(key)
+        if hit is not None:
+            return hit
+        S = self.S
+        dom, steps = self._recipe(gens_n)
+        vals = set()
+        for st in self._hom_states(gens_n, cap):
+            img = {S.identity: S.identity}
+            for y, x, i in steps:
+                img[y] = S.mul(img[x], st[i])
+            vals.add(tuple(img[pg] for pg in pgens))
+        out = frozenset(vals)
+        self._ext_index_cache[key] = out
+        return out
+
+    def _axiom_two(self, P: Subgroup, pgens: tuple, st: tuple, Q: Subgroup,
+                   norm_sub: dict, cap: int, violations: list):
+        S = self.S
+        phi = self._full_hom(pgens, st)
+        pre = {v: m for m, v in zip(phi.domain.members, phi.images)}
+        qgens = self._sub_gens(Q)
+        NQ = norm_sub[Q.members]
+        conj_set = self._conj_set(Q, qgens, NQ)
+        NP = norm_sub[P.members]
+        n_phi = [
+            g for g in NP.members
+            if tuple(phi.apply(S.conj(g, pre[q])) for q in qgens) in conj_set
+        ]
+        if len(n_phi) == P.order:
+            return  # N_phi = P and phi extends itself
+        gens_n = _small_gens(S, n_phi)
+        if st in self._ext_index(gens_n, pgens, cap):
+            return
+        violations.append(
+            f"axiom II: no extension of {_describe(S, P.members)} -> "
+            f"{_describe(S, Q.members)} to N_phi of order {len(n_phi)}")

@@ -1,7 +1,14 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles import ExhaustiveSaturation
 
-from fusionrep.errors import NotCentral, SaturationCapExceeded
+from fusionrep import permgroup
+from fusionrep.errors import (FusionRepError, MorphismCapExceeded,
+                              NotCentral, SaturationCapExceeded,
+                              SubgroupEnumerationCapExceeded)
 from fusionrep.fusion import build_fusion, quotient_fusion
+from fusionrep.jobspec import parse_jobspec, realize
 from fusionrep.permgroup import build_group, extraspecial_p3, make_hom
 
 
@@ -47,24 +54,107 @@ def test_a4_fusion():
     assert rep.ok, rep.violations
 
 
-def test_unsaturated_axiom_one():
+def axiom_one_system():
     Z9 = build_group(9, ["(1 2 3 4 5 6 7 8 9)"], names=["s"])
     s = Z9.names["s"]
-    F = build_fusion(Z9, [make_hom(Z9.full_subgroup(), (Z9.power(s, 4),))])
-    rep = F.check_saturation()
+    return build_fusion(Z9, [make_hom(Z9.full_subgroup(), (Z9.power(s, 4),))])
+
+
+def axiom_two_system():
+    P2 = build_group(6, ["(1 2 3)", "(4 5 6)"], names=["x", "y"])
+    assert P2.order == 9
+    x = P2.names["x"]
+    L = P2.subgroup((x,))
+    return build_fusion(P2, [make_hom(L, (P2.power(x, 2),))])
+
+
+def test_unsaturated_axiom_one():
+    rep = axiom_one_system().check_saturation()
     assert not rep.ok
     assert len(rep.violations) == 1 and "axiom I" in rep.violations[0]
 
 
 def test_unsaturated_axiom_two():
-    P2 = build_group(6, ["(1 2 3)", "(4 5 6)"], names=["x", "y"])
-    assert P2.order == 9
-    x = P2.names["x"]
-    L = P2.subgroup((x,))
-    F = build_fusion(P2, [make_hom(L, (P2.power(x, 2),))])
-    rep = F.check_saturation()
+    rep = axiom_two_system().check_saturation()
     assert not rep.ok
     assert any("axiom II" in v for v in rep.violations)
+
+
+@pytest.mark.parametrize("stem", ["sigma_3", "sigma_5", "sigma_7", "a4",
+                                  "a4_sl23"])
+def test_saturation_matches_the_exhaustive_oracle(pipeline, stem):
+    F = pipeline(stem).fusion
+    assert (F.check_saturation().to_json()
+            == ExhaustiveSaturation(F).check_saturation().to_json())
+
+
+@pytest.mark.parametrize("system", [axiom_one_system, axiom_two_system])
+def test_unsaturated_systems_match_the_exhaustive_oracle(system, monkeypatch):
+    F = system()
+    want = ExhaustiveSaturation(F).check_saturation().to_json()
+    assert F.check_saturation().to_json() == want
+    # the same check through mul, as on groups without a table
+    monkeypatch.setattr(permgroup, "_TABLE_LIMIT", 0)
+    assert system().check_saturation().to_json() == want
+
+
+def gl2_spec(p: int, matrices) -> str:
+    """F_S(S x| H) on S = p^{1+2}, H generated by matrices acting on
+    S/Z(S) = F_p^2."""
+    lines = ["[group]", "constructor = extraspecial_p3", f"p = {p}", "",
+             "[fusion]"]
+    lines += [f"gl2 = [[{a}, {b}], [{c}, {d}]]" for (a, b), (c, d) in matrices]
+    return "\n".join(lines) + "\n"
+
+
+def gl2_matrices(p):
+    row = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
+    return st.tuples(row, row).filter(
+        lambda m: (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % p)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(gl2_matrices(3), max_size=3))
+def test_saturation_matches_the_oracle_on_random_3_systems(matrices):
+    F = realize(parse_jobspec(gl2_spec(3, matrices))).fusion
+    assert (F.check_saturation().to_json()
+            == ExhaustiveSaturation(F).check_saturation().to_json())
+
+
+def test_cached_subgroups_honour_a_smaller_cap():
+    S = extraspecial_p3(5)
+    S.all_subgroups()  # cached for every later job on 5^{1+2}
+    job = realize(parse_jobspec(gl2_spec(5, [((1, 1), (0, 1))])),
+                  caps={"subgroups": 5})
+    with pytest.raises(SubgroupEnumerationCapExceeded):
+        job.saturation(True)
+    G = build_group(6, ["(1 2 3)", "(4 5 6)"])
+    assert len(G.all_subgroups()) == 6
+    with pytest.raises(SubgroupEnumerationCapExceeded):
+        G.all_subgroups(5)
+
+
+def test_cached_morphisms_honour_a_smaller_cap():
+    V4, F = a4_fusion()
+    full = V4.full_subgroup()
+    with pytest.raises(MorphismCapExceeded):
+        F.aut_count(full, cap=2)
+    assert F.aut_count(full) == 3
+    with pytest.raises(MorphismCapExceeded):
+        F.aut_count(full, cap=2)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("stem", [
+    "rv1", "rv2",
+    pytest.param("rv3", marks=pytest.mark.xfail(strict=True, reason=(
+        "the bundled rv3 fails axiom II at 2,688 morphisms (CHANGES.md, "
+        "FOUND: the bundled rv3 fixture is not saturated)"))),
+])
+def test_exotic_systems_are_saturated(pipeline, stem):
+    report = pipeline(stem).fusion.check_saturation(allow_large=True)
+    assert report.ok, report.violations[:3]
 
 
 def test_saturation_cap():
@@ -128,3 +218,12 @@ def test_fusion_stores_generators():
     assert len(F.generators) == 1
     Z3, F3 = sigma3()
     assert len(F3.generators) == 1
+
+
+def test_aut_s_codes_raise_past_the_int64_bound():
+    # (Z/2)^8: 8 generators in base 256 reach 2^64
+    E = build_group(16, [f"({2 * i + 1} {2 * i + 2})" for i in range(8)])
+    F = build_fusion(E, [])
+    Q = E.full_subgroup()
+    with pytest.raises(FusionRepError):
+        F._aut_s_codes(Q, Q)

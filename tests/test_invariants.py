@@ -20,7 +20,8 @@ from fusionrep.permgroup import build_group, extraspecial_p3, make_hom
 
 
 def test_hilbert_unit():
-    assert hilbert_basis([], ncols=3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert hilbert_basis([], ncols=3) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert hilbert_basis([[0, 0, 0]]) == hilbert_basis([], ncols=3)
     assert hilbert_basis([[1, -1]]) == [(1, 1)]
     hb = hilbert_basis([[1, 1, -2]])
     assert set(hb) == {(1, 1, 1), (2, 0, 1), (0, 2, 1)}

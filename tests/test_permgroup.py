@@ -1,5 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import closure
 
+from fusionrep import permgroup
 from fusionrep.errors import (EvenPrime, NotAHomomorphism, NotAPermutation,
                               NotInjective, OrderCapExceeded)
 from fusionrep.permgroup import (build_group, core_p, coset_action,
@@ -119,3 +123,25 @@ def test_subgroup_closure():
     assert H.order == 9
     assert H.contains(S.mul(a, c))
     assert not H.contains(S.names["b"])
+
+
+CLOSURE_GROUPS = {
+    "S4": ["(1 2)", "(1 2 3 4)"],
+    "A5": ["(1 2 3)", "(1 2 3 4 5)"],
+    "D8 x Z3": ["(1 2 3 4)", "(1 3)", "(5 6 7)"],
+    "Sylow-3 of S9": ["(1 2 3)", "(1 4 7)(2 5 8)(3 6 9)"],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CLOSURE_GROUPS)),
+       st.lists(st.integers(0, 10 ** 6), max_size=4), st.booleans())
+def test_closure_matches_the_oracle(name, picks, table):
+    limit = permgroup._TABLE_LIMIT if table else 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permgroup, "_TABLE_LIMIT", limit)
+        G = build_group(9, CLOSURE_GROUPS[name])
+        picks = [i % G.order for i in picks]
+        assert (G.table() is not None) == table
+        assert G.closure(picks) == closure(G, picks)
+
