@@ -6,7 +6,8 @@ Commands: chartable, fusion-classes, saturation, repring, ktheory,
 spectrum, twisted, adic.  Output is deterministic text, or JSON with
 --json; the spectrum command also offers --dot.  Exit codes: 0 success,
 1 input or parse problem, 2 mathematical validation failure, 3 cap
-exceeded.
+exceeded.  Under --json an error is also written to stdout as JSON with
+its type, message and exit code.
 
 main settles the flags against the spec's [options] section and realizes
 the spec as one jobspec.Job with the cap flags and the name mapping (a cap
@@ -270,6 +271,10 @@ def main(argv=None) -> int:
         out = _DISPATCH[args.command](job, args)
     except FusionRepError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if args.json:
+            sys.stdout.write(_emit_json(args, error={
+                "type": type(exc).__name__, "message": str(exc),
+                "exit_code": exc.exit_code}))
         return exc.exit_code
     if out:
         sys.stdout.write(out if out.endswith("\n") else out + "\n")

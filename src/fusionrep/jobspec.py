@@ -32,7 +32,7 @@ from .intlinalg import is_prime
 from .invariants import irreducible_invariants
 from .permgroup import (FiniteGroup, NotAPermutation, build_group,
                         extraspecial_p3, format_cycles, make_hom,
-                        parse_cycles, perm_order)
+                        parse_cycles)
 from .ringpres import (adic_equivalence_exponent, apply_names,
                        completed_presentation, quotient_by_ideal_power,
                        structure_constants)
@@ -551,9 +551,7 @@ class Job:
 def _word_element(G: FiniteGroup, word) -> int:
     out = G.identity
     for name, exp in word:
-        g = G.names[name]
-        for _ in range(exp % perm_order(G.elements[g])):
-            out = G.mul(out, g)
+        out = G.mul(out, G.power(G.names[name], exp))
     return out
 
 

@@ -4,6 +4,11 @@ Elements are permutations in one-line notation: tuples of 0-based images.
 A group stores its full (lexicographically sorted) element list, so element
 indices are canonical and deterministic.  Groups of order <= _TABLE_LIMIT get
 a numpy multiplication table; larger groups fall back to tuple composition.
+The table is the regular representation grown along the Cayley graph: each
+generator's left-multiplication map is composed once from the tuples, and
+the row of x o g is the row of x gathered through g's map, which is exact by
+associativity; so a table costs |generators| * |G| tuple compositions and
+one row gather per element.
 
 External notation (parsing and printing) is 1-based cycle notation.
 """
@@ -177,13 +182,41 @@ class FiniteGroup:
         return self._table
 
     def _build_table(self):
+        """table[i, j] = index(elements[i] o elements[j]), by a breadth-first
+        search of the Cayley graph from the identity, whose row is arange.
+
+        For each generator g taken, L_g[j] = index(g o elements[j]) is
+        composed once from the tuples.  When the search reaches y = x o g
+        from a row x already built, table[y] = table[x][L_g], one row
+        gather: (x o g) o e = x o (g o e) by associativity, so every row is
+        exact.  A generator already reached lies in the subgroup the earlier
+        ones generate and is skipped, so the tuple compositions are at most
+        |generators taken| * |G| even when every member is a generator.
+        Raises InputError when the generators miss an element.
+        """
         n = self.order
-        E = np.array(self.elements, dtype=np.int32)
-        key = {p: i for i, p in enumerate(self.elements)}
         table = np.empty((n, n), dtype=np.int32)
-        for i in range(n):
-            rows = E[i][E]  # rows[j] = elements[i] o elements[j]
-            table[i] = [key[tuple(r)] for r in rows.tolist()]
+        table[self.identity] = np.arange(n, dtype=np.int32)
+        reached = np.zeros(n, dtype=bool)
+        reached[self.identity] = True
+        taken = []  # (index of g, L_g) for the generators taken
+        for g, gi in zip(self.gens, self.gen_indices):
+            if reached[gi]:
+                continue
+            taken.append((gi, np.array(
+                [self.index[compose(g, e)] for e in self.elements],
+                dtype=np.intp)))
+            queue = np.flatnonzero(reached).tolist()
+            for x in queue:
+                row = table[x]
+                for h, L in taken:
+                    y = int(row[h])
+                    if not reached[y]:
+                        reached[y] = True
+                        table[y] = row[L]
+                        queue.append(y)
+        if not reached.all():
+            raise InputError("declared generators do not generate the group")
         return table
 
     def mul_array(self, a, b):
@@ -234,11 +267,9 @@ class FiniteGroup:
         return self.name_of(i) or format_cycles(self.elements[i])
 
     def power(self, x: int, n: int) -> int:
-        """x^n, n may be negative."""
-        if n < 0:
-            x, n = self.inv(x), -n
+        """x^n for any integer n, reduced modulo the order of x."""
         acc = self.identity
-        for _ in range(n):
+        for _ in range(n % self.element_orders()[x]):
             acc = self.mul(acc, x)
         return acc
 

@@ -7,6 +7,8 @@ a box exhaustively.  small_fusions yields the fusion systems on every
 fixture group of order at most 16.  closure and ExhaustiveSaturation are
 the scalar subgroup closure and saturation check that the table gathers
 of FiniteGroup.closure and FusionSystem.check_saturation replaced.
+build_table is the multiplication table by one tuple lookup per entry,
+which the Cayley-graph search of FiniteGroup._build_table replaced.
 """
 
 import itertools
@@ -154,6 +156,22 @@ def small_fusions():
     Z9 = build_group(9, ["(1 2 3 4 5 6 7 8 9)"], names=["s"])
     t = Z9.names["s"]
     yield build_fusion(Z9, [make_hom(Z9.full_subgroup(), (Z9.power(t, 2),))])
+
+
+# --- the multiplication table by tuple lookups -------------------------------
+# The code that FiniteGroup._build_table replaced, kept verbatim: every row
+# composes one element with all of them and looks each product up.
+
+
+def build_table(self):
+    n = self.order
+    E = np.array(self.elements, dtype=np.int32)
+    key = {p: i for i, p in enumerate(self.elements)}
+    table = np.empty((n, n), dtype=np.int32)
+    for i in range(n):
+        rows = E[i][E]  # rows[j] = elements[i] o elements[j]
+        table[i] = [key[tuple(r)] for r in rows.tolist()]
+    return table
 
 
 # --- the exhaustive saturation check before the table gathers ----------------

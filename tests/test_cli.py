@@ -234,6 +234,33 @@ def test_error_exit_codes(capsys, tmp_path):
     assert code == 3
 
 
+S3_SPEC = "[group]\ndegree = 6\nx = (1 2 3)(4 5 6)\ny = (1 4)(2 6)(3 5)\n"
+
+
+@pytest.mark.parametrize("argv, error_type, exit_code, message", [
+    (["fusion-classes", "/nonexistent/file.fus"], "InputError", 1,
+     "cannot read spec file"),
+    (["repring", "s3.fus"], "NotAPrimePowerGroup", 2,
+     "|S| = 6 is not a prime power"),
+    (["saturation", fixture_path("he.fus")], "SaturationCapExceeded", 3,
+     None),
+])
+def test_json_errors(capsys, tmp_path, monkeypatch, argv, error_type,
+                     exit_code, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s3.fus").write_text(S3_SPEC)
+    code, out, err = run(capsys, argv + ["--json"])
+    assert code == exit_code
+    assert err.startswith("error: ") and err.count("\n") == 1
+    data = json.loads(out)
+    assert data == {"schema": 1, "command": argv[0], "error": {
+        "type": error_type, "message": err[len("error: "):-1],
+        "exit_code": exit_code}}
+    if message is not None:
+        assert message in data["error"]["message"]
+    assert run(capsys, argv)[1] == ""
+
+
 def test_spectrum_on_the_trivial_group_asks_for_primes(capsys, tmp_path):
     spec = tmp_path / "trivial.fus"
     spec.write_text("[group]\ndegree = 1\nx = ()\n")

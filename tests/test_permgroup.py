@@ -1,15 +1,22 @@
+import os
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import closure
+from oracles import build_table, closure
 
 from fusionrep import permgroup
-from fusionrep.errors import (EvenPrime, NotAHomomorphism, NotAPermutation,
-                              NotInjective, OrderCapExceeded)
-from fusionrep.permgroup import (build_group, core_p, coset_action,
-                                 derived_subgroup, extraspecial_p3,
-                                 format_cycles, frattini_maximals, make_hom,
-                                 parse_cycles, sylow_subgroup)
+from fusionrep.chartable import _subgroup_group
+from fusionrep.errors import (EvenPrime, FusionRepError, NotAHomomorphism,
+                              NotAPermutation, NotInjective, OrderCapExceeded)
+from fusionrep.permgroup import (FiniteGroup, build_group, core_p,
+                                 coset_action, derived_subgroup,
+                                 extraspecial_p3, format_cycles,
+                                 frattini_maximals, make_hom, parse_cycles,
+                                 sylow_subgroup)
+
+from conftest import FIXTURES
 
 
 def test_parse_cycles():
@@ -145,3 +152,73 @@ def test_closure_matches_the_oracle(name, picks, table):
         assert (G.table() is not None) == table
         assert G.closure(picks) == closure(G, picks)
 
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CLOSURE_GROUPS)),
+       st.lists(st.integers(0, 10 ** 6), max_size=4))
+def test_table_matches_the_oracle_on_random_generators(name, picks):
+    G = build_group(9, CLOSURE_GROUPS[name])
+    gens = tuple(G.elements[i % G.order] for i in picks)
+    members = G.closure([i % G.order for i in picks])
+    H = FiniteGroup(9, gens, tuple(G.elements[m] for m in members))
+    assert np.array_equal(H.table(), build_table(H))
+
+
+STEMS = sorted(f[:-4] for f in os.listdir(FIXTURES) if f.endswith(".fus"))
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_table_matches_the_oracle_on_every_fixture(pipeline, stem):
+    S = pipeline(stem).group
+    assert np.array_equal(S.table(), build_table(S))
+
+
+def test_table_matches_the_oracle_on_derived_groups(pipeline):
+    S = extraspecial_p3(5)
+    A = S.subgroup((S.names["a"],))
+    groups = [pipeline("a4_sl23").extension.group,
+              build_group(1, []),
+              _subgroup_group(S.centralizer(A)),
+              _subgroup_group(S.normalizer(S.center()))]
+    assert [G.order for G in groups] == [8, 1, 25, 125]
+    for G in groups:
+        assert np.array_equal(G.table(), build_table(G))
+
+
+@pytest.mark.parametrize("all_members", [False, True])
+def test_table_composes_few_tuples(monkeypatch, all_members):
+    """|gens| * |G| compositions at most; with every member a generator,
+    only the generators that enlarge the reached subgroup are composed,
+    each by a factor of at least 7, so at most 3 on 7^{1+2}."""
+    S = extraspecial_p3(7)
+    G = FiniteGroup(S.degree, S.elements if all_members else S.gens,
+                    S.elements)
+    calls = []
+    compose = permgroup.compose
+
+    def counting_compose(p, q):
+        calls.append((p, q))
+        return compose(p, q)
+
+    monkeypatch.setattr(permgroup, "compose", counting_compose)
+    table = G.table()
+    monkeypatch.undo()
+    assert len(calls) <= (3 if all_members else len(G.gens)) * G.order
+    assert np.array_equal(table, build_table(G))
+
+
+def test_generators_that_miss_an_element_raise():
+    S = extraspecial_p3(3)
+    G = FiniteGroup(S.degree, S.gens[:1], S.elements)
+    with pytest.raises(FusionRepError):
+        G.table()
+
+
+@pytest.mark.parametrize("n", [10 ** 18, -1, 0, 10 ** 6 + 5])
+def test_power_reduces_the_exponent(n):
+    G = build_group(9, ["(1 2 3 4 5 6 7 8 9)"], names=["s"])
+    s = G.names["s"]
+    expected = G.identity
+    for _ in range(n % 9):
+        expected = G.mul(expected, s)
+    assert G.power(s, n) == expected

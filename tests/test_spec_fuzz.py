@@ -2,8 +2,10 @@
 
 Each example takes a small spec, drops, duplicates or truncates one line or
 replaces one number in it, and runs fusion-classes, spectrum and repring on
-the result in-process.  Every outcome must be one of the documented exit
-codes: 0 success, 1 input problem, 2 validation failure, 3 cap exceeded.
+the result in-process.  A second test mutates the order-343 specs rv1 and
+onan the same way and runs fusion-classes alone.  Every outcome must be one
+of the documented exit codes: 0 success, 1 input problem, 2 validation
+failure, 3 cap exceeded.
 """
 
 import contextlib
@@ -30,6 +32,7 @@ TEXTS = [_fixture_text(stem)
          for stem in ("sigma_3", "sigma_5", "sigma_7", "a4", "a4_sl23")]
 TEXTS.append("[group]\nconstructor = extraspecial_p3\np = 3\n\n"
              "[fusion]\ngl2 = [[0, 1], [2, 0]]\n")
+TEXTS_343 = [_fixture_text(stem) for stem in ("rv1", "onan")]
 TRIVIAL = "[group]\ndegree = 1\nx = ()\n"
 NUMBERS = ("0", "1", "2", "3", "4", "5", "8", "9", "-1", "99")
 COMMANDS = ("fusion-classes", "spectrum", "repring")
@@ -46,8 +49,8 @@ def workdir(tmp_path_factory):
 
 
 @st.composite
-def mutated_specs(draw):
-    lines = draw(st.sampled_from(TEXTS)).splitlines()
+def mutated_specs(draw, texts=TEXTS):
+    lines = draw(st.sampled_from(texts)).splitlines()
     i = draw(st.integers(0, len(lines) - 1))
     how = draw(st.sampled_from(("drop", "duplicate", "truncate", "number")))
     if how == "drop":
@@ -80,3 +83,17 @@ def test_mutated_specs_exit_cleanly(workdir, text):
         assert code in (0, 1, 2, 3), (command, text)
         if code:
             assert err.getvalue().startswith("error:"), (command, text)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_specs(TEXTS_343))
+def test_mutated_order_343_specs_exit_cleanly(workdir, text):
+    spec = workdir / "job.fus"
+    spec.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["fusion-classes", str(spec)])
+    assert code in (0, 1, 2, 3), text
+    if code:
+        assert err.getvalue().startswith("error:"), text
