@@ -206,7 +206,7 @@ class FiniteGroup:
             taken.append((gi, np.array(
                 [self.index[compose(g, e)] for e in self.elements],
                 dtype=np.intp)))
-            queue = np.flatnonzero(reached).tolist()
+            queue = np.flatnonzero(reached).tolist()  # g acts on all of them
             for x in queue:
                 row = table[x]
                 for h, L in taken:
