@@ -17,7 +17,8 @@ of that job, which builds each stage once.
 A name mapping file <spec stem>.names.json next to the spec file (or one
 given via --names) relabels basis generators (X1, ...), completed
 variables (v1, ...) and twisted basis elements (W1, ...) in every output.
-The names of one kind must be non-empty and pairwise distinct.
+Every key must be X<n>, v<n> or W<n> with n >= 1, and the names of one
+kind must be non-empty and pairwise distinct.
 """
 
 from __future__ import annotations
@@ -25,14 +26,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from collections import Counter
 
-from .chartable import character_table
 from .errors import FusionRepError, InputError
 from .intlinalg import is_prime
 from .jobspec import load_jobspec, realize
 
+_MAPPING_KEY_RE = re.compile(r"[XvW][1-9][0-9]*\Z")
 _CAPS = ("order", "subgroups", "morphisms", "hilbert", "saturation",
          "chain", "adic")
 
@@ -116,6 +118,10 @@ def _load_mapping(args) -> dict:
             or any(not isinstance(k, str) or not isinstance(v, str)
                    for k, v in data.items())):
         raise InputError("name mapping must be a JSON object of strings")
+    for key in data:
+        if not _MAPPING_KEY_RE.match(key):
+            raise InputError(f"name mapping key {key!r} is not X<n>, v<n> "
+                             "or W<n>")
     return data
 
 
@@ -134,6 +140,7 @@ def _degree_summary(degrees) -> str:
 
 
 def _cmd_chartable(job, args):
+    from .chartable import character_table
     tab = character_table(job.group)
     if args.json:
         return _emit_json(args, table=tab.to_json())

@@ -32,7 +32,7 @@ from .errors import (
     NotInvariant,
 )
 from .fusion import FusionSystem
-from .intlinalg import integer_solution, kernel_basis
+from .intlinalg import int_matmul, integer_solution, kernel_basis
 from .permgroup import FiniteGroup
 
 DEFAULT_HILBERT_CAP = 100_000
@@ -303,7 +303,11 @@ class InvariantBasis:
         object.__setattr__(self, "fusion", fusion)
         object.__setattr__(self, "vectors", tuple(vectors))
         object.__setattr__(self, "names", tuple(names))
-        object.__setattr__(self, "invariance_rows", tuple(map(tuple, invariance_rows)))
+        # Python ints, one row per invariance condition, for int_matmul
+        rows = np.array(invariance_rows, dtype=object).reshape(
+            -1, len(self.vectors[0].multiplicities))
+        rows.flags.writeable = False
+        object.__setattr__(self, "invariance_rows", rows)
 
     def __setattr__(self, *a):
         raise AttributeError("InvariantBasis is immutable")
@@ -396,9 +400,8 @@ def decompose(v, B: InvariantBasis) -> tuple:
     combination of the basis.
     """
     mults = _as_multiplicities(v, B)
-    for row in B.invariance_rows:
-        if sum(r * m for r, m in zip(row, mults)):
-            raise NotInvariant("character is not constant on the fusion classes")
+    if int_matmul(B.invariance_rows, mults).any():
+        raise NotInvariant("character is not constant on the fusion classes")
     return integer_solution([vec.multiplicities for vec in B.vectors], mults)
 
 

@@ -29,17 +29,9 @@ from functools import cached_property
 from .errors import InputError, ParseError, UnknownName
 from .fusion import FusionSystem, build_fusion
 from .intlinalg import is_prime
-from .invariants import irreducible_invariants
 from .permgroup import (FiniteGroup, NotAPermutation, build_group,
                         extraspecial_p3, format_cycles, make_hom,
                         parse_cycles)
-from .ringpres import (adic_equivalence_exponent, apply_names,
-                       completed_presentation, quotient_by_ideal_power,
-                       structure_constants)
-from .spectrum import prime_symbols
-from .twisted import (Cocycle, central_extension, completed_module,
-                      extension_from_groups, module_structure,
-                      twisted_invariant_basis)
 
 _SECTIONS = ("group", "subgroups", "fusion", "extension", "fusion_alpha",
              "options")
@@ -461,7 +453,9 @@ class Job:
     completion, the twisted basis, the module over R(F) and its completion,
     and per k the adic exponent and R(F)/I^k) is built on first use, once,
     with its own cap from caps and, where it names generators, the names
-    mapping; the commands pass neither.
+    mapping; the commands pass neither.  A stage imports the layer that
+    builds it when it first runs, so a command loads only the layers it
+    reaches.
     """
 
     def __init__(self, spec: JobSpec, group: FiniteGroup, subgroups: dict,
@@ -484,19 +478,23 @@ class Job:
     @cached_property
     def basis(self):
         """The invariant basis 1, X1, .. of R(F)."""
+        from .invariants import irreducible_invariants
         return irreducible_invariants(self.fusion, **self._cap("hilbert"))
 
     @cached_property
     def basis_names(self) -> tuple:
         """The names of the invariant basis as displayed."""
+        from .ringpres import apply_names
         return apply_names(self.basis.names, self.names)
 
     @cached_property
     def presentation(self):
+        from .ringpres import structure_constants
         return structure_constants(self.basis, self.names)
 
     @cached_property
     def completed(self):
+        from .ringpres import completed_presentation
         return completed_presentation(self.presentation, self.names)
 
     @cached_property
@@ -504,6 +502,7 @@ class Job:
         if self.extension is None:
             raise InputError(
                 "the twisted command needs an [extension] section")
+        from .twisted import twisted_invariant_basis
         TB = twisted_invariant_basis(self.extension, self.fusion_alpha,
                                      base=self.fusion, **self._cap("hilbert"))
         return TB.with_names(self.names)
@@ -512,11 +511,14 @@ class Job:
     def module(self):
         """The twisted basis as a module over R(F), acted on by the
         generators of the presentation."""
+        from .twisted import module_structure
         return module_structure(self.fusion, self.basis, self.extension,
                                 self.twisted_basis, self.presentation)
 
     @cached_property
     def completed_module(self):
+        from .ringpres import apply_names
+        from .twisted import completed_module
         variables = apply_names(
             [f"v{i + 1}" for i in range(len(self.presentation.names))],
             self.names)
@@ -527,6 +529,8 @@ class Job:
         """(m, quotient): the adic equivalence exponent for k and the
         free rank and torsion of R(F)/I(F)^k."""
         if k not in self._adic:
+            from .ringpres import (adic_equivalence_exponent,
+                                   quotient_by_ideal_power)
             m = adic_equivalence_exponent(self.fusion, k, basis=self.basis,
                                           **self._cap("adic"))
             self._adic[k] = (m, quotient_by_ideal_power(self.presentation, k))
@@ -545,6 +549,7 @@ class Job:
                 raise InputError(
                     "the trivial group has no prime; give --primes")
             primes = (self.fusion.p,)
+        from .spectrum import prime_symbols
         return prime_symbols(self.fusion, primes, conductor=conductor)
 
 
@@ -638,6 +643,8 @@ def realize(spec: JobSpec, base_dir: str = ".", caps: dict = None,
     extension = None
     fusion_alpha = None
     if spec.extension is not None:
+        from .twisted import (Cocycle, central_extension,
+                              extension_from_groups)
         if spec.extension[0] == "cocycle":
             _, coeff, fname, transpose = spec.extension
             path = fname if os.path.isabs(fname) else os.path.join(base_dir,

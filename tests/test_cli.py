@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import fusionrep
 from fusionrep.cli import main
 
 from conftest import fixture_path
@@ -172,12 +176,16 @@ def test_adic_builds_each_power_once(capsys, monkeypatch):
     assert sorted(chains) == [[2, 1, 3], [5, 1, 3], [5, 4, max(ms)]]
 
 
-# the stage functions a Job calls, by the names it imports them under
-_STAGES = ("irreducible_invariants", "structure_constants",
-           "completed_presentation", "twisted_invariant_basis",
-           "module_structure", "completed_module",
-           "adic_equivalence_exponent", "quotient_by_ideal_power",
-           "prime_symbols")
+# the stage functions a Job calls, by the modules that define them
+_STAGES = (("invariants", "irreducible_invariants"),
+           ("ringpres", "structure_constants"),
+           ("ringpres", "completed_presentation"),
+           ("twisted", "twisted_invariant_basis"),
+           ("twisted", "module_structure"),
+           ("twisted", "completed_module"),
+           ("ringpres", "adic_equivalence_exponent"),
+           ("ringpres", "quotient_by_ideal_power"),
+           ("spectrum", "prime_symbols"))
 _BASIS = ("irreducible_invariants",)
 _PRESENTATION = ("structure_constants",)
 
@@ -196,14 +204,16 @@ _PRESENTATION = ("structure_constants",)
 ], ids=["repring", "ktheory", "adic", "twisted"])
 def test_each_stage_runs_once_per_job(capsys, monkeypatch, argv, lines,
                                       stages):
-    """Wrap every stage function where the job imports it, and the two
-    library call sites that build the basis or the presentation when they
-    are not passed one; tally the calls by name and integer arguments (k)."""
-    import fusionrep.jobspec
+    """Wrap every stage function in the module that defines it (the job
+    imports each one when it first runs the stage), and the two library
+    call sites that build the basis or the presentation when they are not
+    passed one; tally the calls by name and integer arguments (k)."""
+    import fusionrep.invariants
     import fusionrep.ringpres
+    import fusionrep.spectrum
     import fusionrep.twisted
     calls = Counter()
-    sites = ([(fusionrep.jobspec, name) for name in _STAGES]
+    sites = ([(getattr(fusionrep, mod), name) for mod, name in _STAGES]
              + [(fusionrep.ringpres, "irreducible_invariants"),
                 (fusionrep.twisted, "structure_constants")])
     for mod, name in sites:
@@ -217,6 +227,43 @@ def test_each_stage_runs_once_per_job(capsys, monkeypatch, argv, lines,
     assert code == 0 and len(out.splitlines()) == lines
     assert calls == Counter(stages)
     assert calls[_BASIS] == 1 and calls[_PRESENTATION] == 1
+
+
+_LAYERS = {"chartable", "cyclotomic", "invariants", "polynomials",
+           "ringpres", "spectrum", "twisted"}
+
+_LOADED = """
+import contextlib, io, json, sys
+from fusionrep.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(name for name in sys.modules
+                               if name.startswith("fusionrep."))]))
+"""
+
+
+@pytest.mark.parametrize("cmd,stem,loaded", [
+    ("fusion-classes", "sigma_5", set()),
+    ("saturation", "sigma_5", set()),
+    ("ktheory", "sigma_5", _LAYERS - {"spectrum", "twisted"}),
+    ("fusion-classes", "a4_sl23", _LAYERS - {"spectrum"}),
+], ids=["fusion-classes", "saturation", "ktheory", "extension"])
+def test_a_command_loads_only_the_layers_it_runs(cmd, stem, loaded):
+    """In a fresh process, the modules a command imports: fusion-classes
+    and saturation need none of the character, ring, twisted and spectrum
+    layers, ktheory no twisted or spectrum, and an [extension] section
+    needs twisted (and what it imports) to realize the extension."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        fusionrep.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED, cmd, fixture_path(stem + ".fus")],
+        capture_output=True, text=True, env=env, check=True)
+    code, modules = json.loads(done.stdout)
+    assert code == 0
+    assert {m.split(".")[1] for m in modules} & _LAYERS == loaded
 
 
 def test_error_exit_codes(capsys, tmp_path):
@@ -321,6 +368,19 @@ def test_names_must_be_non_empty_and_distinct(capsys, tmp_path, cmd, stem,
                                   "--names", str(path)])
     assert code == 1 and out == ""
     assert err == f"error: name mapping gives {message}\n"
+
+
+@pytest.mark.parametrize("key", ["x1", "Q9", "X0", "X01", "v", "W1a", ""])
+def test_name_mapping_keys_must_name_a_generator(capsys, tmp_path, key):
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({"X1": "A", key: "a"}))
+    argv = ["repring", fixture_path("sigma_3.fus"), "--names", str(path)]
+    code, out, err = run(capsys, argv)
+    message = f"name mapping key {key!r} is not X<n>, v<n> or W<n>"
+    assert code == 1 and out == "" and err == f"error: {message}\n"
+    code, out, _ = run(capsys, argv + ["--json"])
+    assert code == 1 and json.loads(out)["error"] == {
+        "type": "InputError", "message": message, "exit_code": 1}
 
 
 def test_twisted_names_the_completed_module_basis(capsys):

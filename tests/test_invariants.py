@@ -169,6 +169,32 @@ def test_a4_basis_decompose_covering():
     assert is_stable(regular_character(V4), F)
 
 
+@pytest.mark.parametrize("stem", ["sigma_3", "onan"])
+def test_decompose_rejects_every_non_invariant_vector(pipeline, stem):
+    """A unit vector over Irr(S) is invariant only when it is a basis
+    member; the check is exact for entries of any size."""
+    B = pipeline(stem).basis
+    members = {vec.multiplicities for vec in B.vectors}
+    n = len(B.vectors[0].multiplicities)
+    rejected = 0
+    for i in range(n):
+        unit = tuple(int(j == i) for j in range(n))
+        if unit in members:
+            assert decompose(unit, B).count(1) == 1
+            continue
+        # plus a huge invariant vector, beyond any fixed-width integer
+        for v in (unit, [x + 10 ** 40 * m for x, m in
+                         zip(unit, B.vectors[-1].multiplicities)]):
+            with pytest.raises(NotInvariant, match="^character is not "
+                               "constant on the fusion classes$"):
+                decompose(v, B)
+        rejected += 1
+    assert rejected > 0
+    big = [10 ** 40 * m for m in B.vectors[-1].multiplicities]
+    assert decompose(big, B) == tuple(
+        10 ** 40 * int(k == len(B) - 1) for k in range(len(B)))
+
+
 def test_basis_count_matches_classes(pipeline):
     for stem in ("sigma_3", "sigma_5", "sigma_7", "a4", "onan", "onan_2",
                  "he", "he_2", "fi24p", "fi24", "rv1", "rv2", "rv3"):
