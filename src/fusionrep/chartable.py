@@ -34,7 +34,7 @@ from .errors import (
     GroupMismatch,
     NotAPrimePowerGroup,
 )
-from .intlinalg import hnf, is_prime, nullspace_mod
+from .intlinalg import hnf, int_matmul, is_prime, nullspace_mod
 from .permgroup import (
     FiniteGroup,
     Subgroup,
@@ -47,6 +47,9 @@ from .permgroup import (
 _COORD_LIMIT = 2 ** 31
 # bound on the entries of one numpy temporary in the table search
 _CHUNK = 1 << 20
+# bound on the entries of the product temporaries of one block of pairs in
+# the structure tensor
+_PAIR_BLOCK = 1 << 16
 
 
 class ClassFunction:
@@ -172,7 +175,7 @@ def _times(x: np.ndarray, y: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Exact products of coordinate arrays (power basis on the last axis)."""
     phi = M.shape[1]
     outer = x[..., :, None] * y[..., None, :]
-    return outer.reshape(outer.shape[:-2] + (phi * phi,)) @ M
+    return int_matmul(outer.reshape(outer.shape[:-2] + (phi * phi,)), M)
 
 
 class CharacterTable:
@@ -217,7 +220,10 @@ class CharacterTable:
         Each entry is an integer in [0, d_i d_j], and d_i d_j <= |G| < q, so
         its residue mod q is the entry.  The result is certified over Z
         anyway: sum_k N[i, j, k] chi_k must equal chi_i chi_j in integer
-        coordinates.  The work runs one i at a time to bound memory.
+        coordinates, at every class and coordinate.  N is symmetric in i and
+        j, so only the pairs i <= j are computed and certified, in blocks of
+        pairs whose product temporaries hold about _PAIR_BLOCK entries, and
+        each block is mirrored.
         """
         if self._tensor is None:
             X, q = self.coords, self.modular.q
@@ -226,12 +232,19 @@ class CharacterTable:
             V = self.modular.image(X)
             M = _product_matrix(self.conductor)
             N = np.empty((n, n, n), dtype=np.int64)
-            for i in range(n):
-                N[i] = V[i] * V % q @ self._dual.T % q
-                if not np.array_equal(N[i] @ flat,
-                                      _times(X[i], X, M).reshape(n, -1)):
+            I, J = np.triu_indices(n)
+            step = max(1, _PAIR_BLOCK // (flat.shape[1] * M.shape[1]))
+            for lo in range(0, len(I), step):
+                i, j = I[lo:lo + step], J[lo:lo + step]
+                block = int_matmul(V[i] * V[j] % q, self._dual.T) % q
+                fails = (int_matmul(block, flat)
+                         != _times(X[i], X[j], M).reshape(len(i), -1)).any(1)
+                if fails.any():
+                    k = fails.argmax()
                     raise FusionRepError(
-                        f"products of chi{i + 1} fail the integer certificate")
+                        f"the product chi{i[k] + 1} chi{j[k] + 1} fails the "
+                        "integer certificate")
+                N[i, j] = N[j, i] = block
             self._tensor = N
         return self._tensor
 

@@ -269,6 +269,9 @@ def main(argv=None) -> int:
             spec = load_jobspec(args.specfile)
         except OSError as exc:
             raise InputError(f"cannot read spec file: {exc}") from None
+        except UnicodeDecodeError:
+            raise InputError(
+                "cannot read spec file: not UTF-8 text") from None
         base_dir = os.path.dirname(os.path.abspath(args.specfile))
         mapping = _load_mapping(args)
         caps = _resolve_options(args, spec)

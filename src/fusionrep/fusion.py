@@ -477,7 +477,8 @@ class FusionSystem:
                     continue  # P <= N_phi <= N_S(P) = P: phi extends itself
                 images = self._replay(pgens, states)
                 targets = []
-                for j in np.unique(owner[checked]).tolist():
+                hit = np.bincount(owner[checked], minlength=len(cls))
+                for j in np.flatnonzero(hit).tolist():
                     cols = np.flatnonzero(checked & (owner == j))
                     targets.append((by_key[cls[j]], norm_sub[cls[j]], cols))
                 n_phi = self._n_phi(P, NP, images, targets)
@@ -538,7 +539,9 @@ class FusionSystem:
         pos_q[np.array(Q.members)] = np.arange(Q.order)
         radix = Q.order ** np.arange(len(qgens), dtype=np.int64)
         rows = S.conj_table()[np.ix_(np.array(NQ.members), qgens)]
-        out = (qgens, pos_q, radix, np.unique(pos_q[rows] @ radix))
+        codes = np.sort(pos_q[rows] @ radix)
+        codes = codes[np.r_[True, codes[1:] != codes[:-1]]]
+        out = (qgens, pos_q, radix, codes)
         self._aut_s_cache[Q.members] = out
         return out
 

@@ -1,9 +1,18 @@
 """Exact linear algebra over Z and F_q, and a primality test.
 
-Vectors and matrices are plain lists of Python's unbounded ints.  Integer
-matrix products run on numpy arrays of Python ints (dtype object).  Lattices
-are represented by their canonical row Hermite normal form, which makes
-equality, membership, sums, ranks and integer solves cheap and
+Inputs and results are lists of Python ints or integer numpy arrays.  Two
+kernels run on whole arrays and choose their representation from the
+values, under a proven bound:
+
+- int_matmul multiplies on float64 BLAS when max|A| * max|B| * k < 2^53
+  for inner dimension k (every product and partial sum is then an exactly
+  represented integer) and returns int64; otherwise it multiplies numpy
+  arrays of Python ints (dtype object);
+- hnf eliminates on an int64 array while every entry is below 2^31 and
+  on Python ints from the first step that reaches it.
+
+Lattices are represented by their canonical row Hermite normal form, which
+makes equality, membership, sums, ranks and integer solves cheap and
 deterministic.
 """
 
@@ -25,9 +34,32 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# float64 holds every integer of absolute value below this exactly
+_FLOAT_EXACT = 2 ** 53
+
+
 def int_matmul(A, B) -> np.ndarray:
-    """A @ B over Z, exact for any entries: the product runs in Python ints."""
-    return np.asarray(A, dtype=object) @ np.asarray(B, dtype=object)
+    """A @ B over Z, exact for any integer entries.
+
+    With inner dimension k, every product and every partial sum of A @ B is
+    an integer of absolute value at most max|A| * max|B| * k.  When that is
+    below 2^53 (and so is every entry), float64 holds each of them exactly,
+    in any summation order and with or without FMA, so the product runs on
+    BLAS and comes back as int64.  Otherwise it runs in Python ints (dtype
+    object).
+    """
+    A, B = _exact_array(A), _exact_array(B)
+    a, b = _max_abs(A), _max_abs(B)
+    if a < _FLOAT_EXACT and b < _FLOAT_EXACT and a * b * A.shape[-1] < _FLOAT_EXACT:
+        return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+    return A.astype(object) @ B.astype(object)
+
+
+def _max_abs(A: np.ndarray) -> int:
+    """max |entry| of an integer array, as a Python int (0 when empty)."""
+    if not A.size:
+        return 0
+    return max(int(A.max()), -int(A.min()))
 
 
 # --- Hermite normal form -----------------------------------------------------
@@ -36,41 +68,81 @@ def hnf(rows) -> list:
     """Canonical row HNF of the lattice spanned by the given integer rows.
 
     Pivots are positive, entries above each pivot lie in [0, pivot), zero rows
-    are dropped.  The result is the unique canonical basis of the row span.
+    are dropped.  The result is the unique canonical basis of the row span,
+    as lists of Python ints.
+
+    Each elimination step updates every row below (or above) the pivot row
+    with one array operation; the pivot is the entry of least absolute value,
+    lowest row first.  The array is int64 while every entry is below 2^31,
+    so no product q * b reaches 2^62; once an entry reaches 2^31 the same
+    steps continue on Python ints.
     """
-    A = [list(r) for r in rows if any(r)]
-    if not A:
+    A = _exact_array(rows)
+    if A.ndim != 2 or not A.size:
         return []
-    m, n = len(A), len(A[0])
+    A = A[(A != 0).any(1)]
+    A, big = _widened(A, None if A.dtype == object else _max_abs(A))
+    m, n = A.shape
     r = 0
     for c in range(n):
-        while True:
-            nz = [i for i in range(r, m) if A[i][c]]
-            if not nz:
+        while r < m:
+            col = A[r:, c]
+            nz = col.nonzero()[0]
+            if not len(nz):
                 break
-            i0 = min(nz, key=lambda i: (abs(A[i][c]), i))
+            i0 = r + nz[np.abs(col[nz]).argmin()]
             if i0 != r:
-                A[r], A[i0] = A[i0], A[r]
-            done = True
-            for i in range(r + 1, m):
-                if A[i][c]:
-                    q = A[i][c] // A[r][c]
-                    A[i] = [a - q * b for a, b in zip(A[i], A[r])]
-                    if A[i][c]:
-                        done = False
-            if done:
+                A[[r, i0]] = A[[i0, r]]
+            if len(nz) == 1:
                 break
-        if r < m and A[r][c]:
-            if A[r][c] < 0:
-                A[r] = [-x for x in A[r]]
-            for i in range(r):
-                q = A[i][c] // A[r][c]
-                if q:
-                    A[i] = [a - q * b for a, b in zip(A[i], A[r])]
+            A, big = _eliminate(A, slice(r + 1, m), r, c, big)
+            if not A[r + 1:, c].any():
+                break
+        if r < m and A[r, c]:
+            if A[r, c] < 0:
+                A[r] = -A[r]
+            if r:
+                A, big = _eliminate(A, slice(0, r), r, c, big)
             r += 1
             if r == m:
                 break
-    return [row for row in A[:r] if any(row)]
+    return [row for row in A[:r].tolist() if any(row)]
+
+
+# int64 HNF entries stay below this bound
+_HNF_INT64 = 2 ** 31
+
+
+def _eliminate(A: np.ndarray, rows: slice, r: int, c: int, big):
+    """Subtract q_i times the pivot row r from each row i of A[rows], with
+    q_i = floor(A[i, c] / A[r, c]).  big bounds the absolute entries of an
+    int64 A and is None on Python ints; returns A and the new bound.  Since
+    |q_i| <= |A[i, c]| <= big, big + big^2 bounds the result."""
+    block = A[rows]
+    block -= (block[:, c] // A[r, c])[:, None] * A[r]
+    if big is None:
+        return A, None
+    return _widened(A, big + big * big)
+
+
+def _widened(A: np.ndarray, big):
+    """(A, big) while big, an upper bound on the absolute entries of A, is
+    below 2^31; otherwise A is measured, and held in Python ints (bound
+    None) if an entry reaches 2^31."""
+    if big is None or big < _HNF_INT64:
+        return A, big
+    big = _max_abs(A)
+    if big < _HNF_INT64:
+        return A, big
+    return A.astype(object), None
+
+
+def _exact_array(rows) -> np.ndarray:
+    """rows as an int64 array, or as Python ints when some entry needs it."""
+    try:
+        return np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(rows, dtype=object)
 
 
 def reduce_mod_lattice(basis_hnf: list, v) -> list:
@@ -112,27 +184,44 @@ def kernel_basis(M: list, n: int) -> list:
     return [row[m:] for row in H if not any(row[:m])]
 
 
-def integer_solution(columns, target) -> tuple:
-    """Integers x with sum_j x_j columns[j] = target, verified exactly.
+class IntegerSpan:
+    """The Z-span of fixed integer columns, for exact solves against it.
 
-    Reducing (target | 0) against the tagged HNF of the columns leaves
-    (target - sum_j x_j columns[j] | -x), with a zero first block exactly
-    when target lies in the Z-span.  Raises NotInSpan when the columns are
-    dependent or target is no integer combination of them.
+    The tagged HNF of the columns is built once, so each solve is one
+    reduction and one exact check.
     """
-    t = len(columns)
-    H = _tagged_hnf(columns)
-    n = len(target)
-    if any(not any(row[:n]) for row in H):
-        raise NotInSpan("the basis vectors are linearly dependent")
-    rest = reduce_mod_lattice(H, list(target) + [0] * t)
-    if any(rest[:n]):
-        raise NotInSpan("not an integer combination of the basis")
-    x = tuple(-c for c in rest[n:])
-    if any(sum(c * col[i] for c, col in zip(x, columns)) != b
-           for i, b in enumerate(target)):
-        raise NotInSpan("the basis does not span the vector")
-    return x
+
+    __slots__ = ("columns", "tagged")
+
+    def __init__(self, columns):
+        self.columns = [list(col) for col in columns]
+        self.tagged = _tagged_hnf(self.columns)
+
+    def solve(self, target) -> tuple:
+        """Integers x with sum_j x_j columns[j] = target, verified exactly.
+
+        Reducing (target | 0) against the tagged HNF of the columns leaves
+        (target - sum_j x_j columns[j] | -x), with a zero first block
+        exactly when target lies in the Z-span.  Raises NotInSpan when the
+        columns are dependent or target is no integer combination of them.
+        """
+        H, columns = self.tagged, self.columns
+        n = len(target)
+        if any(not any(row[:n]) for row in H):
+            raise NotInSpan("the basis vectors are linearly dependent")
+        rest = reduce_mod_lattice(H, list(target) + [0] * len(columns))
+        if any(rest[:n]):
+            raise NotInSpan("not an integer combination of the basis")
+        x = tuple(-c for c in rest[n:])
+        if any(sum(c * col[i] for c, col in zip(x, columns)) != b
+               for i, b in enumerate(target)):
+            raise NotInSpan("the basis does not span the vector")
+        return x
+
+
+def integer_solution(columns, target) -> tuple:
+    """Integers x with sum_j x_j columns[j] = target; see IntegerSpan.solve."""
+    return IntegerSpan(columns).solve(target)
 
 
 # --- Smith normal form -------------------------------------------------------

@@ -32,7 +32,7 @@ from .errors import (
     NotInvariant,
 )
 from .fusion import FusionSystem
-from .intlinalg import int_matmul, integer_solution, kernel_basis
+from .intlinalg import IntegerSpan, int_matmul, kernel_basis
 from .permgroup import FiniteGroup
 
 DEFAULT_HILBERT_CAP = 100_000
@@ -297,7 +297,7 @@ class InvariantBasis:
     member and is named "1", the rest are named X1, X2, ... in order.
     """
 
-    __slots__ = ("fusion", "vectors", "names", "invariance_rows")
+    __slots__ = ("fusion", "vectors", "names", "invariance_rows", "_span")
 
     def __init__(self, fusion: FusionSystem, vectors, names, invariance_rows):
         object.__setattr__(self, "fusion", fusion)
@@ -308,12 +308,21 @@ class InvariantBasis:
             -1, len(self.vectors[0].multiplicities))
         rows.flags.writeable = False
         object.__setattr__(self, "invariance_rows", rows)
+        object.__setattr__(self, "_span", None)
 
     def __setattr__(self, *a):
         raise AttributeError("InvariantBasis is immutable")
 
     def __len__(self):
         return len(self.vectors)
+
+    @property
+    def span(self) -> IntegerSpan:
+        """The Z-span of the basis vectors, built on first use and kept."""
+        if self._span is None:
+            object.__setattr__(self, "_span", IntegerSpan(
+                [vec.multiplicities for vec in self.vectors]))
+        return self._span
 
     def class_representatives(self) -> tuple:
         return tuple(cls[0] for cls in self.fusion.element_classes())
@@ -402,7 +411,7 @@ def decompose(v, B: InvariantBasis) -> tuple:
     mults = _as_multiplicities(v, B)
     if int_matmul(B.invariance_rows, mults).any():
         raise NotInvariant("character is not constant on the fusion classes")
-    return integer_solution([vec.multiplicities for vec in B.vectors], mults)
+    return B.span.solve(mults)
 
 
 def is_stable(chi: ClassFunction, F: FusionSystem) -> bool:

@@ -578,6 +578,8 @@ def _load_cocycle_table(path: str, order: int):
                 cell.strip() for cell in row)]
     except OSError as exc:
         raise InputError(f"cannot read cocycle file: {exc}") from None
+    except UnicodeDecodeError:
+        raise InputError("cannot read cocycle file: not UTF-8 text") from None
     table = []
     for row in rows:
         try:

@@ -774,7 +774,7 @@ def _pairwise_commutators(G: FiniteGroup, members: tuple) -> set:
         mem = np.fromiter(members, dtype=np.int32, count=len(members))
         A = t[np.ix_(inv[mem], inv[mem])]  # x^-1 y^-1
         B = t[np.ix_(mem, mem)]  # x y
-        return set(np.unique(t[A, B]).tolist())
+        return set(np.flatnonzero(np.bincount(t[A, B].ravel())).tolist())
     out = set()
     for x in members:
         for y in members:

@@ -23,7 +23,7 @@ from .errors import (AmbientMismatch, BadSection, DecompositionNotIntegral,
                      FusionRepError, GroupMismatch, InputError, InvalidCocycle,
                      NotCentral, NotCyclicKernel, NotInSpan, QuotientMismatch)
 from .fusion import FusionSystem, quotient_fusion
-from .intlinalg import int_matmul, integer_solution, smith_diagonal
+from .intlinalg import IntegerSpan, int_matmul, smith_diagonal
 from .invariants import (DEFAULT_HILBERT_CAP, CoveringReport, RepVector,
                          hilbert_basis, invariance_matrix)
 from .permgroup import FiniteGroup, GroupHom, Subgroup, group_prime, is_p_group
@@ -460,7 +460,7 @@ def action_matrix(TB: TwistedBasis, vec: RepVector) -> tuple:
         vec.coords, character_table(E.base).conductor, at,
         np.stack([w.coords for w in TB.vectors]))
     t = len(TB.vectors)
-    basis = [w.multiplicities for w in TB.vectors]
+    span = IntegerSpan([w.multiplicities for w in TB.vectors])
     cols = []
     for prod in products:
         target = []
@@ -470,7 +470,7 @@ def action_matrix(TB: TwistedBasis, vec: RepVector) -> tuple:
                     f"product multiplicity {v} is not a non-negative integer")
             target.append(int(v))
         try:
-            col = integer_solution(basis, target)
+            col = span.solve(target)
         except NotInSpan as ex:
             raise DecompositionNotIntegral(
                 f"product with the twisted basis: {ex}") from ex

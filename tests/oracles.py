@@ -8,7 +8,10 @@ fixture group of order at most 16.  closure and ExhaustiveSaturation are
 the scalar subgroup closure and saturation check that the table gathers
 of FiniteGroup.closure and FusionSystem.check_saturation replaced.
 build_table is the multiplication table by one tuple lookup per entry,
-which the Cayley-graph search of FiniteGroup._build_table replaced.
+which the Cayley-graph search of FiniteGroup._build_table replaced.  hnf
+is the row-by-row Hermite normal form that intlinalg.hnf replaced, and
+structure_tensor the row-by-row structure tensor that the batched pairs of
+CharacterTable.structure_tensor replaced.
 """
 
 import itertools
@@ -16,7 +19,8 @@ from collections import deque
 
 import numpy as np
 
-from fusionrep.errors import (HilbertCapExceeded, InputError,
+from fusionrep.chartable import _product_matrix
+from fusionrep.errors import (FusionRepError, HilbertCapExceeded, InputError,
                               MorphismCapExceeded, SaturationCapExceeded)
 from fusionrep.fusion import (DEFAULT_MORPHISM_CAP,
                               DEFAULT_SATURATION_ORDER_CAP, SaturationReport,
@@ -156,6 +160,81 @@ def small_fusions():
     Z9 = build_group(9, ["(1 2 3 4 5 6 7 8 9)"], names=["s"])
     t = Z9.names["s"]
     yield build_fusion(Z9, [make_hom(Z9.full_subgroup(), (Z9.power(t, 2),))])
+
+
+# --- the pure-Python Hermite normal form --------------------------------------
+# The code that the array steps of intlinalg.hnf replaced, kept verbatim:
+# one list comprehension per row update.
+
+
+def hnf(rows) -> list:
+    """Canonical row HNF of the lattice spanned by the given integer rows.
+
+    Pivots are positive, entries above each pivot lie in [0, pivot), zero rows
+    are dropped.  The result is the unique canonical basis of the row span.
+    """
+    A = [list(r) for r in rows if any(r)]
+    if not A:
+        return []
+    m, n = len(A), len(A[0])
+    r = 0
+    for c in range(n):
+        while True:
+            nz = [i for i in range(r, m) if A[i][c]]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: (abs(A[i][c]), i))
+            if i0 != r:
+                A[r], A[i0] = A[i0], A[r]
+            done = True
+            for i in range(r + 1, m):
+                if A[i][c]:
+                    q = A[i][c] // A[r][c]
+                    A[i] = [a - q * b for a, b in zip(A[i], A[r])]
+                    if A[i][c]:
+                        done = False
+            if done:
+                break
+        if r < m and A[r][c]:
+            if A[r][c] < 0:
+                A[r] = [-x for x in A[r]]
+            for i in range(r):
+                q = A[i][c] // A[r][c]
+                if q:
+                    A[i] = [a - q * b for a, b in zip(A[i], A[r])]
+            r += 1
+            if r == m:
+                break
+    return [row for row in A[:r] if any(row)]
+
+
+# --- the structure tensor one row at a time ----------------------------------
+# The code that the batched pairs of CharacterTable.structure_tensor
+# replaced, kept verbatim as functions of the table: every row i of N and
+# its certificate in raw int64 products, with _times as it was then.
+
+
+def _times(x: np.ndarray, y: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Exact products of coordinate arrays (power basis on the last axis)."""
+    phi = M.shape[1]
+    outer = x[..., :, None] * y[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (phi * phi,)) @ M
+
+
+def structure_tensor(self) -> np.ndarray:
+    X, q = self.coords, self.modular.q
+    n = len(self)
+    flat = X.reshape(n, -1)
+    V = self.modular.image(X)
+    M = _product_matrix(self.conductor)
+    N = np.empty((n, n, n), dtype=np.int64)
+    for i in range(n):
+        N[i] = V[i] * V % q @ self._dual.T % q
+        if not np.array_equal(N[i] @ flat,
+                              _times(X[i], X, M).reshape(n, -1)):
+            raise FusionRepError(
+                f"products of chi{i + 1} fail the integer certificate")
+    return N
 
 
 # --- the multiplication table by tuple lookups -------------------------------

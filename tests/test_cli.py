@@ -266,6 +266,33 @@ def test_a_command_loads_only_the_layers_it_runs(cmd, stem, loaded):
     assert {m.split(".")[1] for m in modules} & _LAYERS == loaded
 
 
+_LOADS_MA = """
+import contextlib, io, json, sys
+from fusionrep.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, "numpy.ma" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("cmd,stem", [
+    ("ktheory", "sigma_5"), ("adic", "a4"), ("twisted", "a4_sl23"),
+    ("saturation", "a4"),
+])
+def test_a_command_does_not_load_numpy_ma(cmd, stem):
+    """np.unique imports numpy.ma, about 15 ms of a cold process; no
+    command reaches it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        fusionrep.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADS_MA, cmd, fixture_path(stem + ".fus")],
+        capture_output=True, text=True, env=env, check=True)
+    assert json.loads(done.stdout) == [0, False]
+
+
 def test_error_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, ["repring", "/nonexistent/file.fus"])
     assert code == 1 and err.startswith("error:")
@@ -306,6 +333,30 @@ def test_json_errors(capsys, tmp_path, monkeypatch, argv, error_type,
     if message is not None:
         assert message in data["error"]["message"]
     assert run(capsys, argv)[1] == ""
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("kind", ["spec", "cocycle"])
+def test_non_utf8_input_exits_1(capsys, tmp_path, kind, as_json):
+    """A spec file or a cocycle CSV that is not UTF-8 text exits 1 with a
+    message, and with a JSON error under --json."""
+    spec = tmp_path / "bad.fus"
+    if kind == "spec":
+        spec.write_bytes(b"\xff\xfe[group]\n")
+    else:
+        with open(fixture_path("a4_sl23.fus"), encoding="utf-8") as fh:
+            spec.write_text(fh.read().replace("a4_quaternion.csv", "bad.csv"))
+        with open(fixture_path("a4_quaternion.csv"), "rb") as fh:
+            (tmp_path / "bad.csv").write_bytes(b"\xff" + fh.read())
+    argv = ["twisted", str(spec)] + (["--json"] if as_json else [])
+    code, out, err = run(capsys, argv)
+    message = f"cannot read {kind} file: not UTF-8 text"
+    assert code == 1 and err == f"error: {message}\n"
+    if as_json:
+        assert json.loads(out)["error"] == {
+            "type": "InputError", "message": message, "exit_code": 1}
+    else:
+        assert out == ""
 
 
 def test_spectrum_on_the_trivial_group_asks_for_primes(capsys, tmp_path):

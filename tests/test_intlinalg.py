@@ -2,13 +2,18 @@ import itertools
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fusionrep import intlinalg
 from fusionrep.errors import NotInSpan
-from fusionrep.intlinalg import (hnf, integer_solution, kernel_basis,
+from fusionrep.intlinalg import (IntegerSpan, hnf, int_matmul,
+                                 integer_solution, kernel_basis,
                                  lattice_contains, smith_diagonal)
+
+from oracles import hnf as hnf_oracle
 
 
 def test_hnf_basics():
@@ -113,3 +118,123 @@ def test_lattice_contains():
     small = hnf([[2, 0], [0, 3]])
     assert lattice_contains(big, small)
     assert not lattice_contains(small, big)
+
+
+def _matrices(rows, cols, bound):
+    entry = st.one_of(st.just(0), st.integers(-bound, bound))
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def hnf_inputs(draw):
+    """Small entries, entries just below 2^31 (whose elimination mostly
+    crosses it partway), and entries past int64 from the start."""
+    bound = draw(st.sampled_from([3, 20, 2 ** 31 - 1, 2 ** 70]))
+    return draw(_matrices(draw(st.integers(0, 7)), draw(st.integers(1, 7)),
+                          bound))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnf_inputs())
+def test_hnf_matches_the_oracle(rows):
+    H = hnf(rows)
+    assert H == hnf_oracle(rows)
+    assert all(type(x) is int for row in H for x in row)
+
+
+def test_hnf_widens_to_python_ints_partway(monkeypatch):
+    """The entries start below 2^31 and the first elimination step takes
+    one past it: the steps before run on int64, the steps after on Python
+    ints, and the result is the oracle's."""
+    rows = [[2, 2 ** 30 + 1, 1], [3, -2 ** 30, 5], [7, 11, -2 ** 30]]
+    dtypes = []
+    real = intlinalg._eliminate
+
+    def spy(A, *args):
+        out = real(A, *args)
+        dtypes.append((A.dtype, out[0].dtype))
+        return out
+
+    monkeypatch.setattr(intlinalg, "_eliminate", spy)
+    assert hnf(rows) == hnf_oracle(rows)
+    assert dtypes[0] == (np.int64, object)
+    assert all(after == object for _, after in dtypes)
+
+
+def _python_product(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+            for row in A]
+
+
+@st.composite
+def products(draw):
+    m, k, n = (draw(st.integers(1, 4)) for _ in range(3))
+    A = draw(_matrices(m, k, 2 ** draw(st.integers(0, 60))))
+    B = draw(_matrices(k, n, 2 ** draw(st.integers(0, 60))))
+    return A, B
+
+
+@settings(max_examples=200, deadline=None)
+@given(products())
+def test_int_matmul_matches_python_ints(AB):
+    """Exact on both sides of the bound; int64 from BLAS exactly when
+    max|A| * max|B| * k < 2^53."""
+    A, B = AB
+    a = max(abs(x) for row in A for x in row)
+    b = max(abs(x) for row in B for x in row)
+    C = int_matmul(A, B)
+    assert C.tolist() == _python_product(A, B)
+    assert (C.dtype == np.int64) == (a * b * len(B) < 2 ** 53)
+
+
+@pytest.mark.parametrize("A, B, dtype", [
+    # entries alone past 2^53: float64 would round 2^53 + 1 to 2^53
+    ([[2 ** 53 + 1]], [[1]], object),
+    ([[2 ** 53 + 1, 1]], [[0], [1]], object),
+    ([[2 ** 70, -3]], [[1], [2 ** 70]], object),
+    # just below the bound: every partial sum of odd terms is exact
+    ([[2 ** 26 - 1, 2 ** 26 - 1]], [[2 ** 26 + 1], [2 ** 26 + 1]], np.int64),
+    # just above it
+    ([[2 ** 26 + 1, 2 ** 26 + 1]], [[2 ** 26 + 1], [2 ** 26 + 1]], object),
+])
+def test_int_matmul_at_the_bound(A, B, dtype):
+    C = int_matmul(A, B)
+    assert C.dtype == dtype
+    assert C.tolist() == _python_product(A, B)
+
+
+def test_int_matmul_batched():
+    """Stacked operands broadcast as in numpy; the bound uses the inner
+    dimension."""
+    rng = np.random.default_rng(5)
+    A = rng.integers(-9, 10, size=(3, 4, 4))
+    C = int_matmul(A[:, None], A[None])
+    assert C.shape == (3, 3, 4, 4) and C.dtype == np.int64
+    big = A.astype(object) * 2 ** 40
+    D = int_matmul(big[:, None], big[None])
+    assert D.dtype == object
+    for i in range(3):
+        for j in range(3):
+            assert C[i, j].tolist() == _python_product(A[i].tolist(),
+                                                       A[j].tolist())
+            assert D[i, j].tolist() == [[x * 2 ** 80 for x in row]
+                                        for row in C[i, j].tolist()]
+
+
+def test_integer_span_builds_its_hnf_once(monkeypatch):
+    """Solves against one IntegerSpan share its tagged HNF and give the
+    answers and errors of integer_solution."""
+    columns = [(1, 2, 0), (0, 3, 1)]
+    calls = []
+    monkeypatch.setattr(intlinalg, "hnf",
+                        lambda rows: calls.append(1) or hnf(rows))
+    span = IntegerSpan(columns)
+    for x in [(1, 0), (-4, 7), (0, 0), (10 ** 30, -1)]:
+        target = [sum(c * col[i] for c, col in zip(x, columns))
+                  for i in range(3)]
+        assert span.solve(target) == x
+    with pytest.raises(NotInSpan, match="not an integer combination"):
+        span.solve((0, 0, 1))
+    assert len(calls) == 1
+    assert integer_solution(columns, (1, 5, 1)) == (1, 1)

@@ -4,18 +4,24 @@ Random permutation p-groups of order at most 81, drawn as subgroups of the
 Sylow 2-subgroup of S_8 and the Sylow 3-subgroup of S_9.
 """
 
+import os
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from fusionrep import chartable
 from fusionrep.chartable import (CharacterTable, ClassFunction,
                                  character_table, inner_product, tensor)
 from fusionrep.cyclotomic import Cyclotomic
 from fusionrep.errors import FusionRepError
 from fusionrep.permgroup import build_group
+
+from conftest import FIXTURES
+from oracles import structure_tensor as structure_tensor_oracle
 
 SYLOW = {
     2: build_group(8, ["(1 2)", "(1 3)(2 4)", "(1 5)(2 6)(3 7)(4 8)"]),
@@ -115,3 +121,36 @@ def test_structure_tensor_certificate_rejects_a_bad_table():
     coords[1] *= 2
     with pytest.raises(FusionRepError, match="certificate"):
         CharacterTable(G, coords).structure_tensor()
+
+
+def test_structure_tensor_certificate_names_the_first_failing_pair():
+    G = build_group(3, ["(1 2 3)"])
+    coords = character_table(G).coords.copy()
+    coords[2] *= 2
+    with pytest.raises(FusionRepError,
+                       match="chi1 chi3 fails the integer certificate"):
+        CharacterTable(G, coords).structure_tensor()
+
+
+STEMS = sorted(f[:-4] for f in os.listdir(FIXTURES) if f.endswith(".fus"))
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_structure_tensor_matches_the_row_oracle(pipeline, stem):
+    """The pairs i <= j in blocks, mirrored, give the tensor the one-row-
+    at-a-time code gave, on every bundled fixture."""
+    table = character_table(pipeline(stem).group)
+    fresh = CharacterTable(table.group, table.coords)
+    assert np.array_equal(fresh.structure_tensor(),
+                          structure_tensor_oracle(table))
+
+
+@SETTINGS
+@given(p_groups(), st.sampled_from([1, 50, chartable._PAIR_BLOCK]))
+def test_structure_tensor_matches_the_row_oracle_in_any_blocks(G, block):
+    """Blocks of one pair, of a few pairs and of the default size agree
+    with the row oracle on random p-groups."""
+    table = character_table(G)
+    with mock.patch.object(chartable, "_PAIR_BLOCK", block):
+        N = CharacterTable(G, table.coords).structure_tensor()
+    assert np.array_equal(N, structure_tensor_oracle(table))
