@@ -14,6 +14,10 @@ the spec as one jobspec.Job with the cap flags and the name mapping (a cap
 flag wins over the spec's cap option); a command only formats the stages
 of that job, which builds each stage once.
 
+saturation checks a group of any order; --cap-morphisms and
+--cap-subgroups bound its work.  --saturation-large is parsed for the
+callers that still pass it and ignored.
+
 A name mapping file <spec stem>.names.json next to the spec file (or one
 given via --names) relabels basis generators (X1, ...), completed
 variables (v1, ...) and twisted basis elements (W1, ...) in every output.
@@ -35,8 +39,7 @@ from .intlinalg import is_prime
 from .jobspec import load_jobspec, realize
 
 _MAPPING_KEY_RE = re.compile(r"[XvW][1-9][0-9]*\Z")
-_CAPS = ("order", "subgroups", "morphisms", "hilbert", "saturation",
-         "chain", "adic")
+_CAPS = ("order", "subgroups", "morphisms", "hilbert", "chain", "adic")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,10 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--conductor-order", action="store_true",
                     help="use |S| instead of exp(S) as the cyclotomic "
                          "conductor for the spectrum")
-    ap.add_argument("--transpose-cocycle", action="store_true",
-                    help="transpose the cocycle table from the spec")
     ap.add_argument("--saturation-large", action="store_true",
-                    help="run the saturation checker past its order cap")
+                    help="ignored: saturation has no order cap")
     for cap in _CAPS:
         ap.add_argument(f"--cap-{cap}", type=int, metavar="N")
     return ap
@@ -170,7 +171,7 @@ def _cmd_fusion_classes(job, args):
 
 
 def _cmd_saturation(job, args):
-    report = job.saturation(args.saturation_large)
+    report = job.saturation()
     note = ("completed presentations and spectra assume a saturated system"
             if not report.ok else None)
     if args.json:
@@ -275,8 +276,6 @@ def main(argv=None) -> int:
         base_dir = os.path.dirname(os.path.abspath(args.specfile))
         mapping = _load_mapping(args)
         caps = _resolve_options(args, spec)
-        if args.transpose_cocycle:
-            spec = spec.with_transposed_cocycle()
         job = realize(spec, base_dir, caps, mapping)
         out = _DISPATCH[args.command](job, args)
     except FusionRepError as exc:

@@ -98,10 +98,6 @@ class MorphismCapExceeded(CapExceeded):
     pass
 
 
-class SaturationCapExceeded(CapExceeded):
-    pass
-
-
 # --- invariants --------------------------------------------------------------
 
 class HilbertCapExceeded(CapExceeded):

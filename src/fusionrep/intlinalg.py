@@ -219,11 +219,6 @@ class IntegerSpan:
         return x
 
 
-def integer_solution(columns, target) -> tuple:
-    """Integers x with sum_j x_j columns[j] = target; see IntegerSpan.solve."""
-    return IntegerSpan(columns).solve(target)
-
-
 # --- Smith normal form -------------------------------------------------------
 
 def smith_diagonal(M: list) -> list:

@@ -39,8 +39,7 @@ _GROUP_KEYS = ("constructor", "p", "degree")
 _EXT_KEYS = ("coefficients", "cocycle", "transpose", "degree", "kernel",
              "projection")
 _OPTION_KEYS = ("primes", "k", "conductor", "cap_order", "cap_subgroups",
-                "cap_morphisms", "cap_hilbert", "cap_saturation",
-                "cap_chain", "cap_adic")
+                "cap_morphisms", "cap_hilbert", "cap_chain", "cap_adic")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
@@ -76,16 +75,6 @@ class JobSpec:
 
     def __hash__(self):
         return hash(self._key())
-
-    def with_transposed_cocycle(self):
-        """Copy of this spec with the cocycle transpose flag flipped."""
-        if self.extension is None or self.extension[0] != "cocycle":
-            raise InputError("no cocycle table to transpose")
-        kind, n, fname, transpose = self.extension
-        return JobSpec(self.group_constructor, self.group_p,
-                       self.group_degree, self.group_gens, self.subgroups,
-                       self.fusion, (kind, n, fname, not transpose),
-                       self.fusion_alpha, self.options)
 
     def option(self, key, default=None):
         for k, v in self.options:
@@ -536,9 +525,8 @@ class Job:
             self._adic[k] = (m, quotient_by_ideal_power(self.presentation, k))
         return self._adic[k]
 
-    def saturation(self, allow_large: bool = False):
+    def saturation(self):
         return self.fusion.check_saturation(
-            allow_large=allow_large, **self._cap("saturation", "order_cap"),
             **self._cap("morphisms"), **self._cap("subgroups", "subgroup_cap"))
 
     def spectrum(self, primes=None, conductor: str = "exponent"):

@@ -21,9 +21,8 @@ import numpy as np
 
 from fusionrep.chartable import _product_matrix
 from fusionrep.errors import (FusionRepError, HilbertCapExceeded, InputError,
-                              MorphismCapExceeded, SaturationCapExceeded)
-from fusionrep.fusion import (DEFAULT_MORPHISM_CAP,
-                              DEFAULT_SATURATION_ORDER_CAP, SaturationReport,
+                              MorphismCapExceeded)
+from fusionrep.fusion import (DEFAULT_MORPHISM_CAP, SaturationReport,
                               _describe, _small_gens, build_fusion)
 from fusionrep.intlinalg import kernel_basis
 from fusionrep.invariants import DEFAULT_HILBERT_CAP
@@ -398,8 +397,6 @@ class ExhaustiveSaturation:
 
     def check_saturation(
         self,
-        order_cap: int = DEFAULT_SATURATION_ORDER_CAP,
-        allow_large: bool = False,
         cap: int = DEFAULT_MORPHISM_CAP,
         subgroup_cap: int = None,
     ) -> SaturationReport:
@@ -411,10 +408,6 @@ class ExhaustiveSaturation:
         an extension to its N_phi among closed morphisms out of N_phi.
         """
         S = self.S
-        if S.order > order_cap and not allow_large:
-            raise SaturationCapExceeded(
-                f"|S| = {S.order} exceeds saturation cap {order_cap}; "
-                "rerun with the large-order flag to force the check")
         if S.order == 1:
             return SaturationReport(True, [], 1, 0)
         p = self.p

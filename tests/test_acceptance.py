@@ -541,7 +541,7 @@ def test_criterion_12_property_suites():
 def test_criterion_12_onan_saturation():
     job, B = ringdata("onan")
     F = job.fusion
-    report = F.check_saturation(allow_large=True)
+    report = F.check_saturation()
     assert report.ok and not report.violations
     # the centric radical family is the full group plus the two rigid
     # elementary abelian classes; nothing of order at most 7 can be

@@ -79,9 +79,10 @@ def test_saturation(capsys):
                                 "--json"])
     data = json.loads(out)
     assert data["ok"] is True and data["violations"] == []
-    # order-343 group refuses without the large flag
-    code, _, err = run(capsys, ["saturation", fixture_path("onan.fus")])
-    assert code == 3 and "error:" in err
+    # --saturation-large is accepted and changes nothing; the order-343
+    # checks run without it (saturation goldens)
+    assert run(capsys, ["saturation", fixture_path("a4.fus"), "--json",
+                        "--saturation-large"])[:2] == (0, out)
 
 
 def test_spectrum(capsys):
@@ -127,13 +128,6 @@ def test_twisted(capsys):
     assert data["module"]["matrices"] == [[[3]]]
     code, _, err = run(capsys, ["twisted", fixture_path("a4.fus")])
     assert code == 1 and "extension" in err
-
-
-def test_transpose_cocycle_flag(capsys):
-    assert run(capsys, ["twisted", fixture_path("a4_sl23.fus"),
-                        "--transpose-cocycle"])[0] == 0
-    assert run(capsys, ["twisted", fixture_path("a4.fus"),
-                        "--transpose-cocycle"])[0] == 1
 
 
 def test_adic(capsys):
@@ -316,8 +310,8 @@ S3_SPEC = "[group]\ndegree = 6\nx = (1 2 3)(4 5 6)\ny = (1 4)(2 6)(3 5)\n"
      "cannot read spec file"),
     (["repring", "s3.fus"], "NotAPrimePowerGroup", 2,
      "|S| = 6 is not a prime power"),
-    (["saturation", fixture_path("he.fus")], "SaturationCapExceeded", 3,
-     None),
+    (["saturation", fixture_path("he.fus"), "--cap-morphisms", "100"],
+     "MorphismCapExceeded", 3, "morphism closure exceeds cap 100"),
 ])
 def test_json_errors(capsys, tmp_path, monkeypatch, argv, error_type,
                      exit_code, message):
@@ -371,12 +365,21 @@ def test_spectrum_on_the_trivial_group_asks_for_primes(capsys, tmp_path):
 
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("cap", ["order", "subgroups", "morphisms", "hilbert",
-                                 "saturation", "chain", "adic"])
+                                 "chain", "adic"])
 def test_non_positive_caps_are_rejected(capsys, cap, value):
     code, out, err = run(capsys, ["adic", fixture_path("sigma_3.fus"),
                                   f"--cap-{cap}", value])
     assert code == 1 and out == ""
     assert err == f"error: cap_{cap} must be positive\n"
+
+
+@pytest.mark.parametrize("flag", [["--cap-saturation", "5"],
+                                  ["--transpose-cocycle"]],
+                         ids=["cap-saturation", "transpose-cocycle"])
+def test_removed_flags_exit_1(capsys, flag):
+    """Saturation has no order cap and the spec key transpose = true is the
+    one cocycle transposition, so neither flag is accepted."""
+    assert run(capsys, ["saturation", fixture_path("a4.fus"), *flag])[0] == 1
 
 
 def test_names_override(capsys, tmp_path):

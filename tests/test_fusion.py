@@ -5,8 +5,7 @@ from oracles import ExhaustiveSaturation
 
 from fusionrep import permgroup
 from fusionrep.errors import (FusionRepError, MorphismCapExceeded,
-                              NotCentral, SaturationCapExceeded,
-                              SubgroupEnumerationCapExceeded)
+                              NotCentral, SubgroupEnumerationCapExceeded)
 from fusionrep.fusion import build_fusion, quotient_fusion
 from fusionrep.jobspec import parse_jobspec, realize
 from fusionrep.permgroup import build_group, extraspecial_p3, make_hom
@@ -128,7 +127,7 @@ def test_cached_subgroups_honour_a_smaller_cap():
     job = realize(parse_jobspec(gl2_spec(5, [((1, 1), (0, 1))])),
                   caps={"subgroups": 5})
     with pytest.raises(SubgroupEnumerationCapExceeded):
-        job.saturation(True)
+        job.saturation()
     G = build_group(6, ["(1 2 3)", "(4 5 6)"])
     assert len(G.all_subgroups()) == 6
     with pytest.raises(SubgroupEnumerationCapExceeded):
@@ -153,15 +152,16 @@ def test_cached_morphisms_honour_a_smaller_cap():
         "FOUND: the bundled rv3 fixture is not saturated)"))),
 ])
 def test_exotic_systems_are_saturated(pipeline, stem):
-    report = pipeline(stem).fusion.check_saturation(allow_large=True)
+    report = pipeline(stem).fusion.check_saturation()
     assert report.ok, report.violations[:3]
 
 
 def test_saturation_cap():
-    S = extraspecial_p3(7)
-    F = build_fusion(S, [])
-    with pytest.raises(SaturationCapExceeded):
-        F.check_saturation()
+    """The check has no order cap: on 7^{1+2} it runs until the morphism
+    cap stops it."""
+    F = build_fusion(extraspecial_p3(7), [])
+    with pytest.raises(MorphismCapExceeded):
+        F.check_saturation(cap=10)
 
 
 def test_quotient_fusion():

@@ -20,8 +20,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
 FIXTURES = os.path.join(HERE, os.pardir, "src", "fusionrep", "fixtures")
 
-STEMS = ("sigma_3", "sigma_5", "sigma_7", "a4", "a4_sl23", "onan", "onan_2",
-         "he", "he_2", "fi24p", "fi24", "rv1", "rv2", "rv3")
+ORDER_343 = ("onan", "onan_2", "he", "he_2", "fi24p", "fi24", "rv1", "rv2",
+             "rv3")
+STEMS = ("sigma_3", "sigma_5", "sigma_7", "a4", "a4_sl23") + ORDER_343
 PER_FIXTURE = ("chartable", "fusion-classes", "repring", "ktheory",
                "spectrum")
 
@@ -30,8 +31,7 @@ CASES = (
     + [("twisted", "a4_sl23", ())]
     + [("adic", stem, ("--k", "2"))
        for stem in ("a4", "sigma_3", "sigma_5", "sigma_7")]
-    + [("saturation", stem, ())
-       for stem in ("sigma_3", "sigma_5", "sigma_7", "a4", "a4_sl23")]
+    + [("saturation", stem, ()) for stem in STEMS]
 )
 # --dot excludes --json, so these cases have a text golden only.
 DOT_CASES = [("spectrum", stem, ("--dot",)) for stem in ("sigma_3", "a4")]
@@ -55,10 +55,17 @@ def _run(cmd, stem, extra, json_mode):
     return code, buf.getvalue()
 
 
-@pytest.mark.parametrize(
-    "cmd,stem,extra,json_mode", MODES,
-    ids=[_golden_name(c, s, e, False)[:-4] + ("-json" if j else "-text")
-         for c, s, e, j in MODES])
+def _param(cmd, stem, extra, json_mode):
+    """A case as a pytest param; saturation on 7^{1+2} is marked slow."""
+    slow = cmd == "saturation" and stem in ORDER_343
+    return pytest.param(
+        cmd, stem, extra, json_mode, marks=[pytest.mark.slow] if slow else [],
+        id=(_golden_name(cmd, stem, extra, False)[:-4]
+            + ("-json" if json_mode else "-text")))
+
+
+@pytest.mark.parametrize("cmd,stem,extra,json_mode",
+                         [_param(*case) for case in MODES])
 def test_golden(cmd, stem, extra, json_mode):
     code, out = _run(cmd, stem, extra, json_mode)
     assert code == 0

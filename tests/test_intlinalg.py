@@ -4,13 +4,12 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fusionrep import intlinalg
 from fusionrep.errors import NotInSpan
-from fusionrep.intlinalg import (IntegerSpan, hnf, int_matmul,
-                                 integer_solution, kernel_basis,
+from fusionrep.intlinalg import (IntegerSpan, hnf, int_matmul, kernel_basis,
                                  lattice_contains, smith_diagonal)
 
 from oracles import hnf as hnf_oracle
@@ -93,13 +92,13 @@ def independent_columns(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(independent_columns(), st.data())
-def test_integer_solution_recovers_x(columns, data):
+def test_integer_span_solve_recovers_x(columns, data):
     x = tuple(data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
                                  min_size=len(columns),
                                  max_size=len(columns))))
     target = [sum(c * col[i] for c, col in zip(x, columns))
               for i in range(len(columns[0]))]
-    assert integer_solution(columns, target) == x
+    assert IntegerSpan(columns).solve(target) == x
 
 
 @pytest.mark.parametrize("columns, target", [
@@ -108,9 +107,9 @@ def test_integer_solution_recovers_x(columns, data):
     ([(1, 0), (2, 0)], (1, 0)),        # dependent columns
     ([(1, 2, 3), (1, 2, 3)], (0, 0, 0)),
 ])
-def test_integer_solution_not_in_span(columns, target):
+def test_integer_span_solve_not_in_span(columns, target):
     with pytest.raises(NotInSpan):
-        integer_solution(columns, target)
+        IntegerSpan(columns).solve(target)
 
 
 def test_lattice_contains():
@@ -177,15 +176,17 @@ def products(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(products())
+@example(([[2 ** 53]], [[0]]))
 def test_int_matmul_matches_python_ints(AB):
     """Exact on both sides of the bound; int64 from BLAS exactly when
-    max|A| * max|B| * k < 2^53."""
+    max|A| * max|B| * k < 2^53 and every entry is below 2^53."""
     A, B = AB
     a = max(abs(x) for row in A for x in row)
     b = max(abs(x) for row in B for x in row)
     C = int_matmul(A, B)
     assert C.tolist() == _python_product(A, B)
-    assert (C.dtype == np.int64) == (a * b * len(B) < 2 ** 53)
+    assert (C.dtype == np.int64) == (max(a, b) < 2 ** 53
+                                     and a * b * len(B) < 2 ** 53)
 
 
 @pytest.mark.parametrize("A, B, dtype", [
@@ -223,8 +224,8 @@ def test_int_matmul_batched():
 
 
 def test_integer_span_builds_its_hnf_once(monkeypatch):
-    """Solves against one IntegerSpan share its tagged HNF and give the
-    answers and errors of integer_solution."""
+    """Solves against one IntegerSpan share its tagged HNF, and a fresh
+    IntegerSpan builds its own."""
     columns = [(1, 2, 0), (0, 3, 1)]
     calls = []
     monkeypatch.setattr(intlinalg, "hnf",
@@ -237,4 +238,5 @@ def test_integer_span_builds_its_hnf_once(monkeypatch):
     with pytest.raises(NotInSpan, match="not an integer combination"):
         span.solve((0, 0, 1))
     assert len(calls) == 1
-    assert integer_solution(columns, (1, 5, 1)) == (1, 1)
+    assert IntegerSpan(columns).solve((1, 5, 1)) == (1, 1)
+    assert len(calls) == 2

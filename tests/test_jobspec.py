@@ -135,11 +135,17 @@ def test_word_exponents_reduce_modulo_the_generator_order():
     assert job.subgroups["C"].gen_indices == (G.identity,)
 
 
-def test_transpose_flip():
-    spec = load_jobspec(fixture_path("a4_sl23.fus"))
-    flipped = spec.with_transposed_cocycle()
-    assert flipped != spec
-    assert flipped.with_transposed_cocycle() == spec
-    plain = parse_jobspec("[group]\ndegree = 4\nx = (1 2)(3 4)\n")
-    with pytest.raises(InputError):
-        plain.with_transposed_cocycle()
+def test_transpose_key_transposes_the_cocycle(tmp_path):
+    """transpose = true realizes the extension of the transposed table."""
+    from fusionrep.twisted import cocycle_from_extension
+    csv_path = os.path.abspath(fixture_path("a4_quaternion.csv"))
+    with open(fixture_path("a4_sl23.fus"), encoding="utf-8") as fh:
+        text = fh.read().replace("cocycle = a4_quaternion.csv",
+                                 f"cocycle = {csv_path}\ntranspose = true")
+    job = realize(parse_jobspec(text), str(tmp_path))
+    with open(csv_path, encoding="utf-8") as fh:
+        table = [[int(v) for v in line.split(",")]
+                 for line in fh if line.strip()]
+    transposed = tuple(tuple(col) for col in zip(*table))
+    assert transposed != tuple(map(tuple, table))
+    assert cocycle_from_extension(job.extension).table == transposed

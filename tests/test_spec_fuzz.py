@@ -3,7 +3,8 @@
 Each example takes a small spec, drops, duplicates or truncates one line or
 replaces one number in it, and runs fusion-classes, spectrum and repring on
 the result in-process.  A second test mutates the order-343 specs rv1 and
-onan the same way and runs fusion-classes alone.  Every outcome must be one
+onan the same way and runs fusion-classes, and saturation under a morphism
+cap of 1000 so that each example stays bounded.  Every outcome must be one
 of the documented exit codes: 0 success, 1 input problem, 2 validation
 failure, 3 cap exceeded.
 """
@@ -91,9 +92,11 @@ def test_mutated_specs_exit_cleanly(workdir, text):
 def test_mutated_order_343_specs_exit_cleanly(workdir, text):
     spec = workdir / "job.fus"
     spec.write_text(text)
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()) as err:
-        code = main(["fusion-classes", str(spec)])
-    assert code in (0, 1, 2, 3), text
-    if code:
-        assert err.getvalue().startswith("error:"), text
+    for command, extra in (("fusion-classes", ()),
+                           ("saturation", ("--cap-morphisms", "1000"))):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([command, str(spec), *extra])
+        assert code in (0, 1, 2, 3), (command, text)
+        if code:
+            assert err.getvalue().startswith("error:"), (command, text)
