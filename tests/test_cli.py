@@ -130,6 +130,21 @@ def test_twisted(capsys):
     assert code == 1 and "extension" in err
 
 
+def test_transpose_cocycle_flag(capsys, tmp_path):
+    """The spec key transpose = true is the one cocycle transposition: the
+    twisted command runs on a4_sl23 with it, and the flag exits 1."""
+    csv_path = os.path.abspath(fixture_path("a4_quaternion.csv"))
+    with open(fixture_path("a4_sl23.fus"), encoding="utf-8") as fh:
+        text = fh.read().replace("cocycle = a4_quaternion.csv",
+                                 f"cocycle = {csv_path}\ntranspose = true")
+    spec = tmp_path / "a4_sl23_transposed.fus"
+    spec.write_text(text)
+    assert run(capsys, ["twisted", str(spec)])[0] == 0
+    for stem in ("a4_sl23", "a4"):
+        assert run(capsys, ["twisted", fixture_path(stem + ".fus"),
+                            "--transpose-cocycle"])[0] == 1
+
+
 def test_adic(capsys):
     code, out, _ = run(capsys, ["adic", fixture_path("sigma_3.fus"),
                                 "--k", "2"])
@@ -373,13 +388,12 @@ def test_non_positive_caps_are_rejected(capsys, cap, value):
     assert err == f"error: cap_{cap} must be positive\n"
 
 
-@pytest.mark.parametrize("flag", [["--cap-saturation", "5"],
-                                  ["--transpose-cocycle"]],
-                         ids=["cap-saturation", "transpose-cocycle"])
-def test_removed_flags_exit_1(capsys, flag):
-    """Saturation has no order cap and the spec key transpose = true is the
-    one cocycle transposition, so neither flag is accepted."""
-    assert run(capsys, ["saturation", fixture_path("a4.fus"), *flag])[0] == 1
+@pytest.mark.parametrize("value", ["0", "-1"],
+                         ids=["cap-saturation-0", "cap-saturation--1"])
+def test_removed_flags_exit_1(capsys, value):
+    """Saturation has no order cap, so --cap-saturation is not accepted."""
+    assert run(capsys, ["saturation", fixture_path("a4.fus"),
+                        "--cap-saturation", value])[0] == 1
 
 
 def test_names_override(capsys, tmp_path):

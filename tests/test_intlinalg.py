@@ -92,7 +92,7 @@ def independent_columns(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(independent_columns(), st.data())
-def test_integer_span_solve_recovers_x(columns, data):
+def test_integer_solution_recovers_x(columns, data):
     x = tuple(data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
                                  min_size=len(columns),
                                  max_size=len(columns))))
@@ -107,7 +107,7 @@ def test_integer_span_solve_recovers_x(columns, data):
     ([(1, 0), (2, 0)], (1, 0)),        # dependent columns
     ([(1, 2, 3), (1, 2, 3)], (0, 0, 0)),
 ])
-def test_integer_span_solve_not_in_span(columns, target):
+def test_integer_solution_not_in_span(columns, target):
     with pytest.raises(NotInSpan):
         IntegerSpan(columns).solve(target)
 

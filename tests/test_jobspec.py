@@ -135,7 +135,7 @@ def test_word_exponents_reduce_modulo_the_generator_order():
     assert job.subgroups["C"].gen_indices == (G.identity,)
 
 
-def test_transpose_key_transposes_the_cocycle(tmp_path):
+def test_transpose_flip(tmp_path):
     """transpose = true realizes the extension of the transposed table."""
     from fusionrep.twisted import cocycle_from_extension
     csv_path = os.path.abspath(fixture_path("a4_quaternion.csv"))
