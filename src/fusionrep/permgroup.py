@@ -25,6 +25,7 @@ from .errors import (
     InputError,
     NotAHomomorphism,
     NotAPermutation,
+    NotAPrimePowerGroup,
     NotASubgroup,
     NotInjective,
     OrderCapExceeded,
@@ -357,32 +358,43 @@ class FiniteGroup:
             frontier = np.flatnonzero(new)
         return tuple(np.flatnonzero(seen).tolist())
 
+    def _conjugates(self, xs) -> np.ndarray:
+        """C[g, k] = g xs[k] g^-1 for every g in the group (rows): one
+        gather on conj_table(), or two mul_array calls above _TABLE_LIMIT."""
+        xs = np.asarray(xs, dtype=np.intp)
+        if self.table() is not None:
+            return self.conj_table()[:, xs]
+        g = np.arange(self.order, dtype=np.int32)[:, None]
+        return self.mul_array(self.mul_array(g, xs[None, :]),
+                              self.inv_array()[:, None])
+
     def centralizer(self, sub: "Subgroup") -> "Subgroup":
         self._check_parent(sub)
         gens = sub.gen_indices or sub.members
-        members = [
-            g
-            for g in range(self.order)
-            if all(self.mul(g, x) == self.mul(x, g) for x in gens)
-        ]
-        return Subgroup(self, tuple(members), tuple(members))
+        return self._from_mask((self._conjugates(gens) == gens).all(1))
 
     def normalizer(self, sub: "Subgroup") -> "Subgroup":
         self._check_parent(sub)
-        mset = set(sub.members)
-        gens = sub.gen_indices or sub.members
-        members = [
-            g for g in range(self.order) if all(self.conj(g, x) in mset for x in gens)
-        ]
-        return Subgroup(self, tuple(members), tuple(members))
+        inside = np.zeros(self.order, dtype=bool)
+        inside[list(sub.members)] = True
+        return self._from_mask(self._normalizer_mask(sub, inside))
+
+    def _normalizer_mask(self, sub: "Subgroup", inside) -> np.ndarray:
+        """N(sub) as a mask over the group, from sub's member mask."""
+        return inside[self._conjugates(sub.gen_indices or sub.members)].all(1)
+
+    def _from_mask(self, mask) -> "Subgroup":
+        members = tuple(np.flatnonzero(mask).tolist())
+        return Subgroup(self, members, members)
 
     def center(self) -> "Subgroup":
         return self.centralizer(self.full_subgroup())
 
     def all_subgroups(self, cap: int = DEFAULT_SUBGROUP_CAP) -> list:
-        """All subgroups, ordered by (order, members).  The enumeration is
-        cached with its candidate count, so a later call with a smaller cap
-        raises as a fresh enumeration would."""
+        """All subgroups of a p-group, ordered by (order, members).  The
+        enumeration is cached with its candidate count, so a later call with
+        a smaller cap raises as a fresh enumeration would.  Raises
+        NotAPrimePowerGroup when the order is not a power of a prime."""
         if self._subgroups is None:
             self._subgroups = self._enumerate_subgroups(cap)
         subs, candidates = self._subgroups
@@ -391,37 +403,57 @@ class FiniteGroup:
         return list(subs)
 
     def _enumerate_subgroups(self, cap: int) -> tuple:
-        """(all subgroups, candidates tried): cyclic ones, then closure
-        under pairwise join."""
+        """(all subgroups, candidates tried), one order p^i at a time.
+
+        In a p-group every subgroup K > 1 has a normal subgroup H of index
+        p, and K = H<g> for every g in K outside H.  Conversely, for g in
+        N(H) outside H with g^p in H, H<g> is the union of the cosets
+        H g^k, k < p, and has order p|H|.  So the next layer comes from
+        walking, for each H of this one, the cosets of H in N(H) (one
+        gather on conj_table) other than H: the smallest g left is one
+        candidate, and all of H<g> (when g^p is in H) or the coset Hg
+        (when it is not) is crossed off.  H<g> is generated by g when g
+        has order p|H|, else by H's generators and g, so no subgroup gets
+        more generators than log_p of its order.
+        """
+        p = group_prime(self)
+        if p is None and self.order > 1:
+            raise NotAPrimePowerGroup(f"order {self.order} is not a prime power")
+        orders = self.element_orders()
         candidates = 0
-        known = {}  # frozenset of members -> generator tuple
-        for i in range(self.order):
-            candidates += 1
-            if candidates > cap:
-                raise SubgroupEnumerationCapExceeded(f"more than {cap} candidates")
-            members = self.closure((i,))
-            known.setdefault(frozenset(members), (i,))
-        work = list(known.items())
-        while work:
-            new_work = []
-            items = list(known.items())
-            for fs_a, gens_a in work:
-                for fs_b, gens_b in items:
-                    if fs_a <= fs_b or fs_b <= fs_a:
-                        continue
+        layer = [self.trivial_subgroup()]
+        subs = list(layer)
+        while layer:
+            found = {}  # member mask as bytes -> Subgroup
+            for H in layer:
+                members = np.array(H.members, dtype=np.int32)
+                inside = np.zeros(self.order, dtype=bool)
+                inside[members] = True
+                todo = self._normalizer_mask(H, inside) & ~inside
+                while todo.any():
+                    g = int(todo.argmax())
                     candidates += 1
                     if candidates > cap:
                         raise SubgroupEnumerationCapExceeded(
-                            f"more than {cap} candidates"
-                        )
-                    gens = tuple(dict.fromkeys(gens_a + gens_b))
-                    fs = frozenset(self.closure(gens))
-                    if fs not in known:
-                        known[fs] = gens
-                        new_work.append((fs, gens))
-            work = new_work
-        subs = [Subgroup(self, tuple(sorted(fs)), gens) for fs, gens in known.items()]
-        subs.sort(key=lambda s: (s.order, s.members))
+                            f"more than {cap} candidates")
+                    powers = [self.identity]
+                    for _ in range(p):
+                        powers.append(self.mul(powers[-1], g))
+                    if not inside[powers.pop()]:
+                        todo[self.mul_array(members, g)] = False
+                        continue
+                    K = np.zeros(self.order, dtype=bool)
+                    K[self.mul_array(members[:, None],
+                                     np.array(powers)[None, :])] = True
+                    todo &= ~K
+                    key = K.tobytes()
+                    if key not in found:
+                        kmem = tuple(np.flatnonzero(K).tolist())
+                        found[key] = Subgroup(
+                            self, kmem, (g,) if orders[g] == len(kmem)
+                            else H.gen_indices + (g,))
+            layer = sorted(found.values(), key=lambda s: s.members)
+            subs.extend(layer)
         return tuple(subs), candidates
 
     def _check_parent(self, sub: "Subgroup"):

@@ -300,13 +300,15 @@ def lattice_chain(maps, n: int):
 
     maps are n x n integer matrices acting on row vectors.  When they
     multiply by the generators of an ideal, L_k is the k-th power of the
-    ideal.  Rows stay Python ints: HNF entries have no bound.
+    ideal.  HNF entries have no bound, so each product runs through
+    int_matmul: on BLAS while its certificate holds, else on Python ints.
     """
     M = np.array(maps, dtype=object).reshape(len(maps), n, n)
     current = [[int(i == j) for j in range(n)] for i in range(n)]
     while True:
         V = np.array(current, dtype=object).reshape(len(current), n)
-        current = hnf((V @ M).reshape(len(M) * len(current), n).tolist())
+        current = hnf(int_matmul(V, M).reshape(len(M) * len(current), n)
+                      .tolist())
         yield current
 
 

@@ -6,7 +6,10 @@ the full columns, with tuples, and skips no pair.  brute_hilbert searches
 a box exhaustively.  small_fusions yields the fusion systems on every
 fixture group of order at most 16.  closure and ExhaustiveSaturation are
 the scalar subgroup closure and saturation check that the table gathers
-of FiniteGroup.closure and FusionSystem.check_saturation replaced.
+of FiniteGroup.closure and FusionSystem.check_saturation replaced;
+enumerate_subgroups, normalizer and centralizer the pairwise-join search
+and the loops over the group that the subgroup layers and the gathers on
+the conjugation table replaced.
 build_table is the multiplication table by one tuple lookup per entry,
 which the Cayley-graph search of FiniteGroup._build_table replaced.  hnf
 is the row-by-row Hermite normal form that intlinalg.hnf replaced, and
@@ -21,7 +24,8 @@ import numpy as np
 
 from fusionrep.chartable import _product_matrix
 from fusionrep.errors import (FusionRepError, HilbertCapExceeded, InputError,
-                              MorphismCapExceeded)
+                              MorphismCapExceeded,
+                              SubgroupEnumerationCapExceeded)
 from fusionrep.fusion import (DEFAULT_MORPHISM_CAP, SaturationReport,
                               _describe, _small_gens, build_fusion)
 from fusionrep.intlinalg import kernel_basis
@@ -289,6 +293,69 @@ def closure(self, gen_indices) -> tuple:
     return tuple(members)
 
 
+# --- subgroups, normalizers and centralizers before the layers ---------------
+# enumerate_subgroups is the pairwise-join search that the layered
+# FiniteGroup._enumerate_subgroups replaced, and normalizer and centralizer
+# the loops over the group that the gathers on FiniteGroup.conj_table
+# replaced, kept verbatim (with the group as first argument).
+
+
+def enumerate_subgroups(self, cap: int) -> tuple:
+    """(all subgroups, candidates tried): cyclic ones, then closure
+    under pairwise join."""
+    candidates = 0
+    known = {}  # frozenset of members -> generator tuple
+    for i in range(self.order):
+        candidates += 1
+        if candidates > cap:
+            raise SubgroupEnumerationCapExceeded(f"more than {cap} candidates")
+        members = self.closure((i,))
+        known.setdefault(frozenset(members), (i,))
+    work = list(known.items())
+    while work:
+        new_work = []
+        items = list(known.items())
+        for fs_a, gens_a in work:
+            for fs_b, gens_b in items:
+                if fs_a <= fs_b or fs_b <= fs_a:
+                    continue
+                candidates += 1
+                if candidates > cap:
+                    raise SubgroupEnumerationCapExceeded(
+                        f"more than {cap} candidates"
+                    )
+                gens = tuple(dict.fromkeys(gens_a + gens_b))
+                fs = frozenset(self.closure(gens))
+                if fs not in known:
+                    known[fs] = gens
+                    new_work.append((fs, gens))
+        work = new_work
+    subs = [Subgroup(self, tuple(sorted(fs)), gens) for fs, gens in known.items()]
+    subs.sort(key=lambda s: (s.order, s.members))
+    return tuple(subs), candidates
+
+
+def centralizer(self, sub: Subgroup) -> Subgroup:
+    self._check_parent(sub)
+    gens = sub.gen_indices or sub.members
+    members = [
+        g
+        for g in range(self.order)
+        if all(self.mul(g, x) == self.mul(x, g) for x in gens)
+    ]
+    return Subgroup(self, tuple(members), tuple(members))
+
+
+def normalizer(self, sub: Subgroup) -> Subgroup:
+    self._check_parent(sub)
+    mset = set(sub.members)
+    gens = sub.gen_indices or sub.members
+    members = [
+        g for g in range(self.order) if all(self.conj(g, x) in mset for x in gens)
+    ]
+    return Subgroup(self, tuple(members), tuple(members))
+
+
 class ExhaustiveSaturation:
     """check_saturation of a FusionSystem F with the scalar code it had
     before the gathers.  Attributes it does not define (S, p, generators,
@@ -414,8 +481,8 @@ class ExhaustiveSaturation:
         subs = (S.all_subgroups() if subgroup_cap is None
                 else S.all_subgroups(subgroup_cap))
         by_key = {sub.members: sub for sub in subs}
-        norm_sub = {sub.members: S.normalizer(sub) for sub in subs}
-        cent_ord = {sub.members: S.centralizer(sub).order for sub in subs}
+        norm_sub = {sub.members: normalizer(S, sub) for sub in subs}
+        cent_ord = {sub.members: centralizer(S, sub).order for sub in subs}
 
         seen = set()
         classes = []

@@ -388,6 +388,23 @@ def test_non_positive_caps_are_rejected(capsys, cap, value):
     assert err == f"error: cap_{cap} must be positive\n"
 
 
+SAT5_SPEC = ("[group]\nconstructor = extraspecial_p3\np = 5\n\n"
+             "[fusion]\ngl2 = [[2, 0], [0, 3]]\n")
+
+
+@pytest.mark.parametrize("cap, code", [(73, 0), (72, 3)])
+def test_cap_subgroups_counts_the_candidates_built(capsys, tmp_path, cap,
+                                                   code):
+    """The layered enumeration builds 73 candidates H<g> on 5^{1+2}."""
+    spec = tmp_path / "sat5.fus"
+    spec.write_text(SAT5_SPEC)
+    got, out, _ = run(capsys, ["saturation", str(spec), "--json",
+                               "--cap-subgroups", str(cap)])
+    assert got == code
+    if code == 3:
+        assert json.loads(out)["error"]["message"] == "more than 72 candidates"
+
+
 @pytest.mark.parametrize("value", ["0", "-1"],
                          ids=["cap-saturation-0", "cap-saturation--1"])
 def test_removed_flags_exit_1(capsys, value):

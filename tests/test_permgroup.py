@@ -2,19 +2,22 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from oracles import build_table, closure
+from oracles import (build_table, centralizer, closure, enumerate_subgroups,
+                     normalizer)
 
 from fusionrep import permgroup
 from fusionrep.chartable import _subgroup_group
 from fusionrep.errors import (EvenPrime, FusionRepError, NotAHomomorphism,
-                              NotAPermutation, NotInjective, OrderCapExceeded)
+                              NotAPermutation, NotAPrimePowerGroup,
+                              NotInjective, OrderCapExceeded,
+                              SubgroupEnumerationCapExceeded)
 from fusionrep.permgroup import (FiniteGroup, build_group, core_p,
                                  coset_action, derived_subgroup,
                                  extraspecial_p3, format_cycles,
-                                 frattini_maximals, make_hom, parse_cycles,
-                                 sylow_subgroup)
+                                 frattini_maximals, group_prime, make_hom,
+                                 parse_cycles, sylow_subgroup)
 
 from conftest import FIXTURES
 
@@ -222,3 +225,120 @@ def test_power_reduces_the_exponent(n):
     for _ in range(n % 9):
         expected = G.mul(expected, s)
     assert G.power(s, n) == expected
+
+
+# --- subgroups, normalizers and centralizers against the oracles -------------
+
+SMALL_P_GROUPS = {  # name -> (degree, generators)
+    "Q8": (8, ["(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)"]),
+    "D8": (4, ["(1 2 3 4)", "(1 3)"]),
+    "C3xC3": (6, ["(1 2 3)", "(4 5 6)"]),
+    "C9xC3": (12, ["(1 2 3 4 5 6 7 8 9)", "(10 11 12)"]),
+}
+SYLOW_2_OF_S8 = build_group(8, ["(1 2)", "(1 3)(2 4)", "(1 5)(2 6)(3 7)(4 8)"])
+SYLOW_3_OF_S9 = build_group(9, ["(1 2 3)", "(1 4 7)(2 5 8)(3 6 9)"])
+_ORACLE_SUBGROUPS = {}  # element tuple -> the oracle's subgroups
+
+
+def _p_group(name, pipeline):
+    if name.startswith("extraspecial_"):
+        return extraspecial_p3(int(name[-1]))
+    if name in SMALL_P_GROUPS:
+        return build_group(*SMALL_P_GROUPS[name])
+    if name == "a4_sl23.extension":
+        return pipeline("a4_sl23").extension.group
+    return pipeline(name).fusion.S
+
+
+def _assert_subgroups_match_the_oracle(G):
+    if G.elements not in _ORACLE_SUBGROUPS:
+        _ORACLE_SUBGROUPS[G.elements] = enumerate_subgroups(G, 10 ** 9)[0]
+    want = _ORACLE_SUBGROUPS[G.elements]
+    got = G.all_subgroups()
+    assert [(K.order, K.members) for K in got] == [
+        (K.order, K.members) for K in want]
+    p = group_prime(G)
+    for K in got:
+        assert G.closure(K.gen_indices) == K.members
+        assert p ** len(K.gen_indices) <= K.order
+
+
+ORACLE_GROUPS = (["extraspecial_3", "extraspecial_5", "extraspecial_7"]
+                 + sorted(SMALL_P_GROUPS) + STEMS + ["a4_sl23.extension"])
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_subgroups_match_the_oracle(pipeline, name):
+    _assert_subgroups_match_the_oracle(_p_group(name, pipeline))
+
+
+@st.composite
+def random_p_groups(draw):
+    """Subgroups of order at most 32 of a Sylow 2-subgroup of S_8, or of a
+    Sylow 3-subgroup of S_9 (order 81), on up to three random generators."""
+    P = draw(st.sampled_from([SYLOW_2_OF_S8, SYLOW_3_OF_S9]))
+    picks = draw(st.lists(st.integers(0, P.order - 1), min_size=1,
+                          max_size=3))
+    G = build_group(P.degree, [P.elements[i] for i in picks])
+    assume(G.order > 1 and (G.order <= 32 or P is SYLOW_3_OF_S9))
+    return G
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(random_p_groups())
+def test_subgroups_match_the_oracle_on_random_p_groups(G):
+    _assert_subgroups_match_the_oracle(G)
+
+
+def _assert_normalizers_and_centralizers_match_the_oracle(G):
+    subs = G.all_subgroups()
+    # a subgroup listed by all its members as well as by its generators
+    subs += [G.subgroup_from_members(K.members) for K in subs[-2:]]
+    for K in subs:
+        assert G.normalizer(K).members == normalizer(G, K).members
+        assert G.centralizer(K).members == centralizer(G, K).members
+    assert G.center().members == centralizer(G, G.full_subgroup()).members
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_normalizers_and_centralizers_match_the_oracle(pipeline, name):
+    _assert_normalizers_and_centralizers_match_the_oracle(
+        _p_group(name, pipeline))
+
+
+@pytest.mark.parametrize("name", ["extraspecial_3", "Q8", "C9xC3"])
+def test_subgroups_without_a_multiplication_table(pipeline, monkeypatch,
+                                                  name):
+    """The same subgroups, normalizers and centralizers through mul, as on
+    groups above _TABLE_LIMIT."""
+    monkeypatch.setattr(permgroup, "_TABLE_LIMIT", 0)
+    G = _p_group(name, pipeline)
+    G = FiniteGroup(G.degree, G.gens, G.elements)  # no cached tables
+    assert G.table() is None
+    _assert_subgroups_match_the_oracle(G)
+    _assert_normalizers_and_centralizers_match_the_oracle(G)
+
+
+@pytest.mark.parametrize("p, subgroups, candidates", [
+    (3, 19, 33), (5, 39, 73), (7, 67, 129)])
+def test_subgroup_candidates_on_extraspecial_groups(p, subgroups, candidates):
+    """One candidate per new subgroup H<g> for each H, counted by the cap:
+    p^2 + p + 1 of order p, p + 1 above the center and one above each
+    other subgroup of order p, and one above each of order p^2."""
+    S = extraspecial_p3(p)
+    G = FiniteGroup(S.degree, S.gens, S.elements)
+    assert len(G.all_subgroups(candidates)) == subgroups
+    with pytest.raises(SubgroupEnumerationCapExceeded):
+        G.all_subgroups(candidates - 1)  # cached
+    with pytest.raises(SubgroupEnumerationCapExceeded):
+        FiniteGroup(S.degree, S.gens, S.elements).all_subgroups(
+            candidates - 1)
+
+
+def test_subgroups_of_a_group_that_is_not_a_p_group():
+    S3 = build_group(3, ["(1 2 3)", "(1 2)"])
+    with pytest.raises(NotAPrimePowerGroup):
+        S3.all_subgroups()
+    assert [K.members for K in build_group(1, []).all_subgroups()] == [(0,)]
