@@ -15,9 +15,9 @@ flag wins over the spec's cap option); a command only formats the stages
 of that job, which builds each stage once.
 
 saturation checks a group of any order; --cap-morphisms and
---cap-subgroups bound its work.  --cap-subgroups counts the candidates
-H<g> of the subgroup enumeration, one per coset Hg it walks in the
-normalizer of each subgroup H (73 on 5^{1+2}, 129 on 7^{1+2}).
+--cap-subgroups bound its work.  --cap-subgroups counts the closures
+H<g> that the subgroup enumeration builds, one per subgroup K containing
+a subgroup H with index p (73 on 5^{1+2}, 129 on 7^{1+2}).
 --saturation-large is parsed for the callers that still pass it and
 ignored.
 

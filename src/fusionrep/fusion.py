@@ -415,8 +415,8 @@ class FusionSystem:
 
         The check runs on a group of any order.  The work is bounded by
         cap, the morphisms closed out of each subgroup, and subgroup_cap,
-        the cosets Hg that the layered subgroup enumeration walks, each a
-        candidate H<g>; exceeding either raises a CapExceeded.  allow_large
+        the closures H<g> that the layered subgroup enumeration builds;
+        exceeding either raises a CapExceeded.  allow_large
         is accepted and ignored: it once lifted an order cap, and
         perfbench/trace_job.py still passes it.
         """

@@ -359,11 +359,9 @@ class FiniteGroup:
         return tuple(np.flatnonzero(seen).tolist())
 
     def _conjugates(self, xs) -> np.ndarray:
-        """C[g, k] = g xs[k] g^-1 for every g in the group (rows): one
-        gather on conj_table(), or two mul_array calls above _TABLE_LIMIT."""
-        xs = np.asarray(xs, dtype=np.intp)
-        if self.table() is not None:
-            return self.conj_table()[:, xs]
+        """C[g, k] = g xs[k] g^-1 for every g in the group (rows): two
+        mul_array calls of |G| x len(xs), so no full conj_table()."""
+        xs = np.asarray(xs, dtype=np.int32)
         g = np.arange(self.order, dtype=np.int32)[:, None]
         return self.mul_array(self.mul_array(g, xs[None, :]),
                               self.inv_array()[:, None])
@@ -392,7 +390,7 @@ class FiniteGroup:
 
     def all_subgroups(self, cap: int = DEFAULT_SUBGROUP_CAP) -> list:
         """All subgroups of a p-group, ordered by (order, members).  The
-        enumeration is cached with its candidate count, so a later call with
+        enumeration is cached with its count of closures H<g> built, so a later call with
         a smaller cap raises as a fresh enumeration would.  Raises
         NotAPrimePowerGroup when the order is not a power of a prime."""
         if self._subgroups is None:
@@ -403,18 +401,18 @@ class FiniteGroup:
         return list(subs)
 
     def _enumerate_subgroups(self, cap: int) -> tuple:
-        """(all subgroups, candidates tried), one order p^i at a time.
+        """(all subgroups, closures H<g> built), one order p^i at a time.
 
         In a p-group every subgroup K > 1 has a normal subgroup H of index
         p, and K = H<g> for every g in K outside H.  Conversely, for g in
         N(H) outside H with g^p in H, H<g> is the union of the cosets
         H g^k, k < p, and has order p|H|.  So the next layer comes from
-        walking, for each H of this one, the cosets of H in N(H) (one
-        gather on conj_table) other than H: the smallest g left is one
-        candidate, and all of H<g> (when g^p is in H) or the coset Hg
-        (when it is not) is crossed off.  H<g> is generated by g when g
-        has order p|H|, else by H's generators and g, so no subgroup gets
-        more generators than log_p of its order.
+        walking, for each H of this one, the cosets of H in N(H) other
+        than H by their smallest element g: when g^p is in H, H<g> is
+        built (one candidate, counted against cap) and all of it is
+        crossed off; otherwise only the coset Hg is.  H<g> is generated
+        by g when g has order p|H|, else by H's generators and g, so no
+        subgroup gets more generators than log_p of its order.
         """
         p = group_prime(self)
         if p is None and self.order > 1:
@@ -432,16 +430,16 @@ class FiniteGroup:
                 todo = self._normalizer_mask(H, inside) & ~inside
                 while todo.any():
                     g = int(todo.argmax())
-                    candidates += 1
-                    if candidates > cap:
-                        raise SubgroupEnumerationCapExceeded(
-                            f"more than {cap} candidates")
                     powers = [self.identity]
                     for _ in range(p):
                         powers.append(self.mul(powers[-1], g))
                     if not inside[powers.pop()]:
                         todo[self.mul_array(members, g)] = False
                         continue
+                    candidates += 1
+                    if candidates > cap:
+                        raise SubgroupEnumerationCapExceeded(
+                            f"more than {cap} candidates")
                     K = np.zeros(self.order, dtype=bool)
                     K[self.mul_array(members[:, None],
                                      np.array(powers)[None, :])] = True

@@ -27,7 +27,8 @@ from .errors import (
     NotInvariant,
 )
 from .fusion import FusionSystem
-from .intlinalg import hnf, int_matmul, lattice_contains, smith_diagonal
+from .intlinalg import (_exact_array, hnf, int_matmul, lattice_contains,
+                        smith_diagonal)
 from .invariants import InvariantBasis, decompose, irreducible_invariants
 from .permgroup import FiniteGroup
 from .polynomials import IntPolynomial
@@ -303,10 +304,10 @@ def lattice_chain(maps, n: int):
     ideal.  HNF entries have no bound, so each product runs through
     int_matmul: on BLAS while its certificate holds, else on Python ints.
     """
-    M = np.array(maps, dtype=object).reshape(len(maps), n, n)
+    M = _exact_array(maps).reshape(len(maps), n, n)
     current = [[int(i == j) for j in range(n)] for i in range(n)]
     while True:
-        V = np.array(current, dtype=object).reshape(len(current), n)
+        V = _exact_array(current).reshape(len(current), n)
         current = hnf(int_matmul(V, M).reshape(len(M) * len(current), n)
                       .tolist())
         yield current

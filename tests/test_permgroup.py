@@ -337,6 +337,23 @@ def test_subgroup_candidates_on_extraspecial_groups(p, subgroups, candidates):
             candidates - 1)
 
 
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_subgroup_cap_counts_the_closures_built(pipeline, name):
+    """For each H the enumeration builds each H<g> of order p|H| once and
+    nothing else, so the cap counts the pairs H < K of the oracle's
+    subgroups with [K : H] = p, also where g^p can fall outside H."""
+    G = _p_group(name, pipeline)
+    _assert_subgroups_match_the_oracle(G)
+    subs = _ORACLE_SUBGROUPS[G.elements]
+    p = group_prime(G)
+    pairs = sum(1 for K in subs for H in subs if H.order * p == K.order
+                and set(H.members) <= set(K.members))
+    assert len(FiniteGroup(G.degree, G.gens, G.elements)
+               .all_subgroups(pairs)) == len(subs)
+    with pytest.raises(SubgroupEnumerationCapExceeded):
+        FiniteGroup(G.degree, G.gens, G.elements).all_subgroups(pairs - 1)
+
+
 def test_subgroups_of_a_group_that_is_not_a_p_group():
     S3 = build_group(3, ["(1 2 3)", "(1 2)"])
     with pytest.raises(NotAPrimePowerGroup):
