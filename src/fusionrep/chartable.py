@@ -2,9 +2,11 @@
 
 Irreducible characters are found by monomial induction: every irreducible of
 a p-group is induced from a linear character of some subgroup H, and its
-degree [G:H] satisfies [G:H]^2 <= |G|.  So only subgroups down to that index
-bound are visited (walking maximal-subgroup chains), linear characters are
-read off the abelianization H/[H,H], induced, and kept when their norm is 1.
+degree [G:H] satisfies [G:H]^2 <= |G|.  So the subgroups of that index bound
+are taken from the cached enumeration G.all_subgroups(), the linear
+characters of each are extended layer by layer along the pairs (H, g) that
+enumeration built its subgroups from, and the induced characters are kept
+when their norm is 1.
 
 Character values lie in Z[zeta_e] for e = exp(G), so a table holds them as
 integer power-basis coordinates X[irr, class, phi(e)].  Inner products are
@@ -20,10 +22,9 @@ canonical.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, inf
 
 import numpy as np
 
@@ -35,13 +36,7 @@ from .errors import (
     NotAPrimePowerGroup,
 )
 from .intlinalg import hnf, int_matmul, is_prime, nullspace_mod
-from .permgroup import (
-    FiniteGroup,
-    Subgroup,
-    derived_subgroup,
-    frattini_maximals,
-    group_prime,
-)
+from .permgroup import FiniteGroup, Subgroup, group_prime
 
 # integer coordinates above this size take the exact path
 _COORD_LIMIT = 2 ** 31
@@ -464,148 +459,44 @@ def _induced_coords(G: FiniteGroup, H: Subgroup, exps: np.ndarray,
 
 # --- linear characters of a subgroup ------------------------------------------
 
-def _abelian_basis(reps: list, qmul, qid, qorder) -> list:
-    """Independent generators [(rep, order)] of a finite abelian p-group
-    given by coset representatives; recursion through the quotient by the
-    element of maximal order."""
-    if len(reps) == 1:
-        return []
-    g = min(reps, key=lambda r: (-qorder(r), r))
-    og = qorder(g)
-    pow_of = {}
-    acc = qid
-    for k in range(og):
-        pow_of[acc] = k
-        acc = qmul(acc, g)
-    # quotient by <g>
-    rep2 = {}
-    for r in reps:
-        if r in rep2:
-            continue
-        block = []
-        acc = r
-        for _ in range(og):
-            block.append(acc)
-            acc = qmul(acc, g)
-        rep = min(block)
-        for b in block:
-            rep2[b] = rep
-    reps_q = sorted(set(rep2.values()))
+def _linear_characters(G: FiniteGroup, K: Subgroup, lin: dict,
+                       e: int) -> np.ndarray:
+    """All linear characters of K as exponents mod e: row l, column m holds
+    k with lambda_l(K.members[m]) = zeta_e^k.
 
-    def qmul2(x, y):
-        return rep2[qmul(x, y)]
-
-    qid2 = rep2[qid]
-
-    def qorder2(x):
-        k = 1
-        acc = x
-        while acc != qid2:
-            acc = qmul2(acc, x)
-            k += 1
-        return k
-
-    sub = _abelian_basis(reps_q, qmul2, qid2, qorder2)
-    out = [(g, og)]
-    for h, oh in sub:
-        # lift h to an element of true order oh: correct by a power of g
-        z = qid
-        for _ in range(oh):
-            z = qmul(z, h)
-        t = pow_of[z]  # h^oh = g^t with oh | t (og is maximal)
-        corr = (og - t // oh) % og
-        lifted = h
-        for _ in range(corr):
-            lifted = qmul(lifted, g)
-        out.append((lifted, oh))
+    K = H<g> with H normal of index p (K.built_from), and the rows of H come
+    from the same recursion; lin keeps the rows of every subgroup reached.
+    K/H is cyclic, so a linear character mu of H extends to K when
+    mu(g h g^-1) = mu(h) on H, and then in exactly p ways (Isaacs, Character
+    Theory of Finite Groups, Cor. 11.22): lambda(h g^j) = mu(h) + j a with
+    p a = mu(g^p) mod e, that is a = mu(g^p)/p + t e/p for t < p.  Every
+    linear character of K restricts to such a mu, so the rows are all of
+    them, each once.
+    """
+    if K in lin:
+        return lin[K]
+    if K.built_from is None:  # the trivial subgroup
+        lin[K] = np.zeros((1, 1), dtype=np.int32)
+        return lin[K]
+    H, g = K.built_from
+    p = K.order // H.order
+    members = np.array(H.members, dtype=np.int32)
+    pos = _positions(G, H)
+    mu = _linear_characters(G, H, lin, e)
+    conj = G.mul_array(G.mul_array(g, members), G.inv(g))
+    mu = mu[(mu[:, pos[conj]] == mu).all(1)]
+    gpow = [G.identity]
+    for _ in range(p):
+        gpow.append(G.mul(gpow[-1], g))
+    a = mu[:, pos[gpow.pop()]] // p
+    a = a[:, None] + np.arange(p) * (e // p)  # [mu, t]
+    values = (mu[:, None, :, None]
+              + a[:, :, None, None] * np.arange(p)) % e  # [mu, t, h, j]
+    out = np.empty((len(mu) * p, K.order), dtype=np.int32)
+    cosets = G.mul_array(members[:, None], np.array(gpow)[None, :])  # h g^j
+    out[:, _positions(G, K)[cosets].ravel()] = values.reshape(len(out), -1)
+    lin[K] = out
     return out
-
-
-def _linear_characters(G: FiniteGroup, H: Subgroup, e: int) -> np.ndarray:
-    """All linear characters of H as exponents mod e: row l, column m holds
-    k with chi_l(H.members[m]) = zeta_e^k (orders in H/[H,H] divide e)."""
-    D = derived_subgroup(G, H)
-    dm = D.members
-    rep_of = {}
-    for m in H.members:
-        if m in rep_of:
-            continue
-        block = sorted(G.mul(m, d) for d in dm)
-        rep = block[0]
-        for b in block:
-            rep_of[b] = rep
-    reps = sorted(set(rep_of.values()))
-    qid = rep_of[G.identity]
-
-    def qmul(x, y):
-        return rep_of[G.mul(x, y)]
-
-    def qorder(x):
-        k = 1
-        acc = x
-        while acc != qid:
-            acc = qmul(acc, x)
-            k += 1
-        return k
-
-    basis = _abelian_basis(reps, qmul, qid, qorder)
-    vec = {qid: ()}
-    for idx, (b, ob) in enumerate(basis):
-        grown = {}
-        for r, v in vec.items():
-            acc = r
-            grown[r] = v + (0,)
-            for k in range(1, ob):
-                acc = qmul(acc, b)
-                grown[acc] = v + (k,)
-        vec = grown
-    assert len(vec) == len(reps), "abelian decomposition failed"
-    nb = len(basis)
-    steps = np.array([e // ob for _, ob in basis], dtype=np.int64)
-    coords = np.array([vec[rep_of[m]] for m in H.members],
-                      dtype=np.int64).reshape(H.order, nb)
-    duals = np.array(list(itertools.product(*[range(ob) for _, ob in basis])),
-                     dtype=np.int64).reshape(-1, nb)
-    return (duals * steps) @ coords.T % e
-
-
-def _index_bounded_subgroups(G: FiniteGroup, p: int) -> list:
-    """Subgroups of index d with d^2 <= |G|, one per conjugacy class."""
-    bound = 1
-    while (bound * p) ** 2 <= G.order:
-        bound *= p
-    level = {frozenset(range(G.order)): G.full_subgroup()}
-    chosen = dict(level)
-    index = 1
-    while index < bound:
-        nxt = {}
-        for sub in level.values():
-            for m in frattini_maximals(G, sub, p):
-                nxt.setdefault(m.key(), m)
-        # keep one per G-conjugacy orbit (conjugate subgroups induce equal sets)
-        seen = set()
-        reduced = {}
-        for key in sorted(nxt, key=lambda fs: sorted(fs)):
-            if key in seen:
-                continue
-            orbit = {key}
-            frontier = [key]
-            while frontier:
-                fs = frontier.pop()
-                for g in G.gen_indices:
-                    img = frozenset(G.conj(g, x) for x in fs)
-                    if img not in orbit:
-                        orbit.add(img)
-                        frontier.append(img)
-            seen |= orbit
-            reduced[key] = nxt[key]
-        for key, sub in reduced.items():
-            chosen.setdefault(key, sub)
-        # descending through class representatives suffices: a subgroup of a
-        # conjugate maximal is conjugate to a subgroup of the representative
-        level = reduced
-        index *= p
-    return [chosen[k] for k in sorted(chosen, key=lambda fs: (-len(fs), sorted(fs)))]
 
 
 def character_table(G: FiniteGroup) -> CharacterTable:
@@ -619,15 +510,19 @@ def _compute_table(G: FiniteGroup) -> CharacterTable:
     classes = G.conjugacy_classes()
     if G.order == 1:
         return CharacterTable(G, np.ones((1, 1, 1), dtype=np.int64))
-    p = group_prime(G)
-    if p is None:
+    if group_prime(G) is None:
         raise NotAPrimePowerGroup(f"order {G.order} is not a prime power")
     e = G.exponent()
     powers = np.array(power_table(e)[:e], dtype=np.int64)
     modular = ModularImage(G)
     found = {}
-    for H in _index_bounded_subgroups(G, p):
-        chars = _induced_coords(G, H, _linear_characters(G, H, e), powers)
+    lin = {}  # subgroup -> _linear_characters, for this table only
+    # the Irr search reads the whole enumeration, so it takes no subgroup cap
+    for H in G.all_subgroups(inf):
+        if (G.order // H.order) ** 2 > G.order:
+            continue
+        chars = _induced_coords(G, H, _linear_characters(G, H, lin, e),
+                                powers)
         if H.order < G.order:
             # <psi, psi> is an integer in [1, [G:H]] and q > |G|
             norms = (modular.image(chars) * modular.conj_image(chars)

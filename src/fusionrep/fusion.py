@@ -517,7 +517,9 @@ class FusionSystem:
                 pre[r, phi.T] = members  # phi^-1 on Q
                 # row g, column phi: phi c_g phi^-1 at Q's generators
                 values = phi[pos_p[conj[:, pre[:, qgens]]], r]
-                out[:, batch] = np.isin(pos_q[values] @ radix, codes)
+                found = pos_q[values] @ radix
+                at = np.searchsorted(codes, found).clip(max=len(codes) - 1)
+                out[:, batch] = codes[at] == found
         return out
 
     def _aut_s_codes(self, Q: Subgroup, NQ: Subgroup) -> tuple:

@@ -389,10 +389,13 @@ class FiniteGroup:
         return self.centralizer(self.full_subgroup())
 
     def all_subgroups(self, cap: int = DEFAULT_SUBGROUP_CAP) -> list:
-        """All subgroups of a p-group, ordered by (order, members).  The
-        enumeration is cached with its count of closures H<g> built, so a later call with
-        a smaller cap raises as a fresh enumeration would.  Raises
-        NotAPrimePowerGroup when the order is not a power of a prime."""
+        """All subgroups of a p-group, ordered by (order, members).  Each
+        K > 1 records in K.built_from the pair (H, g) it was built from: H
+        is listed before K, normal in K of index p, and K = H<g>.  The
+        enumeration is cached with its count of closures H<g> built, so a
+        later call with a smaller cap raises as a fresh enumeration would;
+        cap may be math.inf.  Raises NotAPrimePowerGroup when the order is
+        not a power of a prime."""
         if self._subgroups is None:
             self._subgroups = self._enumerate_subgroups(cap)
         subs, candidates = self._subgroups
@@ -449,7 +452,7 @@ class FiniteGroup:
                         kmem = tuple(np.flatnonzero(K).tolist())
                         found[key] = Subgroup(
                             self, kmem, (g,) if orders[g] == len(kmem)
-                            else H.gen_indices + (g,))
+                            else H.gen_indices + (g,), built_from=(H, g))
             layer = sorted(found.values(), key=lambda s: s.members)
             subs.extend(layer)
         return tuple(subs), candidates
@@ -465,11 +468,13 @@ class FiniteGroup:
 class Subgroup:
     """A subgroup given by its sorted member indices within a parent group."""
 
-    def __init__(self, parent: FiniteGroup, members: tuple, gen_indices: tuple):
+    def __init__(self, parent: FiniteGroup, members: tuple, gen_indices: tuple,
+                 built_from=None):
         self.parent = parent
         self.members = members
         self.gen_indices = tuple(gen_indices)
         self.order = len(members)
+        self.built_from = built_from  # (H, g), self = H<g>: see all_subgroups
         self._pos = None
 
     def _positions(self) -> dict:
@@ -503,9 +508,6 @@ class Subgroup:
         for m in self.members:
             e = e * orders[m] // gcd(e, orders[m])
         return e
-
-    def key(self) -> frozenset:
-        return frozenset(self.members)
 
     def __repr__(self):
         return f"Subgroup(order={self.order}, parent order={self.parent.order})"
@@ -573,16 +575,6 @@ class GroupHom:
         pre = {v: m for m, v in zip(self.domain.members, self.images)}
         return GroupHom(image, self.domain.parent,
                         tuple(pre[m] for m in image.members))
-
-    def compose(self, other: "GroupHom") -> "GroupHom":
-        """self o other; other's image must land inside self's domain."""
-        if not set(other.images) <= set(self.domain.members):
-            raise NotASubgroup("composition image escapes the outer domain")
-        return GroupHom(
-            other.domain,
-            self.codomain,
-            tuple(self.apply(i) for i in other.images),
-        )
 
     def key(self):
         return (self.domain.members, self.images)
@@ -795,88 +787,3 @@ def core_p(G: FiniteGroup, p: int) -> Subgroup:
                 frontier.append(img)
                 inter &= img
     return G.subgroup_from_members(sorted(inter))
-
-
-def _pairwise_commutators(G: FiniteGroup, members: tuple) -> set:
-    t = G.table()
-    inv = G.inv_array()
-    if t is not None:
-        mem = np.fromiter(members, dtype=np.int32, count=len(members))
-        A = t[np.ix_(inv[mem], inv[mem])]  # x^-1 y^-1
-        B = t[np.ix_(mem, mem)]  # x y
-        return set(np.flatnonzero(np.bincount(t[A, B].ravel())).tolist())
-    out = set()
-    for x in members:
-        for y in members:
-            out.add(G.mul(G.mul(G.inv(x), G.inv(y)), G.mul(x, y)))
-    return out
-
-
-def derived_subgroup(G: FiniteGroup, sub: Subgroup) -> Subgroup:
-    """[H, H] for H = sub, as a subgroup of G."""
-    comms = _pairwise_commutators(G, sub.members)
-    return G.subgroup_from_members(G.closure(tuple(sorted(comms))))
-
-
-def frattini_maximals(G: FiniteGroup, sub: Subgroup, p: int) -> list:
-    """Maximal subgroups of a p-subgroup H: preimages of the hyperplanes of
-    the elementary abelian quotient H / Phi(H), Phi(H) = [H,H] H^p."""
-    if sub.order == 1:
-        return []
-    phi_gens = _pairwise_commutators(G, sub.members)
-    for x in sub.members:
-        phi_gens.add(G.power(x, p))
-    phi = G.closure(tuple(sorted(phi_gens)))
-    coset_rep = {}
-    for m in sub.members:
-        if m in coset_rep:
-            continue
-        block = sorted(G.mul(m, f) for f in phi)
-        rep = block[0]
-        for b in block:
-            coset_rep[b] = rep
-    reps = sorted(set(coset_rep.values()))
-    id_rep = coset_rep[G.identity]
-    basis = []
-    vec = {id_rep: ()}
-    for r in reps:
-        if r in vec:
-            continue
-        basis.append(r)
-        grown = {}
-        for cr, v in vec.items():
-            grown[cr] = v + (0,)
-            acc = cr
-            for e in range(1, p):
-                acc = coset_rep[G.mul(acc, r)]
-                grown[acc] = v + (e,)
-        vec = grown
-    rank = len(basis)
-    if rank == 0:
-        return []
-    maximals = []
-    for f in _functionals(p, rank):
-        members = [
-            m
-            for m in sub.members
-            if sum(fc * vc for fc, vc in zip(f, vec[coset_rep[m]])) % p == 0
-        ]
-        maximals.append(G.subgroup_from_members(members))
-    return maximals
-
-
-def _functionals(p: int, r: int) -> list:
-    """Nonzero functionals on F_p^r up to scalar (first nonzero entry 1)."""
-    out = []
-    stack = [()]
-    while stack:
-        prefix = stack.pop()
-        if len(prefix) == r:
-            if any(prefix):
-                lead = next(c for c in prefix if c)
-                if lead == 1:
-                    out.append(prefix)
-            continue
-        for c in range(p - 1, -1, -1):
-            stack.append(prefix + (c,))
-    return out

@@ -16,6 +16,8 @@ completion machinery applies through the shifted action matrices.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .chartable import character_table
@@ -315,6 +317,11 @@ class TwistedBasis:
     def degrees(self) -> tuple:
         return tuple(v.degree() for v in self.vectors)
 
+    @cached_property
+    def span(self) -> IntegerSpan:
+        """The Z-span of the basis vectors, built on first use and kept."""
+        return IntegerSpan([w.multiplicities for w in self.vectors])
+
     def with_names(self, mapping: dict) -> "TwistedBasis":
         return TwistedBasis(self.extension, self.fusion, self.a_reps,
                             self.vectors, apply_names(self.names, mapping))
@@ -460,7 +467,6 @@ def action_matrix(TB: TwistedBasis, vec: RepVector) -> tuple:
         vec.coords, character_table(E.base).conductor, at,
         np.stack([w.coords for w in TB.vectors]))
     t = len(TB.vectors)
-    span = IntegerSpan([w.multiplicities for w in TB.vectors])
     cols = []
     for prod in products:
         target = []
@@ -470,7 +476,7 @@ def action_matrix(TB: TwistedBasis, vec: RepVector) -> tuple:
                     f"product multiplicity {v} is not a non-negative integer")
             target.append(int(v))
         try:
-            col = span.solve(target)
+            col = TB.span.solve(target)
         except NotInSpan as ex:
             raise DecompositionNotIntegral(
                 f"product with the twisted basis: {ex}") from ex

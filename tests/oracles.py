@@ -10,6 +10,9 @@ of FiniteGroup.closure and FusionSystem.check_saturation replaced;
 enumerate_subgroups, normalizer and centralizer the pairwise-join search
 and the loops over the group that the subgroup layers and the gathers on
 the conjugation table replaced.
+check_linear_characters holds the linear characters that chartable
+extends along the subgroup layers to their definition, with the derived
+subgroup as the closure of the commutators.
 build_table is the multiplication table by one tuple lookup per entry,
 which the Cayley-graph search of FiniteGroup._build_table replaced.  hnf
 is the row-by-row Hermite normal form that intlinalg.hnf replaced, and
@@ -354,6 +357,33 @@ def normalizer(self, sub: Subgroup) -> Subgroup:
         g for g in range(self.order) if all(self.conj(g, x) in mset for x in gens)
     ]
     return Subgroup(self, tuple(members), tuple(members))
+
+
+# --- linear characters --------------------------------------------------------
+
+def derived_subgroup(G, H: Subgroup) -> tuple:
+    """Members of [H, H]: the closure of the commutators x^-1 y^-1 x y."""
+    mem = np.array(H.members)
+    inv = G.inv_array()[mem]
+    comms = G.mul_array(G.mul_array(inv[:, None], inv[None, :]),
+                        G.mul_array(mem[:, None], mem[None, :]))
+    return G.closure(tuple(np.unique(comms).tolist()))
+
+
+def check_linear_characters(G, H: Subgroup, rows, e: int):
+    """Assert that rows (exponents mod e at H.members) are the linear
+    characters of H: each is a homomorphism H -> Z/e on H x H, the rows are
+    distinct, and there are [H : H'] of them."""
+    rows = np.asarray(rows, dtype=np.int64)
+    mem = np.array(H.members)
+    pos = np.full(G.order, -1, dtype=np.int64)
+    pos[mem] = np.arange(H.order)
+    prod = pos[G.mul_array(mem[:, None], mem[None, :])]
+    assert (prod >= 0).all()
+    for row in rows:
+        assert ((row[:, None] + row[None, :] - row[prod]) % e == 0).all()
+    assert len(np.unique(rows, axis=0)) == len(rows)
+    assert len(rows) * len(derived_subgroup(G, H)) == H.order
 
 
 class ExhaustiveSaturation:

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from fusionrep.chartable import (ClassFunction, _subgroup_group,
                                  character_table, induce, inner_product,
                                  regular_character, restrict, tensor,
                                  trivial_character)
-from fusionrep.permgroup import build_group, extraspecial_p3
+from fusionrep.errors import SubgroupEnumerationCapExceeded
+from fusionrep.permgroup import FiniteGroup, build_group, extraspecial_p3
 
 
 def orthonormal(tab):
@@ -61,6 +64,21 @@ def test_extraspecial_seven():
         for x in range(S.order):
             if not Z.contains(x):
                 assert chi.value_at_element(x).is_zero()
+
+
+def test_irr_shares_the_subgroup_enumeration_without_its_cap():
+    """character_table reads the cached enumeration that saturation caps
+    (73 closures for the 39 subgroups of 5^{1+2}) but takes no cap itself."""
+    S = extraspecial_p3(5)
+    G = FiniteGroup(S.degree, S.gens, S.elements)
+    assert len(character_table(G)) == 29
+    with pytest.raises(SubgroupEnumerationCapExceeded):
+        G.all_subgroups(72)
+    assert len(G.all_subgroups(73)) == 39
+    G = FiniteGroup(S.degree, S.gens, S.elements)
+    with pytest.raises(SubgroupEnumerationCapExceeded):
+        G.all_subgroups(5)
+    assert len(character_table(G)) == 29
 
 
 def test_degree_sum_small_groups():

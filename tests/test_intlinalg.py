@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from fusionrep import intlinalg
 from fusionrep.errors import NotInSpan
-from fusionrep.intlinalg import (IntegerSpan, hnf, int_matmul, kernel_basis,
-                                 lattice_contains, smith_diagonal)
+from fusionrep.intlinalg import (IntegerSpan, _tagged_hnf, hnf, int_matmul,
+                                 kernel_basis, lattice_contains,
+                                 smith_diagonal)
+from fusionrep.jobspec import load_jobspec, realize
 
+from conftest import FIXTURES, fixture_path
 from oracles import hnf as hnf_oracle
 
 
@@ -240,3 +243,13 @@ def test_integer_span_builds_its_hnf_once(monkeypatch):
     assert len(calls) == 1
     assert IntegerSpan(columns).solve((1, 5, 1)) == (1, 1)
     assert len(calls) == 2
+    # a twisted job solves the action matrices of all basis elements of
+    # R(F) against one span of the twisted basis
+    job = realize(load_jobspec(fixture_path("a4_sl23.fus")), FIXTURES)
+    assert len(job.basis) > 1
+    twisted = [list(w.multiplicities) for w in job.twisted_basis.vectors]
+    spans = []
+    monkeypatch.setattr(intlinalg, "_tagged_hnf",
+                        lambda cols: spans.append(cols) or _tagged_hnf(cols))
+    job.module
+    assert spans.count(twisted) == 1

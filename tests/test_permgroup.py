@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from oracles import (build_table, centralizer, closure, enumerate_subgroups,
-                     normalizer)
+from oracles import (build_table, centralizer, check_linear_characters,
+                     closure, enumerate_subgroups, normalizer)
 
 from fusionrep import permgroup
-from fusionrep.chartable import _subgroup_group
+from fusionrep.chartable import (_linear_characters, _subgroup_group,
+                                 character_table)
 from fusionrep.errors import (EvenPrime, FusionRepError, NotAHomomorphism,
                               NotAPermutation, NotAPrimePowerGroup,
                               NotInjective, OrderCapExceeded,
                               SubgroupEnumerationCapExceeded)
 from fusionrep.permgroup import (FiniteGroup, build_group, core_p,
-                                 coset_action, derived_subgroup,
-                                 extraspecial_p3, format_cycles,
-                                 frattini_maximals, group_prime, make_hom,
-                                 parse_cycles, sylow_subgroup)
+                                 coset_action, extraspecial_p3, format_cycles,
+                                 group_prime, make_hom, parse_cycles,
+                                 sylow_subgroup)
 
 from conftest import FIXTURES
 
@@ -83,9 +83,8 @@ def test_extraspecial_basics():
 def test_extraspecial_structure():
     S = extraspecial_p3(7)
     assert len(S.conjugacy_classes()) == 55
-    maxs = frattini_maximals(S, S.full_subgroup(), 7)
-    assert len(maxs) == 8 and all(m.order == 49 for m in maxs)
-    assert derived_subgroup(S, S.full_subgroup()).order == 7
+    assert sum(1 for K in S.all_subgroups() if K.order == 49) == 8
+    assert character_table(S).degrees().count(1) == 49  # so |S'| = 7
     Q, proj = coset_action(S, S.center())
     assert Q.order == 49
     assert proj[S.identity] == Q.identity
@@ -290,6 +289,26 @@ def random_p_groups(draw):
 @given(random_p_groups())
 def test_subgroups_match_the_oracle_on_random_p_groups(G):
     _assert_subgroups_match_the_oracle(G)
+
+
+def _assert_linear_characters_match_the_oracle(G):
+    e = G.exponent()
+    lin = {}
+    for K in G.all_subgroups():
+        check_linear_characters(G, K, _linear_characters(G, K, lin, e), e)
+
+
+@pytest.mark.parametrize("name", STEMS + ["a4_sl23.extension"])
+def test_linear_characters_match_the_oracle(pipeline, name):
+    _assert_linear_characters_match_the_oracle(_p_group(name, pipeline))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(random_p_groups())
+def test_linear_characters_match_the_oracle_on_random_p_groups(G):
+    _assert_linear_characters_match_the_oracle(G)
 
 
 def _assert_normalizers_and_centralizers_match_the_oracle(G):
