@@ -8,109 +8,35 @@ characters of each are extended layer by layer along the pairs (H, g) that
 enumeration built its subgroups from, and the induced characters are kept
 when their norm is 1.
 
-Character values lie in Z[zeta_e] for e = exp(G), so a table holds them as
-integer power-basis coordinates X[irr, class, phi(e)].  Inner products are
-evaluated modulo one prime q = 1 (mod e) above |G|, through the ring map
-Z[zeta_e] -> F_q that sends zeta_e to a primitive e-th root of unity
+Character values lie in Z[zeta_e] for e = exp(G), and integer power-basis
+coordinates are the only form a value takes: a table holds
+X[irr, class, phi(e)] as an int64 array.  Inner products within the table
+are evaluated modulo one prime q = 1 (mod e) above |G|, through the ring
+map Z[zeta_e] -> F_q that sends zeta_e to a primitive e-th root of unity
 (Dixon's modular method).  A modular result is used only where it is exact:
 either the true value is an integer known to lie in [0, q), or an integer
-identity in coordinates certifies it.  The Cyclotomic values built from X
-serve display and JSON.  Rows are sorted by degree and then by value vectors
-under the fixed total order on cyclotomic values, so row indices are
-canonical.
+identity in coordinates certifies it.  The multiplicities of any other
+class function are exact integer sums divided by |G|.  Rows are sorted by
+degree and then by descending coordinates, so row indices are canonical.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, inf
+from math import inf
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, degree_phi, power_table
-from .errors import (
-    ConductorMismatch,
-    FusionRepError,
-    GroupMismatch,
-    NotAPrimePowerGroup,
-)
+from .cyclotomic import degree_phi, power_table, value_json
+from .errors import FusionRepError, NotAPrimePowerGroup
 from .intlinalg import hnf, int_matmul, is_prime, nullspace_mod
 from .permgroup import FiniteGroup, Subgroup, group_prime
 
-# integer coordinates above this size take the exact path
-_COORD_LIMIT = 2 ** 31
 # bound on the entries of one numpy temporary in the table search
 _CHUNK = 1 << 20
 # bound on the entries of the product temporaries of one block of pairs in
 # the structure tensor
 _PAIR_BLOCK = 1 << 16
-
-
-class ClassFunction:
-    """A class function on a FiniteGroup: one value per conjugacy class."""
-
-    __slots__ = ("group", "values")
-
-    def __init__(self, group: FiniteGroup, values):
-        self.group = group
-        vals = tuple(values)
-        if len(vals) != len(group.conjugacy_classes()):
-            raise ValueError("one value per conjugacy class required")
-        self.values = vals
-
-    @property
-    def conductor(self) -> int:
-        return self.values[0].conductor
-
-    def degree(self) -> Fraction:
-        return self.values[0].as_rational()
-
-    def value_at_element(self, i: int) -> Cyclotomic:
-        return self.values[self.group.class_of()[i]]
-
-    def _check(self, other: "ClassFunction"):
-        if self.group is not other.group:
-            raise GroupMismatch("class functions on different groups")
-        if self.conductor != other.conductor:
-            raise ConductorMismatch(
-                f"conductors {self.conductor} and {other.conductor}; lift first"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        return ClassFunction(self.group,
-                             [a + b for a, b in zip(self.values, other.values)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return ClassFunction(self.group,
-                             [a - b for a, b in zip(self.values, other.values)])
-
-    def scale(self, k) -> "ClassFunction":
-        return ClassFunction(self.group, [v * k for v in self.values])
-
-    def conjugate(self) -> "ClassFunction":
-        return ClassFunction(self.group, [v.conjugate() for v in self.values])
-
-    def sort_key(self):
-        return tuple(v.sort_key() for v in self.values)
-
-    def to_json(self) -> dict:
-        return {"values": [v.to_json() for v in self.values]}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ClassFunction)
-            and self.group is other.group
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __repr__(self):
-        return f"ClassFunction({[str(v) for v in self.values]})"
 
 
 class ModularImage:
@@ -177,8 +103,7 @@ class CharacterTable:
     """Canonically ordered irreducible characters of a p-group.
 
     coords[i, c] holds the power-basis coordinates of chi_i at class c, at
-    the conductor e = exp(G); the ClassFunction rows are built from it on
-    first use.
+    the conductor e = exp(G).
     """
 
     def __init__(self, group: FiniteGroup, coords: np.ndarray):
@@ -193,18 +118,8 @@ class CharacterTable:
         self._tensor = None
         self.ring = None  # populated by ringpres.character_ring
 
-    @cached_property
-    def irreducibles(self) -> tuple:
-        """The rows as ClassFunctions of exact Cyclotomic values."""
-        e = self.conductor
-        return tuple(ClassFunction(self.group, [Cyclotomic(e, v) for v in row])
-                     for row in self.coords.tolist())
-
     def __len__(self):
         return len(self.coords)
-
-    def __getitem__(self, k) -> ClassFunction:
-        return self.irreducibles[k]
 
     def degrees(self) -> tuple:
         return self._degrees
@@ -278,36 +193,32 @@ class CharacterTable:
         scalars = blocks.transpose(0, 2, 1, 3).reshape(rows * phi, cols * phi)
         return len(hnf(scalars.tolist())) // phi
 
-    def multiplicities(self, f) -> tuple:
-        """<f, chi_k> for every irreducible, as Fractions.
+    def multiplicities(self, C) -> tuple:
+        """<f, chi_k> for every irreducible, as Fractions, exactly.
 
-        f is a ClassFunction or an int64 array of its power-basis
-        coordinates at the table's conductor, one row per class.  With
-        integer coordinates the multiplicities are read mod q (in
-        (-q/2, q/2]) and kept if sum_k n_k chi_k reproduces f exactly.
-        Otherwise the exact inner products are returned, with their errors.
+        C holds the integer power-basis coordinates of the class function f
+        at the table's conductor, one row per class (int64, or Python ints
+        of any size).  The numerators sum_c |C_c| f(c) conj(chi_k(c)) are
+        formed in Z[zeta_e] by exact integer products; each must be an
+        integer, its other coordinates zero, and is divided by |G|.
         """
-        C = f if isinstance(f, np.ndarray) else self._integer_coords(f)
-        if C is not None:
-            q = self.modular.q
-            n = self.modular.image(C) @ self._dual.T % q
-            n = np.where(n > q // 2, n - q, n)
-            if np.array_equal(n @ self.coords.reshape(len(self), -1),
-                              C.reshape(-1)):
-                return tuple(Fraction(int(x)) for x in n)
-            f = ClassFunction(self.group, [Cyclotomic(self.conductor, row)
-                                           for row in C.tolist()])
-        return tuple(inner_product(f, ch) for ch in self.irreducibles)
-
-    def _integer_coords(self, f: ClassFunction):
-        if f.group is not self.group or f.conductor != self.conductor:
-            return None
-        rows = [v.coeffs for v in f.values]
-        if any(c.denominator != 1 or abs(c) >= _COORD_LIMIT
-               for row in rows for c in row):
-            return None
-        return np.array([[int(c) for c in row] for row in rows],
-                        dtype=np.int64)
+        e = self.conductor
+        n, classes, phi = self.coords.shape
+        powers = power_table(e)
+        conj = np.array([powers[-k % e] for k in range(phi)], dtype=np.int64)
+        sizes = np.array([len(c) for c in self.group.conjugacy_classes()],
+                         dtype=np.int64)
+        # W[c, k, b]: coordinate b of |C_c| conj(chi_k(c))
+        W = (self.coords @ conj).transpose(1, 0, 2) * sizes[:, None, None]
+        # T[a, k, b] = sum_c f(c)_a W[c, k, b]
+        T = int_matmul(np.asarray(C).T, W.reshape(classes, n * phi))
+        num = int_matmul(T.reshape(phi, n, phi).transpose(1, 0, 2)
+                         .reshape(n, phi * phi), _product_matrix(e))
+        if num[:, 1:].any():
+            k = int(num[:, 1:].any(1).argmax())
+            raise FusionRepError(
+                f"the inner product with chi{k + 1} is not rational")
+        return tuple(Fraction(int(x), self.group.order) for x in num[:, 0])
 
     def to_json(self) -> dict:
         classes = self.group.conjugacy_classes()
@@ -323,80 +234,23 @@ class CharacterTable:
                 for c in classes
             ],
             "characters": [
-                {"degree": d, "values": [v.to_json() for v in ch.values]}
-                for d, ch in zip(self.degrees(), self.irreducibles)
+                {"degree": d,
+                 "values": [value_json(self.conductor, v) for v in row]}
+                for d, row in zip(self.degrees(), self.coords.tolist())
             ],
         }
 
 
-def trivial_character(G: FiniteGroup, e: int = None) -> ClassFunction:
-    e = e if e is not None else G.exponent()
-    one = Cyclotomic.rational(1, e)
-    return ClassFunction(G, [one] * len(G.conjugacy_classes()))
-
-
-def regular_character(G: FiniteGroup, e: int = None) -> ClassFunction:
-    e = e if e is not None else G.exponent()
-    vals = [Cyclotomic.rational(G.order, e)] + [
-        Cyclotomic.zero(e) for _ in G.conjugacy_classes()[1:]
-    ]
-    return ClassFunction(G, vals)
-
-
-def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
-    """<f, g> = (1/|G|) sum |C| f(C) conj(g(C)); must come out rational."""
-    f._check(g)
-    classes = f.group.conjugacy_classes()
-    total = Cyclotomic.zero(f.conductor)
-    for c, fv, gv in zip(classes, f.values, g.values):
-        if fv.is_zero() or gv.is_zero():
-            continue
-        total = total + fv * gv.conjugate() * len(c)
-    return (total * Fraction(1, f.group.order)).as_rational()
-
-
-def tensor(f: ClassFunction, g: ClassFunction) -> ClassFunction:
-    f._check(g)
-    return ClassFunction(f.group, [a * b for a, b in zip(f.values, g.values)])
-
-
-def _subgroup_group(P: Subgroup) -> FiniteGroup:
-    """Realize a Subgroup as its own FiniteGroup (cached on the Subgroup)."""
-    cached = getattr(P, "_as_group", None)
-    if cached is not None:
-        return cached
-    parent = P.parent
-    elements = tuple(parent.elements[m] for m in P.members)
-    gens = tuple(parent.elements[g] for g in P.gen_indices) or elements
-    G = FiniteGroup(parent.degree, gens, elements)
-    for name, idx in parent.names.items():
-        if P.contains(idx):
-            G.names.setdefault(name, G.index[parent.elements[idx]])
-    P._as_group = G
-    return G
-
-
-def restrict(f: ClassFunction, P: Subgroup) -> ClassFunction:
-    """Restriction to a subgroup of f's group, on P realized as a group."""
-    if P.parent is not f.group:
-        raise GroupMismatch("subgroup of a different group")
-    H = _subgroup_group(P)
-    parent = f.group
-    vals = []
-    for c in H.conjugacy_classes():
-        rep_perm = H.elements[c[0]]
-        vals.append(f.value_at_element(parent.index[rep_perm]))
-    return ClassFunction(H, vals)
-
-
 def _left_transversal(G: FiniteGroup, H: Subgroup) -> np.ndarray:
-    """The least element of every left coset gH, in increasing order."""
+    """The least element of every left coset gH, in increasing order: the
+    least element not yet covered starts the next coset, one gather each."""
+    members = np.array(H.members)
     covered = np.zeros(G.order, dtype=bool)
     out = []
-    for i in range(G.order):
-        if not covered[i]:
-            out.append(i)
-            covered[[G.mul(i, m) for m in H.members]] = True
+    while not covered.all():
+        i = int(covered.argmin())
+        out.append(i)
+        covered[G.mul_array(i, members)] = True
     return np.array(out, dtype=np.int64)
 
 
@@ -416,27 +270,6 @@ def _positions(G: FiniteGroup, H: Subgroup) -> np.ndarray:
     pos = np.full(G.order, -1, dtype=np.int64)
     pos[list(H.members)] = np.arange(H.order)
     return pos
-
-
-def induce(f: ClassFunction, H: Subgroup) -> ClassFunction:
-    """Induction from a subgroup H (f lives on H realized as a group)."""
-    G = H.parent
-    HG = _subgroup_group(H)
-    if f.group is not HG:
-        raise GroupMismatch("class function does not live on the given subgroup")
-    e = G.exponent()
-    e = e * f.conductor // gcd(e, f.conductor)
-    fv = [f.value_at_element(HG.index[G.elements[m]]).lift(e)
-          for m in H.members]
-    pos = _positions(G, H)[_conjugates(G, _left_transversal(G, H))]
-    vals = []
-    for col in pos.T.tolist():
-        acc = Cyclotomic.zero(e)
-        for k in col:
-            if k >= 0:
-                acc = acc + fv[k]
-        vals.append(acc)
-    return ClassFunction(G, vals)
 
 
 def _induced_coords(G: FiniteGroup, H: Subgroup, exps: np.ndarray,

@@ -145,6 +145,7 @@ def _degree_summary(degrees) -> str:
 
 def _cmd_chartable(job, args):
     from .chartable import character_table
+    from .cyclotomic import format_value
     tab = character_table(job.group)
     if args.json:
         return _emit_json(args, table=tab.to_json())
@@ -154,9 +155,10 @@ def _cmd_chartable(job, args):
              f"degrees {_degree_summary(tab.degrees())}",
              "class representatives: "
              + ", ".join(job.group.describe_element(c[0]) for c in classes),
-             *(f"chi{k + 1} ({int(chi.degree())}): "
-               + ", ".join(str(v) for v in chi.values)
-               for k, chi in enumerate(tab.irreducibles))]
+             *(f"chi{k + 1} ({d}): "
+               + ", ".join(format_value(tab.conductor, v) for v in row)
+               for k, (d, row) in enumerate(zip(tab.degrees(),
+                                                tab.coords.tolist())))]
     return "\n".join(lines)
 
 

@@ -1,20 +1,16 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_e).
+"""The power basis of the cyclotomic integers Z[zeta_e].
 
-Values are stored in the power basis 1, z, ..., z^(phi(e)-1) modulo the e-th
-cyclotomic polynomial, with Fraction coefficients.  The representation is
-canonical for a fixed conductor: two values are equal iff their coefficient
-vectors are equal.  Arithmetic between different conductors is an error;
-lift() moves a value into a larger conductor explicitly.  Plain ints and
-Fractions mix freely with any conductor (rationals embed with all
-non-constant coefficients zero).
+A value is a row of integer coordinates in the basis 1, z, ..., z^(phi(e)-1)
+modulo the e-th cyclotomic polynomial; the row is canonical for a fixed
+conductor, so two values are equal iff their rows are.  The character
+kernel computes on arrays of such rows.  This module gives the polynomial,
+the reduction of the powers z^m to rows, and the text and JSON forms of a
+row.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-
-from .errors import ConductorMismatch, NotRational
 
 
 @lru_cache(maxsize=None)
@@ -90,193 +86,33 @@ def power_table(e: int) -> tuple:
     return _ctx(e)[1]
 
 
-class Cyclotomic:
-    """An element of Q(zeta_e) in canonical power-basis form."""
-
-    __slots__ = ("conductor", "coeffs")
-
-    def __init__(self, conductor: int, coeffs):
-        phi = _ctx(conductor)[0]
-        cs = tuple(Fraction(c) for c in coeffs)
-        if len(cs) != phi:
-            raise ValueError(f"expected {phi} coefficients for conductor {conductor}")
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Cyclotomic is immutable")
-
-    # -- constructors --
-
-    @staticmethod
-    def zero(e: int) -> "Cyclotomic":
-        return Cyclotomic(e, [0] * degree_phi(e))
-
-    @staticmethod
-    def rational(q, e: int = 1) -> "Cyclotomic":
-        phi = degree_phi(e)
-        return Cyclotomic(e, [Fraction(q)] + [0] * (phi - 1))
-
-    # -- predicates --
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise NotRational(f"{self} is not rational")
-        return self.coeffs[0]
-
-    # -- arithmetic --
-
-    def _coerce(self, other):
-        if isinstance(other, Cyclotomic):
-            if other.conductor != self.conductor:
-                raise ConductorMismatch(
-                    f"conductors {self.conductor} and {other.conductor}; lift first"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic.rational(other, self.conductor)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyclotomic(self.conductor,
-                          [a + b for a, b in zip(self.coeffs, o.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyclotomic(self.conductor, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyclotomic(self.conductor,
-                          [a - b for a, b in zip(self.coeffs, o.coeffs)])
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.conductor, [a * other for a in self.coeffs])
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        phi, table = _ctx(self.conductor)
-        conv = [Fraction(0)] * (2 * phi - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        out = list(conv[:phi])
-        for m in range(phi, 2 * phi - 1):
-            c = conv[m]
-            if c:
-                row = table[m]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return Cyclotomic(self.conductor, out)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation: zeta -> zeta^(e-1)."""
-        return self.galois(self.conductor - 1 if self.conductor > 1 else 1)
-
-    def galois(self, j: int) -> "Cyclotomic":
-        """The automorphism zeta -> zeta^j (j coprime to the conductor)."""
-        e = self.conductor
-        phi, table = _ctx(e)
-        out = [Fraction(0)] * phi
-        for k, c in enumerate(self.coeffs):
-            if c:
-                row = table[(k * j) % e]
-                for i in range(phi):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return Cyclotomic(e, out)
-
-    def lift(self, e2: int) -> "Cyclotomic":
-        """The same value at a larger conductor e2 (conductor | e2)."""
-        e = self.conductor
-        if e2 == e:
-            return self
-        if e2 % e:
-            raise ConductorMismatch(f"{e} does not divide {e2}")
-        step = e2 // e
-        phi2, table2 = _ctx(e2)
-        out = [Fraction(0)] * phi2
-        for k, c in enumerate(self.coeffs):
-            if c:
-                row = table2[(k * step) % e2]
-                for i in range(phi2):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return Cyclotomic(e2, out)
-
-    # -- ordering / io --
-
-    def sort_key(self):
-        """Fixed total order: descending lexicographic on coefficients."""
-        return tuple(-c for c in self.coeffs)
-
-    def to_json(self) -> dict:
-        return {
-            "conductor": self.conductor,
-            "coeffs": [str(c) for c in self.coeffs],
-        }
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        return self.conductor == other.conductor and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.conductor, self.coeffs))
-
-    def __str__(self):
-        if self.is_rational():
-            return str(self.coeffs[0])
-        sym = f"z{self.conductor}"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-                continue
-            power = sym if k == 1 else f"{sym}^{k}"
-            if c == 1:
-                term = power
-            elif c == -1:
-                term = f"-{power}"
-            else:
-                term = f"{c}*{power}"
-            parts.append(term)
-        out = parts[0]
-        for t in parts[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
-
-    def __repr__(self):
-        return f"Cyclotomic({self.conductor}, {self})"
+def format_value(e: int, coeffs) -> str:
+    """A value of Z[zeta_e] from its integer power-basis coordinates, as
+    text: "-1 + z7 + 2*z7^3", or the integer when it is rational."""
+    if not any(coeffs[1:]):
+        return str(coeffs[0])
+    sym = f"z{e}"
+    parts = []
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        if k == 0:
+            parts.append(str(c))
+            continue
+        power = sym if k == 1 else f"{sym}^{k}"
+        if c == 1:
+            term = power
+        elif c == -1:
+            term = f"-{power}"
+        else:
+            term = f"{c}*{power}"
+        parts.append(term)
+    out = parts[0]
+    for t in parts[1:]:
+        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out
 
 
-def root_of_unity(e: int, k: int = 1) -> Cyclotomic:
-    """zeta_e^k at conductor e."""
-    phi, table = _ctx(e)
-    return Cyclotomic(e, table[k % e])
-
+def value_json(e: int, coeffs) -> dict:
+    """The JSON form of the same value: conductor and coordinate strings."""
+    return {"conductor": e, "coeffs": [str(c) for c in coeffs]}

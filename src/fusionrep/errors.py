@@ -72,16 +72,6 @@ class NotInjective(FusionRepError):
     pass
 
 
-# --- cyclotomic --------------------------------------------------------------
-
-class ConductorMismatch(FusionRepError):
-    """Arithmetic between distinct conductors without an explicit lift."""
-
-
-class NotRational(FusionRepError):
-    pass
-
-
 # --- characters --------------------------------------------------------------
 
 class NotAPrimePowerGroup(FusionRepError):

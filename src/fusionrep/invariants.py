@@ -22,8 +22,8 @@ from math import gcd
 
 import numpy as np
 
-from .chartable import ClassFunction, character_table
-from .cyclotomic import Cyclotomic
+from .chartable import character_table
+from .cyclotomic import value_json
 from .errors import (
     FusionRepError,
     GroupMismatch,
@@ -237,7 +237,7 @@ def _by_sum(v: tuple) -> tuple:
 class RepVector:
     """A non-negative integer combination of the irreducibles of a group."""
 
-    __slots__ = ("group", "multiplicities", "_coords", "_char")
+    __slots__ = ("group", "multiplicities", "_coords")
 
     def __init__(self, group: FiniteGroup, multiplicities):
         mults = tuple(int(m) for m in multiplicities)
@@ -249,7 +249,6 @@ class RepVector:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "multiplicities", mults)
         object.__setattr__(self, "_coords", None)
-        object.__setattr__(self, "_char", None)
 
     def __setattr__(self, *a):
         raise AttributeError("RepVector is immutable")
@@ -266,14 +265,6 @@ class RepVector:
             object.__setattr__(self, "_coords", np.tensordot(
                 np.array(self.multiplicities, dtype=np.int64), X, 1))
         return self._coords
-
-    @property
-    def character(self) -> ClassFunction:
-        if self._char is None:
-            e = character_table(self.group).conductor
-            object.__setattr__(self, "_char", ClassFunction(
-                self.group, [Cyclotomic(e, v) for v in self.coords.tolist()]))
-        return self._char
 
     def to_json(self) -> dict:
         return {"degree": self.degree(), "multiplicities": list(self.multiplicities)}
@@ -328,8 +319,9 @@ class InvariantBasis:
         return tuple(cls[0] for cls in self.fusion.element_classes())
 
     def to_json(self) -> dict:
-        reps = self.class_representatives()
         S = self.fusion.S
+        e = character_table(S).conductor
+        cls = [S.class_of()[r] for r in self.class_representatives()]
         return {
             "classes": [
                 {"size": len(cls), "representative": S.describe_element(cls[0])}
@@ -340,7 +332,8 @@ class InvariantBasis:
                     "name": name,
                     "degree": vec.degree(),
                     "multiplicities": list(vec.multiplicities),
-                    "values": [vec.character.value_at_element(r).to_json() for r in reps],
+                    "values": [value_json(e, v)
+                               for v in vec.coords[cls].tolist()],
                 }
                 for name, vec in zip(self.names, self.vectors)
             ],
@@ -385,7 +378,7 @@ def irreducible_invariants(F: FusionSystem, cap: int = DEFAULT_HILBERT_CAP) -> I
     return basis
 
 
-# --- decomposition and stability ------------------------------------------------
+# --- decomposition and covering -------------------------------------------------
 
 
 def _as_multiplicities(v, B: InvariantBasis) -> tuple:
@@ -412,26 +405,6 @@ def decompose(v, B: InvariantBasis) -> tuple:
     if int_matmul(B.invariance_rows, mults).any():
         raise NotInvariant("character is not constant on the fusion classes")
     return B.span.solve(mults)
-
-
-def is_stable(chi: ClassFunction, F: FusionSystem) -> bool:
-    """True iff chi takes a single value on every F-class.
-
-    Equivalently chi agrees with its pullback along every morphism of F;
-    constancy on classes is the element-level form of that condition.
-    """
-    if chi.group is not F.S:
-        raise GroupMismatch("class function lives on a different group")
-    class_of = F.element_class_of()
-    seen = {}
-    for k, cls in enumerate(chi.group.conjugacy_classes()):
-        f = class_of[cls[0]]
-        if f in seen:
-            if chi.values[k] != seen[f]:
-                return False
-        else:
-            seen[f] = chi.values[k]
-    return True
 
 
 class CoveringReport:

@@ -3,8 +3,7 @@
 The coefficient ring is Z[zeta_n] in the power basis used everywhere else.
 Its prime ideals are handled Kummer-Dedekind style: the zero ideal, or a
 pair (q, f) with q a rational prime and f a monic irreducible factor of the
-n-th cyclotomic polynomial modulo q.  Membership questions never need ideal
-arithmetic, only evaluation in the finite residue field F_q[t]/(f).
+n-th cyclotomic polynomial modulo q, found by Berlekamp's algorithm.
 
 Primes of the invariant ring itself are symbols (prime, F-class index).
 At the defining prime of S all classes collapse to the class of the
@@ -14,14 +13,12 @@ identity, which is what makes the spectrum connected.
 from __future__ import annotations
 
 from .cyclotomic import cyclotomic_polynomial
-from .errors import ConductorMismatch, FusionRepError, InputError
+from .errors import FusionRepError, InputError
 from .fusion import FusionSystem
 from .intlinalg import is_prime, nullspace_mod
 
 # polynomials over F_q are tuples of ints in [0, q), ascending degree,
 # normalized so the leading entry is nonzero
-
-EXHAUSTIVE_SEARCH_LIMIT = 200_000
 
 
 def _trim(poly):
@@ -220,11 +217,11 @@ def primes_above(q: int, n: int) -> list:
     """All primes of Z[zeta_n] over the rational prime q, sorted.
 
     When q does not divide n every irreducible factor of Phi_n mod q has
-    degree equal to the multiplicative order of q mod n, so the factor list
-    comes from a search over monic polynomials of that one degree; past the
-    search limit a deterministic Berlekamp split takes over.  When q divides
-    n the reduction Phi_n = Phi_m^e mod q (m the prime-to-q part) hands the
-    problem to the smaller conductor.
+    degree equal to the multiplicative order of q mod n, so Phi_n stays
+    irreducible when that order is phi(n); otherwise a deterministic
+    Berlekamp split gives the factors.  When q divides n the reduction
+    Phi_n = Phi_m^e mod q (m the prime-to-q part) hands the problem to the
+    smaller conductor.
     """
     if not is_prime(q):
         raise InputError(f"{q} is not prime")
@@ -243,20 +240,6 @@ def primes_above(q: int, n: int) -> list:
     count = (len(phi) - 1) // d
     if count == 1:
         return [CycPrime(n, q, phi)]
-    if q ** d <= EXHAUSTIVE_SEARCH_LIMIT:
-        found = []
-        for code in range(q ** d):
-            cand = []
-            v = code
-            for _ in range(d):
-                cand.append(v % q)
-                v //= q
-            cand.append(1)
-            if not _polmod_divmod(phi, tuple(cand), q)[1]:
-                found.append(tuple(cand))
-                if len(found) == count:
-                    break
-        return [CycPrime(n, q, f) for f in sorted(found)]
     return [CycPrime(n, q, f) for f in _berlekamp_factors(phi, q)]
 
 
@@ -406,27 +389,3 @@ def prime_symbols(F: FusionSystem, primes, conductor: str = "exponent"
             if i != j and symbol_leq(a, b):
                 edges.append((i, j))
     return SpectrumPoset(F, n, nodes, tuple(edges))
-
-
-def residue_membership(chi, P: PrimeSymbol) -> bool:
-    """Whether the character lies in the prime: evaluate at a class
-    representative and reduce in the residue field (exact zero test for the
-    zero ideal)."""
-    F = P.fusion
-    n = P.prime.conductor
-    if n % chi.conductor != 0:
-        raise ConductorMismatch(
-            f"character conductor {chi.conductor} does not divide {n}")
-    rep = min(F.element_classes()[P.fclass])
-    val = chi.value_at_element(rep).lift(n)
-    if P.prime.is_zero():
-        return val.is_zero()
-    q, factor = P.prime.q, P.prime.factor
-    poly = []
-    for c in val.coeffs:
-        if c.denominator % q == 0:
-            raise InputError(
-                f"value has denominator divisible by {q}; not integral here")
-        inv = pow(c.denominator % q, -1, q)
-        poly.append((c.numerator * inv) % q)
-    return not _polmod_divmod(_trim(poly), factor, q)[1]

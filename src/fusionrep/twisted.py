@@ -5,8 +5,7 @@ extension S_alpha whose elements are pairs (a, s) multiplying by
 (a1, s1)(a2, s2) = (a1 + a2 + alpha(s1, s2), s1 s2).  Twisted
 representations of S are handled exclusively in untwisted form, as
 representations of S_alpha on which the central subgroup A acts by a fixed
-primitive root of unity; the direct twisted-matrix picture survives only in
-a validation helper.
+primitive root of unity.
 
 The twisted invariant group is the monoid of such A-representations whose
 characters are constant on the classes of a lifted fusion system on
@@ -29,7 +28,7 @@ from .intlinalg import IntegerSpan, int_matmul, smith_diagonal
 from .invariants import (DEFAULT_HILBERT_CAP, CoveringReport, RepVector,
                          hilbert_basis, invariance_matrix)
 from .permgroup import FiniteGroup, GroupHom, Subgroup, group_prime, is_p_group
-from .cyclotomic import Cyclotomic, power_table, root_of_unity
+from .cyclotomic import power_table
 from .ringpres import apply_names, lattice_chain, structure_constants
 
 DEFAULT_CHAIN_CAP = 64
@@ -625,67 +624,3 @@ def completed_module(TM: TwistedModule, P, names=None,
         free_rank=t - len(nonzero),
         torsion=[d for d in nonzero if d != 1],
         stable=tuple(tuple(r) for r in stable), steps=steps)
-
-
-def validate_twisted_table(E: CentralExtensionData, rho) -> list:
-    """Check a twisted matrix table against its untwisting.
-
-    rho is one square matrix per base group element (entries Cyclotomic or
-    integers, one common conductor divisible by the coefficient order); the
-    requirement is rho(s) rho(t) = zeta^alpha(s, t) rho(st), which is the
-    same as (a, s) -> zeta^a rho(s) being multiplicative.  Violations are
-    returned as data.
-    """
-    S = E.base
-    rho = list(rho)
-    if len(rho) != S.order:
-        return ["one matrix per base group element required"]
-    conductor = None
-    for M in rho:
-        for row in M:
-            for v in row:
-                if isinstance(v, Cyclotomic):
-                    if conductor is None:
-                        conductor = v.conductor
-                    elif v.conductor != conductor:
-                        return ["matrix entries mix conductors"]
-    if conductor is None:
-        conductor = E.coeff
-    if conductor % E.coeff:
-        return [f"conductor {conductor} not divisible by {E.coeff}"]
-
-    def lift(v):
-        return v if isinstance(v, Cyclotomic) else \
-            Cyclotomic.rational(v, conductor)
-
-    mats = [tuple(tuple(lift(v) for v in row) for row in M) for M in rho]
-    d = len(mats[0])
-    if any(len(M) != d or any(len(r) != d for r in M) for M in mats):
-        return ["matrices are not square of one size"]
-    eye = tuple(tuple(Cyclotomic.rational(1 if i == j else 0, conductor)
-                      for j in range(d)) for i in range(d))
-    out = []
-    if mats[S.identity] != eye:
-        out.append("matrix at the identity is not the identity")
-    alpha = cocycle_from_extension(E)
-    zeta = root_of_unity(conductor, conductor // E.coeff)
-
-    def cmul(A, B):
-        return tuple(tuple(
-            sum((A[i][k] * B[k][j] for k in range(d)),
-                Cyclotomic.zero(conductor))
-            for j in range(d)) for i in range(d))
-
-    for s in range(S.order):
-        for t_ in range(S.order):
-            lhs = cmul(mats[s], mats[t_])
-            a = alpha.table[s][t_]
-            scale = zeta if a == 1 else root_of_unity(conductor, (conductor // E.coeff) * a)
-            target = mats[S.mul(s, t_)]
-            rhs = tuple(tuple(scale * v for v in row) for row in target)
-            if lhs != rhs:
-                out.append(f"twisted multiplicativity fails at ({s}, {t_})")
-                if len(out) >= _VIOLATION_LIMIT:
-                    out.append("... (further violations suppressed)")
-                    return out
-    return out

@@ -18,14 +18,24 @@ which the Cayley-graph search of FiniteGroup._build_table replaced.  hnf
 is the row-by-row Hermite normal form that intlinalg.hnf replaced, and
 structure_tensor the row-by-row structure tensor that the batched pairs of
 CharacterTable.structure_tensor replaced.
+value_product, value_conjugate and inner_product are the exact reference
+for the character kernel: one value of Z[zeta_e] at a time, as a tuple of
+integer power-basis coordinates, in Python ints and Fractions.
+subgroup_group realizes a subgroup as a FiniteGroup of its own, and
+constant_on_fusion_classes is the stability test of a class function under
+a fusion system.  monic_factors finds the irreducible factors of Phi_n
+mod q by trying every monic polynomial of the one degree they share, the
+search that Berlekamp's algorithm replaced in spectrum.primes_above.
 """
 
 import itertools
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
 from fusionrep.chartable import _product_matrix
+from fusionrep.cyclotomic import cyclotomic_polynomial, power_table
 from fusionrep.errors import (FusionRepError, HilbertCapExceeded, InputError,
                               MorphismCapExceeded,
                               SubgroupEnumerationCapExceeded)
@@ -33,8 +43,9 @@ from fusionrep.fusion import (DEFAULT_MORPHISM_CAP, SaturationReport,
                               _describe, _small_gens, build_fusion)
 from fusionrep.intlinalg import kernel_basis
 from fusionrep.invariants import DEFAULT_HILBERT_CAP
-from fusionrep.permgroup import (GroupHom, Subgroup, build_group, make_hom,
-                                 p_part)
+from fusionrep.permgroup import (FiniteGroup, GroupHom, Subgroup, build_group,
+                                 make_hom, p_part)
+from fusionrep.spectrum import _mult_order, _polmod_divmod, _reduce_mod
 
 
 def _pos_neg(v):
@@ -384,6 +395,88 @@ def check_linear_characters(G, H: Subgroup, rows, e: int):
         assert ((row[:, None] + row[None, :] - row[prod]) % e == 0).all()
     assert len(np.unique(rows, axis=0)) == len(rows)
     assert len(rows) * len(derived_subgroup(G, H)) == H.order
+
+
+# --- exact values on integer coordinates -------------------------------------
+
+def value_product(e: int, x, y) -> tuple:
+    """The coordinates of x * y in Z[zeta_e]."""
+    powers = power_table(e)
+    out = [0] * len(x)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            if a and b:
+                for k, c in enumerate(powers[i + j]):
+                    out[k] += a * b * c
+    return tuple(out)
+
+
+def value_conjugate(e: int, x) -> tuple:
+    """The coordinates of the complex conjugate, zeta_e -> zeta_e^-1."""
+    powers = power_table(e)
+    out = [0] * len(x)
+    for k, a in enumerate(x):
+        if a:
+            for i, c in enumerate(powers[-k % e]):
+                out[i] += a * c
+    return tuple(out)
+
+
+def inner_product(G, e: int, f, g) -> Fraction:
+    """<f, g> = (1/|G|) sum_c |C_c| f(c) conj(g(c)) for class functions
+    given as one coordinate row per class of G; it must be rational."""
+    total = [0] * len(f[0])
+    for cls, x, y in zip(G.conjugacy_classes(), f, g):
+        if any(x) and any(y):
+            xy = value_product(e, x, value_conjugate(e, y))
+            total = [t + len(cls) * c for t, c in zip(total, xy)]
+    assert not any(total[1:]), "the inner product is not rational"
+    return Fraction(total[0], G.order)
+
+
+def subgroup_group(P: Subgroup) -> FiniteGroup:
+    """P realized as its own FiniteGroup, with the parent's names in it."""
+    parent = P.parent
+    elements = tuple(parent.elements[m] for m in P.members)
+    gens = tuple(parent.elements[g] for g in P.gen_indices) or elements
+    G = FiniteGroup(parent.degree, gens, elements)
+    for name, idx in parent.names.items():
+        if P.contains(idx):
+            G.names.setdefault(name, G.index[parent.elements[idx]])
+    return G
+
+
+def constant_on_fusion_classes(F, coords) -> bool:
+    """Whether the class function (one coordinate row per class of F.S)
+    takes a single value on every F-class of elements."""
+    class_of = F.element_class_of()
+    seen = {}
+    for row, cls in zip(np.asarray(coords).tolist(),
+                        F.S.conjugacy_classes()):
+        if seen.setdefault(class_of[cls[0]], row) != row:
+            return False
+    return True
+
+
+# --- primes of Z[zeta_n] by exhaustive search --------------------------------
+
+def monic_factors(q: int, n: int) -> list:
+    """The monic irreducible factors of Phi_n mod q, for a prime q not
+    dividing n, sorted: every one has degree the order d of q mod n, so
+    each monic polynomial of degree d that divides is one of them."""
+    phi = _reduce_mod(cyclotomic_polynomial(n), q)
+    d = _mult_order(q, n)
+    found = []
+    for code in range(q ** d):
+        cand = []
+        for _ in range(d):
+            cand.append(code % q)
+            code //= q
+        cand.append(1)
+        if not _polmod_divmod(phi, tuple(cand), q)[1]:
+            found.append(tuple(cand))
+    assert len(found) * d == len(phi) - 1
+    return sorted(found)
 
 
 class ExhaustiveSaturation:

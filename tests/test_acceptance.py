@@ -16,11 +16,12 @@ import time
 import pytest
 
 from conftest import FIXTURES, fixture_path
-from oracles import brute_hilbert, small_fusions
+from oracles import (brute_hilbert, inner_product, small_fusions,
+                     value_conjugate)
 
-from fusionrep.chartable import _compute_table, character_table, inner_product
+from fusionrep.chartable import _compute_table, character_table
 from fusionrep.cli import main
-from fusionrep.cyclotomic import Cyclotomic, root_of_unity
+from fusionrep.cyclotomic import power_table
 from fusionrep.fusion import build_fusion
 from fusionrep.invariants import (covering_check, invariance_matrix,
                                   irreducible_invariants)
@@ -96,16 +97,27 @@ def gens_by_degree(B, wanted):
 
 
 # -- shared value-table data ----------------------------------------------------
-# Everything lives in the degree-6 cyclotomic field of seventh roots of
-# unity; theta is the quadratic period of the index-2 subgroup of Galois.
+# Everything lives in Z[zeta_7], a value being its tuple of six integer
+# power-basis coordinates; theta is the quadratic period of the index-2
+# subgroup of Galois.
 
-W = [root_of_unity(7, k) for k in range(7)]
-TH = W[1] + W[2] + W[4]
-THB = TH.conjugate()
+W = power_table(7)[:7]
 
 
 def c7(n):
-    return Cyclotomic.rational(n, 7)
+    return (n, 0, 0, 0, 0, 0)
+
+
+def add(*xs):
+    return tuple(sum(cs) for cs in zip(*xs))
+
+
+def sub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
+
+
+TH = add(W[1], W[2], W[4])
+THB = value_conjugate(7, TH)
 
 
 def crow(*vals):
@@ -119,14 +131,14 @@ def standard_reps(E):
                                     for t in range(1, 7)]
 
 
-_Y1_TAIL = (TH + c7(3), TH + c7(3), TH + TH, TH + TH, c7(-1), TH + TH,
-            c7(-1), c7(-1))
-_Y2_TAIL = (THB + c7(3), THB + c7(3), THB + THB, THB + THB, c7(-1),
-            THB + THB, c7(-1), c7(-1))
-_Y3_TAIL = (TH + TH + TH, TH + TH + TH, THB - c7(1), THB - c7(1), c7(2),
-            THB - c7(1), c7(2), c7(2))
-_Y4_TAIL = (THB + THB + THB, THB + THB + THB, TH - c7(1), TH - c7(1), c7(2),
-            TH - c7(1), c7(2), c7(2))
+_Y1_TAIL = (add(TH, c7(3)), add(TH, c7(3)), add(TH, TH), add(TH, TH),
+            c7(-1), add(TH, TH), c7(-1), c7(-1))
+_Y2_TAIL = (add(THB, c7(3)), add(THB, c7(3)), add(THB, THB), add(THB, THB),
+            c7(-1), add(THB, THB), c7(-1), c7(-1))
+_Y3_TAIL = (add(TH, TH, TH), add(TH, TH, TH), sub(THB, c7(1)),
+            sub(THB, c7(1)), c7(2), sub(THB, c7(1)), c7(2), c7(2))
+_Y4_TAIL = (add(THB, THB, THB), add(THB, THB, THB), sub(TH, c7(1)),
+            sub(TH, c7(1)), c7(2), sub(TH, c7(1)), c7(2), c7(2))
 
 EXPECTED_ROWS = {
     "Z": crow(42, -7, 0, 0, 0, 0, 0, 0, 0, 0),
@@ -153,8 +165,8 @@ EXPECTED_ROWS = {
 
 
 def value_row(vec, reps):
-    ch = vec.character
-    return tuple(ch.value_at_element(g).lift(7) for g in reps)
+    class_of = vec.group.class_of()
+    return tuple(tuple(vec.coords[class_of[g]].tolist()) for g in reps)
 
 
 def nontrivial_rows(B, reps):
@@ -242,13 +254,14 @@ def test_criterion_04_extraspecial_chartable():
     t0 = time.monotonic()
     table = _compute_table(E)
     took = time.monotonic() - t0
-    degs = [int(ch.degree()) for ch in table.irreducibles]
+    degs = list(table.degrees())
     assert degs.count(1) == 49 and degs.count(7) == 6 and len(degs) == 55
-    reps = standard_reps(E)
+    reps = [E.class_of()[g] for g in standard_reps(E)]
     zeros = tuple(c7(0) for _ in range(8))
-    expected = {(c7(7), W[k] * 7) + zeros for k in range(1, 7)}
-    rows = {tuple(ch.value_at_element(g).lift(7) for g in reps)
-            for ch in table.irreducibles if ch.degree() == 7}
+    expected = {(c7(7), tuple(7 * c for c in W[k])) + zeros
+                for k in range(1, 7)}
+    rows = {tuple(map(tuple, row[reps].tolist()))
+            for row, d in zip(table.coords, degs) if d == 7}
     assert rows == expected
     assert took < 30.0, f"character table took {took:.2f}s"
     print("criterion 4: PASS")
@@ -487,19 +500,20 @@ def test_criterion_12_property_suites():
     groups[id(ext.group)] = ext.group
     for G in groups.values():
         table = character_table(G)
-        chars = table.irreducibles
-        assert sum(int(ch.degree()) ** 2 for ch in chars) == G.order
+        chars = table.coords.tolist()
+        assert sum(d ** 2 for d in table.degrees()) == G.order
         for i in range(len(chars)):
             for j in range(i, len(chars)):
                 want = 1 if i == j else 0
-                assert inner_product(chars[i], chars[j]) == want
+                assert inner_product(G, table.conductor, chars[i],
+                                     chars[j]) == want
 
     # minimal-solution solver against exhaustive search on all groups of
     # order at most 16
     for F in small_fusions():
         assert F.S.order <= 16
         rows = invariance_matrix(F)
-        ncols = len(character_table(F.S).irreducibles)
+        ncols = len(character_table(F.S))
         computed = {v.multiplicities
                     for v in irreducible_invariants(F).vectors}
         bound = max(max(v) for v in computed) + 1

@@ -1,28 +1,48 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from fusionrep.chartable import (ClassFunction, _subgroup_group,
-                                 character_table, induce, inner_product,
-                                 regular_character, restrict, tensor,
-                                 trivial_character)
+from fusionrep.chartable import (_induced_coords, _linear_characters,
+                                 character_table)
+from fusionrep.cyclotomic import power_table, value_json
 from fusionrep.errors import SubgroupEnumerationCapExceeded
 from fusionrep.permgroup import FiniteGroup, build_group, extraspecial_p3
 
+from oracles import inner_product, value_conjugate, value_product
+
+
+def rows(tab):
+    """The irreducibles as nested tuples: row, class, coordinate."""
+    return [tuple(map(tuple, row)) for row in tab.coords.tolist()]
+
+
+def inner(tab, f, g):
+    return inner_product(tab.group, tab.conductor, f, g)
+
 
 def orthonormal(tab):
-    n = len(tab.irreducibles)
-    for i in range(n):
-        for j in range(n):
-            assert inner_product(tab[i], tab[j]) == (1 if i == j else 0)
+    chars = rows(tab)
+    for i, f in enumerate(chars):
+        for j, g in enumerate(chars):
+            assert inner(tab, f, g) == (1 if i == j else 0)
+
+
+def vanishes_off_the_center(tab, k):
+    S = tab.group
+    Z = S.center()
+    for x in range(S.order):
+        if not Z.contains(x):
+            assert not tab.coords[k, S.class_of()[x]].any()
 
 
 def test_cyclic_nine():
     G = build_group(9, ["(1 2 3 4 5 6 7 8 9)"], names=["s"])
     tab = character_table(G)
     assert tab.degrees() == (1,) * 9
-    assert all(v == 1 for v in tab[0].values)  # trivial first
+    assert (tab.coords[0, :, 0] == 1).all()  # trivial first
+    assert not tab.coords[0, :, 1:].any()
     orthonormal(tab)
 
 
@@ -40,11 +60,8 @@ def test_extraspecial_three():
     assert tab.degrees() == (1,) * 9 + (3, 3)
     orthonormal(tab)
     # nonlinear characters vanish off the center
-    Z = S.center()
-    for chi in tab.irreducibles[9:]:
-        for x in range(S.order):
-            if not Z.contains(x):
-                assert chi.value_at_element(x).is_zero()
+    for k in range(9, 11):
+        vanishes_off_the_center(tab, k)
 
 
 def test_extraspecial_seven():
@@ -55,15 +72,13 @@ def test_extraspecial_seven():
     random.seed(0)
     pairs = [(i, j) for i in range(55) for j in range(55)]
     random.shuffle(pairs)
+    chars = rows(tab)
     for i, j in pairs[:300]:
-        assert inner_product(tab[i], tab[j]) == (1 if i == j else 0)
-    Z = S.center()
-    c = S.names["c"]
-    for chi in tab.irreducibles[49:]:
-        assert not chi.value_at_element(c).is_zero()
-        for x in range(S.order):
-            if not Z.contains(x):
-                assert chi.value_at_element(x).is_zero()
+        assert inner(tab, chars[i], chars[j]) == (1 if i == j else 0)
+    c = S.class_of()[S.names["c"]]
+    for k in range(49, 55):
+        assert tab.coords[k, c].any()
+        vanishes_off_the_center(tab, k)
 
 
 def test_irr_shares_the_subgroup_enumeration_without_its_cap():
@@ -91,45 +106,66 @@ def test_degree_sum_small_groups():
 
 
 def test_frobenius_reciprocity():
+    """<Ind_H lambda, psi>_G = <lambda, Res_H psi>_H for the linear
+    characters lambda of H = <a> induced by the table search."""
     S = extraspecial_p3(7)
     tab = character_table(S)
-    H = S.subgroup((S.names["a"],))
-    HG = _subgroup_group(H)
-    tabH = character_table(HG)
-    chi = tabH[3]
-    ind = induce(ClassFunction(HG, [v.lift(7) for v in chi.values]), H)
-    for psi in tab.irreducibles[:6] + tab.irreducibles[49:]:
-        assert inner_product(ind, psi) == inner_product(chi, restrict(psi, H))
+    a = S.subgroup((S.names["a"],))
+    # the enumeration's copy, which knows the pair it was built from
+    H, = [H for H in S.all_subgroups() if H.members == a.members]
+    exps = _linear_characters(S, H, {}, 7)
+    powers = np.array(power_table(7)[:7], dtype=np.int64)
+    induced = _induced_coords(S, H, exps, powers)
+    chars = rows(tab)
+    for lam, ind in zip(exps[[0, 3]].tolist(), induced[[0, 3]].tolist()):
+        ind = tuple(map(tuple, ind))
+        mults = tab.multiplicities(np.array(ind))
+        for k in list(range(6)) + list(range(49, 55)):
+            psi = chars[k]
+            restricted = sum(
+                sum(value_product(7, power_table(7)[lam[m]], value_conjugate(
+                    7, psi[S.class_of()[h]])))
+                for m, h in enumerate(H.members))
+            want = Fraction(restricted, H.order)
+            assert inner(tab, ind, psi) == want
+            assert mults[k] == want
 
 
 def test_regular_character():
     S = extraspecial_p3(3)
     tab = character_table(S)
-    mult = tab.multiplicities(regular_character(S))
-    assert tuple(mult) == tuple(Fraction(int(c.degree()))
-                                for c in tab.irreducibles)
+    reg = np.zeros(tab.coords.shape[1:], dtype=np.int64)
+    reg[S.class_of()[S.identity], 0] = S.order
+    assert tab.multiplicities(reg) == tuple(Fraction(d)
+                                            for d in tab.degrees())
 
 
 def test_tensor_multiplicities():
     S = extraspecial_p3(3)
     tab = character_table(S)
-    big = tab.irreducibles[9]
-    prod = tensor(big, big.conjugate())
-    mults = tab.multiplicities(prod)
+    big = rows(tab)[9]
+    prod = [value_product(3, v, value_conjugate(3, v)) for v in big]
+    mults = tab.multiplicities(np.array(prod))
     assert sum(mults) == 9 and mults[0] == 1
     assert all(m >= 0 and m.denominator == 1 for m in mults)
+    assert mults == tuple(inner(tab, prod, chi) for chi in rows(tab))
 
 
 def test_conductor_uniform():
     for G in (build_group(3, ["(1 2 3)"]), extraspecial_p3(3)):
         tab = character_table(G)
-        assert len({ch.conductor for ch in tab.irreducibles}) == 1
+        assert tab.conductor == G.exponent() == 3
+        assert tab.coords.shape == (len(tab), len(G.conjugacy_classes()), 2)
 
 
 def test_trivial_character_and_json():
     G = build_group(3, ["(1 2 3)"])
     tab = character_table(G)
-    triv = trivial_character(G, tab.irreducibles[0].conductor)
-    assert inner_product(triv, tab[0]) == 1
+    triv = np.zeros(tab.coords.shape[1:], dtype=np.int64)
+    triv[:, 0] = 1
+    assert tab.multiplicities(triv) == (1, 0, 0)
+    assert inner(tab, triv.tolist(), rows(tab)[0]) == 1
     j = tab.to_json()
     assert j["order"] == 3 and len(j["classes"]) == 3
+    assert [ch["values"] for ch in j["characters"]] == [
+        [value_json(3, v) for v in row] for row in tab.coords.tolist()]

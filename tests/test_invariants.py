@@ -1,21 +1,22 @@
 import os
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from oracles import brute_hilbert, pottier_hilbert_basis, small_fusions
+from oracles import (brute_hilbert, constant_on_fusion_classes,
+                     pottier_hilbert_basis, small_fusions)
 
-from fusionrep.chartable import character_table, regular_character
+from fusionrep.chartable import character_table
 from fusionrep.errors import FusionRepError, HilbertCapExceeded, NotInvariant
 from fusionrep.fusion import build_fusion
 from fusionrep.intlinalg import hnf, kernel_basis
 from fusionrep import twisted
 from fusionrep.invariants import (DEFAULT_HILBERT_CAP, RepVector,
                                   covering_check, decompose, hilbert_basis,
-                                  invariance_matrix, irreducible_invariants,
-                                  is_stable)
+                                  invariance_matrix, irreducible_invariants)
 from fusionrep.permgroup import build_group, extraspecial_p3, make_hom
 
 
@@ -122,7 +123,7 @@ def test_hilbert_against_bruteforce():
     for F in small_fusions():
         assert F.S.order <= 16
         rows = invariance_matrix(F)
-        ncols = len(character_table(F.S).irreducibles)
+        ncols = len(character_table(F.S))
         B = irreducible_invariants(F)
         computed = {v.multiplicities for v in B.vectors}
         bound = max(max(v) for v in computed) + 1
@@ -164,9 +165,11 @@ def test_a4_basis_decompose_covering():
     rep = covering_check(F, B)
     assert rep.ok and rep.uncovered == ()
     tab = character_table(V4)
-    assert is_stable(B.vectors[1].character, F)
-    assert not is_stable(tab[1], F)
-    assert is_stable(regular_character(V4), F)
+    assert constant_on_fusion_classes(F, B.vectors[1].coords)
+    assert not constant_on_fusion_classes(F, tab.coords[1])
+    regular = np.zeros(tab.coords.shape[1:], dtype=np.int64)
+    regular[V4.class_of()[V4.identity], 0] = V4.order
+    assert constant_on_fusion_classes(F, regular)
 
 
 @pytest.mark.parametrize("stem", ["sigma_3", "onan"])
@@ -217,8 +220,10 @@ def test_onan_basis(pipeline):
     zvec = [0] * 55
     for i in d7:
         zvec[i] = 1
-    assert not is_stable(RepVector(P.group, zvec).character, P.fusion)
-    assert is_stable(B.vectors[1].character, P.fusion)
+    assert not constant_on_fusion_classes(P.fusion,
+                                          RepVector(P.group, zvec).coords)
+    assert all(constant_on_fusion_classes(P.fusion, v.coords)
+               for v in B.vectors)
 
 
 def test_covering_all_fixtures(pipeline):

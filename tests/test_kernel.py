@@ -1,4 +1,5 @@
-"""The integer character kernel against the exact Cyclotomic oracle.
+"""The integer character kernel against the pure-Python oracle on integer
+coordinates.
 
 Random permutation p-groups of order at most 81, drawn as subgroups of the
 Sylow 2-subgroup of S_8 and the Sylow 3-subgroup of S_9.
@@ -14,13 +15,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fusionrep import chartable
-from fusionrep.chartable import (CharacterTable, ClassFunction,
-                                 character_table, inner_product, tensor)
-from fusionrep.cyclotomic import Cyclotomic
+from fusionrep.chartable import CharacterTable, character_table
+from fusionrep.cyclotomic import value_json
 from fusionrep.errors import FusionRepError
 from fusionrep.permgroup import build_group
 
 from conftest import FIXTURES
+from oracles import inner_product, value_product
 from oracles import structure_tensor as structure_tensor_oracle
 
 SYLOW = {
@@ -55,9 +56,11 @@ def test_table_is_orthonormal(data):
     assert len(tab) == len(G.conjugacy_classes())
     assert sum(d * d for d in tab.degrees()) == G.order
     n = len(tab)
+    X = tab.coords.tolist()
     pairs = [(i, i) for i in range(n)] + _pairs(data.draw, n, 30)
     for i, j in pairs:
-        assert inner_product(tab[i], tab[j]) == (1 if i == j else 0)
+        assert inner_product(G, tab.conductor, X[i], X[j]) \
+            == (1 if i == j else 0)
 
 
 @SETTINGS
@@ -66,41 +69,57 @@ def test_structure_tensor_matches_exact(data):
     G = data.draw(p_groups())
     tab = character_table(G)
     N = tab.structure_tensor()
-    n = len(tab)
+    n, e = len(tab), tab.conductor
+    X = tab.coords.tolist()
     for i, j in _pairs(data.draw, n, 8):
-        prod = tensor(tab[i], tab[j])
+        prod = [value_product(e, x, y) for x, y in zip(X[i], X[j])]
         for k in data.draw(st.lists(st.integers(0, n - 1), min_size=1,
                                     max_size=4)):
-            assert N[i, j, k] == inner_product(prod, tab[k])
-        assert tab.multiplicities(prod) == tuple(N[i, j].tolist())
+            assert N[i, j, k] == inner_product(G, e, prod, X[k])
+        assert tab.multiplicities(np.array(prod)) == tuple(N[i, j].tolist())
 
 
 @SETTINGS
 @given(st.data())
 def test_multiplicities_of_non_characters(data):
+    """Integer coordinates of a class function that is not a virtual
+    character: the exact inner products come back as Fractions."""
     G = data.draw(p_groups())
     tab = character_table(G)
-    n = len(tab)
-    i = data.draw(st.integers(0, n - 1))
-    half = tab[i].scale(Fraction(1, 2))
-    assert tab.multiplicities(half) == tuple(
-        Fraction(1, 2) if k == i else 0 for k in range(n))
-    # integer coordinates, but not a virtual character: the certificate
-    # fails and the exact inner products come back
-    e = tab.conductor
-    delta = ClassFunction(G, [Cyclotomic.rational(int(c == 0), e)
-                              for c in range(len(G.conjugacy_classes()))])
+    delta = np.zeros(tab.coords.shape[1:], dtype=np.int64)
+    delta[G.class_of()[G.identity], 0] = 1
     want = tuple(Fraction(d, G.order) for d in tab.degrees())
     assert tab.multiplicities(delta) == want
-    assert want == tuple(inner_product(delta, ch) for ch in tab.irreducibles)
+    assert want == tuple(inner_product(G, tab.conductor, delta.tolist(), row)
+                         for row in tab.coords.tolist())
+
+
+def test_multiplicities_past_half_the_modulus(pipeline):
+    """100 chi_1 + chi_2 on the Q8 extension group of a4_sl23, whose
+    modular image works mod q = 13: the multiplicity 100 is exact, and so
+    is one past int64.  A class function with a value off Q has no
+    rational inner products."""
+    G = pipeline("a4_sl23").extension.group
+    tab = character_table(G)
+    assert tab.modular.q == 13 and tab.conductor == 4
+    assert tab.multiplicities(100 * tab.coords[0] + tab.coords[1]) \
+        == (100, 1, 0, 0, 0)
+    huge = np.array(tab.coords[1].tolist(), dtype=object) * 10 ** 30
+    assert tab.multiplicities(huge) == (0, 10 ** 30, 0, 0, 0)
+    i_at_one = np.zeros(tab.coords.shape[1:], dtype=np.int64)
+    i_at_one[G.class_of()[G.identity], 1] = 1
+    with pytest.raises(FusionRepError,
+                       match="inner product with chi1 is not rational"):
+        tab.multiplicities(i_at_one)
 
 
 def test_coordinates_match_the_values():
     G = SYLOW[3]
     tab = character_table(G)
     assert tab.coords.dtype == np.int64
-    for row, ch in zip(tab.coords.tolist(), tab.irreducibles):
-        assert [[int(c) for c in v.coeffs] for v in ch.values] == row
+    for row, ch in zip(tab.coords.tolist(), tab.to_json()["characters"]):
+        assert ch["values"] == [value_json(tab.conductor, v) for v in row]
+        assert ch["degree"] == row[0][0]
     q = tab.modular.q
     assert q > G.order and q % tab.conductor == 1
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from oracles import (build_table, centralizer, check_linear_characters,
-                     closure, enumerate_subgroups, normalizer)
+                     closure, enumerate_subgroups, normalizer,
+                     subgroup_group)
 
 from fusionrep import permgroup
-from fusionrep.chartable import (_linear_characters, _subgroup_group,
-                                 character_table)
+from fusionrep.chartable import _linear_characters, character_table
 from fusionrep.errors import (EvenPrime, FusionRepError, NotAHomomorphism,
                               NotAPermutation, NotAPrimePowerGroup,
                               NotInjective, OrderCapExceeded,
@@ -180,8 +180,8 @@ def test_table_matches_the_oracle_on_derived_groups(pipeline):
     A = S.subgroup((S.names["a"],))
     groups = [pipeline("a4_sl23").extension.group,
               build_group(1, []),
-              _subgroup_group(S.centralizer(A)),
-              _subgroup_group(S.normalizer(S.center()))]
+              subgroup_group(S.centralizer(A)),
+              subgroup_group(S.normalizer(S.center()))]
     assert [G.order for G in groups] == [8, 1, 25, 125]
     for G in groups:
         assert np.array_equal(G.table(), build_table(G))

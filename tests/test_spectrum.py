@@ -1,17 +1,15 @@
-from fractions import Fraction
-
 import pytest
+from oracles import monic_factors
 
-from fusionrep.chartable import (ClassFunction, regular_character,
-                                 trivial_character)
-from fusionrep.cyclotomic import Cyclotomic, cyclotomic_polynomial
-from fusionrep.errors import ConductorMismatch, FusionRepError
+from fusionrep.cyclotomic import cyclotomic_polynomial
+from fusionrep.errors import FusionRepError
 from fusionrep.fusion import build_fusion
-from fusionrep.invariants import irreducible_invariants
+from fusionrep.intlinalg import is_prime
 from fusionrep.permgroup import build_group, make_hom
-from fusionrep.spectrum import (CycPrime, PrimeSymbol, _polmod_mul,
-                                _reduce_mod, format_poly, prime_symbols,
-                                primes_above, residue_membership, symbol_leq)
+from fusionrep.spectrum import (CycPrime, PrimeSymbol, _mult_order,
+                                _polmod_divmod, _polmod_mul, _reduce_mod,
+                                format_poly, prime_symbols, primes_above,
+                                symbol_leq)
 
 
 def test_primes_above_small():
@@ -107,25 +105,49 @@ def test_conductor_order_mode():
     assert pos.conductor == 3
 
 
+def in_prime(coords, P: PrimeSymbol) -> bool:
+    """Whether a class function, one coordinate row per class, lies in the
+    prime: its value at the symbol's class, reduced in the residue field."""
+    F = P.fusion
+    value = coords[F.S.class_of()[min(F.element_classes()[P.fclass])]]
+    if P.prime.is_zero():
+        return not value.any()
+    q = P.prime.q
+    return not _polmod_divmod(_reduce_mod(value.tolist(), q),
+                              P.prime.factor, q)[1]
+
+
 def test_residue_membership(pipeline):
+    """chi - deg(chi) lies in the prime over 7 for every basis character
+    of onan, and the trivial character does not."""
     P = pipeline("onan")
     F, S = P.fusion, P.group
-    B = P.basis
-    triv = trivial_character(S, 7)
-    p7 = primes_above(7, 7)[0]
-    sym7 = PrimeSymbol(F, p7, 0)
-    assert not residue_membership(triv, sym7)
-    for v in B.vectors:
-        chi = v.character - triv.scale(v.degree())
-        assert residue_membership(chi, sym7)
-    reg = regular_character(S, 7)
+    one = P.basis.vectors[0].coords
+    sym7 = PrimeSymbol(F, primes_above(7, 7)[0], 0)
+    assert not in_prime(one, sym7)
+    for v in P.basis.vectors:
+        assert in_prime(v.coords - v.degree() * one, sym7)
+    regular = 0 * one
+    regular[S.class_of()[S.identity], 0] = S.order
     id_class = F.element_class_of()[S.identity]
-    assert residue_membership(reg - triv.scale(343),
-                              PrimeSymbol(F, CycPrime.zero(7), id_class))
-    with pytest.raises(ConductorMismatch):
-        residue_membership(
-            ClassFunction(S, [Cyclotomic.rational(1, 14)]
-                          * len(S.conjugacy_classes())), sym7)
+    assert in_prime(regular - S.order * one,
+                    PrimeSymbol(F, CycPrime.zero(7), id_class))
+    assert not in_prime(regular, PrimeSymbol(F, CycPrime.zero(7), id_class))
+
+
+def test_primes_above_matches_the_search():
+    """Berlekamp against the search over monic polynomials, for every
+    prime q < 30 and conductor 1 < n < 40 prime to q, with a search of at
+    most 3000 candidates."""
+    checked = 0
+    for q in filter(is_prime, range(2, 30)):
+        for n in range(2, 40):
+            if n % q == 0 or q ** _mult_order(q, n) > 3000:
+                continue
+            assert [p.factor for p in primes_above(q, n)] \
+                == monic_factors(q, n), (q, n)
+            checked += 1
+    assert checked > 100
 
 
 def test_symbol_order(pipeline):

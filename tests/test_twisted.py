@@ -1,7 +1,6 @@
 import pytest
 
 from fusionrep.chartable import character_table
-from fusionrep.cyclotomic import Cyclotomic, root_of_unity
 from fusionrep.errors import (BadSection, GeneratorMovesA, InvalidCocycle,
                               NotCentral, NotCyclicKernel, QuotientMismatch)
 from fusionrep.fusion import build_fusion
@@ -13,7 +12,7 @@ from fusionrep.twisted import (Cocycle, a_representations, central_extension,
                                extension_from_groups, in_twisted_monoid,
                                module_structure, trivial_cocycle,
                                twisted_covering, twisted_invariant_basis,
-                               validate_cocycle, validate_twisted_table)
+                               validate_cocycle)
 
 QTABLE = [
     [0, 0, 0, 0],
@@ -105,8 +104,7 @@ def test_a_representations(quaternion_setup):
     ar = a_representations(E)
     tab = character_table(E.group)
     assert len(ar) == 1 and tab.degrees()[ar[0]] == 2
-    rho = tab.irreducibles[ar[0]]
-    assert rho.value_at_element(E.a_gen).coeffs[0] == -2
+    assert tab.coords[ar[0], E.group.class_of()[E.a_gen]].tolist() == [-2, 0]
     # degrees of the a-representations square-sum to |base|
     assert sum(tab.degrees()[k] ** 2 for k in ar) == V4.order
 
@@ -117,7 +115,7 @@ def test_a_representations(quaternion_setup):
     assert len(arZ) == 2
     assert sum(tabZ.degrees()[k] ** 2 for k in arZ) == 2
     E0 = central_extension(Z2, trivial_cocycle(Z2, 2))
-    assert len(a_representations(E0)) == len(character_table(Z2).irreducibles)
+    assert len(a_representations(E0)) == len(character_table(Z2))
 
 
 def lifted_fusions(E):
@@ -142,7 +140,7 @@ def test_twisted_basis(quaternion_setup):
     assert TB.vectors[0].multiplicities[ar[0]] == 1
     assert twisted_covering(TB).ok
     assert in_twisted_monoid(TB, TB.vectors[0].multiplicities)
-    badvec = [0] * len(character_table(E.group).irreducibles)
+    badvec = [0] * len(character_table(E.group))
     badvec[0] = 1
     assert not in_twisted_monoid(TB, badvec)
     with pytest.raises(QuotientMismatch):
@@ -196,19 +194,6 @@ def test_trivial_cocycle_module():
     assert CM0.kind == "symbolic"
     assert CM0.group_string() == "(not stabilized)"
     assert "did not stabilize" in str(CM0)
-
-
-def test_twisted_table_validation(quaternion_setup):
-    _, _, E = quaternion_setup
-    i4 = root_of_unity(4)
-    one = Cyclotomic.rational(1, 4)
-    zero = Cyclotomic.zero(4)
-    mat_1 = ((one, zero), (zero, one))
-    mat_i = ((i4, zero), (zero, -i4))
-    mat_j = ((zero, one), (-one, zero))
-    mat_k = ((zero, i4), (i4, zero))
-    assert validate_twisted_table(E, [mat_1, mat_i, mat_j, mat_k]) == []
-    assert validate_twisted_table(E, [mat_1, mat_i, mat_j, mat_j]) != []
 
 
 def test_a4_sl23_fixture_pipeline(pipeline):
