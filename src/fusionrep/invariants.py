@@ -321,7 +321,7 @@ class InvariantBasis:
     def to_json(self) -> dict:
         S = self.fusion.S
         e = character_table(S).conductor
-        cls = [S.class_of()[r] for r in self.class_representatives()]
+        at = [S.class_of()[r] for r in self.class_representatives()]
         return {
             "classes": [
                 {"size": len(cls), "representative": S.describe_element(cls[0])}
@@ -333,7 +333,7 @@ class InvariantBasis:
                     "degree": vec.degree(),
                     "multiplicities": list(vec.multiplicities),
                     "values": [value_json(e, v)
-                               for v in vec.coords[cls].tolist()],
+                               for v in vec.coords[at].tolist()],
                 }
                 for name, vec in zip(self.names, self.vectors)
             ],

@@ -117,17 +117,19 @@ def test_frobenius_reciprocity():
     powers = np.array(power_table(7)[:7], dtype=np.int64)
     induced = _induced_coords(S, H, exps, powers)
     chars = rows(tab)
-    for lam, ind in zip(exps[[0, 3]].tolist(), induced[[0, 3]].tolist()):
-        ind = tuple(map(tuple, ind))
-        mults = tab.multiplicities(np.array(ind))
+    for r in (0, 3):
+        lam, ind = exps[r].tolist(), induced[r]
+        mults = tab.multiplicities(ind)
         for k in list(range(6)) + list(range(49, 55)):
             psi = chars[k]
-            restricted = sum(
-                sum(value_product(7, power_table(7)[lam[m]], value_conjugate(
-                    7, psi[S.class_of()[h]])))
-                for m, h in enumerate(H.members))
-            want = Fraction(restricted, H.order)
-            assert inner(tab, ind, psi) == want
+            # sum over h in H of lambda(h) conj(psi(h)), in coordinates
+            terms = [value_product(7, power_table(7)[lam[m]],
+                                   value_conjugate(7, psi[S.class_of()[h]]))
+                     for m, h in enumerate(H.members)]
+            total = [sum(cs) for cs in zip(*terms)]
+            assert not any(total[1:])
+            want = Fraction(total[0], H.order)
+            assert inner(tab, ind.tolist(), psi) == want
             assert mults[k] == want
 
 
