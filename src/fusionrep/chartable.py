@@ -256,13 +256,10 @@ def _left_transversal(G: FiniteGroup, H: Subgroup) -> np.ndarray:
 
 def _conjugates(G: FiniteGroup, transversal: np.ndarray) -> np.ndarray:
     """x[t, c] = t^-1 g_c t for the class representatives g_c."""
-    reps = [c[0] for c in G.conjugacy_classes()]
-    tab = G.table()
-    if tab is not None:
-        inv = G.inv_array()
-        return tab[tab[inv[transversal]][:, reps], transversal[:, None]]
-    return np.array([[G.mul(G.mul(G.inv(t), g), t) for g in reps]
-                     for t in transversal.tolist()], dtype=np.int64)
+    reps = np.array([c[0] for c in G.conjugacy_classes()], dtype=np.int32)
+    t_inv = G.inv_array()[transversal]
+    return G.mul_array(G.mul_array(t_inv[:, None], reps[None, :]),
+                       transversal[:, None])
 
 
 def _positions(G: FiniteGroup, H: Subgroup) -> np.ndarray:

@@ -60,10 +60,6 @@ class GroupMismatch(FusionRepError):
     """Objects attached to different parent groups were combined."""
 
 
-class NotASubgroup(FusionRepError):
-    pass
-
-
 class NotAHomomorphism(FusionRepError):
     pass
 
@@ -132,10 +128,6 @@ class NotCentral(FusionRepError):
 
 class NotCyclicKernel(FusionRepError):
     pass
-
-
-class BadSection(FusionRepError):
-    """Section does not split the projection (or moves the identity)."""
 
 
 class GeneratorMovesA(FusionRepError):

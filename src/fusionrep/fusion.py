@@ -28,9 +28,7 @@ from .permgroup import (
     FiniteGroup,
     GroupHom,
     Subgroup,
-    compose,
     coset_action,
-    core_p,
     group_prime,
     make_hom,
     p_part,
@@ -56,23 +54,6 @@ def _small_gens(G: FiniteGroup, members) -> tuple:
         if len(have) == len(mem):
             return tuple(gens)
     raise AssertionError("member set was not closed")
-
-
-class MorphismSet:
-    """All F-isomorphisms between members of a tracked subgroup family."""
-
-    def __init__(self, family: tuple, table: dict):
-        self.family = family
-        self._table = table
-
-    def isos(self, i: int, j: int) -> tuple:
-        return self._table.get((i, j), ())
-
-    def aut(self, i: int) -> tuple:
-        return self.isos(i, i)
-
-    def __len__(self):
-        return sum(len(v) for v in self._table.values())
 
 
 class SaturationReport:
@@ -261,13 +242,6 @@ class FusionSystem:
             img[y] = S.mul_array(img[x], st[i])
         return img
 
-    def _full_homs(self, gens: tuple, states) -> list:
-        """Extend generator-image states to full GroupHoms.  States come
-        from composing genuine homomorphisms, so no re-validation is done."""
-        dom = self._recipe(gens)[0]
-        return [GroupHom(dom, self.S, tuple(col))
-                for col in self._replay(gens, states).T.tolist()]
-
     @staticmethod
     def _owning_member(st: tuple, member_sets: list):
         for j, fs in enumerate(member_sets):
@@ -290,38 +264,6 @@ class FusionSystem:
                 found_sets.append(frozenset(img))
         return tuple(sorted(found))
 
-    def morphism_closure(self, family, cap: int = DEFAULT_MORPHISM_CAP) -> MorphismSet:
-        """Full-map F-isomorphisms between family members."""
-        family = tuple(family)
-        for P in family:
-            self.S._check_parent(P)
-        table = {}
-        total = 0
-        for i, P in enumerate(family):
-            gens = self._sub_gens(P)
-            sets_of_same_order = [
-                (j, frozenset(Q.members)) for j, Q in enumerate(family)
-                if Q.order == P.order
-            ]
-            hits = {}
-            for st in self._hom_states(gens, cap):
-                j = None
-                for jj, fs in sets_of_same_order:
-                    if all(x in fs for x in st):
-                        j = jj
-                        break
-                if j is None:
-                    continue
-                total += 1
-                if total > cap:
-                    raise MorphismCapExceeded(f"morphism closure exceeds cap {cap}")
-                hits.setdefault(j, []).append(st)
-            for j, sts in hits.items():
-                table[(i, j)] = self._full_homs(gens, sts)
-        table = {k: tuple(sorted(v, key=lambda h: h.images))
-                 for k, v in table.items()}
-        return MorphismSet(family, table)
-
     def aut_count(self, P: Subgroup, cap: int = DEFAULT_MORPHISM_CAP) -> int:
         """|Aut_F(P)| without materializing full maps."""
         if P.order == 1:
@@ -330,62 +272,6 @@ class FusionSystem:
         mem = frozenset(P.members)
         return sum(1 for st in self._hom_states(gens, cap)
                    if all(x in mem for x in st))
-
-    def aut_F(self, P: Subgroup, cap: int = DEFAULT_MORPHISM_CAP) -> tuple:
-        """Aut_F(P) as full-map GroupHoms P -> P (inside S)."""
-        if P.order == 1:
-            return (GroupHom(self.S.trivial_subgroup(), self.S,
-                             (self.S.identity,)),)
-        gens = self._sub_gens(P)
-        mem = frozenset(P.members)
-        out = self._full_homs(gens, [st for st in self._hom_states(gens, cap)
-                                     if all(x in mem for x in st)])
-        return tuple(sorted(out, key=lambda h: h.images))
-
-    # -- centric / radical --
-
-    def is_centric(self, P: Subgroup, cap: int = DEFAULT_MORPHISM_CAP) -> bool:
-        for mem in self.subgroup_class(P, cap):
-            Q = self.S.subgroup_from_members(mem)
-            C = self.S.centralizer(Q)
-            if not all(Q.contains(x) for x in C.members):
-                return False
-        return True
-
-    def is_radical(self, P: Subgroup, cap: int = DEFAULT_MORPHISM_CAP) -> bool:
-        """O_p(Out_F(P)) = 1, with Out_F(P) realized by left translation on
-        the cosets of Inn(P) inside Aut_F(P) (both as permutations of P)."""
-        if P.order == 1:
-            return True
-        auts = self.aut_F(P, cap)
-        perms = sorted(
-            tuple(P.pos(phi.apply(m)) for m in P.members) for phi in auts
-        )
-        inn = sorted(
-            set(tuple(P.pos(self.S.conj(g, m)) for m in P.members)
-                for g in P.members)
-        )
-        if len(inn) == len(perms):
-            return True
-        if len(inn) == 1:
-            elements = perms  # Out = Aut acts faithfully on P itself
-        else:
-            coset_of = {}
-            reps = []
-            for q in perms:
-                if q in coset_of:
-                    continue
-                rid = len(reps)
-                reps.append(q)
-                for h in inn:
-                    coset_of[compose(q, h)] = rid
-            elements = sorted(tuple(coset_of[compose(r, s)] for s in reps)
-                              for r in reps)
-        gens = _perm_set_gens(elements)
-        out_group = FiniteGroup(len(elements[0]), gens, tuple(elements))
-        if out_group.order % self.p != 0:
-            return True
-        return core_p(out_group, self.p).order == 1
 
     # -- saturation --
 
@@ -561,33 +447,6 @@ class FusionSystem:
         return out
 
 
-def _perm_set_gens(perms) -> tuple:
-    """Small generating set for a set of permutations known to be a group."""
-    n = len(perms)
-    idp = tuple(range(len(perms[0])))
-    if n == 1:
-        return (idp,)
-    gens = []
-    for q in perms:
-        if q == idp or (gens and q in have):
-            continue
-        gens.append(q)
-        have = {idp}
-        frontier = [idp]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = compose(x, g)
-                    if y not in have:
-                        have.add(y)
-                        new.append(y)
-            frontier = new
-        if len(have) == n:
-            return tuple(gens)
-    raise AssertionError("permutation set was not a group")
-
-
 def _describe(S: FiniteGroup, members) -> str:
     gens = _small_gens(S, members)
     if not gens:
@@ -603,8 +462,7 @@ def build_fusion(S: FiniteGroup, generators=()) -> FusionSystem:
 def quotient_fusion(F: FusionSystem, A: Subgroup) -> FusionSystem:
     """Quotient fusion system on S/A for central A fixed pointwise by every
     generator.  The result carries .projection (element index of S -> element
-    index of S/A) and .big_group, for callers that match data through the
-    quotient."""
+    index of S/A), for callers that match data through the quotient."""
     S = F.S
     S._check_parent(A)
     Z = S.center()
@@ -628,5 +486,4 @@ def quotient_fusion(F: FusionSystem, A: Subgroup) -> FusionSystem:
         gens_q.append(make_hom(dom_q, images, Sq))
     Fq = FusionSystem(Sq, tuple(gens_q))
     Fq.projection = proj
-    Fq.big_group = S
     return Fq

@@ -405,37 +405,3 @@ def decompose(v, B: InvariantBasis) -> tuple:
     if int_matmul(B.invariance_rows, mults).any():
         raise NotInvariant("character is not constant on the fusion classes")
     return B.span.solve(mults)
-
-
-class CoveringReport:
-    """Which irreducibles of S appear in some basis element."""
-
-    __slots__ = ("ok", "uncovered", "basis_size")
-
-    def __init__(self, ok: bool, uncovered: tuple, basis_size: int):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "uncovered", uncovered)
-        object.__setattr__(self, "basis_size", basis_size)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CoveringReport is immutable")
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "uncovered": list(self.uncovered),
-            "basis_size": self.basis_size,
-        }
-
-
-def covering_check(F: FusionSystem, basis: InvariantBasis = None) -> CoveringReport:
-    """Verify every irreducible of S occurs in at least one basis element."""
-    B = basis if basis is not None else irreducible_invariants(F)
-    n = len(character_table(F.S))
-    covered = [False] * n
-    for vec in B.vectors:
-        for i, m in enumerate(vec.multiplicities):
-            if m:
-                covered[i] = True
-    uncovered = tuple(i for i in range(n) if not covered[i])
-    return CoveringReport(not uncovered, uncovered, len(B.vectors))

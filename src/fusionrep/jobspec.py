@@ -30,8 +30,7 @@ from .errors import InputError, ParseError, UnknownName
 from .fusion import FusionSystem, build_fusion
 from .intlinalg import is_prime
 from .permgroup import (FiniteGroup, NotAPermutation, build_group,
-                        extraspecial_p3, format_cycles, make_hom,
-                        parse_cycles)
+                        extraspecial_p3, make_hom, parse_cycles)
 
 _SECTIONS = ("group", "subgroups", "fusion", "extension", "fusion_alpha",
              "options")
@@ -41,10 +40,6 @@ _EXT_KEYS = ("coefficients", "cocycle", "transpose", "degree", "kernel",
 _OPTION_KEYS = ("primes", "k", "conductor", "cap_order", "cap_subgroups",
                 "cap_morphisms", "cap_hilbert", "cap_chain", "cap_adic")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
-def _word_text(word) -> str:
-    return " ".join(n if e == 1 else f"{n}^{e}" for n, e in word)
 
 
 class JobSpec:
@@ -81,66 +76,6 @@ class JobSpec:
             if k == key:
                 return v
         return default
-
-    def to_text(self) -> str:
-        out = ["[group]"]
-        if self.group_constructor is not None:
-            out.append(f"constructor = {self.group_constructor}")
-            out.append(f"p = {self.group_p}")
-        else:
-            out.append(f"degree = {self.group_degree}")
-            for name, perm in self.group_gens:
-                out.append(f"{name} = {format_cycles(perm)}")
-        if self.subgroups:
-            out.append("")
-            out.append("[subgroups]")
-            for name, words in self.subgroups:
-                out.append(f"{name} = " + ", ".join(map(_word_text, words)))
-        if self.fusion:
-            out.append("")
-            out.append("[fusion]")
-            for entry in self.fusion:
-                out.append(_entry_text(entry))
-        if self.extension is not None:
-            out.append("")
-            out.append("[extension]")
-            if self.extension[0] == "cocycle":
-                _, n, fname, transpose = self.extension
-                out.append(f"coefficients = {n}")
-                out.append(f"cocycle = {fname}")
-                if transpose:
-                    out.append("transpose = true")
-            else:
-                _, degree, gens, kernel, projections = self.extension
-                out.append(f"degree = {degree}")
-                for name, perm in gens:
-                    out.append(f"{name} = {format_cycles(perm)}")
-                out.append(f"kernel = {_word_text(kernel)}")
-                out.append("projection = "
-                           + ", ".join(map(_word_text, projections)))
-        if self.fusion_alpha:
-            out.append("")
-            out.append("[fusion_alpha]")
-            for entry in self.fusion_alpha:
-                out.append(_entry_text(entry))
-        if self.options:
-            out.append("")
-            out.append("[options]")
-            for key, value in self.options:
-                if key == "primes":
-                    out.append("primes = " + ", ".join(map(str, value)))
-                else:
-                    out.append(f"{key} = {value}")
-        return "\n".join(out) + "\n"
-
-
-def _entry_text(entry) -> str:
-    if entry[0] == "gl2":
-        m = entry[1]
-        return (f"gl2 = [[{m[0][0]}, {m[0][1]}], [{m[1][0]}, {m[1][1]}]]")
-    _, target, words = entry
-    return f"{target} -> " + ", ".join(map(_word_text, words))
-
 
 def _parse_word(s: str, lineno: int, col: int, known) -> tuple:
     tokens = s.split()

@@ -26,7 +26,6 @@ from .errors import (
     NotAHomomorphism,
     NotAPermutation,
     NotAPrimePowerGroup,
-    NotASubgroup,
     NotInjective,
     OrderCapExceeded,
     SubgroupEnumerationCapExceeded,
@@ -324,13 +323,6 @@ class FiniteGroup:
         gen_indices = tuple(gen_indices)
         return Subgroup(self, self.closure(gen_indices), gen_indices)
 
-    def subgroup_from_members(self, members) -> "Subgroup":
-        members = tuple(sorted(members))
-        sub = Subgroup(self, members, members)
-        if not sub.is_closed():
-            raise NotASubgroup("member set is not closed under multiplication")
-        return sub
-
     def closure(self, gen_indices) -> Perm:
         """Sorted member indices of the subgroup generated by gen_indices.
 
@@ -489,26 +481,6 @@ class Subgroup:
     def contains(self, i: int) -> bool:
         return i in self._positions()
 
-    def is_closed(self) -> bool:
-        if self.parent.identity not in self._positions():
-            return False
-        t = self.parent.table()
-        if t is not None:
-            mem = np.fromiter(self.members, dtype=np.int32, count=self.order)
-            prods = t[np.ix_(mem, mem)]
-            return bool(np.isin(prods, mem).all())
-        mset = set(self.members)
-        return all(
-            self.parent.mul(x, y) in mset for x in self.members for y in self.members
-        )
-
-    def exponent(self) -> int:
-        orders = self.parent.element_orders()
-        e = 1
-        for m in self.members:
-            e = e * orders[m] // gcd(e, orders[m])
-        return e
-
     def __repr__(self):
         return f"Subgroup(order={self.order}, parent order={self.parent.order})"
 
@@ -538,35 +510,19 @@ class GroupHom:
         return len(set(self.images)) == len(self.images)
 
     def validate(self):
-        """Exhaustive homomorphism check over all member pairs."""
+        """Exhaustive homomorphism check over all member pairs: one
+        mul_array product table on each side."""
         G = self.domain.parent
-        H = self.codomain
-        mem = self.domain.members
-        t_dom, t_cod = G.table(), H.table()
-        if t_dom is not None and t_cod is not None:
-            mem_a = np.fromiter(mem, dtype=np.int32, count=len(mem))
-            img_a = np.fromiter(self.images, dtype=np.int32, count=len(self.images))
-            img_map = np.full(G.order, -1, dtype=np.int32)
-            img_map[mem_a] = img_a
-            lhs = img_map[t_dom[np.ix_(mem_a, mem_a)]]
-            if (lhs < 0).any():
-                raise NotAHomomorphism("domain is not multiplicatively closed")
-            rhs = t_cod[np.ix_(img_a, img_a)]
-            if not np.array_equal(lhs, rhs):
-                raise NotAHomomorphism("images violate the multiplication table")
-            return
-        img = {m: v for m, v in zip(mem, self.images)}
-        for x in mem:
-            for y in mem:
-                if img[G.mul(x, y)] != H.mul(img[x], img[y]):
-                    raise NotAHomomorphism("images violate the multiplication table")
-
-    def restrict(self, sub: Subgroup) -> "GroupHom":
-        if sub.parent is not self.domain.parent:
-            raise GroupMismatch("restriction target lives in a different group")
-        if not set(sub.members) <= set(self.domain.members):
-            raise NotASubgroup("restriction target is not inside the domain")
-        return GroupHom(sub, self.codomain, tuple(self.apply(m) for m in sub.members))
+        mem_a = np.array(self.domain.members, dtype=np.int32)
+        img_a = np.array(self.images, dtype=np.int32)
+        img_map = np.full(G.order, -1, dtype=np.int32)
+        img_map[mem_a] = img_a
+        lhs = img_map[G.mul_array(mem_a[:, None], mem_a[None, :])]
+        if (lhs < 0).any():
+            raise NotAHomomorphism("domain is not multiplicatively closed")
+        rhs = self.codomain.mul_array(img_a[:, None], img_a[None, :])
+        if not np.array_equal(lhs, rhs):
+            raise NotAHomomorphism("images violate the multiplication table")
 
     def inverse(self) -> "GroupHom":
         if not self.is_injective():
@@ -575,9 +531,6 @@ class GroupHom:
         pre = {v: m for m, v in zip(self.domain.members, self.images)}
         return GroupHom(image, self.domain.parent,
                         tuple(pre[m] for m in image.members))
-
-    def key(self):
-        return (self.domain.members, self.images)
 
     def __repr__(self):
         return f"GroupHom(|dom|={self.domain.order}, injective={self.is_injective()})"
@@ -745,45 +698,3 @@ def group_prime(G: FiniteGroup):
         return None
     p = min(d for d in range(2, n + 1) if n % d == 0)
     return p if is_p_group(n, p) else None
-
-
-def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
-    """One Sylow p-subgroup, grown through normalizers."""
-    target = p_part(G.order, p)
-    orders = G.element_orders()
-    current = G.trivial_subgroup()
-    while current.order < target:
-        N = G.normalizer(current)
-        mset = set(current.members)
-        grown = False
-        for x in N.members:
-            if x in mset or not is_p_group(orders[x], p):
-                continue
-            cand = G.subgroup(tuple(current.gen_indices) + (x,))
-            if is_p_group(cand.order, p):
-                current = cand
-                grown = True
-                break
-        if not grown:  # cannot happen for correct inputs (Sylow theory)
-            raise NotASubgroup("sylow growth stalled")
-    return current
-
-
-def core_p(G: FiniteGroup, p: int) -> Subgroup:
-    """O_p(G): the intersection of all Sylow p-subgroups."""
-    if G.order % p != 0:
-        return G.trivial_subgroup()
-    syl = sylow_subgroup(G, p)
-    start = frozenset(syl.members)
-    seen = {start}
-    frontier = [start]
-    inter = set(syl.members)
-    while frontier:
-        fs = frontier.pop()
-        for g in G.gen_indices:
-            img = frozenset(G.conj(g, x) for x in fs)
-            if img not in seen:
-                seen.add(img)
-                frontier.append(img)
-                inter &= img
-    return G.subgroup_from_members(sorted(inter))

@@ -112,9 +112,6 @@ class IntPolynomial:
 
     # -- inspection --
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def constant_term(self) -> int:
         zero = tuple(0 for _ in self.variables)
         return self.terms.get(zero, 0)
@@ -151,13 +148,6 @@ class IntPolynomial:
 
     def __repr__(self):
         return f"IntPolynomial({self})"
-
-    def to_json(self) -> dict:
-        return {
-            "variables": list(self.variables),
-            "terms": [[c, list(e)] for e, c in self.sorted_terms()],
-            "text": str(self),
-        }
 
     def __eq__(self, other):
         if not isinstance(other, IntPolynomial):

@@ -76,12 +76,6 @@ class Ring:
         return int_matmul([[u[i] for i in nz]],
                           self.tensor[nz].reshape(len(nz), n * n)).reshape(n, n)
 
-    def multiply(self, u, v) -> tuple:
-        """Product of two elements written over the basis."""
-        if len(u) != self.rank or len(v) != self.rank:
-            raise InputError("elements have one coordinate per basis member")
-        return tuple(int_matmul([v], self.times(u))[0].tolist())
-
     def ideal_power(self, generators, k: int) -> "IdealLattice":
         """I^k for the ideal I generated by the given elements."""
         gens = tuple(tuple(int(c) for c in g) for g in generators)
@@ -134,10 +128,6 @@ class RingPresentation:
 
     def __setattr__(self, *a):
         raise AttributeError("RingPresentation is immutable")
-
-    def multiply(self, u, v) -> tuple:
-        """Product of two elements written over the Z-basis (1, X1..Xm)."""
-        return self.ring.multiply(u, v)
 
     def __str__(self):
         if not self.names:
@@ -328,9 +318,6 @@ class IdealLattice:
     def __setattr__(self, *a):
         raise AttributeError("IdealLattice is immutable")
 
-    def rank(self) -> int:
-        return len(self.basis)
-
     def __eq__(self, other):
         if not isinstance(other, IdealLattice):
             return NotImplemented
@@ -339,38 +326,10 @@ class IdealLattice:
     def __hash__(self):
         return hash((id(self.ring), self.basis))
 
-    def to_json(self) -> dict:
-        return {"rank": self.rank(), "basis": [list(r) for r in self.basis]}
-
 
 def _same_ambient(L1, L2):
     if L1.ring is not L2.ring:
         raise AmbientMismatch("ideal lattices live in different rings")
-
-
-def augmentation_ideal(obj) -> IdealLattice:
-    """The span of {generator - degree} in the appropriate ambient basis.
-
-    Accepts a RingPresentation (ambient 1, X1..Xm), an InvariantBasis
-    (a presentation is built first), or a FiniteGroup (ambient Irr(S),
-    spanned by {chi_i - d_i}).
-    """
-    if isinstance(obj, InvariantBasis):
-        obj = structure_constants(obj)
-    if isinstance(obj, RingPresentation):
-        return obj.ring.augmentation_power(1)
-    if isinstance(obj, FiniteGroup):
-        return character_ring(obj).augmentation_power(1)
-    raise InputError("expected a presentation, an invariant basis, or a group")
-
-
-def ideal_product(L1: IdealLattice, L2: IdealLattice) -> IdealLattice:
-    """Lattice spanned by pairwise products of the two bases."""
-    _same_ambient(L1, L2)
-    ring = L1.ring
-    V = np.array(L2.basis, dtype=object).reshape(len(L2.basis), ring.rank)
-    rows = [r for u in L1.basis for r in int_matmul(V, ring.times(u)).tolist()]
-    return IdealLattice(ring, rows)
 
 
 def contains(L1: IdealLattice, L2: IdealLattice) -> bool:

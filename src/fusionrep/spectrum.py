@@ -86,8 +86,9 @@ def _make_monic(a, q):
 
 
 def _mult_order(q: int, n: int) -> int:
+    """The order of q in (Z/n)^*, for q prime to n; it is 1 for n = 1."""
     v, k = q % n, 1
-    while v != 1:
+    while v != 1 % n:
         v = (v * q) % n
         k += 1
     return k
@@ -143,9 +144,6 @@ class CycPrime:
 
     def is_zero(self) -> bool:
         return self.q is None
-
-    def sort_key(self):
-        return (0, 0, ()) if self.q is None else (1, self.q, self.factor)
 
     def __eq__(self, other):
         if not isinstance(other, CycPrime):
@@ -267,9 +265,6 @@ class PrimeSymbol:
     def is_minimal(self) -> bool:
         return self.prime.is_zero()
 
-    def sort_key(self):
-        return self.prime.sort_key() + (self.fclass,)
-
     def __eq__(self, other):
         if not isinstance(other, PrimeSymbol):
             return NotImplemented
@@ -318,9 +313,6 @@ class SpectrumPoset:
         self.conductor = conductor
         self.nodes = tuple(nodes)
         self.edges = tuple(edges)  # (i, j) with nodes[i] < nodes[j]
-
-    def minimal(self) -> tuple:
-        return tuple(i for i, s in enumerate(self.nodes) if s.is_minimal())
 
     def is_connected(self) -> bool:
         n = len(self.nodes)

@@ -20,13 +20,13 @@ from functools import cached_property
 import numpy as np
 
 from .chartable import character_table
-from .errors import (AmbientMismatch, BadSection, DecompositionNotIntegral,
-                     FusionRepError, GroupMismatch, InputError, InvalidCocycle,
-                     NotCentral, NotCyclicKernel, NotInSpan, QuotientMismatch)
+from .errors import (AmbientMismatch, DecompositionNotIntegral, FusionRepError,
+                     GroupMismatch, InputError, InvalidCocycle, NotCentral,
+                     NotCyclicKernel, NotInSpan, QuotientMismatch)
 from .fusion import FusionSystem, quotient_fusion
 from .intlinalg import IntegerSpan, int_matmul, smith_diagonal
-from .invariants import (DEFAULT_HILBERT_CAP, CoveringReport, RepVector,
-                         hilbert_basis, invariance_matrix)
+from .invariants import (DEFAULT_HILBERT_CAP, RepVector, hilbert_basis,
+                         invariance_matrix)
 from .permgroup import FiniteGroup, GroupHom, Subgroup, group_prime, is_p_group
 from .cyclotomic import power_table
 from .ringpres import apply_names, lattice_chain, structure_constants
@@ -62,26 +62,10 @@ class Cocycle:
     def __setattr__(self, *a):
         raise AttributeError("Cocycle is immutable")
 
-    def __eq__(self, other):
-        if not isinstance(other, Cocycle):
-            return NotImplemented
-        return (self.group is other.group and self.coeff == other.coeff
-                and self.table == other.table)
-
-    def __hash__(self):
-        return hash((id(self.group), self.coeff, self.table))
-
     def transpose(self) -> "Cocycle":
         n = self.group.order
         return Cocycle(self.group, self.coeff,
                        [[self.table[t][s] for t in range(n)] for s in range(n)])
-
-    def to_json(self) -> dict:
-        return {"coeff": self.coeff, "table": [list(r) for r in self.table]}
-
-
-def trivial_cocycle(group: FiniteGroup, coeff: int) -> Cocycle:
-    return Cocycle(group, coeff, [[0] * group.order] * group.order)
 
 
 def validate_cocycle(alpha: Cocycle) -> list:
@@ -99,31 +83,17 @@ def validate_cocycle(alpha: Cocycle) -> list:
             out.append(f"alpha(1, {s}) = {T[e][s]} != 0")
         if T[s][e] % n:
             out.append(f"alpha({s}, 1) = {T[s][e]} != 0")
-    tab = S.table()
-    if tab is not None:
-        Ta = np.array(T, dtype=np.int64)
-        M = np.asarray(tab)
-        for s1 in range(S.order):
-            lhs = Ta[s1][:, None] + Ta[M[s1], :]
-            rhs = Ta + Ta[s1][M]
-            bad = np.argwhere((lhs - rhs) % n != 0)
-            for s2, s3 in bad:
-                if len(out) >= _VIOLATION_LIMIT:
-                    out.append("... (further violations suppressed)")
-                    return out
-                out.append(f"associativity fails at ({s1}, {s2}, {s3})")
-    else:
-        for s1 in range(S.order):
-            for s2 in range(S.order):
-                s12 = S.mul(s1, s2)
-                for s3 in range(S.order):
-                    if (T[s1][s2] + T[s12][s3]
-                            - T[s2][s3] - T[s1][S.mul(s2, s3)]) % n:
-                        if len(out) >= _VIOLATION_LIMIT:
-                            out.append("... (further violations suppressed)")
-                            return out
-                        out.append(
-                            f"associativity fails at ({s1}, {s2}, {s3})")
+    Ta = np.array(T, dtype=np.int64)
+    every = np.arange(S.order, dtype=np.int32)
+    M = S.mul_array(every[:, None], every[None, :])
+    for s1 in range(S.order):
+        lhs = Ta[s1][:, None] + Ta[M[s1], :]
+        rhs = Ta + Ta[s1][M]
+        for s2, s3 in np.argwhere((lhs - rhs) % n != 0).tolist():
+            if len(out) >= _VIOLATION_LIMIT:
+                out.append("... (further violations suppressed)")
+                return out
+            out.append(f"associativity fails at ({s1}, {s2}, {s3})")
     return out
 
 
@@ -258,37 +228,6 @@ def extension_from_groups(G: FiniteGroup, a_gen: int,
                                 tuple(section), pairs)
 
 
-def cocycle_from_extension(E: CentralExtensionData,
-                           section=None) -> Cocycle:
-    """The cocycle of a section; defaults to the extension's own section, so
-    a round trip through central_extension returns the identical table."""
-    G, S = E.group, E.base
-    if section is None:
-        sec = E.section
-    else:
-        sec = tuple(int(x) for x in section)
-        if len(sec) != S.order:
-            raise BadSection("one preimage per base element required")
-        if sec[S.identity] != G.identity:
-            raise BadSection("section must send the identity to the identity")
-        for s, x in enumerate(sec):
-            if E.projection.apply(x) != s:
-                raise BadSection(f"section value at {s} is not a preimage")
-    dlog = {}
-    cur = G.identity
-    for j in range(E.coeff):
-        dlog[cur] = j
-        cur = G.mul(cur, E.a_gen)
-    table = []
-    for s in range(S.order):
-        row = []
-        for t in range(S.order):
-            d = G.mul(G.mul(sec[s], sec[t]), G.inv(sec[S.mul(s, t)]))
-            row.append(dlog[d])
-        table.append(row)
-    return Cocycle(S, E.coeff, table)
-
-
 def a_representations(E: CentralExtensionData) -> tuple:
     """Indices of the irreducibles of the big group on which the marked
     central generator acts by the primitive root of unity."""
@@ -390,31 +329,6 @@ def twisted_invariant_basis(E: CentralExtensionData, F_alpha: FusionSystem,
                      key=lambda v: (v.degree(), v.multiplicities))
     names = tuple(f"W{k + 1}" for k in range(len(vectors)))
     return TwistedBasis(E, F_alpha, a_reps, tuple(vectors), names)
-
-
-def in_twisted_monoid(TB: TwistedBasis, multiplicities) -> bool:
-    """Support and invariance test for a raw multiplicity vector."""
-    E, F_alpha = TB.extension, TB.fusion
-    tab = character_table(E.group)
-    v = tuple(int(x) for x in multiplicities)
-    if len(v) != len(tab):
-        raise InputError("one multiplicity per irreducible required")
-    if any(x < 0 for x in v):
-        return False
-    keep = set(TB.a_reps)
-    if any(x and i not in keep for i, x in enumerate(v)):
-        return False
-    rows = invariance_matrix(F_alpha)
-    return all(sum(r[i] * v[i] for i in range(len(v))) == 0 for r in rows)
-
-
-def twisted_covering(TB: TwistedBasis) -> CoveringReport:
-    """Every A-representation must occur in some basis element."""
-    uncovered = []
-    for i in TB.a_reps:
-        if all(v.multiplicities[i] == 0 for v in TB.vectors):
-            uncovered.append(i)
-    return CoveringReport(not uncovered, tuple(uncovered), len(TB.vectors))
 
 
 # --- module structure ---------------------------------------------------------

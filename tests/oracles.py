@@ -26,6 +26,13 @@ constant_on_fusion_classes is the stability test of a class function under
 a fusion system.  monic_factors finds the irreducible factors of Phi_n
 mod q by trying every monic polynomial of the one degree they share, the
 search that Berlekamp's algorithm replaced in spectrum.primes_above.
+is_centric and is_radical test a subgroup of a fusion system, with
+core_p for O_p of a finite group.  section_cocycle is the cocycle of a
+section of a central extension, the inverse of twisted.central_extension.
+ideal_product multiplies two ideal lattices pair by pair, the reference
+for the powers that Ring.ideal_power reads off lattice_chain, and
+ring_product multiplies two ring elements through Ring.times.  spec_text
+writes a JobSpec back as text, so that parsing it again tests the parser.
 """
 
 import itertools
@@ -41,10 +48,11 @@ from fusionrep.errors import (FusionRepError, HilbertCapExceeded, InputError,
                               SubgroupEnumerationCapExceeded)
 from fusionrep.fusion import (DEFAULT_MORPHISM_CAP, SaturationReport,
                               _describe, _small_gens, build_fusion)
-from fusionrep.intlinalg import kernel_basis
+from fusionrep.intlinalg import int_matmul, kernel_basis
 from fusionrep.invariants import DEFAULT_HILBERT_CAP
 from fusionrep.permgroup import (FiniteGroup, GroupHom, Subgroup, build_group,
-                                 make_hom, p_part)
+                                 format_cycles, is_p_group, make_hom, p_part)
+from fusionrep.ringpres import IdealLattice
 from fusionrep.spectrum import _mult_order, _polmod_divmod, _reduce_mod
 
 
@@ -477,6 +485,139 @@ def monic_factors(q: int, n: int) -> list:
             found.append(tuple(cand))
     assert len(found) * d == len(phi) - 1
     return sorted(found)
+
+
+# --- centric and radical subgroups ------------------------------------------
+
+def is_centric(F, P: Subgroup) -> bool:
+    """Whether every F-conjugate Q of P contains its centralizer C_S(Q)."""
+    S = F.S
+    return all(set(S.centralizer(Subgroup(S, mem, mem)).members) <= set(mem)
+               for mem in F.subgroup_class(P))
+
+
+def core_p(A: FiniteGroup, p: int) -> tuple:
+    """O_p(A), the largest normal p-subgroup, as sorted member indices: the
+    union of the conjugacy classes whose normal closure is a p-group."""
+    C = A.conj_table()
+    seen = np.zeros(A.order, dtype=bool)
+    core = []
+    for x in range(A.order):
+        if not seen[x]:
+            cls = np.unique(C[:, x])
+            seen[cls] = True
+            if is_p_group(len(A.closure(cls.tolist())), p):
+                core += cls.tolist()
+    return tuple(sorted(core))
+
+
+def is_radical(F, P: Subgroup) -> bool:
+    """Whether O_p(Out_F(P)) = 1.  Inn(P) is a normal p-subgroup of
+    Aut_F(P), so this holds when O_p(Aut_F(P)) = Inn(P).  Both act on the
+    positions of P's members; Aut_F(P) is replayed from the closed
+    morphisms out of P that land in P."""
+    if P.order == 1:
+        return True
+    S = F.S
+    gens = F._sub_gens(P)
+    inside = frozenset(P.members)
+    states = [st for st in F._hom_states(gens, DEFAULT_MORPHISM_CAP)
+              if inside.issuperset(st)]
+    auts = sorted({tuple(P.pos(x) for x in col)
+                   for col in F._replay(gens, states).T.tolist()})
+    A = FiniteGroup(P.order, tuple(auts), tuple(auts))
+    center = set(S.centralizer(P).members) & set(P.members)
+    return len(core_p(A, F.p)) == P.order // len(center)  # |Inn(P)|
+
+
+# --- cocycles, ideals and job specs ------------------------------------------
+
+def section_cocycle(E, section=None) -> tuple:
+    """The cocycle table of a section of the central extension E, by
+    default E.section: alpha(s, t) is the discrete logarithm, to the base
+    E.a_gen, of sec(s) sec(t) sec(st)^-1.  For the extension that
+    twisted.central_extension builds from a cocycle this is that
+    cocycle's table."""
+    G, S = E.group, E.base
+    sec = E.section if section is None else tuple(section)
+    dlog = {}
+    cur = G.identity
+    for j in range(E.coeff):
+        dlog[cur] = j
+        cur = G.mul(cur, E.a_gen)
+    return tuple(
+        tuple(dlog[G.mul(G.mul(sec[s], sec[t]), G.inv(sec[S.mul(s, t)]))]
+              for t in range(S.order))
+        for s in range(S.order))
+
+
+def ring_product(ring, u, v) -> tuple:
+    """u v in a ringpres.Ring, both written over its basis."""
+    return tuple(int_matmul([v], ring.times(u))[0].tolist())
+
+
+def ideal_product(L1: IdealLattice, L2: IdealLattice) -> IdealLattice:
+    """The lattice spanned by the pairwise products of the two bases."""
+    assert L1.ring is L2.ring
+    return IdealLattice(L1.ring, [ring_product(L1.ring, u, v)
+                                  for u in L1.basis for v in L2.basis])
+
+
+def _word_text(word) -> str:
+    return " ".join(n if e == 1 else f"{n}^{e}" for n, e in word)
+
+
+def _entry_text(entry) -> str:
+    if entry[0] == "gl2":
+        m = entry[1]
+        return f"gl2 = [[{m[0][0]}, {m[0][1]}], [{m[1][0]}, {m[1][1]}]]"
+    _, target, words = entry
+    return f"{target} -> " + ", ".join(map(_word_text, words))
+
+
+def spec_text(spec) -> str:
+    """A jobspec.JobSpec written in the job file format."""
+    out = ["[group]"]
+    if spec.group_constructor is not None:
+        out.append(f"constructor = {spec.group_constructor}")
+        out.append(f"p = {spec.group_p}")
+    else:
+        out.append(f"degree = {spec.group_degree}")
+        for name, perm in spec.group_gens:
+            out.append(f"{name} = {format_cycles(perm)}")
+    if spec.subgroups:
+        out += ["", "[subgroups]"]
+        for name, words in spec.subgroups:
+            out.append(f"{name} = " + ", ".join(map(_word_text, words)))
+    if spec.fusion:
+        out += ["", "[fusion]"] + [_entry_text(e) for e in spec.fusion]
+    if spec.extension is not None:
+        out += ["", "[extension]"]
+        if spec.extension[0] == "cocycle":
+            _, n, fname, transpose = spec.extension
+            out.append(f"coefficients = {n}")
+            out.append(f"cocycle = {fname}")
+            if transpose:
+                out.append("transpose = true")
+        else:
+            _, degree, gens, kernel, projections = spec.extension
+            out.append(f"degree = {degree}")
+            for name, perm in gens:
+                out.append(f"{name} = {format_cycles(perm)}")
+            out.append(f"kernel = {_word_text(kernel)}")
+            out.append("projection = "
+                       + ", ".join(map(_word_text, projections)))
+    if spec.fusion_alpha:
+        out += ["", "[fusion_alpha]"]
+        out += [_entry_text(e) for e in spec.fusion_alpha]
+    if spec.options:
+        out += ["", "[options]"]
+        for key, value in spec.options:
+            if key == "primes":
+                out.append("primes = " + ", ".join(map(str, value)))
+            else:
+                out.append(f"{key} = {value}")
+    return "\n".join(out) + "\n"
 
 
 class ExhaustiveSaturation:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from oracles import (build_table, centralizer, check_linear_characters,
-                     closure, enumerate_subgroups, normalizer,
+                     closure, core_p, enumerate_subgroups, normalizer,
                      subgroup_group)
 
 from fusionrep import permgroup
@@ -14,10 +14,9 @@ from fusionrep.errors import (EvenPrime, FusionRepError, NotAHomomorphism,
                               NotAPermutation, NotAPrimePowerGroup,
                               NotInjective, OrderCapExceeded,
                               SubgroupEnumerationCapExceeded)
-from fusionrep.permgroup import (FiniteGroup, build_group, core_p,
+from fusionrep.permgroup import (FiniteGroup, Subgroup, build_group,
                                  coset_action, extraspecial_p3, format_cycles,
-                                 group_prime, make_hom, parse_cycles,
-                                 sylow_subgroup)
+                                 group_prime, make_hom, parse_cycles)
 
 from conftest import FIXTURES
 
@@ -106,9 +105,9 @@ def test_sl2_f3_sylow_core():
     G = build_group(8, [mat_perm([[1, 1], [0, 1]]),
                         mat_perm([[0, -1], [1, 0]])])
     assert G.order == 24
-    assert sylow_subgroup(G, 2).order == 8
-    assert core_p(G, 2).order == 8
-    assert core_p(G, 3).order == 1
+    # O_2 is the normal quaternion Sylow 2-subgroup, O_3 is trivial
+    assert len(core_p(G, 2)) == 8
+    assert core_p(G, 3) == (G.identity,)
 
 
 def test_make_hom_guards():
@@ -314,7 +313,7 @@ def test_linear_characters_match_the_oracle_on_random_p_groups(G):
 def _assert_normalizers_and_centralizers_match_the_oracle(G):
     subs = G.all_subgroups()
     # a subgroup listed by all its members as well as by its generators
-    subs += [G.subgroup_from_members(K.members) for K in subs[-2:]]
+    subs += [Subgroup(G, K.members, K.members) for K in subs[-2:]]
     for K in subs:
         assert G.normalizer(K).members == normalizer(G, K).members
         assert G.centralizer(K).members == centralizer(G, K).members

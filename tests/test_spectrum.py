@@ -51,7 +51,7 @@ def test_poset_z2():
     F = build_fusion(Z2, [])
     pos = prime_symbols(F, [2])
     assert len(pos.nodes) == 3
-    assert len(pos.minimal()) == 2
+    assert sum(s.is_minimal() for s in pos.nodes) == 2
     assert len(pos.edges) == 2
     assert pos.is_connected()
 
@@ -81,7 +81,7 @@ def test_poset_klein_four():
     # per class over the single prime above 3 in Z
     assert len(pos.nodes) == 5
     assert pos.is_connected()
-    assert len(pos.minimal()) == k
+    assert sum(s.is_minimal() for s in pos.nodes) == k
     pos3 = prime_symbols(F, [3])
     assert not pos3.is_connected()
 
@@ -135,13 +135,20 @@ def test_residue_membership(pipeline):
     assert not in_prime(regular, PrimeSymbol(F, CycPrime.zero(7), id_class))
 
 
+def test_mult_order():
+    assert [_mult_order(q, 1) for q in (2, 3, 7)] == [1, 1, 1]
+    assert _mult_order(3, 7) == 6
+    assert _mult_order(2, 343) == 147
+    assert _mult_order(29, 7) == 1
+
+
 def test_primes_above_matches_the_search():
     """Berlekamp against the search over monic polynomials, for every
-    prime q < 30 and conductor 1 < n < 40 prime to q, with a search of at
+    prime q < 30 and conductor n < 40 prime to q, with a search of at
     most 3000 candidates."""
     checked = 0
     for q in filter(is_prime, range(2, 30)):
-        for n in range(2, 40):
+        for n in range(1, 40):
             if n % q == 0 or q ** _mult_order(q, n) > 3000:
                 continue
             assert [p.factor for p in primes_above(q, n)] \

@@ -1,17 +1,18 @@
+import numpy as np
 import pytest
+from oracles import section_cocycle
 
+from fusionrep import permgroup
 from fusionrep.chartable import character_table
-from fusionrep.errors import (BadSection, GeneratorMovesA, InvalidCocycle,
-                              NotCentral, NotCyclicKernel, QuotientMismatch)
+from fusionrep.errors import (GeneratorMovesA, InvalidCocycle, NotCentral,
+                              NotCyclicKernel, QuotientMismatch)
 from fusionrep.fusion import build_fusion
-from fusionrep.invariants import irreducible_invariants
+from fusionrep.invariants import invariance_matrix, irreducible_invariants
 from fusionrep.permgroup import build_group, make_hom
 from fusionrep.ringpres import structure_constants
 from fusionrep.twisted import (Cocycle, a_representations, central_extension,
-                               cocycle_from_extension, completed_module,
-                               extension_from_groups, in_twisted_monoid,
-                               module_structure, trivial_cocycle,
-                               twisted_covering, twisted_invariant_basis,
+                               completed_module, extension_from_groups,
+                               module_structure, twisted_invariant_basis,
                                validate_cocycle)
 
 QTABLE = [
@@ -20,6 +21,10 @@ QTABLE = [
     [0, 1, 1, 0],
     [0, 0, 1, 1],
 ]
+
+
+def trivial_cocycle(G):
+    return Cocycle(G, 2, [[0] * G.order] * G.order)
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +41,34 @@ def test_cocycle_validation(quaternion_setup):
     bad = Cocycle(V4, 2, [[0, 0, 0, 0], [1, 1, 0, 1],
                           [0, 1, 1, 0], [0, 0, 1, 1]])
     assert validate_cocycle(bad) != []
-    assert validate_cocycle(trivial_cocycle(V4, 2)) == []
+    assert validate_cocycle(trivial_cocycle(V4)) == []
     with pytest.raises(InvalidCocycle):
         central_extension(V4, bad)
+
+
+def test_cocycle_validation_without_a_table(monkeypatch):
+    """Above the table limit the products come from tuple composition,
+    and the reports are the same: for a valid cocycle on V4, two invalid
+    ones, and one on (Z/2)^3 with more violations than are listed."""
+    cases = [
+        ("v4", QTABLE),
+        ("v4", [[0, 0, 0, 0], [1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]]),
+        ("v4", [[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+        ("c2^3", [[(s * t + s) % 2 if s and t else 0 for t in range(8)]
+                  for s in range(8)]),
+    ]
+
+    def reports():
+        groups = {"v4": build_group(4, [(1, 0, 3, 2), (2, 3, 0, 1)]),
+                  "c2^3": build_group(6, ["(1 2)", "(3 4)", "(5 6)"])}
+        return [validate_cocycle(Cocycle(groups[g], 2, T)) for g, T in cases]
+
+    want = reports()
+    assert want[0] == [] and all(want[1:])
+    assert want[3][-1] == "... (further violations suppressed)"
+    monkeypatch.setattr(permgroup, "_TABLE_LIMIT", 0)
+    assert build_group(4, [(1, 0, 3, 2), (2, 3, 0, 1)]).table() is None
+    assert reports() == want
 
 
 def test_quaternion_extension(quaternion_setup):
@@ -49,7 +79,7 @@ def test_quaternion_extension(quaternion_setup):
     assert sum(1 for o in Q8.element_orders() if o == 2) == 1
     assert E.projection.apply(E.a_gen) == V4.identity
     assert all(E.projection.apply(E.section[s]) == s for s in range(4))
-    assert cocycle_from_extension(E) == alpha
+    assert section_cocycle(E) == alpha.table
 
 
 def test_cyclic_four_extension():
@@ -58,8 +88,8 @@ def test_cyclic_four_extension():
     EZ = central_extension(Z2, aZ)
     assert EZ.group.order == 4
     assert max(EZ.group.element_orders()) == 4
-    assert cocycle_from_extension(EZ) == aZ
-    E0 = central_extension(Z2, trivial_cocycle(Z2, 2))
+    assert section_cocycle(EZ) == aZ.table
+    E0 = central_extension(Z2, trivial_cocycle(Z2))
     assert max(E0.group.element_orders()) == 2
 
 
@@ -67,7 +97,7 @@ def test_extension_from_groups(quaternion_setup):
     V4, alpha, E = quaternion_setup
     Q8 = E.group
     E2 = extension_from_groups(Q8, E.a_gen, E.projection)
-    assert cocycle_from_extension(E2) == alpha
+    assert section_cocycle(E2) == alpha.table
     with pytest.raises(NotCyclicKernel):
         extension_from_groups(Q8, Q8.identity, E.projection)
     xi = V4.names["x"]
@@ -82,20 +112,12 @@ def test_extension_from_groups(quaternion_setup):
 
 
 def test_sections(quaternion_setup):
+    """Another section of the extension gives another valid cocycle."""
     V4, alpha, E = quaternion_setup
-    Q8 = E.group
-    xi, yi = V4.names["x"], V4.names["y"]
-    xyi = V4.mul(xi, yi)
-    with pytest.raises(BadSection):
-        cocycle_from_extension(E, section=[1, E.section[xi],
-                                           E.section[yi], E.section[xyi]])
-    with pytest.raises(BadSection):
-        cocycle_from_extension(E, section=[0, E.section[yi],
-                                           E.section[yi], E.section[xyi]])
     alt = list(E.section)
-    alt[xi] = Q8.mul(E.a_gen, alt[xi])
-    alpha2 = cocycle_from_extension(E, section=alt)
-    assert alpha2 != alpha
+    alt[V4.names["x"]] = E.group.mul(E.a_gen, alt[V4.names["x"]])
+    alpha2 = Cocycle(V4, 2, section_cocycle(E, alt))
+    assert alpha2.table != alpha.table
     assert validate_cocycle(alpha2) == []
 
 
@@ -114,7 +136,7 @@ def test_a_representations(quaternion_setup):
     tabZ = character_table(EZ.group)
     assert len(arZ) == 2
     assert sum(tabZ.degrees()[k] ** 2 for k in arZ) == 2
-    E0 = central_extension(Z2, trivial_cocycle(Z2, 2))
+    E0 = central_extension(Z2, trivial_cocycle(Z2))
     assert len(a_representations(E0)) == len(character_table(Z2))
 
 
@@ -138,18 +160,29 @@ def test_twisted_basis(quaternion_setup):
     assert len(TB.vectors) == 1
     assert TB.degrees() == (2,)
     assert TB.vectors[0].multiplicities[ar[0]] == 1
-    assert twisted_covering(TB).ok
-    assert in_twisted_monoid(TB, TB.vectors[0].multiplicities)
+    # every A-representation occurs in a basis element
+    M = np.array([v.multiplicities for v in TB.vectors])
+    assert M[:, list(ar)].any(0).all()
+    rows = np.array(invariance_matrix(FQ))
+
+    def in_monoid(v):
+        """Non-negative, supported on the A-representations, and
+        constant on the classes of the lifted system."""
+        v = np.array(v)
+        return ((v >= 0).all() and not np.delete(v, list(ar)).any()
+                and not (rows @ v).any())
+
+    assert in_monoid(TB.vectors[0].multiplicities)
     badvec = [0] * len(character_table(E.group))
     badvec[0] = 1
-    assert not in_twisted_monoid(TB, badvec)
+    assert not in_monoid(badvec)
     with pytest.raises(QuotientMismatch):
         twisted_invariant_basis(E, FQ, base=build_fusion(V4, []))
 
 
 def test_generator_moving_kernel():
     V4 = build_group(4, [(1, 0, 3, 2), (2, 3, 0, 1)], names=["x", "y"])
-    EE = central_extension(V4, trivial_cocycle(V4, 2))
+    EE = central_extension(V4, trivial_cocycle(V4))
     G8 = EE.group
     swap = make_hom(G8.full_subgroup(),
                     (G8.names["x"], G8.names["z"], G8.names["y"]))
@@ -178,7 +211,7 @@ def test_trivial_cocycle_module():
     xi, yi = V4.names["x"], V4.names["y"]
     FA4 = build_fusion(V4, [make_hom(V4.full_subgroup(),
                                      (yi, V4.mul(xi, yi)))])
-    EE = central_extension(V4, trivial_cocycle(V4, 2))
+    EE = central_extension(V4, trivial_cocycle(V4))
     G8 = EE.group
     lift = make_hom(G8.full_subgroup(),
                     (G8.names["z"], G8.names["y"],
