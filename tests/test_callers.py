@@ -7,7 +7,7 @@ that only the tests use belongs in tests/oracles.py.
 
 trace_job.py is a root only because it still uses the `presentation`
 alias and the `allow_large`, `basis=None` and `P=None` arguments.  The
-benchmark PR of ROADMAP item 2 drops that root, together with the
+benchmark change of ROADMAP item 2 drops that root, together with the
 `presentation` alias.
 """
 
