@@ -6,7 +6,8 @@ degree [G:H] satisfies [G:H]^2 <= |G|.  So the subgroups of that index bound
 are taken from the cached enumeration G.all_subgroups(), the linear
 characters of each are extended layer by layer along the pairs (H, g) that
 enumeration built its subgroups from, and the induced characters are kept
-when their norm is 1.
+when their norm is 1.  The subgroups are walked from the largest down, and
+the search stops once the squared degrees found sum to |G|.
 
 Character values lie in Z[zeta_e] for e = exp(G), and integer power-basis
 coordinates are the only form a value takes: a table holds
@@ -347,8 +348,11 @@ def _compute_table(G: FiniteGroup) -> CharacterTable:
     modular = ModularImage(G)
     found = {}
     lin = {}  # subgroup -> _linear_characters, for this table only
+    squares = 0  # sum of the squared degrees found; |G| once Irr is complete
     # the Irr search reads the whole enumeration, so it takes no subgroup cap
-    for H in G.all_subgroups(inf):
+    for H in reversed(G.all_subgroups(inf)):
+        if squares == G.order:
+            break
         if (G.order // H.order) ** 2 > G.order:
             continue
         chars = _induced_coords(G, H, _linear_characters(G, H, lin, e),
@@ -359,7 +363,8 @@ def _compute_table(G: FiniteGroup) -> CharacterTable:
                      % modular.q @ modular.weights % modular.q)
             chars = chars[norms == 1]
         for ch in chars:
-            found.setdefault(ch.tobytes(), ch)
+            if found.setdefault(ch.tobytes(), ch) is ch:
+                squares += int(ch[0, 0]) ** 2
     chars = sorted(found.values(),
                    key=lambda ch: (int(ch[0, 0]), (-ch).ravel().tolist()))
     if len(chars) != len(classes):

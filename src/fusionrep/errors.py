@@ -104,12 +104,8 @@ class DecompositionNotIntegral(FusionRepError):
     pass
 
 
-class NonzeroConstantTerm(FusionRepError):
-    """Completed presentation produced a relation with constant term != 0."""
-
-
 class AmbientMismatch(FusionRepError):
-    """Lattice operation across different ambient bases."""
+    """A module and a presentation on different generators."""
 
 
 class ExponentCapExceeded(CapExceeded):

@@ -18,6 +18,8 @@ deterministic.
 
 from __future__ import annotations
 
+from math import gcd
+
 import numpy as np
 
 from .errors import NotInSpan
@@ -224,57 +226,21 @@ class IntegerSpan:
 def smith_diagonal(M: list) -> list:
     """The Smith normal form diagonal d1 | d2 | ... of an integer matrix.
 
-    The list has min(m, n) entries, non-negative, zeros last.
+    The list has min(m, n) entries, non-negative, zeros last.  Row HNFs of
+    the matrix and of its transpose alternate until each row has one
+    nonzero entry (Kannan and Bachem, SIAM J. Comput. 8, 1979); gcd/lcm
+    exchanges then order those entries by divisibility.
     """
-    A = [list(r) for r in M]
-    m = len(A)
-    n = len(A[0]) if A else 0
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(m, n):
-        # find smallest nonzero entry in the remaining block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        A[t], A[best[0]] = A[best[0]], A[t]
-        swap_cols(t, best[1])
-        while True:
-            reduced = True
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    A[i] = [a - q * b for a, b in zip(A[i], A[t])]
-                    if A[i][t]:
-                        A[t], A[i] = A[i], A[t]
-                        reduced = False
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    for row in A:
-                        row[j] -= q * row[t]
-                    if A[t][j]:
-                        swap_cols(t, j)
-                        reduced = False
-            if reduced:
-                break
-        if A[t][t] < 0:
-            A[t] = [-x for x in A[t]]
-        # divisibility: fold any non-multiple into the pivot and redo
-        bad = next((i for i in range(t + 1, m)
-                    if any(A[i][j] % A[t][t] for j in range(t + 1, n))), None)
-        if bad is not None:
-            A[t] = [a + b for a, b in zip(A[t], A[bad])]
-            continue
-        t += 1
-    return [A[i][i] for i in range(min(m, n))]
+    size = min(len(M), len(M[0])) if len(M) else 0
+    A = hnf(M)
+    while any(sum(1 for x in row if x) > 1 for row in A):
+        A = hnf(list(zip(*A)))
+    d = [next(x for x in row if x) for row in A]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return d + [0] * (size - len(d))
 
 
 def nullspace_mod(mat, q):

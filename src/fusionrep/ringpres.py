@@ -5,24 +5,25 @@ basis elements rewrite linearly and the quadratic rewriting relations present
 the ring over Z.  Shifting each generator by its degree turns the
 presentation into one whose relations lie in the augmentation ideal, which
 is the completed form.  R(S) and R(F) are both a Ring: a Z-basis whose
-element 0 is 1, the basis degrees and an integer structure tensor.  Ideals
-are integer lattices in that basis, and every I-adic chain comes from
-lattice_chain.
+element 0 is 1, the basis degrees and an integer structure tensor.  A
+presentation is that tensor with generator names, and both relation sets
+are read off it.  Ideals are integer lattices in the basis, held as their
+canonical HNF rows, and every I-adic chain comes from lattice_chain.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 
 from .chartable import character_table
 from .errors import (
-    AmbientMismatch,
     DecompositionNotIntegral,
     ExponentCapExceeded,
     FusionRepError,
     GroupMismatch,
     InputError,
-    NonzeroConstantTerm,
     NotInSpan,
     NotInvariant,
 )
@@ -31,7 +32,6 @@ from .intlinalg import (_exact_array, hnf, int_matmul, lattice_contains,
                         smith_diagonal)
 from .invariants import InvariantBasis, decompose, irreducible_invariants
 from .permgroup import FiniteGroup
-from .polynomials import IntPolynomial
 
 DEFAULT_EXPONENT_CAP = 64
 
@@ -76,18 +76,19 @@ class Ring:
         return int_matmul([[u[i] for i in nz]],
                           self.tensor[nz].reshape(len(nz), n * n)).reshape(n, n)
 
-    def ideal_power(self, generators, k: int) -> "IdealLattice":
-        """I^k for the ideal I generated by the given elements."""
+    def ideal_power(self, generators, k: int) -> list:
+        """I^k for the ideal I generated by the given elements, as
+        canonical HNF rows."""
         gens = tuple(tuple(int(c) for c in g) for g in generators)
         if gens not in self._chains:
             self._chains[gens] = (
                 lattice_chain([self.times(g) for g in gens], self.rank), [])
         chain, powers = self._chains[gens]
         while len(powers) < k:
-            powers.append(IdealLattice(self, next(chain)))
+            powers.append(next(chain))
         return powers[k - 1]
 
-    def augmentation_power(self, k: int) -> "IdealLattice":
+    def augmentation_power(self, k: int) -> list:
         """I^k for the augmentation ideal I, generated by {e_i - d_i}."""
         n = self.rank
         return self.ideal_power(
@@ -96,54 +97,41 @@ class Ring:
 
 
 class RingPresentation:
-    """Generators, structure constants, and quadratic relations.
+    """Generators, their degrees and R(F) on the Z-basis (1, X1..Xm).
 
-    X_i X_j = constants[i][j] + sum_k coefficients[i][j][k] X_k, with the
-    relation polynomials listed squares first, then mixed products in
-    lexicographic pair order.  ring is R(F) on the Z-basis (1, X1..Xm).
+    X_i X_j = sum_k ring.tensor[i, j, k] X_k with X_0 = 1, and the
+    relations are read off that tensor: squares first, then mixed products
+    in lexicographic pair order.
     """
 
-    __slots__ = ("names", "degrees", "constants", "coefficients", "relations",
-                 "basis", "ring")
+    __slots__ = ("names", "degrees", "ring", "basis")
 
-    def __init__(self, names, degrees, constants, coefficients, relations, basis=None):
-        names = tuple(names)
-        degrees = tuple(int(d) for d in degrees)
-        m = len(names)
-        constants = tuple(tuple(int(x) for x in row) for row in constants)
-        coefficients = tuple(
-            tuple(tuple(int(x) for x in cell) for cell in row) for row in coefficients
-        )
-        T = np.zeros((m + 1,) * 3, dtype=np.int64)
-        T[0] = T[:, 0] = np.eye(m + 1, dtype=np.int64)
-        T[1:, 1:, 0] = np.array(constants, dtype=np.int64).reshape(m, m)
-        T[1:, 1:, 1:] = np.array(coefficients, dtype=np.int64).reshape(m, m, m)
-        object.__setattr__(self, "ring", Ring((1,) + degrees, T))
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "constants", constants)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "relations", tuple(relations))
+    def __init__(self, names, ring: Ring, basis=None):
+        object.__setattr__(self, "names", tuple(names))
+        object.__setattr__(self, "degrees", ring.degrees[1:])
+        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "basis", basis)
 
     def __setattr__(self, *a):
         raise AttributeError("RingPresentation is immutable")
 
+    @property
+    def relations(self) -> list:
+        T = self.ring.tensor
+        return _relations(self.names, -T[1:, 1:, 1:], -T[1:, 1:, 0])
+
     def __str__(self):
-        if not self.names:
-            return "Z"
-        gens = ",".join(self.names)
-        rels = ", ".join(str(r) for r in self.relations)
-        return f"Z[{gens}]/( {rels} )"
+        return _ring_text("Z[{}]/( {} )", self.names, self.relations)
 
     def to_json(self) -> dict:
+        T = self.ring.tensor
         return {
             "generators": [
                 {"name": n, "degree": d} for n, d in zip(self.names, self.degrees)
             ],
-            "constants": [list(row) for row in self.constants],
-            "coefficients": [[list(c) for c in row] for row in self.coefficients],
-            "relations": [str(r) for r in self.relations],
+            "constants": T[1:, 1:, 0].tolist(),
+            "coefficients": T[1:, 1:, 1:].tolist(),
+            "relations": self.relations,
             "ring": str(self),
         }
 
@@ -156,30 +144,47 @@ class CompletedPresentation:
     def __init__(self, names, shifts, relations):
         object.__setattr__(self, "names", tuple(names))
         object.__setattr__(self, "shifts", tuple(int(s) for s in shifts))
-        rels = tuple(relations)
-        for r in rels:
-            if r.constant_term():
-                raise NonzeroConstantTerm(f"completed relation {r} has a constant term")
-        object.__setattr__(self, "relations", rels)
+        object.__setattr__(self, "relations", tuple(relations))
 
     def __setattr__(self, *a):
         raise AttributeError("CompletedPresentation is immutable")
 
     def __str__(self):
-        if not self.names:
-            return "Z"
-        gens = ",".join(self.names)
-        rels = ", ".join(str(r) for r in self.relations)
-        return f"Z[[{gens}]]/( {rels} )"
+        return _ring_text("Z[[{}]]/( {} )", self.names, self.relations)
 
     def to_json(self) -> dict:
         return {
             "variables": [
                 {"name": n, "shift": s} for n, s in zip(self.names, self.shifts)
             ],
-            "relations": [str(r) for r in self.relations],
+            "relations": list(self.relations),
             "ring": str(self),
         }
+
+
+def _relations(names, linear, constant=None) -> list:
+    """The relations X_i X_j + sum_k linear[i, j, k] X_k + constant[i, j],
+    as text: squares first, then the pairs i < j.  Terms run in descending
+    graded-lex order: the quadratic monomial, X_1..X_m, the constant."""
+    m = len(names)
+    out = []
+    for i, j in [(i, i) for i in range(m)] + list(combinations(range(m), 2)):
+        text = f"{names[i]}^2" if i == j else names[i] + names[j]
+        terms = list(zip(linear[i, j].tolist(), names))
+        if constant is not None:
+            terms.append((int(constant[i, j]), ""))
+        for c, name in terms:
+            if c:
+                body = name if abs(c) == 1 and name else f"{abs(c)}{name}"
+                text += (" + " if c > 0 else " - ") + body
+        out.append(text)
+    return out
+
+
+def _ring_text(form: str, names, relations) -> str:
+    if not names:
+        return "Z"
+    return form.format(",".join(names), ", ".join(relations))
 
 
 def apply_names(auto, mapping) -> tuple:
@@ -215,8 +220,8 @@ def structure_constants(B: InvariantBasis, names: dict = None) -> RingPresentati
     gen_names = apply_names([B.names[k] for k in positions], names)
     degrees = [B.vectors[k].degree() for k in positions]
     m = len(positions)
-    constants = [[0] * m for _ in range(m)]
-    coefficients = [[[0] * m for _ in range(m)] for _ in range(m)]
+    T = np.zeros((m + 1,) * 3, dtype=np.int64)
+    T[0] = T[:, 0] = np.eye(m + 1, dtype=np.int64)
     mults = np.array([B.vectors[k].multiplicities for k in positions],
                      dtype=np.int64).reshape(m, len(table))
     # products[a, b] = multiplicities of X_a X_b over Irr(S)
@@ -234,26 +239,9 @@ def structure_constants(B: InvariantBasis, names: dict = None) -> RingPresentati
                 raise DecompositionNotIntegral(
                     f"{gen_names[i]}*{gen_names[j]} has a negative coordinate"
                 )
-            constants[i][j] = constants[j][i] = coords[trivial_pos]
-            cs = [coords[k] for k in positions]
-            coefficients[i][j] = coefficients[j][i] = cs
-    variables = tuple(gen_names)
-    relations = []
-    pairs = [(i, i) for i in range(m)] + [
-        (i, j) for i in range(m) for j in range(i + 1, m)
-    ]
-    for i, j in pairs:
-        rel = IntPolynomial.variable(variables[i], variables) * IntPolynomial.variable(
-            variables[j], variables
-        )
-        for k in range(m):
-            if coefficients[i][j][k]:
-                rel = rel - coefficients[i][j][k] * IntPolynomial.variable(
-                    variables[k], variables
-                )
-        rel = rel - constants[i][j]
-        relations.append(rel)
-    return RingPresentation(variables, degrees, constants, coefficients, relations, B)
+            T[i + 1, j + 1] = T[j + 1, i + 1] = [coords[trivial_pos]] + [
+                coords[k] for k in positions]
+    return RingPresentation(gen_names, Ring([1] + degrees, T), B)
 
 
 def presentation(B: InvariantBasis, names: dict = None) -> RingPresentation:
@@ -263,15 +251,17 @@ def presentation(B: InvariantBasis, names: dict = None) -> RingPresentation:
 
 
 def completed_presentation(P: RingPresentation, names: dict = None) -> CompletedPresentation:
-    """Substitute X_i = v_i + d_i and expand; constant terms must vanish."""
-    auto = [f"v{i + 1}" for i in range(len(P.names))]
-    new_names = apply_names(auto, names)
-    mapping = {
-        old: IntPolynomial.variable(new, new_names) + int(d)
-        for old, new, d in zip(P.names, new_names, P.degrees)
-    }
-    shifted = [rel.substitute(mapping) for rel in P.relations]
-    return CompletedPresentation(new_names, P.degrees, shifted)
+    """Substitute X_i = v_i + d_i and expand.  The relation for {i, j}
+    becomes v_i v_j + sum_k (d_j [k = i] + d_i [k = j] - T[i, j, k]) v_k;
+    its constant d_i d_j - sum_k T[i, j, k] d_k - T[i, j, 0] is zero by the
+    degree identity that Ring checks."""
+    new_names = apply_names([f"v{i + 1}" for i in range(len(P.names))], names)
+    d = np.array(P.degrees, dtype=np.int64)
+    eye = np.eye(len(d), dtype=np.int64)
+    linear = (eye[:, None, :] * d[None, :, None] + eye[None] * d[:, None, None]
+              - P.ring.tensor[1:, 1:, 1:])
+    return CompletedPresentation(new_names, P.degrees,
+                                 _relations(new_names, linear))
 
 
 # --- ideal lattices -------------------------------------------------------------
@@ -303,47 +293,12 @@ def lattice_chain(maps, n: int):
         yield current
 
 
-class IdealLattice:
-    """A sublattice of a ring, held in canonical HNF."""
-
-    __slots__ = ("ring", "basis")
-
-    def __init__(self, ring: Ring, rows):
-        for r in rows:
-            if len(r) != ring.rank:
-                raise AmbientMismatch("vector length does not match the ambient rank")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "basis", tuple(map(tuple, hnf([list(r) for r in rows]))))
-
-    def __setattr__(self, *a):
-        raise AttributeError("IdealLattice is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, IdealLattice):
-            return NotImplemented
-        return self.ring is other.ring and self.basis == other.basis
-
-    def __hash__(self):
-        return hash((id(self.ring), self.basis))
-
-
-def _same_ambient(L1, L2):
-    if L1.ring is not L2.ring:
-        raise AmbientMismatch("ideal lattices live in different rings")
-
-
-def contains(L1: IdealLattice, L2: IdealLattice) -> bool:
-    """Whether L2 is a sublattice of L1."""
-    _same_ambient(L1, L2)
-    return lattice_contains([list(r) for r in L1.basis], L2.basis)
-
-
 def quotient_by_ideal_power(P: RingPresentation, k: int) -> dict:
     """The finite-rank data of R/I^k: free rank and invariant factors."""
     if k < 1:
         raise InputError("k must be at least 1")
-    diag = smith_diagonal(P.ring.augmentation_power(k).basis)
-    nonzero = [abs(d) for d in diag if d]
+    diag = smith_diagonal(P.ring.augmentation_power(k))
+    nonzero = [d for d in diag if d]
     return {
         "free_rank": P.ring.rank - len(nonzero),
         "torsion": [d for d in nonzero if d > 1],
@@ -380,13 +335,13 @@ def adic_equivalence_exponent(F: FusionSystem, k: int = 1,
         row[0] -= vec.degree()
         gens.append(row)
     Jk = ring.ideal_power(gens, k)
-    if not contains(ring.augmentation_power(k), Jk):
+    if not lattice_contains(ring.augmentation_power(k), Jk):
         raise FusionRepError("restricted ideal power escapes I(S)^k")
     for m in range(1, cap + 1):
         ISm = ring.augmentation_power(m)
-        if contains(Jk, ISm):
+        if lattice_contains(Jk, ISm):
             return m
-        if not contains(ISm, ring.augmentation_power(m + 1)):
+        if not lattice_contains(ISm, ring.augmentation_power(m + 1)):
             raise FusionRepError("ideal powers are not decreasing")
     raise ExponentCapExceeded(
         f"no exponent up to {cap} bounds I(S)-adic by the restricted ideal"

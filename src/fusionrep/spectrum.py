@@ -17,7 +17,7 @@ from .errors import FusionRepError, InputError
 from .fusion import FusionSystem
 from .intlinalg import is_prime, nullspace_mod
 
-# polynomials over F_q are tuples of ints in [0, q), ascending degree,
+# an element of F_q[x] is a tuple of ints in [0, q), ascending degree,
 # normalized so the leading entry is nonzero
 
 

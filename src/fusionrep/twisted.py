@@ -346,14 +346,6 @@ class TwistedModule:
                 raise InputError("action matrices must be square on the basis")
             if any(v < 0 for row in M for v in row):
                 raise FusionRepError("action matrix has a negative entry")
-        A = np.array(matrices, dtype=object).reshape(len(matrices), t, t)
-        prods = int_matmul(A[:, None], A[None])
-        for i in range(len(matrices)):
-            for j in range(i + 1, len(matrices)):
-                if not np.array_equal(prods[i, j], prods[j, i]):
-                    raise FusionRepError(
-                        f"action matrices for {names[i]} and {names[j]} "
-                        "do not commute")
         self.basis = basis
         self.names = tuple(names)
         self.degrees = tuple(degrees)
@@ -404,10 +396,11 @@ def action_matrix(TB: TwistedBasis, vec: RepVector) -> tuple:
 def module_structure(F: FusionSystem, B, E: CentralExtensionData,
                      TB: TwistedBasis, P=None) -> TwistedModule:
     """Action of every nontrivial invariant basis generator on the twisted
-    basis, verified to commute and to satisfy the ring relations
-    M_i M_j = sum_k T[i, j, k] M_k of R(F), with M_0 the identity.  P is
-    the presentation structure_constants(B), with or without display names;
-    it is built here when not passed, and the module takes its names."""
+    basis, verified to satisfy the ring relations M_i M_j =
+    sum_k T[i, j, k] M_k of R(F), with M_0 the identity; T is symmetric, so
+    the matrices commute.  P is the presentation structure_constants(B),
+    with or without display names; it is built here when not passed, and
+    the module takes its names."""
     if B.fusion is not F:
         raise GroupMismatch("invariant basis belongs to a different system")
     if F.S is not E.base:

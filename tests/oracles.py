@@ -29,7 +29,7 @@ search that Berlekamp's algorithm replaced in spectrum.primes_above.
 is_centric and is_radical test a subgroup of a fusion system, with
 core_p for O_p of a finite group.  section_cocycle is the cocycle of a
 section of a central extension, the inverse of twisted.central_extension.
-ideal_product multiplies two ideal lattices pair by pair, the reference
+ideal_product multiplies two ideals' HNF rows pair by pair, the reference
 for the powers that Ring.ideal_power reads off lattice_chain, and
 ring_product multiplies two ring elements through Ring.times.  spec_text
 writes a JobSpec back as text, so that parsing it again tests the parser.
@@ -52,7 +52,6 @@ from fusionrep.intlinalg import int_matmul, kernel_basis
 from fusionrep.invariants import DEFAULT_HILBERT_CAP
 from fusionrep.permgroup import (FiniteGroup, GroupHom, Subgroup, build_group,
                                  format_cycles, is_p_group, make_hom, p_part)
-from fusionrep.ringpres import IdealLattice
 from fusionrep.spectrum import _mult_order, _polmod_divmod, _reduce_mod
 
 
@@ -556,11 +555,10 @@ def ring_product(ring, u, v) -> tuple:
     return tuple(int_matmul([v], ring.times(u))[0].tolist())
 
 
-def ideal_product(L1: IdealLattice, L2: IdealLattice) -> IdealLattice:
-    """The lattice spanned by the pairwise products of the two bases."""
-    assert L1.ring is L2.ring
-    return IdealLattice(L1.ring, [ring_product(L1.ring, u, v)
-                                  for u in L1.basis for v in L2.basis])
+def ideal_product(ring, L1, L2) -> list:
+    """The HNF rows of the lattice spanned by the pairwise products of two
+    ideal bases of a ringpres.Ring."""
+    return hnf([ring_product(ring, u, v) for u in L1 for v in L2])
 
 
 def _word_text(word) -> str:

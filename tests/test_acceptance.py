@@ -5,8 +5,9 @@ reads as a checklist.  Items with a runtime budget rebuild everything
 from the fixture file inside the measured window instead of reusing the
 session cache; the shared extraspecial group and its character table are
 library-level caches whose fresh cost is bounded separately by the
-character-table item.  Relation sets are compared as polynomials, not
-strings, so the generator order chosen by the pipeline does not matter.
+character-table item.  Relation sets are compared as rows read off the
+structure tensor and keyed by generator name, not as strings, so the
+generator order chosen by the pipeline does not matter.
 """
 
 import contextlib
@@ -27,7 +28,6 @@ from fusionrep.fusion import build_fusion
 from fusionrep.invariants import invariance_matrix, irreducible_invariants
 from fusionrep.jobspec import load_jobspec, realize
 from fusionrep.permgroup import extraspecial_p3, make_hom
-from fusionrep.polynomials import IntPolynomial
 from fusionrep.ringpres import (adic_equivalence_exponent,
                                 completed_presentation, structure_constants)
 from fusionrep.spectrum import prime_symbols
@@ -54,33 +54,44 @@ def ringdata(stem):
     return _RINGDATA[stem]
 
 
-# -- polynomial comparison ----------------------------------------------------
-# IntPolynomial equality is tied to the variable tuple, so relations are
-# normalized to a variable-order-free form before set comparison.
-
-def term_map(poly):
-    return frozenset(
-        (frozenset((v, e) for v, e in zip(poly.variables, exps) if e), c)
-        for exps, c in poly.terms.items())
+# -- relation comparison ------------------------------------------------------
+# A relation X_i X_j = sum_k c_k X_k + c_0 is keyed by the names {X_i, X_j}
+# and holds the nonzero c_k by name and the constant c_0.
 
 
-def poly_set(relations):
-    return {term_map(r) for r in relations}
+def relation_rows(names, T):
+    """The relations of the tensor T over the basis (1, names), where
+    X_i X_j = sum_k T[i, j, k] X_k with X_0 = 1."""
+    m = len(names)
+    return {(frozenset((names[i], names[j])),
+             frozenset((names[k], int(T[i + 1, j + 1, k + 1]))
+                       for k in range(m) if T[i + 1, j + 1, k + 1]),
+             int(T[i + 1, j + 1, 0]))
+            for i in range(m) for j in range(i, m)}
 
 
-def quad(vs, i, j, lin, const=0):
-    """The relation x_i * x_j - sum(lin[k] x_k) - const over variables vs."""
-    xs = [IntPolynomial.variable(v, vs) for v in vs]
-    out = xs[i] * xs[j] - const
-    for k, c in enumerate(lin):
-        out = out - c * xs[k]
-    return out
+def completed_rows(P, C):
+    """relation_rows of the completed presentation C of P: in the shifted
+    variables v_i = X_i - d_i, v_i v_j = sum_k c_k v_k + c_0 with
+    c_k = T[i, j, k] - d_j [k = i] - d_i [k = j] and
+    c_0 = sum_k T[i, j, k] d_k + T[i, j, 0] - d_i d_j."""
+    T = P.ring.tensor.astype(object)
+    d = np.array(P.ring.degrees, dtype=object)
+    S = T.copy()
+    S[1:, 1:, 0] = T[1:, 1:] @ d - np.outer(d, d)[1:, 1:]
+    for i in range(1, len(d)):
+        S[i, 1:, i] -= d[1:]
+        S[1:, i, i] -= d[1:]
+    return relation_rows(C.names, S)
 
 
-def quad_set(vs, rows):
-    return poly_set(quad(vs, i, j, lin, const)
-                    for i, j, lin, *rest in rows
-                    for const in [rest[0] if rest else 0])
+def rows_of(vs, rows):
+    """relation_rows of the listed relations (i, j, lin[, const]) over the
+    names vs."""
+    return {(frozenset((vs[i], vs[j])),
+             frozenset((v, c) for v, c in zip(vs, lin) if c),
+             rest[0] if rest else 0)
+            for i, j, lin, *rest in rows}
 
 
 def gens_by_degree(B, wanted):
@@ -277,13 +288,13 @@ def test_criterion_05_onan():
     C = completed_presentation(P, cren)
     took = time.monotonic() - t0
     vs = ("A", "B")
-    assert poly_set(P.relations) == quad_set(vs, [
+    assert relation_rows(P.names, P.ring.tensor) == rows_of(vs, [
         (0, 0, (65, 66), 78),
         (1, 1, (108, 107), 120),
         (0, 1, (84, 84), 72),
     ])
     cs = ("z", "w")
-    assert poly_set(C.relations) == quad_set(cs, [
+    assert completed_rows(P, C) == rows_of(cs, [
         (0, 0, (-235, 66)),
         (1, 1, (108, -277)),
         (0, 1, (-108, -66)),
@@ -355,9 +366,9 @@ def test_criterion_06_he():
     C = completed_presentation(P, cren)
     took = time.monotonic() - t0
     vs = ("D1", "D2", "D3", "D4", "D5")
-    assert poly_set(P.relations) == quad_set(vs, HE_RELATIONS)
+    assert relation_rows(P.names, P.ring.tensor) == rows_of(vs, HE_RELATIONS)
     cs = ("v1", "v2", "v3", "v4", "v5")
-    assert poly_set(C.relations) == quad_set(cs, HE_COMPLETED)
+    assert completed_rows(P, C) == rows_of(cs, HE_COMPLETED)
     assert took < 300.0, f"he took {took:.2f}s"
     _RINGDATA["he"] = (job, B)
     print("criterion 6: PASS")
@@ -370,7 +381,7 @@ def test_criterion_07_he_2():
     P = structure_constants(B, ren)
     C = completed_presentation(P, cren)
     vs = ("M1", "M2", "D5")
-    assert poly_set(P.relations) == quad_set(vs, [
+    assert relation_rows(P.names, P.ring.tensor) == rows_of(vs, [
         (0, 0, (29, 26, 26), 36),
         (1, 1, (30, 31, 30), 42),
         (2, 2, (60, 60, 61), 72),
@@ -379,7 +390,7 @@ def test_criterion_07_he_2():
         (1, 2, (45, 42, 42), 36),
     ])
     cs = ("t1", "t2", "t3")
-    assert poly_set(C.relations) == quad_set(cs, [
+    assert completed_rows(P, C) == rows_of(cs, [
         (0, 0, (-163, 26, 26)),
         (1, 1, (30, -173, 30)),
         (2, 2, (60, 60, -227)),
@@ -396,13 +407,13 @@ def test_criterion_08_fi24p():
     P = structure_constants(B, ren)
     C = completed_presentation(P, cren)
     vs = ("M1", "N")
-    assert poly_set(P.relations) == quad_set(vs, [
+    assert relation_rows(P.names, P.ring.tensor) == rows_of(vs, [
         (0, 0, (29, 26), 36),
         (1, 1, (180, 175), 186),
         (0, 1, (66, 70), 60),
     ])
     cs = ("r", "s")
-    assert poly_set(C.relations) == quad_set(cs, [
+    assert completed_rows(P, C) == rows_of(cs, [
         (0, 0, (-163, 26)),
         (1, 1, (180, -317)),
         (0, 1, (-180, -26)),
@@ -466,8 +477,9 @@ def test_criterion_11_value_table():
 
 
 def test_criterion_12_property_suites():
-    # basis size, covering, associativity, completed constant terms,
-    # on every fixture
+    # basis size, covering, associativity, and the degree identity that
+    # leaves the completed relations without constant terms, on every
+    # fixture
     for stem in ALL_STEMS:
         job, B = ringdata(stem)
         F = job.fusion
@@ -484,8 +496,10 @@ def test_criterion_12_property_suites():
                 for w in units:
                     assert ring_product(P.ring, uv, w) == ring_product(
                         P.ring, u, ring_product(P.ring, v, w))
-        C = completed_presentation(P)
-        assert all(r.constant_term() == 0 for r in C.relations), stem
+        # the completed relations have no constant term: d is multiplicative
+        d = np.array(P.ring.degrees, dtype=object)
+        assert (P.ring.tensor.astype(object) @ d == np.outer(d, d)).all(), \
+            stem
 
     # twisted side of covering on the one extension fixture
     job, B = ringdata("a4_sl23")

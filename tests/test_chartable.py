@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fusionrep.chartable import (_induced_coords, _linear_characters,
-                                 character_table)
+from fusionrep import chartable
+from fusionrep.chartable import (_compute_table, _induced_coords,
+                                 _linear_characters, character_table)
 from fusionrep.cyclotomic import power_table, value_json
 from fusionrep.errors import SubgroupEnumerationCapExceeded
 from fusionrep.permgroup import FiniteGroup, build_group, extraspecial_p3
@@ -94,6 +95,31 @@ def test_irr_shares_the_subgroup_enumeration_without_its_cap():
     with pytest.raises(SubgroupEnumerationCapExceeded):
         G.all_subgroups(5)
     assert len(character_table(G)) == 29
+
+
+@pytest.mark.parametrize("make,calls", [
+    (lambda: extraspecial_p3(7), 2),
+    (lambda: extraspecial_p3(3), 2),
+    (lambda: build_group(10, [f"({2 * k + 1} {2 * k + 2})"
+                              for k in range(5)]), 1),
+], ids=["7^{1+2}", "3^{1+2}", "(Z/2)^5"])
+def test_irr_search_stops_once_the_degrees_fill_the_order(monkeypatch, make,
+                                                          calls):
+    """Walking the subgroups from the largest down, an abelian group is done
+    with its own linear characters and an extraspecial one after a single
+    maximal subgroup adds its p - 1 characters of degree p."""
+    S = make()
+    want = rows(character_table(S))
+    G = FiniteGroup(S.degree, S.gens, S.elements)
+    counted = []
+
+    def counting(*a):
+        counted.append(a)
+        return _induced_coords(*a)
+
+    monkeypatch.setattr(chartable, "_induced_coords", counting)
+    assert rows(_compute_table(G)) == want
+    assert len(counted) == calls
 
 
 def test_degree_sum_small_groups():

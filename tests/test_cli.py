@@ -238,8 +238,8 @@ def test_each_stage_runs_once_per_job(capsys, monkeypatch, argv, lines,
     assert calls[_BASIS] == 1 and calls[_PRESENTATION] == 1
 
 
-_LAYERS = {"chartable", "cyclotomic", "invariants", "polynomials",
-           "ringpres", "spectrum", "twisted"}
+_LAYERS = {"chartable", "cyclotomic", "invariants", "ringpres", "spectrum",
+           "twisted"}
 
 _LOADED = """
 import contextlib, io, json, sys

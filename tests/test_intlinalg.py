@@ -53,25 +53,41 @@ def _determinantal_divisor(M, k):
     return g
 
 
+def _check_smith(M):
+    d = smith_diagonal(M)
+    m, n = len(M), len(M[0]) if M else 0
+    assert len(d) == min(m, n), (M, d)
+    # d1 d2 .. dk is the gcd of the k x k minors
+    prod = 1
+    for k in range(1, len(d) + 1):
+        prod *= d[k - 1]
+        assert prod == _determinantal_divisor(M, k), (M, d)
+    for i in range(len(d) - 1):
+        assert d[i] >= 0
+        if d[i]:
+            assert d[i + 1] % d[i] == 0
+        else:
+            assert d[i + 1] == 0
+
+
 def test_snf_randomized():
+    """Shapes up to 6 x 6 with about 30 % zero entries, so that zero rows
+    and columns and rank-deficient inputs occur."""
     random.seed(0)
-    for _ in range(30):
-        m = [[random.randint(-9, 9) for _ in range(4)] for _ in range(3)]
-        d = smith_diagonal(m)
-        assert len(d) == 3
-        # d1 d2 .. dk is the gcd of the k x k minors
-        prod = 1
-        for k in range(1, 4):
-            prod *= d[k - 1]
-            assert prod == _determinantal_divisor(m, k), (m, d)
-        for i in range(len(d) - 1):
-            assert d[i] >= 0
-            if d[i]:
-                assert d[i + 1] % d[i] == 0
-            else:
-                assert d[i + 1] == 0
-    # rank-deficient and empty shapes
+    for _ in range(60):
+        m, n = random.randint(0, 6), random.randint(1, 6)
+        _check_smith([[0 if random.random() < 0.3 else random.randint(-9, 9)
+                       for _ in range(n)] for _ in range(m)])
+    # the input completed_module passes for an empty stable lattice
+    for t in (1, 3, 6):
+        assert smith_diagonal([[0] * t]) == [0]
+    # pivot-and-fold elimination by scalar row and column steps cycles on
+    # this one
+    _check_smith([[9, -6, 3, 3, 0, -8], [-3, 6, -9, -5, -9, 6],
+                  [-5, -8, -3, 0, 7, -7], [5, 9, -2, 8, -8, -7],
+                  [5, -2, 9, -8, 8, -3], [0, 0, -5, 0, 6, -9]])
     assert smith_diagonal([[2, 4], [3, 6]]) == [1, 0]
+    assert smith_diagonal([[4, 0], [0, 6]]) == [2, 12]
     assert smith_diagonal([]) == []
 
 

@@ -5,35 +5,23 @@ import pytest
 from oracles import ideal_product, ring_product, value_product
 
 from fusionrep.chartable import character_table
-from fusionrep.errors import NonzeroConstantTerm
+from fusionrep.errors import FusionRepError
 from fusionrep.fusion import build_fusion
+from fusionrep.intlinalg import hnf, lattice_contains
 from fusionrep.invariants import decompose, irreducible_invariants
 from fusionrep.permgroup import build_group, make_hom
-from fusionrep.polynomials import IntPolynomial
-from fusionrep.ringpres import (IdealLattice, adic_equivalence_exponent,
+from fusionrep.ringpres import (Ring, adic_equivalence_exponent,
                                 character_ring, completed_presentation,
-                                contains, presentation,
-                                quotient_by_ideal_power, structure_constants)
+                                presentation, quotient_by_ideal_power,
+                                structure_constants)
 
 
-def test_polynomial_printing():
-    vs = ("A", "B")
-    A = IntPolynomial.variable("A", vs)
-    B = IntPolynomial.variable("B", vs)
-    poly = A * A - 65 * A - 66 * B - 78
-    assert str(poly) == "A^2 - 65A - 66B - 78"
-    assert str(IntPolynomial.constant(0, vs)) == "0"
-    assert str(A * B - 84 * A - 84 * B - 72) == "AB - 84A - 84B - 72"
-
-
-def test_polynomial_substitution():
-    vs = ("A", "B")
-    A = IntPolynomial.variable("A", vs)
-    B = IntPolynomial.variable("B", vs)
-    poly = A * A - 65 * A - 66 * B - 78
-    q = poly.substitute({"A": IntPolynomial.variable("z", ("z", "w")) + 150,
-                         "B": IntPolynomial.variable("w", ("z", "w")) + 192})
-    assert str(q) == "z^2 + 235z - 66w"
+def degree_defects(P):
+    """d_i d_j - sum_k T[i, j, k] d_k over the basis (1, X1..Xm) of P: the
+    constant term each completed relation would have, all zero when the
+    degrees are multiplicative."""
+    d = np.array(P.ring.degrees, dtype=object)
+    return np.outer(d, d) - P.ring.tensor.astype(object) @ d
 
 
 def sigma3_pipeline():
@@ -115,19 +103,19 @@ def test_multiplication_associative(pipeline):
 def test_completed_relations_have_no_constant_term(pipeline):
     for stem in ("sigma_3", "sigma_5", "sigma_7", "a4", "onan", "he",
                  "he_2", "fi24p", "rv2"):
-        comp = pipeline(stem).completed
-        for rel in comp.relations:
-            assert rel.constant_term() == 0, (stem, str(rel))
+        P = pipeline(stem).presentation
+        assert not degree_defects(P).any(), stem
 
 
 def test_ideal_arithmetic():
     Z2 = build_group(2, ["(1 2)"], names=["g"])
-    I = character_ring(Z2).augmentation_power(1)
-    assert I.basis == ((1, -1),)
-    I2 = ideal_product(I, I)
-    assert I2.basis == ((2, -2),)
-    assert contains(I, I2)
-    assert not contains(I2, I)
+    ring = character_ring(Z2)
+    I = ring.augmentation_power(1)
+    assert I == [[1, -1]]
+    I2 = ideal_product(ring, I, I)
+    assert I2 == [[2, -2]]
+    assert lattice_contains(I, I2)
+    assert not lattice_contains(I2, I)
 
 
 def test_quotients_by_ideal_power():
@@ -155,11 +143,11 @@ def test_chain_matches_repeated_products(pipeline, stem):
         n = ring.rank
         gens = [[-d if j == 0 else int(j == i) for j in range(n)]
                 for i, d in enumerate(ring.degrees) if i]
-        I = IdealLattice(ring, gens)
+        I = hnf(gens)
         power = I
         assert ring.augmentation_power(1) == I, stem
         for k in (2, 3):
-            power = ideal_product(power, I)
+            power = ideal_product(ring, power, I)
             assert ring.augmentation_power(k) == power, (stem, k)
 
 
@@ -175,8 +163,11 @@ def test_structure_constants_names_equal_presentation(pipeline):
         == presentation(P.basis).relations
 
 
-def test_completed_rejects_constant_term():
-    from fusionrep.ringpres import CompletedPresentation
-    poly = IntPolynomial.variable("v1", ("v1",)) + 1
-    with pytest.raises(NonzeroConstantTerm):
-        CompletedPresentation(("v1",), (2,), (poly,))
+def test_ring_rejects_a_tensor_that_breaks_the_degrees():
+    """R(Z/2) is Z[x]/(x^2 - 1) with x of degree 1.  Putting x^2 = 2x
+    instead breaks the degrees (1 != 2); shifting x = v + 1 would give the
+    relation v^2 - 1, whose constant term a completed relation cannot
+    have.  Ring refuses the tensor."""
+    Ring((1, 1), [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+    with pytest.raises(FusionRepError, match="break the degrees"):
+        Ring((1, 1), [[[1, 0], [0, 1]], [[0, 1], [0, 2]]])

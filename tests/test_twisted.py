@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from oracles import section_cocycle
 
-from fusionrep import permgroup
+from fusionrep import permgroup, twisted
 from fusionrep.chartable import character_table
-from fusionrep.errors import (GeneratorMovesA, InvalidCocycle, NotCentral,
-                              NotCyclicKernel, QuotientMismatch)
+from fusionrep.errors import (FusionRepError, GeneratorMovesA, InvalidCocycle,
+                              NotCentral, NotCyclicKernel, QuotientMismatch)
 from fusionrep.fusion import build_fusion
 from fusionrep.invariants import invariance_matrix, irreducible_invariants
 from fusionrep.permgroup import build_group, make_hom
@@ -240,3 +240,22 @@ def test_a4_sl23_fixture_pipeline(pipeline):
     assert TM.matrices == (((3,),),)
     CM = completed_module(TM, structure_constants(B))
     assert CM.group_string() == "Z"
+
+
+def test_module_rejects_a_broken_ring_relation(pipeline, monkeypatch):
+    """On a4_sl23 the generator X of degree 3 acts by (3), and X^2 = 2X + 3.
+    One entry off by one breaks that relation."""
+    P = pipeline("a4_sl23")
+    E = P.extension
+    TB = twisted_invariant_basis(E, P.fusion_alpha, base=P.fusion)
+    real = twisted.action_matrix
+
+    def perturbed(TB, vec):
+        M = real(TB, vec)
+        if vec.degree() == 1:
+            return M
+        return ((M[0][0] + 1,) + M[0][1:],) + M[1:]
+
+    monkeypatch.setattr(twisted, "action_matrix", perturbed)
+    with pytest.raises(FusionRepError, match="violate a ring relation"):
+        module_structure(P.fusion, P.basis, E, TB)
