@@ -11,14 +11,12 @@ the search stops once the squared degrees found sum to |G|.
 
 Character values lie in Z[zeta_e] for e = exp(G), and integer power-basis
 coordinates are the only form a value takes: a table holds
-X[irr, class, phi(e)] as an int64 array.  Inner products within the table
-are evaluated modulo one prime q = 1 (mod e) above |G|, through the ring
-map Z[zeta_e] -> F_q that sends zeta_e to a primitive e-th root of unity
-(Dixon's modular method).  A modular result is used only where it is exact:
-either the true value is an integer known to lie in [0, q), or an integer
-identity in coordinates certifies it.  The multiplicities of any other
-class function are exact integer sums divided by |G|.  Rows are sorted by
-degree and then by descending coordinates, so row indices are canonical.
+X[irr, class, phi(e)] as an int64 array.  Every inner product is an exact
+integer sum divided by |G|: a table keeps one integer dual, the
+coordinates of |C_c| zeta^a conj(chi_k(c)) for every class c, power a and
+irreducible k, so the numerators of <f, chi_k> for all k are one integer
+product with the coordinates of f.  Rows are sorted by degree and then by
+descending coordinates, so row indices are canonical.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import numpy as np
 
 from .cyclotomic import degree_phi, power_table, value_json
 from .errors import FusionRepError, NotAPrimePowerGroup
-from .intlinalg import hnf, int_matmul, is_prime, nullspace_mod
+from .intlinalg import hnf, int_matmul
 from .permgroup import FiniteGroup, Subgroup, group_prime
 
 # bound on the entries of one numpy temporary in the table search
@@ -38,51 +36,6 @@ _CHUNK = 1 << 20
 # bound on the entries of the product temporaries of one block of pairs in
 # the structure tensor
 _PAIR_BLOCK = 1 << 16
-
-
-class ModularImage:
-    """The ring map Z[zeta_e] -> F_q, zeta_e -> w, on power-basis coordinates.
-
-    q is the smallest prime with q = 1 (mod e) and q > |G|, and w is a
-    primitive e-th root of unity in F_q; w is a root of Phi_e mod q, so the
-    map is well defined.  weights[c] = |C_c| / |G| in F_q.
-    """
-
-    def __init__(self, G: FiniteGroup):
-        e = G.exponent()
-        q = (G.order // e) * e + 1
-        if q <= G.order:
-            q += e
-        while not is_prime(q):
-            q += e
-        classes = G.conjugacy_classes()
-        if len(classes) * q * q >= 2 ** 63:
-            raise FusionRepError(f"modulus {q} is too large for int64 sums")
-        w = _primitive_root(e, q)
-        phi = degree_phi(e)
-        self.q = q
-        self.up = np.array([pow(w, k, q) for k in range(phi)], dtype=np.int64)
-        self.down = np.array([pow(w, (e - k) % e, q) for k in range(phi)],
-                             dtype=np.int64)
-        sizes = np.array([len(c) for c in classes], dtype=np.int64)
-        self.weights = sizes * pow(G.order, -1, q) % q
-
-    def image(self, coords: np.ndarray) -> np.ndarray:
-        """Residues of the values, the power basis on the last axis."""
-        return coords @ self.up % self.q
-
-    def conj_image(self, coords: np.ndarray) -> np.ndarray:
-        """Residues of the complex conjugate values."""
-        return coords @ self.down % self.q
-
-
-def _primitive_root(e: int, q: int) -> int:
-    primes = [r for r in range(2, e + 1) if e % r == 0 and is_prime(r)]
-    for a in range(1, q):
-        w = pow(a, (q - 1) // e, q)
-        if all(pow(w, e // r, q) != 1 for r in primes):
-            return w
-    raise FusionRepError(f"no primitive {e}-th root of unity mod {q}")
 
 
 def _product_matrix(e: int) -> np.ndarray:
@@ -93,11 +46,22 @@ def _product_matrix(e: int) -> np.ndarray:
         phi * phi, phi)
 
 
+def _conjugation(e: int) -> np.ndarray:
+    """C with x @ C = the coordinates of the complex conjugate of x."""
+    powers = power_table(e)
+    return np.array([powers[-k % e] for k in range(degree_phi(e))],
+                    dtype=np.int64)
+
+
 def _times(x: np.ndarray, y: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Exact products of coordinate arrays (power basis on the last axis)."""
     phi = M.shape[1]
     outer = x[..., :, None] * y[..., None, :]
     return int_matmul(outer.reshape(outer.shape[:-2] + (phi * phi,)), M)
+
+
+def _class_sizes(G: FiniteGroup) -> np.ndarray:
+    return np.array([len(c) for c in G.conjugacy_classes()], dtype=np.int64)
 
 
 class CharacterTable:
@@ -112,10 +76,16 @@ class CharacterTable:
         self.coords = coords
         self.conductor = group.exponent()
         self._degrees = tuple(coords[:, 0, 0].tolist())
-        self.modular = ModularImage(group)
-        # dual[k, c] = |C_c| conj(chi_k(c)) / |G| in F_q
-        self._dual = (self.modular.conj_image(coords)
-                      * self.modular.weights % self.modular.q)
+        n, classes, phi = coords.shape
+        # W[k, c] = |C_c| conj(chi_k(c)), and the integer dual
+        # D[c, a, k] = zeta^a W[k, c]: sum_{c, a} f(c)_a D[c, a, k] is
+        # |G| <f, chi_k> for the coordinates f(c)_a of a class function f.
+        # Row b of _product_matrix, reshaped, is zeta^b times every zeta^a.
+        W = coords @ _conjugation(self.conductor) * _class_sizes(group)[:, None]
+        D = int_matmul(W.reshape(-1, phi),
+                       _product_matrix(self.conductor).reshape(phi, -1))
+        self._dual = np.ascontiguousarray(
+            D.reshape(n, classes, phi, phi).transpose(1, 2, 0, 3))
         self._tensor = None
         self.ring = None  # populated by ringpres.character_ring
 
@@ -128,28 +98,31 @@ class CharacterTable:
     def structure_tensor(self) -> np.ndarray:
         """N[i, j, k] = <chi_i chi_j, chi_k>, computed once and cached.
 
-        Each entry is an integer in [0, d_i d_j], and d_i d_j <= |G| < q, so
-        its residue mod q is the entry.  The result is certified over Z
-        anyway: sum_k N[i, j, k] chi_k must equal chi_i chi_j in integer
-        coordinates, at every class and coordinate.  N is symmetric in i and
-        j, so only the pairs i <= j are computed and certified, in blocks of
-        pairs whose product temporaries hold about _PAIR_BLOCK entries, and
-        each block is mirrored.
+        The exact products chi_i chi_j times the rational coordinate of the
+        dual give |G| N[i, j, k], and a remainder mod |G| fails the integer
+        certificate.  So does any pair with sum_k N[i, j, k] chi_k other
+        than chi_i chi_j in integer coordinates, at some class and
+        coordinate; this identity makes the rational coordinate enough.  N
+        is symmetric in i and j, so only the pairs i <= j are computed and
+        certified, in blocks of pairs whose product temporaries hold about
+        _PAIR_BLOCK entries, and each block is mirrored.
         """
         if self._tensor is None:
-            X, q = self.coords, self.modular.q
+            X, order = self.coords, self.group.order
             n = len(self)
             flat = X.reshape(n, -1)
-            V = self.modular.image(X)
+            dual = self._dual[..., 0].reshape(-1, n)
             M = _product_matrix(self.conductor)
             N = np.empty((n, n, n), dtype=np.int64)
             I, J = np.triu_indices(n)
             step = max(1, _PAIR_BLOCK // (flat.shape[1] * M.shape[1]))
             for lo in range(0, len(I), step):
                 i, j = I[lo:lo + step], J[lo:lo + step]
-                block = int_matmul(V[i] * V[j] % q, self._dual.T) % q
-                fails = (int_matmul(block, flat)
-                         != _times(X[i], X[j], M).reshape(len(i), -1)).any(1)
+                products = _times(X[i], X[j], M).reshape(len(i), -1)
+                whole = int_matmul(products, dual)
+                block = whole // order
+                fails = ((whole % order).any(1)
+                         | (int_matmul(block, flat) != products).any(1))
                 if fails.any():
                     k = fails.argmax()
                     raise FusionRepError(
@@ -179,16 +152,12 @@ class CharacterTable:
         """Rank over Q(zeta_e) of a matrix of values in Z[zeta_e].
 
         values holds integer power-basis coordinates, rows x columns x
-        phi(e).  The rank mod q is at most the rank over Q(zeta_e), so a
-        square image with no kernel mod q certifies full rank.  Otherwise
-        the rank is read from the integer matrix of the same map over Q
-        (restriction of scalars): block (i, j) multiplies by values[i, j],
-        and its rank over Q is phi(e) times the rank over Q(zeta_e).
+        phi(e).  The rank is read from the HNF of the integer matrix of the
+        same map over Q (restriction of scalars): block (i, j) multiplies by
+        values[i, j], and its rank over Q is phi(e) times the rank over
+        Q(zeta_e).
         """
         rows, cols, phi = values.shape
-        residues = self.modular.image(values).tolist()
-        if rows == cols and not nullspace_mod(residues, self.modular.q):
-            return rows
         blocks = _times(values[:, :, None, :], np.eye(phi, dtype=np.int64),
                         _product_matrix(self.conductor))
         scalars = blocks.transpose(0, 2, 1, 3).reshape(rows * phi, cols * phi)
@@ -200,21 +169,13 @@ class CharacterTable:
         C holds the integer power-basis coordinates of the class function f
         at the table's conductor, one row per class (int64, or Python ints
         of any size).  The numerators sum_c |C_c| f(c) conj(chi_k(c)) are
-        formed in Z[zeta_e] by exact integer products; each must be an
-        integer, its other coordinates zero, and is divided by |G|.
+        formed in Z[zeta_e] by one exact integer product with the dual; each
+        must be an integer, its other coordinates zero, and is divided by
+        |G|.
         """
-        e = self.conductor
-        n, classes, phi = self.coords.shape
-        powers = power_table(e)
-        conj = np.array([powers[-k % e] for k in range(phi)], dtype=np.int64)
-        sizes = np.array([len(c) for c in self.group.conjugacy_classes()],
-                         dtype=np.int64)
-        # W[c, k, b]: coordinate b of |C_c| conj(chi_k(c))
-        W = (self.coords @ conj).transpose(1, 0, 2) * sizes[:, None, None]
-        # T[a, k, b] = sum_c f(c)_a W[c, k, b]
-        T = int_matmul(np.asarray(C).T, W.reshape(classes, n * phi))
-        num = int_matmul(T.reshape(phi, n, phi).transpose(1, 0, 2)
-                         .reshape(n, phi * phi), _product_matrix(e))
+        n, phi = len(self), self.coords.shape[2]
+        num = int_matmul(np.reshape(C, (1, -1)),
+                         self._dual.reshape(-1, n * phi)).reshape(n, phi)
         if num[:, 1:].any():
             k = int(num[:, 1:].any(1).argmax())
             raise FusionRepError(
@@ -345,7 +306,10 @@ def _compute_table(G: FiniteGroup) -> CharacterTable:
         raise NotAPrimePowerGroup(f"order {G.order} is not a prime power")
     e = G.exponent()
     powers = np.array(power_table(e)[:e], dtype=np.int64)
-    modular = ModularImage(G)
+    phi = powers.shape[1]
+    # rational[a, b] is the rational coordinate of zeta^a conj(zeta^b)
+    rational = powers[np.subtract.outer(np.arange(phi), np.arange(phi)) % e, 0]
+    sizes = _class_sizes(G)
     found = {}
     lin = {}  # subgroup -> _linear_characters, for this table only
     squares = 0  # sum of the squared degrees found; |G| once Irr is complete
@@ -358,10 +322,11 @@ def _compute_table(G: FiniteGroup) -> CharacterTable:
         chars = _induced_coords(G, H, _linear_characters(G, H, lin, e),
                                 powers)
         if H.order < G.order:
-            # <psi, psi> is an integer in [1, [G:H]] and q > |G|
-            norms = (modular.image(chars) * modular.conj_image(chars)
-                     % modular.q @ modular.weights % modular.q)
-            chars = chars[norms == 1]
+            # |G| <psi, psi> = sum_c |C_c| psi(c) conj(psi(c)) is an integer,
+            # so the rational coordinates of the terms sum to it
+            norms = int_matmul((int_matmul(chars, rational) * chars).sum(2),
+                               sizes)
+            chars = chars[norms == G.order]
         for ch in chars:
             if found.setdefault(ch.tobytes(), ch) is ch:
                 squares += int(ch[0, 0]) ** 2

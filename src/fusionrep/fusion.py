@@ -17,20 +17,16 @@ import numpy as np
 from .errors import (
     DomainNotSubgroup,
     FusionRepError,
-    GeneratorMovesA,
     GroupMismatch,
     MorphismCapExceeded,
     NotAPrimePowerGroup,
-    NotCentral,
     NotInjective,
 )
 from .permgroup import (
     FiniteGroup,
     GroupHom,
     Subgroup,
-    coset_action,
     group_prime,
-    make_hom,
     p_part,
 )
 
@@ -457,33 +453,3 @@ def _describe(S: FiniteGroup, members) -> str:
 def build_fusion(S: FiniteGroup, generators=()) -> FusionSystem:
     """The fusion system on S generated by inner maps plus the given homs."""
     return FusionSystem(S, tuple(generators))
-
-
-def quotient_fusion(F: FusionSystem, A: Subgroup) -> FusionSystem:
-    """Quotient fusion system on S/A for central A fixed pointwise by every
-    generator.  The result carries .projection (element index of S -> element
-    index of S/A), for callers that match data through the quotient."""
-    S = F.S
-    S._check_parent(A)
-    Z = S.center()
-    if not all(Z.contains(x) for x in A.members):
-        raise NotCentral("quotient kernel is not inside the center")
-    for phi in F.generators:
-        for a in A.members:
-            if phi.domain.contains(a) and phi.apply(a) != a:
-                raise GeneratorMovesA(
-                    "a fusion generator moves an element of the kernel")
-    Sq, proj = coset_action(S, A)
-    gens_q = []
-    for phi in F.generators:
-        dom_members = sorted(set(proj[m] for m in phi.domain.members))
-        pre = {}
-        for m in phi.domain.members:
-            pre.setdefault(proj[m], m)
-        dom_gens = _small_gens(Sq, dom_members)
-        dom_q = Sq.subgroup(dom_gens) if dom_gens else Sq.trivial_subgroup()
-        images = tuple(proj[phi.apply(pre[g])] for g in dom_gens)
-        gens_q.append(make_hom(dom_q, images, Sq))
-    Fq = FusionSystem(Sq, tuple(gens_q))
-    Fq.projection = proj
-    return Fq

@@ -488,7 +488,6 @@ def _gl2_hom(S: FiniteGroup, p: int, matrix):
     det = (a11 * a22 - a12 * a21) % p
     if det == 0:
         raise InputError(f"gl2 matrix {matrix} is singular mod {p}")
-    a, b = S.names["a"], S.names["b"]
     img_a = _word_element(S, (("a", a11 % p), ("b", a21 % p)))
     img_b = _word_element(S, (("a", a12 % p), ("b", a22 % p)))
     return make_hom(S.full_subgroup(), (img_a, img_b), S)

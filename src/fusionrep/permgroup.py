@@ -135,10 +135,9 @@ def format_cycles(p: Perm) -> str:
 class FiniteGroup:
     """Immutable permutation group with canonical element indexing.
 
-    Construct through build_group / extraspecial_p3 / coset_action.  Lazy
-    caches (multiplication and conjugation tables, conjugacy classes,
-    subgroups) are write-once; all public fields are read-only by
-    convention.
+    Construct through build_group or extraspecial_p3.  Lazy caches
+    (multiplication and conjugation tables, conjugacy classes, subgroups)
+    are write-once; all public fields are read-only by convention.
     """
 
     def __init__(self, degree: int, gens: tuple, elements: tuple, names=None):
@@ -376,9 +375,6 @@ class FiniteGroup:
     def _from_mask(self, mask) -> "Subgroup":
         members = tuple(np.flatnonzero(mask).tolist())
         return Subgroup(self, members, members)
-
-    def center(self) -> "Subgroup":
-        return self.centralizer(self.full_subgroup())
 
     def all_subgroups(self, cap: int = DEFAULT_SUBGROUP_CAP) -> list:
         """All subgroups of a p-group, ordered by (order, members).  Each
@@ -638,41 +634,6 @@ def make_hom(domain: Subgroup, gen_images, codomain: FiniteGroup = None,
     if require_injective and not hom.is_injective():
         raise NotInjective("map collapses distinct elements")
     return hom
-
-
-def coset_action(G: FiniteGroup, N: Subgroup):
-    """Left action of G on the cosets of N.
-
-    Returns (quotient FiniteGroup, projection list: element index -> point).
-    For normal N the image realizes G/N faithfully.  Coset points are numbered
-    by minimal member index; generator names carry over where unambiguous.
-    """
-    G._check_parent(N)
-    coset_of = {}
-    reps = []
-    for i in range(G.order):
-        if i in coset_of:
-            continue
-        members = sorted(G.mul(i, x) for x in N.members)
-        rep = members[0]
-        reps.append(rep)
-        for m in members:
-            coset_of[m] = rep
-    reps.sort()
-    point = {r: k for k, r in enumerate(reps)}
-    degree = len(reps)
-
-    def perm_of(g: int) -> tuple:
-        return tuple(point[coset_of[G.mul(g, r)]] for r in reps)
-
-    gen_perms = [perm_of(g) for g in G.gen_indices]
-    quotient = build_group(degree, gen_perms, cap=G.order + 1)
-    for gi, p in zip(G.gen_indices, gen_perms):
-        name = G.name_of(gi)
-        if name is not None and name not in quotient.names:
-            quotient.names[name] = quotient.index[p]
-    projection = [point[coset_of[i]] for i in range(G.order)]
-    return quotient, projection
 
 
 # --- p-group helpers ---------------------------------------------------------

@@ -9,8 +9,11 @@ primitive root of unity.
 
 The twisted invariant group is the monoid of such A-representations whose
 characters are constant on the classes of a lifted fusion system on
-S_alpha.  It is a module over the untwisted invariant ring, and the same
-completion machinery applies through the shifted action matrices.
+S_alpha.  The lift is checked against the fusion system on S through the
+projection alone: its generators fix A pointwise, and the projection
+carries their graphs onto the graphs of the generators on S.  The monoid
+is a module over the untwisted invariant ring, and the same completion
+machinery applies through the shifted action matrices.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ import numpy as np
 
 from .chartable import character_table
 from .errors import (AmbientMismatch, DecompositionNotIntegral, FusionRepError,
-                     GroupMismatch, InputError, InvalidCocycle, NotCentral,
-                     NotCyclicKernel, NotInSpan, QuotientMismatch)
-from .fusion import FusionSystem, quotient_fusion
+                     GeneratorMovesA, GroupMismatch, InputError,
+                     InvalidCocycle, NotCentral, NotCyclicKernel, NotInSpan,
+                     QuotientMismatch)
+from .fusion import FusionSystem
 from .intlinalg import IntegerSpan, int_matmul, smith_diagonal
 from .invariants import (DEFAULT_HILBERT_CAP, RepVector, hilbert_basis,
                          invariance_matrix)
@@ -99,12 +103,13 @@ def validate_cocycle(alpha: Cocycle) -> list:
 
 class CentralExtensionData:
     """A central extension of the base group by a cyclic group of roots of
-    unity, with its projection, a distinguished generator of the kernel,
-    and bookkeeping to move between the pair picture and element indices."""
+    unity, with its projection onto the base group (projection.images[x] is
+    the image of element x), a distinguished generator of the kernel, and a
+    section."""
 
     def __init__(self, group: FiniteGroup, base: FiniteGroup, coeff: int,
                  A: Subgroup, a_gen: int, projection: GroupHom,
-                 section: tuple, pairs: tuple):
+                 section: tuple):
         self.group = group
         self.base = base
         self.coeff = coeff
@@ -112,10 +117,6 @@ class CentralExtensionData:
         self.a_gen = a_gen
         self.projection = projection
         self.section = section  # base element index -> group element index
-        self.pairs = pairs      # group element index -> (a, s)
-
-    def s_value(self, x: int) -> int:
-        return self.pairs[x][1]
 
     def to_json(self) -> dict:
         return {
@@ -179,7 +180,7 @@ def central_extension(S: FiniteGroup, alpha: Cocycle) -> CentralExtensionData:
     projection = GroupHom(G.full_subgroup(), S,
                           tuple(p[1] for p in pairs))
     return CentralExtensionData(G, S, n, A, G.index[zperm], projection,
-                                tuple(section), pairs)
+                                tuple(section))
 
 
 def extension_from_groups(G: FiniteGroup, a_gen: int,
@@ -209,23 +210,12 @@ def extension_from_groups(G: FiniteGroup, a_gen: int,
     if len(set(projection.images)) != S.order:
         raise InputError("projection is not surjective")
     _check_coeff(S, A.order)
-    n = A.order
-    dlog = {}
-    cur = G.identity
-    for j in range(n):
-        dlog[cur] = j
-        cur = G.mul(cur, a_gen)
     section = [None] * S.order
-    for x in range(G.order):
-        s = projection.apply(x)
+    for x, s in enumerate(projection.images):
         if section[s] is None:
             section[s] = x
-    pairs = tuple(
-        (dlog[G.mul(x, G.inv(section[projection.apply(x)]))],
-         projection.apply(x))
-        for x in range(G.order))
-    return CentralExtensionData(G, S, n, A, a_gen, projection,
-                                tuple(section), pairs)
+    return CentralExtensionData(G, S, A.order, A, a_gen, projection,
+                                tuple(section))
 
 
 def a_representations(E: CentralExtensionData) -> tuple:
@@ -275,27 +265,29 @@ class TwistedBasis:
         }
 
 
-def _quotient_match(E: CentralExtensionData, F_alpha: FusionSystem,
-                    Fq: FusionSystem, base: FusionSystem):
-    """Compare the quotient of the lifted system with the base system by
-    matching generator graphs through the projection."""
+def _check_lift(E: CentralExtensionData, F_alpha: FusionSystem,
+                base: FusionSystem):
+    """Check that every generator of the lifted system fixes A pointwise
+    and, when the base system is given, that the projection s carries the
+    generators onto it: the graphs {(s(x), s(phi(x)))} over the domains are
+    the graphs of the base generators.  A is central and s maps onto the
+    base group with kernel A, so this compares the quotient of the lift by
+    A with the base system, generator by generator."""
+    for phi in F_alpha.generators:
+        for a in E.A.members:
+            if phi.domain.contains(a) and phi.apply(a) != a:
+                raise GeneratorMovesA(
+                    "a fusion generator moves an element of the kernel")
+    if base is None:
+        return
     if base.S is not E.base:
         raise GroupMismatch("base fusion system lives on the wrong group")
-    pre = {}
-    for idx, pt in enumerate(Fq.projection):
-        pre.setdefault(pt, idx)
-    psi = {pt: E.projection.apply(x) for pt, x in pre.items()}
-    if sorted(psi.values()) != list(range(E.base.order)):
-        raise QuotientMismatch("quotient does not biject onto the base group")
-    transported = set()
-    for phi in Fq.generators:
-        transported.add(frozenset(
-            (psi[x], psi[phi.apply(x)]) for x in phi.domain.members))
-    given = set()
-    for phi in base.generators:
-        given.add(frozenset(
-            (x, phi.apply(x)) for x in phi.domain.members))
-    if transported != given:
+    s = E.projection.images
+    pushed = {frozenset((s[x], s[phi.apply(x)]) for x in phi.domain.members)
+              for phi in F_alpha.generators}
+    given = {frozenset((x, phi.apply(x)) for x in phi.domain.members)
+             for phi in base.generators}
+    if pushed != given:
         raise QuotientMismatch(
             "quotient generators do not match the base fusion system")
 
@@ -307,13 +299,11 @@ def twisted_invariant_basis(E: CentralExtensionData, F_alpha: FusionSystem,
     classes of the lifted fusion system.
 
     The lifted system must fix the kernel pointwise, and when the base
-    system is supplied its quotient is checked against it.
+    system is supplied its quotient is checked against it (_check_lift).
     """
     if F_alpha.S is not E.group:
         raise GroupMismatch("lifted fusion system lives on the wrong group")
-    Fq = quotient_fusion(F_alpha, E.A)  # raises GeneratorMovesA / NotCentral
-    if base is not None:
-        _quotient_match(E, F_alpha, Fq, base)
+    _check_lift(E, F_alpha, base)
     a_reps = a_representations(E)
     tab = character_table(E.group)
     rows = [list(r) for r in invariance_matrix(F_alpha)]
@@ -340,12 +330,6 @@ class TwistedModule:
 
     def __init__(self, basis: TwistedBasis, names: tuple, degrees: tuple,
                  matrices: tuple):
-        t = len(basis.vectors)
-        for M in matrices:
-            if len(M) != t or any(len(row) != t for row in M):
-                raise InputError("action matrices must be square on the basis")
-            if any(v < 0 for row in M for v in row):
-                raise FusionRepError("action matrix has a negative entry")
         self.basis = basis
         self.names = tuple(names)
         self.degrees = tuple(degrees)
@@ -367,7 +351,8 @@ def action_matrix(TB: TwistedBasis, vec: RepVector) -> tuple:
     E = TB.extension
     tab = character_table(E.group)
     base_class = E.base.class_of()
-    at = [base_class[E.s_value(cls[0])] for cls in E.group.conjugacy_classes()]
+    s = E.projection.images
+    at = [base_class[s[cls[0]]] for cls in E.group.conjugacy_classes()]
     products = tab.pullback_products(
         vec.coords, character_table(E.base).conductor, at,
         np.stack([w.coords for w in TB.vectors]))

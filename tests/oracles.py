@@ -16,7 +16,8 @@ subgroup as the closure of the commutators.
 build_table is the multiplication table by one tuple lookup per entry,
 which the Cayley-graph search of FiniteGroup._build_table replaced.  hnf
 is the row-by-row Hermite normal form that intlinalg.hnf replaced, and
-structure_tensor the row-by-row structure tensor that the batched pairs of
+structure_tensor the row-by-row structure tensor mod a prime q, through
+the F_q image ModularImage, that the exact batched pairs of
 CharacterTable.structure_tensor replaced.
 value_product, value_conjugate and inner_product are the exact reference
 for the character kernel: one value of Z[zeta_e] at a time, as a tuple of
@@ -27,8 +28,11 @@ a fusion system.  monic_factors finds the irreducible factors of Phi_n
 mod q by trying every monic polynomial of the one degree they share, the
 search that Berlekamp's algorithm replaced in spectrum.primes_above.
 is_centric and is_radical test a subgroup of a fusion system, with
-core_p for O_p of a finite group.  section_cocycle is the cocycle of a
-section of a central extension, the inverse of twisted.central_extension.
+core_p for O_p of a finite group.  coset_action, quotient_fusion and
+quotient_match build S/A and the quotient fusion system of a lift and
+match it with the base system, the check that twisted now reads off the
+projection.  section_cocycle is the cocycle of a section of a central
+extension, the inverse of twisted.central_extension.
 ideal_product multiplies two ideals' HNF rows pair by pair, the reference
 for the powers that Ring.ideal_power reads off lattice_chain, and
 ring_product multiplies two ring elements through Ring.times.  spec_text
@@ -42,13 +46,16 @@ from fractions import Fraction
 import numpy as np
 
 from fusionrep.chartable import _product_matrix
-from fusionrep.cyclotomic import cyclotomic_polynomial, power_table
-from fusionrep.errors import (FusionRepError, HilbertCapExceeded, InputError,
-                              MorphismCapExceeded,
+from fusionrep.cyclotomic import (cyclotomic_polynomial, degree_phi,
+                                  power_table)
+from fusionrep.errors import (FusionRepError, GeneratorMovesA, GroupMismatch,
+                              HilbertCapExceeded, InputError,
+                              MorphismCapExceeded, NotCentral,
+                              QuotientMismatch,
                               SubgroupEnumerationCapExceeded)
 from fusionrep.fusion import (DEFAULT_MORPHISM_CAP, SaturationReport,
                               _describe, _small_gens, build_fusion)
-from fusionrep.intlinalg import int_matmul, kernel_basis
+from fusionrep.intlinalg import int_matmul, is_prime, kernel_basis
 from fusionrep.invariants import DEFAULT_HILBERT_CAP
 from fusionrep.permgroup import (FiniteGroup, GroupHom, Subgroup, build_group,
                                  format_cycles, is_p_group, make_hom, p_part)
@@ -232,10 +239,12 @@ def hnf(rows) -> list:
     return [row for row in A[:r] if any(row)]
 
 
-# --- the structure tensor one row at a time ----------------------------------
+# --- the structure tensor one row at a time, mod q --------------------------
 # The code that the batched pairs of CharacterTable.structure_tensor
-# replaced, kept verbatim as functions of the table: every row i of N and
-# its certificate in raw int64 products, with _times as it was then.
+# replaced, kept verbatim as functions of the table: every row i of N mod
+# one prime q above |G| (Dixon's modular method, with the F_q image that
+# the tables held before their inner products became exact integer sums),
+# and its certificate in raw int64 products, with _times as it was then.
 
 
 def _times(x: np.ndarray, y: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -245,15 +254,63 @@ def _times(x: np.ndarray, y: np.ndarray, M: np.ndarray) -> np.ndarray:
     return outer.reshape(outer.shape[:-2] + (phi * phi,)) @ M
 
 
+class ModularImage:
+    """The ring map Z[zeta_e] -> F_q, zeta_e -> w, on power-basis coordinates.
+
+    q is the smallest prime with q = 1 (mod e) and q > |G|, and w is a
+    primitive e-th root of unity in F_q; w is a root of Phi_e mod q, so the
+    map is well defined.  weights[c] = |C_c| / |G| in F_q.
+    """
+
+    def __init__(self, G: FiniteGroup):
+        e = G.exponent()
+        q = (G.order // e) * e + 1
+        if q <= G.order:
+            q += e
+        while not is_prime(q):
+            q += e
+        classes = G.conjugacy_classes()
+        if len(classes) * q * q >= 2 ** 63:
+            raise FusionRepError(f"modulus {q} is too large for int64 sums")
+        w = _primitive_root(e, q)
+        phi = degree_phi(e)
+        self.q = q
+        self.up = np.array([pow(w, k, q) for k in range(phi)], dtype=np.int64)
+        self.down = np.array([pow(w, (e - k) % e, q) for k in range(phi)],
+                             dtype=np.int64)
+        sizes = np.array([len(c) for c in classes], dtype=np.int64)
+        self.weights = sizes * pow(G.order, -1, q) % q
+
+    def image(self, coords: np.ndarray) -> np.ndarray:
+        """Residues of the values, the power basis on the last axis."""
+        return coords @ self.up % self.q
+
+    def conj_image(self, coords: np.ndarray) -> np.ndarray:
+        """Residues of the complex conjugate values."""
+        return coords @ self.down % self.q
+
+
+def _primitive_root(e: int, q: int) -> int:
+    primes = [r for r in range(2, e + 1) if e % r == 0 and is_prime(r)]
+    for a in range(1, q):
+        w = pow(a, (q - 1) // e, q)
+        if all(pow(w, e // r, q) != 1 for r in primes):
+            return w
+    raise FusionRepError(f"no primitive {e}-th root of unity mod {q}")
+
+
 def structure_tensor(self) -> np.ndarray:
-    X, q = self.coords, self.modular.q
+    modular = ModularImage(self.group)
+    X, q = self.coords, modular.q
     n = len(self)
     flat = X.reshape(n, -1)
-    V = self.modular.image(X)
+    V = modular.image(X)
+    # dual[k, c] = |C_c| conj(chi_k(c)) / |G| in F_q
+    dual = modular.conj_image(X) * modular.weights % q
     M = _product_matrix(self.conductor)
     N = np.empty((n, n, n), dtype=np.int64)
     for i in range(n):
-        N[i] = V[i] * V % q @ self._dual.T % q
+        N[i] = V[i] * V % q @ dual.T % q
         if not np.array_equal(N[i] @ flat,
                               _times(X[i], X, M).reshape(n, -1)):
             raise FusionRepError(
@@ -527,6 +584,102 @@ def is_radical(F, P: Subgroup) -> bool:
     A = FiniteGroup(P.order, tuple(auts), tuple(auts))
     center = set(S.centralizer(P).members) & set(P.members)
     return len(core_p(A, F.p)) == P.order // len(center)  # |Inn(P)|
+
+
+# --- quotients of groups and fusion systems ----------------------------------
+# The code that twisted._check_lift replaced, kept verbatim except that the
+# center is the centralizer of the whole group: the quotient S/A as the
+# action on the cosets of A, the quotient fusion system, and the match of
+# its generator graphs with the base system through the projection.
+
+
+def coset_action(G: FiniteGroup, N: Subgroup):
+    """Left action of G on the cosets of N.
+
+    Returns (quotient FiniteGroup, projection list: element index -> point).
+    For normal N the image realizes G/N faithfully.  Coset points are numbered
+    by minimal member index; generator names carry over where unambiguous.
+    """
+    G._check_parent(N)
+    coset_of = {}
+    reps = []
+    for i in range(G.order):
+        if i in coset_of:
+            continue
+        members = sorted(G.mul(i, x) for x in N.members)
+        rep = members[0]
+        reps.append(rep)
+        for m in members:
+            coset_of[m] = rep
+    reps.sort()
+    point = {r: k for k, r in enumerate(reps)}
+    degree = len(reps)
+
+    def perm_of(g: int) -> tuple:
+        return tuple(point[coset_of[G.mul(g, r)]] for r in reps)
+
+    gen_perms = [perm_of(g) for g in G.gen_indices]
+    quotient = build_group(degree, gen_perms, cap=G.order + 1)
+    for gi, p in zip(G.gen_indices, gen_perms):
+        name = G.name_of(gi)
+        if name is not None and name not in quotient.names:
+            quotient.names[name] = quotient.index[p]
+    projection = [point[coset_of[i]] for i in range(G.order)]
+    return quotient, projection
+
+
+def quotient_fusion(F, A: Subgroup):
+    """Quotient fusion system on S/A for central A fixed pointwise by every
+    generator.  The result carries .projection (element index of S -> element
+    index of S/A), for callers that match data through the quotient."""
+    S = F.S
+    S._check_parent(A)
+    Z = S.centralizer(S.full_subgroup())
+    if not all(Z.contains(x) for x in A.members):
+        raise NotCentral("quotient kernel is not inside the center")
+    for phi in F.generators:
+        for a in A.members:
+            if phi.domain.contains(a) and phi.apply(a) != a:
+                raise GeneratorMovesA(
+                    "a fusion generator moves an element of the kernel")
+    Sq, proj = coset_action(S, A)
+    gens_q = []
+    for phi in F.generators:
+        dom_members = sorted(set(proj[m] for m in phi.domain.members))
+        pre = {}
+        for m in phi.domain.members:
+            pre.setdefault(proj[m], m)
+        dom_gens = _small_gens(Sq, dom_members)
+        dom_q = Sq.subgroup(dom_gens) if dom_gens else Sq.trivial_subgroup()
+        images = tuple(proj[phi.apply(pre[g])] for g in dom_gens)
+        gens_q.append(make_hom(dom_q, images, Sq))
+    Fq = build_fusion(Sq, tuple(gens_q))
+    Fq.projection = proj
+    return Fq
+
+
+def quotient_match(E, F_alpha, Fq, base):
+    """Compare the quotient of the lifted system with the base system by
+    matching generator graphs through the projection."""
+    if base.S is not E.base:
+        raise GroupMismatch("base fusion system lives on the wrong group")
+    pre = {}
+    for idx, pt in enumerate(Fq.projection):
+        pre.setdefault(pt, idx)
+    psi = {pt: E.projection.apply(x) for pt, x in pre.items()}
+    if sorted(psi.values()) != list(range(E.base.order)):
+        raise QuotientMismatch("quotient does not biject onto the base group")
+    transported = set()
+    for phi in Fq.generators:
+        transported.add(frozenset(
+            (psi[x], psi[phi.apply(x)]) for x in phi.domain.members))
+    given = set()
+    for phi in base.generators:
+        given.add(frozenset(
+            (x, phi.apply(x)) for x in phi.domain.members))
+    if transported != given:
+        raise QuotientMismatch(
+            "quotient generators do not match the base fusion system")
 
 
 # --- cocycles, ideals and job specs ------------------------------------------

@@ -1,9 +1,12 @@
-"""Every public module-level function and class of the package has a caller.
+"""Every public module-level function and class of the package, and every
+public method of its top-level classes, has a caller.
 
 A definition counts as called when its name appears, as a name, an
 attribute or an import, in some module of src/fusionrep outside its own
-definition, or in perfbench/trace_job.py.  Tests do not count: a helper
-that only the tests use belongs in tests/oracles.py.
+definition, or in perfbench/trace_job.py.  For a method, its own
+definition is its body; the rest of its class counts.  Dunder methods are
+exempt.  Tests do not count: a helper that only the tests use belongs in
+tests/oracles.py.
 
 trace_job.py is a root only because it still uses the `presentation`
 alias and the `allow_large`, `basis=None` and `P=None` arguments.  The
@@ -42,18 +45,30 @@ def _names(node) -> set:
 def test_every_public_definition_has_a_caller():
     modules = {f: _parse(os.path.join(PACKAGE, f))
                for f in sorted(os.listdir(PACKAGE)) if f.endswith(".py")}
-    # (module, top-level statement index) -> names used in that statement
-    used = {(f, k): _names(stmt) for f, tree in modules.items()
-            for k, stmt in enumerate(tree.body)}
-    roots = _names(_parse(TRACE_JOB)) if os.path.exists(TRACE_JOB) else set()
-    unused = []
+    # (module, top-level index, class-body index or None) -> names used
+    # there; a class is split into its body statements, so a method's own
+    # body is one key and the rest of its class are others
+    used = {}
+    # (label, name, the key prefix of its own definition)
+    definitions = []
     for f, tree in modules.items():
         for k, stmt in enumerate(tree.body):
+            used[f, k, None] = _names(stmt)
             if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if stmt.name.startswith("_") or stmt.name in roots:
-                continue
-            if not any(stmt.name in names for key, names in used.items()
-                       if key != (f, k)):
-                unused.append(f"{f[:-3]}.{stmt.name}")
+            label = f"{f[:-3]}.{stmt.name}"
+            definitions.append((label, stmt.name, (f, k)))
+            if isinstance(stmt, ast.ClassDef):
+                used[f, k, None] = set().union(
+                    *map(_names, stmt.bases + stmt.decorator_list))
+                for m, item in enumerate(stmt.body):
+                    used[f, k, m] = _names(item)
+                    if isinstance(item, ast.FunctionDef):
+                        definitions.append((f"{label}.{item.name}",
+                                            item.name, (f, k, m)))
+    roots = _names(_parse(TRACE_JOB)) if os.path.exists(TRACE_JOB) else set()
+    unused = [label for label, name, own in definitions
+              if not name.startswith("_") and name not in roots
+              and not any(name in names for key, names in used.items()
+                          if key[:len(own)] != own)]
     assert not unused, "no caller: " + ", ".join(unused)

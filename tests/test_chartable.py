@@ -32,7 +32,7 @@ def orthonormal(tab):
 
 def vanishes_off_the_center(tab, k):
     S = tab.group
-    Z = S.center()
+    Z = S.centralizer(S.full_subgroup())
     for x in range(S.order):
         if not Z.contains(x):
             assert not tab.coords[k, S.class_of()[x]].any()

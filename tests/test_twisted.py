@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from oracles import section_cocycle
+from oracles import quotient_fusion, quotient_match, section_cocycle
 
 from fusionrep import permgroup, twisted
 from fusionrep.chartable import character_table
-from fusionrep.errors import (FusionRepError, GeneratorMovesA, InvalidCocycle,
-                              NotCentral, NotCyclicKernel, QuotientMismatch)
+from fusionrep.errors import (DecompositionNotIntegral, FusionRepError,
+                              GeneratorMovesA, InvalidCocycle, NotCentral,
+                              NotCyclicKernel, NotInjective, QuotientMismatch)
 from fusionrep.fusion import build_fusion
 from fusionrep.invariants import invariance_matrix, irreducible_invariants
 from fusionrep.permgroup import build_group, make_hom
@@ -94,10 +95,20 @@ def test_cyclic_four_extension():
 
 
 def test_extension_from_groups(quaternion_setup):
+    """The extension given by its group has the cocycle, the twisted basis
+    and the module of the one built from the cocycle."""
     V4, alpha, E = quaternion_setup
     Q8 = E.group
     E2 = extension_from_groups(Q8, E.a_gen, E.projection)
     assert section_cocycle(E2) == alpha.table
+    FQ, FA4 = lifted_fusions(E)
+    B = irreducible_invariants(FA4)
+    TB = twisted_invariant_basis(E, FQ, base=FA4)
+    TB2 = twisted_invariant_basis(E2, FQ, base=FA4)
+    assert [v.multiplicities for v in TB2.vectors] \
+        == [v.multiplicities for v in TB.vectors]
+    assert module_structure(FA4, B, E2, TB2).matrices \
+        == module_structure(FA4, B, E, TB).matrices == (((3,),),)
     with pytest.raises(NotCyclicKernel):
         extension_from_groups(Q8, Q8.identity, E.projection)
     xi = V4.names["x"]
@@ -259,3 +270,96 @@ def test_module_rejects_a_broken_ring_relation(pipeline, monkeypatch):
     monkeypatch.setattr(twisted, "action_matrix", perturbed)
     with pytest.raises(FusionRepError, match="violate a ring relation"):
         module_structure(P.fusion, P.basis, E, TB)
+
+
+def test_action_matrix_rejects_a_negative_coefficient(pipeline,
+                                                      monkeypatch):
+    """A solve that returns a negative coefficient is no module action."""
+    P = pipeline("a4_sl23")
+    E = P.extension
+    TB = twisted_invariant_basis(E, P.fusion_alpha, base=P.fusion)
+
+    class NegativeSpan:
+        def solve(self, target):
+            return (-1,)
+
+    monkeypatch.setattr(TB, "span", NegativeSpan(), raising=False)
+    with pytest.raises(DecompositionNotIntegral,
+                       match="-1 is not a non-negative integer"):
+        module_structure(P.fusion, P.basis, E, TB)
+
+
+def _oracle_verdict(E, F_alpha, base):
+    """The error class of the quotient oracle on a lift, or None."""
+    try:
+        Fq = quotient_fusion(F_alpha, E.A)
+        if base is not None:
+            quotient_match(E, F_alpha, Fq, base)
+    except FusionRepError as ex:
+        return type(ex)
+    return None
+
+
+def _lift_verdict(E, F_alpha, base):
+    """The error class of the lift check on a lift, or None."""
+    try:
+        twisted._check_lift(E, F_alpha, base)
+    except FusionRepError as ex:
+        return type(ex)
+    return None
+
+
+def test_lift_check_agrees_with_the_quotient_oracle(pipeline,
+                                                    quaternion_setup):
+    """The projection check and the quotient oracle accept the same lifts
+    and reject the same mutated ones.  A lift whose push-forward is not
+    injective fails the quotient's make_hom, and its graphs through the
+    projection match no base generator."""
+    P = pipeline("a4_sl23")
+    _, _, EQ = quaternion_setup
+    FQ, FA4 = lifted_fusions(EQ)
+    Q8, V4 = EQ.group, EQ.base
+    z, x, y = Q8.names["z"], Q8.names["x"], Q8.names["y"]
+    xv, yv = V4.names["x"], V4.names["y"]
+    # the inverse of the order-3 lift: it generates the same system, but
+    # both checks compare generator graphs, and its graph is the inverse's
+    back = make_hom(Q8.full_subgroup(), (z, Q8.mul(x, y), x))
+    # swaps x and y: it fixes z and pushes forward to a transposition
+    swap = make_hom(Q8.full_subgroup(), (z, y, x))
+    # x -> x^-1, inner by y: it pushes forward to the identity of V4
+    inner = make_hom(Q8.full_subgroup(), (z, Q8.inv(x), y))
+    trivial = build_fusion(V4, [])
+    identity = build_fusion(V4, [make_hom(V4.full_subgroup(), (xv, yv))])
+    E0 = central_extension(V4, trivial_cocycle(V4))
+    G8 = E0.group
+    z0, x0 = G8.names["z"], G8.names["x"]
+    # x -> z on <x>: injective, fixes A (not in its domain), and pushes
+    # forward to x -> 1
+    collapse = make_hom(G8.subgroup((x0,)), (z0,))
+    moves = make_hom(G8.full_subgroup(), (x0, z0, G8.names["y"]))
+    cases = [
+        ("a4_sl23", P.extension, P.fusion_alpha, P.fusion, None),
+        ("q8 over v4", EQ, FQ, FA4, None),
+        ("q8, no base", EQ, FQ, None, None),
+        ("q8 over the trivial system", EQ, FQ, trivial, QuotientMismatch),
+        ("inverse lift", EQ, build_fusion(Q8, [back]), FA4,
+         QuotientMismatch),
+        ("swap lift", EQ, build_fusion(Q8, [swap]), FA4, QuotientMismatch),
+        ("inner lift", EQ, build_fusion(Q8, [inner]), identity, None),
+        ("inner lift over nothing", EQ, build_fusion(Q8, [inner]), trivial,
+         QuotientMismatch),
+        ("inner lift over v4", EQ, build_fusion(Q8, [inner]), FA4,
+         QuotientMismatch),
+        ("moves A", E0, build_fusion(G8, [moves]), trivial,
+         GeneratorMovesA),
+        ("moves A, no base", E0, build_fusion(G8, [moves]), None,
+         GeneratorMovesA),
+    ]
+    for label, E, F_alpha, base, want in cases:
+        assert _oracle_verdict(E, F_alpha, base) is want, label
+        assert _lift_verdict(E, F_alpha, base) is want, label
+    collapsed = build_fusion(G8, [collapse])
+    assert _oracle_verdict(E0, collapsed, trivial) is NotInjective
+    assert _lift_verdict(E0, collapsed, trivial) is QuotientMismatch
+    with pytest.raises(QuotientMismatch):
+        twisted_invariant_basis(E0, collapsed, base=trivial)
