@@ -33,8 +33,8 @@ from .permgroup import FiniteGroup, Subgroup, group_prime
 
 # bound on the entries of one numpy temporary in the table search
 _CHUNK = 1 << 20
-# bound on the entries of the product temporaries of one block of pairs in
-# the structure tensor
+# bound on the entries of the temporaries of one block of pairs in the
+# structure tensor
 _PAIR_BLOCK = 1 << 16
 
 
@@ -53,11 +53,21 @@ def _conjugation(e: int) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _times(x: np.ndarray, y: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Exact products of coordinate arrays (power basis on the last axis)."""
+def _multipliers(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """The matrices of multiplication by the values x: the coordinates of
+    x * y are y @ _multipliers(x, M), for each value of x."""
     phi = M.shape[1]
-    outer = x[..., :, None] * y[..., None, :]
-    return int_matmul(outer.reshape(outer.shape[:-2] + (phi * phi,)), M)
+    return int_matmul(x, M.reshape(phi, phi * phi)).reshape(
+        x.shape[:-1] + (phi, phi))
+
+
+def _times(x: np.ndarray, y: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Exact products x * y[r] for every r, coordinate arrays with the
+    power basis on the last axis: y's first axis becomes the rows of one
+    small product per value of x, with that value's multiplication matrix,
+    so no temporary holds phi^2 entries per product."""
+    return np.moveaxis(int_matmul(np.moveaxis(y, 0, -2), _multipliers(x, M)),
+                       -2, 0)
 
 
 def _class_sizes(G: FiniteGroup) -> np.ndarray:
@@ -104,8 +114,10 @@ class CharacterTable:
         than chi_i chi_j in integer coordinates, at some class and
         coordinate; this identity makes the rational coordinate enough.  N
         is symmetric in i and j, so only the pairs i <= j are computed and
-        certified, in blocks of pairs whose product temporaries hold about
-        _PAIR_BLOCK entries, and each block is mirrored.
+        certified, row by row: chi_i times its partners chi_j, j >= i, in
+        blocks whose temporaries hold about _PAIR_BLOCK entries, each
+        block mirrored.  The products multiply by the multiplication
+        matrices of chi_i, so no temporary holds phi^2 entries per pair.
         """
         if self._tensor is None:
             X, order = self.coords, self.group.order
@@ -114,21 +126,22 @@ class CharacterTable:
             dual = self._dual[..., 0].reshape(-1, n)
             M = _product_matrix(self.conductor)
             N = np.empty((n, n, n), dtype=np.int64)
-            I, J = np.triu_indices(n)
-            step = max(1, _PAIR_BLOCK // (flat.shape[1] * M.shape[1]))
-            for lo in range(0, len(I), step):
-                i, j = I[lo:lo + step], J[lo:lo + step]
-                products = _times(X[i], X[j], M).reshape(len(i), -1)
-                whole = int_matmul(products, dual)
-                block = whole // order
-                fails = ((whole % order).any(1)
-                         | (int_matmul(block, flat) != products).any(1))
-                if fails.any():
-                    k = fails.argmax()
-                    raise FusionRepError(
-                        f"the product chi{i[k] + 1} chi{j[k] + 1} fails the "
-                        "integer certificate")
-                N[i, j] = N[j, i] = block
+            step = max(1, _PAIR_BLOCK // flat.shape[1])
+            for i in range(n):
+                for lo in range(i, n, step):
+                    j = slice(lo, min(lo + step, n))
+                    products = _times(X[i], X[j], M).reshape(
+                        -1, flat.shape[1])
+                    whole = int_matmul(products, dual)
+                    block = whole // order
+                    fails = ((whole % order).any(1)
+                             | (int_matmul(block, flat) != products).any(1))
+                    if fails.any():
+                        k = lo + fails.argmax()
+                        raise FusionRepError(
+                            f"the product chi{i + 1} chi{k + 1} fails the "
+                            "integer certificate")
+                    N[i, j] = N[j, i] = block
             self._tensor = N
         return self._tensor
 
@@ -158,8 +171,7 @@ class CharacterTable:
         Q(zeta_e).
         """
         rows, cols, phi = values.shape
-        blocks = _times(values[:, :, None, :], np.eye(phi, dtype=np.int64),
-                        _product_matrix(self.conductor))
+        blocks = _multipliers(values, _product_matrix(self.conductor))
         scalars = blocks.transpose(0, 2, 1, 3).reshape(rows * phi, cols * phi)
         return len(hnf(scalars.tolist())) // phi
 

@@ -1,6 +1,6 @@
 """Exact linear algebra over Z and F_q, and a primality test.
 
-Inputs and results are lists of Python ints or integer numpy arrays.  Two
+Inputs and results are lists of Python ints or integer numpy arrays.  Three
 kernels run on whole arrays and choose their representation from the
 values, under a proven bound:
 
@@ -9,7 +9,9 @@ values, under a proven bound:
   represented integer) and returns int64; otherwise it multiplies numpy
   arrays of Python ints (dtype object);
 - hnf eliminates on an int64 array while every entry is below 2^31 and
-  on Python ints from the first step that reaches it.
+  on Python ints from the first step that reaches it;
+- nullspace_mod eliminates over F_q on int64 when q < 2^31, so every
+  product of two residues fits, and on Python ints otherwise.
 
 Lattices are represented by their canonical row Hermite normal form, which
 makes equality, membership, sums, ranks and integer solves cheap and
@@ -244,31 +246,40 @@ def smith_diagonal(M: list) -> list:
 
 
 def nullspace_mod(mat, q):
-    """Basis of the kernel of a square matrix over F_q."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    pivots = {}
+    """Basis of the kernel of a square matrix over F_q, q prime.
+
+    Gauss-Jordan elimination with one array operation per pivot: the
+    pivot row is scaled to a leading 1, then every other row with a
+    nonzero entry in the pivot column becomes (row - entry * pivot row)
+    mod q.  Entries stay in [0, q), so while q < 2^31 every product fits
+    an int64; from 2^31 on the same steps run on Python ints.  One basis
+    vector per free column, in column order: 1 there, minus the reduced
+    pivot rows' entries in that column at the pivot columns, 0 elsewhere.
+    """
+    m = np.array(mat, dtype=np.int64 if q < 2 ** 31 else object) % q
+    n = len(m)
+    pivots = []  # (column, row)
     r = 0
     for c in range(n):
-        pr = next((i for i in range(r, n) if m[i][c] % q), None)
-        if pr is None:
+        nz = np.flatnonzero(m[r:, c])
+        if not nz.size:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], -1, q)
-        m[r] = [(x * inv) % q for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % q for a, b in zip(m[i], m[r])]
-        pivots[c] = r
+        if nz[0]:
+            m[[r, r + nz[0]]] = m[[r + nz[0], r]]
+        m[r] = m[r] * pow(int(m[r, c]), -1, q) % q
+        rows = np.flatnonzero(m[:, c])
+        rows = rows[rows != r]
+        m[rows] = (m[rows] - m[rows, c][:, None] * m[r]) % q
+        pivots.append((c, r))
         r += 1
+    done = {c for c, _ in pivots}
     basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
+    for fc in range(n):
+        if fc in done:
+            continue
         vec = [0] * n
         vec[fc] = 1
-        for c, pr in pivots.items():
-            vec[c] = (-m[pr][fc]) % q
+        for c, pr in pivots:
+            vec[c] = int(-m[pr, fc] % q)
         basis.append(vec)
     return basis
-

@@ -12,12 +12,12 @@ no condition touches split off as unit vectors.  The remaining columns are
 merged by the ray of their column in a kernel-lattice basis, which leaves
 at most six of the 55 columns on the order-343 fixtures, and a Pottier
 completion runs on the merged columns in small int64 arrays under an
-explicit entry bound; its non-negative minimal members lift back exactly.
+explicit entry bound, in rounds that reduce every pending pair sum at
+once; its non-negative minimal members lift back exactly.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from math import gcd
 
 import numpy as np
@@ -93,6 +93,73 @@ def _check_bound(largest) -> None:
                              "past the int64 bound")
 
 
+# bound on the entries of one temporary (rows x rows) of the completion
+_POOL_BLOCK = 1 << 16
+
+
+def _parts(V: np.ndarray) -> np.ndarray:
+    """The positive parts of the rows of V, then their negative parts."""
+    return np.hstack([np.maximum(V, 0), np.maximum(-V, 0)])
+
+
+def _below(A: np.ndarray, B: np.ndarray, reduce) -> np.ndarray:
+    """reduce(hit) for each block of rows of B, concatenated, where
+    hit[a, b] says that A[a] <= B[b] componentwise.  One comparison per
+    column, so the temporaries are len(A) x block, about _POOL_BLOCK
+    entries whatever the number of rows of B."""
+    step = max(1, _POOL_BLOCK // max(1, len(A)))
+    out = [np.zeros(0, dtype=np.intp)]
+    for lo in range(0, len(B), step):
+        block = B[lo:lo + step]
+        hit = np.ones((len(A), len(block)), dtype=bool)
+        for c in range(A.shape[1]):
+            hit &= A[:, c, None] <= block[:, c]
+        out.append(reduce(hit))
+    return np.concatenate(out)
+
+
+def _minimal(A: np.ndarray) -> np.ndarray:
+    """Mask of the rows of A, pairwise distinct, with no other row below."""
+    return _below(A, A, lambda hit: hit.sum(0)) == 1
+
+
+def _clash_pairs(G: np.ndarray, new: range) -> tuple:
+    """(i, k) for each member k in new and each earlier member i with a
+    coordinate of sign opposite to k's, k-major with i ascending."""
+    P, N = G > 0, G < 0
+    k = np.arange(new.start, new.stop)
+    clash = (P[k] @ N.T) | (N[k] @ P.T)
+    clash &= np.arange(len(G)) < k[:, None]
+    kk, i = np.nonzero(clash)
+    return i, k[kk]
+
+
+def _normal_forms(pool: np.ndarray, G: np.ndarray,
+                  parts: np.ndarray) -> np.ndarray:
+    """Every pool row in normal form against the members G with the given
+    parts, in place: all rows that have one subtract the first member, in
+    insertion order, lying below them, until no row has one."""
+    active = np.arange(len(pool))
+    while active.size:
+        first = _below(parts, _parts(pool[active]),
+                       lambda hit: np.where(hit.any(0), hit.argmax(0), -1))
+        active, first = active[first >= 0], first[first >= 0]
+        pool[active] -= G[first]
+    return pool
+
+
+def _distinct(pool) -> np.ndarray:
+    """The nonzero rows of pool, each once, in order of first occurrence:
+    a stable lexicographic sort puts equal rows together, lowest index
+    first."""
+    pool = pool[pool.any(1)]
+    order = np.lexsort(pool.T)
+    ranked = pool[order]
+    first = np.ones(len(pool), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(1)
+    return pool[np.sort(order[first])]
+
+
 def _column_rays(lattice: list, columns: list) -> tuple:
     """Group the columns by the ray of their column in the lattice basis.
 
@@ -138,15 +205,22 @@ def hilbert_basis(rows, ncols: int = None, cap: int = DEFAULT_HILBERT_CAP) -> li
     The completion (Pottier, ISSAC 1996) seeds with the projected lattice
     basis and its negatives and closes under pairwise sums reduced to
     normal form: subtract the first member, in insertion order, whose
-    positive and negative parts lie componentwise below.  A pair whose
-    members have no coordinate of opposite sign is skipped: its sum is
-    already a sum of two members that lie below it.  Members live in int64
-    arrays G, GP (positive parts) and GN (negative parts), grown row by
-    row; every entry stays below 2^62 in absolute value, and an entry past
-    that bound raises FusionRepError.
+    positive and negative parts lie componentwise below (written u <= v).
+    A pair whose members have no coordinate of opposite sign is skipped:
+    its sum is already a sum of two members that lie below it.  The sums
+    go in rounds.  A round forms every pending sum as one pool, reduces
+    the whole pool against the current members, with one array pass per
+    subtraction step, and drops zero and repeated rows.  The survivors
+    minimal under <= among themselves become members; each other survivor
+    has one of them below it and goes back into the next pool, with the
+    sums of the new members' pairs.  Members live in an int64 array G,
+    beside their positive parts and then negative parts; every entry stays
+    below 2^62 in absolute value, and an entry past that bound raises
+    FusionRepError.  The comparison temporaries hold about _POOL_BLOCK
+    entries each, however large the pool.
     The non-negative members, minimal componentwise, lift to the basis.
 
-    `cap` bounds both the completion set and the pending-pair queue.
+    `cap` bounds the members plus the rows of the pool.
     Output sorted by (coordinate sum, entries).
     """
     rows = [list(r) for r in rows]
@@ -177,46 +251,33 @@ def hilbert_basis(rows, ncols: int = None, cap: int = DEFAULT_HILBERT_CAP) -> li
             seeds += [v, [-x for x in v]]
         _check_bound(max(abs(x) for v in seeds for x in v))
         G = np.array(seeds, dtype=np.int64)
-        GP, GN = np.maximum(G, 0), np.maximum(-G, 0)
-        pairs = deque()
-
-        def enqueue(k):
-            # earlier members with a coordinate of sign opposite to member k
-            clash = (((GP[:k] > 0) & (GN[k] > 0))
-                     | ((GN[:k] > 0) & (GP[k] > 0))).any(1)
-            pairs.extend((i, k) for i in np.flatnonzero(clash).tolist())
-
-        for k in range(len(G)):
-            enqueue(k)
-        while pairs:
-            i, j = pairs.popleft()
-            v = G[i] + G[j]
-            _check_bound(np.abs(v).max())
-            while True:
-                vp, vn = np.maximum(v, 0), np.maximum(-v, 0)
-                hit = (GP <= vp).all(1) & (GN <= vn).all(1)
-                first = hit.argmax()
-                if not hit[first]:
-                    break
-                v = v - G[first]
-            if not v.any():
-                continue
-            k = len(G)
-            G = np.vstack([G, v])
-            GP, GN = np.vstack([GP, vp]), np.vstack([GN, vn])
-            if k + 1 > cap or len(pairs) + k > cap:
+        parts = _parts(G)
+        carried = G[:0]
+        new = range(len(G))
+        while True:
+            # clash pairs (i, k), i < k, of each new member k
+            i, k = _clash_pairs(G, new)
+            if len(G) + len(carried) + len(i) > cap:
                 raise HilbertCapExceeded(
                     f"completion exceeded {cap} vectors; raise the cap to continue"
                 )
-            enqueue(k)
+            if not len(carried) + len(i):
+                break
+            sums = G[i] + G[k]
+            if sums.size:
+                _check_bound(np.abs(sums).max())
+            pool = _distinct(_normal_forms(np.vstack([carried, sums]),
+                                           G, parts))
+            pool_parts = _parts(pool)
+            minimal = _minimal(pool_parts)
+            carried = pool[~minimal]
+            new = range(len(G), len(G) + int(minimal.sum()))
+            G = np.vstack([G, pool[minimal]])
+            parts = np.vstack([parts, pool_parts[minimal]])
 
-        # Members are pairwise distinct (each new one is in normal form), so
-        # a minimal one lies below itself only.
-        nonneg = G[~GN.any(1)]
-        # below[a, b]: member a lies componentwise below member b
-        below = (nonneg[:, None, :] <= nonneg[None, :, :]).all(2)
-        minimal = below.sum(0) == 1
-        for y in nonneg[minimal].tolist():
+        # members are pairwise distinct: each new one is in normal form
+        nonneg = G[(G >= 0).all(1)]
+        for y in nonneg[_minimal(nonneg)].tolist():
             x = [0] * n
             for j, k, g, g_rep in lift:
                 x[j], r = divmod(y[k] * g, g_rep)

@@ -12,6 +12,8 @@ identity, which is what makes the spectrum connected.
 
 from __future__ import annotations
 
+import random
+
 from .cyclotomic import cyclotomic_polynomial
 from .errors import FusionRepError, InputError
 from .fusion import FusionSystem
@@ -58,10 +60,10 @@ def _polmod_divmod(a, b, q):
     return _trim(quo), _trim(a)
 
 
-def _polmod_pow_x(e, modulus, q):
-    """x^e mod (modulus, q) by square and multiply."""
+def _polmod_pow(a, e, modulus, q):
+    """a^e mod (modulus, q) by square and multiply."""
     result = (1,)
-    base = _polmod_divmod((0, 1), modulus, q)[1] if len(modulus) <= 2 else (0, 1)
+    base = _polmod_divmod(a, modulus, q)[1]
     while e:
         if e & 1:
             result = _polmod_divmod(_polmod_mul(result, base, q), modulus, q)[1]
@@ -169,11 +171,22 @@ class CycPrime:
 
 
 def _berlekamp_factors(f, q):
-    """Distinct irreducible factors of a squarefree monic f mod q."""
+    """Distinct irreducible factors of a squarefree monic f mod q.
+
+    Every v in the Berlekamp kernel {v : v^q = v mod f} is a constant mod
+    each irreducible factor, and the kernel dimension is the number of
+    factors.  Factors are split by gcds with splitting polynomials until
+    there are that many: for q = 2, v - c for each basis vector v and
+    c in {0, 1}; for odd q, v^((q-1)/2) - 1 for random combinations v of
+    the basis from a fixed seed, which separates two factors whenever the
+    constants of v there differ in being nonzero squares, with probability
+    about 1/2 per v.  The factors come back sorted, so the draws do not
+    show in the result.
+    """
     n = len(f) - 1
     # Q matrix: row i = coefficients of x^(q i) mod f
     rows = []
-    xq = _polmod_pow_x(q, f, q)
+    xq = _polmod_pow((0, 1), q, f, q)
     power = (1,)
     for i in range(n):
         row = list(power) + [0] * (n - len(power))
@@ -184,31 +197,35 @@ def _berlekamp_factors(f, q):
            for i in range(n)]
     basis = nullspace_mod(mat, q)
     factors = [f]
-    for vec in basis:
-        v = _trim(vec)
-        if len(v) <= 1:
-            continue  # constant vectors split nothing
-        next_factors = []
+    splitters = _splitters(basis, f, q)
+    while len(factors) < len(basis):
+        w = next(splitters)
+        pieces = []
         for g in factors:
-            if len(g) - 1 <= 1:
-                next_factors.append(g)
-                continue
-            pieces = []
-            rest = g
-            for c in range(q):
-                shifted = list(v)
-                shifted[0] = (shifted[0] - c) % q
-                d = _polmod_gcd(rest, _trim(shifted), q)
-                if 0 < len(d) - 1 < len(rest) - 1:
-                    pieces.append(d)
-                    rest = _polmod_divmod(rest, d, q)[0]
-                if len(rest) - 1 == 0:
-                    break
-            if len(rest) - 1 > 0:
-                pieces.append(rest)
-            next_factors.extend(pieces)
-        factors = next_factors
+            d = _polmod_gcd(g, _polmod_divmod(w, g, q)[1], q)
+            if 0 < len(d) - 1 < len(g) - 1:
+                pieces += [d, _polmod_divmod(g, d, q)[0]]
+            else:
+                pieces.append(g)
+        factors = pieces
     return sorted(_make_monic(g, q) for g in factors)
+
+
+def _splitters(basis, f, q):
+    """The splitting polynomials of _berlekamp_factors, mod f."""
+    if q == 2:
+        for v in basis:
+            for c in range(q):
+                yield _trim([(v[0] - c) % q] + v[1:])
+        return
+    rng = random.Random(0)
+    while True:
+        v = [0] * (len(f) - 1)
+        for b in basis:
+            k = rng.randrange(q)
+            v = [(x + k * y) % q for x, y in zip(v, b)]
+        w = _polmod_pow(_trim(v), (q - 1) // 2, f, q)
+        yield _trim([(w[0] - 1) % q if w else q - 1] + list(w[1:]))
 
 
 def primes_above(q: int, n: int) -> list:

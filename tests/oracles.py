@@ -14,11 +14,15 @@ check_linear_characters holds the linear characters that chartable
 extends along the subgroup layers to their definition, with the derived
 subgroup as the closure of the commutators.
 build_table is the multiplication table by one tuple lookup per entry,
-which the Cayley-graph search of FiniteGroup._build_table replaced.  hnf
-is the row-by-row Hermite normal form that intlinalg.hnf replaced, and
-structure_tensor the row-by-row structure tensor mod a prime q, through
-the F_q image ModularImage, that the exact batched pairs of
-CharacterTable.structure_tensor replaced.
+which the Cayley-graph search of FiniteGroup._build_table replaced.
+make_hom_by_search and validate are the scalar extension of generator
+images and the check over all member pairs that the layered gathers of
+make_hom and GroupHom.validate replaced.  hnf is the row-by-row Hermite
+normal form that intlinalg.hnf replaced, nullspace_mod the row-by-row
+kernel over F_q that the array steps of intlinalg.nullspace_mod
+replaced, and structure_tensor the row-by-row structure tensor mod a
+prime q, through the F_q image ModularImage, that the exact batched
+pairs of CharacterTable.structure_tensor replaced.
 value_product, value_conjugate and inner_product are the exact reference
 for the character kernel: one value of Z[zeta_e] at a time, as a tuple of
 integer power-basis coordinates, in Python ints and Fractions.
@@ -50,8 +54,8 @@ from fusionrep.cyclotomic import (cyclotomic_polynomial, degree_phi,
                                   power_table)
 from fusionrep.errors import (FusionRepError, GeneratorMovesA, GroupMismatch,
                               HilbertCapExceeded, InputError,
-                              MorphismCapExceeded, NotCentral,
-                              QuotientMismatch,
+                              MorphismCapExceeded, NotAHomomorphism,
+                              NotCentral, NotInjective, QuotientMismatch,
                               SubgroupEnumerationCapExceeded)
 from fusionrep.fusion import (DEFAULT_MORPHISM_CAP, SaturationReport,
                               _describe, _small_gens, build_fusion)
@@ -239,6 +243,41 @@ def hnf(rows) -> list:
     return [row for row in A[:r] if any(row)]
 
 
+# --- the kernel over F_q one row at a time -----------------------------------
+# The code that the array steps of intlinalg.nullspace_mod replaced, kept
+# verbatim: one list comprehension per row operation.
+
+
+def nullspace_mod(mat, q):
+    """Basis of the kernel of a square matrix over F_q."""
+    n = len(mat)
+    m = [row[:] for row in mat]
+    pivots = {}
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, n) if m[i][c] % q), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], -1, q)
+        m[r] = [(x * inv) % q for x in m[r]]
+        for i in range(n):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(a - f * b) % q for a, b in zip(m[i], m[r])]
+        pivots[c] = r
+        r += 1
+    basis = []
+    free = [c for c in range(n) if c not in pivots]
+    for fc in free:
+        vec = [0] * n
+        vec[fc] = 1
+        for c, pr in pivots.items():
+            vec[c] = (-m[pr][fc]) % q
+        basis.append(vec)
+    return basis
+
+
 # --- the structure tensor one row at a time, mod q --------------------------
 # The code that the batched pairs of CharacterTable.structure_tensor
 # replaced, kept verbatim as functions of the table: every row i of N mod
@@ -332,6 +371,59 @@ def build_table(self):
         rows = E[i][E]  # rows[j] = elements[i] o elements[j]
         table[i] = [key[tuple(r)] for r in rows.tolist()]
     return table
+
+
+# --- homomorphisms by a scalar search and an |H|^2 check ---------------------
+# The code that make_hom and GroupHom.validate replaced, kept verbatim:
+# make_hom extends the generator images one element and generator at a
+# time and then validates, and validate compares one product table of all
+# member pairs on each side.
+
+
+def make_hom_by_search(domain: Subgroup, gen_images,
+                       codomain: FiniteGroup = None,
+                       require_injective: bool = True) -> GroupHom:
+    G = domain.parent
+    H = codomain if codomain is not None else G
+    gens = domain.gen_indices
+    if len(gens) != len(gen_images):
+        raise InputError("one image per declared generator required")
+    img = {G.identity: H.identity}
+    frontier = [G.identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g, gi in zip(gens, gen_images):
+                y = G.mul(x, g)
+                v = H.mul(img[x], gi)
+                if y in img:
+                    if img[y] != v:
+                        raise NotAHomomorphism("generator images are inconsistent")
+                else:
+                    img[y] = v
+                    new.append(y)
+        frontier = new
+    if len(img) != domain.order:
+        raise InputError("declared generators do not generate the subgroup")
+    hom = GroupHom(domain, H, tuple(img[m] for m in domain.members))
+    validate(hom)
+    if require_injective and not hom.is_injective():
+        raise NotInjective("map collapses distinct elements")
+    return hom
+
+
+def validate(self):
+    G = self.domain.parent
+    mem_a = np.array(self.domain.members, dtype=np.int32)
+    img_a = np.array(self.images, dtype=np.int32)
+    img_map = np.full(G.order, -1, dtype=np.int32)
+    img_map[mem_a] = img_a
+    lhs = img_map[G.mul_array(mem_a[:, None], mem_a[None, :])]
+    if (lhs < 0).any():
+        raise NotAHomomorphism("domain is not multiplicatively closed")
+    rhs = self.codomain.mul_array(img_a[:, None], img_a[None, :])
+    if not np.array_equal(lhs, rhs):
+        raise NotAHomomorphism("images violate the multiplication table")
 
 
 # --- the exhaustive saturation check before the table gathers ----------------

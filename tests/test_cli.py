@@ -284,20 +284,26 @@ print(json.dumps([code, "numpy.ma" in sys.modules]))
 """
 
 
+# the options of the spectrum job on he in the ring343 benchmark workload
+_MA_OPTIONS = {("spectrum", "he"): ("--conductor-order", "--primes", "2,3,7")}
+
+
 @pytest.mark.parametrize("cmd,stem", [
     ("ktheory", "sigma_5"), ("adic", "a4"), ("twisted", "a4_sl23"),
-    ("saturation", "a4"),
+    ("saturation", "a4"), ("ktheory", "he"), ("spectrum", "he"),
 ])
 def test_a_command_does_not_load_numpy_ma(cmd, stem):
     """np.unique imports numpy.ma, about 15 ms of a cold process; no
-    command reaches it."""
+    command reaches it, the order-343 rounds of the Hilbert completion and
+    the elimination over F_2 of Berlekamp's split included."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         fusionrep.__file__)))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src if not path else src + os.pathsep + path)
     done = subprocess.run(
-        [sys.executable, "-c", _LOADS_MA, cmd, fixture_path(stem + ".fus")],
+        [sys.executable, "-c", _LOADS_MA, cmd, fixture_path(stem + ".fus"),
+         *_MA_OPTIONS.get((cmd, stem), ())],
         capture_output=True, text=True, env=env, check=True)
     assert json.loads(done.stdout) == [0, False]
 
@@ -311,6 +317,10 @@ def test_error_exit_codes(capsys, tmp_path):
     assert code == 1 and "line 3" in err
     code, _, _ = run(capsys, ["repring", fixture_path("onan.fus"),
                               "--cap-hilbert", "1"])
+    assert code == 3
+    # the completion on he ends with 90 members
+    code, _, _ = run(capsys, ["ktheory", fixture_path("he.fus"),
+                              "--cap-hilbert", "89"])
     assert code == 3
     code, _, _ = run(capsys, ["repring", fixture_path("a4.fus"),
                               "--cap-order", "2"])

@@ -6,7 +6,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from oracles import (build_table, centralizer, check_linear_characters,
                      closure, core_p, coset_action, enumerate_subgroups,
-                     normalizer, subgroup_group)
+                     make_hom_by_search, normalizer, subgroup_group,
+                     validate)
 
 from fusionrep import permgroup
 from fusionrep.chartable import _linear_characters, character_table
@@ -14,7 +15,7 @@ from fusionrep.errors import (EvenPrime, FusionRepError, NotAHomomorphism,
                               NotAPermutation, NotAPrimePowerGroup,
                               NotInjective, OrderCapExceeded,
                               SubgroupEnumerationCapExceeded)
-from fusionrep.permgroup import (FiniteGroup, Subgroup, build_group,
+from fusionrep.permgroup import (FiniteGroup, GroupHom, Subgroup, build_group,
                                  extraspecial_p3, format_cycles, group_prime,
                                  make_hom, parse_cycles)
 
@@ -376,3 +377,143 @@ def test_subgroups_of_a_group_that_is_not_a_p_group():
     with pytest.raises(NotAPrimePowerGroup):
         S3.all_subgroups()
     assert [K.members for K in build_group(1, []).all_subgroups()] == [(0,)]
+
+
+# --- homomorphisms against the scalar search and the |H|^2 check -------------
+
+HOM_GROUPS = ["Q8", "D8", "extraspecial_3", "C9xC3", "a4_sl23.extension"]
+
+
+def _outcome(build):
+    """The homomorphism's images, or the type and text of what it raised."""
+    try:
+        return build().images
+    except FusionRepError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def generator_images(draw):
+    """A group of HOM_GROUPS, a domain in it and one image per generator.
+
+    The domain is the whole group or one of its subgroups, with its own
+    generators or with random members as generators, which may miss some
+    of its members.  The images are the conjugates of the generators by
+    one element (an injection), random elements, or the identity."""
+    pick = st.integers(0, 10 ** 6)
+    return {"name": draw(st.sampled_from(HOM_GROUPS)),
+            "domain": draw(st.sampled_from(["whole", "subgroup",
+                                            "random generators"])),
+            "images": draw(st.sampled_from(["conjugate", "random",
+                                            "trivial"])),
+            "seed": draw(pick),
+            "generators": draw(st.lists(pick, min_size=1, max_size=3)),
+            "random": draw(st.lists(pick, min_size=1, max_size=3)),
+            "injective": draw(st.booleans())}
+
+
+def _hom_input(G, case):
+    if case["domain"] == "whole":
+        D = G.full_subgroup()
+    else:
+        subs = G.all_subgroups()
+        K = subs[case["seed"] % len(subs)]
+        gens = K.gen_indices if case["domain"] == "subgroup" else tuple(
+            K.members[i % K.order] for i in case["generators"])
+        D = Subgroup(G, K.members, gens)
+    n = len(D.gen_indices)
+    if case["images"] == "conjugate":
+        t = case["seed"] % G.order
+        return D, tuple(G.conj(t, g) for g in D.gen_indices)
+    if case["images"] == "random":
+        picks = case["random"] * n
+        return D, tuple(i % G.order for i in picks[:n])
+    return D, (G.identity,) * n
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(generator_images())
+def test_make_hom_matches_the_oracle(pipeline, case):
+    G = _p_group(case["name"], pipeline)
+    D, images = _hom_input(G, case)
+    injective = case["injective"]
+    want = _outcome(lambda: make_hom_by_search(D, images, G, injective))
+    assert _outcome(lambda: make_hom(D, images, G, injective)) == want
+
+
+def _maps_near(G, K, hom):
+    """hom, hom with the image of one member moved, and, when K has two
+    generators or more, hom times a central z != 1 off <g>, g the first
+    generator: that map passes phi(x g) = phi(x) phi(g) for g alone."""
+    yield hom.images
+    for k in (0, K.order - 1):
+        images = list(hom.images)
+        images[k] = G.mul(images[k], G.gen_indices[0])
+        yield tuple(images)
+    if len(K.gen_indices) > 1:
+        first = set(G.closure(K.gen_indices[:1]))
+        z = next(z for z in range(G.order) if z != G.identity and all(
+            G.mul(z, g) == G.mul(g, z) for g in G.gen_indices))
+        yield tuple(v if m in first else G.mul(z, v)
+                    for m, v in zip(K.members, hom.images))
+
+
+@pytest.mark.parametrize("name", HOM_GROUPS)
+def test_validate_matches_the_oracle(pipeline, name):
+    """Maps on every subgroup near its conjugation maps: the layered proof
+    accepts and rejects as the check over all member pairs does, with the
+    same text."""
+    G = _p_group(name, pipeline)
+    for K in G.all_subgroups():
+        for t in range(0, G.order, max(1, G.order // 7)):
+            hom = make_hom(K, tuple(G.conj(t, g) for g in K.gen_indices), G)
+            for images in _maps_near(G, K, hom):
+                phi = GroupHom(K, G, images)
+                assert _outcome(lambda: phi.validate() or phi) \
+                    == _outcome(lambda: validate(phi) or phi)
+
+
+def test_validate_needs_generators_that_give_the_members():
+    """A domain whose declared generators miss some of its members is
+    rejected, also when the images are a homomorphism."""
+    S = extraspecial_p3(3)
+    whole = S.full_subgroup()
+    identity = GroupHom(whole, S, whole.members)
+    identity.validate()
+    short = Subgroup(S, whole.members, S.gen_indices[:1])
+    with pytest.raises(FusionRepError) as info:
+        GroupHom(short, S, whole.members).validate()
+    assert str(info.value) == "declared generators do not generate the subgroup"
+    validate(GroupHom(short, S, whole.members))  # the pair check passes
+    # members that are not closed under products
+    open_set = Subgroup(S, whole.members[:5], S.gen_indices)
+    with pytest.raises(NotAHomomorphism, match="not multiplicatively closed"):
+        GroupHom(open_set, S, open_set.members).validate()
+
+
+def test_make_hom_proves_on_the_generators(monkeypatch):
+    """make_hom makes no further check once the images agree."""
+    monkeypatch.setattr(permgroup.GroupHom, "validate", None)
+    S = extraspecial_p3(7)
+    a, b = S.names["a"], S.names["b"]
+    phi = make_hom(S.full_subgroup(), (b, a), S)
+    assert (phi.apply(a), phi.apply(b)) == (b, a) and phi.is_injective()
+
+
+def test_homs_without_a_multiplication_table(monkeypatch):
+    """make_hom and validate through mul, as on groups above _TABLE_LIMIT."""
+    monkeypatch.setattr(permgroup, "_TABLE_LIMIT", 0)
+    S = extraspecial_p3(3)
+    G = FiniteGroup(S.degree, S.gens, S.elements)  # no cached tables
+    assert G.table() is None
+    a, b = G.gen_indices
+    for images in [(b, a), (a, G.mul(a, b)), (a, a), (G.identity, b)]:
+        want = _outcome(lambda: make_hom_by_search(G.full_subgroup(), images,
+                                                   G, False))
+        got = _outcome(lambda: make_hom(G.full_subgroup(), images, G, False))
+        assert got == want
+        if not isinstance(got[0], str):
+            hom = GroupHom(G.full_subgroup(), G, got)
+            assert _outcome(lambda: hom.validate() or hom) \
+                == _outcome(lambda: validate(hom) or hom)

@@ -1,6 +1,9 @@
+import time
+
 import pytest
 from oracles import monic_factors
 
+from fusionrep.cli import main
 from fusionrep.cyclotomic import cyclotomic_polynomial
 from fusionrep.errors import FusionRepError
 from fusionrep.fusion import build_fusion
@@ -10,6 +13,8 @@ from fusionrep.spectrum import (CycPrime, PrimeSymbol, _mult_order,
                                 _polmod_divmod, _polmod_mul, _reduce_mod,
                                 format_poly, prime_symbols, primes_above,
                                 symbol_leq)
+
+from conftest import fixture_path
 
 
 def test_primes_above_small():
@@ -39,6 +44,36 @@ def test_primes_above_berlekamp():
     assert all(len(p.factor) - 1 == 147 for p in ps)
     prod = _polmod_mul(ps[0].factor, ps[1].factor, 2)
     assert prod == _reduce_mod(cyclotomic_polynomial(343), 2)
+
+
+def test_berlekamp_factors_at_q_10007():
+    """The splits by random combinations give the factors that the search
+    over every constant c in F_q gave."""
+    assert [p.factor for p in primes_above(10007, 7)] == [
+        (10006, 4953, 4954, 1), (10006, 5053, 5054, 1)]
+    assert [p.factor for p in primes_above(10007, 9)] == [
+        (1, 3381, 1), (1, 6842, 1), (1, 9791, 1)]
+    assert [p.factor for p in primes_above(10007, 13)] == [
+        (1, 4038, 2, 4037, 2, 4038, 1), (1, 5970, 2, 5969, 2, 5970, 1)]
+
+
+@pytest.mark.parametrize("q", [1000003, 2 ** 31 + 11])
+def test_large_primes_split_quickly(capsys, q):
+    """A prime above 10^6, and one above 2^31, where a search over every
+    constant in F_q would take hours; each factor of Phi_n mod q is monic
+    of degree ord_n(q), and their product is Phi_n mod q."""
+    start = time.perf_counter()
+    code = main(["spectrum", fixture_path("sigma_7.fus"), "--primes", str(q)])
+    assert code == 0 and time.perf_counter() - start < 1
+    capsys.readouterr()
+    for n in (7, 49, 343):
+        factors = [p.factor for p in primes_above(q, n)]
+        assert len(factors) > 1
+        product = (1,)
+        for f in factors:
+            assert f[-1] == 1 and len(f) - 1 == _mult_order(q, n)
+            product = _polmod_mul(product, f, q)
+        assert product == _reduce_mod(cyclotomic_polynomial(n), q)
 
 
 def test_cycprime_guards():
