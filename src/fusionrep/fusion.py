@@ -1,9 +1,10 @@
 """Fusion systems over finite p-groups, presented by generating morphisms.
 
 A fusion system here is the one generated by inner conjugation together with
-a finite list of injective homomorphisms between subgroups of S.  Everything
-is computed by closure: element classes by graph reachability, morphism sets
-by a breadth-first search over generator-image tuples (post-compose with an
+a finite list of injective homomorphisms between subgroups of S (proved by
+make_hom, not again here).  Everything is computed by closure: element
+classes as the orbits of the generating maps, morphism sets by a
+breadth-first search over generator-image tuples (post-compose with an
 inner conjugation, a listed generator, or a generator inverse, whenever the
 current image lies in the relevant domain).  The search is exact for
 generated systems, where every morphism is a composite of restrictions of
@@ -27,7 +28,9 @@ from .permgroup import (
     GroupHom,
     Subgroup,
     group_prime,
+    orbits,
     p_part,
+    replay,
 )
 
 DEFAULT_MORPHISM_CAP = 1_000_000
@@ -35,21 +38,16 @@ _N_PHI_BATCH = 256  # morphisms per N_phi gather, to bound its arrays
 
 
 def _small_gens(G: FiniteGroup, members) -> tuple:
-    """A short generating sequence for a known subgroup member set."""
-    mem = sorted(members)
-    if len(mem) == 1:
-        return ()
-    gens = []
-    for m in mem:
-        if gens and m in have:
-            continue
-        if not gens and m == G.identity:
-            continue
-        gens.append(m)
-        have = set(G.closure(tuple(gens)))
-        if len(have) == len(mem):
-            return tuple(gens)
-    raise AssertionError("member set was not closed")
+    """A short generating sequence for a known subgroup member set: its
+    members in order, each one not yet generated by those before."""
+    gens, have = [], {G.identity}
+    for m in sorted(members):
+        if m not in have and len(have) < len(members):
+            gens.append(m)
+            have = set(G.closure(gens))
+    if len(have) != len(members):
+        raise AssertionError("member set was not closed")
+    return tuple(gens)
 
 
 class SaturationReport:
@@ -90,61 +88,26 @@ class FusionSystem:
                 raise GroupMismatch("generator codomain is not S")
             if not phi.is_injective():
                 raise NotInjective("fusion generators must be injective")
-            phi.validate()
-        self._inverses = tuple(phi.inverse() for phi in self.generators)
         self._element_classes = None
         self._element_class_of = None
         self._hom_cache = {}
         self._maps = None
-        self._recipe_cache = {}
         self._aut_s_cache = {}
         self._ext_index_cache = {}
 
     # -- element classes --
 
     def element_classes(self) -> tuple:
-        """F-classes of elements, each sorted, ordered by minimal member."""
+        """F-classes of elements, each sorted, ordered by minimal member:
+        the orbits of the maps that generate F (_step_maps)."""
         if self._element_classes is None:
-            self._element_classes, self._element_class_of = (
-                self._compute_element_classes())
+            self._element_classes, self._element_class_of = orbits(
+                self._step_maps(), self.S.order)
         return self._element_classes
 
     def element_class_of(self) -> tuple:
         self.element_classes()
         return self._element_class_of
-
-    def _compute_element_classes(self):
-        S = self.S
-        n = S.order
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-
-        for g in S.gen_indices:
-            for x in range(n):
-                union(x, S.conj(g, x))
-        for phi in self.generators:
-            for x in phi.domain.members:
-                union(x, phi.apply(x))
-        groups = {}
-        for x in range(n):
-            groups.setdefault(find(x), []).append(x)
-        classes = tuple(tuple(sorted(v)) for _, v in sorted(groups.items()))
-        assert classes[0] == (S.identity,), "identity fused with something"
-        class_of = [0] * n
-        for k, c in enumerate(classes):
-            for x in c:
-                class_of[x] = k
-        return classes, tuple(class_of)
 
     # -- morphism closure over generator-image states --
 
@@ -179,15 +142,12 @@ class FusionSystem:
         outside the domain): conjugation by each generator of S, then each
         listed generator and its inverse."""
         if self._maps is None:
-            S = self.S
-            every = np.arange(S.order, dtype=np.int32)
-            inv = S.inv_array()
-            maps = [S.mul_array(S.mul_array(g, every), inv[g])
-                    for g in S.gen_indices]
-            for phi in self.generators + self._inverses:
-                m = np.full(S.order, -1, dtype=np.int32)
-                m[np.array(phi.domain.members)] = phi.images
-                maps.append(m)
+            maps = list(self.S.conjugation_maps())
+            for phi in self.generators:
+                for x, y in ((phi.domain.members, phi.images),
+                             (phi.images, phi.domain.members)):
+                    maps.append(np.full(self.S.order, -1, dtype=np.int32))
+                    maps[-1][np.array(x)] = y
             self._maps = tuple(maps)
         return self._maps
 
@@ -198,45 +158,12 @@ class FusionSystem:
             return P.gen_indices
         return _small_gens(self.S, P.members)
 
-    def _recipe(self, gens: tuple):
-        """(domain Subgroup, steps) where replaying steps extends any
-        generator-image state to a full map.  steps[k] = (y, x, i) meaning
-        image[y] = image[x] * state[i], with y and x positions in the
-        domain's member order."""
-        hit = self._recipe_cache.get(gens)
-        if hit is not None:
-            return hit
-        S = self.S
-        dom = S.subgroup(gens) if gens else S.trivial_subgroup()
-        steps = []
-        seen = {S.identity}
-        frontier = [S.identity]
-        while frontier:
-            new = []
-            for x in frontier:
-                for i, g in enumerate(gens):
-                    y = S.mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        steps.append((dom.pos(y), dom.pos(x), i))
-                        new.append(y)
-            frontier = new
-        out = (dom, tuple(steps))
-        self._recipe_cache[gens] = out
-        return out
-
-    def _replay(self, gens: tuple, states) -> np.ndarray:
-        """Full maps of generator-image states: column k holds the images of
-        the members of <gens>, in member order, under states[k].  One
-        gather per recipe step replays every state at once."""
-        S = self.S
-        dom, steps = self._recipe(gens)
-        st = np.array(states, dtype=np.int32).reshape(len(states), len(gens)).T
-        img = np.empty((dom.order, len(states)), dtype=np.int32)
-        img[dom.pos(S.identity)] = S.identity
-        for y, x, i in steps:
-            img[y] = S.mul_array(img[x], st[i])
-        return img
+    def _replay(self, gens: tuple, states) -> tuple:
+        """(reach, images): the elements of <gens> in walk order and, in
+        column k, their images under states[k] (permgroup.replay)."""
+        walk = self.S.walk(gens)
+        st = np.array(states, dtype=np.int32).reshape(len(states), len(gens))
+        return walk[0], replay(walk, st, self.S)
 
     @staticmethod
     def _owning_member(st: tuple, member_sets: list):
@@ -287,13 +214,13 @@ class FusionSystem:
 
         The work is gathers on the multiplication and conjugation tables.
         The closed morphisms out of P are replayed once into an image array
-        (one gather per recipe step).  For each phi, row g of
-        phi(C[N_S(P), phi^-1(Q's generators)]) holds phi c_g phi^-1 at Q's
-        generators; N_phi is the set of g whose row is a row of Aut_S(Q),
-        both encoded as integers in base |Q|.  N_phi is one of the
-        enumerated subgroups and takes its generators from there, and the
-        values at P's generators of the closed morphisms out of N_phi come
-        from the same replay.
+        (one gather per layer of the walk of P's generators).  For each
+        phi, row g of phi(C[N_S(P), phi^-1(Q's generators)]) holds
+        phi c_g phi^-1 at Q's generators; N_phi is the set of g whose row
+        is a row of Aut_S(Q), both encoded as integers in base |Q|.  N_phi
+        is one of the enumerated subgroups and takes its generators from
+        there, and the values at P's generators of the closed morphisms out
+        of N_phi come from the same replay.
 
         The check runs on a group of any order.  The work is bounded by
         cap, the morphisms closed out of each subgroup, and subgroup_cap,
@@ -311,6 +238,12 @@ class FusionSystem:
         by_key = {sub.members: sub for sub in subs}
         norm_sub = {sub.members: S.normalizer(sub) for sub in subs}
         cent_ord = {sub.members: S.centralizer(sub).order for sub in subs}
+        described = {}  # a violation names few subgroups, many times
+
+        def describe(mem):
+            if mem not in described:
+                described[mem] = _describe(S, mem)
+            return described[mem]
 
         seen = set()
         classes = []
@@ -331,13 +264,13 @@ class FusionSystem:
                     continue
                 if cent_ord[mem] != max_cent:
                     violations.append(
-                        f"axiom I: fully normalized {_describe(S, mem)} is not "
+                        f"axiom I: fully normalized {describe(mem)} is not "
                         f"fully centralized ({cent_ord[mem]} < {max_cent})")
                 aut_s = norm_sub[mem].order // cent_ord[mem]
                 aut_f = self.aut_count(by_key[mem], cap)
                 if p_part(aut_f, p) != aut_s:
                     violations.append(
-                        f"axiom I: Aut_S{_describe(S, mem)} of order {aut_s} is "
+                        f"axiom I: Aut_S{describe(mem)} of order {aut_s} is "
                         f"not Sylow in Aut_F of order {aut_f}")
             if len(cls[0]) == 1:
                 continue  # morphisms out of the trivial subgroup all extend
@@ -357,13 +290,13 @@ class FusionSystem:
                 NP = norm_sub[mem]
                 if NP.order == P.order:
                     continue  # P <= N_phi <= N_S(P) = P: phi extends itself
-                images = self._replay(pgens, states)
+                reach, images = self._replay(pgens, states)
                 targets = []
                 hit = np.bincount(owner[checked], minlength=len(cls))
                 for j in np.flatnonzero(hit).tolist():
                     cols = np.flatnonzero(checked & (owner == j))
                     targets.append((by_key[cls[j]], norm_sub[cls[j]], cols))
-                n_phi = self._n_phi(P, NP, images, targets)
+                n_phi = self._n_phi(reach, NP, images, targets)
                 NPm = np.array(NP.members)
                 # where N_phi = P, phi extends itself
                 for k in np.flatnonzero(n_phi.sum(0) > P.order).tolist():
@@ -372,22 +305,21 @@ class FusionSystem:
                     if states[k] in self._ext_index(gens_n, pgens, cap):
                         continue
                     violations.append(
-                        f"axiom II: no extension of {_describe(S, mem)} -> "
-                        f"{_describe(S, cls[owner[k]])} to N_phi of order "
+                        f"axiom II: no extension of {describe(mem)} -> "
+                        f"{describe(cls[owner[k]])} to N_phi of order "
                         f"{len(n_mem)}")
         return SaturationReport(not violations, violations,
                                 len(classes), morphisms)
 
-    def _n_phi(self, P: Subgroup, NP: Subgroup, images, targets) -> np.ndarray:
+    def _n_phi(self, reach, NP: Subgroup, images, targets) -> np.ndarray:
         """N_phi = {g in N_S(P) : phi c_g phi^-1 in Aut_S(Q)} as a mask over
         N_S(P) (rows) for each morphism phi: P -> Q given by a column of
-        images; targets lists (Q, N_S(Q), columns onto Q).  Columns not
-        listed stay empty."""
+        images of the members of P listed in reach; targets lists (Q,
+        N_S(Q), columns onto Q).  Columns not listed stay empty."""
         S = self.S
         conj = S.conj_table()[np.array(NP.members)]
-        members = np.array(P.members, dtype=np.int32)
         pos_p = np.full(S.order, -1, dtype=np.int32)
-        pos_p[members] = np.arange(P.order, dtype=np.int32)
+        pos_p[reach] = np.arange(len(reach), dtype=np.int32)
         out = np.zeros((NP.order, images.shape[1]), dtype=bool)
         for Q, NQ, cols in targets:
             qgens, pos_q, radix, codes = self._aut_s_codes(Q, NQ)
@@ -396,7 +328,7 @@ class FusionSystem:
                 phi = images[:, batch]
                 r = np.arange(len(batch))[:, None]
                 pre = np.empty((len(batch), S.order), dtype=np.int32)
-                pre[r, phi.T] = members  # phi^-1 on Q
+                pre[r, phi.T] = reach  # phi^-1 on Q
                 # row g, column phi: phi c_g phi^-1 at Q's generators
                 values = phi[pos_p[conj[:, pre[:, qgens]]], r]
                 found = pos_q[values] @ radix
@@ -435,9 +367,8 @@ class FusionSystem:
         hit = self._ext_index_cache.get(key)
         if hit is not None:
             return hit
-        dom = self._recipe(gens_n)[0]
-        images = self._replay(gens_n, self._hom_states(gens_n, cap))
-        rows = images[[dom.pos(g) for g in pgens]]
+        reach, images = self._replay(gens_n, self._hom_states(gens_n, cap))
+        rows = images[[reach.tolist().index(g) for g in pgens]]
         out = frozenset(zip(*rows.tolist()))
         self._ext_index_cache[key] = out
         return out

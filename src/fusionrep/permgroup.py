@@ -8,7 +8,10 @@ The table is the regular representation grown along the Cayley graph: each
 generator's left-multiplication map is composed once from the tuples, and
 the row of x o g is the row of x gathered through g's map, which is exact by
 associativity; so a table costs |generators| * |G| tuple compositions and
-one row gather per element.
+one row gather per element.  The other layers build on two graph searches:
+FiniteGroup.walk, the layered walk of the Cayley graph from the identity
+(closure, make_hom and the replay of maps from their generator images), and
+orbits, the orbits of injective index maps (conjugacy and fusion classes).
 
 External notation (parsing and printing) is 1-based cycle notation.
 """
@@ -169,10 +172,6 @@ class FiniteGroup:
     def inv(self, i: int) -> int:
         return int(self.inv_array()[i])
 
-    def conj(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        return self.mul(self.mul(g, x), self.inv(g))
-
     def table(self):
         if self.order > _TABLE_LIMIT:
             return None
@@ -277,38 +276,23 @@ class FiniteGroup:
     def conjugacy_classes(self) -> tuple:
         """Classes as sorted index tuples, ordered by (rep order, min index)."""
         if self._classes is None:
-            self._classes, self._class_of = self._compute_classes()
+            orders = self.element_orders()
+            self._classes, self._class_of = orbits(
+                self.conjugation_maps(), self.order,
+                key=lambda c: (orders[c[0]], c[0]))
         return self._classes
 
     def class_of(self) -> tuple:
         self.conjugacy_classes()
         return self._class_of
 
-    def _compute_classes(self):
-        orders = self.element_orders()
-        seen = [False] * self.order
-        classes = []
-        for i in range(self.order):
-            if seen[i]:
-                continue
-            orbit = {i}
-            frontier = [i]
-            seen[i] = True
-            while frontier:
-                x = frontier.pop()
-                for g in self.gen_indices:
-                    y = self.conj(g, x)
-                    if y not in orbit:
-                        orbit.add(y)
-                        seen[y] = True
-                        frontier.append(y)
-            classes.append(tuple(sorted(orbit)))
-        classes.sort(key=lambda c: (orders[c[0]], c[0]))
-        class_of = [0] * self.order
-        for k, c in enumerate(classes):
-            for x in c:
-                class_of[x] = k
-        return tuple(classes), tuple(class_of)
+    def conjugation_maps(self) -> tuple:
+        """x -> g x g^-1 over the group, as an index array, for each
+        generator g."""
+        every = np.arange(self.order, dtype=np.int32)
+        inv = self.inv_array()
+        return tuple(self.mul_array(self.mul_array(g, every), inv[g])
+                     for g in self.gen_indices)
 
     # -- subgroups --
 
@@ -325,11 +309,8 @@ class FiniteGroup:
     def closure(self, gen_indices) -> Perm:
         """Sorted member indices of the subgroup generated by gen_indices.
 
-        The subgroup is the orbit of the identity under right multiplication
-        by the powers of the generators (in a finite group they generate the
-        same monoid as the generators, and it is the group).  Each level of
-        the breadth-first search is one mul_array gather, a table gather at
-        most _TABLE_LIMIT, and each member enters the frontier once.
+        It is the reach of the walk by the powers of the generators, which
+        in a finite group give the same monoid, in fewer layers.
         """
         powers = set()
         for g in set(gen_indices):
@@ -337,17 +318,41 @@ class FiniteGroup:
             while x != self.identity:
                 powers.add(x)
                 x = self.mul(x, g)
-        powers = np.array(sorted(powers), dtype=np.int32)
+        return tuple(sorted(self.walk(sorted(powers))[0].tolist()))
+
+    def walk(self, gens) -> tuple:
+        """The layered walk of the Cayley graph from the identity by right
+        multiplication by gens: (reach, back, via, ends).
+
+        reach lists the elements of <gens>, the identity first, then layer
+        by layer; layer j is reach[ends[j]:ends[j + 1]].  For k > 0,
+        reach[k] is first reached from reach[back[k]] in the layer before,
+        by gens[via[k]]: reach[k] = reach[back[k]] gens[via[k]].  A layer
+        is one mul_array gather of the frontier by every generator.
+        """
+        gens = np.array(gens, dtype=np.int32)
         seen = np.zeros(self.order, dtype=bool)
         seen[self.identity] = True
+        slot = np.empty(self.order, dtype=np.intp)  # a flat index giving y
         frontier = np.array([self.identity], dtype=np.int32)
-        while frontier.size:
-            new = np.zeros(self.order, dtype=bool)
-            new[self.mul_array(frontier[:, None], powers[None, :])] = True
-            new &= ~seen
-            seen |= new
-            frontier = np.flatnonzero(new)
-        return tuple(np.flatnonzero(seen).tolist())
+        reach, back, via, ends = [frontier], [(0,)], [(0,)], [0, 1]
+        while len(gens):
+            y = self.mul_array(frontier[:, None], gens).ravel()
+            at = (~seen[y]).nonzero()[0]
+            if not at.size:
+                break
+            new = y[at]
+            slot[new] = at
+            first = at[slot[new] == at]  # one product per new element
+            frontier = y[first]
+            seen[frontier] = True
+            b, v = np.divmod(first, len(gens))
+            reach.append(frontier)
+            back.append(b + ends[-2])
+            via.append(v)
+            ends.append(ends[-1] + len(frontier))
+        return (np.concatenate(reach), np.concatenate(back),
+                np.concatenate(via), ends)
 
     def _conjugates(self, xs) -> np.ndarray:
         """C[g, k] = g xs[k] g^-1 for every g in the group (rows): two
@@ -482,7 +487,8 @@ class Subgroup:
 
 
 class GroupHom:
-    """Homomorphism from a Subgroup into a FiniteGroup.
+    """Homomorphism from a Subgroup into a FiniteGroup; build it with
+    make_hom, which proves the map.
 
     images[k] is the codomain element index of domain.members[k].
     """
@@ -495,54 +501,52 @@ class GroupHom:
     def apply(self, i: int) -> int:
         return self.images[self.domain.pos(i)]
 
-    def image_members(self) -> tuple:
-        return tuple(sorted(self.images))
-
-    def image_subgroup(self) -> Subgroup:
-        gens = tuple(self.apply(g) for g in self.domain.gen_indices) or self.images
-        return Subgroup(self.codomain, self.image_members(), gens)
-
     def is_injective(self) -> bool:
         return len(set(self.images)) == len(self.images)
 
-    def validate(self):
-        """Prove that the images define a homomorphism.
-
-        A layered reach from the identity (closure) first shows that the
-        domain's generators give exactly its members; then one mul_array
-        gather on each side checks phi(x g) = phi(x) phi(g) for every
-        member x and generator g, which gives phi(x y) = phi(x) phi(y) by
-        induction on a word in the generators for y.  A domain without
-        generators is checked with the identity as its generator.
-        """
-        G, H = self.domain.parent, self.codomain
-        reach = G.closure(self.domain.gen_indices)
-        if reach != self.domain.members:
-            if not set(reach) <= set(self.domain.members):
-                raise NotAHomomorphism("domain is not multiplicatively closed")
-            raise InputError(
-                "declared generators do not generate the subgroup")
-        members = np.array(self.domain.members, dtype=np.int32)
-        images = np.array(self.images, dtype=np.int32)
-        img = np.full(G.order, -1, dtype=np.int32)
-        img[members] = images
-        gens = np.array(self.domain.gen_indices or (G.identity,),
-                        dtype=np.int32)
-        lhs = img[G.mul_array(members[:, None], gens[None, :])]
-        rhs = H.mul_array(images[:, None], img[gens][None, :])
-        if not np.array_equal(lhs, rhs):
-            raise NotAHomomorphism("images violate the multiplication table")
-
-    def inverse(self) -> "GroupHom":
-        if not self.is_injective():
-            raise NotInjective("only injective maps invert")
-        image = self.image_subgroup()
-        pre = {v: m for m, v in zip(self.domain.members, self.images)}
-        return GroupHom(image, self.domain.parent,
-                        tuple(pre[m] for m in image.members))
-
     def __repr__(self):
         return f"GroupHom(|dom|={self.domain.order}, injective={self.is_injective()})"
+
+
+def replay(walk: tuple, states, codomain: FiniteGroup) -> np.ndarray:
+    """Entry (k, j) is the image of reach[k] of a walk (FiniteGroup.walk)
+    under the map whose values at the walk's generators are row j of
+    states, read off reach[k] = reach[back[k]] gens[via[k]].  One
+    mul_array gather per layer replays every state; nothing is checked."""
+    reach, back, via, ends = walk
+    st = np.asarray(states, dtype=np.int32).T
+    img = np.empty((len(reach), st.shape[1]), dtype=np.int32)
+    img[0] = codomain.identity
+    for lo, hi in zip(ends[1:], ends[2:]):
+        img[lo:hi] = codomain.mul_array(img[back[lo:hi]], st[via[lo:hi]])
+    return img
+
+
+def orbits(maps, n: int, key=None) -> tuple:
+    """(orbits, orbit index of each point) of the group generated by maps
+    on range(n), each an index array, -1 off its domain and injective on
+    it; orbits are sorted tuples, ordered by key, else by least point.
+    Labels start as the points.  A round lowers both ends of every pair
+    x -> m[x] to the smaller label (exact by plain fancy assignment, the
+    maps being injective) and points each label at its own label; at the
+    fixed point each orbit carries its least point."""
+    label = np.arange(n)
+    pairs = [(np.flatnonzero(m >= 0), m[m >= 0]) for m in maps]
+    while True:
+        before = label.copy()
+        for x, y in pairs:
+            low = np.minimum(label[x], label[y])
+            label[x] = low
+            label[y] = low
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    found = {}  # least point -> orbit
+    for x, least in enumerate(label.tolist()):
+        found.setdefault(least, []).append(x)
+    classes = tuple(sorted(map(tuple, found.values()), key=key))
+    at = {c[0]: k for k, c in enumerate(classes)}
+    return classes, tuple(at[least] for least in label.tolist())
 
 
 # --- constructors ------------------------------------------------------------
@@ -617,15 +621,13 @@ def make_hom(domain: Subgroup, gen_images, codomain: FiniteGroup = None,
              require_injective: bool = True) -> GroupHom:
     """Extend generator images multiplicatively, proving the result.
 
-    gen_images aligns with domain.gen_indices.  The images grow layer by
-    layer from the identity: for the whole frontier, y = x g and its image
-    phi(x) phi(g) are two mul_array gathers, and every y reached twice,
-    in this layer or an earlier one, must get the same image.  That
-    agreement over every member x and generator g proves phi(x y) =
-    phi(x) phi(y), by induction on a word in the generators for y, so no
-    further check is made.  Raises NotAHomomorphism if the images are
-    inconsistent, InputError if the generators miss a member,
-    NotInjective when an injection is required.
+    gen_images aligns with domain.gen_indices.  The images are replayed
+    along the walk of the generators (replay), then phi(x g) = phi(x)
+    phi(g) is checked for every element x reached and generator g, two
+    mul_array gathers; that proves phi(x y) = phi(x) phi(y), by induction
+    on a word in the generators for y.  Raises NotAHomomorphism if the
+    images are inconsistent, InputError if the generators do not give
+    the domain's members, NotInjective when an injection is required.
     """
     G = domain.parent
     H = codomain if codomain is not None else G
@@ -633,23 +635,18 @@ def make_hom(domain: Subgroup, gen_images, codomain: FiniteGroup = None,
         raise InputError("one image per declared generator required")
     gens = np.array(domain.gen_indices, dtype=np.int32)
     gen_img = np.array(gen_images, dtype=np.int32)
-    img = np.full(G.order, -1, dtype=np.int32)
-    img[G.identity] = H.identity
-    frontier = np.array([G.identity], dtype=np.int32)
-    while frontier.size:
-        y = G.mul_array(frontier[:, None], gens[None, :])
-        v = H.mul_array(img[frontier][:, None], gen_img[None, :])
-        new = img[y] < 0
-        img[y[new]] = v[new]
-        if not np.array_equal(img[y], v):
-            raise NotAHomomorphism("generator images are inconsistent")
-        fresh = np.zeros(G.order, dtype=bool)
-        fresh[y[new]] = True
-        frontier = np.flatnonzero(fresh)
+    walk = G.walk(gens)
+    reach = walk[0]
+    img = replay(walk, gen_img[None, :], H)[:, 0]
+    pos = np.full(G.order, -1, dtype=np.intp)
+    pos[reach] = np.arange(len(reach))
+    lhs = img[pos[G.mul_array(reach[:, None], gens[None, :])]]
+    if not np.array_equal(lhs, H.mul_array(img[:, None], gen_img[None, :])):
+        raise NotAHomomorphism("generator images are inconsistent")
     members = np.array(domain.members, dtype=np.int32)
-    if (img >= 0).sum() != domain.order or (img[members] < 0).any():
+    if len(reach) != domain.order or (pos[members] < 0).any():
         raise InputError("declared generators do not generate the subgroup")
-    hom = GroupHom(domain, H, tuple(img[members].tolist()))
+    hom = GroupHom(domain, H, tuple(img[pos[members]].tolist()))
     if require_injective and not hom.is_injective():
         raise NotInjective("map collapses distinct elements")
     return hom

@@ -27,7 +27,7 @@ from .errors import (AmbientMismatch, DecompositionNotIntegral, FusionRepError,
                      GeneratorMovesA, GroupMismatch, InputError,
                      InvalidCocycle, NotCentral, NotCyclicKernel, NotInSpan,
                      QuotientMismatch)
-from .fusion import FusionSystem
+from .fusion import DEFAULT_MORPHISM_CAP, FusionSystem
 from .intlinalg import IntegerSpan, int_matmul, smith_diagonal
 from .invariants import (DEFAULT_HILBERT_CAP, RepVector, hilbert_basis,
                          invariance_matrix)
@@ -195,7 +195,6 @@ def extension_from_groups(G: FiniteGroup, a_gen: int,
         raise GroupMismatch("projection domain is not the given group")
     if projection.domain.order != G.order:
         raise InputError("projection must be defined on the whole group")
-    projection.validate()
     S = projection.codomain
     A = G.subgroup((a_gen,))
     for a in A.members:
@@ -269,10 +268,11 @@ def _check_lift(E: CentralExtensionData, F_alpha: FusionSystem,
                 base: FusionSystem):
     """Check that every generator of the lifted system fixes A pointwise
     and, when the base system is given, that the projection s carries the
-    generators onto it: the graphs {(s(x), s(phi(x)))} over the domains are
-    the graphs of the base generators.  A is central and s maps onto the
-    base group with kernel A, so this compares the quotient of the lift by
-    A with the base system, generator by generator."""
+    lifted system onto it.  A is central and fixed, so each generator phi
+    pushes forward to s(x) -> s(phi(x)), which must be injective.  The
+    systems are equal when each push-forward is a closed morphism of the
+    base and each base generator one of the system the push-forwards
+    generate, both read at the generators of the domain."""
     for phi in F_alpha.generators:
         for a in E.A.members:
             if phi.domain.contains(a) and phi.apply(a) != a:
@@ -282,14 +282,23 @@ def _check_lift(E: CentralExtensionData, F_alpha: FusionSystem,
         return
     if base.S is not E.base:
         raise GroupMismatch("base fusion system lives on the wrong group")
-    s = E.projection.images
-    pushed = {frozenset((s[x], s[phi.apply(x)]) for x in phi.domain.members)
-              for phi in F_alpha.generators}
-    given = {frozenset((x, phi.apply(x)) for x in phi.domain.members)
-             for phi in base.generators}
-    if pushed != given:
-        raise QuotientMismatch(
-            "quotient generators do not match the base fusion system")
+    S, s = base.S, E.projection.images
+    pushed = []
+    for phi in F_alpha.generators:
+        graph = {s[x]: s[phi.apply(x)] for x in phi.domain.members}
+        members = tuple(sorted(graph))
+        dom = Subgroup(S, members, tuple(s[g] for g in phi.domain.gen_indices))
+        pushed.append(GroupHom(dom, S, tuple(graph[m] for m in members)))
+        if not pushed[-1].is_injective():
+            raise QuotientMismatch("a generator pushes forward to no injection")
+    quotient = FusionSystem(S, tuple(pushed))
+    for system, maps in ((base, pushed), (quotient, base.generators)):
+        for phi in maps:
+            gens = system._sub_gens(phi.domain)
+            if tuple(phi.apply(g) for g in gens) not in system._hom_states(
+                    gens, DEFAULT_MORPHISM_CAP):
+                raise QuotientMismatch(
+                    "quotient generators do not match the base fusion system")
 
 
 def twisted_invariant_basis(E: CentralExtensionData, F_alpha: FusionSystem,

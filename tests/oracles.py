@@ -17,8 +17,12 @@ build_table is the multiplication table by one tuple lookup per entry,
 which the Cayley-graph search of FiniteGroup._build_table replaced.
 make_hom_by_search and validate are the scalar extension of generator
 images and the check over all member pairs that the layered gathers of
-make_hom and GroupHom.validate replaced.  hnf is the row-by-row Hermite
-normal form that intlinalg.hnf replaced, nullspace_mod the row-by-row
+make_hom and GroupHom.validate replaced.  conjugacy_classes,
+element_classes, recipe and replay are the scalar searches that
+FiniteGroup.walk, permgroup.replay and permgroup.orbits replaced, with
+the scalar conj they ran on, and inverse the inverse of an injective
+GroupHom.  hnf is the row-by-row
+Hermite normal form that intlinalg.hnf replaced, nullspace_mod the row-by-row
 kernel over F_q that the array steps of intlinalg.nullspace_mod
 replaced, and structure_tensor the row-by-row structure tensor mod a
 prime q, through the F_q image ModularImage, that the exact batched
@@ -32,11 +36,11 @@ a fusion system.  monic_factors finds the irreducible factors of Phi_n
 mod q by trying every monic polynomial of the one degree they share, the
 search that Berlekamp's algorithm replaced in spectrum.primes_above.
 is_centric and is_radical test a subgroup of a fusion system, with
-core_p for O_p of a finite group.  coset_action, quotient_fusion and
-quotient_match build S/A and the quotient fusion system of a lift and
-match it with the base system, the check that twisted now reads off the
-projection.  section_cocycle is the cocycle of a section of a central
-extension, the inverse of twisted.central_extension.
+core_p for O_p of a finite group.  coset_action and quotient_fusion build
+S/A and the quotient fusion system of a lift, and quotient_match compares
+it with the base system on the closed morphisms out of every subgroup.
+section_cocycle is the cocycle of a section of a central extension, the
+inverse of twisted.central_extension.
 ideal_product multiplies two ideals' HNF rows pair by pair, the reference
 for the powers that Ring.ideal_power reads off lattice_chain, and
 ring_product multiplies two ring elements through Ring.times.  spec_text
@@ -426,6 +430,137 @@ def validate(self):
         raise NotAHomomorphism("images violate the multiplication table")
 
 
+# --- classes, replays and inverses before the walk and the orbits -----------
+# The code that FiniteGroup.walk, permgroup.replay and permgroup.orbits
+# replaced, kept verbatim (with the group or the fusion system as first
+# argument): FiniteGroup.conj, the breadth-first conjugacy classes, the
+# union-find element classes of FusionSystem, its recipe of scalar steps
+# and their replay, one gather per step (without the recipe cache), and
+# GroupHom.inverse with the two methods it called.
+
+
+def conj(self, g: int, x: int) -> int:
+    """g x g^-1."""
+    return self.mul(self.mul(g, x), self.inv(g))
+
+
+def conjugacy_classes(self):
+    orders = self.element_orders()
+    seen = [False] * self.order
+    classes = []
+    for i in range(self.order):
+        if seen[i]:
+            continue
+        orbit = {i}
+        frontier = [i]
+        seen[i] = True
+        while frontier:
+            x = frontier.pop()
+            for g in self.gen_indices:
+                y = conj(self, g, x)
+                if y not in orbit:
+                    orbit.add(y)
+                    seen[y] = True
+                    frontier.append(y)
+        classes.append(tuple(sorted(orbit)))
+    classes.sort(key=lambda c: (orders[c[0]], c[0]))
+    class_of = [0] * self.order
+    for k, c in enumerate(classes):
+        for x in c:
+            class_of[x] = k
+    return tuple(classes), tuple(class_of)
+
+
+def element_classes(self):
+    S = self.S
+    n = S.order
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    for g in S.gen_indices:
+        for x in range(n):
+            union(x, conj(S, g, x))
+    for phi in self.generators:
+        for x in phi.domain.members:
+            union(x, phi.apply(x))
+    groups = {}
+    for x in range(n):
+        groups.setdefault(find(x), []).append(x)
+    classes = tuple(tuple(sorted(v)) for _, v in sorted(groups.items()))
+    assert classes[0] == (S.identity,), "identity fused with something"
+    class_of = [0] * n
+    for k, c in enumerate(classes):
+        for x in c:
+            class_of[x] = k
+    return classes, tuple(class_of)
+
+
+def recipe(self, gens: tuple):
+    """(domain Subgroup, steps) where replaying steps extends any
+    generator-image state to a full map.  steps[k] = (y, x, i) meaning
+    image[y] = image[x] * state[i], with y and x positions in the
+    domain's member order."""
+    S = self.S
+    dom = S.subgroup(gens) if gens else S.trivial_subgroup()
+    steps = []
+    seen = {S.identity}
+    frontier = [S.identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for i, g in enumerate(gens):
+                y = S.mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    steps.append((dom.pos(y), dom.pos(x), i))
+                    new.append(y)
+        frontier = new
+    out = (dom, tuple(steps))
+    return out
+
+
+def replay(self, gens: tuple, states) -> np.ndarray:
+    """Full maps of generator-image states: column k holds the images of
+    the members of <gens>, in member order, under states[k].  One
+    gather per recipe step replays every state at once."""
+    S = self.S
+    dom, steps = recipe(self, gens)
+    st = np.array(states, dtype=np.int32).reshape(len(states), len(gens)).T
+    img = np.empty((dom.order, len(states)), dtype=np.int32)
+    img[dom.pos(S.identity)] = S.identity
+    for y, x, i in steps:
+        img[y] = S.mul_array(img[x], st[i])
+    return img
+
+
+def image_members(self) -> tuple:
+    return tuple(sorted(self.images))
+
+
+def image_subgroup(self) -> Subgroup:
+    gens = tuple(self.apply(g) for g in self.domain.gen_indices) or self.images
+    return Subgroup(self.codomain, image_members(self), gens)
+
+
+def inverse(self) -> "GroupHom":
+    if not self.is_injective():
+        raise NotInjective("only injective maps invert")
+    image = image_subgroup(self)
+    pre = {v: m for m, v in zip(self.domain.members, self.images)}
+    return GroupHom(image, self.domain.parent,
+                    tuple(pre[m] for m in image.members))
+
+
 # --- the exhaustive saturation check before the table gathers ----------------
 # closure and the methods of ExhaustiveSaturation are the code that
 # FiniteGroup.closure and FusionSystem.check_saturation replaced, kept
@@ -521,7 +656,7 @@ def normalizer(self, sub: Subgroup) -> Subgroup:
     mset = set(sub.members)
     gens = sub.gen_indices or sub.members
     members = [
-        g for g in range(self.order) if all(self.conj(g, x) in mset for x in gens)
+        g for g in range(self.order) if all(conj(self, g, x) in mset for x in gens)
     ]
     return Subgroup(self, tuple(members), tuple(members))
 
@@ -672,7 +807,7 @@ def is_radical(F, P: Subgroup) -> bool:
     states = [st for st in F._hom_states(gens, DEFAULT_MORPHISM_CAP)
               if inside.issuperset(st)]
     auts = sorted({tuple(P.pos(x) for x in col)
-                   for col in F._replay(gens, states).T.tolist()})
+                   for col in replay(F, gens, states).T.tolist()})
     A = FiniteGroup(P.order, tuple(auts), tuple(auts))
     center = set(S.centralizer(P).members) & set(P.members)
     return len(core_p(A, F.p)) == P.order // len(center)  # |Inn(P)|
@@ -681,8 +816,8 @@ def is_radical(F, P: Subgroup) -> bool:
 # --- quotients of groups and fusion systems ----------------------------------
 # The code that twisted._check_lift replaced, kept verbatim except that the
 # center is the centralizer of the whole group: the quotient S/A as the
-# action on the cosets of A, the quotient fusion system, and the match of
-# its generator graphs with the base system through the projection.
+# action on the cosets of A and the quotient fusion system; then the
+# comparison of its closed morphisms with the base system's.
 
 
 def coset_action(G: FiniteGroup, N: Subgroup):
@@ -750,9 +885,11 @@ def quotient_fusion(F, A: Subgroup):
     return Fq
 
 
-def quotient_match(E, F_alpha, Fq, base):
-    """Compare the quotient of the lifted system with the base system by
-    matching generator graphs through the projection."""
+def quotient_match(E, Fq, base):
+    """Compare the quotient of the lifted system with the base system
+    subgroup by subgroup: through the bijection psi of S/A with the base
+    group, the closed morphisms out of every subgroup of the base, found
+    by the scalar search of ExhaustiveSaturation, are the same."""
     if base.S is not E.base:
         raise GroupMismatch("base fusion system lives on the wrong group")
     pre = {}
@@ -761,17 +898,16 @@ def quotient_match(E, F_alpha, Fq, base):
     psi = {pt: E.projection.apply(x) for pt, x in pre.items()}
     if sorted(psi.values()) != list(range(E.base.order)):
         raise QuotientMismatch("quotient does not biject onto the base group")
-    transported = set()
-    for phi in Fq.generators:
-        transported.add(frozenset(
-            (psi[x], psi[phi.apply(x)]) for x in phi.domain.members))
-    given = set()
-    for phi in base.generators:
-        given.add(frozenset(
-            (x, phi.apply(x)) for x in phi.domain.members))
-    if transported != given:
-        raise QuotientMismatch(
-            "quotient generators do not match the base fusion system")
+    point = {x: pt for pt, x in psi.items()}
+    quotient, given = ExhaustiveSaturation(Fq), ExhaustiveSaturation(base)
+    for P in E.base.all_subgroups():
+        gens = _small_gens(E.base, P.members)
+        pushed = quotient._hom_states(tuple(point[g] for g in gens),
+                                      DEFAULT_MORPHISM_CAP)
+        if {tuple(psi[x] for x in st) for st in pushed} != set(
+                given._hom_states(gens, DEFAULT_MORPHISM_CAP)):
+            raise QuotientMismatch(
+                "quotient morphisms do not match the base fusion system")
 
 
 # --- cocycles, ideals and job specs ------------------------------------------
@@ -865,11 +1001,13 @@ def spec_text(spec) -> str:
 
 class ExhaustiveSaturation:
     """check_saturation of a FusionSystem F with the scalar code it had
-    before the gathers.  Attributes it does not define (S, p, generators,
-    _inverses, _sub_gens, _owning_member) are F's."""
+    before the gathers, with the generators' inverses of the oracle
+    inverse.  Attributes it does not define (S, p, generators, _sub_gens,
+    _owning_member) are F's."""
 
     def __init__(self, F):
         self.F = F
+        self._inverses = tuple(inverse(phi) for phi in F.generators)
         self._hom_cache = {}
         self._recipe_cache = {}
         self._conj_set_cache = {}
@@ -890,7 +1028,7 @@ class ExhaustiveSaturation:
         while frontier:
             new = []
             for st in frontier:
-                candidates = [tuple(S.conj(g, x) for x in st)
+                candidates = [tuple(conj(S, g, x) for x in st)
                               for g in S.gen_indices]
                 for phi, inv in zip(self.generators, self._inverses):
                     if all(phi.domain.contains(x) for x in st):
@@ -1042,7 +1180,7 @@ class ExhaustiveSaturation:
         if hit is not None:
             return hit
         S = self.S
-        out = frozenset(tuple(S.conj(h, q) for q in qgens)
+        out = frozenset(tuple(conj(S, h, q) for q in qgens)
                         for h in NQ.members)
         self._conj_set_cache[key] = out
         return out
@@ -1076,7 +1214,7 @@ class ExhaustiveSaturation:
         NP = norm_sub[P.members]
         n_phi = [
             g for g in NP.members
-            if tuple(phi.apply(S.conj(g, pre[q])) for q in qgens) in conj_set
+            if tuple(phi.apply(conj(S, g, pre[q])) for q in qgens) in conj_set
         ]
         if len(n_phi) == P.order:
             return  # N_phi = P and phi extends itself

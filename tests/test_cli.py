@@ -291,11 +291,13 @@ _MA_OPTIONS = {("spectrum", "he"): ("--conductor-order", "--primes", "2,3,7")}
 @pytest.mark.parametrize("cmd,stem", [
     ("ktheory", "sigma_5"), ("adic", "a4"), ("twisted", "a4_sl23"),
     ("saturation", "a4"), ("ktheory", "he"), ("spectrum", "he"),
+    ("fusion-classes", "he"),
 ])
 def test_a_command_does_not_load_numpy_ma(cmd, stem):
     """np.unique imports numpy.ma, about 15 ms of a cold process; no
-    command reaches it, the order-343 rounds of the Hilbert completion and
-    the elimination over F_2 of Berlekamp's split included."""
+    command reaches it, the order-343 rounds of the Hilbert completion, the
+    elimination over F_2 of Berlekamp's split and the orbits of the set-up
+    probe's fusion-classes included."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         fusionrep.__file__)))
     path = os.environ.get("PYTHONPATH")

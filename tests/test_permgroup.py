@@ -5,9 +5,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from oracles import (build_table, centralizer, check_linear_characters,
-                     closure, core_p, coset_action, enumerate_subgroups,
-                     make_hom_by_search, normalizer, subgroup_group,
-                     validate)
+                     closure, conj, conjugacy_classes, core_p, coset_action,
+                     element_classes, enumerate_subgroups,
+                     make_hom_by_search, normalizer, replay, small_fusions,
+                     subgroup_group, validate)
 
 from fusionrep import permgroup
 from fusionrep.chartable import _linear_characters, character_table
@@ -15,9 +16,10 @@ from fusionrep.errors import (EvenPrime, FusionRepError, NotAHomomorphism,
                               NotAPermutation, NotAPrimePowerGroup,
                               NotInjective, OrderCapExceeded,
                               SubgroupEnumerationCapExceeded)
-from fusionrep.permgroup import (FiniteGroup, GroupHom, Subgroup, build_group,
+from fusionrep.fusion import DEFAULT_MORPHISM_CAP, build_fusion
+from fusionrep.permgroup import (FiniteGroup, Subgroup, build_group, compose,
                                  extraspecial_p3, format_cycles, group_prime,
-                                 make_hom, parse_cycles)
+                                 invert, make_hom, parse_cycles)
 
 from conftest import FIXTURES
 
@@ -424,7 +426,7 @@ def _hom_input(G, case):
     n = len(D.gen_indices)
     if case["images"] == "conjugate":
         t = case["seed"] % G.order
-        return D, tuple(G.conj(t, g) for g in D.gen_indices)
+        return D, tuple(conj(G, t, g) for g in D.gen_indices)
     if case["images"] == "random":
         picks = case["random"] * n
         return D, tuple(i % G.order for i in picks[:n])
@@ -442,67 +444,18 @@ def test_make_hom_matches_the_oracle(pipeline, case):
     assert _outcome(lambda: make_hom(D, images, G, injective)) == want
 
 
-def _maps_near(G, K, hom):
-    """hom, hom with the image of one member moved, and, when K has two
-    generators or more, hom times a central z != 1 off <g>, g the first
-    generator: that map passes phi(x g) = phi(x) phi(g) for g alone."""
-    yield hom.images
-    for k in (0, K.order - 1):
-        images = list(hom.images)
-        images[k] = G.mul(images[k], G.gen_indices[0])
-        yield tuple(images)
-    if len(K.gen_indices) > 1:
-        first = set(G.closure(K.gen_indices[:1]))
-        z = next(z for z in range(G.order) if z != G.identity and all(
-            G.mul(z, g) == G.mul(g, z) for g in G.gen_indices))
-        yield tuple(v if m in first else G.mul(z, v)
-                    for m, v in zip(K.members, hom.images))
-
-
-@pytest.mark.parametrize("name", HOM_GROUPS)
-def test_validate_matches_the_oracle(pipeline, name):
-    """Maps on every subgroup near its conjugation maps: the layered proof
-    accepts and rejects as the check over all member pairs does, with the
-    same text."""
-    G = _p_group(name, pipeline)
-    for K in G.all_subgroups():
-        for t in range(0, G.order, max(1, G.order // 7)):
-            hom = make_hom(K, tuple(G.conj(t, g) for g in K.gen_indices), G)
-            for images in _maps_near(G, K, hom):
-                phi = GroupHom(K, G, images)
-                assert _outcome(lambda: phi.validate() or phi) \
-                    == _outcome(lambda: validate(phi) or phi)
-
-
-def test_validate_needs_generators_that_give_the_members():
-    """A domain whose declared generators miss some of its members is
-    rejected, also when the images are a homomorphism."""
-    S = extraspecial_p3(3)
-    whole = S.full_subgroup()
-    identity = GroupHom(whole, S, whole.members)
-    identity.validate()
-    short = Subgroup(S, whole.members, S.gen_indices[:1])
-    with pytest.raises(FusionRepError) as info:
-        GroupHom(short, S, whole.members).validate()
-    assert str(info.value) == "declared generators do not generate the subgroup"
-    validate(GroupHom(short, S, whole.members))  # the pair check passes
-    # members that are not closed under products
-    open_set = Subgroup(S, whole.members[:5], S.gen_indices)
-    with pytest.raises(NotAHomomorphism, match="not multiplicatively closed"):
-        GroupHom(open_set, S, open_set.members).validate()
-
-
-def test_make_hom_proves_on_the_generators(monkeypatch):
-    """make_hom makes no further check once the images agree."""
-    monkeypatch.setattr(permgroup.GroupHom, "validate", None)
+def test_make_hom_proves_on_the_generators():
+    """make_hom's check at the generators is a full proof: the map it
+    builds passes the check over all member pairs."""
     S = extraspecial_p3(7)
     a, b = S.names["a"], S.names["b"]
     phi = make_hom(S.full_subgroup(), (b, a), S)
     assert (phi.apply(a), phi.apply(b)) == (b, a) and phi.is_injective()
+    validate(phi)
 
 
 def test_homs_without_a_multiplication_table(monkeypatch):
-    """make_hom and validate through mul, as on groups above _TABLE_LIMIT."""
+    """make_hom through mul, as on groups above _TABLE_LIMIT."""
     monkeypatch.setattr(permgroup, "_TABLE_LIMIT", 0)
     S = extraspecial_p3(3)
     G = FiniteGroup(S.degree, S.gens, S.elements)  # no cached tables
@@ -513,7 +466,97 @@ def test_homs_without_a_multiplication_table(monkeypatch):
                                                    G, False))
         got = _outcome(lambda: make_hom(G.full_subgroup(), images, G, False))
         assert got == want
-        if not isinstance(got[0], str):
-            hom = GroupHom(G.full_subgroup(), G, got)
-            assert _outcome(lambda: hom.validate() or hom) \
-                == _outcome(lambda: validate(hom) or hom)
+
+
+# --- the walk and the orbits against the scalar searches ---------------------
+
+def _assert_walk_is_layered(G, gens):
+    """The walk lists <gens> once each, layer by layer, every element
+    reached from the layer before by the generator it records."""
+    reach, back, via, ends = G.walk(gens)
+    assert sorted(reach.tolist()) == list(closure(G, gens))
+    assert reach[0] == G.identity and ends[:2] == [0, 1]
+    assert ends[-1] == len(reach)
+    for j in range(1, len(ends) - 1):
+        lo, hi = ends[j], ends[j + 1]
+        assert (ends[j - 1] <= back[lo:hi]).all()
+        assert (back[lo:hi] < lo).all()
+        for k in range(lo, hi):
+            assert reach[k] == G.mul(int(reach[back[k]]), gens[via[k]])
+
+
+def _assert_classes_match_the_oracle(G):
+    got = G.conjugacy_classes(), G.class_of()
+    assert got == conjugacy_classes(G)
+    for K in G.all_subgroups()[-3:]:
+        _assert_walk_is_layered(G, K.gen_indices)
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_classes_and_walks_match_the_oracle(pipeline, name):
+    _assert_classes_match_the_oracle(_p_group(name, pipeline))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(random_p_groups())
+def test_classes_and_walks_match_the_oracle_on_random_p_groups(G):
+    _assert_classes_match_the_oracle(G)
+
+
+@st.composite
+def random_fusions(draw):
+    """A fusion system on a random p-group G, generated by conjugations
+    c_t: K -> G by elements t of the Sylow subgroup that G lies in, each
+    on a subgroup K of G that t conjugates into G."""
+    G = draw(random_p_groups())
+    P = SYLOW_2_OF_S8 if G.degree == 8 else SYLOW_3_OF_S9
+    subs = G.all_subgroups()
+    homs = []
+    pick = st.integers(0, 10 ** 6)
+    for t, k in draw(st.lists(st.tuples(pick, pick), max_size=3)):
+        t = P.elements[t % P.order]
+
+        def moved(x):
+            return G.index.get(compose(compose(t, G.elements[x]), invert(t)))
+
+        fits = [K for K in subs if None not in map(moved, K.gen_indices)]
+        K = fits[k % len(fits)]  # the trivial subgroup always fits
+        homs.append(make_hom(K, tuple(map(moved, K.gen_indices)), G))
+    return build_fusion(G, homs)
+
+
+def _assert_fusion_matches_the_oracle(F):
+    """Element classes as the union-find found them, and the replay of
+    the closed morphisms out of a few subgroups as the recipe gave it."""
+    assert (F.element_classes(), F.element_class_of()) == element_classes(F)
+    for P in [F.S.trivial_subgroup()] + F.S.all_subgroups()[-3:]:
+        gens = F._sub_gens(P)
+        states = F._hom_states(gens, DEFAULT_MORPHISM_CAP)
+        reach, images = F._replay(gens, states)
+        rows = [reach.tolist().index(m) for m in P.members]
+        assert images[rows].tolist() == replay(F, gens, states).tolist()
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_fusion_classes_and_replays_match_the_oracle(pipeline, name):
+    if name in STEMS:
+        F = pipeline(name).fusion
+    else:
+        F = build_fusion(_p_group(name, pipeline), [])
+    _assert_fusion_matches_the_oracle(F)
+
+
+def test_small_fusions_match_the_oracle():
+    for F in small_fusions():
+        _assert_classes_match_the_oracle(F.S)
+        _assert_fusion_matches_the_oracle(F)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(random_fusions())
+def test_fusions_match_the_oracle_on_random_p_groups(F):
+    _assert_fusion_matches_the_oracle(F)
