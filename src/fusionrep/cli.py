@@ -199,8 +199,8 @@ def _cmd_repring(job, args):
         return _emit_json(args, **payload, presentation=P.to_json(),
                           ring=str(P))
     lines = [f"classes {len(job.fusion.element_classes())}",
-             "basis " + ", ".join(f"{n} ({v.degree()})" for n, v in
-                                  zip(job.basis_names, B.vectors)),
+             "basis " + ", ".join(f"{n} ({d})" for n, d in
+                                  zip(job.basis_names, B.degrees)),
              str(P)]
     return "\n".join(lines)
 
@@ -233,8 +233,8 @@ def _cmd_twisted(job, args):
                           module=TM.to_json(), completed=CM.to_json())
     lines = [f"extension order {E.group.order}, coefficients {E.coeff}",
              f"a-representations {len(TB.a_reps)}",
-             "basis " + ", ".join(f"{n} ({v.degree()})" for n, v in
-                                  zip(TB.names, TB.vectors)),
+             "basis " + ", ".join(f"{n} ({d})" for n, d in
+                                  zip(TB.names, TB.degrees)),
              *(f"{name} acts by {[list(r) for r in M]}"
                for name, M in zip(TM.names, TM.matrices)),
              str(CM)]

@@ -93,6 +93,7 @@ class FusionSystem:
         self._hom_cache = {}
         self._maps = None
         self._aut_s_cache = {}
+        # gens_n -> (walk position of each element, replay, pgens -> values)
         self._ext_index_cache = {}
 
     # -- element classes --
@@ -362,16 +363,19 @@ class FusionSystem:
         return out
 
     def _ext_index(self, gens_n: tuple, pgens: tuple, cap: int) -> frozenset:
-        """Values at pgens of every closed morphism out of <gens_n>."""
-        key = (gens_n, pgens)
-        hit = self._ext_index_cache.get(key)
-        if hit is not None:
-            return hit
-        reach, images = self._replay(gens_n, self._hom_states(gens_n, cap))
-        rows = images[[reach.tolist().index(g) for g in pgens]]
-        out = frozenset(zip(*rows.tolist()))
-        self._ext_index_cache[key] = out
-        return out
+        """Values at pgens of every closed morphism out of <gens_n>.  The
+        morphisms are replayed once per gens_n, and each pgens reads its
+        rows off that replay."""
+        hit = self._ext_index_cache.get(gens_n)
+        if hit is None:
+            reach, images = self._replay(gens_n, self._hom_states(gens_n, cap))
+            hit = self._ext_index_cache[gens_n] = (
+                {g: i for i, g in enumerate(reach.tolist())}, images, {})
+        at, images, index = hit
+        if pgens not in index:
+            index[pgens] = frozenset(
+                zip(*images[[at[g] for g in pgens]].tolist()))
+        return index[pgens]
 
 
 def _describe(S: FiniteGroup, members) -> str:

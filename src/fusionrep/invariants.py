@@ -5,7 +5,9 @@ elements.  Over the canonical irreducible order this is a system of integer
 linear conditions on multiplicity vectors; the non-negative solutions form a
 monoid whose minimal generators are the irreducible F-invariant characters.
 This module builds the condition matrix, computes the minimal generators,
-and decomposes invariant (possibly virtual) vectors over them.
+and decomposes invariant (possibly virtual) vectors over them.  A basis of
+characters is one integer matrix: its rows are the members, written as
+multiplicities over Irr.
 
 The minimal generators form the Hilbert basis of the monoid.  Columns that
 no condition touches split off as unit vectors.  The remaining columns are
@@ -18,6 +20,7 @@ once; its non-negative minimal members lift back exactly.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -26,14 +29,12 @@ from .chartable import character_table
 from .cyclotomic import value_json
 from .errors import (
     FusionRepError,
-    GroupMismatch,
     HilbertCapExceeded,
     InputError,
     NotInvariant,
 )
 from .fusion import FusionSystem
 from .intlinalg import IntegerSpan, int_matmul, kernel_basis
-from .permgroup import FiniteGroup
 
 DEFAULT_HILBERT_CAP = 100_000
 
@@ -292,97 +293,61 @@ def _by_sum(v: tuple) -> tuple:
     return sum(v), v
 
 
-# --- invariant vectors and the canonical basis ---------------------------------
+# --- bases of characters -----------------------------------------------------
 
 
-class RepVector:
-    """A non-negative integer combination of the irreducibles of a group."""
-
-    __slots__ = ("group", "multiplicities", "_coords")
-
-    def __init__(self, group: FiniteGroup, multiplicities):
-        mults = tuple(int(m) for m in multiplicities)
-        table = character_table(group)
-        if len(mults) != len(table):
-            raise InputError("one multiplicity per irreducible required")
-        if any(m < 0 for m in mults):
-            raise InputError("multiplicities must be non-negative")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "multiplicities", mults)
-        object.__setattr__(self, "_coords", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RepVector is immutable")
-
-    def degree(self) -> int:
-        degs = character_table(self.group).degrees()
-        return sum(m * d for m, d in zip(self.multiplicities, degs))
-
-    @property
-    def coords(self) -> np.ndarray:
-        """Integer power-basis coordinates of the character, per class."""
-        if self._coords is None:
-            X = character_table(self.group).coords
-            object.__setattr__(self, "_coords", np.tensordot(
-                np.array(self.multiplicities, dtype=np.int64), X, 1))
-        return self._coords
-
-    def to_json(self) -> dict:
-        return {"degree": self.degree(), "multiplicities": list(self.multiplicities)}
-
-    def __eq__(self, other):
-        if not isinstance(other, RepVector):
-            return NotImplemented
-        return self.group is other.group and self.multiplicities == other.multiplicities
-
-    def __hash__(self):
-        return hash((id(self.group), self.multiplicities))
-
-    def __repr__(self):
-        return f"RepVector(degree={self.degree()}, {self.multiplicities})"
+def canonical_rows(solutions, degrees) -> np.ndarray:
+    """Non-negative solutions over Irr as the rows of one int64 matrix,
+    sorted by (degree, row); degrees are those of Irr."""
+    rows = sorted(map(tuple, solutions),
+                  key=lambda v: (sum(m * d for m, d in zip(v, degrees)), v))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(degrees))
 
 
 class InvariantBasis:
-    """The irreducible F-invariant characters in canonical order.
+    """Characters of the group fusion.S that meet the invariance conditions.
 
-    Order is (degree, multiplicity tuple); the trivial character is always a
-    member and is named "1", the rest are named X1, X2, ... in order.
+    Row i of the read-only int64 matrix mults holds the multiplicities of
+    member i over Irr in canonical order; degrees, coords and span are
+    read off it.  For R(F) the rows run in the order (degree, row), the
+    trivial character is a member named "1", and the rest are named X1,
+    X2, ... in order.
     """
 
-    __slots__ = ("fusion", "vectors", "names", "invariance_rows", "_span")
-
-    def __init__(self, fusion: FusionSystem, vectors, names, invariance_rows):
-        object.__setattr__(self, "fusion", fusion)
-        object.__setattr__(self, "vectors", tuple(vectors))
-        object.__setattr__(self, "names", tuple(names))
+    def __init__(self, fusion: FusionSystem, mults, names, invariance_rows):
+        table = character_table(fusion.S)
+        M = np.array(mults, dtype=np.int64).reshape(len(names), len(table))
+        M.flags.writeable = False
         # Python ints, one row per invariance condition, for int_matmul
-        rows = np.array(invariance_rows, dtype=object).reshape(
-            -1, len(self.vectors[0].multiplicities))
+        rows = np.array(invariance_rows, dtype=object).reshape(-1, len(table))
         rows.flags.writeable = False
-        object.__setattr__(self, "invariance_rows", rows)
-        object.__setattr__(self, "_span", None)
+        vars(self).update(
+            fusion=fusion, mults=M, names=tuple(names), invariance_rows=rows,
+            degrees=tuple((M @ np.array(table.degrees())).tolist()))
 
     def __setattr__(self, *a):
-        raise AttributeError("InvariantBasis is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self.mults)
 
-    @property
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """Integer power-basis coordinates of the members, one row of
+        values per member and class."""
+        C = np.tensordot(self.mults, character_table(self.fusion.S).coords, 1)
+        C.flags.writeable = False
+        return C
+
+    @cached_property
     def span(self) -> IntegerSpan:
-        """The Z-span of the basis vectors, built on first use and kept."""
-        if self._span is None:
-            object.__setattr__(self, "_span", IntegerSpan(
-                [vec.multiplicities for vec in self.vectors]))
-        return self._span
-
-    def class_representatives(self) -> tuple:
-        return tuple(cls[0] for cls in self.fusion.element_classes())
+        """The Z-span of the members."""
+        return IntegerSpan(self.mults.tolist())
 
     def to_json(self) -> dict:
         S = self.fusion.S
         e = character_table(S).conductor
-        at = [S.class_of()[r] for r in self.class_representatives()]
+        at = [S.class_of()[cls[0]] for cls in self.fusion.element_classes()]
         return {
             "classes": [
                 {"size": len(cls), "representative": S.describe_element(cls[0])}
@@ -391,12 +356,13 @@ class InvariantBasis:
             "basis": [
                 {
                     "name": name,
-                    "degree": vec.degree(),
-                    "multiplicities": list(vec.multiplicities),
-                    "values": [value_json(e, v)
-                               for v in vec.coords[at].tolist()],
+                    "degree": d,
+                    "multiplicities": row,
+                    "values": [value_json(e, v) for v in values],
                 }
-                for name, vec in zip(self.names, self.vectors)
+                for name, d, row, values in zip(
+                    self.names, self.degrees, self.mults.tolist(),
+                    self.coords[:, at].tolist())
             ],
         }
 
@@ -410,59 +376,42 @@ def irreducible_invariants(F: FusionSystem, cap: int = DEFAULT_HILBERT_CAP) -> I
     """
     table = character_table(F.S)
     rows = invariance_matrix(F)
-    sols = hilbert_basis(rows, ncols=len(table), cap=cap)
-    vectors = sorted(
-        (RepVector(F.S, v) for v in sols),
-        key=lambda vec: (vec.degree(), vec.multiplicities),
-    )
+    mults = canonical_rows(hilbert_basis(rows, ncols=len(table), cap=cap),
+                           table.degrees())
     nclasses = len(F.element_classes())
-    if len(vectors) != nclasses:
+    if len(mults) != nclasses:
         raise FusionRepError(
-            f"{len(vectors)} irreducible invariants for {nclasses} classes; "
+            f"{len(mults)} irreducible invariants for {nclasses} classes; "
             "the basis count must match the class count"
         )
-    trivial = tuple(int(i == 0) for i in range(len(table)))
-    names = []
-    k = 0
-    for vec in vectors:
-        if vec.multiplicities == trivial:
-            names.append("1")
-        else:
-            k += 1
-            names.append(f"X{k}")
-    if "1" not in names:
+    members = mults.tolist()
+    trivial = [int(i == 0) for i in range(len(table))]
+    if trivial not in members:
         raise FusionRepError("the trivial character is missing from the basis")
-    basis = InvariantBasis(F, vectors, names, rows)
-    cls = [F.S.class_of()[r] for r in basis.class_representatives()]
-    if table.rank(np.stack([vec.coords[cls] for vec in vectors])) != nclasses:
+    t = members.index(trivial)
+    # the members before the trivial character are X1 .. Xt, the rest follow
+    names = ["1" if k == t else f"X{k + (k < t)}"
+             for k in range(len(members))]
+    basis = InvariantBasis(F, mults, names, rows)
+    cls = [F.S.class_of()[c[0]] for c in F.element_classes()]
+    if table.rank(basis.coords[:, cls]) != nclasses:
         raise FusionRepError("basis characters do not separate the classes")
     return basis
 
 
-# --- decomposition and covering -------------------------------------------------
-
-
-def _as_multiplicities(v, B: InvariantBasis) -> tuple:
-    n = len(character_table(B.fusion.S))
-    if isinstance(v, RepVector):
-        if v.group is not B.fusion.S:
-            raise GroupMismatch("vector lives on a different group")
-        return v.multiplicities
-    mults = tuple(int(x) for x in v)
-    if len(mults) != n:
-        raise InputError("one multiplicity per irreducible required")
-    return mults
+# --- decomposition -----------------------------------------------------------
 
 
 def decompose(v, B: InvariantBasis) -> tuple:
-    """Integer coordinates of an invariant vector over the basis.
-
-    Accepts a RepVector or a raw integer vector (virtual elements, possibly
-    negative, are allowed).  Raises NotInvariant when the vector fails the
+    """Integer coordinates over the basis of an invariant row of
+    multiplicities over Irr (virtual, possibly negative, entries of any
+    size are allowed).  Raises NotInvariant when the row fails the
     invariance conditions and NotInSpan when it is not an integer
     combination of the basis.
     """
-    mults = _as_multiplicities(v, B)
+    mults = [int(x) for x in v]
+    if len(mults) != B.mults.shape[1]:
+        raise InputError("one multiplicity per irreducible required")
     if int_matmul(B.invariance_rows, mults).any():
         raise NotInvariant("character is not constant on the fusion classes")
     return B.span.solve(mults)

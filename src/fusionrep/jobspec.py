@@ -135,11 +135,15 @@ def _generator(key: str, value: str, lineno: int, col: int, degree,
         raise ParseError(lineno, col, str(exc)) from None
 
 
-def _parse_int(value: str, lineno: int, col: int, what: str) -> int:
+def _parse_int(value: str, lineno: int, col: int, what: str,
+               positive: bool = False) -> int:
     try:
-        return int(value)
+        n = int(value)
     except ValueError:
         raise ParseError(lineno, col, f"{what} must be an integer") from None
+    if positive and n < 1:
+        raise ParseError(lineno, col, f"{what} must be positive")
+    return n
 
 
 def parse_jobspec(text: str) -> JobSpec:
@@ -201,7 +205,7 @@ def parse_jobspec(text: str) -> JobSpec:
         elif key == "p":
             p = _parse_int(value, lineno, col, "p")
         elif key == "degree":
-            degree = _parse_int(value, lineno, col, "degree")
+            degree = _parse_int(value, lineno, col, "degree", positive=True)
         else:
             gens.append(_generator(key, value, lineno, col, degree, gens))
     if constructor is not None:
@@ -334,7 +338,7 @@ def _parse_extension(ext_raw, base_names):
                 raise ParseError(lineno, col, "transpose must be true or false")
             transpose = value == "true"
         elif key == "degree":
-            degree = _parse_int(value, lineno, col, "degree")
+            degree = _parse_int(value, lineno, col, "degree", positive=True)
         elif key == "kernel":
             kernel = (value, lineno, col)
         elif key == "projection":

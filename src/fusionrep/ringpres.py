@@ -218,12 +218,11 @@ def structure_constants(B: InvariantBasis, names: dict = None) -> RingPresentati
     positions = [k for k, n in enumerate(B.names) if n != "1"]
     trivial_pos = B.names.index("1")
     gen_names = apply_names([B.names[k] for k in positions], names)
-    degrees = [B.vectors[k].degree() for k in positions]
+    degrees = [B.degrees[k] for k in positions]
     m = len(positions)
     T = np.zeros((m + 1,) * 3, dtype=np.int64)
     T[0] = T[:, 0] = np.eye(m + 1, dtype=np.int64)
-    mults = np.array([B.vectors[k].multiplicities for k in positions],
-                     dtype=np.int64).reshape(m, len(table))
+    mults = B.mults[positions]
     # products[a, b] = multiplicities of X_a X_b over Irr(S)
     products = np.einsum("bj,ajk->abk", mults,
                          np.tensordot(mults, table.structure_tensor(), 1))
@@ -327,13 +326,9 @@ def adic_equivalence_exponent(F: FusionSystem, k: int = 1,
     if B.fusion is not F:
         raise GroupMismatch("invariant basis belongs to a different system")
     ring = character_ring(F.S)
-    gens = []
-    for name, vec in zip(B.names, B.vectors):
-        if name == "1":
-            continue
-        row = list(vec.multiplicities)
-        row[0] -= vec.degree()
-        gens.append(row)
+    # X - deg(X) over Irr(S) for every nontrivial member X
+    gens = [[m - d * (j == 0) for j, m in enumerate(row)] for name, row, d
+            in zip(B.names, B.mults.tolist(), B.degrees) if name != "1"]
     Jk = ring.ideal_power(gens, k)
     if not lattice_contains(ring.augmentation_power(k), Jk):
         raise FusionRepError("restricted ideal power escapes I(S)^k")

@@ -18,8 +18,6 @@ machinery applies through the shifted action matrices.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .chartable import character_table
@@ -28,9 +26,9 @@ from .errors import (AmbientMismatch, DecompositionNotIntegral, FusionRepError,
                      InvalidCocycle, NotCentral, NotCyclicKernel, NotInSpan,
                      QuotientMismatch)
 from .fusion import DEFAULT_MORPHISM_CAP, FusionSystem
-from .intlinalg import IntegerSpan, int_matmul, smith_diagonal
-from .invariants import (DEFAULT_HILBERT_CAP, RepVector, hilbert_basis,
-                         invariance_matrix)
+from .intlinalg import int_matmul, smith_diagonal
+from .invariants import (DEFAULT_HILBERT_CAP, InvariantBasis, canonical_rows,
+                         hilbert_basis, invariance_matrix)
 from .permgroup import FiniteGroup, GroupHom, Subgroup, group_prime, is_p_group
 from .cyclotomic import power_table
 from .ringpres import apply_names, lattice_chain, structure_constants
@@ -229,37 +227,27 @@ def a_representations(E: CentralExtensionData) -> tuple:
     return tuple(np.flatnonzero((at_a == at_one * zeta).all(axis=1)).tolist())
 
 
-class TwistedBasis:
-    """Hilbert basis of the twisted invariant monoid, as vectors over the
-    irreducibles of the big group."""
+class TwistedBasis(InvariantBasis):
+    """Hilbert basis of the twisted invariant monoid: rows over the
+    irreducibles of the big group, supported on the a-representations."""
 
     def __init__(self, extension: CentralExtensionData, fusion: FusionSystem,
-                 a_reps: tuple, vectors: tuple, names: tuple):
-        self.extension = extension
-        self.fusion = fusion
-        self.a_reps = tuple(a_reps)
-        self.vectors = tuple(vectors)
-        self.names = tuple(names)
-
-    def degrees(self) -> tuple:
-        return tuple(v.degree() for v in self.vectors)
-
-    @cached_property
-    def span(self) -> IntegerSpan:
-        """The Z-span of the basis vectors, built on first use and kept."""
-        return IntegerSpan([w.multiplicities for w in self.vectors])
+                 a_reps: tuple, mults, names: tuple, invariance_rows):
+        super().__init__(fusion, mults, names, invariance_rows)
+        vars(self).update(extension=extension, a_reps=tuple(a_reps))
 
     def with_names(self, mapping: dict) -> "TwistedBasis":
         return TwistedBasis(self.extension, self.fusion, self.a_reps,
-                            self.vectors, apply_names(self.names, mapping))
+                            self.mults, apply_names(self.names, mapping),
+                            self.invariance_rows)
 
     def to_json(self) -> dict:
         return {
             "a_representations": list(self.a_reps),
             "basis": [
-                {"name": n, "degree": v.degree(),
-                 "multiplicities": list(v.multiplicities)}
-                for n, v in zip(self.names, self.vectors)
+                {"name": n, "degree": d, "multiplicities": row}
+                for n, d, row in zip(self.names, self.degrees,
+                                     self.mults.tolist())
             ],
         }
 
@@ -309,25 +297,23 @@ def twisted_invariant_basis(E: CentralExtensionData, F_alpha: FusionSystem,
 
     The lifted system must fix the kernel pointwise, and when the base
     system is supplied its quotient is checked against it (_check_lift).
+    The members are the non-negative invariant vectors supported on the
+    a-representations, so the Hilbert basis is taken on those columns and
+    embedded into Irr of the big group.
     """
     if F_alpha.S is not E.group:
         raise GroupMismatch("lifted fusion system lives on the wrong group")
     _check_lift(E, F_alpha, base)
-    a_reps = a_representations(E)
+    a_reps = list(a_representations(E))
     tab = character_table(E.group)
-    rows = [list(r) for r in invariance_matrix(F_alpha)]
-    keep = set(a_reps)
-    m = len(tab)
-    for i in range(m):
-        if i not in keep:
-            unit = [0] * m
-            unit[i] = 1
-            rows.append(unit)
-    basis = hilbert_basis(rows, ncols=m, cap=cap)
-    vectors = sorted((RepVector(E.group, v) for v in basis),
-                     key=lambda v: (v.degree(), v.multiplicities))
-    names = tuple(f"W{k + 1}" for k in range(len(vectors)))
-    return TwistedBasis(E, F_alpha, a_reps, tuple(vectors), names)
+    rows = invariance_matrix(F_alpha)
+    sols = hilbert_basis([[r[j] for j in a_reps] for r in rows],
+                         ncols=len(a_reps), cap=cap)
+    full = np.zeros((len(sols), len(tab)), dtype=np.int64)
+    full[:, a_reps] = np.reshape(sols, (len(sols), len(a_reps)))
+    mults = canonical_rows(full.tolist(), tab.degrees())
+    names = tuple(f"W{k + 1}" for k in range(len(mults)))
+    return TwistedBasis(E, F_alpha, a_reps, mults, names, rows)
 
 
 # --- module structure ---------------------------------------------------------
@@ -353,19 +339,18 @@ class TwistedModule:
         }
 
 
-def action_matrix(TB: TwistedBasis, vec: RepVector) -> tuple:
+def action_matrix(TB: TwistedBasis, coords) -> tuple:
     """Matrix of tensoring with the pullback of a character of the base
-    group, decomposed over the twisted basis; vec is that character over
-    Irr of the base group."""
+    group, decomposed over the twisted basis; coords are that character's
+    power-basis coordinates, one row per class of the base group."""
     E = TB.extension
     tab = character_table(E.group)
     base_class = E.base.class_of()
     s = E.projection.images
     at = [base_class[s[cls[0]]] for cls in E.group.conjugacy_classes()]
     products = tab.pullback_products(
-        vec.coords, character_table(E.base).conductor, at,
-        np.stack([w.coords for w in TB.vectors]))
-    t = len(TB.vectors)
+        coords, character_table(E.base).conductor, at, TB.coords)
+    t = len(TB)
     cols = []
     for prod in products:
         target = []
@@ -405,11 +390,11 @@ def module_structure(F: FusionSystem, B, E: CentralExtensionData,
         P = structure_constants(B)
     elif P.basis is not B:
         raise GroupMismatch("presentation belongs to a different basis")
-    t = len(TB.vectors)
-    ident = action_matrix(TB, B.vectors[B.names.index("1")])
+    t = len(TB)
+    ident = action_matrix(TB, B.coords[B.names.index("1")])
     if not np.array_equal(np.reshape(ident, (t, t)), np.eye(t)):
         raise FusionRepError("unit does not act as the identity")
-    matrices = [action_matrix(TB, v) for n, v in zip(B.names, B.vectors)
+    matrices = [action_matrix(TB, c) for n, c in zip(B.names, B.coords)
                 if n != "1"]
     TM = TwistedModule(TB, P.names, P.degrees, tuple(matrices))
     n = P.ring.rank
@@ -419,12 +404,10 @@ def module_structure(F: FusionSystem, B, E: CentralExtensionData,
                      Ms.reshape(n, t * t)).reshape(n, n, t, t)
     if not np.array_equal(lhs, rhs):
         raise FusionRepError("action matrices violate a ring relation")
-    tdegs = TB.degrees()
-    for name, d, M in zip(TM.names, TM.degrees, TM.matrices):
-        for j in range(t):
-            if sum(tdegs[l] * M[l][j] for l in range(t)) != d * tdegs[j]:
-                raise FusionRepError(
-                    f"degree bookkeeping fails for {name}")
+    tdegs = np.array(TB.degrees, dtype=object)
+    for name, d, M in zip(TM.names, TM.degrees, Ms[1:]):
+        if (tdegs @ M != d * tdegs).any():
+            raise FusionRepError(f"degree bookkeeping fails for {name}")
     return TM
 
 
@@ -498,7 +481,7 @@ def completed_module(TM: TwistedModule, P, names=None,
         names = tuple(names)
         if len(names) != len(TM.names):
             raise InputError("one completed name per generator required")
-    t = len(TM.basis.vectors)
+    t = len(TM.basis)
     shifted = tuple(tuple(tuple(v - d * (i == j) for j, v in enumerate(row))
                           for i, row in enumerate(M))
                     for M, d in zip(TM.matrices, TM.degrees))

@@ -40,7 +40,11 @@ core_p for O_p of a finite group.  coset_action and quotient_fusion build
 S/A and the quotient fusion system of a lift, and quotient_match compares
 it with the base system on the closed morphisms out of every subgroup.
 section_cocycle is the cocycle of a section of a central extension, the
-inverse of twisted.central_extension.
+inverse of twisted.central_extension.  unit_row_twisted_hilbert is the
+twisted Hilbert basis over all the columns of Irr of the extension, with a
+unit row for every irreducible that is not an a-representation, which
+twisted.twisted_invariant_basis replaced by the Hilbert basis on the
+a-representation columns.
 ideal_product multiplies two ideals' HNF rows pair by pair, the reference
 for the powers that Ring.ideal_power reads off lattice_chain, and
 ring_product multiplies two ring elements through Ring.times.  spec_text
@@ -53,7 +57,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from fusionrep.chartable import _product_matrix
+from fusionrep.chartable import _product_matrix, character_table
 from fusionrep.cyclotomic import (cyclotomic_polynomial, degree_phi,
                                   power_table)
 from fusionrep.errors import (FusionRepError, GeneratorMovesA, GroupMismatch,
@@ -64,10 +68,12 @@ from fusionrep.errors import (FusionRepError, GeneratorMovesA, GroupMismatch,
 from fusionrep.fusion import (DEFAULT_MORPHISM_CAP, SaturationReport,
                               _describe, _small_gens, build_fusion)
 from fusionrep.intlinalg import int_matmul, is_prime, kernel_basis
-from fusionrep.invariants import DEFAULT_HILBERT_CAP
+from fusionrep.invariants import (DEFAULT_HILBERT_CAP, hilbert_basis,
+                                  invariance_matrix)
 from fusionrep.permgroup import (FiniteGroup, GroupHom, Subgroup, build_group,
                                  format_cycles, is_p_group, make_hom, p_part)
 from fusionrep.spectrum import _mult_order, _polmod_divmod, _reduce_mod
+from fusionrep.twisted import a_representations
 
 
 def _pos_neg(v):
@@ -908,6 +914,23 @@ def quotient_match(E, Fq, base):
                 given._hom_states(gens, DEFAULT_MORPHISM_CAP)):
             raise QuotientMismatch(
                 "quotient morphisms do not match the base fusion system")
+
+
+def unit_row_twisted_hilbert(E, F_alpha, cap: int = DEFAULT_HILBERT_CAP) -> list:
+    """The Hilbert basis of the twisted invariant monoid over all of
+    Irr(E.group): the invariance rows of the lifted system, then one unit
+    row for every irreducible that is not an a-representation."""
+    a_reps = a_representations(E)
+    tab = character_table(E.group)
+    rows = [list(r) for r in invariance_matrix(F_alpha)]
+    keep = set(a_reps)
+    m = len(tab)
+    for i in range(m):
+        if i not in keep:
+            unit = [0] * m
+            unit[i] = 1
+            rows.append(unit)
+    return hilbert_basis(rows, ncols=m, cap=cap)
 
 
 # --- cocycles, ideals and job specs ------------------------------------------

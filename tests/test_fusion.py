@@ -4,11 +4,13 @@ from hypothesis import strategies as st
 from oracles import (ExhaustiveSaturation, is_centric, is_radical,
                      quotient_fusion)
 
+from conftest import FIXTURES, fixture_path
+
 from fusionrep import permgroup
 from fusionrep.errors import (FusionRepError, MorphismCapExceeded,
                               NotCentral, SubgroupEnumerationCapExceeded)
-from fusionrep.fusion import build_fusion
-from fusionrep.jobspec import parse_jobspec, realize
+from fusionrep.fusion import FusionSystem, build_fusion
+from fusionrep.jobspec import load_jobspec, parse_jobspec, realize
 from fusionrep.permgroup import build_group, extraspecial_p3, make_hom
 
 
@@ -154,6 +156,23 @@ def test_cached_morphisms_honour_a_smaller_cap():
 def test_exotic_systems_are_saturated(pipeline, stem):
     report = pipeline(stem).fusion.check_saturation()
     assert report.ok, report.violations[:3]
+
+
+def test_saturation_replays_each_generator_set_once(monkeypatch):
+    """On a4 the check replays the morphisms out of each of the three
+    subgroups it checks, and the axiom II extensions read the morphisms
+    out of their one N_phi from a single replay."""
+    job = realize(load_jobspec(fixture_path("a4.fus")), FIXTURES)
+    calls = []
+    real = FusionSystem._replay
+
+    def counted(self, gens, states):
+        calls.append(gens)
+        return real(self, gens, states)
+
+    monkeypatch.setattr(FusionSystem, "_replay", counted)
+    assert job.fusion.check_saturation().ok
+    assert len(calls) == len(set(calls)) == 4
 
 
 def test_saturation_cap():

@@ -264,7 +264,7 @@ def test_integer_span_builds_its_hnf_once(monkeypatch):
     # R(F) against one span of the twisted basis
     job = realize(load_jobspec(fixture_path("a4_sl23.fus")), FIXTURES)
     assert len(job.basis) > 1
-    twisted = [list(w.multiplicities) for w in job.twisted_basis.vectors]
+    twisted = job.twisted_basis.mults.tolist()
     spans = []
     monkeypatch.setattr(intlinalg, "_tagged_hnf",
                         lambda cols: spans.append(cols) or _tagged_hnf(cols))

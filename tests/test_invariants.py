@@ -12,9 +12,9 @@ from oracles import (brute_hilbert, constant_on_fusion_classes,
 from fusionrep.chartable import character_table
 from fusionrep.errors import FusionRepError, HilbertCapExceeded, NotInvariant
 from fusionrep.fusion import build_fusion
-from fusionrep.intlinalg import hnf, kernel_basis
+from fusionrep.intlinalg import IntegerSpan, hnf, kernel_basis
 from fusionrep import twisted
-from fusionrep.invariants import (DEFAULT_HILBERT_CAP, RepVector, decompose,
+from fusionrep.invariants import (DEFAULT_HILBERT_CAP, decompose,
                                   hilbert_basis, invariance_matrix,
                                   irreducible_invariants)
 from fusionrep.permgroup import build_group, extraspecial_p3, make_hom
@@ -94,8 +94,10 @@ def test_hilbert_matches_the_pottier_oracle(rows):
     assert hilbert_basis(rows) == want
 
 
-@pytest.mark.parametrize("stem", sorted(
-    f[:-4] for f in os.listdir(FIXTURES) if f.endswith(".fus")))
+STEMS = sorted(f[:-4] for f in os.listdir(FIXTURES) if f.endswith(".fus"))
+
+
+@pytest.mark.parametrize("stem", STEMS)
 def test_hilbert_matches_the_oracle_on_every_fixture(pipeline, stem,
                                                     monkeypatch):
     job = pipeline(stem)
@@ -104,7 +106,7 @@ def test_hilbert_matches_the_oracle_on_every_fixture(pipeline, stem,
     assert hilbert_basis(rows, ncols=n) == pottier_hilbert_basis(rows, ncols=n)
     if job.extension is None:
         return
-    # the twisted basis adds a unit row for every forced-zero column
+    # the twisted basis runs on the a-representation columns
     checked = []
 
     def checked_hilbert_basis(rows, ncols=None, cap=DEFAULT_HILBERT_CAP):
@@ -118,6 +120,29 @@ def test_hilbert_matches_the_oracle_on_every_fixture(pipeline, stem,
     assert checked
 
 
+@pytest.mark.parametrize("stem", STEMS)
+def test_basis_reads_degrees_coords_and_span_off_its_rows(pipeline, stem):
+    """Both bases hold one read-only int64 matrix of multiplicities, and
+    their degrees, coordinates and span are those of its rows, one row at
+    a time."""
+    job = pipeline(stem)
+    for B in [job.basis] + ([job.twisted_basis] if job.extension else []):
+        tab = character_table(B.fusion.S)
+        assert B.mults.dtype == np.int64 and not B.mults.flags.writeable
+        assert B.mults.shape == (len(B), len(tab))
+        rows = B.mults.tolist()
+        assert B.degrees == tuple(
+            sum(m * d for m, d in zip(row, tab.degrees())) for row in rows)
+        for row, coords in zip(rows, B.coords):
+            assert np.array_equal(
+                coords, sum(m * tab.coords[i] for i, m in enumerate(row)))
+        assert B.span.columns == rows
+        assert B.span.tagged == IntegerSpan(rows).tagged
+        for k, row in enumerate(rows):
+            assert B.span.solve(row) == tuple(int(i == k)
+                                              for i in range(len(B)))
+
+
 def test_hilbert_against_bruteforce():
     """Oracle on every fixture group of order at most 16."""
     for F in small_fusions():
@@ -125,7 +150,7 @@ def test_hilbert_against_bruteforce():
         rows = invariance_matrix(F)
         ncols = len(character_table(F.S))
         B = irreducible_invariants(F)
-        computed = {v.multiplicities for v in B.vectors}
+        computed = set(map(tuple, B.mults.tolist()))
         bound = max(max(v) for v in computed) + 1
         assert computed == brute_hilbert(rows, ncols, bound)
 
@@ -137,8 +162,8 @@ def test_sigma3_basis():
     assert len(hnf(invariance_matrix(F))) == 1
     B = irreducible_invariants(F)
     assert B.names == ("1", "X1")
-    assert [v.degree() for v in B.vectors] == [1, 2]
-    assert B.vectors[1].multiplicities == (0, 1, 1)
+    assert list(B.degrees) == [1, 2]
+    assert B.mults[1].tolist() == [0, 1, 1]
 
 
 def test_trivial_fusion_basis_is_irr():
@@ -147,14 +172,13 @@ def test_trivial_fusion_basis_is_irr():
     assert invariance_matrix(F) == []
     B = irreducible_invariants(F)
     assert len(B) == 3
-    assert all(sum(v.multiplicities) == 1 for v in B.vectors)
+    assert all(sum(row) == 1 for row in B.mults.tolist())
 
 
 def uncovered(B) -> list:
     """The irreducibles of S that occur in no basis element: the columns
     of the basis multiplicities that are zero throughout."""
-    M = np.array([v.multiplicities for v in B.vectors])
-    return np.flatnonzero(~M.any(0)).tolist()
+    return np.flatnonzero(~B.mults.any(0)).tolist()
 
 
 def test_a4_basis_decompose_covering():
@@ -162,8 +186,8 @@ def test_a4_basis_decompose_covering():
     x, y = V4.names["x"], V4.names["y"]
     F = build_fusion(V4, [make_hom(V4.full_subgroup(), (y, V4.mul(x, y)))])
     B = irreducible_invariants(F)
-    assert [v.degree() for v in B.vectors] == [1, 3]
-    assert B.vectors[1].multiplicities == (0, 1, 1, 1)
+    assert list(B.degrees) == [1, 3]
+    assert B.mults[1].tolist() == [0, 1, 1, 1]
     assert decompose([1, 1, 1, 1], B) == (1, 1)
     assert decompose([2, 1, 1, 1], B) == (2, 1)
     assert decompose([-1, -1, -1, -1], B) == (-1, -1)
@@ -171,7 +195,7 @@ def test_a4_basis_decompose_covering():
         decompose([0, 1, 0, 0], B)
     assert uncovered(B) == []
     tab = character_table(V4)
-    assert constant_on_fusion_classes(F, B.vectors[1].coords)
+    assert constant_on_fusion_classes(F, B.coords[1])
     assert not constant_on_fusion_classes(F, tab.coords[1])
     regular = np.zeros(tab.coords.shape[1:], dtype=np.int64)
     regular[V4.class_of()[V4.identity], 0] = V4.order
@@ -183,8 +207,8 @@ def test_decompose_rejects_every_non_invariant_vector(pipeline, stem):
     """A unit vector over Irr(S) is invariant only when it is a basis
     member; the check is exact for entries of any size."""
     B = pipeline(stem).basis
-    members = {vec.multiplicities for vec in B.vectors}
-    n = len(B.vectors[0].multiplicities)
+    members = set(map(tuple, B.mults.tolist()))
+    n = B.mults.shape[1]
     rejected = 0
     for i in range(n):
         unit = tuple(int(j == i) for j in range(n))
@@ -193,13 +217,13 @@ def test_decompose_rejects_every_non_invariant_vector(pipeline, stem):
             continue
         # plus a huge invariant vector, beyond any fixed-width integer
         for v in (unit, [x + 10 ** 40 * m for x, m in
-                         zip(unit, B.vectors[-1].multiplicities)]):
+                         zip(unit, B.mults[-1].tolist())]):
             with pytest.raises(NotInvariant, match="^character is not "
                                "constant on the fusion classes$"):
                 decompose(v, B)
         rejected += 1
     assert rejected > 0
-    big = [10 ** 40 * m for m in B.vectors[-1].multiplicities]
+    big = [10 ** 40 * m for m in B.mults[-1].tolist()]
     assert decompose(big, B) == tuple(
         10 ** 40 * int(k == len(B) - 1) for k in range(len(B)))
 
@@ -214,10 +238,10 @@ def test_basis_count_matches_classes(pipeline):
 def test_onan_basis(pipeline):
     P = pipeline("onan")
     B = P.basis
-    assert [v.degree() for v in B.vectors] == [1, 150, 192]
+    assert list(B.degrees) == [1, 150, 192]
     tab = character_table(P.group)
     d7 = [i for i, d in enumerate(tab.degrees()) if d == 7]
-    vA, vB = B.vectors[1].multiplicities, B.vectors[2].multiplicities
+    vA, vB = B.mults[1].tolist(), B.mults[2].tolist()
     assert all(vA[i] == 3 for i in d7)
     assert all(vB[i] == 4 for i in d7)
     assert uncovered(B) == []
@@ -225,10 +249,9 @@ def test_onan_basis(pipeline):
     zvec = [0] * 55
     for i in d7:
         zvec[i] = 1
-    assert not constant_on_fusion_classes(P.fusion,
-                                          RepVector(P.group, zvec).coords)
-    assert all(constant_on_fusion_classes(P.fusion, v.coords)
-               for v in B.vectors)
+    assert not constant_on_fusion_classes(
+        P.fusion, np.tensordot(zvec, tab.coords, 1))
+    assert all(constant_on_fusion_classes(P.fusion, c) for c in B.coords)
 
 
 def test_covering_all_fixtures(pipeline):
@@ -244,7 +267,7 @@ def test_exact_rank_when_the_modular_test_reports_a_kernel(pipeline,
     scalars, and gets full and deficient rank."""
     import fusionrep.chartable as chartable
     stems = ("sigma_3", "a4", "onan", "he")
-    want = {stem: pipeline(stem).basis.vectors for stem in stems}
+    want = {stem: pipeline(stem).basis.mults for stem in stems}
     exact = []
 
     def counted_hnf(rows):
@@ -253,8 +276,8 @@ def test_exact_rank_when_the_modular_test_reports_a_kernel(pipeline,
 
     monkeypatch.setattr(chartable, "hnf", counted_hnf)
     for stem in stems:
-        assert irreducible_invariants(pipeline(stem).fusion).vectors \
-            == want[stem]
+        assert np.array_equal(
+            irreducible_invariants(pipeline(stem).fusion).mults, want[stem])
     assert len(exact) == len(stems)
     for stem in ("sigma_7", "a4"):
         tab = character_table(pipeline(stem).group)

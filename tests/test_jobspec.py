@@ -81,6 +81,14 @@ def test_parse_errors():
               "coefficients = 2\ncocycle = t.csv\n", ParseError)
     check_bad("[group]\ndegree = 2\ng = (1 2)\n[extension]\n"
               "coefficients = 2\n", ParseError)
+    # a permutation degree must be positive in both sections
+    for text, line in (("[group]\ndegree = -1\nx = ()\n", 2),
+                       ("[group]\ndegree = 0\nx = ()\n", 2),
+                       ("[group]\ndegree = 2\nx = (1 2)\n[extension]\n"
+                        "degree = -2\na = ()\nkernel = a\nprojection = x\n",
+                        5)):
+        e = check_bad(text, ParseError)
+        assert e.line == line and "degree must be positive" in str(e)
     # generator lines read the same in [group] and [extension]
     for section in ("[group]", "[group]\ndegree = 2\ng = (1 2)\n[extension]"):
         for body, message in (("x = (1 2)\n", "degree must precede"),

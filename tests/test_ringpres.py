@@ -73,7 +73,7 @@ def test_onan_structure_constants_sound(pipeline):
     B = P.basis
     pres = structure_constants(P.basis, {"X1": "A", "X2": "B"})
     tab = character_table(P.group)
-    one, chA, chB = (v.coords for v in B.vectors)
+    one, chA, chB = B.coords
 
     def times(f, g):
         return np.array([value_product(7, x, y)

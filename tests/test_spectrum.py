@@ -157,11 +157,11 @@ def test_residue_membership(pipeline):
     of onan, and the trivial character does not."""
     P = pipeline("onan")
     F, S = P.fusion, P.group
-    one = P.basis.vectors[0].coords
+    one = P.basis.coords[0]
     sym7 = PrimeSymbol(F, primes_above(7, 7)[0], 0)
     assert not in_prime(one, sym7)
-    for v in P.basis.vectors:
-        assert in_prime(v.coords - v.degree() * one, sym7)
+    for coords, d in zip(P.basis.coords, P.basis.degrees):
+        assert in_prime(coords - d * one, sym7)
     regular = 0 * one
     regular[S.class_of()[S.identity], 0] = S.order
     id_class = F.element_class_of()[S.identity]

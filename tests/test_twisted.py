@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from oracles import quotient_fusion, quotient_match, section_cocycle
+from oracles import (quotient_fusion, quotient_match, section_cocycle,
+                     unit_row_twisted_hilbert)
 
 from fusionrep import permgroup, twisted
 from fusionrep.chartable import character_table
@@ -105,8 +106,7 @@ def test_extension_from_groups(quaternion_setup):
     B = irreducible_invariants(FA4)
     TB = twisted_invariant_basis(E, FQ, base=FA4)
     TB2 = twisted_invariant_basis(E2, FQ, base=FA4)
-    assert [v.multiplicities for v in TB2.vectors] \
-        == [v.multiplicities for v in TB.vectors]
+    assert TB2.mults.tolist() == TB.mults.tolist()
     assert module_structure(FA4, B, E2, TB2).matrices \
         == module_structure(FA4, B, E, TB).matrices == (((3,),),)
     with pytest.raises(NotCyclicKernel):
@@ -168,12 +168,11 @@ def test_twisted_basis(quaternion_setup):
     FQ, FA4 = lifted_fusions(E)
     ar = a_representations(E)
     TB = twisted_invariant_basis(E, FQ, base=FA4)
-    assert len(TB.vectors) == 1
-    assert TB.degrees() == (2,)
-    assert TB.vectors[0].multiplicities[ar[0]] == 1
+    assert len(TB) == 1
+    assert TB.degrees == (2,)
+    assert TB.mults[0, ar[0]] == 1
     # every A-representation occurs in a basis element
-    M = np.array([v.multiplicities for v in TB.vectors])
-    assert M[:, list(ar)].any(0).all()
+    assert TB.mults[:, list(ar)].any(0).all()
     rows = np.array(invariance_matrix(FQ))
 
     def in_monoid(v):
@@ -183,7 +182,7 @@ def test_twisted_basis(quaternion_setup):
         return ((v >= 0).all() and not np.delete(v, list(ar)).any()
                 and not (rows @ v).any())
 
-    assert in_monoid(TB.vectors[0].multiplicities)
+    assert in_monoid(TB.mults[0])
     badvec = [0] * len(character_table(E.group))
     badvec[0] = 1
     assert not in_monoid(badvec)
@@ -217,7 +216,9 @@ def test_module_structure_and_completion(quaternion_setup):
     assert str(CM).startswith("completed module: Z")
 
 
-def test_trivial_cocycle_module():
+def trivial_cocycle_setup():
+    """The A4 system on V4, the extension of V4 by the trivial cocycle
+    and the lift of the rotation to it."""
     V4 = build_group(4, [(1, 0, 3, 2), (2, 3, 0, 1)], names=["x", "y"])
     xi, yi = V4.names["x"], V4.names["y"]
     FA4 = build_fusion(V4, [make_hom(V4.full_subgroup(),
@@ -227,9 +228,13 @@ def test_trivial_cocycle_module():
     lift = make_hom(G8.full_subgroup(),
                     (G8.names["z"], G8.names["y"],
                      G8.mul(G8.names["x"], G8.names["y"])))
-    FA4_lift = build_fusion(G8, [lift])
+    return FA4, EE, build_fusion(G8, [lift])
+
+
+def test_trivial_cocycle_module():
+    FA4, EE, FA4_lift = trivial_cocycle_setup()
     TB0 = twisted_invariant_basis(EE, FA4_lift, base=FA4)
-    assert TB0.degrees() == (1, 3)
+    assert TB0.degrees == (1, 3)
     B = irreducible_invariants(FA4)
     TM0 = module_structure(FA4, B, EE, TB0)
     assert TM0.matrices == (((0, 3), (1, 2)),)
@@ -240,12 +245,32 @@ def test_trivial_cocycle_module():
     assert "did not stabilize" in str(CM0)
 
 
+def test_basis_on_the_a_representations_matches_the_unit_rows(
+        pipeline, quaternion_setup):
+    """The Hilbert basis on the a-representation columns, embedded, is the
+    one over all columns with the other columns forced to zero by unit
+    rows, row for row in the canonical order (degree, row)."""
+    job = pipeline("a4_sl23")
+    FA4, EE, FA4_lift = trivial_cocycle_setup()
+    FQ, FQA4 = lifted_fusions(quaternion_setup[2])
+    for E, F_alpha, base, degrees in (
+            (job.extension, job.fusion_alpha, job.fusion, (2,)),
+            (EE, FA4_lift, FA4, (1, 3)),
+            (quaternion_setup[2], FQ, FQA4, (2,))):
+        TB = twisted_invariant_basis(E, F_alpha, base=base)
+        assert TB.degrees == degrees
+        degs = character_table(E.group).degrees()
+        want = sorted(unit_row_twisted_hilbert(E, F_alpha), key=lambda v: (
+            sum(m * d for m, d in zip(v, degs)), v))
+        assert list(map(tuple, TB.mults.tolist())) == want
+
+
 def test_a4_sl23_fixture_pipeline(pipeline):
     P = pipeline("a4_sl23")
     E = P.extension
     assert E.group.order == 8
     TB = twisted_invariant_basis(E, P.fusion_alpha, base=P.fusion)
-    assert TB.degrees() == (2,)
+    assert TB.degrees == (2,)
     B = P.basis
     TM = module_structure(P.fusion, B, E, TB)
     assert TM.matrices == (((3,),),)
@@ -261,9 +286,9 @@ def test_module_rejects_a_broken_ring_relation(pipeline, monkeypatch):
     TB = twisted_invariant_basis(E, P.fusion_alpha, base=P.fusion)
     real = twisted.action_matrix
 
-    def perturbed(TB, vec):
-        M = real(TB, vec)
-        if vec.degree() == 1:
+    def perturbed(TB, coords):
+        M = real(TB, coords)
+        if coords[0, 0] == 1:  # the degree, the value at the identity
             return M
         return ((M[0][0] + 1,) + M[0][1:],) + M[1:]
 
@@ -283,7 +308,7 @@ def test_action_matrix_rejects_a_negative_coefficient(pipeline,
         def solve(self, target):
             return (-1,)
 
-    monkeypatch.setattr(TB, "span", NegativeSpan(), raising=False)
+    monkeypatch.setitem(vars(TB), "span", NegativeSpan())
     with pytest.raises(DecompositionNotIntegral,
                        match="-1 is not a non-negative integer"):
         module_structure(P.fusion, P.basis, E, TB)
