@@ -38,8 +38,8 @@ import sys
 from collections import Counter
 
 from .errors import FusionRepError, InputError
-from .intlinalg import is_prime
 from .jobspec import load_jobspec, realize
+from .permgroup import is_prime
 
 _MAPPING_KEY_RE = re.compile(r"[XvW][1-9][0-9]*\Z")
 _CAPS = ("order", "subgroups", "morphisms", "hilbert", "chain", "adic")

@@ -9,11 +9,13 @@ inner conjugation, a listed generator, or a generator inverse, whenever the
 current image lies in the relevant domain).  The search is exact for
 generated systems, where every morphism is a composite of restrictions of
 the listed maps, their inverses, and inner conjugations.
+
+The element classes run in pure Python on the generating maps, so a job
+that stops at them imports no numpy; the morphism closures and the
+saturation check gather on arrays and import numpy when first called.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .errors import (
     DomainNotSubgroup,
@@ -92,6 +94,7 @@ class FusionSystem:
         self._element_class_of = None
         self._hom_cache = {}
         self._maps = None
+        self._maps_array = None
         self._aut_s_cache = {}
         # gens_n -> (walk position of each element, replay, pgens -> values)
         self._ext_index_cache = {}
@@ -120,15 +123,17 @@ class FusionSystem:
             if len(hit) > cap:
                 raise MorphismCapExceeded(f"morphism closure exceeds cap {cap}")
             return hit
+        import numpy as np
+        if self._maps_array is None:
+            self._maps_array = np.array(
+                self._step_maps(), dtype=np.int32).reshape(-1, self.S.order)
+        maps = self._maps_array
         start = tuple(gens)
         seen = {start}
         frontier = np.array([start], dtype=np.int32).reshape(1, len(start))
         while len(frontier):
-            steps = []
-            for m in self._step_maps():
-                t = m[frontier]
-                steps.append(t[(t >= 0).all(1)])
-            new = set(map(tuple, np.concatenate(steps).tolist())) - seen
+            t = maps[:, frontier]  # every step map on every state
+            new = set(map(tuple, t[(t >= 0).all(2)].tolist())) - seen
             seen |= new
             if len(seen) > cap:
                 raise MorphismCapExceeded(f"morphism closure exceeds cap {cap}")
@@ -139,16 +144,19 @@ class FusionSystem:
         return out
 
     def _step_maps(self) -> tuple:
-        """The maps a state is post-composed with, as arrays over S (-1
+        """The maps a state is post-composed with, as tuples over S (-1
         outside the domain): conjugation by each generator of S, then each
-        listed generator and its inverse."""
+        listed generator and its inverse.  _hom_states stacks them into
+        one int32 array on first use."""
         if self._maps is None:
             maps = list(self.S.conjugation_maps())
             for phi in self.generators:
                 for x, y in ((phi.domain.members, phi.images),
                              (phi.images, phi.domain.members)):
-                    maps.append(np.full(self.S.order, -1, dtype=np.int32))
-                    maps[-1][np.array(x)] = y
+                    m = [-1] * self.S.order
+                    for a, b in zip(x, y):
+                        m[a] = b
+                    maps.append(tuple(m))
             self._maps = tuple(maps)
         return self._maps
 
@@ -162,6 +170,7 @@ class FusionSystem:
     def _replay(self, gens: tuple, states) -> tuple:
         """(reach, images): the elements of <gens> in walk order and, in
         column k, their images under states[k] (permgroup.replay)."""
+        import numpy as np
         walk = self.S.walk(gens)
         st = np.array(states, dtype=np.int32).reshape(len(states), len(gens))
         return walk[0], replay(walk, st, self.S)
@@ -230,6 +239,7 @@ class FusionSystem:
         is accepted and ignored: it once lifted an order cap, and
         perfbench/trace_job.py still passes it.
         """
+        import numpy as np
         S = self.S
         if S.order == 1:
             return SaturationReport(True, [], 1, 0)
@@ -312,11 +322,12 @@ class FusionSystem:
         return SaturationReport(not violations, violations,
                                 len(classes), morphisms)
 
-    def _n_phi(self, reach, NP: Subgroup, images, targets) -> np.ndarray:
+    def _n_phi(self, reach, NP: Subgroup, images, targets):
         """N_phi = {g in N_S(P) : phi c_g phi^-1 in Aut_S(Q)} as a mask over
         N_S(P) (rows) for each morphism phi: P -> Q given by a column of
         images of the members of P listed in reach; targets lists (Q,
         N_S(Q), columns onto Q).  Columns not listed stay empty."""
+        import numpy as np
         S = self.S
         conj = S.conj_table()[np.array(NP.members)]
         pos_p = np.full(S.order, -1, dtype=np.int32)
@@ -346,6 +357,7 @@ class FusionSystem:
         hit = self._aut_s_cache.get(Q.members)
         if hit is not None:
             return hit
+        import numpy as np
         S = self.S
         qgens = np.array(self._sub_gens(Q), dtype=np.int32)
         if Q.order ** len(qgens) > 2 ** 63:
@@ -370,7 +382,7 @@ class FusionSystem:
         if hit is None:
             reach, images = self._replay(gens_n, self._hom_states(gens_n, cap))
             hit = self._ext_index_cache[gens_n] = (
-                {g: i for i, g in enumerate(reach.tolist())}, images, {})
+                {g: i for i, g in enumerate(reach)}, images, {})
         at, images, index = hit
         if pgens not in index:
             index[pgens] = frozenset(

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Z and F_q, and a primality test.
+"""Exact linear algebra over Z and F_q.
 
 Inputs and results are lists of Python ints or integer numpy arrays.  Three
 kernels run on whole arrays and choose their representation from the
@@ -25,17 +25,6 @@ from math import gcd
 import numpy as np
 
 from .errors import NotInSpan
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # float64 holds every integer of absolute value below this exactly

@@ -28,9 +28,8 @@ from functools import cached_property
 
 from .errors import InputError, ParseError, UnknownName
 from .fusion import FusionSystem, build_fusion
-from .intlinalg import is_prime
 from .permgroup import (FiniteGroup, NotAPermutation, build_group,
-                        extraspecial_p3, make_hom, parse_cycles)
+                        extraspecial_p3, is_prime, make_hom, parse_cycles)
 
 _SECTIONS = ("group", "subgroups", "fusion", "extension", "fusion_alpha",
              "options")

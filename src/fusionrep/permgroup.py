@@ -3,24 +3,32 @@
 Elements are permutations in one-line notation: tuples of 0-based images.
 A group stores its full (lexicographically sorted) element list, so element
 indices are canonical and deterministic.  Groups of order <= _TABLE_LIMIT get
-a numpy multiplication table; larger groups fall back to tuple composition.
-The table is the regular representation grown along the Cayley graph: each
-generator's left-multiplication map is composed once from the tuples, and
-the row of x o g is the row of x gathered through g's map, which is exact by
-associativity; so a table costs |generators| * |G| tuple compositions and
-one row gather per element.  The other layers build on two graph searches:
-FiniteGroup.walk, the layered walk of the Cayley graph from the identity
-(closure, make_hom and the replay of maps from their generator images), and
-orbits, the orbits of injective index maps (conjugacy and fusion classes).
+a multiplication table, a tuple of row tuples; larger groups fall back to
+tuple composition.  The table is the regular representation grown along the
+Cayley graph: each generator's left-multiplication map is composed once from
+the tuples, and the row of x o g is the row of x picked through g's map (one
+operator.itemgetter per generator), which is exact by associativity; so a
+table costs |generators| * |G| tuple compositions and one row pick per
+element.  The other layers build on two graph searches: FiniteGroup.walk,
+the layered walk of the Cayley graph from the identity (closure, make_hom
+and the replay of maps from their generator images), and orbits, the orbits
+of injective index maps (conjugacy and fusion classes).
+
+Building a group, its subgroups by generators, homomorphisms and orbits
+runs in pure Python, so the set-up of a job imports no numpy.  The gathers
+over many elements at once (mul_array and what builds on it: conjugation
+tables, normalizers, centralizers, the subgroup enumeration, replay) import
+numpy when first called and read one read-only int32 copy of the table,
+built from the rows on first use.
 
 External notation (parsing and printing) is 1-based cycle notation.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
-
-import numpy as np
+from operator import itemgetter
 
 from .errors import (
     EvenPrime,
@@ -153,8 +161,10 @@ class FiniteGroup:
         self.gen_indices = tuple(self.index[g] for g in gens)
         self.names = dict(names) if names else {}  # name -> element index
         self._table = None
+        self._array = None  # the table as a read-only int32 array
         self._conj = None
         self._inv = None
+        self._inv_array = None
         self._orders = None
         self._classes = None
         self._class_of = None
@@ -164,63 +174,84 @@ class FiniteGroup:
     # -- basics --
 
     def mul(self, i: int, j: int) -> int:
-        t = self.table()
+        t = self._table if self._table is not None else self.table()
         if t is not None:
-            return int(t[i, j])
+            return t[i][j]
         return self.index[compose(self.elements[i], self.elements[j])]
 
     def inv(self, i: int) -> int:
-        return int(self.inv_array()[i])
+        return self._inverses()[i]
+
+    def _inverses(self) -> tuple:
+        if self._inv is None:
+            self._inv = tuple(self.index[invert(p)] for p in self.elements)
+        return self._inv
 
     def table(self):
+        """table[i][j] = index(elements[i] o elements[j]) as a tuple of row
+        tuples, or None above _TABLE_LIMIT."""
         if self.order > _TABLE_LIMIT:
             return None
         if self._table is None:
             self._table = self._build_table()
         return self._table
 
-    def _build_table(self):
-        """table[i, j] = index(elements[i] o elements[j]), by a breadth-first
-        search of the Cayley graph from the identity, whose row is arange.
+    def _build_table(self) -> tuple:
+        """The rows of the table, by a breadth-first search of the Cayley
+        graph from the identity, whose row is range(|G|).
 
         For each generator g taken, L_g[j] = index(g o elements[j]) is
         composed once from the tuples.  When the search reaches y = x o g
-        from a row x already built, table[y] = table[x][L_g], one row
-        gather: (x o g) o e = x o (g o e) by associativity, so every row is
-        exact.  A generator already reached lies in the subgroup the earlier
-        ones generate and is skipped, so the tuple compositions are at most
-        |generators taken| * |G| even when every member is a generator.
-        Raises InputError when the generators miss an element.
+        from a row x already built, row y is row x picked at L_g, one
+        itemgetter call: (x o g) o e = x o (g o e) by associativity, so
+        every row is exact.  A generator already reached lies in the
+        subgroup the earlier ones generate and is skipped, so the tuple
+        compositions are at most |generators taken| * |G| even when every
+        member is a generator.  Raises InputError when the generators miss
+        an element.
         """
         n = self.order
-        table = np.empty((n, n), dtype=np.int32)
-        table[self.identity] = np.arange(n, dtype=np.int32)
-        reached = np.zeros(n, dtype=bool)
-        reached[self.identity] = True
-        taken = []  # (index of g, L_g) for the generators taken
+        rows = [None] * n
+        rows[self.identity] = tuple(range(n))
+        taken = []  # (index of g, picker of L_g) for the generators taken
         for g, gi in zip(self.gens, self.gen_indices):
-            if reached[gi]:
+            if rows[gi] is not None:
                 continue
-            taken.append((gi, np.array(
-                [self.index[compose(g, e)] for e in self.elements],
-                dtype=np.intp)))
-            queue = np.flatnonzero(reached).tolist()  # g acts on all of them
-            for x in queue:
-                row = table[x]
-                for h, L in taken:
-                    y = int(row[h])
-                    if not reached[y]:
-                        reached[y] = True
-                        table[y] = row[L]
+            # g is not the identity, so n > 1 and the picker returns tuples
+            taken.append((gi, itemgetter(
+                *[self.index[compose(g, e)] for e in self.elements])))
+            queue = [x for x in range(n) if rows[x] is not None]
+            for x in queue:  # g acts on all of them
+                row = rows[x]
+                for h, pick in taken:
+                    y = row[h]
+                    if rows[y] is None:
+                        rows[y] = pick(row)
                         queue.append(y)
-        if not reached.all():
+        if None in rows:
             raise InputError("declared generators do not generate the group")
-        return table
+        return tuple(rows)
+
+    def _table_array(self):
+        """The table as a read-only int32 array, built from the rows on
+        first use, or None above _TABLE_LIMIT."""
+        t = self.table()
+        if t is None:
+            return None
+        if self._array is None:
+            import numpy as np
+            n = self.order
+            a = np.fromiter(chain.from_iterable(t), dtype=np.int32,
+                            count=n * n).reshape(n, n)
+            a.flags.writeable = False
+            self._array = a
+        return self._array
 
     def mul_array(self, a, b):
         """Products of two broadcast index arrays, elementwise: one gather
         on the table, or mul per entry above _TABLE_LIMIT."""
-        t = self.table()
+        import numpy as np
+        t = self._table_array()
         if t is not None:
             return t[a, b]
         a, b = np.broadcast_arrays(a, b)
@@ -231,18 +262,20 @@ class FiniteGroup:
     def conj_table(self):
         """C[g, x] = g x g^-1, built on first use."""
         if self._conj is None:
+            import numpy as np
             g = np.arange(self.order, dtype=np.int32)
             gx = self.mul_array(g[:, None], g[None, :])
             self._conj = self.mul_array(gx, self.inv_array()[:, None])
         return self._conj
 
     def inv_array(self):
-        if self._inv is None:
-            inv = np.empty(self.order, dtype=np.int32)
-            for i, p in enumerate(self.elements):
-                inv[i] = self.index[invert(p)]
-            self._inv = inv
-        return self._inv
+        """The inverses (inv) as a read-only int32 array."""
+        if self._inv_array is None:
+            import numpy as np
+            a = np.array(self._inverses(), dtype=np.int32)
+            a.flags.writeable = False
+            self._inv_array = a
+        return self._inv_array
 
     def element_orders(self) -> tuple:
         if self._orders is None:
@@ -287,12 +320,15 @@ class FiniteGroup:
         return self._class_of
 
     def conjugation_maps(self) -> tuple:
-        """x -> g x g^-1 over the group, as an index array, for each
+        """x -> g x g^-1 over the group, as a tuple of indices, for each
         generator g."""
-        every = np.arange(self.order, dtype=np.int32)
-        inv = self.inv_array()
-        return tuple(self.mul_array(self.mul_array(g, every), inv[g])
-                     for g in self.gen_indices)
+        mul = self.mul
+        maps = []
+        for g in self.gen_indices:
+            g_inv = self.inv(g)
+            maps.append(tuple(mul(mul(g, x), g_inv)
+                              for x in range(self.order)))
+        return tuple(maps)
 
     # -- subgroups --
 
@@ -318,45 +354,44 @@ class FiniteGroup:
             while x != self.identity:
                 powers.add(x)
                 x = self.mul(x, g)
-        return tuple(sorted(self.walk(sorted(powers))[0].tolist()))
+        return tuple(sorted(self.walk(sorted(powers))[0]))
 
     def walk(self, gens) -> tuple:
         """The layered walk of the Cayley graph from the identity by right
-        multiplication by gens: (reach, back, via, ends).
+        multiplication by gens: (reach, back, via, ends), lists of ints.
 
         reach lists the elements of <gens>, the identity first, then layer
         by layer; layer j is reach[ends[j]:ends[j + 1]].  For k > 0,
         reach[k] is first reached from reach[back[k]] in the layer before,
         by gens[via[k]]: reach[k] = reach[back[k]] gens[via[k]].  A layer
-        is one mul_array gather of the frontier by every generator.
+        takes the frontier in order and each generator in order, and keeps
+        the first product that reaches an element.
         """
-        gens = np.array(gens, dtype=np.int32)
-        seen = np.zeros(self.order, dtype=bool)
+        gens = [int(g) for g in gens]
+        t = self.table()
+        seen = [False] * self.order
         seen[self.identity] = True
-        slot = np.empty(self.order, dtype=np.intp)  # a flat index giving y
-        frontier = np.array([self.identity], dtype=np.int32)
-        reach, back, via, ends = [frontier], [(0,)], [(0,)], [0, 1]
-        while len(gens):
-            y = self.mul_array(frontier[:, None], gens).ravel()
-            at = (~seen[y]).nonzero()[0]
-            if not at.size:
+        reach, back, via, ends = [self.identity], [0], [0], [0, 1]
+        while gens:
+            for k in range(ends[-2], ends[-1]):
+                x = reach[k]
+                row = t[x] if t is not None else None
+                for v, g in enumerate(gens):
+                    y = row[g] if row is not None else self.mul(x, g)
+                    if not seen[y]:
+                        seen[y] = True
+                        reach.append(y)
+                        back.append(k)
+                        via.append(v)
+            if len(reach) == ends[-1]:
                 break
-            new = y[at]
-            slot[new] = at
-            first = at[slot[new] == at]  # one product per new element
-            frontier = y[first]
-            seen[frontier] = True
-            b, v = np.divmod(first, len(gens))
-            reach.append(frontier)
-            back.append(b + ends[-2])
-            via.append(v)
-            ends.append(ends[-1] + len(frontier))
-        return (np.concatenate(reach), np.concatenate(back),
-                np.concatenate(via), ends)
+            ends.append(len(reach))
+        return reach, back, via, ends
 
-    def _conjugates(self, xs) -> np.ndarray:
+    def _conjugates(self, xs):
         """C[g, k] = g xs[k] g^-1 for every g in the group (rows): two
         mul_array calls of |G| x len(xs), so no full conj_table()."""
+        import numpy as np
         xs = np.asarray(xs, dtype=np.int32)
         g = np.arange(self.order, dtype=np.int32)[:, None]
         return self.mul_array(self.mul_array(g, xs[None, :]),
@@ -368,17 +403,18 @@ class FiniteGroup:
         return self._from_mask((self._conjugates(gens) == gens).all(1))
 
     def normalizer(self, sub: "Subgroup") -> "Subgroup":
+        import numpy as np
         self._check_parent(sub)
         inside = np.zeros(self.order, dtype=bool)
         inside[list(sub.members)] = True
         return self._from_mask(self._normalizer_mask(sub, inside))
 
-    def _normalizer_mask(self, sub: "Subgroup", inside) -> np.ndarray:
+    def _normalizer_mask(self, sub: "Subgroup", inside):
         """N(sub) as a mask over the group, from sub's member mask."""
         return inside[self._conjugates(sub.gen_indices or sub.members)].all(1)
 
     def _from_mask(self, mask) -> "Subgroup":
-        members = tuple(np.flatnonzero(mask).tolist())
+        members = tuple(mask.nonzero()[0].tolist())
         return Subgroup(self, members, members)
 
     def all_subgroups(self, cap: int = DEFAULT_SUBGROUP_CAP) -> list:
@@ -410,6 +446,7 @@ class FiniteGroup:
         by g when g has order p|H|, else by H's generators and g, so no
         subgroup gets more generators than log_p of its order.
         """
+        import numpy as np
         p = group_prime(self)
         if p is None and self.order > 1:
             raise NotAPrimePowerGroup(f"order {self.order} is not a prime power")
@@ -508,12 +545,14 @@ class GroupHom:
         return f"GroupHom(|dom|={self.domain.order}, injective={self.is_injective()})"
 
 
-def replay(walk: tuple, states, codomain: FiniteGroup) -> np.ndarray:
+def replay(walk: tuple, states, codomain: FiniteGroup):
     """Entry (k, j) is the image of reach[k] of a walk (FiniteGroup.walk)
     under the map whose values at the walk's generators are row j of
     states, read off reach[k] = reach[back[k]] gens[via[k]].  One
     mul_array gather per layer replays every state; nothing is checked."""
+    import numpy as np
     reach, back, via, ends = walk
+    back, via = np.array(back), np.array(via)
     st = np.asarray(states, dtype=np.int32).T
     img = np.empty((len(reach), st.shape[1]), dtype=np.int32)
     img[0] = codomain.identity
@@ -524,29 +563,37 @@ def replay(walk: tuple, states, codomain: FiniteGroup) -> np.ndarray:
 
 def orbits(maps, n: int, key=None) -> tuple:
     """(orbits, orbit index of each point) of the group generated by maps
-    on range(n), each an index array, -1 off its domain and injective on
-    it; orbits are sorted tuples, ordered by key, else by least point.
-    Labels start as the points.  A round lowers both ends of every pair
-    x -> m[x] to the smaller label (exact by plain fancy assignment, the
-    maps being injective) and points each label at its own label; at the
-    fixed point each orbit carries its least point."""
-    label = np.arange(n)
-    pairs = [(np.flatnonzero(m >= 0), m[m >= 0]) for m in maps]
-    while True:
-        before = label.copy()
-        for x, y in pairs:
-            low = np.minimum(label[x], label[y])
-            label[x] = low
-            label[y] = low
-        label = label[label]
-        if np.array_equal(label, before):
-            break
+    on range(n), each a sequence of indices, -1 off its domain and
+    injective on it; orbits are sorted tuples, ordered by key, else by
+    least point.  A union-find: every pair x -> m[x] joins the trees of its
+    ends under the smaller root, so each root is the least point of its
+    orbit."""
+    parent = list(range(n))
+    for m in maps:
+        for x, y in enumerate(m):
+            if y < 0:
+                continue
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]  # path halving
+                x = parent[x]
+            while parent[y] != y:
+                parent[y] = parent[parent[y]]  # path halving
+                y = parent[y]
+            if x < y:
+                parent[y] = x
+            elif y < x:
+                parent[x] = y
     found = {}  # least point -> orbit
-    for x, least in enumerate(label.tolist()):
-        found.setdefault(least, []).append(x)
+    least = []
+    for x in range(n):
+        r = parent[x]
+        while parent[r] != r:
+            r = parent[r]
+        least.append(r)
+        found.setdefault(r, []).append(x)
     classes = tuple(sorted(map(tuple, found.values()), key=key))
     at = {c[0]: k for k, c in enumerate(classes)}
-    return classes, tuple(at[least] for least in label.tolist())
+    return classes, tuple(at[r] for r in least)
 
 
 # --- constructors ------------------------------------------------------------
@@ -594,7 +641,7 @@ def extraspecial_p3(p: int) -> FiniteGroup:
     """
     if p == 2:
         raise EvenPrime("p = 2 has no exponent-p extraspecial group of order 8")
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise InputError(f"{p} is not an odd prime")
     if p in _EXTRASPECIAL_CACHE:
         return _EXTRASPECIAL_CACHE[p]
@@ -622,10 +669,10 @@ def make_hom(domain: Subgroup, gen_images, codomain: FiniteGroup = None,
     """Extend generator images multiplicatively, proving the result.
 
     gen_images aligns with domain.gen_indices.  The images are replayed
-    along the walk of the generators (replay), then phi(x g) = phi(x)
-    phi(g) is checked for every element x reached and generator g, two
-    mul_array gathers; that proves phi(x y) = phi(x) phi(y), by induction
-    on a word in the generators for y.  Raises NotAHomomorphism if the
+    along the walk of the generators, phi(reach[k]) = phi(reach[back[k]])
+    gen_images[via[k]], then phi(x g) = phi(x) phi(g) is checked for every
+    element x reached and generator g; that proves phi(x y) = phi(x)
+    phi(y), by induction on a word in the generators for y.  Raises NotAHomomorphism if the
     images are inconsistent, InputError if the generators do not give
     the domain's members, NotInjective when an injection is required.
     """
@@ -633,26 +680,40 @@ def make_hom(domain: Subgroup, gen_images, codomain: FiniteGroup = None,
     H = codomain if codomain is not None else G
     if len(domain.gen_indices) != len(gen_images):
         raise InputError("one image per declared generator required")
-    gens = np.array(domain.gen_indices, dtype=np.int32)
-    gen_img = np.array(gen_images, dtype=np.int32)
-    walk = G.walk(gens)
-    reach = walk[0]
-    img = replay(walk, gen_img[None, :], H)[:, 0]
-    pos = np.full(G.order, -1, dtype=np.intp)
-    pos[reach] = np.arange(len(reach))
-    lhs = img[pos[G.mul_array(reach[:, None], gens[None, :])]]
-    if not np.array_equal(lhs, H.mul_array(img[:, None], gen_img[None, :])):
-        raise NotAHomomorphism("generator images are inconsistent")
-    members = np.array(domain.members, dtype=np.int32)
-    if len(reach) != domain.order or (pos[members] < 0).any():
+    gens = domain.gen_indices
+    gen_img = [int(h) for h in gen_images]
+    reach, back, via, _ = G.walk(gens)
+    img = [H.identity]
+    for k in range(1, len(reach)):
+        img.append(H.mul(img[back[k]], gen_img[via[k]]))
+    phi = [-1] * G.order  # phi[x] for x reached
+    for x, fx in zip(reach, img):
+        phi[x] = fx
+    for x, fx in zip(reach, img):
+        for g, h in zip(gens, gen_img):
+            if phi[G.mul(x, g)] != H.mul(fx, h):
+                raise NotAHomomorphism("generator images are inconsistent")
+    images = tuple(phi[m] for m in domain.members)
+    if len(reach) != domain.order or -1 in images:
         raise InputError("declared generators do not generate the subgroup")
-    hom = GroupHom(domain, H, tuple(img[pos[members]].tolist()))
+    hom = GroupHom(domain, H, images)
     if require_injective and not hom.is_injective():
         raise NotInjective("map collapses distinct elements")
     return hom
 
 
 # --- p-group helpers ---------------------------------------------------------
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
 
 def p_part(n: int, p: int) -> int:
     q = 1

@@ -17,7 +17,8 @@ import random
 from .cyclotomic import cyclotomic_polynomial
 from .errors import FusionRepError, InputError
 from .fusion import FusionSystem
-from .intlinalg import is_prime, nullspace_mod
+from .intlinalg import nullspace_mod
+from .permgroup import is_prime
 
 # an element of F_q[x] is a tuple of ints in [0, q), ascending degree,
 # normalized so the leading entry is nonzero

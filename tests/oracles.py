@@ -15,6 +15,10 @@ extends along the subgroup layers to their definition, with the derived
 subgroup as the closure of the commutators.
 build_table is the multiplication table by one tuple lookup per entry,
 which the Cayley-graph search of FiniteGroup._build_table replaced.
+cayley_table, array_walk, array_orbits and array_make_hom are the numpy
+Cayley-graph table, walk, orbits and make_hom that the pure-Python ones
+replaced, so that building a group and its fusion classes imports no
+numpy.
 make_hom_by_search and validate are the scalar extension of generator
 images and the check over all member pairs that the layered gathers of
 make_hom and GroupHom.validate replaced.  conjugacy_classes,
@@ -67,11 +71,13 @@ from fusionrep.errors import (FusionRepError, GeneratorMovesA, GroupMismatch,
                               SubgroupEnumerationCapExceeded)
 from fusionrep.fusion import (DEFAULT_MORPHISM_CAP, SaturationReport,
                               _describe, _small_gens, build_fusion)
-from fusionrep.intlinalg import int_matmul, is_prime, kernel_basis
+from fusionrep.intlinalg import int_matmul, kernel_basis
 from fusionrep.invariants import (DEFAULT_HILBERT_CAP, hilbert_basis,
                                   invariance_matrix)
 from fusionrep.permgroup import (FiniteGroup, GroupHom, Subgroup, build_group,
-                                 format_cycles, is_p_group, make_hom, p_part)
+                                 compose, format_cycles, is_p_group, is_prime,
+                                 make_hom, p_part)
+from fusionrep.permgroup import replay as replay_walk
 from fusionrep.spectrum import _mult_order, _polmod_divmod, _reduce_mod
 from fusionrep.twisted import a_representations
 
@@ -383,6 +389,113 @@ def build_table(self):
     return table
 
 
+# --- the table, the walk, the orbits and make_hom on numpy arrays -----------
+# The code that the pure-Python FiniteGroup._build_table, FiniteGroup.walk,
+# permgroup.orbits and permgroup.make_hom replaced, kept verbatim (with the
+# group as first argument, and array_make_hom calling array_walk and
+# permgroup.replay): an int32 table grown by row gathers, a walk of one
+# mul_array gather per layer, orbits by rounds of label lowering over index
+# arrays, and make_hom by two mul_array gathers.
+
+
+def cayley_table(self):
+    n = self.order
+    table = np.empty((n, n), dtype=np.int32)
+    table[self.identity] = np.arange(n, dtype=np.int32)
+    reached = np.zeros(n, dtype=bool)
+    reached[self.identity] = True
+    taken = []  # (index of g, L_g) for the generators taken
+    for g, gi in zip(self.gens, self.gen_indices):
+        if reached[gi]:
+            continue
+        taken.append((gi, np.array(
+            [self.index[compose(g, e)] for e in self.elements],
+            dtype=np.intp)))
+        queue = np.flatnonzero(reached).tolist()  # g acts on all of them
+        for x in queue:
+            row = table[x]
+            for h, L in taken:
+                y = int(row[h])
+                if not reached[y]:
+                    reached[y] = True
+                    table[y] = row[L]
+                    queue.append(y)
+    if not reached.all():
+        raise InputError("declared generators do not generate the group")
+    return table
+
+
+def array_walk(self, gens) -> tuple:
+    gens = np.array(gens, dtype=np.int32)
+    seen = np.zeros(self.order, dtype=bool)
+    seen[self.identity] = True
+    slot = np.empty(self.order, dtype=np.intp)  # a flat index giving y
+    frontier = np.array([self.identity], dtype=np.int32)
+    reach, back, via, ends = [frontier], [(0,)], [(0,)], [0, 1]
+    while len(gens):
+        y = self.mul_array(frontier[:, None], gens).ravel()
+        at = (~seen[y]).nonzero()[0]
+        if not at.size:
+            break
+        new = y[at]
+        slot[new] = at
+        first = at[slot[new] == at]  # one product per new element
+        frontier = y[first]
+        seen[frontier] = True
+        b, v = np.divmod(first, len(gens))
+        reach.append(frontier)
+        back.append(b + ends[-2])
+        via.append(v)
+        ends.append(ends[-1] + len(frontier))
+    return (np.concatenate(reach), np.concatenate(back),
+            np.concatenate(via), ends)
+
+
+def array_orbits(maps, n: int, key=None) -> tuple:
+    label = np.arange(n)
+    pairs = [(np.flatnonzero(m >= 0), m[m >= 0]) for m in maps]
+    while True:
+        before = label.copy()
+        for x, y in pairs:
+            low = np.minimum(label[x], label[y])
+            label[x] = low
+            label[y] = low
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    found = {}  # least point -> orbit
+    for x, least in enumerate(label.tolist()):
+        found.setdefault(least, []).append(x)
+    classes = tuple(sorted(map(tuple, found.values()), key=key))
+    at = {c[0]: k for k, c in enumerate(classes)}
+    return classes, tuple(at[least] for least in label.tolist())
+
+
+def array_make_hom(domain: Subgroup, gen_images, codomain: FiniteGroup = None,
+                   require_injective: bool = True) -> GroupHom:
+    G = domain.parent
+    H = codomain if codomain is not None else G
+    if len(domain.gen_indices) != len(gen_images):
+        raise InputError("one image per declared generator required")
+    gens = np.array(domain.gen_indices, dtype=np.int32)
+    gen_img = np.array(gen_images, dtype=np.int32)
+    walk = array_walk(G, gens)
+    reach = walk[0]
+    img = replay_walk(walk, gen_img[None, :], H)[:, 0]
+    pos = np.full(G.order, -1, dtype=np.intp)
+    pos[reach] = np.arange(len(reach))
+    lhs = img[pos[G.mul_array(reach[:, None], gens[None, :])]]
+    if not np.array_equal(lhs, H.mul_array(img[:, None], gen_img[None, :])):
+        raise NotAHomomorphism("generator images are inconsistent")
+    members = np.array(domain.members, dtype=np.int32)
+    if len(reach) != domain.order or (pos[members] < 0).any():
+        raise InputError("declared generators do not generate the subgroup")
+    hom = GroupHom(domain, H, tuple(img[pos[members]].tolist()))
+    if require_injective and not hom.is_injective():
+        raise NotInjective("map collapses distinct elements")
+    return hom
+
+
 # --- homomorphisms by a scalar search and an |H|^2 check ---------------------
 # The code that make_hom and GroupHom.validate replaced, kept verbatim:
 # make_hom extends the generator images one element and generator at a
@@ -578,7 +691,7 @@ def inverse(self) -> "GroupHom":
 
 def closure(self, gen_indices) -> tuple:
     """Sorted member indices of the subgroup generated by gen_indices."""
-    t = self.table()
+    t = self._table_array()
     current = {self.identity}
     current.update(int(g) for g in gen_indices)
     frontier = sorted(current)

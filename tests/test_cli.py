@@ -238,8 +238,8 @@ def test_each_stage_runs_once_per_job(capsys, monkeypatch, argv, lines,
     assert calls[_BASIS] == 1 and calls[_PRESENTATION] == 1
 
 
-_LAYERS = {"chartable", "cyclotomic", "invariants", "ringpres", "spectrum",
-           "twisted"}
+_LAYERS = {"chartable", "cyclotomic", "intlinalg", "invariants", "ringpres",
+           "spectrum", "twisted"}
 
 _LOADED = """
 import contextlib, io, json, sys
@@ -247,21 +247,26 @@ from fusionrep.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps([code, sorted(name for name in sys.modules
-                               if name.startswith("fusionrep."))]))
+                               if name.startswith("fusionrep.")),
+                  "numpy" in sys.modules]))
 """
 
 
-@pytest.mark.parametrize("cmd,stem,loaded", [
-    ("fusion-classes", "sigma_5", set()),
-    ("saturation", "sigma_5", set()),
-    ("ktheory", "sigma_5", _LAYERS - {"spectrum", "twisted"}),
-    ("fusion-classes", "a4_sl23", _LAYERS - {"spectrum"}),
-], ids=["fusion-classes", "saturation", "ktheory", "extension"])
-def test_a_command_loads_only_the_layers_it_runs(cmd, stem, loaded):
+@pytest.mark.parametrize("cmd,stem,loaded,numpy", [
+    ("fusion-classes", "sigma_5", set(), False),
+    ("fusion-classes", "he", set(), False),
+    ("saturation", "sigma_5", set(), True),
+    ("ktheory", "sigma_5", _LAYERS - {"spectrum", "twisted"}, True),
+    ("fusion-classes", "a4_sl23", _LAYERS - {"spectrum"}, True),
+], ids=["fusion-classes", "fusion-classes-he", "saturation", "ktheory",
+        "extension"])
+def test_a_command_loads_only_the_layers_it_runs(cmd, stem, loaded, numpy):
     """In a fresh process, the modules a command imports: fusion-classes
-    and saturation need none of the character, ring, twisted and spectrum
-    layers, ktheory no twisted or spectrum, and an [extension] section
-    needs twisted (and what it imports) to realize the extension."""
+    and saturation need none of the character, ring, twisted, spectrum
+    and linear-algebra layers, and fusion-classes no numpy either, while
+    saturation gathers on numpy arrays; ktheory loads no twisted or
+    spectrum, and an [extension] section needs twisted (and what it
+    imports) to realize the extension."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         fusionrep.__file__)))
     path = os.environ.get("PYTHONPATH")
@@ -270,9 +275,10 @@ def test_a_command_loads_only_the_layers_it_runs(cmd, stem, loaded):
     done = subprocess.run(
         [sys.executable, "-c", _LOADED, cmd, fixture_path(stem + ".fus")],
         capture_output=True, text=True, env=env, check=True)
-    code, modules = json.loads(done.stdout)
+    code, modules, has_numpy = json.loads(done.stdout)
     assert code == 0
     assert {m.split(".")[1] for m in modules} & _LAYERS == loaded
+    assert has_numpy == numpy
 
 
 _LOADS_MA = """

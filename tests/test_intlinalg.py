@@ -13,6 +13,7 @@ from fusionrep.intlinalg import (IntegerSpan, _tagged_hnf, hnf, int_matmul,
                                  kernel_basis, lattice_contains,
                                  nullspace_mod, smith_diagonal)
 from fusionrep.jobspec import load_jobspec, realize
+from fusionrep.permgroup import is_prime
 
 from conftest import FIXTURES, fixture_path
 from oracles import hnf as hnf_oracle
@@ -313,4 +314,4 @@ def test_nullspace_mod_matches_the_oracle(case):
 
 
 def test_big_prime_is_prime():
-    assert intlinalg.is_prime(BIG_PRIME)
+    assert is_prime(BIG_PRIME)

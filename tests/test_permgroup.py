@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from oracles import (build_table, centralizer, check_linear_characters,
+from oracles import (array_make_hom, array_orbits, array_walk, build_table,
+                     cayley_table, centralizer, check_linear_characters,
                      closure, conj, conjugacy_classes, core_p, coset_action,
                      element_classes, enumerate_subgroups,
                      make_hom_by_search, normalizer, replay, small_fusions,
@@ -157,6 +158,14 @@ def test_closure_matches_the_oracle(name, picks, table):
         assert G.closure(picks) == closure(G, picks)
 
 
+def _assert_table_matches_the_oracles(G):
+    """The rows are the tuple lookups and the numpy Cayley-graph table,
+    as a tuple of int tuples."""
+    want = build_table(G)
+    assert np.array_equal(cayley_table(G), want)
+    assert G.table() == tuple(map(tuple, want.tolist()))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(CLOSURE_GROUPS)),
        st.lists(st.integers(0, 10 ** 6), max_size=4))
@@ -165,7 +174,7 @@ def test_table_matches_the_oracle_on_random_generators(name, picks):
     gens = tuple(G.elements[i % G.order] for i in picks)
     members = G.closure([i % G.order for i in picks])
     H = FiniteGroup(9, gens, tuple(G.elements[m] for m in members))
-    assert np.array_equal(H.table(), build_table(H))
+    _assert_table_matches_the_oracles(H)
 
 
 STEMS = sorted(f[:-4] for f in os.listdir(FIXTURES) if f.endswith(".fus"))
@@ -173,8 +182,31 @@ STEMS = sorted(f[:-4] for f in os.listdir(FIXTURES) if f.endswith(".fus"))
 
 @pytest.mark.parametrize("stem", STEMS)
 def test_table_matches_the_oracle_on_every_fixture(pipeline, stem):
-    S = pipeline(stem).group
-    assert np.array_equal(S.table(), build_table(S))
+    _assert_table_matches_the_oracles(pipeline(stem).group)
+
+
+@pytest.mark.parametrize("table", [True, False])
+def test_the_array_table_is_the_rows_read_only(pipeline, monkeypatch, table):
+    """mul_array gathers on one read-only int32 copy of the rows, built on
+    first use; without a table it multiplies entry by entry and builds no
+    array."""
+    S = pipeline("sigma_5").group
+    if not table:
+        monkeypatch.setattr(permgroup, "_TABLE_LIMIT", 0)
+        S = FiniteGroup(S.degree, S.gens, S.elements)  # no cached tables
+    every = np.arange(S.order)
+    products = S.mul_array(every[:, None], every[None, :])
+    assert products.dtype == np.int32
+    assert products.tolist() == [[S.mul(x, y) for y in range(S.order)]
+                                 for x in range(S.order)]
+    A = S._table_array()
+    if not table:
+        assert A is None and S._array is None
+        return
+    assert A is S._table_array() and A.dtype == np.int32
+    assert A.tolist() == list(map(list, S.table()))
+    with pytest.raises(ValueError):
+        A[0, 0] = 0
 
 
 def test_table_matches_the_oracle_on_derived_groups(pipeline):
@@ -186,7 +218,7 @@ def test_table_matches_the_oracle_on_derived_groups(pipeline):
               subgroup_group(S.normalizer(S.subgroup((S.names["c"],))))]
     assert [G.order for G in groups] == [8, 1, 25, 125]
     for G in groups:
-        assert np.array_equal(G.table(), build_table(G))
+        _assert_table_matches_the_oracles(G)
 
 
 @pytest.mark.parametrize("all_members", [False, True])
@@ -208,7 +240,7 @@ def test_table_composes_few_tuples(monkeypatch, all_members):
     table = G.table()
     monkeypatch.undo()
     assert len(calls) <= (3 if all_members else len(G.gens)) * G.order
-    assert np.array_equal(table, build_table(G))
+    assert table == tuple(map(tuple, build_table(G).tolist()))
 
 
 def test_generators_that_miss_an_element_raise():
@@ -331,14 +363,15 @@ def test_normalizers_and_centralizers_match_the_oracle(pipeline, name):
 @pytest.mark.parametrize("name", ["extraspecial_3", "Q8", "C9xC3"])
 def test_subgroups_without_a_multiplication_table(pipeline, monkeypatch,
                                                   name):
-    """The same subgroups, normalizers and centralizers through mul, as on
-    groups above _TABLE_LIMIT."""
+    """The same subgroups, normalizers, centralizers, conjugacy classes and
+    walks through mul, as on groups above _TABLE_LIMIT."""
     monkeypatch.setattr(permgroup, "_TABLE_LIMIT", 0)
     G = _p_group(name, pipeline)
     G = FiniteGroup(G.degree, G.gens, G.elements)  # no cached tables
     assert G.table() is None
     _assert_subgroups_match_the_oracle(G)
     _assert_normalizers_and_centralizers_match_the_oracle(G)
+    _assert_classes_match_the_oracle(G)
 
 
 @pytest.mark.parametrize("p, subgroups, candidates", [
@@ -441,6 +474,7 @@ def test_make_hom_matches_the_oracle(pipeline, case):
     D, images = _hom_input(G, case)
     injective = case["injective"]
     want = _outcome(lambda: make_hom_by_search(D, images, G, injective))
+    assert _outcome(lambda: array_make_hom(D, images, G, injective)) == want
     assert _outcome(lambda: make_hom(D, images, G, injective)) == want
 
 
@@ -457,37 +491,48 @@ def test_make_hom_proves_on_the_generators():
 def test_homs_without_a_multiplication_table(monkeypatch):
     """make_hom through mul, as on groups above _TABLE_LIMIT."""
     monkeypatch.setattr(permgroup, "_TABLE_LIMIT", 0)
-    S = extraspecial_p3(3)
-    G = FiniteGroup(S.degree, S.gens, S.elements)  # no cached tables
-    assert G.table() is None
-    a, b = G.gen_indices
-    for images in [(b, a), (a, G.mul(a, b)), (a, a), (G.identity, b)]:
-        want = _outcome(lambda: make_hom_by_search(G.full_subgroup(), images,
-                                                   G, False))
-        got = _outcome(lambda: make_hom(G.full_subgroup(), images, G, False))
-        assert got == want
+    for p in (3, 5):
+        S = extraspecial_p3(p)
+        G = FiniteGroup(S.degree, S.gens, S.elements)  # no cached tables
+        assert G.table() is None
+        a, b = G.gen_indices
+        D = G.full_subgroup()
+        for images in [(b, a), (a, G.mul(a, b)), (a, a), (G.identity, b)]:
+            want = _outcome(lambda: make_hom_by_search(D, images, G, False))
+            assert _outcome(
+                lambda: array_make_hom(D, images, G, False)) == want
+            assert _outcome(lambda: make_hom(D, images, G, False)) == want
 
 
 # --- the walk and the orbits against the scalar searches ---------------------
 
 def _assert_walk_is_layered(G, gens):
     """The walk lists <gens> once each, layer by layer, every element
-    reached from the layer before by the generator it records."""
-    reach, back, via, ends = G.walk(gens)
-    assert sorted(reach.tolist()) == list(closure(G, gens))
+    reached from the layer before by the generator it records.  The
+    layers are those of the walk on arrays, which kept one product per new
+    element but not always the first."""
+    reach, back, via, ends = walk = G.walk(gens)
+    assert all(type(x) is list for x in walk)
+    want, _, _, want_ends = array_walk(G, gens)
+    assert ends == want_ends
+    assert all(set(reach[lo:hi]) == set(want[lo:hi].tolist())
+               for lo, hi in zip(ends, ends[1:]))
+    assert sorted(reach) == list(closure(G, gens))
     assert reach[0] == G.identity and ends[:2] == [0, 1]
     assert ends[-1] == len(reach)
     for j in range(1, len(ends) - 1):
         lo, hi = ends[j], ends[j + 1]
-        assert (ends[j - 1] <= back[lo:hi]).all()
-        assert (back[lo:hi] < lo).all()
+        assert all(ends[j - 1] <= b < lo for b in back[lo:hi])
         for k in range(lo, hi):
-            assert reach[k] == G.mul(int(reach[back[k]]), gens[via[k]])
+            assert reach[k] == G.mul(reach[back[k]], gens[via[k]])
 
 
 def _assert_classes_match_the_oracle(G):
     got = G.conjugacy_classes(), G.class_of()
     assert got == conjugacy_classes(G)
+    orders = G.element_orders()
+    assert got == array_orbits([np.array(m) for m in G.conjugation_maps()],
+                                G.order, key=lambda c: (orders[c[0]], c[0]))
     for K in G.all_subgroups()[-3:]:
         _assert_walk_is_layered(G, K.gen_indices)
 
@@ -528,14 +573,18 @@ def random_fusions(draw):
 
 
 def _assert_fusion_matches_the_oracle(F):
-    """Element classes as the union-find found them, and the replay of
-    the closed morphisms out of a few subgroups as the recipe gave it."""
-    assert (F.element_classes(), F.element_class_of()) == element_classes(F)
+    """Element classes as the scalar union-find and the orbits on arrays
+    found them, and the replay of the closed morphisms out of a few
+    subgroups as the recipe gave it."""
+    got = F.element_classes(), F.element_class_of()
+    assert got == element_classes(F)
+    assert got == array_orbits([np.array(m) for m in F._step_maps()],
+                                F.S.order)
     for P in [F.S.trivial_subgroup()] + F.S.all_subgroups()[-3:]:
         gens = F._sub_gens(P)
         states = F._hom_states(gens, DEFAULT_MORPHISM_CAP)
         reach, images = F._replay(gens, states)
-        rows = [reach.tolist().index(m) for m in P.members]
+        rows = [reach.index(m) for m in P.members]
         assert images[rows].tolist() == replay(F, gens, states).tolist()
 
 

@@ -7,8 +7,7 @@ from fusionrep.cli import main
 from fusionrep.cyclotomic import cyclotomic_polynomial
 from fusionrep.errors import FusionRepError
 from fusionrep.fusion import build_fusion
-from fusionrep.intlinalg import is_prime
-from fusionrep.permgroup import build_group, make_hom
+from fusionrep.permgroup import build_group, is_prime, make_hom
 from fusionrep.spectrum import (CycPrime, PrimeSymbol, _mult_order,
                                 _polmod_divmod, _polmod_mul, _reduce_mod,
                                 format_poly, prime_symbols, primes_above,
