@@ -12,16 +12,15 @@ the search stops once the squared degrees found sum to |G|.
 Character values lie in Z[zeta_e] for e = exp(G), and integer power-basis
 coordinates are the only form a value takes: a table holds
 X[irr, class, phi(e)] as an int64 array.  Every inner product is an exact
-integer sum divided by |G|: a table keeps one integer dual, the
-coordinates of |C_c| zeta^a conj(chi_k(c)) for every class c, power a and
-irreducible k, so the numerators of <f, chi_k> for all k are one integer
-product with the coordinates of f.  Rows are sorted by degree and then by
-descending coordinates, so row indices are canonical.
+integer sum divided by |G|: a table keeps one (classes * phi) x |Irr| dual,
+the rational coordinate of zeta^a |C_c| conj(chi_k(c)) at row (c, a) and
+column k, so the numerators of <f, chi_k> for a stack of class functions f
+are one integer product.  Rows are sorted by degree and then by descending
+coordinates, so row indices are canonical.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import inf
 
 import numpy as np
@@ -87,15 +86,14 @@ class CharacterTable:
         self.conductor = group.exponent()
         self._degrees = tuple(coords[:, 0, 0].tolist())
         n, classes, phi = coords.shape
-        # W[k, c] = |C_c| conj(chi_k(c)), and the integer dual
-        # D[c, a, k] = zeta^a W[k, c]: sum_{c, a} f(c)_a D[c, a, k] is
-        # |G| <f, chi_k> for the coordinates f(c)_a of a class function f.
-        # Row b of _product_matrix, reshaped, is zeta^b times every zeta^a.
+        # W[k, c] = |C_c| conj(chi_k(c)); R[a, b] is the rational
+        # coordinate of zeta^(a + b), so (W @ R)[k, c, a] is that of
+        # zeta^a W[k, c].  Held C-contiguous: products with a transposed
+        # view cost more CPU time in the BLAS threads.
         W = coords @ _conjugation(self.conductor) * _class_sizes(group)[:, None]
-        D = int_matmul(W.reshape(-1, phi),
-                       _product_matrix(self.conductor).reshape(phi, -1))
-        self._dual = np.ascontiguousarray(
-            D.reshape(n, classes, phi, phi).transpose(1, 2, 0, 3))
+        R = _product_matrix(self.conductor)[:, 0].reshape(phi, phi)
+        self._dual = np.ascontiguousarray(int_matmul(
+            W.reshape(-1, phi), R).reshape(n, classes * phi).T)
         self._tensor = None
         self.ring = None  # populated by ringpres.character_ring
 
@@ -108,57 +106,47 @@ class CharacterTable:
     def structure_tensor(self) -> np.ndarray:
         """N[i, j, k] = <chi_i chi_j, chi_k>, computed once and cached.
 
-        The exact products chi_i chi_j times the rational coordinate of the
-        dual give |G| N[i, j, k], and a remainder mod |G| fails the integer
-        certificate.  So does any pair with sum_k N[i, j, k] chi_k other
-        than chi_i chi_j in integer coordinates, at some class and
-        coordinate; this identity makes the rational coordinate enough.  N
-        is symmetric in i and j, so only the pairs i <= j are computed and
-        certified, row by row: chi_i times its partners chi_j, j >= i, in
-        blocks whose temporaries hold about _PAIR_BLOCK entries, each
-        block mirrored.  The products multiply by the multiplication
-        matrices of chi_i, so no temporary holds phi^2 entries per pair.
+        N is symmetric in i and j, so only the pairs i <= j are computed,
+        row by row: chi_i times its partners chi_j, j >= i, in blocks whose
+        temporaries hold about _PAIR_BLOCK entries, each block certified by
+        multiplicities and mirrored.  The products multiply by the
+        multiplication matrices of chi_i, so no temporary holds phi^2
+        entries per pair.
         """
         if self._tensor is None:
-            X, order = self.coords, self.group.order
+            X = self.coords
             n = len(self)
-            flat = X.reshape(n, -1)
-            dual = self._dual[..., 0].reshape(-1, n)
             M = _product_matrix(self.conductor)
             N = np.empty((n, n, n), dtype=np.int64)
-            step = max(1, _PAIR_BLOCK // flat.shape[1])
+            step = max(1, _PAIR_BLOCK // X[0].size)
             for i in range(n):
                 for lo in range(i, n, step):
                     j = slice(lo, min(lo + step, n))
-                    products = _times(X[i], X[j], M).reshape(
-                        -1, flat.shape[1])
-                    whole = int_matmul(products, dual)
-                    block = whole // order
-                    fails = ((whole % order).any(1)
-                             | (int_matmul(block, flat) != products).any(1))
-                    if fails.any():
-                        k = lo + fails.argmax()
+                    try:
+                        block = self.multiplicities(_times(X[i], X[j], M))
+                    except FusionRepError as ex:
                         raise FusionRepError(
-                            f"the product chi{i + 1} chi{k + 1} fails the "
-                            "integer certificate")
+                            f"the product chi{i + 1} chi{lo + ex.row + 1} "
+                            "fails the integer certificate") from ex
                     N[i, j] = N[j, i] = block
             self._tensor = N
         return self._tensor
 
     def pullback_products(self, coords, conductor: int, class_map,
                           vectors) -> np.ndarray:
-        """Coordinates of (f o pi) * v for every v in vectors, exactly.
+        """Coordinates of (f o pi) * v at [v, f] for every v in vectors and
+        every f in coords, exactly.
 
-        f is a class function of a quotient group, given by its power-basis
-        coordinates at conductor (a divisor of this table's conductor), one
-        row per class of the quotient; class c of this group maps to class
-        class_map[c] of the quotient.  vectors has the shape
+        Each f is a class function of a quotient group, given by its
+        power-basis coordinates at conductor (a divisor of this table's
+        conductor), one row per class of the quotient; class c of this group
+        maps to class class_map[c] of the quotient.  vectors has the shape
         (t, classes, phi(e)) at this table's conductor e.
         """
         e = self.conductor
         lift = np.array([power_table(e)[k * (e // conductor)]
                          for k in range(degree_phi(conductor))], dtype=np.int64)
-        pullback = np.asarray(coords)[list(class_map)] @ lift
+        pullback = np.asarray(coords)[..., list(class_map), :] @ lift
         return _times(pullback, vectors, _product_matrix(e))
 
     def rank(self, values: np.ndarray) -> int:
@@ -175,24 +163,31 @@ class CharacterTable:
         scalars = blocks.transpose(0, 2, 1, 3).reshape(rows * phi, cols * phi)
         return len(hnf(scalars.tolist())) // phi
 
-    def multiplicities(self, C) -> tuple:
-        """<f, chi_k> for every irreducible, as Fractions, exactly.
+    def multiplicities(self, C) -> np.ndarray:
+        """<f, chi_k> over Irr for every virtual character f in the stack
+        C, certified: C has the shape (..., classes, phi(e)), int64 or
+        Python ints of any size, and the result (..., |Irr|).
 
-        C holds the integer power-basis coordinates of the class function f
-        at the table's conductor, one row per class (int64, or Python ints
-        of any size).  The numerators sum_c |C_c| f(c) conj(chi_k(c)) are
-        formed in Z[zeta_e] by one exact integer product with the dual; each
-        must be an integer, its other coordinates zero, and is divided by
-        |G|.
+        One product with the dual gives the rational coordinates of |G|
+        <f, chi_k>; each must be divisible by |G|, and the combination of
+        Irr with the quotients must give back f exactly, which makes the
+        rational coordinate enough.  A class function that fails is no
+        virtual character: FusionRepError names (and sets as .row) the
+        first failing row of the flattened stack.
         """
-        n, phi = len(self), self.coords.shape[2]
-        num = int_matmul(np.reshape(C, (1, -1)),
-                         self._dual.reshape(-1, n * phi)).reshape(n, phi)
-        if num[:, 1:].any():
-            k = int(num[:, 1:].any(1).argmax())
+        n = len(self)
+        flat = np.reshape(C, (-1, self._dual.shape[0]))
+        whole = int_matmul(flat, self._dual)
+        mults = whole // self.group.order
+        fails = ((whole % self.group.order).any(1)
+                 | (int_matmul(mults, self.coords.reshape(n, -1)) != flat)
+                 .any(1))
+        if fails.any():
+            r = int(fails.argmax())
             raise FusionRepError(
-                f"the inner product with chi{k + 1} is not rational")
-        return tuple(Fraction(int(x), self.group.order) for x in num[:, 0])
+                f"class function {r} is not a virtual character: it fails "
+                "the integer certificate", row=r)
+        return mults.reshape(np.shape(C)[:-2] + (n,))
 
     def to_json(self) -> dict:
         classes = self.group.conjugacy_classes()

@@ -11,6 +11,10 @@ from __future__ import annotations
 class FusionRepError(Exception):
     exit_code = 2
 
+    def __init__(self, *args, row=None):
+        super().__init__(*args)
+        self.row = row  # the first failing row of a batched check, if any
+
 
 class InputError(FusionRepError):
     """Malformed input (files, notation, names)."""

@@ -138,23 +138,19 @@ def _exact_array(rows) -> np.ndarray:
         return np.asarray(rows, dtype=object)
 
 
-def reduce_mod_lattice(basis_hnf: list, v) -> list:
-    """Canonical representative of v modulo the lattice (HNF rows)."""
-    v = list(v)
+def reduce_mod_lattice(basis_hnf: list, V) -> np.ndarray:
+    """Canonical representatives of the rows of the matrix V modulo the
+    lattice with the given canonical HNF rows, as an array of Python ints:
+    one array step per HNF row, over all rows of V at once."""
+    V = np.array(V, dtype=object)
     for row in basis_hnf:
         c = next(k for k, x in enumerate(row) if x)
-        q = v[c] // row[c]
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return v
-
-
-def lattice_member(basis_hnf: list, v) -> bool:
-    return not any(reduce_mod_lattice(basis_hnf, v))
+        V -= (V[:, c] // row[c])[:, None] * np.array(row, dtype=object)
+    return V
 
 
 def lattice_contains(big_hnf: list, small_rows) -> bool:
-    return all(lattice_member(big_hnf, r) for r in small_rows)
+    return not reduce_mod_lattice(big_hnf, small_rows).any()
 
 
 # --- integer kernels ---------------------------------------------------------
@@ -190,26 +186,33 @@ class IntegerSpan:
         self.columns = [list(col) for col in columns]
         self.tagged = _tagged_hnf(self.columns)
 
-    def solve(self, target) -> tuple:
-        """Integers x with sum_j x_j columns[j] = target, verified exactly.
+    def solve(self, targets) -> np.ndarray:
+        """Python ints X with X @ columns = targets, one row per row of the
+        matrix targets, verified exactly.
 
-        Reducing (target | 0) against the tagged HNF of the columns leaves
-        (target - sum_j x_j columns[j] | -x), with a zero first block
-        exactly when target lies in the Z-span.  Raises NotInSpan when the
-        columns are dependent or target is no integer combination of them.
+        Reducing (targets | 0) against the tagged HNF of the columns leaves
+        (targets - X @ columns | -X), with a zero first block exactly where
+        a target is in the Z-span; one integer product checks every row.
+        Raises NotInSpan, with .row the first failing target, when the
+        columns are dependent or a target is no integer combination of them.
         """
         H, columns = self.tagged, self.columns
-        n = len(target)
+        T = np.array(targets, dtype=object)
+        n = T.shape[1]
         if any(not any(row[:n]) for row in H):
-            raise NotInSpan("the basis vectors are linearly dependent")
-        rest = reduce_mod_lattice(H, list(target) + [0] * len(columns))
-        if any(rest[:n]):
-            raise NotInSpan("not an integer combination of the basis")
-        x = tuple(-c for c in rest[n:])
-        if any(sum(c * col[i] for c, col in zip(x, columns)) != b
-               for i, b in enumerate(target)):
-            raise NotInSpan("the basis does not span the vector")
-        return x
+            raise NotInSpan("the basis vectors are linearly dependent", row=0)
+        rest = reduce_mod_lattice(
+            H, np.hstack([T, np.zeros((len(T), len(columns)), dtype=object)]))
+        fails = rest[:, :n].any(1)
+        if fails.any():
+            raise NotInSpan("not an integer combination of the basis",
+                            row=int(fails.argmax()))
+        X = -rest[:, n:]
+        fails = (int_matmul(X, np.reshape(columns, (-1, n))) != T).any(1)
+        if fails.any():
+            raise NotInSpan("the basis does not span the vector",
+                            row=int(fails.argmax()))
+        return X
 
 
 # --- Smith normal form -------------------------------------------------------

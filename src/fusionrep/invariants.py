@@ -34,7 +34,7 @@ from .errors import (
     NotInvariant,
 )
 from .fusion import FusionSystem
-from .intlinalg import IntegerSpan, int_matmul, kernel_basis
+from .intlinalg import IntegerSpan, _exact_array, int_matmul, kernel_basis
 
 DEFAULT_HILBERT_CAP = 100_000
 
@@ -402,16 +402,19 @@ def irreducible_invariants(F: FusionSystem, cap: int = DEFAULT_HILBERT_CAP) -> I
 # --- decomposition -----------------------------------------------------------
 
 
-def decompose(v, B: InvariantBasis) -> tuple:
-    """Integer coordinates over the basis of an invariant row of
-    multiplicities over Irr (virtual, possibly negative, entries of any
-    size are allowed).  Raises NotInvariant when the row fails the
-    invariance conditions and NotInSpan when it is not an integer
-    combination of the basis.
+def decompose(rows, B: InvariantBasis) -> np.ndarray:
+    """Integer coordinates over the basis of every row of the matrix rows,
+    each an invariant row of multiplicities over Irr (virtual, entries of
+    any size), by one product with the invariance conditions and one solve.
+    Raises NotInvariant when a row fails the invariance conditions and
+    NotInSpan when it is no integer combination of the basis; .row names
+    the first failing row.
     """
-    mults = [int(x) for x in v]
-    if len(mults) != B.mults.shape[1]:
+    V = _exact_array(rows)
+    if V.ndim != 2 or V.shape[1] != B.mults.shape[1]:
         raise InputError("one multiplicity per irreducible required")
-    if int_matmul(B.invariance_rows, mults).any():
-        raise NotInvariant("character is not constant on the fusion classes")
-    return B.span.solve(mults)
+    fails = int_matmul(B.invariance_rows, V.T).any(0)
+    if fails.any():
+        raise NotInvariant("character is not constant on the fusion classes",
+                           row=int(fails.argmax()))
+    return B.span.solve(V)

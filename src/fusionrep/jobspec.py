@@ -444,13 +444,9 @@ class Job:
 
     @cached_property
     def completed_module(self):
-        from .ringpres import apply_names
         from .twisted import completed_module
-        variables = apply_names(
-            [f"v{i + 1}" for i in range(len(self.presentation.names))],
-            self.names)
-        return completed_module(self.module, self.presentation, variables,
-                                **self._cap("chain"))
+        return completed_module(self.module, self.presentation,
+                                self.completed.names, **self._cap("chain"))
 
     def adic(self, k: int) -> tuple:
         """(m, quotient): the adic equivalence exponent for k and the

@@ -300,7 +300,7 @@ class FiniteGroup:
     def power(self, x: int, n: int) -> int:
         """x^n for any integer n, reduced modulo the order of x."""
         acc = self.identity
-        for _ in range(n % self.element_orders()[x]):
+        for _ in range(n % perm_order(self.elements[x])):
             acc = self.mul(acc, x)
         return acc
 

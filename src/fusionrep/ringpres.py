@@ -226,20 +226,19 @@ def structure_constants(B: InvariantBasis, names: dict = None) -> RingPresentati
     # products[a, b] = multiplicities of X_a X_b over Irr(S)
     products = np.einsum("bj,ajk->abk", mults,
                          np.tensordot(mults, table.structure_tensor(), 1))
-    for i in range(m):
-        for j in range(i, m):
-            try:
-                coords = decompose(products[i, j].tolist(), B)
-            except (NotInvariant, NotInSpan) as ex:
-                raise DecompositionNotIntegral(
-                    f"{gen_names[i]}*{gen_names[j]}: {ex}"
-                ) from ex
-            if any(c < 0 for c in coords):
-                raise DecompositionNotIntegral(
-                    f"{gen_names[i]}*{gen_names[j]} has a negative coordinate"
-                )
-            T[i + 1, j + 1] = T[j + 1, i + 1] = [coords[trivial_pos]] + [
-                coords[k] for k in positions]
+    i, j = np.triu_indices(m)
+    try:
+        coords = decompose(products[i, j], B)
+    except (NotInvariant, NotInSpan) as ex:
+        r = ex.row
+        raise DecompositionNotIntegral(
+            f"{gen_names[i[r]]}*{gen_names[j[r]]}: {ex}") from ex
+    negative = (coords < 0).any(1)
+    if negative.any():
+        r = int(negative.argmax())
+        raise DecompositionNotIntegral(
+            f"{gen_names[i[r]]}*{gen_names[j[r]]} has a negative coordinate")
+    T[i + 1, j + 1] = T[j + 1, i + 1] = coords[:, [trivial_pos] + positions]
     return RingPresentation(gen_names, Ring([1] + degrees, T), B)
 
 

@@ -339,10 +339,12 @@ class TwistedModule:
         }
 
 
-def action_matrix(TB: TwistedBasis, coords) -> tuple:
-    """Matrix of tensoring with the pullback of a character of the base
-    group, decomposed over the twisted basis; coords are that character's
-    power-basis coordinates, one row per class of the base group."""
+def action_matrices(TB: TwistedBasis, coords) -> np.ndarray:
+    """Matrix i of tensoring with the pullback of character i of the base
+    group (power-basis coordinates coords[i], one row per base class): its
+    column j decomposes the product with the j-th twisted basis vector.
+    One multiplicities call and one solve take every product, and both
+    results must be non-negative."""
     E = TB.extension
     tab = character_table(E.group)
     base_class = E.base.class_of()
@@ -350,26 +352,21 @@ def action_matrix(TB: TwistedBasis, coords) -> tuple:
     at = [base_class[s[cls[0]]] for cls in E.group.conjugacy_classes()]
     products = tab.pullback_products(
         coords, character_table(E.base).conductor, at, TB.coords)
-    t = len(TB)
-    cols = []
-    for prod in products:
-        target = []
-        for v in tab.multiplicities(prod):
-            if v.denominator != 1 or v < 0:
-                raise DecompositionNotIntegral(
-                    f"product multiplicity {v} is not a non-negative integer")
-            target.append(int(v))
-        try:
-            col = TB.span.solve(target)
-        except NotInSpan as ex:
-            raise DecompositionNotIntegral(
-                f"product with the twisted basis: {ex}") from ex
-        for v in col:
-            if v < 0:
-                raise DecompositionNotIntegral(
-                    f"coefficient {v} is not a non-negative integer")
-        cols.append(col)
-    return tuple(tuple(cols[j][i] for j in range(t)) for i in range(t))
+    mults = tab.multiplicities(products)
+    if (mults < 0).any():
+        raise DecompositionNotIntegral(
+            f"product multiplicity {mults[mults < 0][0]} is not a "
+            "non-negative integer")
+    try:
+        cols = TB.span.solve(mults.reshape(-1, len(tab)))
+    except NotInSpan as ex:
+        raise DecompositionNotIntegral(
+            f"product with the twisted basis: {ex}") from ex
+    if (cols < 0).any():
+        raise DecompositionNotIntegral(
+            f"coefficient {cols[cols < 0][0]} is not a non-negative integer")
+    # row (j, i) of cols is column j of matrix i
+    return cols.reshape(mults.shape[:2] + (len(TB),)).transpose(1, 2, 0)
 
 
 def module_structure(F: FusionSystem, B, E: CentralExtensionData,
@@ -391,14 +388,13 @@ def module_structure(F: FusionSystem, B, E: CentralExtensionData,
     elif P.basis is not B:
         raise GroupMismatch("presentation belongs to a different basis")
     t = len(TB)
-    ident = action_matrix(TB, B.coords[B.names.index("1")])
-    if not np.array_equal(np.reshape(ident, (t, t)), np.eye(t)):
+    # the unit first, then the generators of P in basis order
+    order = sorted(range(len(B)), key=lambda k: B.names[k] != "1")
+    Ms = action_matrices(TB, B.coords)[order]
+    if not np.array_equal(Ms[0], np.eye(t)):
         raise FusionRepError("unit does not act as the identity")
-    matrices = [action_matrix(TB, c) for n, c in zip(B.names, B.coords)
-                if n != "1"]
-    TM = TwistedModule(TB, P.names, P.degrees, tuple(matrices))
+    TM = TwistedModule(TB, P.names, P.degrees, Ms[1:].tolist())
     n = P.ring.rank
-    Ms = np.array((ident,) + TM.matrices, dtype=object).reshape(n, t, t)
     lhs = int_matmul(Ms[:, None], Ms[None])
     rhs = int_matmul(P.ring.tensor.reshape(n * n, n),
                      Ms.reshape(n, t * t)).reshape(n, n, t, t)

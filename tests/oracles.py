@@ -31,6 +31,10 @@ kernel over F_q that the array steps of intlinalg.nullspace_mod
 replaced, and structure_tensor the row-by-row structure tensor mod a
 prime q, through the F_q image ModularImage, that the exact batched
 pairs of CharacterTable.structure_tensor replaced.
+multiplicities, reduce_mod_lattice, solve and decompose are the
+per-vector decompositions that the batched ones replaced: the
+Fraction-valued inner products over Irr, one reduction per vector, one
+solve per target and one decomposition per row.
 value_product, value_conjugate and inner_product are the exact reference
 for the character kernel: one value of Z[zeta_e] at a time, as a tuple of
 integer power-basis coordinates, in Python ints and Fractions.
@@ -61,13 +65,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from fusionrep.chartable import _product_matrix, character_table
+from fusionrep.chartable import (_class_sizes, _conjugation, _product_matrix,
+                                 character_table)
 from fusionrep.cyclotomic import (cyclotomic_polynomial, degree_phi,
                                   power_table)
 from fusionrep.errors import (FusionRepError, GeneratorMovesA, GroupMismatch,
                               HilbertCapExceeded, InputError,
                               MorphismCapExceeded, NotAHomomorphism,
-                              NotCentral, NotInjective, QuotientMismatch,
+                              NotCentral, NotInjective, NotInSpan,
+                              NotInvariant, QuotientMismatch,
                               SubgroupEnumerationCapExceeded)
 from fusionrep.fusion import (DEFAULT_MORPHISM_CAP, SaturationReport,
                               _describe, _small_gens, build_fusion)
@@ -371,6 +377,93 @@ def structure_tensor(self) -> np.ndarray:
             raise FusionRepError(
                 f"products of chi{i + 1} fail the integer certificate")
     return N
+
+
+# --- decompositions one vector at a time ------------------------------------
+# The per-vector code that the batched CharacterTable.multiplicities,
+# IntegerSpan.solve, invariants.decompose and intlinalg.reduce_mod_lattice
+# replaced, kept verbatim as functions: the Fraction-valued inner products
+# against the 4-D dual the tables held then, one solve per target and one
+# reduction per vector.
+
+
+def multiplicities(self, C) -> tuple:
+    """<f, chi_k> for every irreducible, as Fractions, exactly.
+
+    C holds the integer power-basis coordinates of the class function f
+    at the table's conductor, one row per class (int64, or Python ints
+    of any size).  The numerators sum_c |C_c| f(c) conj(chi_k(c)) are
+    formed in Z[zeta_e] by one exact integer product with the dual; each
+    must be an integer, its other coordinates zero, and is divided by
+    |G|.
+    """
+    n, classes, phi = self.coords.shape
+    # W[k, c] = |C_c| conj(chi_k(c)), and the integer dual
+    # D[c, a, k] = zeta^a W[k, c]: sum_{c, a} f(c)_a D[c, a, k] is
+    # |G| <f, chi_k> for the coordinates f(c)_a of a class function f.
+    # Row b of _product_matrix, reshaped, is zeta^b times every zeta^a.
+    W = self.coords @ _conjugation(self.conductor) * _class_sizes(
+        self.group)[:, None]
+    D = int_matmul(W.reshape(-1, phi),
+                   _product_matrix(self.conductor).reshape(phi, -1))
+    dual = np.ascontiguousarray(
+        D.reshape(n, classes, phi, phi).transpose(1, 2, 0, 3))
+    num = int_matmul(np.reshape(C, (1, -1)),
+                     dual.reshape(-1, n * phi)).reshape(n, phi)
+    if num[:, 1:].any():
+        k = int(num[:, 1:].any(1).argmax())
+        raise FusionRepError(
+            f"the inner product with chi{k + 1} is not rational")
+    return tuple(Fraction(int(x), self.group.order) for x in num[:, 0])
+
+
+def reduce_mod_lattice(basis_hnf: list, v) -> list:
+    """Canonical representative of v modulo the lattice (HNF rows)."""
+    v = list(v)
+    for row in basis_hnf:
+        c = next(k for k, x in enumerate(row) if x)
+        q = v[c] // row[c]
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+    return v
+
+
+def solve(self, target) -> tuple:
+    """Integers x with sum_j x_j columns[j] = target, verified exactly,
+    for the IntegerSpan self.
+
+    Reducing (target | 0) against the tagged HNF of the columns leaves
+    (target - sum_j x_j columns[j] | -x), with a zero first block
+    exactly when target lies in the Z-span.  Raises NotInSpan when the
+    columns are dependent or target is no integer combination of them.
+    """
+    H, columns = self.tagged, self.columns
+    n = len(target)
+    if any(not any(row[:n]) for row in H):
+        raise NotInSpan("the basis vectors are linearly dependent")
+    rest = reduce_mod_lattice(H, list(target) + [0] * len(columns))
+    if any(rest[:n]):
+        raise NotInSpan("not an integer combination of the basis")
+    x = tuple(-c for c in rest[n:])
+    if any(sum(c * col[i] for c, col in zip(x, columns)) != b
+           for i, b in enumerate(target)):
+        raise NotInSpan("the basis does not span the vector")
+    return x
+
+
+def decompose(v, B) -> tuple:
+    """Integer coordinates over the basis of an invariant row of
+    multiplicities over Irr (virtual, possibly negative, entries of any
+    size are allowed).  Raises NotInvariant when the row fails the
+    invariance conditions and NotInSpan when it is not an integer
+    combination of the basis.
+    """
+    mults = [int(x) for x in v]
+    if len(mults) != B.mults.shape[1]:
+        raise InputError("one multiplicity per irreducible required")
+    if int_matmul(B.invariance_rows, mults).any():
+        raise NotInvariant("character is not constant on the fusion classes")
+    return solve(B.span, mults)
 
 
 # --- the multiplication table by tuple lookups -------------------------------

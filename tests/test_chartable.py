@@ -145,7 +145,7 @@ def test_frobenius_reciprocity():
     chars = rows(tab)
     for r in (0, 3):
         lam, ind = exps[r].tolist(), induced[r]
-        mults = tab.multiplicities(ind)
+        mults = tab.multiplicities(ind).tolist()
         for k in list(range(6)) + list(range(49, 55)):
             psi = chars[k]
             # sum over h in H of lambda(h) conj(psi(h)), in coordinates
@@ -164,8 +164,7 @@ def test_regular_character():
     tab = character_table(S)
     reg = np.zeros(tab.coords.shape[1:], dtype=np.int64)
     reg[S.class_of()[S.identity], 0] = S.order
-    assert tab.multiplicities(reg) == tuple(Fraction(d)
-                                            for d in tab.degrees())
+    assert tab.multiplicities(reg).tolist() == list(tab.degrees())
 
 
 def test_tensor_multiplicities():
@@ -173,10 +172,10 @@ def test_tensor_multiplicities():
     tab = character_table(S)
     big = rows(tab)[9]
     prod = [value_product(3, v, value_conjugate(3, v)) for v in big]
-    mults = tab.multiplicities(np.array(prod))
+    mults = tab.multiplicities(np.array(prod)).tolist()
     assert sum(mults) == 9 and mults[0] == 1
-    assert all(m >= 0 and m.denominator == 1 for m in mults)
-    assert mults == tuple(inner(tab, prod, chi) for chi in rows(tab))
+    assert all(type(m) is int and m >= 0 for m in mults)
+    assert mults == [inner(tab, prod, chi) for chi in rows(tab)]
 
 
 def test_conductor_uniform():
@@ -191,7 +190,7 @@ def test_trivial_character_and_json():
     tab = character_table(G)
     triv = np.zeros(tab.coords.shape[1:], dtype=np.int64)
     triv[:, 0] = 1
-    assert tab.multiplicities(triv) == (1, 0, 0)
+    assert tab.multiplicities(triv).tolist() == [1, 0, 0]
     assert inner(tab, triv.tolist(), rows(tab)[0]) == 1
     j = tab.to_json()
     assert j["order"] == 3 and len(j["classes"]) == 3

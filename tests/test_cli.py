@@ -209,7 +209,8 @@ _PRESENTATION = ("structure_constants",)
         ("adic_equivalence_exponent", "quotient_by_ideal_power")]),
     (["twisted", "a4_sl23.fus"], 6,
      [_BASIS, _PRESENTATION, ("twisted_invariant_basis",),
-      ("module_structure",), ("completed_module",)]),
+      ("module_structure",), ("completed_presentation",),
+      ("completed_module",)]),
 ], ids=["repring", "ktheory", "adic", "twisted"])
 def test_each_stage_runs_once_per_job(capsys, monkeypatch, argv, lines,
                                       stages):
@@ -286,7 +287,8 @@ import contextlib, io, json, sys
 from fusionrep.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, "numpy.ma" in sys.modules]))
+print(json.dumps([code, "numpy.ma" in sys.modules,
+                  "fractions" in sys.modules]))
 """
 
 
@@ -313,7 +315,7 @@ def test_a_command_does_not_load_numpy_ma(cmd, stem):
         [sys.executable, "-c", _LOADS_MA, cmd, fixture_path(stem + ".fus"),
          *_MA_OPTIONS.get((cmd, stem), ())],
         capture_output=True, text=True, env=env, check=True)
-    assert json.loads(done.stdout) == [0, False]
+    assert json.loads(done.stdout) == [0, False, False]
 
 
 def test_error_exit_codes(capsys, tmp_path):

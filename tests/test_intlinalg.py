@@ -11,13 +11,16 @@ from fusionrep import intlinalg
 from fusionrep.errors import NotInSpan
 from fusionrep.intlinalg import (IntegerSpan, _tagged_hnf, hnf, int_matmul,
                                  kernel_basis, lattice_contains,
-                                 nullspace_mod, smith_diagonal)
+                                 nullspace_mod, reduce_mod_lattice,
+                                 smith_diagonal)
 from fusionrep.jobspec import load_jobspec, realize
 from fusionrep.permgroup import is_prime
 
 from conftest import FIXTURES, fixture_path
 from oracles import hnf as hnf_oracle
 from oracles import nullspace_mod as nullspace_mod_oracle
+from oracles import reduce_mod_lattice as reduce_oracle
+from oracles import solve as solve_oracle
 
 
 def test_hnf_basics():
@@ -114,12 +117,20 @@ def independent_columns(draw):
 @settings(max_examples=60, deadline=None)
 @given(independent_columns(), st.data())
 def test_integer_solution_recovers_x(columns, data):
-    x = tuple(data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
-                                 min_size=len(columns),
-                                 max_size=len(columns))))
-    target = [sum(c * col[i] for c, col in zip(x, columns))
-              for i in range(len(columns[0]))]
-    assert IntegerSpan(columns).solve(target) == x
+    """Several targets in one solve, with coefficients past int64 and no
+    targets at all among the draws, against the per-target oracle."""
+    bound = data.draw(st.sampled_from([10 ** 6, 2 ** 70]))
+    X = data.draw(st.lists(st.lists(st.integers(-bound, bound),
+                                    min_size=len(columns),
+                                    max_size=len(columns)), max_size=4))
+    n = len(columns[0])
+    targets = np.array([[sum(c * col[i] for c, col in zip(x, columns))
+                         for i in range(n)] for x in X],
+                       dtype=object).reshape(len(X), n)
+    span = IntegerSpan(columns)
+    assert span.solve(targets).tolist() == X
+    assert [list(solve_oracle(span, t)) for t in targets.tolist()] == X
+    assert span.solve(targets[:0]).shape == (0, len(columns))
 
 
 @pytest.mark.parametrize("columns, target", [
@@ -129,8 +140,13 @@ def test_integer_solution_recovers_x(columns, data):
     ([(1, 2, 3), (1, 2, 3)], (0, 0, 0)),
 ])
 def test_integer_solution_not_in_span(columns, target):
-    with pytest.raises(NotInSpan):
-        IntegerSpan(columns).solve(target)
+    """The failing target follows one that solves; the error names it."""
+    span = IntegerSpan(columns)
+    with pytest.raises(NotInSpan) as ex:
+        solve_oracle(span, target)
+    with pytest.raises(NotInSpan, match=str(ex.value)) as batched:
+        span.solve([[0] * len(target), target])
+    assert batched.value.row == (0 if "dependent" in str(ex.value) else 1)
 
 
 def test_lattice_contains():
@@ -156,11 +172,19 @@ def hnf_inputs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(hnf_inputs())
-def test_hnf_matches_the_oracle(rows):
+@given(hnf_inputs(), st.data())
+def test_hnf_matches_the_oracle(rows, data):
+    """The HNF, and the reduction of a drawn matrix modulo it (entries past
+    int64 and no rows at all among the draws) against the per-vector
+    oracle."""
     H = hnf(rows)
     assert H == hnf_oracle(rows)
     assert all(type(x) is int for row in H for x in row)
+    n = len(rows[0]) if rows else 1
+    V = data.draw(_matrices(data.draw(st.integers(0, 3)), n, 2 ** 70))
+    reduced = reduce_mod_lattice(H, np.array(V, dtype=object).reshape(-1, n))
+    assert reduced.tolist() == [reduce_oracle(H, v) for v in V]
+    assert lattice_contains(H, rows)
 
 
 def test_hnf_widens_to_python_ints_partway(monkeypatch):
@@ -252,25 +276,31 @@ def test_integer_span_builds_its_hnf_once(monkeypatch):
     monkeypatch.setattr(intlinalg, "hnf",
                         lambda rows: calls.append(1) or hnf(rows))
     span = IntegerSpan(columns)
-    for x in [(1, 0), (-4, 7), (0, 0), (10 ** 30, -1)]:
+    X = [[1, 0], [-4, 7], [0, 0], [10 ** 30, -1]]
+    for x in X:
         target = [sum(c * col[i] for c, col in zip(x, columns))
                   for i in range(3)]
-        assert span.solve(target) == x
+        assert span.solve([target]).tolist() == [x]
     with pytest.raises(NotInSpan, match="not an integer combination"):
-        span.solve((0, 0, 1))
+        span.solve([(0, 0, 1)])
     assert len(calls) == 1
-    assert IntegerSpan(columns).solve((1, 5, 1)) == (1, 1)
+    assert IntegerSpan(columns).solve([(1, 5, 1)]).tolist() == [[1, 1]]
     assert len(calls) == 2
     # a twisted job solves the action matrices of all basis elements of
-    # R(F) against one span of the twisted basis
+    # R(F) against one span of the twisted basis, in one call, after one
+    # call for all the products of pairs in R(F)
     job = realize(load_jobspec(fixture_path("a4_sl23.fus")), FIXTURES)
     assert len(job.basis) > 1
     twisted = job.twisted_basis.mults.tolist()
-    spans = []
+    spans, solves = [], []
     monkeypatch.setattr(intlinalg, "_tagged_hnf",
                         lambda cols: spans.append(cols) or _tagged_hnf(cols))
+    real = IntegerSpan.solve
+    monkeypatch.setattr(IntegerSpan, "solve", lambda self, targets: (
+        solves.append(self.columns) or real(self, targets)))
     job.module
     assert spans.count(twisted) == 1
+    assert solves == [job.basis.mults.tolist(), twisted]
 
 
 # --- the kernel over F_q against the row-by-row oracle -----------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURES
 from oracles import (brute_hilbert, constant_on_fusion_classes,
                      pottier_hilbert_basis, small_fusions)
+from oracles import decompose as decompose_oracle
 
 from fusionrep.chartable import character_table
 from fusionrep.errors import FusionRepError, HilbertCapExceeded, NotInvariant
@@ -138,9 +139,7 @@ def test_basis_reads_degrees_coords_and_span_off_its_rows(pipeline, stem):
                 coords, sum(m * tab.coords[i] for i, m in enumerate(row)))
         assert B.span.columns == rows
         assert B.span.tagged == IntegerSpan(rows).tagged
-        for k, row in enumerate(rows):
-            assert B.span.solve(row) == tuple(int(i == k)
-                                              for i in range(len(B)))
+        assert B.span.solve(rows).tolist() == np.eye(len(B), dtype=int).tolist()
 
 
 def test_hilbert_against_bruteforce():
@@ -188,11 +187,10 @@ def test_a4_basis_decompose_covering():
     B = irreducible_invariants(F)
     assert list(B.degrees) == [1, 3]
     assert B.mults[1].tolist() == [0, 1, 1, 1]
-    assert decompose([1, 1, 1, 1], B) == (1, 1)
-    assert decompose([2, 1, 1, 1], B) == (2, 1)
-    assert decompose([-1, -1, -1, -1], B) == (-1, -1)
+    assert decompose([[1, 1, 1, 1], [2, 1, 1, 1], [-1, -1, -1, -1]],
+                     B).tolist() == [[1, 1], [2, 1], [-1, -1]]
     with pytest.raises(NotInvariant):
-        decompose([0, 1, 0, 0], B)
+        decompose([[0, 1, 0, 0]], B)
     assert uncovered(B) == []
     tab = character_table(V4)
     assert constant_on_fusion_classes(F, B.coords[1])
@@ -205,27 +203,35 @@ def test_a4_basis_decompose_covering():
 @pytest.mark.parametrize("stem", ["sigma_3", "onan"])
 def test_decompose_rejects_every_non_invariant_vector(pipeline, stem):
     """A unit vector over Irr(S) is invariant only when it is a basis
-    member; the check is exact for entries of any size."""
+    member; the check is exact for entries of any size, and a batch names
+    its first failing row.  Every answer is the per-row oracle's."""
     B = pipeline(stem).basis
     members = set(map(tuple, B.mults.tolist()))
     n = B.mults.shape[1]
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    inside = [u for u in units if u in members]
+    assert decompose(inside, B).tolist() == [
+        list(decompose_oracle(u, B)) for u in inside]
+    assert all(row.count(1) == 1 for row in decompose(inside, B).tolist())
     rejected = 0
-    for i in range(n):
-        unit = tuple(int(j == i) for j in range(n))
+    for unit in units:
         if unit in members:
-            assert decompose(unit, B).count(1) == 1
             continue
         # plus a huge invariant vector, beyond any fixed-width integer
         for v in (unit, [x + 10 ** 40 * m for x, m in
                          zip(unit, B.mults[-1].tolist())]):
             with pytest.raises(NotInvariant, match="^character is not "
-                               "constant on the fusion classes$"):
-                decompose(v, B)
+                               "constant on the fusion classes$") as ex:
+                decompose(inside + [v], B)
+            assert ex.value.row == len(inside)
+            with pytest.raises(NotInvariant):
+                decompose_oracle(v, B)
         rejected += 1
     assert rejected > 0
     big = [10 ** 40 * m for m in B.mults[-1].tolist()]
-    assert decompose(big, B) == tuple(
-        10 ** 40 * int(k == len(B) - 1) for k in range(len(B)))
+    assert decompose([big], B).tolist() == [list(decompose_oracle(big, B))] \
+        == [[10 ** 40 * int(k == len(B) - 1) for k in range(len(B))]]
+    assert decompose(np.zeros((0, n), dtype=np.int64), B).shape == (0, len(B))
 
 
 def test_basis_count_matches_classes(pipeline):

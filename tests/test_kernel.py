@@ -22,6 +22,7 @@ from fusionrep.permgroup import build_group
 
 from conftest import FIXTURES
 from oracles import inner_product, value_product
+from oracles import multiplicities as multiplicities_oracle
 from oracles import structure_tensor as structure_tensor_oracle
 
 SYLOW = {
@@ -71,46 +72,71 @@ def test_structure_tensor_matches_exact(data):
     N = tab.structure_tensor()
     n, e = len(tab), tab.conductor
     X = tab.coords.tolist()
-    for i, j in _pairs(data.draw, n, 8):
-        prod = [value_product(e, x, y) for x, y in zip(X[i], X[j])]
+    pairs = _pairs(data.draw, n, 8)
+    prods = []
+    for i, j in pairs:
+        prods.append([value_product(e, x, y) for x, y in zip(X[i], X[j])])
         for k in data.draw(st.lists(st.integers(0, n - 1), min_size=1,
                                     max_size=4)):
-            assert N[i, j, k] == inner_product(G, e, prod, X[k])
-        assert tab.multiplicities(np.array(prod)) == tuple(N[i, j].tolist())
+            assert N[i, j, k] == inner_product(G, e, prods[-1], X[k])
+    # the stack of products in one call, then scaled past int64, and the
+    # empty stack, against the Fraction oracle one product at a time
+    want = [N[i, j].tolist() for i, j in pairs]
+    assert tab.multiplicities(np.array(prods)).tolist() == want
+    assert [list(multiplicities_oracle(tab, np.array(p))) for p in prods] \
+        == want
+    huge = np.array(prods, dtype=object) * 2 ** 70
+    assert tab.multiplicities(huge).tolist() == [
+        [2 ** 70 * m for m in row] for row in want]
+    assert [list(multiplicities_oracle(tab, p)) for p in huge] == [
+        [2 ** 70 * m for m in row] for row in want]
+    empty = np.zeros((0,) + tab.coords.shape[1:], dtype=np.int64)
+    assert tab.multiplicities(empty).shape == (0, n)
 
 
 @SETTINGS
 @given(st.data())
 def test_multiplicities_of_non_characters(data):
     """Integer coordinates of a class function that is not a virtual
-    character: the exact inner products come back as Fractions."""
+    character: multiplicities rejects it, naming the row, and the oracle
+    keeps the exact rational inner products."""
     G = data.draw(p_groups())
     tab = character_table(G)
     delta = np.zeros(tab.coords.shape[1:], dtype=np.int64)
     delta[G.class_of()[G.identity], 0] = 1
     want = tuple(Fraction(d, G.order) for d in tab.degrees())
-    assert tab.multiplicities(delta) == want
+    assert multiplicities_oracle(tab, delta) == want
     assert want == tuple(inner_product(G, tab.conductor, delta.tolist(), row)
                          for row in tab.coords.tolist())
+    if G.order > 1:
+        with pytest.raises(FusionRepError, match="^class function 1 is not "
+                           "a virtual character") as ex:
+            tab.multiplicities(np.array([tab.coords[0], delta]))
+        assert ex.value.row == 1
 
 
 def test_multiplicities_past_half_the_modulus(pipeline):
     """100 chi_1 + chi_2 on the Q8 extension group of a4_sl23, past half
     of q = 13, the modulus of an F_q image of its table: the multiplicity
     100 is exact, and so is one past int64.  A class function with a value
-    off Q has no rational inner products."""
+    off Q has rational coordinates of its numerators divisible by |G|, here
+    all zero, and fails the reconstruction check; the oracle finds its
+    inner products not rational."""
     G = pipeline("a4_sl23").extension.group
     tab = character_table(G)
     assert tab.conductor == 4
-    assert tab.multiplicities(100 * tab.coords[0] + tab.coords[1]) \
-        == (100, 1, 0, 0, 0)
+    assert tab.multiplicities(100 * tab.coords[0] + tab.coords[1]).tolist() \
+        == [100, 1, 0, 0, 0]
     huge = np.array(tab.coords[1].tolist(), dtype=object) * 10 ** 30
-    assert tab.multiplicities(huge) == (0, 10 ** 30, 0, 0, 0)
+    assert tab.multiplicities(huge).tolist() == [0, 10 ** 30, 0, 0, 0]
     i_at_one = np.zeros(tab.coords.shape[1:], dtype=np.int64)
     i_at_one[G.class_of()[G.identity], 1] = 1
     with pytest.raises(FusionRepError,
-                       match="inner product with chi1 is not rational"):
+                       match="class function 0 is not a virtual character"):
         tab.multiplicities(i_at_one)
+    with pytest.raises(FusionRepError,
+                       match="inner product with chi1 is not rational"):
+        multiplicities_oracle(tab, i_at_one)
 
 
 def test_coordinates_match_the_values():

@@ -18,6 +18,7 @@ from fusionrep.errors import (EvenPrime, FusionRepError, NotAHomomorphism,
                               NotInjective, OrderCapExceeded,
                               SubgroupEnumerationCapExceeded)
 from fusionrep.fusion import DEFAULT_MORPHISM_CAP, build_fusion
+from fusionrep.jobspec import load_jobspec, realize
 from fusionrep.permgroup import (FiniteGroup, Subgroup, build_group, compose,
                                  extraspecial_p3, format_cycles, group_prime,
                                  invert, make_hom, parse_cycles)
@@ -250,8 +251,20 @@ def test_generators_that_miss_an_element_raise():
         G.table()
 
 
-@pytest.mark.parametrize("n", [10 ** 18, -1, 0, 10 ** 6 + 5])
-def test_power_reduces_the_exponent(n):
+@pytest.mark.parametrize("n", [10 ** 18, -1, 0, 10 ** 6 + 5, "rv1"])
+def test_power_reduces_the_exponent(n, monkeypatch):
+    """x^n on Z/9; and, case rv1, the powers in a spec's words reduce by
+    the order of x alone: realize plus the element classes on rv1 never
+    compute the order of every element."""
+    if n == "rv1":
+        def element_orders(self):
+            raise AssertionError("element_orders called")
+
+        monkeypatch.setattr(FiniteGroup, "element_orders", element_orders)
+        job = realize(load_jobspec(os.path.join(FIXTURES, "rv1.fus")),
+                      FIXTURES)
+        assert len(job.fusion.element_classes()) == 2
+        return
     G = build_group(9, ["(1 2 3 4 5 6 7 8 9)"], names=["s"])
     s = G.names["s"]
     expected = G.identity

@@ -79,8 +79,8 @@ def test_onan_structure_constants_sound(pipeline):
         return np.array([value_product(7, x, y)
                          for x, y in zip(f.tolist(), g.tolist())])
 
-    mults = [int(q) for q in tab.multiplicities(times(chA, chB))]
-    assert decompose(mults, B) == (72, 84, 84)
+    mults = tab.multiplicities(times(chA, chB))
+    assert decompose([mults], B).tolist() == [[72, 84, 84]]
     # A^2 - 65A - 66B - 78 vanishes as a class function
     val = times(chA, chA) - 65 * chA - 66 * chB - 78 * one
     assert not val.any()

@@ -284,15 +284,15 @@ def test_module_rejects_a_broken_ring_relation(pipeline, monkeypatch):
     P = pipeline("a4_sl23")
     E = P.extension
     TB = twisted_invariant_basis(E, P.fusion_alpha, base=P.fusion)
-    real = twisted.action_matrix
+    real = twisted.action_matrices
 
     def perturbed(TB, coords):
         M = real(TB, coords)
-        if coords[0, 0] == 1:  # the degree, the value at the identity
-            return M
-        return ((M[0][0] + 1,) + M[0][1:],) + M[1:]
+        # the degree, the value at the identity, is 1 only for the unit
+        M[coords[:, 0, 0] != 1, 0, 0] += 1
+        return M
 
-    monkeypatch.setattr(twisted, "action_matrix", perturbed)
+    monkeypatch.setattr(twisted, "action_matrices", perturbed)
     with pytest.raises(FusionRepError, match="violate a ring relation"):
         module_structure(P.fusion, P.basis, E, TB)
 
@@ -305,8 +305,8 @@ def test_action_matrix_rejects_a_negative_coefficient(pipeline,
     TB = twisted_invariant_basis(E, P.fusion_alpha, base=P.fusion)
 
     class NegativeSpan:
-        def solve(self, target):
-            return (-1,)
+        def solve(self, targets):
+            return np.full((len(targets), 1), -1, dtype=object)
 
     monkeypatch.setitem(vars(TB), "span", NegativeSpan())
     with pytest.raises(DecompositionNotIntegral,
