@@ -88,12 +88,11 @@ class CharacterTable:
         n, classes, phi = coords.shape
         # W[k, c] = |C_c| conj(chi_k(c)); R[a, b] is the rational
         # coordinate of zeta^(a + b), so (W @ R)[k, c, a] is that of
-        # zeta^a W[k, c].  Held C-contiguous: products with a transposed
-        # view cost more CPU time in the BLAS threads.
+        # zeta^a W[k, c].
         W = coords @ _conjugation(self.conductor) * _class_sizes(group)[:, None]
         R = _product_matrix(self.conductor)[:, 0].reshape(phi, phi)
-        self._dual = np.ascontiguousarray(int_matmul(
-            W.reshape(-1, phi), R).reshape(n, classes * phi).T)
+        self._dual = int_matmul(W.reshape(-1, phi),
+                                R).reshape(n, classes * phi).T
         self._tensor = None
         self.ring = None  # populated by ringpres.character_ring
 

@@ -218,10 +218,11 @@ def _cmd_spectrum(job, args):
         return poset.to_dot()
     if args.json:
         return _emit_json(args, **poset.to_json())
-    lines = [f"conductor {poset.conductor}", f"nodes {len(poset.nodes)}",
-             *map(str, poset.nodes), f"edges {len(poset.edges)}",
-             *(f"{poset.nodes[i]} < {poset.nodes[j]}" for i, j in poset.edges),
-             f"connected {'yes' if poset.is_connected() else 'no'}"]
+    labels = poset.labels()
+    lines = [f"conductor {poset.conductor}", f"nodes {len(labels)}", *labels,
+             f"edges {len(poset.edges)}",
+             *(f"{labels[i]} < {labels[j]}" for i, j in poset.edges),
+             f"connected {'yes' if poset.connected else 'no'}"]
     return "\n".join(lines)
 
 

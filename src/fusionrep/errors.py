@@ -32,9 +32,6 @@ class CapExceeded(FusionRepError):
 
 class ParseError(InputError):
     def __init__(self, line: int, col: int, msg: str):
-        self.line = line
-        self.col = col
-        self.msg = msg
         super().__init__(f"line {line}, col {col}: {msg}")
 
 

@@ -38,13 +38,16 @@ def int_matmul(A, B) -> np.ndarray:
     an integer of absolute value at most max|A| * max|B| * k.  When that is
     below 2^53 (and so is every entry), float64 holds each of them exactly,
     in any summation order and with or without FMA, so the product runs on
-    BLAS and comes back as int64.  Otherwise it runs in Python ints (dtype
+    BLAS and comes back as int64.  Both operands reach BLAS C-contiguous,
+    whatever the layout they arrive in: a transposed view costs more CPU
+    time in the BLAS threads.  Otherwise it runs in Python ints (dtype
     object).
     """
     A, B = _exact_array(A), _exact_array(B)
     a, b = _max_abs(A), _max_abs(B)
     if a < _FLOAT_EXACT and b < _FLOAT_EXACT and a * b * A.shape[-1] < _FLOAT_EXACT:
-        return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+        return (np.ascontiguousarray(A, dtype=np.float64)
+                @ np.ascontiguousarray(B, dtype=np.float64)).astype(np.int64)
     return A.astype(object) @ B.astype(object)
 
 

@@ -385,10 +385,9 @@ class Job:
     reaches.
     """
 
-    def __init__(self, spec: JobSpec, group: FiniteGroup, subgroups: dict,
+    def __init__(self, group: FiniteGroup, subgroups: dict,
                  fusion: FusionSystem, extension, fusion_alpha, caps: dict,
                  names: dict):
-        self.spec = spec
         self.group = group
         self.subgroups = subgroups
         self.fusion = fusion
@@ -589,5 +588,5 @@ def realize(spec: JobSpec, base_dir: str = ".", caps: dict = None,
         E = extension
         homs = _fusion_homs(E.group, spec.fusion_alpha, {}, None)
         fusion_alpha = build_fusion(E.group, homs)
-    return Job(spec, S, subgroups, fusion, extension, fusion_alpha, caps,
+    return Job(S, subgroups, fusion, extension, fusion_alpha, caps,
                names)

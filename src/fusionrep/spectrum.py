@@ -5,9 +5,11 @@ Its prime ideals are handled Kummer-Dedekind style: the zero ideal, or a
 pair (q, f) with q a rational prime and f a monic irreducible factor of the
 n-th cyclotomic polynomial modulo q, found by Berlekamp's algorithm.
 
-Primes of the invariant ring itself are symbols (prime, F-class index).
-At the defining prime of S all classes collapse to the class of the
-identity, which is what makes the spectrum connected.
+A prime of the invariant ring is a pair (coefficient prime, F-class).
+Over the defining prime p of S every class collapses to the class of the
+identity, so the poset is read off its construction: each prime above p
+lies over every minimal prime, which is what makes the spectrum
+connected once p is listed.
 """
 
 from __future__ import annotations
@@ -75,8 +77,7 @@ def _polmod_pow(a, e, modulus, q):
 
 def _polmod_gcd(a, b, q):
     while b:
-        a, b = b, _polmod_divmod(_make_monic(a, q), _make_monic(b, q), q)[1]
-        # remainder of non-monic divisor: normalize first
+        a, b = b, _polmod_divmod(a, _make_monic(b, q), q)[1]
     return _make_monic(a, q)
 
 
@@ -97,7 +98,7 @@ def _mult_order(q: int, n: int) -> int:
     return k
 
 
-def format_poly(poly, var: str = "t") -> str:
+def format_poly(poly) -> str:
     """Human form of an ascending coefficient tuple, e.g. t^3 + t + 1."""
     if not _trim(poly):
         return "0"
@@ -109,7 +110,7 @@ def format_poly(poly, var: str = "t") -> str:
         if d == 0:
             mono = str(c)
         else:
-            v = var if d == 1 else f"{var}^{d}"
+            v = "t" if d == 1 else f"t^{d}"
             mono = v if c == 1 else f"{c}{v}"
         parts.append(mono)
     return " + ".join(parts)
@@ -141,29 +142,10 @@ class CycPrime:
     def __setattr__(self, *a):
         raise AttributeError("CycPrime is immutable")
 
-    @staticmethod
-    def zero(conductor: int) -> "CycPrime":
-        return CycPrime(conductor)
-
-    def is_zero(self) -> bool:
-        return self.q is None
-
-    def __eq__(self, other):
-        if not isinstance(other, CycPrime):
-            return NotImplemented
-        return (self.conductor, self.q, self.factor) == \
-            (other.conductor, other.q, other.factor)
-
-    def __hash__(self):
-        return hash((self.conductor, self.q, self.factor))
-
     def __str__(self):
         if self.q is None:
             return "(0)"
         return f"({self.q}, {format_poly(self.factor)})"
-
-    def __repr__(self):
-        return f"CycPrime({self})"
 
     def to_json(self) -> dict:
         if self.q is None:
@@ -259,101 +241,25 @@ def primes_above(q: int, n: int) -> list:
     return [CycPrime(n, q, f) for f in _berlekamp_factors(phi, q)]
 
 
-class PrimeSymbol:
-    """A prime of the invariant ring: a coefficient prime and an F-class.
-
-    The stored class index is already canonical: over the defining prime of
-    S every class is identified with the class of the identity.
-    """
-
-    __slots__ = ("fusion", "prime", "fclass")
-
-    def __init__(self, fusion: FusionSystem, prime: CycPrime, fclass: int):
-        if not 0 <= fclass < len(fusion.element_classes()):
-            raise InputError("class index out of range")
-        if not prime.is_zero() and prime.q == fusion.p:
-            fclass = _class_of_identity(fusion)
-        object.__setattr__(self, "fusion", fusion)
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "fclass", fclass)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PrimeSymbol is immutable")
-
-    def is_minimal(self) -> bool:
-        return self.prime.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, PrimeSymbol):
-            return NotImplemented
-        return (self.fusion is other.fusion and self.prime == other.prime
-                and self.fclass == other.fclass)
-
-    def __hash__(self):
-        return hash((id(self.fusion), self.prime, self.fclass))
-
-    def __str__(self):
-        return f"P[{self.prime}, class {self.fclass}]"
-
-    __repr__ = __str__
-
-
-def _class_of_identity(F: FusionSystem) -> int:
-    return F.element_class_of()[F.S.identity]
-
-
-def symbol_leq(a: PrimeSymbol, b: PrimeSymbol) -> bool:
-    """Containment of invariant-ring primes.
-
-    Holds when the coefficient primes are nested and the class indices agree
-    after canonicalizing both at the larger prime (so over the defining
-    prime every minimal symbol sits below the single collapsed symbol).
-    """
-    if a.fusion is not b.fusion:
-        raise FusionRepError("symbols belong to different fusion systems")
-    if a == b:
-        return True
-    if not a.prime.is_zero():
-        return False
-    if b.prime.is_zero():
-        return False
-    x = a.fclass
-    if b.prime.q == a.fusion.p:
-        x = _class_of_identity(a.fusion)
-    return x == b.fclass
-
-
 class SpectrumPoset:
-    """Symbols plus their strict containments; height is at most one."""
+    """The primes of the invariant ring, as (coefficient prime, F-class)
+    pairs, with their strict containments (i, j), nodes[i] below nodes[j];
+    the height is at most one."""
 
-    def __init__(self, fusion: FusionSystem, conductor: int, nodes, edges):
-        self.fusion = fusion
+    def __init__(self, conductor: int, nodes, edges, connected: bool):
         self.conductor = conductor
         self.nodes = tuple(nodes)
-        self.edges = tuple(edges)  # (i, j) with nodes[i] < nodes[j]
+        self.edges = tuple(edges)
+        self.connected = connected
 
-    def is_connected(self) -> bool:
-        n = len(self.nodes)
-        if n == 0:
-            return True
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j in self.edges:
-            parent[find(i)] = find(j)
-        root = find(0)
-        return all(find(i) == root for i in range(n))
+    def labels(self) -> list:
+        return [f"P[{prime}, class {x}]" for prime, x in self.nodes]
 
     def to_dot(self) -> str:
         lines = ["digraph spectrum {", "  rankdir=BT;"]
-        for i, s in enumerate(self.nodes):
-            shape = "ellipse" if s.is_minimal() else "box"
-            lines.append(f'  n{i} [label="{s}", shape={shape}];')
+        for i, label in enumerate(self.labels()):
+            shape = "ellipse" if self.nodes[i][0].q is None else "box"
+            lines.append(f'  n{i} [label="{label}", shape={shape}];')
         for i, j in self.edges:
             lines.append(f"  n{i} -> n{j};")
         lines.append("}")
@@ -362,12 +268,10 @@ class SpectrumPoset:
     def to_json(self) -> dict:
         return {
             "conductor": self.conductor,
-            "nodes": [
-                {"prime": s.prime.to_json(), "class": s.fclass}
-                for s in self.nodes
-            ],
+            "nodes": [{"prime": prime.to_json(), "class": x}
+                      for prime, x in self.nodes],
             "edges": [list(e) for e in self.edges],
-            "connected": self.is_connected(),
+            "connected": self.connected,
         }
 
 
@@ -377,7 +281,13 @@ def prime_symbols(F: FusionSystem, primes, conductor: str = "exponent"
     listed rational primes.
 
     conductor picks the cyclotomic coefficient ring: "exponent" (default)
-    uses exp(S), "order" forces |S|.
+    uses exp(S), "order" forces |S|.  The minimal primes are (0, x), one
+    per F-class x.  Over a rational prime q other than p there is one
+    prime (P, x) for each prime P of Z[zeta_n] above q and each class x,
+    and it contains (0, x) alone.  Over p every class collapses to the
+    class of the identity, so each prime above p contains every minimal
+    prime, and the spectrum is connected exactly when p is listed or
+    there is one class.
     """
     if conductor == "exponent":
         n = F.S.exponent()
@@ -386,16 +296,15 @@ def prime_symbols(F: FusionSystem, primes, conductor: str = "exponent"
     else:
         raise InputError("conductor must be 'exponent' or 'order'")
     k = len(F.element_classes())
-    nodes = [PrimeSymbol(F, CycPrime.zero(n), x) for x in range(k)]
-    for q in sorted(set(int(v) for v in primes)):
-        for p in primes_above(q, n):
+    one = F.element_class_of()[F.S.identity]
+    qs = sorted(set(int(v) for v in primes))
+    nodes = [(CycPrime(n), x) for x in range(k)]
+    for q in qs:
+        for P in primes_above(q, n):
             if q == F.p:
-                nodes.append(PrimeSymbol(F, p, _class_of_identity(F)))
+                nodes.append((P, one))
             else:
-                nodes.extend(PrimeSymbol(F, p, x) for x in range(k))
-    edges = []
-    for i, a in enumerate(nodes):
-        for j, b in enumerate(nodes):
-            if i != j and symbol_leq(a, b):
-                edges.append((i, j))
-    return SpectrumPoset(F, n, nodes, tuple(edges))
+                nodes.extend((P, x) for x in range(k))
+    edges = [(x, j) for x in range(k) for j in range(k, len(nodes))
+             if nodes[j][0].q == F.p or nodes[j][1] == x]
+    return SpectrumPoset(n, nodes, edges, k == 1 or F.p in qs)

@@ -102,19 +102,16 @@ def validate_cocycle(alpha: Cocycle) -> list:
 class CentralExtensionData:
     """A central extension of the base group by a cyclic group of roots of
     unity, with its projection onto the base group (projection.images[x] is
-    the image of element x), a distinguished generator of the kernel, and a
-    section."""
+    the image of element x) and a distinguished generator of the kernel."""
 
     def __init__(self, group: FiniteGroup, base: FiniteGroup, coeff: int,
-                 A: Subgroup, a_gen: int, projection: GroupHom,
-                 section: tuple):
+                 A: Subgroup, a_gen: int, projection: GroupHom):
         self.group = group
         self.base = base
         self.coeff = coeff
         self.A = A
         self.a_gen = a_gen
         self.projection = projection
-        self.section = section  # base element index -> group element index
 
     def to_json(self) -> dict:
         return {
@@ -157,28 +154,19 @@ def central_extension(S: FiniteGroup, alpha: Cocycle) -> CentralExtensionData:
                 out[a * sz + s] = ((a0 + a + row[s]) % n) * sz + S.mul(s0, s)
         return tuple(out)
 
-    pair_of = {}
-    for a in range(n):
-        for s in range(sz):
-            pair_of[lperm(a, s)] = (a, s)
     zperm = lperm(1, S.identity)
     lifted = [lperm(0, g) for g in S.gen_indices]
-    G = FiniteGroup(N, tuple([zperm] + lifted), tuple(sorted(pair_of)))
+    G = FiniteGroup(N, tuple([zperm] + lifted), tuple(sorted(
+        lperm(a, s) for a in range(n) for s in range(sz))))
     G.names["z"] = G.index[zperm]
     for gi, perm in zip(S.gen_indices, lifted):
         name = S.name_of(gi)
         if name is not None:
             G.names[name] = G.index[perm]
-    pairs = tuple(pair_of[p] for p in G.elements)
-    section = [None] * sz
-    for idx, (a, s) in enumerate(pairs):
-        if a == 0:
-            section[s] = idx
-    A = G.subgroup((G.index[zperm],))
-    projection = GroupHom(G.full_subgroup(), S,
-                          tuple(p[1] for p in pairs))
-    return CentralExtensionData(G, S, n, A, G.index[zperm], projection,
-                                tuple(section))
+    # lperm(a, s) sends point S.identity to point a |S| + s
+    projection = GroupHom(G.full_subgroup(), S, tuple(
+        perm[S.identity] % sz for perm in G.elements))
+    return extension_from_groups(G, G.index[zperm], projection)
 
 
 def extension_from_groups(G: FiniteGroup, a_gen: int,
@@ -186,8 +174,7 @@ def extension_from_groups(G: FiniteGroup, a_gen: int,
     """Extension data from an explicitly given big group.
 
     The marked element must generate a central subgroup that is exactly the
-    kernel of the projection; the canonical section picks the smallest
-    preimage of each base element.
+    kernel of the projection.
     """
     if projection.domain.parent is not G:
         raise GroupMismatch("projection domain is not the given group")
@@ -207,12 +194,7 @@ def extension_from_groups(G: FiniteGroup, a_gen: int,
     if len(set(projection.images)) != S.order:
         raise InputError("projection is not surjective")
     _check_coeff(S, A.order)
-    section = [None] * S.order
-    for x, s in enumerate(projection.images):
-        if section[s] is None:
-            section[s] = x
-    return CentralExtensionData(G, S, A.order, A, a_gen, projection,
-                                tuple(section))
+    return CentralExtensionData(G, S, A.order, A, a_gen, projection)
 
 
 def a_representations(E: CentralExtensionData) -> tuple:
@@ -417,16 +399,13 @@ class CompletedModule:
     """
 
     def __init__(self, kind: str, basis_names: tuple, action_names: tuple,
-                 shifted: tuple, free_rank=None, torsion=None,
-                 stable=None, steps=None):
+                 shifted: tuple, free_rank=None, torsion=None):
         self.kind = kind
         self.basis_names = tuple(basis_names)
         self.action_names = tuple(action_names)
         self.shifted = tuple(shifted)
         self.free_rank = free_rank
         self.torsion = tuple(torsion) if torsion is not None else None
-        self.stable = stable
-        self.steps = steps
 
     def group_string(self) -> str:
         if self.kind != "finite":
@@ -495,12 +474,10 @@ def completed_module(TM: TwistedModule, P, names=None,
             break
         current = nxt
     if stable is None:
-        return CompletedModule("symbolic", TM.basis.names, names, shifted,
-                               steps=steps)
+        return CompletedModule("symbolic", TM.basis.names, names, shifted)
     diag = smith_diagonal([list(r) for r in stable] or [[0] * t])
     nonzero = [d for d in diag if d != 0]
     return CompletedModule(
         "finite", TM.basis.names, names, shifted,
         free_rank=t - len(nonzero),
-        torsion=[d for d in nonzero if d != 1],
-        stable=tuple(tuple(r) for r in stable), steps=steps)
+        torsion=[d for d in nonzero if d != 1])

@@ -43,16 +43,22 @@ constant_on_fusion_classes is the stability test of a class function under
 a fusion system.  monic_factors finds the irreducible factors of Phi_n
 mod q by trying every monic polynomial of the one degree they share, the
 search that Berlekamp's algorithm replaced in spectrum.primes_above.
+PrimeSymbol, symbol_leq and is_connected are the invariant-ring primes,
+their pairwise containment test and the union-find connectivity that
+spectrum.prime_symbols replaced by reading the poset off its
+construction; symbol_nodes lists the symbols in the order of
+prime_symbols, and containments runs symbol_leq on every ordered pair.
 is_centric and is_radical test a subgroup of a fusion system, with
 core_p for O_p of a finite group.  coset_action and quotient_fusion build
 S/A and the quotient fusion system of a lift, and quotient_match compares
 it with the base system on the closed morphisms out of every subgroup.
-section_cocycle is the cocycle of a section of a central extension, the
-inverse of twisted.central_extension.  unit_row_twisted_hilbert is the
-twisted Hilbert basis over all the columns of Irr of the extension, with a
-unit row for every irreducible that is not an a-representation, which
-twisted.twisted_invariant_basis replaced by the Hilbert basis on the
-a-representation columns.
+section_cocycle is the cocycle of a section of a central extension, by
+default of zero_section, the section s -> (0, s) of
+twisted.central_extension, whose inverse it is.
+unit_row_twisted_hilbert is the twisted Hilbert basis over all the
+columns of Irr of the extension, with a unit row for every irreducible
+that is not an a-representation, which twisted.twisted_invariant_basis
+replaced by the Hilbert basis on the a-representation columns.
 ideal_product multiplies two ideals' HNF rows pair by pair, the reference
 for the powers that Ring.ideal_power reads off lattice_chain, and
 ring_product multiplies two ring elements through Ring.times.  spec_text
@@ -84,7 +90,8 @@ from fusionrep.permgroup import (FiniteGroup, GroupHom, Subgroup, build_group,
                                  compose, format_cycles, is_p_group, is_prime,
                                  make_hom, p_part)
 from fusionrep.permgroup import replay as replay_walk
-from fusionrep.spectrum import _mult_order, _polmod_divmod, _reduce_mod
+from fusionrep.spectrum import (CycPrime, _mult_order, _polmod_divmod,
+                                _reduce_mod, primes_above)
 from fusionrep.twisted import a_representations
 
 
@@ -982,6 +989,112 @@ def monic_factors(q: int, n: int) -> list:
     return sorted(found)
 
 
+# --- the spectrum poset by pairwise containment ------------------------------
+
+class PrimeSymbol:
+    """A prime of the invariant ring: a coefficient prime and an F-class.
+
+    The stored class index is already canonical: over the defining prime of
+    S every class is identified with the class of the identity.
+    """
+
+    __slots__ = ("fusion", "prime", "fclass")
+
+    def __init__(self, fusion, prime: CycPrime, fclass: int):
+        if not 0 <= fclass < len(fusion.element_classes()):
+            raise InputError("class index out of range")
+        if prime.q is not None and prime.q == fusion.p:
+            fclass = _class_of_identity(fusion)
+        object.__setattr__(self, "fusion", fusion)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "fclass", fclass)
+
+    def __setattr__(self, *a):
+        raise AttributeError("PrimeSymbol is immutable")
+
+    def is_minimal(self) -> bool:
+        return self.prime.q is None
+
+    def __eq__(self, other):
+        if not isinstance(other, PrimeSymbol):
+            return NotImplemented
+        return (self.fusion is other.fusion and self.prime == other.prime
+                and self.fclass == other.fclass)
+
+    def __hash__(self):
+        return hash((id(self.fusion), self.prime, self.fclass))
+
+    def __str__(self):
+        return f"P[{self.prime}, class {self.fclass}]"
+
+    __repr__ = __str__
+
+
+def _class_of_identity(F) -> int:
+    return F.element_class_of()[F.S.identity]
+
+
+def symbol_leq(a: PrimeSymbol, b: PrimeSymbol) -> bool:
+    """Containment of invariant-ring primes.
+
+    Holds when the coefficient primes are nested and the class indices agree
+    after canonicalizing both at the larger prime (so over the defining
+    prime every minimal symbol sits below the single collapsed symbol).
+    """
+    if a.fusion is not b.fusion:
+        raise FusionRepError("symbols belong to different fusion systems")
+    if a == b:
+        return True
+    if a.prime.q is not None:
+        return False
+    if b.prime.q is None:
+        return False
+    x = a.fclass
+    if b.prime.q == a.fusion.p:
+        x = _class_of_identity(a.fusion)
+    return x == b.fclass
+
+
+def is_connected(nodes, edges) -> bool:
+    """Whether the edges join all the nodes, by union-find."""
+    n = len(nodes)
+    if n == 0:
+        return True
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in edges:
+        parent[find(i)] = find(j)
+    root = find(0)
+    return all(find(i) == root for i in range(n))
+
+
+def symbol_nodes(F, primes, n: int) -> list:
+    """The symbols over the zero ideal and the listed rational primes, in
+    the order of spectrum.prime_symbols, at conductor n."""
+    k = len(F.element_classes())
+    nodes = [PrimeSymbol(F, CycPrime(n), x) for x in range(k)]
+    for q in sorted(set(int(v) for v in primes)):
+        for p in primes_above(q, n):
+            if q == F.p:
+                nodes.append(PrimeSymbol(F, p, _class_of_identity(F)))
+            else:
+                nodes.extend(PrimeSymbol(F, p, x) for x in range(k))
+    return nodes
+
+
+def containments(symbols) -> list:
+    """Every pair (i, j), i != j, with symbols[i] below symbols[j], by
+    symbol_leq on every ordered pair."""
+    return [(i, j) for i, a in enumerate(symbols)
+            for j, b in enumerate(symbols) if i != j and symbol_leq(a, b)]
+
+
 # --- centric and radical subgroups ------------------------------------------
 
 def is_centric(F, P: Subgroup) -> bool:
@@ -1141,14 +1254,26 @@ def unit_row_twisted_hilbert(E, F_alpha, cap: int = DEFAULT_HILBERT_CAP) -> list
 
 # --- cocycles, ideals and job specs ------------------------------------------
 
+def zero_section(E) -> tuple:
+    """The section s -> (0, s) of an extension that
+    twisted.central_extension built: (0, s) is the element whose
+    permutation sends point S.identity to point s."""
+    e = E.base.identity
+    sec = [None] * E.base.order
+    for x, perm in enumerate(E.group.elements):
+        if perm[e] < E.base.order:
+            sec[perm[e]] = x
+    return tuple(sec)
+
+
 def section_cocycle(E, section=None) -> tuple:
     """The cocycle table of a section of the central extension E, by
-    default E.section: alpha(s, t) is the discrete logarithm, to the base
-    E.a_gen, of sec(s) sec(t) sec(st)^-1.  For the extension that
+    default zero_section(E): alpha(s, t) is the discrete logarithm, to the
+    base E.a_gen, of sec(s) sec(t) sec(st)^-1.  For the extension that
     twisted.central_extension builds from a cocycle this is that
     cocycle's table."""
     G, S = E.group, E.base
-    sec = E.section if section is None else tuple(section)
+    sec = zero_section(E) if section is None else tuple(section)
     dlog = {}
     cur = G.identity
     for j in range(E.coeff):

@@ -545,11 +545,11 @@ def test_criterion_12_property_suites():
         k = len(F.element_classes())
         pos = prime_symbols(F, with_p)
         assert len(pos.nodes) == count, stem
-        assert sum(s.is_minimal() for s in pos.nodes) == k, stem
-        assert pos.is_connected(), stem
+        assert sum(prime.q is None for prime, _ in pos.nodes) == k, stem
+        assert pos.connected, stem
         pos = prime_symbols(F, without_p)
         assert len(pos.nodes) == count - 1, stem
-        assert not pos.is_connected(), stem
+        assert not pos.connected, stem
 
     # the two adic topologies coincide with small exponents
     for stem in ("sigma_3", "a4"):

@@ -10,6 +10,11 @@ its body; the rest of its class counts.  Dunder methods are exempt.
 Tests do not count: a helper that only the tests use belongs in
 tests/oracles.py.
 
+Every public attribute that a top-level class stores, as self.x = ...,
+object.__setattr__(self, "x", ...) or vars(self).update(x=...), is read:
+.x appears in Load context in some module of src/fusionrep or in
+perfbench/trace_job.py.
+
 trace_job.py is a root only because it still uses the `presentation`
 alias and the `allow_large`, `basis=None` and `P=None` arguments.  The
 benchmark change of ROADMAP item 2 drops that root, together with the
@@ -75,12 +80,57 @@ def unused_definitions(modules: dict, roots=()) -> list:
                         if key[:len(own)] != own)]
 
 
-def test_every_public_definition_has_a_caller():
+def _stores(cls: ast.ClassDef) -> list:
+    """The public attributes that the methods of cls store on self, in
+    order of first store: self.x = ..., object.__setattr__(self, "x", ...)
+    and vars(self).update(x=...)."""
+    found = []
+    for n in ast.walk(cls):
+        if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                and isinstance(n.value, ast.Name) and n.value.id == "self"):
+            found.append(n.attr)
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+            f, args = n.func, n.args
+            if (f.attr == "__setattr__" and isinstance(f.value, ast.Name)
+                    and f.value.id == "object" and len(args) > 1
+                    and isinstance(args[1], ast.Constant)):
+                found.append(args[1].value)
+            elif (f.attr == "update" and isinstance(f.value, ast.Call)
+                  and isinstance(f.value.func, ast.Name)
+                  and f.value.func.id == "vars"):
+                found.extend(k.arg for k in n.keywords)
+    return [x for x in dict.fromkeys(found) if not x.startswith("_")]
+
+
+def unread_attributes(modules: dict, roots=()) -> list:
+    """Labels of the public attributes that a top-level class of modules
+    stores and that no module of modules or roots reads: an attribute
+    counts as read only where .name appears in Load context."""
+    read = {n.attr for tree in (*modules.values(), *roots)
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [f"{f[:-3]}.{stmt.name}.{x}"
+            for f, tree in modules.items() for stmt in tree.body
+            if isinstance(stmt, ast.ClassDef)
+            for x in _stores(stmt) if x not in read]
+
+
+def _package():
+    """(the parsed modules of the package, the parsed roots)."""
     modules = {f: _parse(os.path.join(PACKAGE, f))
                for f in sorted(os.listdir(PACKAGE)) if f.endswith(".py")}
     roots = [_parse(TRACE_JOB)] if os.path.exists(TRACE_JOB) else []
-    unused = unused_definitions(modules, roots)
+    return modules, roots
+
+
+def test_every_public_definition_has_a_caller():
+    unused = unused_definitions(*_package())
     assert not unused, "no caller: " + ", ".join(unused)
+
+
+def test_every_stored_attribute_is_read():
+    unread = unread_attributes(*_package())
+    assert not unread, "no reader: " + ", ".join(unread)
 
 
 def test_a_local_name_does_not_call_a_method():
@@ -99,3 +149,23 @@ def test_a_local_name_does_not_call_a_method():
     assert unused_definitions({"group.py": group, "fusion.py": called}) == []
     assert unused_definitions({"group.py": group, "fusion.py": shadowed},
                               [called]) == []
+
+
+def test_an_attribute_that_nothing_reads_is_reported():
+    """Each of the three stores counts, and only a read in Load context,
+    in the package or in a root, makes an attribute read: a store to the
+    same name elsewhere does not."""
+    point = ast.parse("class Point:\n"
+                      "    def __init__(self, x, y, z, w):\n"
+                      "        self.x = x\n"
+                      "        object.__setattr__(self, 'y', y)\n"
+                      "        vars(self).update(z=z, _w=w)\n")
+    reader = ast.parse("def norm(p, q):\n"
+                       "    q.y = p.x\n"
+                       "    return p.x\n")
+    assert unread_attributes({"point.py": point}) \
+        == ["point.Point.x", "point.Point.y", "point.Point.z"]
+    assert unread_attributes({"point.py": point, "norm.py": reader}) \
+        == ["point.Point.y", "point.Point.z"]
+    assert unread_attributes({"point.py": point},
+                             [ast.parse("p.z + p.y")]) == ["point.Point.x"]

@@ -1,19 +1,24 @@
+import os
 import time
 
 import pytest
-from oracles import monic_factors
+from oracles import (PrimeSymbol, containments, is_connected, monic_factors,
+                     symbol_leq, symbol_nodes)
 
 from fusionrep.cli import main
 from fusionrep.cyclotomic import cyclotomic_polynomial
 from fusionrep.errors import FusionRepError
 from fusionrep.fusion import build_fusion
+from fusionrep.jobspec import parse_jobspec, realize
 from fusionrep.permgroup import build_group, is_prime, make_hom
-from fusionrep.spectrum import (CycPrime, PrimeSymbol, _mult_order,
-                                _polmod_divmod, _polmod_mul, _reduce_mod,
-                                format_poly, prime_symbols, primes_above,
-                                symbol_leq)
+from fusionrep.spectrum import (CycPrime, _mult_order, _polmod_divmod,
+                                _polmod_mul, _reduce_mod, format_poly,
+                                prime_symbols, primes_above)
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
+
+STEMS = tuple(sorted(f[:-4] for f in os.listdir(FIXTURES)
+                     if f.endswith(".fus")))
 
 
 def test_primes_above_small():
@@ -85,18 +90,18 @@ def test_poset_z2():
     F = build_fusion(Z2, [])
     pos = prime_symbols(F, [2])
     assert len(pos.nodes) == 3
-    assert sum(s.is_minimal() for s in pos.nodes) == 2
+    assert sum(prime.q is None for prime, _ in pos.nodes) == 2
     assert len(pos.edges) == 2
-    assert pos.is_connected()
+    assert pos.connected
 
 
 def test_poset_z3_connectivity():
     Z3 = build_group(3, ["(1 2 3)"], names=["g"])
     F = build_fusion(Z3, [])
     pos2 = prime_symbols(F, [2])
-    assert len(pos2.nodes) == 6 and not pos2.is_connected()
+    assert len(pos2.nodes) == 6 and not pos2.connected
     pos23 = prime_symbols(F, [2, 3])
-    assert len(pos23.nodes) == 7 and pos23.is_connected()
+    assert len(pos23.nodes) == 7 and pos23.connected
     dot = pos23.to_dot()
     assert dot.startswith("digraph spectrum {") and "n0" in dot
     j = pos23.to_json()
@@ -114,10 +119,10 @@ def test_poset_klein_four():
     # 2 zero symbols + collapsed over the defining prime 2 + one symbol
     # per class over the single prime above 3 in Z
     assert len(pos.nodes) == 5
-    assert pos.is_connected()
-    assert sum(s.is_minimal() for s in pos.nodes) == k
+    assert pos.connected
+    assert sum(prime.q is None for prime, _ in pos.nodes) == k
     pos3 = prime_symbols(F, [3])
-    assert not pos3.is_connected()
+    assert not pos3.connected
 
 
 def test_poset_onan(pipeline):
@@ -127,9 +132,9 @@ def test_poset_onan(pipeline):
     assert k == 3
     pos = prime_symbols(F, [2, 7])
     assert len(pos.nodes) == 3 + 2 * 3 + 1
-    assert pos.is_connected()
+    assert pos.connected
     assert pos.conductor == 7
-    assert not prime_symbols(F, [2]).is_connected()
+    assert not prime_symbols(F, [2]).connected
 
 
 def test_conductor_order_mode():
@@ -144,7 +149,7 @@ def in_prime(coords, P: PrimeSymbol) -> bool:
     prime: its value at the symbol's class, reduced in the residue field."""
     F = P.fusion
     value = coords[F.S.class_of()[min(F.element_classes()[P.fclass])]]
-    if P.prime.is_zero():
+    if P.prime.q is None:
         return not value.any()
     q = P.prime.q
     return not _polmod_divmod(_reduce_mod(value.tolist(), q),
@@ -165,8 +170,8 @@ def test_residue_membership(pipeline):
     regular[S.class_of()[S.identity], 0] = S.order
     id_class = F.element_class_of()[S.identity]
     assert in_prime(regular - S.order * one,
-                    PrimeSymbol(F, CycPrime.zero(7), id_class))
-    assert not in_prime(regular, PrimeSymbol(F, CycPrime.zero(7), id_class))
+                    PrimeSymbol(F, CycPrime(7), id_class))
+    assert not in_prime(regular, PrimeSymbol(F, CycPrime(7), id_class))
 
 
 def test_mult_order():
@@ -194,7 +199,7 @@ def test_primes_above_matches_the_search():
 def test_symbol_order(pipeline):
     P = pipeline("onan")
     F = P.fusion
-    zero_syms = [PrimeSymbol(F, CycPrime.zero(7), x) for x in range(3)]
+    zero_syms = [PrimeSymbol(F, CycPrime(7), x) for x in range(3)]
     p7 = primes_above(7, 7)[0]
     p2 = primes_above(2, 7)[0]
     sym7 = PrimeSymbol(F, p7, 0)
@@ -215,3 +220,33 @@ def test_symbol_collapse_at_defining_prime(pipeline):
 
 def test_format_poly():
     assert format_poly((1, 1, 0, 1)) == "t^3 + t + 1"
+
+
+# the rational primes of the oracle cases: the prime of S first
+PRIME_SETS = (None, (2,), (2, 3), (2, 3, 7), (5, 11))
+
+
+@pytest.mark.parametrize("stem", STEMS + ("trivial",))
+def test_prime_symbols_match_the_oracle(pipeline, stem):
+    """The poset read off its construction has the nodes, in order, of the
+    symbols that the pairwise search built, the containments that
+    symbol_leq finds on every ordered pair, and the connectivity of
+    union-find on them: on every fixture for the prime of S, 2, {2, 3},
+    {2, 3, 7} and {5, 11}, and on the trivial group for 2, at both
+    conductors."""
+    if stem == "trivial":
+        F = realize(parse_jobspec("[group]\ndegree = 1\nx = ()\n")).fusion
+        prime_sets = ((2,),)
+    else:
+        F = pipeline(stem).fusion
+        prime_sets = [ps or (F.p,) for ps in PRIME_SETS]
+    for primes in prime_sets:
+        for conductor in ("exponent", "order"):
+            n = F.S.exponent() if conductor == "exponent" else F.S.order
+            pos = prime_symbols(F, primes, conductor=conductor)
+            assert pos.conductor == n
+            symbols = symbol_nodes(F, primes, n)
+            assert pos.labels() == [str(s) for s in symbols]
+            assert [x for _, x in pos.nodes] == [s.fclass for s in symbols]
+            assert list(pos.edges) == containments(symbols)
+            assert pos.connected == is_connected(symbols, pos.edges)
