@@ -3,7 +3,7 @@
 A fusion system here is the one generated by inner conjugation together with
 a finite list of injective homomorphisms between subgroups of S (proved by
 make_hom, not again here).  Everything is computed by closure: element
-classes as the orbits of the generating maps, morphism sets by a
+and subgroup classes as orbits of the generating maps, morphism sets by a
 breadth-first search over generator-image tuples (post-compose with an
 inner conjugation, a listed generator, or a generator inverse, whenever the
 current image lies in the relevant domain).  The search is exact for
@@ -113,6 +113,17 @@ class FusionSystem:
         self.element_classes()
         return self._element_class_of
 
+    def subgroup_classes(self, subgroups) -> tuple:
+        """F-classes of all subgroups of S, ordered by least member: orbits
+        of the step maps, each moving a subgroup in its domain to its image."""
+        subs = sorted(sub.members for sub in subgroups)
+        at = {mem: k for k, mem in enumerate(subs)}
+        maps = [[at[tuple(sorted(m[x] for x in mem))]
+                 if min(m[x] for x in mem) >= 0 else -1 for mem in subs]
+                for m in self._step_maps()]
+        return tuple(tuple(subs[k] for k in cls)
+                     for cls in orbits(maps, len(subs))[0])
+
     # -- morphism closure over generator-image states --
 
     def _hom_states(self, gens: tuple, cap: int) -> tuple:
@@ -175,37 +186,6 @@ class FusionSystem:
         st = np.array(states, dtype=np.int32).reshape(len(states), len(gens))
         return walk[0], replay(walk, st, self.S)
 
-    @staticmethod
-    def _owning_member(st: tuple, member_sets: list):
-        for j, fs in enumerate(member_sets):
-            if all(x in fs for x in st):
-                return j
-        return None
-
-    def subgroup_class(self, P: Subgroup, cap: int = DEFAULT_MORPHISM_CAP) -> tuple:
-        """The F-conjugates of P, as sorted member tuples (P included)."""
-        self.S._check_parent(P)
-        if P.order == 1:
-            return ((self.S.identity,),)
-        gens = self._sub_gens(P)
-        found = [P.members]
-        found_sets = [frozenset(P.members)]
-        for st in self._hom_states(gens, cap):
-            if self._owning_member(st, found_sets) is None:
-                img = tuple(self.S.closure(st))
-                found.append(img)
-                found_sets.append(frozenset(img))
-        return tuple(sorted(found))
-
-    def aut_count(self, P: Subgroup, cap: int = DEFAULT_MORPHISM_CAP) -> int:
-        """|Aut_F(P)| without materializing full maps."""
-        if P.order == 1:
-            return 1
-        gens = self._sub_gens(P)
-        mem = frozenset(P.members)
-        return sum(1 for st in self._hom_states(gens, cap)
-                   if all(x in mem for x in st))
-
     # -- saturation --
 
     def check_saturation(
@@ -222,15 +202,16 @@ class FusionSystem:
         centralized member, an extension to its N_phi among closed
         morphisms out of N_phi.
 
-        The work is gathers on the multiplication and conjugation tables.
-        The closed morphisms out of P are replayed once into an image array
-        (one gather per layer of the walk of P's generators).  For each
-        phi, row g of phi(C[N_S(P), phi^-1(Q's generators)]) holds
-        phi c_g phi^-1 at Q's generators; N_phi is the set of g whose row
-        is a row of Aut_S(Q), both encoded as integers in base |Q|.  N_phi
-        is one of the enumerated subgroups and takes its generators from
-        there, and the values at P's generators of the closed morphisms out
-        of N_phi come from the same replay.
+        Subgroup classes are orbits (subgroup_classes), and |Aut_F(P)| is the
+        size of P's one closure over that of its class.  The work is gathers on
+        the multiplication and conjugation tables.  The closed morphisms out of
+        P are replayed once into an image array (one gather per layer of the
+        walk of P's generators).  For each phi, row g of phi(C[N_S(P),
+        phi^-1(Q's generators)]) holds phi c_g phi^-1 at Q's generators; N_phi
+        is the set of g whose row is a row of Aut_S(Q), both encoded as
+        integers in base |Q|.  N_phi is one of the enumerated subgroups and
+        takes its generators from there, and the values at P's generators of
+        the closed morphisms out of N_phi come from the same replay.
 
         The check runs on a group of any order.  The work is bounded by
         cap, the morphisms closed out of each subgroup, and subgroup_cap,
@@ -256,14 +237,9 @@ class FusionSystem:
                 described[mem] = _describe(S, mem)
             return described[mem]
 
-        seen = set()
-        classes = []
-        for sub in sorted(subs, key=lambda q: q.members):
-            if sub.members in seen:
-                continue
-            cls = self.subgroup_class(sub, cap)
-            seen.update(cls)
-            classes.append(cls)
+        classes = self.subgroup_classes(subs)
+        closed = {sub.members: self._hom_states(self._sub_gens(sub), cap)
+                  for sub in subs}
 
         violations = []
         morphisms = 0
@@ -278,7 +254,7 @@ class FusionSystem:
                         f"axiom I: fully normalized {describe(mem)} is not "
                         f"fully centralized ({cent_ord[mem]} < {max_cent})")
                 aut_s = norm_sub[mem].order // cent_ord[mem]
-                aut_f = self.aut_count(by_key[mem], cap)
+                aut_f = len(closed[mem]) // len(cls)
                 if p_part(aut_f, p) != aut_s:
                     violations.append(
                         f"axiom I: Aut_S{describe(mem)} of order {aut_s} is "
@@ -292,7 +268,7 @@ class FusionSystem:
             for mem in cls:
                 P = by_key[mem]
                 pgens = self._sub_gens(P)
-                states = self._hom_states(pgens, cap)
+                states = closed[mem]
                 # a state's image is the one member holding all its values
                 st = np.array(states, dtype=np.int32).reshape(len(states), -1)
                 owner = inside[:, st].all(2).argmax(0)

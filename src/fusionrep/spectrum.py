@@ -119,7 +119,7 @@ def format_poly(poly) -> str:
 class CycPrime:
     """A prime of Z[zeta_n]: the zero ideal or (q, irreducible factor)."""
 
-    __slots__ = ("conductor", "q", "factor")
+    __slots__ = ("q", "factor")
 
     def __init__(self, conductor: int, q=None, factor=None):
         if (q is None) != (factor is None):
@@ -135,7 +135,6 @@ class CycPrime:
                 raise FusionRepError(
                     "polynomial does not divide the cyclotomic polynomial "
                     f"of conductor {conductor} mod {q}")
-        object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "factor", factor)
 

@@ -1101,7 +1101,7 @@ def is_centric(F, P: Subgroup) -> bool:
     """Whether every F-conjugate Q of P contains its centralizer C_S(Q)."""
     S = F.S
     return all(set(S.centralizer(Subgroup(S, mem, mem)).members) <= set(mem)
-               for mem in F.subgroup_class(P))
+               for mem in ExhaustiveSaturation(F).subgroup_class(P))
 
 
 def core_p(A: FiniteGroup, p: int) -> tuple:
@@ -1356,8 +1356,8 @@ def spec_text(spec) -> str:
 class ExhaustiveSaturation:
     """check_saturation of a FusionSystem F with the scalar code it had
     before the gathers, with the generators' inverses of the oracle
-    inverse.  Attributes it does not define (S, p, generators, _sub_gens,
-    _owning_member) are F's."""
+    inverse.  Attributes it does not define (S, p, generators, _sub_gens)
+    are F's."""
 
     def __init__(self, F):
         self.F = F
@@ -1436,6 +1436,13 @@ class ExhaustiveSaturation:
         for y, x, i in steps:
             img[y] = S.mul(img[x], state[i])
         return GroupHom(dom, S, tuple(img[m] for m in dom.members))
+
+    @staticmethod
+    def _owning_member(st: tuple, member_sets: list):
+        for j, fs in enumerate(member_sets):
+            if all(x in fs for x in st):
+                return j
+        return None
 
     def subgroup_class(self, P: Subgroup, cap: int = DEFAULT_MORPHISM_CAP) -> tuple:
         """The F-conjugates of P, as sorted member tuples (P included)."""

@@ -1,5 +1,5 @@
-"""Every public module-level function and class of the package, and every
-public method of its top-level classes, has a caller.
+"""Every module-level function and class of the package, and every method
+of its top-level classes, has a caller, private helpers included.
 
 A function or class counts as called when its name appears, as a name, an
 attribute or an import, in some module of src/fusionrep outside its own
@@ -75,7 +75,7 @@ def unused_definitions(modules: dict, roots=()) -> list:
                         definitions.append((f"{label}.{item.name}",
                                             item.name, (f, k, m), True))
     return [label for label, name, own, method in definitions
-            if not name.startswith("_")
+            if not (name.startswith("__") and name.endswith("__"))
             and not any(name in uses[method] for key, uses in used.items()
                         if key[:len(own)] != own)]
 
@@ -141,7 +141,8 @@ def test_a_local_name_does_not_call_a_method():
                       "        return x\n")
     caller = ("from group import Group\n\n\n"
               "def _n_phi(G):\n"
-              "    {}\n")
+              "    {}\n\n\n"
+              "_n_phi(Group())\n")
     shadowed = ast.parse(caller.format("conj = Group()\n    return conj"))
     called = ast.parse(caller.format("return G.conj(1, 2)"))
     assert unused_definitions({"group.py": group, "fusion.py": shadowed}) \
@@ -149,6 +150,35 @@ def test_a_local_name_does_not_call_a_method():
     assert unused_definitions({"group.py": group, "fusion.py": called}) == []
     assert unused_definitions({"group.py": group, "fusion.py": shadowed},
                               [called]) == []
+
+
+def test_a_private_helper_without_a_caller_is_reported():
+    """A _function or _Class counts as called where its name appears
+    outside its own definition, a _method only as x._method outside its
+    own body; recursion does not call, and dunder methods are exempt."""
+    helpers = ast.parse("def _used():\n"
+                        "    return 1\n\n\n"
+                        "def _unused():\n"
+                        "    return _unused()\n\n\n"
+                        "class _Box:\n"
+                        "    def __init__(self):\n"
+                        "        self.v = _used()\n\n"
+                        "    def _read(self):\n"
+                        "        return self.v\n\n"
+                        "    def _again(self):\n"
+                        "        return self._again()\n")
+    main = ast.parse("from helpers import _Box\n\n"
+                     "_read = _Box()\n"
+                     "print(_read)\n")
+    reads = ast.parse("from helpers import _Box\n\n"
+                      "print(_Box()._read())\n")
+    assert unused_definitions({"helpers.py": helpers}) == [
+        "helpers._unused", "helpers._Box", "helpers._Box._read",
+        "helpers._Box._again"]
+    assert unused_definitions({"helpers.py": helpers, "main.py": main}) == [
+        "helpers._unused", "helpers._Box._read", "helpers._Box._again"]
+    assert unused_definitions({"helpers.py": helpers, "main.py": reads}) \
+        == ["helpers._unused", "helpers._Box._again"]
 
 
 def test_an_attribute_that_nothing_reads_is_reported():

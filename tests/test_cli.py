@@ -388,6 +388,34 @@ def test_non_utf8_input_exits_1(capsys, tmp_path, kind, as_json):
         assert out == ""
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("case", ["bad-prime", "missing-names", "bad-names"])
+def test_bad_primes_and_name_files_exit_1(capsys, tmp_path, case, as_json):
+    """A --primes entry that is no integer, a --names file that cannot be
+    read and one that is not JSON each exit 1 with an InputError."""
+    spec = fixture_path("sigma_3.fus")
+    (tmp_path / "bad.json").write_text("{")
+    argv, message = {
+        "bad-prime": (["spectrum", spec, "--primes", "2,x"], "bad prime 'x'"),
+        "missing-names": (["repring", spec, "--names",
+                           str(tmp_path / "none.json")],
+                          "cannot read name mapping: "),
+        "bad-names": (["repring", spec, "--names", str(tmp_path / "bad.json")],
+                      "bad name mapping JSON: "),
+    }[case]
+    code, out, err = run(capsys, argv + (["--json"] if as_json else []))
+    assert code == 1 and err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+    if as_json:
+        assert json.loads(out) == {"schema": 1, "command": argv[0], "error": {
+            "type": "InputError", "message": err[len("error: "):-1],
+            "exit_code": 1}}
+    else:
+        assert out == ""
+    if case == "bad-prime":
+        assert err == "error: bad prime 'x'\n"
+
+
 def test_spectrum_on_the_trivial_group_asks_for_primes(capsys, tmp_path):
     spec = tmp_path / "trivial.fus"
     spec.write_text("[group]\ndegree = 1\nx = ()\n")

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import (ExhaustiveSaturation, is_centric, is_radical,
+from oracles import (ExhaustiveSaturation, conj, is_centric, is_radical,
                      quotient_fusion)
 
 from conftest import FIXTURES, fixture_path
@@ -9,7 +9,7 @@ from conftest import FIXTURES, fixture_path
 from fusionrep import permgroup
 from fusionrep.errors import (FusionRepError, MorphismCapExceeded,
                               NotCentral, SubgroupEnumerationCapExceeded)
-from fusionrep.fusion import FusionSystem, build_fusion
+from fusionrep.fusion import DEFAULT_MORPHISM_CAP, FusionSystem, build_fusion
 from fusionrep.jobspec import load_jobspec, parse_jobspec, realize
 from fusionrep.permgroup import build_group, extraspecial_p3, make_hom
 
@@ -40,14 +40,21 @@ def test_trivial_fusion_is_conjugation():
     assert F.element_classes() == tuple(
         sorted(S.conjugacy_classes(), key=lambda c: c[0]))
     Z = S.centralizer(S.full_subgroup())
-    assert F.aut_count(S.full_subgroup()) == S.order // Z.order
+    assert (ExhaustiveSaturation(F).aut_count(S.full_subgroup())
+            == S.order // Z.order)
+    # the F-classes of subgroups are the S-conjugacy classes
+    for cls in F.subgroup_classes(S.all_subgroups()):
+        assert set(cls) == {tuple(sorted(conj(S, g, x) for x in cls[0]))
+                            for g in range(S.order)}
 
 
 def test_a4_fusion():
     V4, F = a4_fusion()
     cls = F.element_classes()
     assert len(cls) == 2 and len(cls[1]) == 3
-    assert F.aut_count(V4.full_subgroup()) == 3
+    assert [len(c) for c in F.subgroup_classes(V4.all_subgroups())] \
+        == [1, 3, 1]
+    assert ExhaustiveSaturation(F).aut_count(V4.full_subgroup()) == 3
     assert is_centric(F, V4.full_subgroup())
     assert not is_centric(F, V4.subgroup((V4.names["x"],)))
     assert is_radical(F, V4.full_subgroup())
@@ -123,6 +130,39 @@ def test_saturation_matches_the_oracle_on_random_3_systems(matrices):
             == ExhaustiveSaturation(F).check_saturation().to_json())
 
 
+def assert_subgroup_classes_match_the_oracle(F):
+    """subgroup_classes gives the oracle's classes in the oracle's order,
+    and each closure out of P holds |Aut_F(P)| morphisms onto each
+    F-conjugate of P."""
+    subs = sorted(F.S.all_subgroups(), key=lambda q: q.members)
+    oracle = ExhaustiveSaturation(F)
+    want, seen = [], set()
+    for sub in subs:
+        if sub.members not in seen:
+            want.append(oracle.subgroup_class(sub))
+            seen.update(want[-1])
+    classes = F.subgroup_classes(subs)
+    assert classes == tuple(want)
+    size = {mem: len(cls) for cls in classes for mem in cls}
+    for sub in subs:
+        closed = F._hom_states(F._sub_gens(sub), DEFAULT_MORPHISM_CAP)
+        assert len(closed) // size[sub.members] == oracle.aut_count(sub)
+
+
+@pytest.mark.parametrize("stem", ["sigma_3", "sigma_5", "sigma_7", "a4",
+                                  "a4_sl23", "onan", "he"])
+def test_subgroup_classes_match_the_oracle(pipeline, stem):
+    assert_subgroup_classes_match_the_oracle(pipeline(stem).fusion)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(gl2_matrices(3), max_size=3))
+def test_subgroup_classes_match_the_oracle_on_random_3_systems(matrices):
+    F = realize(parse_jobspec(gl2_spec(3, matrices))).fusion
+    assert_subgroup_classes_match_the_oracle(F)
+
+
 def test_cached_subgroups_honour_a_smaller_cap():
     S = extraspecial_p3(5)
     S.all_subgroups()  # cached for every later job on 5^{1+2}
@@ -138,12 +178,12 @@ def test_cached_subgroups_honour_a_smaller_cap():
 
 def test_cached_morphisms_honour_a_smaller_cap():
     V4, F = a4_fusion()
-    full = V4.full_subgroup()
+    gens = F._sub_gens(V4.full_subgroup())
     with pytest.raises(MorphismCapExceeded):
-        F.aut_count(full, cap=2)
-    assert F.aut_count(full) == 3
+        F._hom_states(gens, 2)
+    assert len(F._hom_states(gens, DEFAULT_MORPHISM_CAP)) == 3
     with pytest.raises(MorphismCapExceeded):
-        F.aut_count(full, cap=2)
+        F._hom_states(gens, 2)
 
 
 @pytest.mark.slow
@@ -223,9 +263,10 @@ def test_onan_subgroup_classes(pipeline):
     F, S = P.fusion, P.group
     A0 = P.subgroups["A0"]
     A1 = P.subgroups["A1"]
-    assert len(F.subgroup_class(A0)) == 2
-    assert len(F.subgroup_class(A1)) == 2
-    assert F.aut_count(A0) == 672
+    classes = F.subgroup_classes(S.all_subgroups())
+    for A in (A0, A1):
+        assert [len(c) for c in classes if A.members in c] == [2]
+    assert ExhaustiveSaturation(F).aut_count(A0) == 672
     assert is_centric(F, A0) and is_radical(F, A0)
     assert is_centric(F, S.full_subgroup())
     assert not is_centric(F, S.centralizer(S.full_subgroup()))

@@ -1,8 +1,9 @@
 """Byte-identity guard on the CLI output of every bundled fixture.
 
 Each case runs one command in-process and compares standard output, text
-and ``--json``, with a file under ``tests/golden/``.  Regenerate the files
-(only when an output change is intended) with
+and ``--json``, with a file under ``tests/golden/``.  The ``a4_sl23`` files
+also check the same system with its extension written as an explicit group.
+Regenerate the files (only when an output change is intended) with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -46,9 +47,13 @@ def _golden_name(cmd, stem, extra, json_mode):
 
 
 def _run(cmd, stem, extra, json_mode):
-    argv = [cmd, os.path.join(FIXTURES, stem + ".fus"), *extra]
+    return _main([cmd, os.path.join(FIXTURES, stem + ".fus"), *extra],
+                 json_mode)
+
+
+def _main(argv, json_mode):
     if json_mode:
-        argv.append("--json")
+        argv = [*argv, "--json"]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
@@ -70,6 +75,43 @@ def test_golden(cmd, stem, extra, json_mode):
     code, out = _run(cmd, stem, extra, json_mode)
     assert code == 0
     path = os.path.join(GOLDEN, _golden_name(cmd, stem, extra, json_mode))
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        assert out == fh.read()
+
+
+# a4_sl23 with its extension written in the explicit-group form: Q8 on 8
+# points, i and j over x and y, kernel generated by i^2.
+A4_SL23_EXPLICIT = """\
+[group]
+degree = 4
+x = (1 2)(3 4)
+y = (1 3)(2 4)
+
+[fusion]
+S -> y, x y
+
+[extension]
+degree = 8
+i = (1 2 4 7)(3 6 8 5)
+j = (1 3 4 8)(2 5 7 6)
+kernel = i^2
+projection = x, y
+
+[fusion_alpha]
+S -> j, i j
+"""
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("cmd", [*PER_FIXTURE, "twisted", "saturation"])
+def test_explicit_extension_form_matches_the_a4_sl23_goldens(
+        tmp_path, cmd, json_mode):
+    spec = tmp_path / "a4_sl23_explicit.fus"
+    spec.write_text(A4_SL23_EXPLICIT)
+    names = os.path.join(FIXTURES, "a4_sl23.names.json")
+    code, out = _main([cmd, str(spec), "--names", names], json_mode)
+    assert code == 0
+    path = os.path.join(GOLDEN, _golden_name(cmd, "a4_sl23", (), json_mode))
     with open(path, "r", encoding="utf-8", newline="") as fh:
         assert out == fh.read()
 

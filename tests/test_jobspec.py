@@ -4,6 +4,7 @@ import pytest
 
 from oracles import section_cocycle, spec_text
 
+from fusionrep.cli import main
 from fusionrep.errors import InputError, ParseError, UnknownName
 from fusionrep.jobspec import load_jobspec, parse_jobspec, realize
 
@@ -100,6 +101,28 @@ def test_parse_errors():
                               ("degree = 2\nx = (1 3)\n", "")):
             e = check_bad(f"{section}\n{body}", ParseError)
             assert message in str(e)
+
+
+EXPLICIT_BASE = "[group]\ndegree = 2\nx = (1 2)\n[extension]\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    ("degree = 4\na = (1 2 3 4)\nkernel = a^2\n",
+     "[extension] needs degree, generators, kernel and projection"),
+    ("degree = 4\na = (1 2 3 4)\nkernel = a^2\nprojection = x, x\n",
+     "projection needs one word per generator"),
+    ("degree = 4\na = (1 2 3 4)\nkernel = a^2\nprojection = x\n"
+     "coefficients = 2\ncocycle = t.csv\n",
+     "[extension] mixes the cocycle and explicit-group forms"),
+], ids=["incomplete", "projection", "mixed"])
+def test_explicit_extension_parse_errors(capsys, tmp_path, body, message):
+    """The parse errors of the explicit-group [extension] form exit 1."""
+    text = EXPLICIT_BASE + body
+    assert str(check_bad(text, ParseError)).endswith(message)
+    spec = tmp_path / "bad.fus"
+    spec.write_text(text)
+    assert main(["fusion-classes", str(spec)]) == 1
+    assert capsys.readouterr().err.endswith(f"{message}\n")
 
 
 def test_structural_equality():
