@@ -42,7 +42,7 @@ from .jobspec import load_jobspec, realize
 from .permgroup import is_prime
 
 _MAPPING_KEY_RE = re.compile(r"[XvW][1-9][0-9]*\Z")
-_CAPS = ("order", "subgroups", "morphisms", "hilbert", "chain", "adic")
+_CAPS = ("order", "subgroups", "morphisms", "hilbert", "adic")
 
 
 def _build_parser() -> argparse.ArgumentParser:

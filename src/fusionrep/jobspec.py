@@ -33,11 +33,8 @@ from .permgroup import (FiniteGroup, NotAPermutation, build_group,
 
 _SECTIONS = ("group", "subgroups", "fusion", "extension", "fusion_alpha",
              "options")
-_GROUP_KEYS = ("constructor", "p", "degree")
-_EXT_KEYS = ("coefficients", "cocycle", "transpose", "degree", "kernel",
-             "projection")
 _OPTION_KEYS = ("primes", "k", "conductor", "cap_order", "cap_subgroups",
-                "cap_morphisms", "cap_hilbert", "cap_chain", "cap_adic")
+                "cap_morphisms", "cap_hilbert", "cap_adic")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
@@ -379,10 +376,10 @@ class Job:
     Each stage (the invariant basis of R(F), its presentation and
     completion, the twisted basis, the module over R(F) and its completion,
     and per k the adic exponent and R(F)/I^k) is built on first use, once,
-    with its own cap from caps and, where it names generators, the names
-    mapping; the commands pass neither.  A stage imports the layer that
-    builds it when it first runs, so a command loads only the layers it
-    reaches.
+    with its own cap from caps where it has one and, where it names
+    generators, the names mapping; the commands pass neither.  A stage
+    imports the layer that builds it when it first runs, so a command
+    loads only the layers it reaches.
     """
 
     def __init__(self, group: FiniteGroup, subgroups: dict,
@@ -445,7 +442,7 @@ class Job:
     def completed_module(self):
         from .twisted import completed_module
         return completed_module(self.module, self.presentation,
-                                self.completed.names, **self._cap("chain"))
+                                self.completed.names)
 
     def adic(self, k: int) -> tuple:
         """(m, quotient): the adic equivalence exponent for k and the

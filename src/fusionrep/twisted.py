@@ -12,8 +12,10 @@ characters are constant on the classes of a lifted fusion system on
 S_alpha.  The lift is checked against the fusion system on S through the
 projection alone: its generators fix A pointwise, and the projection
 carries their graphs onto the graphs of the generators on S.  The monoid
-is a module over the untwisted invariant ring, and the same completion
-machinery applies through the shifted action matrices.
+is a module over the untwisted invariant ring.  S is a p-group, so the
+chain I^k M of the module under the augmentation ideal I stabilizes only at
+0, and its completion at I is read off the nilpotency of the shifted action
+matrices: the module itself when they are nilpotent, else symbolic.
 """
 
 from __future__ import annotations
@@ -26,14 +28,13 @@ from .errors import (AmbientMismatch, DecompositionNotIntegral, FusionRepError,
                      InvalidCocycle, NotCentral, NotCyclicKernel, NotInSpan,
                      QuotientMismatch)
 from .fusion import DEFAULT_MORPHISM_CAP, FusionSystem
-from .intlinalg import int_matmul, smith_diagonal
+from .intlinalg import int_matmul
 from .invariants import (DEFAULT_HILBERT_CAP, InvariantBasis, canonical_rows,
                          hilbert_basis, invariance_matrix)
 from .permgroup import FiniteGroup, GroupHom, Subgroup, group_prime, is_p_group
 from .cyclotomic import power_table
-from .ringpres import apply_names, lattice_chain, structure_constants
+from .ringpres import apply_names, structure_constants
 
-DEFAULT_CHAIN_CAP = 64
 _VIOLATION_LIMIT = 20
 
 
@@ -390,31 +391,28 @@ def module_structure(F: FusionSystem, B, E: CentralExtensionData,
 
 
 class CompletedModule:
-    """Completion of the twisted module along the augmentation ideal.
+    """Completion of the twisted module M along the augmentation ideal.
 
-    kind "finite" reports the quotient of the basis lattice by the stable
-    sublattice of the shifted-action chain; kind "symbolic" reports the
-    generators and shifted matrices when the chain has not stabilized
-    within the cap.
+    kind "finite": the chain I^k M reaches 0, and the completion is M
+    itself, free on the basis; kind "symbolic": the chain never
+    stabilizes, and the generators with the shifted matrices are the
+    answer.
     """
 
     def __init__(self, kind: str, basis_names: tuple, action_names: tuple,
-                 shifted: tuple, free_rank=None, torsion=None):
+                 shifted: tuple):
         self.kind = kind
         self.basis_names = tuple(basis_names)
         self.action_names = tuple(action_names)
         self.shifted = tuple(shifted)
-        self.free_rank = free_rank
-        self.torsion = tuple(torsion) if torsion is not None else None
 
     def group_string(self) -> str:
         if self.kind != "finite":
             return "(not stabilized)"
-        parts = []
-        if self.free_rank:
-            parts.append("Z" if self.free_rank == 1 else f"Z^{self.free_rank}")
-        parts.extend(f"Z/{d}" for d in self.torsion)
-        return " (+) ".join(parts) if parts else "0"
+        t = len(self.basis_names)
+        if t > 1:
+            return f"Z^{t}"
+        return "Z" if t else "0"
 
     def __str__(self):
         if self.kind == "finite":
@@ -434,19 +432,22 @@ class CompletedModule:
                         for n, M in zip(self.action_names, self.shifted)},
         }
         if self.kind == "finite":
-            out["free_rank"] = self.free_rank
-            out["torsion"] = list(self.torsion)
+            out["free_rank"] = len(self.basis_names)
+            out["torsion"] = []
         return out
 
 
-def completed_module(TM: TwistedModule, P, names=None,
-                     cap: int = DEFAULT_CHAIN_CAP) -> CompletedModule:
-    """Quotient along the stable image of the shifted action matrices.
+def completed_module(TM: TwistedModule, P, names=None) -> CompletedModule:
+    """The completion of the twisted module M at the augmentation ideal I
+    of R(F), read off the nilpotency of the shifted matrices.
 
-    The chain L_{k+1} = sum_i N_i L_k is decreasing; equality of successive
-    lattices detects stabilization and the quotient is reported through its
-    Smith form.  Without stabilization within the cap the pair (generators,
-    shifted matrices) is the answer.
+    N_i = M_i - d_i acts on M as the generator i - d_i of I does.  S is a
+    p-group, so I^n lies in p I for some n, and a nonzero I^k M would hold
+    I^(k+n) M inside p I^k M: the chain I^k M stabilizes only at 0.  The
+    N_i commute (module_structure checks the ring relations), so the
+    chain reaches 0 exactly when each N_i is nilpotent, and then within
+    t = rank M steps.  So the kind is "finite", with completion Z^t, when
+    every N_i^t is 0, and "symbolic" otherwise.
     """
     if tuple(P.names) != TM.names or tuple(P.degrees) != TM.degrees:
         raise AmbientMismatch("module and presentation disagree on generators")
@@ -460,24 +461,9 @@ def completed_module(TM: TwistedModule, P, names=None,
     shifted = tuple(tuple(tuple(v - d * (i == j) for j, v in enumerate(row))
                           for i, row in enumerate(M))
                     for M, d in zip(TM.matrices, TM.degrees))
-    # N acts on column vectors, so v -> N v is the row action of N^T
-    chain = lattice_chain([np.array(N, dtype=np.int64).reshape(t, t).T
-                           for N in shifted], t)
-    current = [[int(i == j) for j in range(t)] for i in range(t)]
-    steps = 0
-    stable = None
-    while steps < cap:
-        nxt = next(chain)
-        steps += 1
-        if nxt == current:
-            stable = nxt
-            break
-        current = nxt
-    if stable is None:
-        return CompletedModule("symbolic", TM.basis.names, names, shifted)
-    diag = smith_diagonal([list(r) for r in stable] or [[0] * t])
-    nonzero = [d for d in diag if d != 0]
-    return CompletedModule(
-        "finite", TM.basis.names, names, shifted,
-        free_rank=t - len(nonzero),
-        torsion=[d for d in nonzero if d != 1])
+    # squaring up to N^(2^j) with 2^j >= t: zero exactly when N^t is
+    powers = np.array(shifted, dtype=np.int64).reshape(len(shifted), t, t)
+    for _ in range((t - 1).bit_length()):
+        powers = int_matmul(powers, powers)
+    kind = "symbolic" if powers.any() else "finite"
+    return CompletedModule(kind, TM.basis.names, names, shifted)

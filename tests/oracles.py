@@ -54,14 +54,20 @@ S/A and the quotient fusion system of a lift, and quotient_match compares
 it with the base system on the closed morphisms out of every subgroup.
 section_cocycle is the cocycle of a section of a central extension, by
 default of zero_section, the section s -> (0, s) of
-twisted.central_extension, whose inverse it is.
+twisted.central_extension, whose inverse it is.  chain_completed_module
+is the completion of a twisted module that twisted.completed_module
+replaced by a nilpotency test: it runs the chain I^k M of the shifted
+matrices until two lattices agree, within a cap, and reads the quotient
+off the Smith form, reported as a ChainCompletedModule.
 unit_row_twisted_hilbert is the twisted Hilbert basis over all the
 columns of Irr of the extension, with a unit row for every irreducible
 that is not an a-representation, which twisted.twisted_invariant_basis
 replaced by the Hilbert basis on the a-representation columns.
 ideal_product multiplies two ideals' HNF rows pair by pair, the reference
 for the powers that Ring.ideal_power reads off lattice_chain, and
-ring_product multiplies two ring elements through Ring.times.  spec_text
+ring_product multiplies two ring elements through Ring.times.
+augmentation_nilpotence is the least N with I^N inside p I for the
+augmentation ideal I of a ring, read off Ring.augmentation_power.  spec_text
 writes a JobSpec back as text, so that parsing it again tests the parser.
 """
 
@@ -75,7 +81,8 @@ from fusionrep.chartable import (_class_sizes, _conjugation, _product_matrix,
                                  character_table)
 from fusionrep.cyclotomic import (cyclotomic_polynomial, degree_phi,
                                   power_table)
-from fusionrep.errors import (FusionRepError, GeneratorMovesA, GroupMismatch,
+from fusionrep.errors import (AmbientMismatch, FusionRepError,
+                              GeneratorMovesA, GroupMismatch,
                               HilbertCapExceeded, InputError,
                               MorphismCapExceeded, NotAHomomorphism,
                               NotCentral, NotInjective, NotInSpan,
@@ -83,13 +90,15 @@ from fusionrep.errors import (FusionRepError, GeneratorMovesA, GroupMismatch,
                               SubgroupEnumerationCapExceeded)
 from fusionrep.fusion import (DEFAULT_MORPHISM_CAP, SaturationReport,
                               _describe, _small_gens, build_fusion)
-from fusionrep.intlinalg import int_matmul, kernel_basis
+from fusionrep.intlinalg import (int_matmul, kernel_basis, lattice_contains,
+                                 smith_diagonal)
 from fusionrep.invariants import (DEFAULT_HILBERT_CAP, hilbert_basis,
                                   invariance_matrix)
 from fusionrep.permgroup import (FiniteGroup, GroupHom, Subgroup, build_group,
                                  compose, format_cycles, is_p_group, is_prime,
                                  make_hom, p_part)
 from fusionrep.permgroup import replay as replay_walk
+from fusionrep.ringpres import lattice_chain
 from fusionrep.spectrum import (CycPrime, _mult_order, _polmod_divmod,
                                 _reduce_mod, primes_above)
 from fusionrep.twisted import a_representations
@@ -1285,6 +1294,85 @@ def section_cocycle(E, section=None) -> tuple:
         for s in range(S.order))
 
 
+class ChainCompletedModule:
+    """The completed module as chain_completed_module reports it: kind
+    "finite" with the free rank and the torsion of the quotient by the
+    stable lattice, or "symbolic" when the chain did not stabilize."""
+
+    def __init__(self, kind, basis_names, action_names, shifted,
+                 free_rank=None, torsion=None):
+        self.kind = kind
+        self.basis_names = tuple(basis_names)
+        self.action_names = tuple(action_names)
+        self.shifted = tuple(shifted)
+        self.free_rank = free_rank
+        self.torsion = tuple(torsion) if torsion is not None else None
+
+    def group_string(self) -> str:
+        if self.kind != "finite":
+            return "(not stabilized)"
+        parts = []
+        if self.free_rank:
+            parts.append("Z" if self.free_rank == 1 else f"Z^{self.free_rank}")
+        parts.extend(f"Z/{d}" for d in self.torsion)
+        return " (+) ".join(parts) if parts else "0"
+
+    def __str__(self):
+        if self.kind == "finite":
+            lines = [f"completed module: {self.group_string()}"]
+        else:
+            lines = ["completed module (symbolic): chain did not stabilize, "
+                     f"generators ({', '.join(self.basis_names)})"]
+        for name, M in zip(self.action_names, self.shifted):
+            lines.append(f"  {name} acts by {list(list(r) for r in M)}")
+        return "\n".join(lines)
+
+    def to_json(self) -> dict:
+        out = {
+            "kind": self.kind,
+            "basis": list(self.basis_names),
+            "actions": {n: [list(r) for r in M]
+                        for n, M in zip(self.action_names, self.shifted)},
+        }
+        if self.kind == "finite":
+            out["free_rank"] = self.free_rank
+            out["torsion"] = list(self.torsion)
+        return out
+
+
+def chain_completed_module(TM, P, names=None, cap: int = 64):
+    """Quotient of the twisted module along the stable lattice of the chain
+    L_{k+1} = sum_i N_i L_k of the shifted matrices N_i = M_i - d_i.
+
+    Equality of successive lattices detects stabilization, and the quotient
+    is reported through its Smith form; without stabilization within the
+    cap the answer is symbolic.
+    """
+    if tuple(P.names) != TM.names or tuple(P.degrees) != TM.degrees:
+        raise AmbientMismatch("module and presentation disagree on generators")
+    if names is None:
+        names = tuple(f"v{k + 1}" for k in range(len(TM.names)))
+    t = len(TM.basis)
+    shifted = tuple(tuple(tuple(v - d * (i == j) for j, v in enumerate(row))
+                          for i, row in enumerate(M))
+                    for M, d in zip(TM.matrices, TM.degrees))
+    # N acts on column vectors, so v -> N v is the row action of N^T
+    chain = lattice_chain([np.array(N, dtype=np.int64).reshape(t, t).T
+                           for N in shifted], t)
+    current = [[int(i == j) for j in range(t)] for i in range(t)]
+    for _ in range(cap):
+        nxt = next(chain)
+        if nxt == current:
+            diag = smith_diagonal([list(r) for r in nxt] or [[0] * t])
+            nonzero = [d for d in diag if d != 0]
+            return ChainCompletedModule(
+                "finite", TM.basis.names, names, shifted,
+                free_rank=t - len(nonzero),
+                torsion=[d for d in nonzero if d != 1])
+        current = nxt
+    return ChainCompletedModule("symbolic", TM.basis.names, names, shifted)
+
+
 def ring_product(ring, u, v) -> tuple:
     """u v in a ringpres.Ring, both written over its basis."""
     return tuple(int_matmul([v], ring.times(u))[0].tolist())
@@ -1294,6 +1382,19 @@ def ideal_product(ring, L1, L2) -> list:
     """The HNF rows of the lattice spanned by the pairwise products of two
     ideal bases of a ringpres.Ring."""
     return hnf([ring_product(ring, u, v) for u in L1 for v in L2])
+
+
+def augmentation_nilpotence(ring, p: int, cap: int = 64) -> int:
+    """Least N with I^N inside p I for the augmentation ideal I of a
+    ringpres.Ring; such an N makes the I-adic and p-adic topologies on I
+    agree."""
+    I = ring.augmentation_power(1)
+    # p times canonical HNF rows are the canonical HNF rows of p I
+    pI = [[p * c for c in row] for row in I]
+    for n in range(1, cap + 1):
+        if lattice_contains(pI, ring.augmentation_power(n)):
+            return n
+    raise AssertionError(f"no N up to {cap} has I^N inside {p} I")
 
 
 def _word_text(word) -> str:

@@ -1,12 +1,15 @@
-"""Every module-level function and class of the package, and every method
-of its top-level classes, has a caller, private helpers included.
+"""Every module-level function, class and assignment of the package, and
+every method of its top-level classes, has a caller, private helpers
+included.
 
-A function or class counts as called when its name appears, as a name, an
-attribute or an import, in some module of src/fusionrep outside its own
-definition, or in perfbench/trace_job.py.  A method counts as called only
+A function, class or assigned name counts as called when its name
+appears, as a name, an attribute or an import, in some module of
+src/fusionrep outside its own definition or assignment statement, or in
+perfbench/trace_job.py.  A method counts as called only
 where its name appears as an attribute, x.name: a local variable that
 shares its name does not call it.  For a method, its own definition is
-its body; the rest of its class counts.  Dunder methods are exempt.
+its body; the rest of its class counts.  Dunder methods and dunder
+names such as __all__ are exempt.
 Tests do not count: a helper that only the tests use belongs in
 tests/oracles.py.
 
@@ -51,9 +54,22 @@ def _uses(*nodes) -> tuple:
     return names | attrs, attrs
 
 
+def _assigned(stmt) -> list:
+    """The names that a module-level assignment binds."""
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+        targets = [stmt.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)]
+
+
 def unused_definitions(modules: dict, roots=()) -> list:
-    """Labels of the public definitions in modules (file name -> parsed
-    source) without a caller; the parsed sources in roots only call."""
+    """Labels of the definitions in modules (file name -> parsed source)
+    without a caller, module-level assignments among them; the parsed
+    sources in roots only call."""
     # (module, top-level index, class-body index or None) -> uses there; a
     # class is split into its body statements, so a method's own body is
     # one key and the rest of its class are others
@@ -63,6 +79,8 @@ def unused_definitions(modules: dict, roots=()) -> list:
     for f, tree in modules.items():
         for k, stmt in enumerate(tree.body):
             used[f, k, None] = _uses(stmt)
+            for name in _assigned(stmt):
+                definitions.append((f"{f[:-3]}.{name}", name, (f, k), False))
             if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 continue
             label = f"{f[:-3]}.{stmt.name}"
@@ -179,6 +197,25 @@ def test_a_private_helper_without_a_caller_is_reported():
         "helpers._unused", "helpers._Box._read", "helpers._Box._again"]
     assert unused_definitions({"helpers.py": helpers, "main.py": reads}) \
         == ["helpers._unused", "helpers._Box._again"]
+
+
+def test_a_module_constant_without_a_reader_is_reported():
+    """A name bound at module level counts as called where it is named
+    outside its own statement; its own right-hand side does not call it,
+    and dunder names are exempt."""
+    consts = ast.parse("__all__ = ['CAP']\n"
+                       "CAP = 64\n"
+                       "_KEYS = ('a', 'b')\n"
+                       "_SELF = _SELF if False else 1\n"
+                       "LOW, HIGH = 1, CAP\n"
+                       "LIMIT: int = 3\n")
+    reader = ast.parse("from consts import LIMIT\n\n"
+                       "print(LIMIT, consts.HIGH)\n")
+    assert unused_definitions({"consts.py": consts}) == [
+        "consts._KEYS", "consts._SELF", "consts.LOW", "consts.HIGH",
+        "consts.LIMIT"]
+    assert unused_definitions({"consts.py": consts, "main.py": reader}) == [
+        "consts._KEYS", "consts._SELF", "consts.LOW"]
 
 
 def test_an_attribute_that_nothing_reads_is_reported():

@@ -428,12 +428,26 @@ def test_spectrum_on_the_trivial_group_asks_for_primes(capsys, tmp_path):
 
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("cap", ["order", "subgroups", "morphisms", "hilbert",
-                                 "chain", "adic"])
+                                 "adic"])
 def test_non_positive_caps_are_rejected(capsys, cap, value):
     code, out, err = run(capsys, ["adic", fixture_path("sigma_3.fus"),
                                   f"--cap-{cap}", value])
     assert code == 1 and out == ""
     assert err == f"error: cap_{cap} must be positive\n"
+
+
+def test_the_completed_module_takes_no_cap(capsys, tmp_path):
+    """The completion of a twisted module runs no chain, so neither the
+    flag --cap-chain nor the option cap_chain exists."""
+    code, out, _ = run(capsys, ["twisted", fixture_path("a4_sl23.fus"),
+                                "--cap-chain", "1"])
+    assert code == 1 and out == ""
+    spec = tmp_path / "capped.fus"
+    spec.write_text("[group]\ndegree = 2\ng = (1 2)\n\n"
+                    "[options]\ncap_chain = 1\n")
+    code, out, err = run(capsys, ["twisted", str(spec)])
+    assert code == 1 and out == ""
+    assert "unknown option 'cap_chain'" in err
 
 
 SAT5_SPEC = ("[group]\nconstructor = extraspecial_p3\np = 5\n\n"
@@ -516,11 +530,26 @@ def test_name_mapping_keys_must_name_a_generator(capsys, tmp_path, key):
         "type": "InputError", "message": message, "exit_code": 1}
 
 
-def test_twisted_names_the_completed_module_basis(capsys):
-    code, out, _ = run(capsys, ["twisted", fixture_path("a4_sl23.fus"),
-                                "--cap-chain", "1"])
+def test_twisted_names_the_completed_module_basis(capsys, tmp_path):
+    """V4 with A4 fusion, extended by the trivial cocycle: its twisted
+    module has a shifted action that is not nilpotent, so the completed
+    module is symbolic, and the names file renames its generators and its
+    action."""
+    (tmp_path / "zero.csv").write_text("0,0,0,0\n" * 4)
+    spec = tmp_path / "v4_trivial.fus"
+    spec.write_text("[group]\ndegree = 4\nx = (1 2)(3 4)\ny = (1 3)(2 4)\n\n"
+                    "[fusion]\nS -> y, x y\n\n"
+                    "[extension]\ncoefficients = 2\ncocycle = zero.csv\n\n"
+                    "[fusion_alpha]\nS -> z, y, x y\n")
+    (tmp_path / "v4_trivial.names.json").write_text(
+        json.dumps({"W1": "one", "W2": "three", "v1": "u"}))
+    code, out, _ = run(capsys, ["twisted", str(spec)])
     assert code == 0
-    assert "chain did not stabilize, generators (rho)" in out
+    lines = out.splitlines()
+    assert "basis one (1), three (3)" in lines
+    assert ("completed module (symbolic): chain did not stabilize, "
+            "generators (one, three)") in lines
+    assert "  u acts by [[-3, 3], [1, -1]]" in lines
 
 
 @pytest.mark.parametrize("cmd", ["repring", "ktheory"])

@@ -83,7 +83,7 @@ def test_snf_randomized():
         m, n = random.randint(0, 6), random.randint(1, 6)
         _check_smith([[0 if random.random() < 0.3 else random.randint(-9, 9)
                        for _ in range(n)] for _ in range(m)])
-    # the input completed_module passes for an empty stable lattice
+    # a zero row of any width: the diagonal of the zero lattice
     for t in (1, 3, 6):
         assert smith_diagonal([[0] * t]) == [0]
     # pivot-and-fold elimination by scalar row and column steps cycles on

@@ -2,7 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import ideal_product, ring_product, value_product
+from oracles import (augmentation_nilpotence, ideal_product, ring_product,
+                     value_product)
 
 from fusionrep.chartable import character_table
 from fusionrep.errors import FusionRepError
@@ -149,6 +150,20 @@ def test_chain_matches_repeated_products(pipeline, stem):
         for k in (2, 3):
             power = ideal_product(ring, power, I)
             assert ring.augmentation_power(k) == power, (stem, k)
+
+
+NILPOTENCE = {"a4": 2, "a4_sl23": 2, "rv1": 2, "rv2": 2, "rv3": 2,
+              "sigma_3": 2, "sigma_5": 2, "sigma_7": 2, "fi24": 3, "fi24p": 3,
+              "he_2": 3, "onan": 3, "onan_2": 3, "he": 5}
+
+
+@pytest.mark.parametrize("stem", sorted(NILPOTENCE))
+def test_augmentation_ideal_power_lies_in_p_times_the_ideal(pipeline, stem):
+    """I(F)^N lies in p I(F), the premise under which the chain I^k M of a
+    twisted module stabilizes only at 0; N is the least such power."""
+    job = pipeline(stem)
+    ring = job.presentation.ring
+    assert augmentation_nilpotence(ring, job.fusion.p) == NILPOTENCE[stem]
 
 
 @pytest.mark.slow

@@ -1,7 +1,13 @@
+import json
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from oracles import (quotient_fusion, quotient_match, section_cocycle,
-                     unit_row_twisted_hilbert, zero_section)
+from conftest import FIXTURES
+from oracles import (chain_completed_module, quotient_fusion, quotient_match,
+                     section_cocycle, unit_row_twisted_hilbert, zero_section)
+from test_golden import A4_SL23_EXPLICIT
 
 from fusionrep import permgroup, twisted
 from fusionrep.chartable import character_table
@@ -10,12 +16,13 @@ from fusionrep.errors import (DecompositionNotIntegral, FusionRepError,
                               NotCyclicKernel, NotInjective, QuotientMismatch)
 from fusionrep.fusion import build_fusion
 from fusionrep.invariants import invariance_matrix, irreducible_invariants
+from fusionrep.jobspec import parse_jobspec, realize
 from fusionrep.permgroup import build_group, make_hom
 from fusionrep.ringpres import structure_constants
-from fusionrep.twisted import (Cocycle, a_representations, central_extension,
-                               completed_module, extension_from_groups,
-                               module_structure, twisted_invariant_basis,
-                               validate_cocycle)
+from fusionrep.twisted import (Cocycle, TwistedModule, a_representations,
+                               central_extension, completed_module,
+                               extension_from_groups, module_structure,
+                               twisted_invariant_basis, validate_cocycle)
 
 QTABLE = [
     [0, 0, 0, 0],
@@ -210,7 +217,7 @@ def test_module_structure_and_completion(quaternion_setup):
     assert TM.matrices == (((3,),),)
     CM = completed_module(TM, P)
     assert CM.kind == "finite"
-    assert CM.free_rank == 1 and CM.torsion == ()
+    assert CM.to_json()["free_rank"] == 1 and CM.to_json()["torsion"] == []
     assert CM.shifted == (((0,),),)
     assert CM.group_string() == "Z"
     assert str(CM).startswith("completed module: Z")
@@ -238,11 +245,63 @@ def test_trivial_cocycle_module():
     B = irreducible_invariants(FA4)
     TM0 = module_structure(FA4, B, EE, TB0)
     assert TM0.matrices == (((0, 3), (1, 2)),)
-    # shifted chain keeps shrinking by a factor of 4, so no finite report
-    CM0 = completed_module(TM0, structure_constants(B), cap=8)
+    # the shifted matrix has trace -4, so it is not nilpotent and the chain
+    # keeps shrinking by a factor of 4: no finite report
+    CM0 = completed_module(TM0, structure_constants(B))
     assert CM0.kind == "symbolic"
     assert CM0.group_string() == "(not stabilized)"
     assert "did not stabilize" in str(CM0)
+
+
+class _Pair:
+    """A stand-in twisted basis of two members."""
+
+    names = ("W1", "W2")
+
+    def __len__(self):
+        return 2
+
+
+def completion_inputs(name, pipeline, quaternion_setup):
+    """(module, presentation, completed names) of one completion input."""
+    if name in ("a4_sl23", "a4_sl23_explicit"):
+        if name == "a4_sl23":
+            job = pipeline("a4_sl23")
+        else:
+            with open(os.path.join(FIXTURES, "a4_sl23.names.json")) as fh:
+                job = realize(parse_jobspec(A4_SL23_EXPLICIT), FIXTURES,
+                              names=json.load(fh))
+        return job.module, job.presentation, job.completed.names
+    if name == "quaternion":
+        FQ, FA4 = lifted_fusions(quaternion_setup[2])
+        E, F, F_alpha = quaternion_setup[2], FA4, FQ
+    elif name == "trivial_cocycle":
+        F, E, F_alpha = trivial_cocycle_setup()
+    else:
+        # N = [[0, 1], [0, 0]]: the chain needs two steps to reach 0
+        P = SimpleNamespace(names=("X1",), degrees=(3,))
+        return TwistedModule(_Pair(), P.names, P.degrees,
+                             [[[3, 1], [0, 3]]]), P, None
+    B = irreducible_invariants(F)
+    TB = twisted_invariant_basis(E, F_alpha, base=F)
+    return module_structure(F, B, E, TB), structure_constants(B), None
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("a4_sl23", "finite"), ("a4_sl23_explicit", "finite"),
+    ("quaternion", "finite"), ("trivial_cocycle", "symbolic"),
+    ("nilpotent_pair", "finite")])
+def test_completed_module_matches_the_chain(pipeline, quaternion_setup,
+                                            name, kind):
+    """The nilpotency test reports what the chain I^k M reports: the same
+    kind, shifted matrices, text and JSON."""
+    TM, P, names = completion_inputs(name, pipeline, quaternion_setup)
+    CM = completed_module(TM, P, names)
+    want = chain_completed_module(TM, P, names)
+    assert CM.kind == want.kind == kind
+    assert CM.shifted == want.shifted
+    assert str(CM) == str(want)
+    assert CM.to_json() == want.to_json()
 
 
 def test_basis_on_the_a_representations_matches_the_unit_rows(
