@@ -41,6 +41,11 @@ from .errors import FusionRepError, InputError
 from .jobspec import load_jobspec, realize
 from .permgroup import is_prime
 
+# Set before any layer imports numpy: every array product here is small,
+# so a BLAS thread pool gains nothing and costs CPU to start.  A value the
+# caller set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 _MAPPING_KEY_RE = re.compile(r"[XvW][1-9][0-9]*\Z")
 _CAPS = ("order", "subgroups", "morphisms", "hilbert", "adic")
 

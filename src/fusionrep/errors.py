@@ -113,7 +113,7 @@ class ExponentCapExceeded(CapExceeded):
     pass
 
 
-# --- twisted -----------------------------------------------------------------
+# --- extension and twisted ---------------------------------------------------
 
 class InvalidCocycle(FusionRepError):
     pass

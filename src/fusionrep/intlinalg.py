@@ -39,9 +39,8 @@ def int_matmul(A, B) -> np.ndarray:
     below 2^53 (and so is every entry), float64 holds each of them exactly,
     in any summation order and with or without FMA, so the product runs on
     BLAS and comes back as int64.  Both operands reach BLAS C-contiguous,
-    whatever the layout they arrive in: a transposed view costs more CPU
-    time in the BLAS threads.  Otherwise it runs in Python ints (dtype
-    object).
+    whatever the layout they arrive in: BLAS takes more CPU time on a
+    transposed view.  Otherwise it runs in Python ints (dtype object).
     """
     A, B = _exact_array(A), _exact_array(B)
     a, b = _max_abs(A), _max_abs(B)

@@ -297,10 +297,12 @@ def _by_sum(v: tuple) -> tuple:
 
 
 def canonical_rows(solutions, degrees) -> np.ndarray:
-    """Non-negative solutions over Irr as the rows of one int64 matrix,
-    sorted by (degree, row); degrees are those of Irr."""
-    rows = sorted(map(tuple, solutions),
-                  key=lambda v: (sum(m * d for m, d in zip(v, degrees)), v))
+    """Non-negative solutions over Irr as the rows of one int64 matrix:
+    the trivial character (Irr index 0) first when it is among them, then
+    the rest by (degree, row); degrees are those of Irr."""
+    unit = tuple(int(j == 0) for j in range(len(degrees)))
+    rows = sorted(map(tuple, solutions), key=lambda v: (
+        v != unit, sum(m * d for m, d in zip(v, degrees)), v))
     return np.array(rows, dtype=np.int64).reshape(len(rows), len(degrees))
 
 
@@ -309,9 +311,8 @@ class InvariantBasis:
 
     Row i of the read-only int64 matrix mults holds the multiplicities of
     member i over Irr in canonical order; degrees, coords and span are
-    read off it.  For R(F) the rows run in the order (degree, row), the
-    trivial character is a member named "1", and the rest are named X1,
-    X2, ... in order.
+    read off it.  For R(F) the trivial character comes first, named "1",
+    and the rest follow in the order (degree, row), named X1, X2, ...
     """
 
     def __init__(self, fusion: FusionSystem, mults, names, invariance_rows):
@@ -384,14 +385,9 @@ def irreducible_invariants(F: FusionSystem, cap: int = DEFAULT_HILBERT_CAP) -> I
             f"{len(mults)} irreducible invariants for {nclasses} classes; "
             "the basis count must match the class count"
         )
-    members = mults.tolist()
-    trivial = [int(i == 0) for i in range(len(table))]
-    if trivial not in members:
+    if mults[0].tolist() != [int(i == 0) for i in range(len(table))]:
         raise FusionRepError("the trivial character is missing from the basis")
-    t = members.index(trivial)
-    # the members before the trivial character are X1 .. Xt, the rest follow
-    names = ["1" if k == t else f"X{k + (k < t)}"
-             for k in range(len(members))]
+    names = ["1"] + [f"X{k}" for k in range(1, len(mults))]
     basis = InvariantBasis(F, mults, names, rows)
     cls = [F.S.class_of()[c[0]] for c in F.element_classes()]
     if table.rank(basis.coords[:, cls]) != nclasses:

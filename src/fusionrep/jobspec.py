@@ -562,8 +562,8 @@ def realize(spec: JobSpec, base_dir: str = ".", caps: dict = None,
     extension = None
     fusion_alpha = None
     if spec.extension is not None:
-        from .twisted import (Cocycle, central_extension,
-                              extension_from_groups)
+        from .extension import (Cocycle, central_extension,
+                                extension_from_groups)
         if spec.extension[0] == "cocycle":
             _, coeff, fname, transpose = spec.extension
             path = fname if os.path.isabs(fname) else os.path.join(base_dir,

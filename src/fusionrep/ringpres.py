@@ -215,14 +215,13 @@ def structure_constants(B: InvariantBasis, names: dict = None) -> RingPresentati
     input.
     """
     table = character_table(B.fusion.S)
-    positions = [k for k, n in enumerate(B.names) if n != "1"]
-    trivial_pos = B.names.index("1")
-    gen_names = apply_names([B.names[k] for k in positions], names)
-    degrees = [B.degrees[k] for k in positions]
-    m = len(positions)
+    # B lists the unit first, then the generators
+    gen_names = apply_names(B.names[1:], names)
+    degrees = list(B.degrees[1:])
+    m = len(degrees)
     T = np.zeros((m + 1,) * 3, dtype=np.int64)
     T[0] = T[:, 0] = np.eye(m + 1, dtype=np.int64)
-    mults = B.mults[positions]
+    mults = B.mults[1:]
     # products[a, b] = multiplicities of X_a X_b over Irr(S)
     products = np.einsum("bj,ajk->abk", mults,
                          np.tensordot(mults, table.structure_tensor(), 1))
@@ -238,7 +237,7 @@ def structure_constants(B: InvariantBasis, names: dict = None) -> RingPresentati
         r = int(negative.argmax())
         raise DecompositionNotIntegral(
             f"{gen_names[i[r]]}*{gen_names[j[r]]} has a negative coordinate")
-    T[i + 1, j + 1] = T[j + 1, i + 1] = coords[:, [trivial_pos] + positions]
+    T[i + 1, j + 1] = T[j + 1, i + 1] = coords
     return RingPresentation(gen_names, Ring([1] + degrees, T), B)
 
 
@@ -326,8 +325,8 @@ def adic_equivalence_exponent(F: FusionSystem, k: int = 1,
         raise GroupMismatch("invariant basis belongs to a different system")
     ring = character_ring(F.S)
     # X - deg(X) over Irr(S) for every nontrivial member X
-    gens = [[m - d * (j == 0) for j, m in enumerate(row)] for name, row, d
-            in zip(B.names, B.mults.tolist(), B.degrees) if name != "1"]
+    gens = [[m - d * (j == 0) for j, m in enumerate(row)]
+            for row, d in zip(B.mults.tolist()[1:], B.degrees[1:])]
     Jk = ring.ideal_power(gens, k)
     if not lattice_contains(ring.augmentation_power(k), Jk):
         raise FusionRepError("restricted ideal power escapes I(S)^k")

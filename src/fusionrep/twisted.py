@@ -1,11 +1,9 @@
-"""Cocycles, central extensions, and twisted invariant representations.
+"""Twisted invariant representations and their module over R(F).
 
-A normalized 2-cocycle on S with values in Z/p^k determines a central
-extension S_alpha whose elements are pairs (a, s) multiplying by
-(a1, s1)(a2, s2) = (a1 + a2 + alpha(s1, s2), s1 s2).  Twisted
-representations of S are handled exclusively in untwisted form, as
-representations of S_alpha on which the central subgroup A acts by a fixed
-primitive root of unity.
+A central extension S_alpha of S (built by the extension module) carries
+the twisted representations of S in untwisted form: they are handled
+exclusively as representations of S_alpha on which the central subgroup
+A acts by a fixed primitive root of unity.
 
 The twisted invariant group is the monoid of such A-representations whose
 characters are constant on the classes of a lifted fusion system on
@@ -23,179 +21,17 @@ from __future__ import annotations
 import numpy as np
 
 from .chartable import character_table
+from .cyclotomic import power_table
 from .errors import (AmbientMismatch, DecompositionNotIntegral, FusionRepError,
-                     GeneratorMovesA, GroupMismatch, InputError,
-                     InvalidCocycle, NotCentral, NotCyclicKernel, NotInSpan,
+                     GeneratorMovesA, GroupMismatch, InputError, NotInSpan,
                      QuotientMismatch)
+from .extension import CentralExtensionData
 from .fusion import DEFAULT_MORPHISM_CAP, FusionSystem
 from .intlinalg import int_matmul
 from .invariants import (DEFAULT_HILBERT_CAP, InvariantBasis, canonical_rows,
                          hilbert_basis, invariance_matrix)
-from .permgroup import FiniteGroup, GroupHom, Subgroup, group_prime, is_p_group
-from .cyclotomic import power_table
+from .permgroup import GroupHom, Subgroup
 from .ringpres import apply_names, structure_constants
-
-_VIOLATION_LIMIT = 20
-
-
-class Cocycle:
-    """Normalized integer 2-cocycle table on a finite group.
-
-    table[s][t] is the value at the ordered pair (s, t), stored reduced mod
-    the coefficient order.  Construction checks only shape and range;
-    validate_cocycle reports on the algebraic identities.
-    """
-
-    __slots__ = ("group", "coeff", "table")
-
-    def __init__(self, group: FiniteGroup, coeff: int, table):
-        if coeff < 1:
-            raise InputError("coefficient order must be >= 1")
-        rows = []
-        for row in table:
-            rows.append(tuple(int(v) % coeff for v in row))
-            if len(rows[-1]) != group.order:
-                raise InputError("cocycle table must be |S| x |S|")
-        if len(rows) != group.order:
-            raise InputError("cocycle table must be |S| x |S|")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "table", tuple(rows))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Cocycle is immutable")
-
-    def transpose(self) -> "Cocycle":
-        n = self.group.order
-        return Cocycle(self.group, self.coeff,
-                       [[self.table[t][s] for t in range(n)] for s in range(n)])
-
-
-def validate_cocycle(alpha: Cocycle) -> list:
-    """All violations of normalization and the associativity identity.
-
-    Empty list means valid.  Reported as data so callers can display them;
-    only central_extension converts a nonempty report into an error.
-    """
-    S, n = alpha.group, alpha.coeff
-    T = alpha.table
-    out = []
-    e = S.identity
-    for s in range(S.order):
-        if T[e][s] % n:
-            out.append(f"alpha(1, {s}) = {T[e][s]} != 0")
-        if T[s][e] % n:
-            out.append(f"alpha({s}, 1) = {T[s][e]} != 0")
-    Ta = np.array(T, dtype=np.int64)
-    every = np.arange(S.order, dtype=np.int32)
-    M = S.mul_array(every[:, None], every[None, :])
-    for s1 in range(S.order):
-        lhs = Ta[s1][:, None] + Ta[M[s1], :]
-        rhs = Ta + Ta[s1][M]
-        for s2, s3 in np.argwhere((lhs - rhs) % n != 0).tolist():
-            if len(out) >= _VIOLATION_LIMIT:
-                out.append("... (further violations suppressed)")
-                return out
-            out.append(f"associativity fails at ({s1}, {s2}, {s3})")
-    return out
-
-
-class CentralExtensionData:
-    """A central extension of the base group by a cyclic group of roots of
-    unity, with its projection onto the base group (projection.images[x] is
-    the image of element x) and a distinguished generator of the kernel."""
-
-    def __init__(self, group: FiniteGroup, base: FiniteGroup, coeff: int,
-                 A: Subgroup, a_gen: int, projection: GroupHom):
-        self.group = group
-        self.base = base
-        self.coeff = coeff
-        self.A = A
-        self.a_gen = a_gen
-        self.projection = projection
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.group.order,
-            "base_order": self.base.order,
-            "coeff": self.coeff,
-        }
-
-
-def _check_coeff(base: FiniteGroup, coeff: int):
-    if coeff < 2:
-        raise InputError("coefficient order must be at least 2")
-    if base.order > 1:
-        p = group_prime(base)
-        if p is None or not is_p_group(coeff, p):
-            raise InputError(
-                "coefficient order must be a power of the group prime")
-
-
-def central_extension(S: FiniteGroup, alpha: Cocycle) -> CentralExtensionData:
-    """Realize the extension of S by the cocycle as a permutation group on
-    pairs (a, s) acting by left translation."""
-    if alpha.group is not S:
-        raise GroupMismatch("cocycle lives on a different group")
-    _check_coeff(S, alpha.coeff)
-    violations = validate_cocycle(alpha)
-    if violations:
-        raise InvalidCocycle("; ".join(violations[:3]))
-    if "z" in S.names:
-        raise InputError("base group already names a generator 'z'")
-    n, sz = alpha.coeff, S.order
-    N = n * sz
-    T = alpha.table
-
-    def lperm(a0, s0):
-        row = T[s0]
-        out = [0] * N
-        for a in range(n):
-            for s in range(sz):
-                out[a * sz + s] = ((a0 + a + row[s]) % n) * sz + S.mul(s0, s)
-        return tuple(out)
-
-    zperm = lperm(1, S.identity)
-    lifted = [lperm(0, g) for g in S.gen_indices]
-    G = FiniteGroup(N, tuple([zperm] + lifted), tuple(sorted(
-        lperm(a, s) for a in range(n) for s in range(sz))))
-    G.names["z"] = G.index[zperm]
-    for gi, perm in zip(S.gen_indices, lifted):
-        name = S.name_of(gi)
-        if name is not None:
-            G.names[name] = G.index[perm]
-    # lperm(a, s) sends point S.identity to point a |S| + s
-    projection = GroupHom(G.full_subgroup(), S, tuple(
-        perm[S.identity] % sz for perm in G.elements))
-    return extension_from_groups(G, G.index[zperm], projection)
-
-
-def extension_from_groups(G: FiniteGroup, a_gen: int,
-                          projection: GroupHom) -> CentralExtensionData:
-    """Extension data from an explicitly given big group.
-
-    The marked element must generate a central subgroup that is exactly the
-    kernel of the projection.
-    """
-    if projection.domain.parent is not G:
-        raise GroupMismatch("projection domain is not the given group")
-    if projection.domain.order != G.order:
-        raise InputError("projection must be defined on the whole group")
-    S = projection.codomain
-    A = G.subgroup((a_gen,))
-    for a in A.members:
-        for g in G.gen_indices:
-            if G.mul(a, g) != G.mul(g, a):
-                raise NotCentral("marked subgroup is not central")
-    kernel = frozenset(m for m in range(G.order)
-                       if projection.apply(m) == S.identity)
-    if kernel != frozenset(A.members):
-        raise NotCyclicKernel(
-            "projection kernel differs from the marked cyclic subgroup")
-    if len(set(projection.images)) != S.order:
-        raise InputError("projection is not surjective")
-    _check_coeff(S, A.order)
-    return CentralExtensionData(G, S, A.order, A, a_gen, projection)
 
 
 def a_representations(E: CentralExtensionData) -> tuple:
@@ -371,9 +207,8 @@ def module_structure(F: FusionSystem, B, E: CentralExtensionData,
     elif P.basis is not B:
         raise GroupMismatch("presentation belongs to a different basis")
     t = len(TB)
-    # the unit first, then the generators of P in basis order
-    order = sorted(range(len(B)), key=lambda k: B.names[k] != "1")
-    Ms = action_matrices(TB, B.coords)[order]
+    # B lists the unit first, then the generators of P
+    Ms = action_matrices(TB, B.coords)
     if not np.array_equal(Ms[0], np.eye(t)):
         raise FusionRepError("unit does not act as the identity")
     TM = TwistedModule(TB, P.names, P.degrees, Ms[1:].tolist())

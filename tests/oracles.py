@@ -54,7 +54,9 @@ S/A and the quotient fusion system of a lift, and quotient_match compares
 it with the base system on the closed morphisms out of every subgroup.
 section_cocycle is the cocycle of a section of a central extension, by
 default of zero_section, the section s -> (0, s) of
-twisted.central_extension, whose inverse it is.  chain_completed_module
+extension.central_extension, whose inverse it is.  cocycle_violations
+is the plain scan over every triple that extension.validate_cocycle
+replaced by Light's test at the generators.  chain_completed_module
 is the completion of a twisted module that twisted.completed_module
 replaced by a nilpotency test: it runs the chain I^k M of the shifted
 matrices until two lattices agree, within a cap, and reads the quotient
@@ -1265,7 +1267,7 @@ def unit_row_twisted_hilbert(E, F_alpha, cap: int = DEFAULT_HILBERT_CAP) -> list
 
 def zero_section(E) -> tuple:
     """The section s -> (0, s) of an extension that
-    twisted.central_extension built: (0, s) is the element whose
+    extension.central_extension built: (0, s) is the element whose
     permutation sends point S.identity to point s."""
     e = E.base.identity
     sec = [None] * E.base.order
@@ -1279,7 +1281,7 @@ def section_cocycle(E, section=None) -> tuple:
     """The cocycle table of a section of the central extension E, by
     default zero_section(E): alpha(s, t) is the discrete logarithm, to the
     base E.a_gen, of sec(s) sec(t) sec(st)^-1.  For the extension that
-    twisted.central_extension builds from a cocycle this is that
+    extension.central_extension builds from a cocycle this is that
     cocycle's table."""
     G, S = E.group, E.base
     sec = zero_section(E) if section is None else tuple(section)
@@ -1292,6 +1294,29 @@ def section_cocycle(E, section=None) -> tuple:
         tuple(dlog[G.mul(G.mul(sec[s], sec[t]), G.inv(sec[S.mul(s, t)]))]
               for t in range(S.order))
         for s in range(S.order))
+
+
+def cocycle_violations(alpha, limit: int = 20) -> list:
+    """The report of extension.validate_cocycle by a plain scan: the
+    normalization failures, then every triple (s1, s2, s3), in order, at
+    which alpha(s1, s2) + alpha(s1 s2, s3) = alpha(s2, s3) + alpha(s1, s2 s3)
+    fails mod n, cut after limit entries."""
+    S, n, T = alpha.group, alpha.coeff, alpha.table
+    e = S.identity
+    out = []
+    for s in range(S.order):
+        if T[e][s] % n:
+            out.append(f"alpha(1, {s}) = {T[e][s]} != 0")
+        if T[s][e] % n:
+            out.append(f"alpha({s}, 1) = {T[s][e]} != 0")
+    for s1, s2, s3 in itertools.product(range(S.order), repeat=3):
+        if (T[s1][s2] + T[S.mul(s1, s2)][s3] - T[s2][s3]
+                - T[s1][S.mul(s2, s3)]) % n:
+            if len(out) >= limit:
+                out.append("... (further violations suppressed)")
+                return out
+            out.append(f"associativity fails at ({s1}, {s2}, {s3})")
+    return out
 
 
 class ChainCompletedModule:

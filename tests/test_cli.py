@@ -10,6 +10,7 @@ import fusionrep
 from fusionrep.cli import main
 
 from conftest import fixture_path
+from test_golden import A4_SL23_EXPLICIT
 
 
 def run(capsys, argv):
@@ -30,6 +31,20 @@ def test_repring_text(capsys):
     assert out.startswith("classes 2")
     assert "basis 1 (1), x (2)" in out
     assert "Z[x]/( x^2 - x - 2 )" in out
+
+
+def test_repring_lists_the_unit_first(capsys, tmp_path):
+    """F_{D8}(S_4) has an F-stable linear character besides the unit, the
+    sign, whose row sorts before the unit's by (degree, row); the unit is
+    still listed first."""
+    spec = tmp_path / "s4.fus"
+    spec.write_text("[group]\ndegree = 4\nr = (1 2 3 4)\ns = (1 3)\n\n"
+                    "[subgroups]\nV = r r, r s\n\n"
+                    "[fusion]\nV -> r s, r s r s r r\n")
+    code, out, err = run(capsys, ["repring", str(spec)])
+    assert code == 0, err
+    assert out.splitlines()[:2] == ["classes 4",
+                                    "basis 1 (1), X1 (1), X2 (3), X3 (3)"]
 
 
 def test_ktheory_text(capsys):
@@ -253,29 +268,42 @@ print(json.dumps([code, sorted(name for name in sys.modules
 """
 
 
+def _src_env(**extra) -> dict:
+    """The environment of a fresh process that imports fusionrep from
+    this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        fusionrep.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, **extra,
+                PYTHONPATH=src if not path else src + os.pathsep + path)
+
+
 @pytest.mark.parametrize("cmd,stem,loaded,numpy", [
     ("fusion-classes", "sigma_5", set(), False),
     ("fusion-classes", "he", set(), False),
     ("saturation", "sigma_5", set(), True),
     ("ktheory", "sigma_5", _LAYERS - {"spectrum", "twisted"}, True),
-    ("fusion-classes", "a4_sl23", _LAYERS - {"spectrum"}, True),
+    ("fusion-classes", "a4_sl23", set(), False),
+    ("fusion-classes", None, set(), False),
 ], ids=["fusion-classes", "fusion-classes-he", "saturation", "ktheory",
-        "extension"])
-def test_a_command_loads_only_the_layers_it_runs(cmd, stem, loaded, numpy):
+        "extension", "extension-explicit"])
+def test_a_command_loads_only_the_layers_it_runs(tmp_path, cmd, stem, loaded,
+                                                 numpy):
     """In a fresh process, the modules a command imports: fusion-classes
     and saturation need none of the character, ring, twisted, spectrum
     and linear-algebra layers, and fusion-classes no numpy either, while
     saturation gathers on numpy arrays; ktheory loads no twisted or
-    spectrum, and an [extension] section needs twisted (and what it
-    imports) to realize the extension."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(
-        fusionrep.__file__)))
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src if not path else src + os.pathsep + path)
+    spectrum.  An [extension] section, by cocycle (a4_sl23) or by its
+    group (stem None: Q8 over V4, written out), is realized in pure
+    Python, with no twisted layer and no numpy."""
+    if stem is None:
+        spec = tmp_path / "a4_sl23_explicit.fus"
+        spec.write_text(A4_SL23_EXPLICIT)
+    else:
+        spec = fixture_path(stem + ".fus")
     done = subprocess.run(
-        [sys.executable, "-c", _LOADED, cmd, fixture_path(stem + ".fus")],
-        capture_output=True, text=True, env=env, check=True)
+        [sys.executable, "-c", _LOADED, cmd, str(spec)],
+        capture_output=True, text=True, env=_src_env(), check=True)
     code, modules, has_numpy = json.loads(done.stdout)
     assert code == 0
     assert {m.split(".")[1] for m in modules} & _LAYERS == loaded
@@ -306,16 +334,40 @@ def test_a_command_does_not_load_numpy_ma(cmd, stem):
     command reaches it, the order-343 rounds of the Hilbert completion, the
     elimination over F_2 of Berlekamp's split and the orbits of the set-up
     probe's fusion-classes included."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(
-        fusionrep.__file__)))
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src if not path else src + os.pathsep + path)
     done = subprocess.run(
         [sys.executable, "-c", _LOADS_MA, cmd, fixture_path(stem + ".fus"),
          *_MA_OPTIONS.get((cmd, stem), ())],
-        capture_output=True, text=True, env=env, check=True)
+        capture_output=True, text=True, env=_src_env(), check=True)
     assert json.loads(done.stdout) == [0, False, False]
+
+
+_THREADS = """
+import contextlib, io, json, os, sys
+from fusionrep.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, len(os.listdir("/proc/self/task")),
+                  os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="no /proc/self/task to count threads")
+def test_a_job_starts_no_blas_threads():
+    """ktheory reaches numpy's products, yet its process keeps one thread:
+    the CLI asks OpenBLAS for one unless the caller set a count, which is
+    kept."""
+    argv = [sys.executable, "-c", _THREADS, "ktheory",
+            fixture_path("sigma_5.fus")]
+    env = _src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    done = subprocess.run(argv, capture_output=True, text=True, env=env,
+                          check=True)
+    assert json.loads(done.stdout) == [0, 1, "1"]
+    done = subprocess.run(argv, capture_output=True, text=True,
+                          env=_src_env(OPENBLAS_NUM_THREADS="2"), check=True)
+    code, _, threads = json.loads(done.stdout)
+    assert (code, threads) == (0, "2")
 
 
 def test_error_exit_codes(capsys, tmp_path):

@@ -5,8 +5,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import FIXTURES
-from oracles import (chain_completed_module, quotient_fusion, quotient_match,
-                     section_cocycle, unit_row_twisted_hilbert, zero_section)
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles import (chain_completed_module, cocycle_violations,
+                     quotient_fusion, quotient_match, section_cocycle,
+                     unit_row_twisted_hilbert, zero_section)
 from test_golden import A4_SL23_EXPLICIT
 
 from fusionrep import permgroup, twisted
@@ -17,12 +20,13 @@ from fusionrep.errors import (DecompositionNotIntegral, FusionRepError,
 from fusionrep.fusion import build_fusion
 from fusionrep.invariants import invariance_matrix, irreducible_invariants
 from fusionrep.jobspec import parse_jobspec, realize
-from fusionrep.permgroup import build_group, make_hom
+from fusionrep.permgroup import build_group, extraspecial_p3, make_hom
 from fusionrep.ringpres import structure_constants
-from fusionrep.twisted import (Cocycle, TwistedModule, a_representations,
-                               central_extension, completed_module,
-                               extension_from_groups, module_structure,
-                               twisted_invariant_basis, validate_cocycle)
+from fusionrep.extension import (Cocycle, central_extension,
+                                 extension_from_groups, validate_cocycle)
+from fusionrep.twisted import (TwistedModule, a_representations,
+                               completed_module, module_structure,
+                               twisted_invariant_basis)
 
 QTABLE = [
     [0, 0, 0, 0],
@@ -137,6 +141,90 @@ def test_sections(quaternion_setup):
     alpha2 = Cocycle(V4, 2, section_cocycle(E, alt))
     assert alpha2.table != alpha.table
     assert validate_cocycle(alpha2) == []
+
+
+def _cyclic(m):
+    return build_group(m, [tuple((i + 1) % m for i in range(m))])
+
+
+def _carry(S, p):
+    """The carry cocycle of a cyclic group S with values in Z/p: 1 at (s, t)
+    when the exponents of s and t over the generator add up to |S| or
+    more."""
+    exp, cur = {}, S.identity
+    for k in range(S.order):
+        exp[cur] = k
+        cur = S.mul(cur, S.gen_indices[0])
+    return [[int(exp[s] + exp[t] >= S.order) for t in range(S.order)]
+            for s in range(S.order)]
+
+
+# name -> (the group, built afresh, its prime, its nonzero base cocycles)
+_COCYCLE_GROUPS = {
+    "V4": (lambda: build_group(4, [(1, 0, 3, 2), (2, 3, 0, 1)]), 2,
+           lambda S: [QTABLE]),
+    "Z4": (lambda: _cyclic(4), 2, lambda S: [_carry(S, 2)]),
+    "C2^3": (lambda: build_group(6, ["(1 2)", "(3 4)", "(5 6)"]), 2,
+             lambda S: []),
+    "Z9": (lambda: _cyclic(9), 3, lambda S: [_carry(S, 3)]),
+    "3^1+2": (lambda: extraspecial_p3(3), 3, lambda S: []),
+}
+_EXTENSIONS = {}
+
+
+def _extensions(name):
+    """The group and its extensions by the zero cocycle and by its base
+    cocycles, built once."""
+    if name not in _EXTENSIONS:
+        build, p, bases = _COCYCLE_GROUPS[name]
+        S = build()
+        _EXTENSIONS[name] = S, [
+            central_extension(S, Cocycle(S, p, T))
+            for T in [[[0] * S.order] * S.order] + bases(S)]
+    return _EXTENSIONS[name]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+@pytest.mark.parametrize("limit", [permgroup._TABLE_LIMIT, 0],
+                         ids=["table", "no-table"])
+def test_cocycle_check_matches_the_triple_scan(monkeypatch, limit, data):
+    """validate_cocycle, Light's test at the generators with the full scan
+    on failure, reports what the scan over every triple reports: on the
+    cocycles of random normalized sections of extensions of V4, Z/4,
+    (Z/2)^3, Z/9 and 3^{1+2}, on those with one entry changed, and on
+    those with 1 added off the subgroup generated by one generator; with
+    and without a multiplication table."""
+    name = data.draw(st.sampled_from(sorted(_COCYCLE_GROUPS)))
+    S, extensions = _extensions(name)
+    E = data.draw(st.sampled_from(extensions))
+    n, G, zs = E.coeff, E.group, zero_section(E)
+    shift = data.draw(st.lists(st.integers(0, n - 1), min_size=S.order,
+                               max_size=S.order))
+    section = list(zs)
+    for s in range(S.order):
+        if s != S.identity:
+            for _ in range(shift[s]):
+                section[s] = G.mul(E.a_gen, section[s])
+    T = [list(row) for row in section_cocycle(E, section)]
+    change = data.draw(st.sampled_from(["none", "entry", "block"]))
+    if change == "entry":
+        s, t = (data.draw(st.integers(0, S.order - 1)) for _ in range(2))
+        T[s][t] += data.draw(st.integers(1, n - 1))
+    elif change == "block":
+        # the identity still holds at every middle element of H = <g>, so
+        # only the other generators can show a failure
+        H = S.closure((data.draw(st.sampled_from(S.gen_indices)),))
+        for s in set(range(S.order)) - set(H):
+            for t in set(range(S.order)) - set(H):
+                T[s][t] += 1
+    monkeypatch.setattr(permgroup, "_TABLE_LIMIT", limit)
+    if limit == 0:
+        S = _COCYCLE_GROUPS[name][0]()
+        assert S.table() is None
+    alpha = Cocycle(S, n, T)
+    assert validate_cocycle(alpha) == cocycle_violations(alpha)
 
 
 def test_a_representations(quaternion_setup):
