@@ -15,8 +15,12 @@ X[irr, class, phi(e)] as an int64 array.  Every inner product is an exact
 integer sum divided by |G|: a table keeps one (classes * phi) x |Irr| dual,
 the rational coordinate of zeta^a |C_c| conj(chi_k(c)) at row (c, a) and
 column k, so the numerators of <f, chi_k> for a stack of class functions f
-are one integer product.  Rows are sorted by degree and then by descending
-coordinates, so row indices are canonical.
+are one integer product.  Class functions multiply one way: products(X, Y)
+takes every pair of two stacks in blocks and certifies their
+multiplicities, the structure tensor of Irr is products(Irr, Irr), and
+pullback brings the class functions of a quotient to this group.  Rows
+are sorted by degree and then by descending coordinates, so row indices
+are canonical.
 """
 
 from __future__ import annotations
@@ -32,8 +36,7 @@ from .permgroup import FiniteGroup, Subgroup, group_prime
 
 # bound on the entries of one numpy temporary in the table search
 _CHUNK = 1 << 20
-# bound on the entries of the temporaries of one block of pairs in the
-# structure tensor
+# bound on the entries of the temporaries of one block of products
 _PAIR_BLOCK = 1 << 16
 
 
@@ -60,13 +63,13 @@ def _multipliers(x: np.ndarray, M: np.ndarray) -> np.ndarray:
         x.shape[:-1] + (phi, phi))
 
 
-def _times(x: np.ndarray, y: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Exact products x * y[r] for every r, coordinate arrays with the
-    power basis on the last axis: y's first axis becomes the rows of one
-    small product per value of x, with that value's multiplication matrix,
-    so no temporary holds phi^2 entries per product."""
-    return np.moveaxis(int_matmul(np.moveaxis(y, 0, -2), _multipliers(x, M)),
-                       -2, 0)
+def _times(mx: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact products x[i] * y[r] at [i, r] for stacks x and y of class
+    functions, the power basis on the last axis, from the multiplication
+    matrices mx = _multipliers(x, M): y's first axis becomes the rows of
+    one small product per value of x, so no temporary holds phi^2 entries
+    per product."""
+    return np.moveaxis(int_matmul(np.moveaxis(y, 0, -2), mx), -2, 1)
 
 
 def _class_sizes(G: FiniteGroup) -> np.ndarray:
@@ -93,7 +96,6 @@ class CharacterTable:
         R = _product_matrix(self.conductor)[:, 0].reshape(phi, phi)
         self._dual = int_matmul(W.reshape(-1, phi),
                                 R).reshape(n, classes * phi).T
-        self._tensor = None
         self.ring = None  # populated by ringpres.character_ring
 
     def __len__(self):
@@ -102,51 +104,61 @@ class CharacterTable:
     def degrees(self) -> tuple:
         return self._degrees
 
-    def structure_tensor(self) -> np.ndarray:
-        """N[i, j, k] = <chi_i chi_j, chi_k>, computed once and cached.
+    def products(self, X, Y) -> np.ndarray:
+        """N[i, j, k] = <x_i y_j, chi_k> for the stacks X and Y of class
+        functions at this table's conductor, certified by multiplicities.
 
-        N is symmetric in i and j, so only the pairs i <= j are computed,
-        row by row: chi_i times its partners chi_j, j >= i, in blocks whose
-        temporaries hold about _PAIR_BLOCK entries, each block certified by
-        multiplicities and mirrored.  The products multiply by the
-        multiplication matrices of chi_i, so no temporary holds phi^2
-        entries per pair.
+        The blocks run over the rows of X and of Y, and every temporary,
+        the multiplication matrices of the rows of X included, holds about
+        _PAIR_BLOCK entries; a block takes several rows of X only with all
+        of Y, so the blocks meet the pairs in row-major order.  A product
+        that fails the certificate raises FusionRepError with .row =
+        i * len(Y) + j for the first failing pair (i, j).
         """
-        if self._tensor is None:
-            X = self.coords
-            n = len(self)
-            M = _product_matrix(self.conductor)
-            N = np.empty((n, n, n), dtype=np.int64)
-            step = max(1, _PAIR_BLOCK // X[0].size)
-            for i in range(n):
-                for lo in range(i, n, step):
-                    j = slice(lo, min(lo + step, n))
-                    try:
-                        block = self.multiplicities(_times(X[i], X[j], M))
-                    except FusionRepError as ex:
-                        raise FusionRepError(
-                            f"the product chi{i + 1} chi{lo + ex.row + 1} "
-                            "fails the integer certificate") from ex
-                    N[i, j] = N[j, i] = block
-            self._tensor = N
-        return self._tensor
+        X, Y = np.asarray(X), np.asarray(Y)
+        M = _product_matrix(self.conductor)
+        out = np.empty((len(X), len(Y), len(self)), dtype=np.int64)
+        # one class function has `per` entries, its multiplication matrices
+        # per * phi; a block short of all of Y holds more than half of
+        # _PAIR_BLOCK, so it takes one row of X
+        per, phi = self._dual.shape[0], M.shape[1]
+        step_y = max(1, min(len(Y), _PAIR_BLOCK // per))
+        step_x = max(1, _PAIR_BLOCK // (per * max(phi, step_y)))
+        for i in range(0, len(X), step_x):
+            mx = _multipliers(X[i:i + step_x], M)
+            for j in range(0, len(Y), step_y):
+                block = _times(mx, Y[j:j + step_y])
+                try:
+                    out[i:i + step_x, j:j + step_y] = self.multiplicities(block)
+                except FusionRepError as ex:
+                    a, b = divmod(ex.row, block.shape[1])
+                    raise FusionRepError(
+                        f"the product x{i + a} y{j + b} fails the integer "
+                        "certificate", row=(i + a) * len(Y) + j + b) from ex
+        return out
 
-    def pullback_products(self, coords, conductor: int, class_map,
-                          vectors) -> np.ndarray:
-        """Coordinates of (f o pi) * v at [v, f] for every v in vectors and
-        every f in coords, exactly.
+    def structure_tensor(self) -> np.ndarray:
+        """N[i, j, k] = <chi_i chi_j, chi_k>, every pair certified."""
+        try:
+            return self.products(self.coords, self.coords)
+        except FusionRepError as ex:
+            i, j = divmod(ex.row, len(self))
+            raise FusionRepError(f"the product chi{i + 1} chi{j + 1} fails "
+                                 "the integer certificate") from ex
+
+    def pullback(self, coords, conductor: int, class_map) -> np.ndarray:
+        """Coordinates at this table's conductor e of f o pi for every f in
+        coords.
 
         Each f is a class function of a quotient group, given by its
-        power-basis coordinates at conductor (a divisor of this table's
-        conductor), one row per class of the quotient; class c of this group
-        maps to class class_map[c] of the quotient.  vectors has the shape
-        (t, classes, phi(e)) at this table's conductor e.
+        power-basis coordinates at conductor (a divisor of e), one row per
+        class of the quotient; class c of this group maps to class
+        class_map[c] of the quotient.
         """
         e = self.conductor
         lift = np.array([power_table(e)[k * (e // conductor)]
                          for k in range(degree_phi(conductor))], dtype=np.int64)
-        pullback = np.asarray(coords)[..., list(class_map), :] @ lift
-        return _times(pullback, vectors, _product_matrix(e))
+        return np.asarray(coords)[..., list(class_map), :] @ lift
 
     def rank(self, values: np.ndarray) -> int:
         """Rank over Q(zeta_e) of a matrix of values in Z[zeta_e].

@@ -5,9 +5,10 @@ elements.  Over the canonical irreducible order this is a system of integer
 linear conditions on multiplicity vectors; the non-negative solutions form a
 monoid whose minimal generators are the irreducible F-invariant characters.
 This module builds the condition matrix, computes the minimal generators,
-and decomposes invariant (possibly virtual) vectors over them.  A basis of
-characters is one integer matrix: its rows are the members, written as
-multiplicities over Irr.
+and decomposes invariant (possibly virtual) vectors over them, products
+with the members of a basis included.  A basis of characters is one
+integer matrix: its rows are the members, written as multiplicities over
+Irr.
 
 The minimal generators form the Hilbert basis of the monoid.  Columns that
 no condition touches split off as unit vectors.  The remaining columns are
@@ -28,9 +29,11 @@ import numpy as np
 from .chartable import character_table
 from .cyclotomic import value_json
 from .errors import (
+    DecompositionNotIntegral,
     FusionRepError,
     HilbertCapExceeded,
     InputError,
+    NotInSpan,
     NotInvariant,
 )
 from .fusion import FusionSystem
@@ -414,3 +417,27 @@ def decompose(rows, B: InvariantBasis) -> np.ndarray:
         raise NotInvariant("character is not constant on the fusion classes",
                            row=int(fails.argmax()))
     return B.span.solve(V)
+
+
+def product_coefficients(coords, B: InvariantBasis) -> np.ndarray:
+    """C[i, j, k], the coefficient of member k of B in f_i * B_j, for the
+    class functions f_i of the group B.fusion.S with power-basis
+    coordinates coords[i] (one row per class, at the table's conductor).
+
+    One certified product over Irr takes every pair and one decompose
+    rewrites them all, so each product passes the invariance conditions
+    and the exact solve; a failure, or a negative coefficient, is
+    DecompositionNotIntegral.
+    """
+    table = character_table(B.fusion.S)
+    products = table.products(coords, B.coords)
+    try:
+        C = decompose(products.reshape(-1, len(table)), B)
+    except (NotInvariant, NotInSpan) as ex:
+        i, j = divmod(ex.row, len(B))
+        raise DecompositionNotIntegral(
+            f"the product of f{i} with {B.names[j]}: {ex}") from ex
+    if (C < 0).any():
+        raise DecompositionNotIntegral(
+            f"coefficient {C[C < 0][0]} is not a non-negative integer")
+    return C.reshape(products.shape[:2] + (len(B),))

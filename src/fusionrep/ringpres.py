@@ -18,19 +18,13 @@ from itertools import combinations
 import numpy as np
 
 from .chartable import character_table
-from .errors import (
-    DecompositionNotIntegral,
-    ExponentCapExceeded,
-    FusionRepError,
-    GroupMismatch,
-    InputError,
-    NotInSpan,
-    NotInvariant,
-)
+from .errors import (ExponentCapExceeded, FusionRepError, GroupMismatch,
+                     InputError)
 from .fusion import FusionSystem
 from .intlinalg import (_exact_array, hnf, int_matmul, lattice_contains,
                         smith_diagonal)
-from .invariants import InvariantBasis, decompose, irreducible_invariants
+from .invariants import (InvariantBasis, irreducible_invariants,
+                         product_coefficients)
 from .permgroup import FiniteGroup
 
 DEFAULT_EXPONENT_CAP = 64
@@ -207,38 +201,16 @@ def apply_names(auto, mapping) -> tuple:
 
 
 def structure_constants(B: InvariantBasis, names: dict = None) -> RingPresentation:
-    """Multiply the nontrivial basis elements pairwise and rewrite linearly.
+    """Multiply the basis elements pairwise and rewrite linearly.
 
-    The product multiplicities over the irreducibles come from the
-    certified structure tensor of Irr(S); the rewriting over the invariant
-    basis is verified exactly, and a failure means an upstream bug, not bad
-    input.
+    Every product of two members is certified over Irr(S) and rewritten
+    over the invariant basis exactly (product_coefficients); a failure
+    means an upstream bug, not bad input.  B lists the unit first, then
+    the generators.
     """
-    table = character_table(B.fusion.S)
-    # B lists the unit first, then the generators
-    gen_names = apply_names(B.names[1:], names)
-    degrees = list(B.degrees[1:])
-    m = len(degrees)
-    T = np.zeros((m + 1,) * 3, dtype=np.int64)
-    T[0] = T[:, 0] = np.eye(m + 1, dtype=np.int64)
-    mults = B.mults[1:]
-    # products[a, b] = multiplicities of X_a X_b over Irr(S)
-    products = np.einsum("bj,ajk->abk", mults,
-                         np.tensordot(mults, table.structure_tensor(), 1))
-    i, j = np.triu_indices(m)
-    try:
-        coords = decompose(products[i, j], B)
-    except (NotInvariant, NotInSpan) as ex:
-        r = ex.row
-        raise DecompositionNotIntegral(
-            f"{gen_names[i[r]]}*{gen_names[j[r]]}: {ex}") from ex
-    negative = (coords < 0).any(1)
-    if negative.any():
-        r = int(negative.argmax())
-        raise DecompositionNotIntegral(
-            f"{gen_names[i[r]]}*{gen_names[j[r]]} has a negative coordinate")
-    T[i + 1, j + 1] = T[j + 1, i + 1] = coords
-    return RingPresentation(gen_names, Ring([1] + degrees, T), B)
+    return RingPresentation(apply_names(B.names[1:], names),
+                            Ring(B.degrees, product_coefficients(B.coords, B)),
+                            B)
 
 
 def presentation(B: InvariantBasis, names: dict = None) -> RingPresentation:

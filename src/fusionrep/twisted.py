@@ -10,7 +10,10 @@ characters are constant on the classes of a lifted fusion system on
 S_alpha.  The lift is checked against the fusion system on S through the
 projection alone: its generators fix A pointwise, and the projection
 carries their graphs onto the graphs of the generators on S.  The monoid
-is a module over the untwisted invariant ring.  S is a p-group, so the
+is a module over the untwisted invariant ring: the action matrices rewrite
+the products of the pulled-back invariant basis with the twisted members
+over the twisted basis by invariants.product_coefficients, as the
+structure constants of that ring are rewritten.  S is a p-group, so the
 chain I^k M of the module under the augmentation ideal I stabilizes only at
 0, and its completion at I is read off the nilpotency of the shifted action
 matrices: the module itself when they are nilpotent, else symbolic.
@@ -22,14 +25,14 @@ import numpy as np
 
 from .chartable import character_table
 from .cyclotomic import power_table
-from .errors import (AmbientMismatch, DecompositionNotIntegral, FusionRepError,
-                     GeneratorMovesA, GroupMismatch, InputError, NotInSpan,
-                     QuotientMismatch)
+from .errors import (AmbientMismatch, FusionRepError, GeneratorMovesA,
+                     GroupMismatch, InputError, QuotientMismatch)
 from .extension import CentralExtensionData
 from .fusion import DEFAULT_MORPHISM_CAP, FusionSystem
 from .intlinalg import int_matmul
 from .invariants import (DEFAULT_HILBERT_CAP, InvariantBasis, canonical_rows,
-                         hilbert_basis, invariance_matrix)
+                         hilbert_basis, invariance_matrix,
+                         product_coefficients)
 from .permgroup import GroupHom, Subgroup
 from .ringpres import apply_names, structure_constants
 
@@ -74,19 +77,17 @@ class TwistedBasis(InvariantBasis):
 def _check_lift(E: CentralExtensionData, F_alpha: FusionSystem,
                 base: FusionSystem):
     """Check that every generator of the lifted system fixes A pointwise
-    and, when the base system is given, that the projection s carries the
-    lifted system onto it.  A is central and fixed, so each generator phi
-    pushes forward to s(x) -> s(phi(x)), which must be injective.  The
-    systems are equal when each push-forward is a closed morphism of the
-    base and each base generator one of the system the push-forwards
-    generate, both read at the generators of the domain."""
+    and that the projection s carries the lifted system onto the base
+    system.  A is central and fixed, so each generator phi pushes forward
+    to s(x) -> s(phi(x)), which must be injective.  The systems are equal
+    when each push-forward is a closed morphism of the base and each base
+    generator one of the system the push-forwards generate, both read at
+    the generators of the domain."""
     for phi in F_alpha.generators:
         for a in E.A.members:
             if phi.domain.contains(a) and phi.apply(a) != a:
                 raise GeneratorMovesA(
                     "a fusion generator moves an element of the kernel")
-    if base is None:
-        return
     if base.S is not E.base:
         raise GroupMismatch("base fusion system lives on the wrong group")
     S, s = base.S, E.projection.images
@@ -109,13 +110,13 @@ def _check_lift(E: CentralExtensionData, F_alpha: FusionSystem,
 
 
 def twisted_invariant_basis(E: CentralExtensionData, F_alpha: FusionSystem,
-                            base: FusionSystem = None,
+                            base: FusionSystem,
                             cap: int = DEFAULT_HILBERT_CAP) -> TwistedBasis:
     """Hilbert basis of the monoid of A-representations constant on the
     classes of the lifted fusion system.
 
-    The lifted system must fix the kernel pointwise, and when the base
-    system is supplied its quotient is checked against it (_check_lift).
+    The lifted system must fix the kernel pointwise, and its quotient is
+    checked against the base system (_check_lift).
     The members are the non-negative invariant vectors supported on the
     a-representations, so the Hilbert basis is taken on those columns and
     embedded into Irr of the big group.
@@ -161,31 +162,16 @@ class TwistedModule:
 def action_matrices(TB: TwistedBasis, coords) -> np.ndarray:
     """Matrix i of tensoring with the pullback of character i of the base
     group (power-basis coordinates coords[i], one row per base class): its
-    column j decomposes the product with the j-th twisted basis vector.
-    One multiplicities call and one solve take every product, and both
-    results must be non-negative."""
+    column j rewrites the product with the j-th twisted basis vector over
+    the twisted basis (product_coefficients, which checks it against the
+    invariance conditions of the lifted system)."""
     E = TB.extension
-    tab = character_table(E.group)
     base_class = E.base.class_of()
     s = E.projection.images
     at = [base_class[s[cls[0]]] for cls in E.group.conjugacy_classes()]
-    products = tab.pullback_products(
-        coords, character_table(E.base).conductor, at, TB.coords)
-    mults = tab.multiplicities(products)
-    if (mults < 0).any():
-        raise DecompositionNotIntegral(
-            f"product multiplicity {mults[mults < 0][0]} is not a "
-            "non-negative integer")
-    try:
-        cols = TB.span.solve(mults.reshape(-1, len(tab)))
-    except NotInSpan as ex:
-        raise DecompositionNotIntegral(
-            f"product with the twisted basis: {ex}") from ex
-    if (cols < 0).any():
-        raise DecompositionNotIntegral(
-            f"coefficient {cols[cols < 0][0]} is not a non-negative integer")
-    # row (j, i) of cols is column j of matrix i
-    return cols.reshape(mults.shape[:2] + (len(TB),)).transpose(1, 2, 0)
+    pulled = character_table(E.group).pullback(
+        coords, character_table(E.base).conductor, at)
+    return product_coefficients(pulled, TB).transpose(0, 2, 1)
 
 
 def module_structure(F: FusionSystem, B, E: CentralExtensionData,

@@ -31,6 +31,10 @@ kernel over F_q that the array steps of intlinalg.nullspace_mod
 replaced, and structure_tensor the row-by-row structure tensor mod a
 prime q, through the F_q image ModularImage, that the exact batched
 pairs of CharacterTable.structure_tensor replaced.
+structure_constants and action_matrices are the presentation of R(F),
+contracted from the structure tensor of Irr(S), and the twisted module
+action through pullback_products, with their own solves and sign checks,
+that invariants.product_coefficients replaced.
 multiplicities, reduce_mod_lattice, solve and decompose are the
 per-vector decompositions that the batched ones replaced: the
 Fraction-valued inner products over Irr, one reduction per vector, one
@@ -79,11 +83,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from fusionrep.chartable import (_class_sizes, _conjugation, _product_matrix,
-                                 character_table)
+from fusionrep.chartable import (_class_sizes, _conjugation, _multipliers,
+                                 _product_matrix, character_table)
 from fusionrep.cyclotomic import (cyclotomic_polynomial, degree_phi,
                                   power_table)
-from fusionrep.errors import (AmbientMismatch, FusionRepError,
+from fusionrep.errors import (AmbientMismatch, DecompositionNotIntegral,
+                              FusionRepError,
                               GeneratorMovesA, GroupMismatch,
                               HilbertCapExceeded, InputError,
                               MorphismCapExceeded, NotAHomomorphism,
@@ -96,11 +101,13 @@ from fusionrep.intlinalg import (int_matmul, kernel_basis, lattice_contains,
                                  smith_diagonal)
 from fusionrep.invariants import (DEFAULT_HILBERT_CAP, hilbert_basis,
                                   invariance_matrix)
+from fusionrep.invariants import decompose as batched_decompose
 from fusionrep.permgroup import (FiniteGroup, GroupHom, Subgroup, build_group,
                                  compose, format_cycles, is_p_group, is_prime,
                                  make_hom, p_part)
 from fusionrep.permgroup import replay as replay_walk
-from fusionrep.ringpres import lattice_chain
+from fusionrep.ringpres import (Ring, RingPresentation, apply_names,
+                                lattice_chain)
 from fusionrep.spectrum import (CycPrime, _mult_order, _polmod_divmod,
                                 _reduce_mod, primes_above)
 from fusionrep.twisted import a_representations
@@ -482,6 +489,108 @@ def decompose(v, B) -> tuple:
     if int_matmul(B.invariance_rows, mults).any():
         raise NotInvariant("character is not constant on the fusion classes")
     return solve(B.span, mults)
+
+
+# --- structure constants and module actions through the Irr(S) tensor --------
+# The code that invariants.product_coefficients replaced, kept verbatim as
+# functions, with the group or table as first argument: structure_constants
+# contracts the invariant basis against the structure tensor of Irr(S) and
+# rewrites the pairs i <= j, mirrored; action_matrices multiplies through
+# pullback_products, with _times as it was then, and runs its own solve and
+# sign checks.  decompose is the batched invariants.decompose.
+
+
+def _times_by_multipliers(x: np.ndarray, y: np.ndarray,
+                          M: np.ndarray) -> np.ndarray:
+    """Exact products x * y[r] for every r, coordinate arrays with the
+    power basis on the last axis: y's first axis becomes the rows of one
+    small product per value of x, with that value's multiplication matrix,
+    so no temporary holds phi^2 entries per product."""
+    return np.moveaxis(int_matmul(np.moveaxis(y, 0, -2), _multipliers(x, M)),
+                       -2, 0)
+
+
+def pullback_products(self, coords, conductor: int, class_map,
+                      vectors) -> np.ndarray:
+    """Coordinates of (f o pi) * v at [v, f] for every v in vectors and
+    every f in coords, exactly.
+
+    Each f is a class function of a quotient group, given by its
+    power-basis coordinates at conductor (a divisor of this table's
+    conductor), one row per class of the quotient; class c of this group
+    maps to class class_map[c] of the quotient.  vectors has the shape
+    (t, classes, phi(e)) at this table's conductor e.
+    """
+    e = self.conductor
+    lift = np.array([power_table(e)[k * (e // conductor)]
+                     for k in range(degree_phi(conductor))], dtype=np.int64)
+    pullback = np.asarray(coords)[..., list(class_map), :] @ lift
+    return _times_by_multipliers(pullback, vectors, _product_matrix(e))
+
+
+def structure_constants(B, names: dict = None) -> RingPresentation:
+    """Multiply the nontrivial basis elements pairwise and rewrite linearly.
+
+    The product multiplicities over the irreducibles come from the
+    certified structure tensor of Irr(S); the rewriting over the invariant
+    basis is verified exactly, and a failure means an upstream bug, not bad
+    input.
+    """
+    table = character_table(B.fusion.S)
+    # B lists the unit first, then the generators
+    gen_names = apply_names(B.names[1:], names)
+    degrees = list(B.degrees[1:])
+    m = len(degrees)
+    T = np.zeros((m + 1,) * 3, dtype=np.int64)
+    T[0] = T[:, 0] = np.eye(m + 1, dtype=np.int64)
+    mults = B.mults[1:]
+    # products[a, b] = multiplicities of X_a X_b over Irr(S)
+    products = np.einsum("bj,ajk->abk", mults,
+                         np.tensordot(mults, table.structure_tensor(), 1))
+    i, j = np.triu_indices(m)
+    try:
+        coords = batched_decompose(products[i, j], B)
+    except (NotInvariant, NotInSpan) as ex:
+        r = ex.row
+        raise DecompositionNotIntegral(
+            f"{gen_names[i[r]]}*{gen_names[j[r]]}: {ex}") from ex
+    negative = (coords < 0).any(1)
+    if negative.any():
+        r = int(negative.argmax())
+        raise DecompositionNotIntegral(
+            f"{gen_names[i[r]]}*{gen_names[j[r]]} has a negative coordinate")
+    T[i + 1, j + 1] = T[j + 1, i + 1] = coords
+    return RingPresentation(gen_names, Ring([1] + degrees, T), B)
+
+
+def action_matrices(TB, coords) -> np.ndarray:
+    """Matrix i of tensoring with the pullback of character i of the base
+    group (power-basis coordinates coords[i], one row per base class): its
+    column j decomposes the product with the j-th twisted basis vector.
+    One multiplicities call and one solve take every product, and both
+    results must be non-negative."""
+    E = TB.extension
+    tab = character_table(E.group)
+    base_class = E.base.class_of()
+    s = E.projection.images
+    at = [base_class[s[cls[0]]] for cls in E.group.conjugacy_classes()]
+    products = pullback_products(
+        tab, coords, character_table(E.base).conductor, at, TB.coords)
+    mults = tab.multiplicities(products)
+    if (mults < 0).any():
+        raise DecompositionNotIntegral(
+            f"product multiplicity {mults[mults < 0][0]} is not a "
+            "non-negative integer")
+    try:
+        cols = TB.span.solve(mults.reshape(-1, len(tab)))
+    except NotInSpan as ex:
+        raise DecompositionNotIntegral(
+            f"product with the twisted basis: {ex}") from ex
+    if (cols < 0).any():
+        raise DecompositionNotIntegral(
+            f"coefficient {cols[cols < 0][0]} is not a non-negative integer")
+    # row (j, i) of cols is column j of matrix i
+    return cols.reshape(mults.shape[:2] + (len(TB),)).transpose(1, 2, 0)
 
 
 # --- the multiplication table by tuple lookups -------------------------------

@@ -18,6 +18,10 @@ object.__setattr__(self, "x", ...) or vars(self).update(x=...), is read:
 .x appears in Load context in some module of src/fusionrep or in
 perfbench/trace_job.py.
 
+Every name that an import statement in src/fusionrep binds is read in
+its module: it appears there as a name in Load context.  Imports from
+__future__ bind nothing to read.
+
 trace_job.py is a root only because it still uses the `presentation`
 alias and the `allow_large`, `basis=None` and `P=None` arguments.  The
 benchmark change of ROADMAP item 2 drops that root, together with the
@@ -133,6 +137,22 @@ def unread_attributes(modules: dict, roots=()) -> list:
             for x in _stores(stmt) if x not in read]
 
 
+def unread_imports(modules: dict) -> list:
+    """Labels module.name of the names that an import statement of a
+    module binds and that the module never reads."""
+    out = []
+    for f, tree in modules.items():
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Import) or (isinstance(n, ast.ImportFrom)
+                                             and n.module != "__future__"):
+                out += [f"{f[:-3]}.{bound}" for a in n.names
+                        for bound in [a.asname or a.name.split(".")[0]]
+                        if bound not in read]
+    return out
+
+
 def _package():
     """(the parsed modules of the package, the parsed roots)."""
     modules = {f: _parse(os.path.join(PACKAGE, f))
@@ -149,6 +169,31 @@ def test_every_public_definition_has_a_caller():
 def test_every_stored_attribute_is_read():
     unread = unread_attributes(*_package())
     assert not unread, "no reader: " + ", ".join(unread)
+
+
+def test_every_imported_name_is_read():
+    unread = unread_imports(_package()[0])
+    assert not unread, "imported, never read: " + ", ".join(unread)
+
+
+def test_an_unread_import_is_reported():
+    """A name bound by import, from-import or as counts as read only where
+    it is loaded in its own module: a store, or a read in another module,
+    does not read it."""
+    stale = ast.parse("from __future__ import annotations\n\n"
+                      "import os.path\n"
+                      "import numpy as np\n"
+                      "from .errors import (NotInSpan, NotInvariant,\n"
+                      "                     DecompositionNotIntegral)\n\n\n"
+                      "def f(x):\n"
+                      "    from .errors import InputError\n"
+                      "    np = 1\n"
+                      "    raise NotInvariant(os.path.join(x, 'np'))\n")
+    other = ast.parse("from .errors import NotInSpan\n\n"
+                      "print(NotInSpan, DecompositionNotIntegral)\n")
+    assert unread_imports({"stale.py": stale, "other.py": other}) == [
+        "stale.np", "stale.NotInSpan", "stale.DecompositionNotIntegral",
+        "stale.InputError"]
 
 
 def test_a_local_name_does_not_call_a_method():

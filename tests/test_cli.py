@@ -219,7 +219,7 @@ _PRESENTATION = ("structure_constants",)
     (["ktheory", "sigma_5.fus"], 1,
      [_BASIS, _PRESENTATION, ("completed_presentation",)]),
     (["adic", "sigma_5.fus", "--k", "3"], 3,
-     [_BASIS, _PRESENTATION]
+     [_BASIS, _PRESENTATION, ("structure_tensor",)]
      + [(stage, k) for k in (1, 2, 3) for stage in
         ("adic_equivalence_exponent", "quotient_by_ideal_power")]),
     (["twisted", "a4_sl23.fus"], 6,
@@ -230,9 +230,12 @@ _PRESENTATION = ("structure_constants",)
 def test_each_stage_runs_once_per_job(capsys, monkeypatch, argv, lines,
                                       stages):
     """Wrap every stage function in the module that defines it (the job
-    imports each one when it first runs the stage), and the two library
+    imports each one when it first runs the stage), the two library
     call sites that build the basis or the presentation when they are not
-    passed one; tally the calls by name and integer arguments (k)."""
+    passed one, and the structure tensor of Irr(S), which only the
+    character ring of adic reads; tally the calls by name and integer
+    arguments (k)."""
+    import fusionrep.chartable
     import fusionrep.invariants
     import fusionrep.ringpres
     import fusionrep.spectrum
@@ -240,7 +243,8 @@ def test_each_stage_runs_once_per_job(capsys, monkeypatch, argv, lines,
     calls = Counter()
     sites = ([(getattr(fusionrep, mod), name) for mod, name in _STAGES]
              + [(fusionrep.ringpres, "irreducible_invariants"),
-                (fusionrep.twisted, "structure_constants")])
+                (fusionrep.twisted, "structure_constants"),
+                (fusionrep.chartable.CharacterTable, "structure_tensor")])
     for mod, name in sites:
         def counted(*a, _real=getattr(mod, name), _name=name, **kw):
             calls[(_name,) + tuple(x for x in a if isinstance(x, int))] += 1

@@ -47,7 +47,8 @@ def test_quadratic_period():
 
 def test_lift_and_mismatch():
     """A value moves from conductor e to a multiple e2 by z_e^k ->
-    z_e2^(k e2 / e), the rows pullback_products reads off power_table."""
+    z_e2^(k e2 / e), the rows CharacterTable.pullback reads off
+    power_table."""
     z3_in_6 = power_table(6)[2]
     assert value_product(6, z3_in_6, value_product(6, z3_in_6, z3_in_6)) \
         == rational(1, 6)

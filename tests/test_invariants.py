@@ -117,7 +117,8 @@ def test_hilbert_matches_the_oracle_on_every_fixture(pipeline, stem,
         return got
 
     monkeypatch.setattr(twisted, "hilbert_basis", checked_hilbert_basis)
-    twisted.twisted_invariant_basis(job.extension, job.fusion_alpha)
+    twisted.twisted_invariant_basis(job.extension, job.fusion_alpha,
+                                    base=job.fusion)
     assert checked
 
 

@@ -180,7 +180,7 @@ STEMS = sorted(f[:-4] for f in os.listdir(FIXTURES) if f.endswith(".fus"))
 
 @pytest.mark.parametrize("stem", STEMS)
 def test_structure_tensor_matches_the_row_oracle(pipeline, stem):
-    """The pairs i <= j in blocks, mirrored, give the tensor the one-row-
+    """Every pair, in blocks of products, gives the tensor the one-row-
     at-a-time code gave, on every bundled fixture."""
     table = character_table(pipeline(stem).group)
     fresh = CharacterTable(table.group, table.coords)
@@ -197,3 +197,46 @@ def test_structure_tensor_matches_the_row_oracle_in_any_blocks(G, block):
     with mock.patch.object(chartable, "_PAIR_BLOCK", block):
         N = CharacterTable(G, table.coords).structure_tensor()
     assert np.array_equal(N, structure_tensor_oracle(table))
+
+
+@SETTINGS
+@given(p_groups(), st.sampled_from([1, 50, chartable._PAIR_BLOCK]),
+       st.data())
+def test_products_match_the_coordinate_oracle(G, block, data):
+    """products of small integer combinations of Irr rows, in blocks of
+    one pair, of a few pairs and of the default size, against the exact
+    product of the coordinates, one value at a time, decomposed by the
+    Fraction oracle."""
+    tab = character_table(G)
+    n, e = len(tab), tab.conductor
+    combos = st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                      min_size=1, max_size=4)
+    X = np.tensordot(np.array(data.draw(combos), dtype=np.int64),
+                     tab.coords, 1)
+    Y = np.tensordot(np.array(data.draw(combos), dtype=np.int64),
+                     tab.coords, 1)
+    with mock.patch.object(chartable, "_PAIR_BLOCK", block):
+        got = tab.products(X, Y)
+    assert got.shape == (len(X), len(Y), n)
+    for i, x in enumerate(X.tolist()):
+        for j, y in enumerate(Y.tolist()):
+            prod = [value_product(e, a, b) for a, b in zip(x, y)]
+            assert multiplicities_oracle(tab, np.array(prod)) \
+                == tuple(got[i, j].tolist())
+
+
+@pytest.mark.parametrize("block", [1, 50, chartable._PAIR_BLOCK])
+def test_products_name_the_first_failing_pair(block):
+    """x1 * delta is the only product off the virtual characters, where
+    delta is 1 at the identity and 0 elsewhere: row 1 * 2 + 1 in any
+    blocks."""
+    G = build_group(3, ["(1 2 3)"])
+    tab = character_table(G)
+    delta = np.zeros_like(tab.coords[0])
+    delta[G.class_of()[G.identity], 0] = 1
+    X = np.array([0 * tab.coords[0], tab.coords[0]])
+    Y = np.array([tab.coords[1], delta])
+    with mock.patch.object(chartable, "_PAIR_BLOCK", block), \
+            pytest.raises(FusionRepError, match="x1 y1 fails") as ex:
+        tab.products(X, Y)
+    assert ex.value.row == 3

@@ -1,15 +1,23 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from oracles import (augmentation_nilpotence, ideal_product, ring_product,
                      value_product)
+from oracles import structure_constants as structure_constants_oracle
+from test_fusion import gl2_matrices, gl2_spec
+
+from conftest import FIXTURES
 
 from fusionrep.chartable import character_table
 from fusionrep.errors import FusionRepError
 from fusionrep.fusion import build_fusion
 from fusionrep.intlinalg import hnf, lattice_contains
 from fusionrep.invariants import decompose, irreducible_invariants
+from fusionrep.jobspec import parse_jobspec, realize
 from fusionrep.permgroup import build_group, make_hom
 from fusionrep.ringpres import (Ring, adic_equivalence_exponent,
                                 character_ring, completed_presentation,
@@ -186,3 +194,35 @@ def test_ring_rejects_a_tensor_that_breaks_the_degrees():
     Ring((1, 1), [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
     with pytest.raises(FusionRepError, match="break the degrees"):
         Ring((1, 1), [[[1, 0], [0, 1]], [[0, 1], [0, 2]]])
+
+
+STEMS = sorted(f[:-4] for f in os.listdir(FIXTURES) if f.endswith(".fus"))
+
+
+def assert_structure_constants_match_the_oracle(B):
+    """The basis products, certified and rewritten, give the tensor that
+    the contraction with the Irr(S) structure tensor gave, and the same
+    relations."""
+    P, want = structure_constants(B), structure_constants_oracle(B)
+    assert np.array_equal(P.ring.tensor, want.ring.tensor)
+    assert P.ring.degrees == want.ring.degrees
+    assert P.relations == want.relations
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_structure_constants_match_the_tensor_oracle(pipeline, stem):
+    assert_structure_constants_match_the_oracle(pipeline(stem).basis)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(gl2_matrices(3), max_size=3))
+def test_structure_constants_match_the_oracle_on_random_3_systems(matrices):
+    """The systems of the saturation oracle test whose basis builds: an
+    unsaturated one may have fewer invariants than classes."""
+    F = realize(parse_jobspec(gl2_spec(3, matrices))).fusion
+    try:
+        B = irreducible_invariants(F)
+    except FusionRepError:
+        return
+    assert_structure_constants_match_the_oracle(B)

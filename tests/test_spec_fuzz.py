@@ -1,8 +1,8 @@
 """Mutated job specs through the command line: an exit code, never a traceback.
 
 Each example takes a small spec, drops, duplicates or truncates one line or
-replaces one number in it, and runs fusion-classes, spectrum and repring on
-the result in-process.  A second test mutates the order-343 specs rv1 and
+replaces one number in it, and runs fusion-classes, spectrum, repring,
+ktheory, twisted and adic on the result in-process.  A second test mutates the order-343 specs rv1 and
 onan the same way and runs fusion-classes, and saturation under a morphism
 cap of 1000 so that each example stays bounded.  Every outcome must be one
 of the documented exit codes: 0 success, 1 input problem, 2 validation
@@ -36,7 +36,8 @@ TEXTS.append("[group]\nconstructor = extraspecial_p3\np = 3\n\n"
 TEXTS_343 = [_fixture_text(stem) for stem in ("rv1", "onan")]
 TRIVIAL = "[group]\ndegree = 1\nx = ()\n"
 NUMBERS = ("0", "1", "2", "3", "4", "5", "8", "9", "-1", "99")
-COMMANDS = ("fusion-classes", "spectrum", "repring")
+COMMANDS = ("fusion-classes", "spectrum", "repring", "ktheory", "twisted",
+            "adic")
 
 
 @pytest.fixture(scope="module")
