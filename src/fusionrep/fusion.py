@@ -10,16 +10,18 @@ current image lies in the relevant domain).  The search is exact for
 generated systems, where every morphism is a composite of restrictions of
 the listed maps, their inverses, and inner conjugations.
 
-The element classes run in pure Python on the generating maps, so a job
-that stops at them imports no numpy; the morphism closures and the
-saturation check gather on arrays and import numpy when first called.
+Everything here runs in pure Python on the generating maps and the rows
+of S's multiplication table, the saturation check included, so no job that
+stops at fusion imports numpy.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
+
 from .errors import (
     DomainNotSubgroup,
-    FusionRepError,
     GroupMismatch,
     MorphismCapExceeded,
     NotAPrimePowerGroup,
@@ -32,11 +34,9 @@ from .permgroup import (
     group_prime,
     orbits,
     p_part,
-    replay,
 )
 
 DEFAULT_MORPHISM_CAP = 1_000_000
-_N_PHI_BATCH = 256  # morphisms per N_phi gather, to bound its arrays
 
 
 def _small_gens(G: FiniteGroup, members) -> tuple:
@@ -50,6 +50,27 @@ def _small_gens(G: FiniteGroup, members) -> tuple:
     if len(have) != len(members):
         raise AssertionError("member set was not closed")
     return tuple(gens)
+
+
+def _picker(keys):
+    """itemgetter(*keys), with a tuple for one key too."""
+    if len(keys) == 1:
+        key = keys[0]
+        return lambda seq: (seq[key],)
+    return itemgetter(*keys)
+
+
+def _conjugation_cosets(S: FiniteGroup, N: Subgroup, gens) -> dict:
+    """The members of N by their conjugation at gens: the values g x g^-1
+    at the x in gens -> the g with those values, in order.  When N
+    normalizes <gens>, these are the cosets of C_N(<gens>) in N, one for
+    each automorphism of <gens> that N induces."""
+    t = S.rows()
+    out = {}
+    for g in N.members:
+        row, g_inv = t[g], S.inv(g)
+        out.setdefault(tuple([t[row[x]][g_inv] for x in gens]), []).append(g)
+    return out
 
 
 class SaturationReport:
@@ -94,10 +115,7 @@ class FusionSystem:
         self._element_class_of = None
         self._hom_cache = {}
         self._maps = None
-        self._maps_array = None
-        self._aut_s_cache = {}
-        # gens_n -> (walk position of each element, replay, pgens -> values)
-        self._ext_index_cache = {}
+        self._ext_index_cache = {}  # (gens_n, pgens) -> values at pgens
 
     # -- element classes --
 
@@ -134,22 +152,18 @@ class FusionSystem:
             if len(hit) > cap:
                 raise MorphismCapExceeded(f"morphism closure exceeds cap {cap}")
             return hit
-        import numpy as np
-        if self._maps_array is None:
-            self._maps_array = np.array(
-                self._step_maps(), dtype=np.int32).reshape(-1, self.S.order)
-        maps = self._maps_array
-        start = tuple(gens)
-        seen = {start}
-        frontier = np.array([start], dtype=np.int32).reshape(1, len(start))
-        while len(frontier):
-            t = maps[:, frontier]  # every step map on every state
-            new = set(map(tuple, t[(t >= 0).all(2)].tolist())) - seen
+        maps = self._step_maps()
+        seen = {tuple(gens)}
+        frontier = list(seen) if gens else []
+        while frontier:
+            new = set()
+            for state in frontier:
+                new.update(map(_picker(state), maps))
+            new = {image for image in new - seen if -1 not in image}
             seen |= new
             if len(seen) > cap:
                 raise MorphismCapExceeded(f"morphism closure exceeds cap {cap}")
-            frontier = np.array(sorted(new), dtype=np.int32).reshape(
-                len(new), len(start))
+            frontier = new
         out = tuple(sorted(seen))
         self._hom_cache[gens] = out
         return out
@@ -157,8 +171,7 @@ class FusionSystem:
     def _step_maps(self) -> tuple:
         """The maps a state is post-composed with, as tuples over S (-1
         outside the domain): conjugation by each generator of S, then each
-        listed generator and its inverse.  _hom_states stacks them into
-        one int32 array on first use."""
+        listed generator and its inverse."""
         if self._maps is None:
             maps = list(self.S.conjugation_maps())
             for phi in self.generators:
@@ -178,13 +191,26 @@ class FusionSystem:
             return P.gen_indices
         return _small_gens(self.S, P.members)
 
-    def _replay(self, gens: tuple, states) -> tuple:
-        """(reach, images): the elements of <gens> in walk order and, in
-        column k, their images under states[k] (permgroup.replay)."""
-        import numpy as np
-        walk = self.S.walk(gens)
-        st = np.array(states, dtype=np.int32).reshape(len(states), len(gens))
-        return walk[0], replay(walk, st, self.S)
+    def _values(self, gens: tuple, xs, states) -> list:
+        """For each state (the images of gens of a map), its values at xs,
+        members of <gens>, as a tuple.  They are read off the walk of gens,
+        phi(reach[k]) = phi(reach[back[k]]) phi(gens[via[k]]), along the
+        steps that lead to xs alone, each step for all states at once."""
+        S = self.S
+        reach, back, via, _ = S.walk(gens)
+        at = {x: k for k, x in enumerate(reach)}
+        want = [at[x] for x in xs]
+        need = set()
+        for k in want:
+            while k and k not in need:
+                need.add(k)
+                k = back[k]
+        t = S.rows()
+        images = [[state[v] for state in states] for v in range(len(gens))]
+        cols = {0: [S.identity] * len(states)}
+        for k in sorted(need):
+            cols[k] = [t[x][g] for x, g in zip(cols[back[k]], images[via[k]])]
+        return list(zip(*[cols[k] for k in want]))
 
     # -- saturation --
 
@@ -203,15 +229,14 @@ class FusionSystem:
         morphisms out of N_phi.
 
         Subgroup classes are orbits (subgroup_classes), and |Aut_F(P)| is the
-        size of P's one closure over that of its class.  The work is gathers on
-        the multiplication and conjugation tables.  The closed morphisms out of
-        P are replayed once into an image array (one gather per layer of the
-        walk of P's generators).  For each phi, row g of phi(C[N_S(P),
-        phi^-1(Q's generators)]) holds phi c_g phi^-1 at Q's generators; N_phi
-        is the set of g whose row is a row of Aut_S(Q), both encoded as
-        integers in base |Q|.  N_phi is one of the enumerated subgroups and
-        takes its generators from there, and the values at P's generators of
-        the closed morphisms out of N_phi come from the same replay.
+        size of P's one closure over that of its class.  Everything runs on
+        the rows of the multiplication table.  N_phi, the g in N_S(P) with
+        c_g in phi^-1 Aut_S(Q) phi on P, is a union of cosets of C_S(P)
+        (_extension_domains), and each phi is replayed only at the
+        conjugates of P's generators.  N_phi is one of the enumerated
+        subgroups and takes its generators from there; the values at P's
+        generators of the closed morphisms out of N_phi are read off one
+        replay per pair of generator sets (_ext_index).
 
         The check runs on a group of any order.  The work is bounded by
         cap, the morphisms closed out of each subgroup, and subgroup_cap,
@@ -220,7 +245,6 @@ class FusionSystem:
         is accepted and ignored: it once lifted an order cap, and
         perfbench/trace_job.py still passes it.
         """
-        import numpy as np
         S = self.S
         if S.order == 1:
             return SaturationReport(True, [], 1, 0)
@@ -240,6 +264,14 @@ class FusionSystem:
         classes = self.subgroup_classes(subs)
         closed = {sub.members: self._hom_states(self._sub_gens(sub), cap)
                   for sub in subs}
+        auts = {}  # Q's members -> (h, h^-1) for each c_h in Aut_S(Q)
+
+        def aut_s_of(Q: Subgroup) -> list:
+            if Q.members not in auts:
+                cosets = _conjugation_cosets(S, norm_sub[Q.members],
+                                             self._sub_gens(Q)).values()
+                auts[Q.members] = [(c[0], S.inv(c[0])) for c in cosets]
+            return auts[Q.members]
 
         violations = []
         morphisms = 0
@@ -261,109 +293,88 @@ class FusionSystem:
                         f"not Sylow in Aut_F of order {aut_f}")
             if len(cls[0]) == 1:
                 continue  # morphisms out of the trivial subgroup all extend
-            inside = np.zeros((len(cls), S.order), dtype=bool)
+            holders = {}  # element -> the members of cls holding it
             for j, m in enumerate(cls):
-                inside[j, list(m)] = True
-            full_cent = np.array([cent_ord[m] == max_cent for m in cls])
+                for x in m:
+                    holders.setdefault(x, set()).add(j)
+            full_cent = [cent_ord[m] == max_cent for m in cls]
             for mem in cls:
                 P = by_key[mem]
-                pgens = self._sub_gens(P)
-                states = closed[mem]
-                # a state's image is the one member holding all its values
-                st = np.array(states, dtype=np.int32).reshape(len(states), -1)
-                owner = inside[:, st].all(2).argmax(0)
-                checked = full_cent[owner]
-                morphisms += int(checked.sum())
                 NP = norm_sub[mem]
+                checked = []  # (state, its image's position in cls)
+                for state in closed[mem]:
+                    # a state's image is the one member holding all its values
+                    j = min(set.intersection(*[holders[x] for x in state]))
+                    if full_cent[j]:
+                        checked.append((state, j))
+                morphisms += len(checked)
                 if NP.order == P.order:
                     continue  # P <= N_phi <= N_S(P) = P: phi extends itself
-                reach, images = self._replay(pgens, states)
-                targets = []
-                hit = np.bincount(owner[checked], minlength=len(cls))
-                for j in np.flatnonzero(hit).tolist():
-                    cols = np.flatnonzero(checked & (owner == j))
-                    targets.append((by_key[cls[j]], norm_sub[cls[j]], cols))
-                n_phi = self._n_phi(reach, NP, images, targets)
-                NPm = np.array(NP.members)
-                # where N_phi = P, phi extends itself
-                for k in np.flatnonzero(n_phi.sum(0) > P.order).tolist():
-                    n_mem = tuple(NPm[n_phi[:, k]].tolist())
-                    gens_n = self._sub_gens(by_key[n_mem])
-                    if states[k] in self._ext_index(gens_n, pgens, cap):
+                pgens = self._sub_gens(P)
+                n_phis = self._extension_domains(
+                    pgens, NP, by_key,
+                    [(state, aut_s_of(by_key[cls[j]])) for state, j in checked])
+                for (state, j), (n_mem, gens_n) in zip(checked, n_phis):
+                    if (len(n_mem) == P.order  # phi extends itself
+                            or state in self._ext_index(gens_n, pgens, cap)):
                         continue
                     violations.append(
                         f"axiom II: no extension of {describe(mem)} -> "
-                        f"{describe(cls[owner[k]])} to N_phi of order "
-                        f"{len(n_mem)}")
+                        f"{describe(cls[j])} to N_phi of order {len(n_mem)}")
         return SaturationReport(not violations, violations,
                                 len(classes), morphisms)
 
-    def _n_phi(self, reach, NP: Subgroup, images, targets):
-        """N_phi = {g in N_S(P) : phi c_g phi^-1 in Aut_S(Q)} as a mask over
-        N_S(P) (rows) for each morphism phi: P -> Q given by a column of
-        images of the members of P listed in reach; targets lists (Q,
-        N_S(Q), columns onto Q).  Columns not listed stay empty."""
-        import numpy as np
-        S = self.S
-        conj = S.conj_table()[np.array(NP.members)]
-        pos_p = np.full(S.order, -1, dtype=np.int32)
-        pos_p[reach] = np.arange(len(reach), dtype=np.int32)
-        out = np.zeros((NP.order, images.shape[1]), dtype=bool)
-        for Q, NQ, cols in targets:
-            qgens, pos_q, radix, codes = self._aut_s_codes(Q, NQ)
-            for lo in range(0, len(cols), _N_PHI_BATCH):
-                batch = cols[lo:lo + _N_PHI_BATCH]
-                phi = images[:, batch]
-                r = np.arange(len(batch))[:, None]
-                pre = np.empty((len(batch), S.order), dtype=np.int32)
-                pre[r, phi.T] = reach  # phi^-1 on Q
-                # row g, column phi: phi c_g phi^-1 at Q's generators
-                values = phi[pos_p[conj[:, pre[:, qgens]]], r]
-                found = pos_q[values] @ radix
-                at = np.searchsorted(codes, found).clip(max=len(codes) - 1)
-                out[:, batch] = codes[at] == found
-        return out
+    def _extension_domains(self, pgens: tuple, NP: Subgroup, by_key: dict,
+                           morphisms: list) -> list:
+        """N_phi = {g in N_S(P) : c_g in phi^-1 Aut_S(Q) phi on P} as
+        (members, generators) for each morphism phi: P -> Q, given as its
+        state and Aut_S(Q) (one (h, h^-1) for each automorphism).
 
-    def _aut_s_codes(self, Q: Subgroup, NQ: Subgroup) -> tuple:
-        """(Q's generators, position in Q of each element of S or -1,
-        radix, sorted codes): the values of the inner conjugations by N_S(Q)
-        at Q's generators, each row read as its positions in Q in base |Q|.
-        The codes stay below |Q|^k for k generators, so k is checked to keep
-        them inside int64."""
-        hit = self._aut_s_cache.get(Q.members)
-        if hit is not None:
-            return hit
-        import numpy as np
-        S = self.S
-        qgens = np.array(self._sub_gens(Q), dtype=np.int32)
-        if Q.order ** len(qgens) > 2 ** 63:
-            raise FusionRepError(
-                f"Aut_S(Q) codes in base {Q.order} on {len(qgens)} generators "
-                "pass the int64 bound")
-        pos_q = np.full(S.order, -1, dtype=np.int64)
-        pos_q[np.array(Q.members)] = np.arange(Q.order)
-        radix = Q.order ** np.arange(len(qgens), dtype=np.int64)
-        rows = S.conj_table()[np.ix_(np.array(NQ.members), qgens)]
-        codes = np.sort(pos_q[rows] @ radix)
-        codes = codes[np.r_[True, codes[1:] != codes[:-1]]]
-        out = (qgens, pos_q, radix, codes)
-        self._aut_s_cache[Q.members] = out
+        N_S(P) falls into the cosets of C_S(P), one for each c_g in
+        Aut_S(P), keyed by the values g x g^-1 at P's generators x.  g lies
+        in N_phi exactly when some h in N_S(Q) has h phi(x) h^-1 =
+        phi(g x g^-1) at each x, since the phi(x) generate Q.  So phi is
+        replayed at the conjugates alone, and N_phi is the union of the
+        cosets that the conjugations of Aut_S(Q) hit; by_key gives the
+        subgroup, once for each set of cosets hit.  When N_S(P) = C_S(P),
+        N_phi = N_S(P) with no replay."""
+        cosets = _conjugation_cosets(self.S, NP, pgens)
+        if len(cosets) == 1:
+            return [(NP.members, self._sub_gens(by_key[NP.members]))
+                    ] * len(morphisms)
+        r = len(pgens)
+        values = self._values(pgens, list(chain.from_iterable(cosets)),
+                              [state for state, _ in morphisms])
+        cosets = list(cosets.values())
+        t = self.S.rows()
+        domains = {}  # indices of the cosets hit -> (members, generators)
+        out = []
+        for (state, aut), img in zip(morphisms, values):
+            # phi(g x g^-1) at P's generators x -> the coset of g
+            coset_of = {img[r * i:r * i + r]: i for i in range(len(cosets))}
+            hit = []
+            for h, h_inv in aut:
+                row = t[h]
+                i = coset_of.get(tuple([t[row[y]][h_inv] for y in state]))
+                if i is not None:
+                    hit.append(i)
+            hit = tuple(sorted(hit))
+            if hit not in domains:
+                members = tuple(sorted(chain.from_iterable(
+                    cosets[i] for i in hit)))
+                domains[hit] = (members, self._sub_gens(by_key[members]))
+            out.append(domains[hit])
         return out
 
     def _ext_index(self, gens_n: tuple, pgens: tuple, cap: int) -> frozenset:
-        """Values at pgens of every closed morphism out of <gens_n>.  The
-        morphisms are replayed once per gens_n, and each pgens reads its
-        rows off that replay."""
-        hit = self._ext_index_cache.get(gens_n)
-        if hit is None:
-            reach, images = self._replay(gens_n, self._hom_states(gens_n, cap))
-            hit = self._ext_index_cache[gens_n] = (
-                {g: i for i, g in enumerate(reach)}, images, {})
-        at, images, index = hit
-        if pgens not in index:
-            index[pgens] = frozenset(
-                zip(*images[[at[g] for g in pgens]].tolist()))
-        return index[pgens]
+        """Values at pgens of every closed morphism out of <gens_n>, read
+        off the paths to pgens in the walk of gens_n (_values), once per
+        pair (gens_n, pgens)."""
+        key = (gens_n, pgens)
+        if key not in self._ext_index_cache:
+            self._ext_index_cache[key] = frozenset(self._values(
+                gens_n, pgens, self._hom_states(gens_n, cap)))
+        return self._ext_index_cache[key]
 
 
 def _describe(S: FiniteGroup, members) -> str:

@@ -14,12 +14,15 @@ the layered walk of the Cayley graph from the identity (closure, make_hom
 and the replay of maps from their generator images), and orbits, the orbits
 of injective index maps (conjugacy and fusion classes).
 
-Building a group, its subgroups by generators, homomorphisms and orbits
-runs in pure Python, so the set-up of a job imports no numpy.  The gathers
-over many elements at once (mul_array and what builds on it: conjugation
-tables, normalizers, centralizers, the subgroup enumeration, replay) import
-numpy when first called and read one read-only int32 copy of the table,
-built from the rows on first use.
+Building a group, its subgroups (the layered enumeration, normalizers and
+centralizers, read off the rows t as t[t[g][x]][g^-1] and t[g][x] ==
+t[x][g]), homomorphisms and orbits runs in pure Python on the rows of the
+table (FiniteGroup.rows, which above _TABLE_LIMIT composes at each
+lookup), so neither the set-up of a job nor the saturation check imports
+numpy.  Only the gathers over many elements at once (mul_array, for the
+character tables and the extension fallback) import numpy, when first
+called, and read one read-only int32 copy of the table, built from the
+rows on first use.
 
 External notation (parsing and printing) is 1-based cycle notation.
 """
@@ -147,8 +150,8 @@ class FiniteGroup:
     """Immutable permutation group with canonical element indexing.
 
     Construct through build_group or extraspecial_p3.  Lazy caches
-    (multiplication and conjugation tables, conjugacy classes, subgroups)
-    are write-once; all public fields are read-only by convention.
+    (multiplication table, inverses, conjugacy classes, subgroups) are
+    write-once; all public fields are read-only by convention.
     """
 
     def __init__(self, degree: int, gens: tuple, elements: tuple, names=None):
@@ -162,7 +165,6 @@ class FiniteGroup:
         self.names = dict(names) if names else {}  # name -> element index
         self._table = None
         self._array = None  # the table as a read-only int32 array
-        self._conj = None
         self._inv = None
         self._inv_array = None
         self._orders = None
@@ -232,6 +234,12 @@ class FiniteGroup:
             raise InputError("declared generators do not generate the group")
         return tuple(rows)
 
+    def rows(self):
+        """rows()[x][y] = mul(x, y): the table, or above _TABLE_LIMIT a
+        stand-in that composes the two permutations at each lookup."""
+        t = self._table if self._table is not None else self.table()
+        return t if t is not None else _ComposedRows(self)
+
     def _table_array(self):
         """The table as a read-only int32 array, built from the rows on
         first use, or None above _TABLE_LIMIT."""
@@ -258,15 +266,6 @@ class FiniteGroup:
         out = [self.mul(x, y)
                for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
         return np.array(out, dtype=np.int32).reshape(a.shape)
-
-    def conj_table(self):
-        """C[g, x] = g x g^-1, built on first use."""
-        if self._conj is None:
-            import numpy as np
-            g = np.arange(self.order, dtype=np.int32)
-            gx = self.mul_array(g[:, None], g[None, :])
-            self._conj = self.mul_array(gx, self.inv_array()[:, None])
-        return self._conj
 
     def inv_array(self):
         """The inverses (inv) as a read-only int32 array."""
@@ -368,16 +367,15 @@ class FiniteGroup:
         the first product that reaches an element.
         """
         gens = [int(g) for g in gens]
-        t = self.table()
+        t = self.rows()
         seen = [False] * self.order
         seen[self.identity] = True
         reach, back, via, ends = [self.identity], [0], [0], [0, 1]
         while gens:
             for k in range(ends[-2], ends[-1]):
-                x = reach[k]
-                row = t[x] if t is not None else None
+                row = t[reach[k]]
                 for v, g in enumerate(gens):
-                    y = row[g] if row is not None else self.mul(x, g)
+                    y = row[g]
                     if not seen[y]:
                         seen[y] = True
                         reach.append(y)
@@ -388,34 +386,28 @@ class FiniteGroup:
             ends.append(len(reach))
         return reach, back, via, ends
 
-    def _conjugates(self, xs):
-        """C[g, k] = g xs[k] g^-1 for every g in the group (rows): two
-        mul_array calls of |G| x len(xs), so no full conj_table()."""
-        import numpy as np
-        xs = np.asarray(xs, dtype=np.int32)
-        g = np.arange(self.order, dtype=np.int32)[:, None]
-        return self.mul_array(self.mul_array(g, xs[None, :]),
-                              self.inv_array()[:, None])
-
     def centralizer(self, sub: "Subgroup") -> "Subgroup":
+        """C(sub): the g with t[g][x] == t[x][g] at each generator x."""
         self._check_parent(sub)
-        gens = sub.gen_indices or sub.members
-        return self._from_mask((self._conjugates(gens) == gens).all(1))
+        t = self.rows()
+        members = range(self.order)
+        for x in sub.gen_indices or sub.members:
+            members = [g for g in members if t[g][x] == t[x][g]]
+        return Subgroup(self, tuple(members), tuple(members))
 
     def normalizer(self, sub: "Subgroup") -> "Subgroup":
-        import numpy as np
         self._check_parent(sub)
-        inside = np.zeros(self.order, dtype=bool)
-        inside[list(sub.members)] = True
-        return self._from_mask(self._normalizer_mask(sub, inside))
-
-    def _normalizer_mask(self, sub: "Subgroup", inside):
-        """N(sub) as a mask over the group, from sub's member mask."""
-        return inside[self._conjugates(sub.gen_indices or sub.members)].all(1)
-
-    def _from_mask(self, mask) -> "Subgroup":
-        members = tuple(mask.nonzero()[0].tolist())
+        members = tuple(self._normalizing(sub, set(sub.members)))
         return Subgroup(self, members, members)
+
+    def _normalizing(self, sub: "Subgroup", inside: set) -> list:
+        """N(sub) in order, from sub's member set: the g with
+        t[t[g][x]][g^-1] in inside at each generator x of sub."""
+        t, inv = self.rows(), self._inverses()
+        members = range(self.order)
+        for x in sub.gen_indices or sub.members:
+            members = [g for g in members if t[t[g][x]][inv[g]] in inside]
+        return members
 
     def all_subgroups(self, cap: int = DEFAULT_SUBGROUP_CAP) -> list:
         """All subgroups of a p-group, ordered by (order, members).  Each
@@ -446,41 +438,37 @@ class FiniteGroup:
         by g when g has order p|H|, else by H's generators and g, so no
         subgroup gets more generators than log_p of its order.
         """
-        import numpy as np
         p = group_prime(self)
         if p is None and self.order > 1:
             raise NotAPrimePowerGroup(f"order {self.order} is not a prime power")
         orders = self.element_orders()
+        t = self.rows()
         candidates = 0
         layer = [self.trivial_subgroup()]
         subs = list(layer)
         while layer:
-            found = {}  # member mask as bytes -> Subgroup
+            found = {}  # member set -> Subgroup
             for H in layer:
-                members = np.array(H.members, dtype=np.int32)
-                inside = np.zeros(self.order, dtype=bool)
-                inside[members] = True
-                todo = self._normalizer_mask(H, inside) & ~inside
-                while todo.any():
-                    g = int(todo.argmax())
+                inside = set(H.members)
+                crossed = set(inside)
+                for g in self._normalizing(H, inside):
+                    if g in crossed:
+                        continue
                     powers = [self.identity]
                     for _ in range(p):
-                        powers.append(self.mul(powers[-1], g))
-                    if not inside[powers.pop()]:
-                        todo[self.mul_array(members, g)] = False
+                        powers.append(t[powers[-1]][g])
+                    if powers.pop() not in inside:
+                        crossed.update([t[h][g] for h in H.members])
                         continue
                     candidates += 1
                     if candidates > cap:
                         raise SubgroupEnumerationCapExceeded(
                             f"more than {cap} candidates")
-                    K = np.zeros(self.order, dtype=bool)
-                    K[self.mul_array(members[:, None],
-                                     np.array(powers)[None, :])] = True
-                    todo &= ~K
-                    key = K.tobytes()
-                    if key not in found:
-                        kmem = tuple(np.flatnonzero(K).tolist())
-                        found[key] = Subgroup(
+                    K = frozenset([t[h][y] for h in H.members for y in powers])
+                    crossed |= K
+                    if K not in found:
+                        kmem = tuple(sorted(K))
+                        found[K] = Subgroup(
                             self, kmem, (g,) if orders[g] == len(kmem)
                             else H.gen_indices + (g,), built_from=(H, g))
             layer = sorted(found.values(), key=lambda s: s.members)
@@ -523,6 +511,22 @@ class Subgroup:
         return f"Subgroup(order={self.order}, parent order={self.parent.order})"
 
 
+class _ComposedRows:
+    """FiniteGroup.rows of a group above _TABLE_LIMIT: row x, and entry y
+    of it, index(elements[x] o elements[y]) composed at each lookup."""
+
+    __slots__ = ("group", "x")
+
+    def __init__(self, group: FiniteGroup, x: int = None):
+        self.group = group
+        self.x = x
+
+    def __getitem__(self, i: int):
+        if self.x is None:
+            return _ComposedRows(self.group, i)
+        return self.group.mul(self.x, i)
+
+
 class GroupHom:
     """Homomorphism from a Subgroup into a FiniteGroup; build it with
     make_hom, which proves the map.
@@ -543,22 +547,6 @@ class GroupHom:
 
     def __repr__(self):
         return f"GroupHom(|dom|={self.domain.order}, injective={self.is_injective()})"
-
-
-def replay(walk: tuple, states, codomain: FiniteGroup):
-    """Entry (k, j) is the image of reach[k] of a walk (FiniteGroup.walk)
-    under the map whose values at the walk's generators are row j of
-    states, read off reach[k] = reach[back[k]] gens[via[k]].  One
-    mul_array gather per layer replays every state; nothing is checked."""
-    import numpy as np
-    reach, back, via, ends = walk
-    back, via = np.array(back), np.array(via)
-    st = np.asarray(states, dtype=np.int32).T
-    img = np.empty((len(reach), st.shape[1]), dtype=np.int32)
-    img[0] = codomain.identity
-    for lo, hi in zip(ends[1:], ends[2:]):
-        img[lo:hi] = codomain.mul_array(img[back[lo:hi]], st[via[lo:hi]])
-    return img
 
 
 def orbits(maps, n: int, key=None) -> tuple:

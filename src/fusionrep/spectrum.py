@@ -166,14 +166,25 @@ def _berlekamp_factors(f, q):
     show in the result.
     """
     n = len(f) - 1
-    # Q matrix: row i = coefficients of x^(q i) mod f
-    rows = []
-    xq = _polmod_pow((0, 1), q, f, q)
-    power = (1,)
-    for i in range(n):
-        row = list(power) + [0] * (n - len(power))
+    # Q matrix: row i = coefficients of x^(q i) mod f.  Row i + 1 is row i
+    # times x^q: for q < n, row i shifted up by q with its q top
+    # coefficients folded back by x^n = -(f - x^n), from the top down;
+    # else the product with x^q mod f, which then costs less.
+    low = [(j, c) for j, c in enumerate(f[:n]) if c]
+    xq = _polmod_pow((0, 1), q, f, q) if q >= n else None
+    rows = [[1] + [0] * (n - 1)]
+    for _ in range(n - 1):
+        if xq is None:
+            row = [0] * q + rows[-1]
+            for d in range(n + q - 1, n - 1, -1):
+                c = row.pop()
+                if c:
+                    for j, fj in low:
+                        row[d - n + j] = (row[d - n + j] - c * fj) % q
+        else:
+            row = list(_polmod_divmod(_polmod_mul(rows[-1], xq, q), f, q)[1])
+            row += [0] * (n - len(row))
         rows.append(row)
-        power = _polmod_divmod(_polmod_mul(power, xq, q), f, q)[1]
     # nullspace of (Q - I)^T acting on coefficient vectors
     mat = [[(rows[j][i] - (1 if i == j else 0)) % q for j in range(n)]
            for i in range(n)]

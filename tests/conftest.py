@@ -1,8 +1,11 @@
 import os
 
-import pytest
+# one BLAS thread, as the CLI runs: set before anything imports numpy
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from fusionrep.jobspec import Job, load_jobspec, realize
+import pytest  # noqa: E402
+
+from fusionrep.jobspec import Job, load_jobspec, realize  # noqa: E402
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir,
                         "src", "fusionrep", "fixtures")

@@ -8,8 +8,8 @@ fixture group of order at most 16.  closure and ExhaustiveSaturation are
 the scalar subgroup closure and saturation check that the table gathers
 of FiniteGroup.closure and FusionSystem.check_saturation replaced;
 enumerate_subgroups, normalizer and centralizer the pairwise-join search
-and the loops over the group that the subgroup layers and the gathers on
-the conjugation table replaced.
+and the loops over the group that the subgroup layers and the normalizer
+and centralizer of FiniteGroup replaced.
 check_linear_characters holds the linear characters that chartable
 extends along the subgroup layers to their definition, with the derived
 subgroup as the closure of the commutators.
@@ -18,7 +18,7 @@ which the Cayley-graph search of FiniteGroup._build_table replaced.
 cayley_table, array_walk, array_orbits and array_make_hom are the numpy
 Cayley-graph table, walk, orbits and make_hom that the pure-Python ones
 replaced, so that building a group and its fusion classes imports no
-numpy.
+numpy; replay_walk is the array replay along a walk that they call.
 make_hom_by_search and validate are the scalar extension of generator
 images and the check over all member pairs that the layered gathers of
 make_hom and GroupHom.validate replaced.  conjugacy_classes,
@@ -105,7 +105,6 @@ from fusionrep.invariants import decompose as batched_decompose
 from fusionrep.permgroup import (FiniteGroup, GroupHom, Subgroup, build_group,
                                  compose, format_cycles, is_p_group, is_prime,
                                  make_hom, p_part)
-from fusionrep.permgroup import replay as replay_walk
 from fusionrep.ringpres import (Ring, RingPresentation, apply_names,
                                 lattice_chain)
 from fusionrep.spectrum import (CycPrime, _mult_order, _polmod_divmod,
@@ -613,9 +612,11 @@ def build_table(self):
 # The code that the pure-Python FiniteGroup._build_table, FiniteGroup.walk,
 # permgroup.orbits and permgroup.make_hom replaced, kept verbatim (with the
 # group as first argument, and array_make_hom calling array_walk and
-# permgroup.replay): an int32 table grown by row gathers, a walk of one
+# replay_walk): an int32 table grown by row gathers, a walk of one
 # mul_array gather per layer, orbits by rounds of label lowering over index
-# arrays, and make_hom by two mul_array gathers.
+# arrays, and make_hom by two mul_array gathers.  replay_walk is the array
+# replay along a walk that permgroup.replay was until the saturation check
+# read its values off the walk in pure Python (FusionSystem._values).
 
 
 def cayley_table(self):
@@ -669,6 +670,21 @@ def array_walk(self, gens) -> tuple:
         ends.append(ends[-1] + len(frontier))
     return (np.concatenate(reach), np.concatenate(back),
             np.concatenate(via), ends)
+
+
+def replay_walk(walk: tuple, states, codomain: FiniteGroup):
+    """Entry (k, j) is the image of reach[k] of a walk (FiniteGroup.walk)
+    under the map whose values at the walk's generators are row j of
+    states, read off reach[k] = reach[back[k]] gens[via[k]].  One
+    mul_array gather per layer replays every state; nothing is checked."""
+    reach, back, via, ends = walk
+    back, via = np.array(back), np.array(via)
+    st = np.asarray(states, dtype=np.int32).T
+    img = np.empty((len(reach), st.shape[1]), dtype=np.int32)
+    img[0] = codomain.identity
+    for lo, hi in zip(ends[1:], ends[2:]):
+        img[lo:hi] = codomain.mul_array(img[back[lo:hi]], st[via[lo:hi]])
+    return img
 
 
 def array_orbits(maps, n: int, key=None) -> tuple:
@@ -940,7 +956,7 @@ def closure(self, gen_indices) -> tuple:
 # --- subgroups, normalizers and centralizers before the layers ---------------
 # enumerate_subgroups is the pairwise-join search that the layered
 # FiniteGroup._enumerate_subgroups replaced, and normalizer and centralizer
-# the loops over the group that the gathers on FiniteGroup.conj_table
+# the loops over the group that FiniteGroup.normalizer and centralizer
 # replaced, kept verbatim (with the group as first argument).
 
 
@@ -1227,7 +1243,8 @@ def is_centric(F, P: Subgroup) -> bool:
 def core_p(A: FiniteGroup, p: int) -> tuple:
     """O_p(A), the largest normal p-subgroup, as sorted member indices: the
     union of the conjugacy classes whose normal closure is a p-group."""
-    C = A.conj_table()
+    C = np.array([[conj(A, g, x) for x in range(A.order)]
+                  for g in range(A.order)])  # C[g, x] = g x g^-1
     seen = np.zeros(A.order, dtype=bool)
     core = []
     for x in range(A.order):

@@ -285,19 +285,19 @@ def _src_env(**extra) -> dict:
 @pytest.mark.parametrize("cmd,stem,loaded,numpy", [
     ("fusion-classes", "sigma_5", set(), False),
     ("fusion-classes", "he", set(), False),
-    ("saturation", "sigma_5", set(), True),
+    ("saturation", "sigma_5", set(), False),
+    ("saturation", "onan", set(), False),
     ("ktheory", "sigma_5", _LAYERS - {"spectrum", "twisted"}, True),
     ("fusion-classes", "a4_sl23", set(), False),
     ("fusion-classes", None, set(), False),
-], ids=["fusion-classes", "fusion-classes-he", "saturation", "ktheory",
-        "extension", "extension-explicit"])
+], ids=["fusion-classes", "fusion-classes-he", "saturation", "saturation-onan",
+        "ktheory", "extension", "extension-explicit"])
 def test_a_command_loads_only_the_layers_it_runs(tmp_path, cmd, stem, loaded,
                                                  numpy):
     """In a fresh process, the modules a command imports: fusion-classes
     and saturation need none of the character, ring, twisted, spectrum
-    and linear-algebra layers, and fusion-classes no numpy either, while
-    saturation gathers on numpy arrays; ktheory loads no twisted or
-    spectrum.  An [extension] section, by cocycle (a4_sl23) or by its
+    and linear-algebra layers and no numpy, saturation on an order-343
+    fixture (onan) included; ktheory loads no twisted or spectrum.  An [extension] section, by cocycle (a4_sl23) or by its
     group (stem None: Q8 over V4, written out), is realized in pure
     Python, with no twisted layer and no numpy."""
     if stem is None:

@@ -88,10 +88,21 @@ def test_unsaturated_axiom_two():
     assert any("axiom II" in v for v in rep.violations)
 
 
+# the shapes of the saturation125 benchmark inputs on 5^{1+2}, as gl2 lines
+GL2_5 = {
+    "q8_5": (((2, 0), (0, 3)), ((0, 1), (4, 0))),
+    "c4c4_5": (((2, 0), (0, 1)), ((1, 0), (0, 2))),
+    "u5_5": (((1, 1), (0, 1)),),
+}
+
+
 @pytest.mark.parametrize("stem", ["sigma_3", "sigma_5", "sigma_7", "a4",
-                                  "a4_sl23"])
+                                  "a4_sl23", *GL2_5])
 def test_saturation_matches_the_exhaustive_oracle(pipeline, stem):
-    F = pipeline(stem).fusion
+    """On the small fixtures and on the three 5^{1+2} systems of the
+    saturation125 benchmark: Q8, diagonal C4 x C4 and unipotent C5."""
+    F = (realize(parse_jobspec(gl2_spec(5, GL2_5[stem]))).fusion
+         if stem in GL2_5 else pipeline(stem).fusion)
     assert (F.check_saturation().to_json()
             == ExhaustiveSaturation(F).check_saturation().to_json())
 
@@ -126,6 +137,30 @@ def gl2_matrices(p):
 @given(st.lists(gl2_matrices(3), max_size=3))
 def test_saturation_matches_the_oracle_on_random_3_systems(matrices):
     F = realize(parse_jobspec(gl2_spec(3, matrices))).fusion
+    assert (F.check_saturation().to_json()
+            == ExhaustiveSaturation(F).check_saturation().to_json())
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(st.integers(0, 10 ** 6),
+                          st.lists(st.integers(0, 26), min_size=3,
+                                   max_size=3)), min_size=1, max_size=3))
+def test_saturation_matches_the_oracle_on_random_maps(picks):
+    """Systems on 3^{1+2} generated by maps between subgroups with random
+    generator images, kept where make_hom proves them: most fail axiom II
+    at subgroups P with N_S(P) > C_S(P), where N_phi is a proper union of
+    cosets of C_S(P)."""
+    S = extraspecial_p3(3)
+    subs = S.all_subgroups()
+    homs = []
+    for k, images in picks:
+        K = subs[1 + k % (len(subs) - 1)]
+        try:
+            homs.append(make_hom(K, images[:len(K.gen_indices)]))
+        except FusionRepError:
+            pass
+    F = build_fusion(S, homs)
     assert (F.check_saturation().to_json()
             == ExhaustiveSaturation(F).check_saturation().to_json())
 
@@ -199,20 +234,23 @@ def test_exotic_systems_are_saturated(pipeline, stem):
 
 
 def test_saturation_replays_each_generator_set_once(monkeypatch):
-    """On a4 the check replays the morphisms out of each of the three
-    subgroups it checks, and the axiom II extensions read the morphisms
-    out of their one N_phi from a single replay."""
+    """On a4 the check closes 12 morphisms: 9 between the three subgroups
+    P of order 2 and the 3 automorphisms of V4 = N_S(V4).  Each P has V4
+    = C_S(P) as N_phi for all three of its morphisms, so no morphism out
+    of P is replayed for N_phi, and _ext_index replays the morphisms out
+    of V4 once for each (N_phi generators, P generators) pair."""
     job = realize(load_jobspec(fixture_path("a4.fus")), FIXTURES)
     calls = []
-    real = FusionSystem._replay
+    real = FusionSystem._values
 
-    def counted(self, gens, states):
-        calls.append(gens)
-        return real(self, gens, states)
+    def counted(self, gens, xs, states):
+        calls.append((gens, tuple(xs)))
+        return real(self, gens, xs, states)
 
-    monkeypatch.setattr(FusionSystem, "_replay", counted)
-    assert job.fusion.check_saturation().ok
-    assert len(calls) == len(set(calls)) == 4
+    monkeypatch.setattr(FusionSystem, "_values", counted)
+    report = job.fusion.check_saturation()
+    assert report.ok and report.morphisms_checked == 12
+    assert len(calls) == len(set(calls)) == 3
 
 
 def test_saturation_cap():
@@ -277,12 +315,3 @@ def test_fusion_stores_generators():
     assert len(F.generators) == 1
     Z3, F3 = sigma3()
     assert len(F3.generators) == 1
-
-
-def test_aut_s_codes_raise_past_the_int64_bound():
-    # (Z/2)^8: 8 generators in base 256 reach 2^64
-    E = build_group(16, [f"({2 * i + 1} {2 * i + 2})" for i in range(8)])
-    F = build_fusion(E, [])
-    Q = E.full_subgroup()
-    with pytest.raises(FusionRepError):
-        F._aut_s_codes(Q, Q)
