@@ -221,25 +221,27 @@ class CharacterTable:
         }
 
 
-def _left_transversal(G: FiniteGroup, H: Subgroup) -> np.ndarray:
+def _left_transversal(G: FiniteGroup, H: Subgroup) -> list:
     """The least element of every left coset gH, in increasing order: the
-    least element not yet covered starts the next coset, one gather each."""
-    members = np.array(H.members)
-    covered = np.zeros(G.order, dtype=bool)
+    least element not yet covered starts the next coset, and its row
+    covers the coset."""
+    rows = G.rows()
+    covered = [False] * G.order
     out = []
-    while not covered.all():
-        i = int(covered.argmin())
-        out.append(i)
-        covered[G.mul_array(i, members)] = True
-    return np.array(out, dtype=np.int64)
+    for i in range(G.order):
+        if not covered[i]:
+            out.append(i)
+            row = rows[i]
+            for h in H.members:
+                covered[row[h]] = True
+    return out
 
 
-def _conjugates(G: FiniteGroup, transversal: np.ndarray) -> np.ndarray:
-    """x[t, c] = t^-1 g_c t for the class representatives g_c."""
-    reps = np.array([c[0] for c in G.conjugacy_classes()], dtype=np.int32)
-    t_inv = G.inv_array()[transversal]
-    return G.mul_array(G.mul_array(t_inv[:, None], reps[None, :]),
-                       transversal[:, None])
+def _conjugates(G: FiniteGroup, transversal: list) -> list:
+    """x[t][c] = t^-1 g_c t for the class representatives g_c."""
+    rows, inv = G.rows(), G.inv
+    reps = [c[0] for c in G.conjugacy_classes()]
+    return [[rows[rows[inv(x)][r]][x] for r in reps] for x in transversal]
 
 
 def _positions(G: FiniteGroup, H: Subgroup) -> np.ndarray:
@@ -258,7 +260,7 @@ def _induced_coords(G: FiniteGroup, H: Subgroup, exps: np.ndarray,
     The value at class c sums powers[exps[l, pos(t^-1 g_c t)]] over the
     transversal elements t with t^-1 g_c t in H.
     """
-    pos = _positions(G, H)[_conjugates(G, _left_transversal(G, H))]
+    pos = _positions(G, H)[np.array(_conjugates(G, _left_transversal(G, H)))]
     inside = (pos >= 0)[:, :, None]
     pos = np.where(pos >= 0, pos, 0)
     step = max(1, _CHUNK // (pos.size * powers.shape[1]))
@@ -290,21 +292,22 @@ def _linear_characters(G: FiniteGroup, K: Subgroup, lin: dict,
         return lin[K]
     H, g = K.built_from
     p = K.order // H.order
-    members = np.array(H.members, dtype=np.int32)
+    rows = G.rows()
     pos = _positions(G, H)
     mu = _linear_characters(G, H, lin, e)
-    conj = G.mul_array(G.mul_array(g, members), G.inv(g))
+    row_g, g_inv = rows[g], G.inv(g)
+    conj = [rows[row_g[h]][g_inv] for h in H.members]
     mu = mu[(mu[:, pos[conj]] == mu).all(1)]
     gpow = [G.identity]
     for _ in range(p):
-        gpow.append(G.mul(gpow[-1], g))
+        gpow.append(rows[gpow[-1]][g])
     a = mu[:, pos[gpow.pop()]] // p
     a = a[:, None] + np.arange(p) * (e // p)  # [mu, t]
     values = (mu[:, None, :, None]
               + a[:, :, None, None] * np.arange(p)) % e  # [mu, t, h, j]
     out = np.empty((len(mu) * p, K.order), dtype=np.int32)
-    cosets = G.mul_array(members[:, None], np.array(gpow)[None, :])  # h g^j
-    out[:, _positions(G, K)[cosets].ravel()] = values.reshape(len(out), -1)
+    cosets = [rows[h][y] for h in H.members for y in gpow]  # h g^j
+    out[:, _positions(G, K)[cosets]] = values.reshape(len(out), -1)
     lin[K] = out
     return out
 

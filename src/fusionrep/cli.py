@@ -7,7 +7,10 @@ spectrum, twisted, adic.  Output is deterministic text, or JSON with
 --json; the spectrum command also offers --dot.  Exit codes: 0 success,
 1 input or parse problem, 2 mathematical validation failure, 3 cap
 exceeded.  Under --json an error is also written to stdout as JSON with
-its type, message and exit code.
+its type, message and exit code; that holds for a usage error too (an
+unknown command or flag, a bad flag value, --json with --dot), with
+"command": null when the command is missing or unknown, and in text mode
+a usage error writes the usage line before its error line on stderr.
 
 main settles the flags against the spec's [options] section and realizes
 the spec as one jobspec.Job with the cap flags and the name mapping (a cap
@@ -50,6 +53,12 @@ _MAPPING_KEY_RE = re.compile(r"[XvW][1-9][0-9]*\Z")
 _CAPS = ("order", "subgroups", "morphisms", "hilbert", "adic")
 
 
+def _usage_error(message):
+    """The parser's error hook: raises InputError in place of printing the
+    usage error and exiting, so main reports it as any bad input."""
+    raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fusionrep",
@@ -76,6 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="ignored: saturation has no order cap")
     for cap in _CAPS:
         ap.add_argument(f"--cap-{cap}", type=int, metavar="N")
+    ap.error = _usage_error
     return ap
 
 
@@ -197,15 +207,16 @@ def _cmd_saturation(job, args):
 
 def _cmd_repring(job, args):
     B, P = job.basis, job.presentation
+    names = ("1",) + P.names
     if args.json:
         payload = B.to_json()
-        for entry, name in zip(payload["basis"], job.basis_names):
+        for entry, name in zip(payload["basis"], names):
             entry["name"] = name
         return _emit_json(args, **payload, presentation=P.to_json(),
                           ring=str(P))
     lines = [f"classes {len(job.fusion.element_classes())}",
              "basis " + ", ".join(f"{n} ({d})" for n, d in
-                                  zip(job.basis_names, B.degrees)),
+                                  zip(names, B.degrees)),
              str(P)]
     return "\n".join(lines)
 
@@ -269,12 +280,23 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    # the arguments read before a usage error stay in args, and the
+    # command is None when it is missing or unknown
+    args = argparse.Namespace()
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if exc.code is not None else 0
-        return 0 if code == 0 else 1
-    try:
+        try:
+            parser.parse_args(argv, args)
+        except SystemExit:  # --help; a usage error raises InputError
+            return 0
+        except InputError:
+            # the parser stops at the first bad argument, before a --json
+            # that follows it
+            args.json = "--json" in argv
+            if not args.json:
+                parser.print_usage(sys.stderr)
+            raise
         if args.dot and args.command != "spectrum":
             raise InputError("--dot only applies to the spectrum command")
         try:

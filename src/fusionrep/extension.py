@@ -9,8 +9,8 @@ central generator and the projection onto S.
 
 This is the set-up half of the twisted pipeline: it runs in pure Python,
 so realizing a spec with an [extension] section imports no numpy.  Only a
-cocycle that fails the check has its violations listed by a full scan on
-numpy.
+cocycle that fails the check has its violations listed, by a full scan
+on numpy over the products read off the rows of the table of S.
 """
 
 from __future__ import annotations
@@ -74,7 +74,9 @@ def validate_cocycle(alpha: Cocycle) -> list:
     the identity at t = g for every generator g makes the lifts (0, g)
     others; products of these reach every (a, s), so the identity holds at
     every t.  A table that fails either check has its violations listed
-    by a full scan, in the order (s1, s2, s3).
+    by a full scan, in the order (s1, s2, s3): the products s t, read once
+    off S.rows() into an array, give one comparison of |S| x |S| values
+    per s1.
     """
     S, n = alpha.group, alpha.coeff
     T = alpha.table
@@ -89,8 +91,8 @@ def validate_cocycle(alpha: Cocycle) -> list:
         return out
     import numpy as np
     Ta = np.array(T, dtype=np.int64)
-    every = np.arange(S.order, dtype=np.int32)
-    M = S.mul_array(every[:, None], every[None, :])
+    t, every = S.rows(), range(S.order)
+    M = np.array([[t[x][y] for y in every] for x in every])
     for s1 in range(S.order):
         lhs = Ta[s1][:, None] + Ta[M[s1], :]
         rhs = Ta + Ta[s1][M]

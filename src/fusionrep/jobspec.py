@@ -405,12 +405,6 @@ class Job:
         return irreducible_invariants(self.fusion, **self._cap("hilbert"))
 
     @cached_property
-    def basis_names(self) -> tuple:
-        """The names of the invariant basis as displayed."""
-        from .ringpres import apply_names
-        return apply_names(self.basis.names, self.names)
-
-    @cached_property
     def presentation(self):
         from .ringpres import structure_constants
         return structure_constants(self.basis, self.names)

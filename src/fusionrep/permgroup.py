@@ -18,18 +18,14 @@ Building a group, its subgroups (the layered enumeration, normalizers and
 centralizers, read off the rows t as t[t[g][x]][g^-1] and t[g][x] ==
 t[x][g]), homomorphisms and orbits runs in pure Python on the rows of the
 table (FiniteGroup.rows, which above _TABLE_LIMIT composes at each
-lookup), so neither the set-up of a job nor the saturation check imports
-numpy.  Only the gathers over many elements at once (mul_array, for the
-character tables and the extension fallback) import numpy, when first
-called, and read one read-only int32 copy of the table, built from the
-rows on first use.
+lookup).  The rows are the one form of the table: the other layers, the
+character tables and the cocycle check included, read them too.
 
 External notation (parsing and printing) is 1-based cycle notation.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from math import gcd
 from operator import itemgetter
 
@@ -164,9 +160,7 @@ class FiniteGroup:
         self.gen_indices = tuple(self.index[g] for g in gens)
         self.names = dict(names) if names else {}  # name -> element index
         self._table = None
-        self._array = None  # the table as a read-only int32 array
         self._inv = None
-        self._inv_array = None
         self._orders = None
         self._classes = None
         self._class_of = None
@@ -239,42 +233,6 @@ class FiniteGroup:
         stand-in that composes the two permutations at each lookup."""
         t = self._table if self._table is not None else self.table()
         return t if t is not None else _ComposedRows(self)
-
-    def _table_array(self):
-        """The table as a read-only int32 array, built from the rows on
-        first use, or None above _TABLE_LIMIT."""
-        t = self.table()
-        if t is None:
-            return None
-        if self._array is None:
-            import numpy as np
-            n = self.order
-            a = np.fromiter(chain.from_iterable(t), dtype=np.int32,
-                            count=n * n).reshape(n, n)
-            a.flags.writeable = False
-            self._array = a
-        return self._array
-
-    def mul_array(self, a, b):
-        """Products of two broadcast index arrays, elementwise: one gather
-        on the table, or mul per entry above _TABLE_LIMIT."""
-        import numpy as np
-        t = self._table_array()
-        if t is not None:
-            return t[a, b]
-        a, b = np.broadcast_arrays(a, b)
-        out = [self.mul(x, y)
-               for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
-        return np.array(out, dtype=np.int32).reshape(a.shape)
-
-    def inv_array(self):
-        """The inverses (inv) as a read-only int32 array."""
-        if self._inv_array is None:
-            import numpy as np
-            a = np.array(self._inverses(), dtype=np.int32)
-            a.flags.writeable = False
-            self._inv_array = a
-        return self._inv_array
 
     def element_orders(self) -> tuple:
         if self._orders is None:

@@ -19,6 +19,9 @@ cayley_table, array_walk, array_orbits and array_make_hom are the numpy
 Cayley-graph table, walk, orbits and make_hom that the pure-Python ones
 replaced, so that building a group and its fusion classes imports no
 numpy; replay_walk is the array replay along a walk that they call.
+_table_array and _mul_array are the int32 copy of the table and its
+gathers, per entry above the table limit, that FiniteGroup kept until the
+character tables read the rows; the array oracles gather on them.
 make_hom_by_search and validate are the scalar extension of generator
 images and the check over all member pairs that the layered gathers of
 make_hom and GroupHom.validate replaced.  conjugacy_classes,
@@ -78,6 +81,7 @@ writes a JobSpec back as text, so that parsing it again tests the parser.
 """
 
 import itertools
+import weakref
 from collections import deque
 from fractions import Fraction
 
@@ -608,15 +612,45 @@ def build_table(self):
     return table
 
 
+# --- the table as an int32 array -------------------------------------------
+
+_ARRAYS = weakref.WeakKeyDictionary()  # group -> _table_array
+
+
+def _table_array(G: FiniteGroup):
+    """G.table() as a read-only int32 array, built once per group, or None
+    above the table limit."""
+    t = G.table()
+    if t is None:
+        return None
+    if G not in _ARRAYS:
+        a = np.array(t, dtype=np.int32)
+        a.flags.writeable = False
+        _ARRAYS[G] = a
+    return _ARRAYS[G]
+
+
+def _mul_array(G: FiniteGroup, a, b):
+    """Products of two broadcast index arrays, elementwise: one gather on
+    the table, or one lookup in G.rows() per entry above the limit."""
+    t = _table_array(G)
+    if t is not None:
+        return t[a, b]
+    a, b = np.broadcast_arrays(a, b)
+    rows = G.rows()
+    out = [rows[x][y] for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
+    return np.array(out, dtype=np.int32).reshape(a.shape)
+
+
 # --- the table, the walk, the orbits and make_hom on numpy arrays -----------
 # The code that the pure-Python FiniteGroup._build_table, FiniteGroup.walk,
 # permgroup.orbits and permgroup.make_hom replaced, kept verbatim (with the
 # group as first argument, and array_make_hom calling array_walk and
 # replay_walk): an int32 table grown by row gathers, a walk of one
-# mul_array gather per layer, orbits by rounds of label lowering over index
-# arrays, and make_hom by two mul_array gathers.  replay_walk is the array
-# replay along a walk that permgroup.replay was until the saturation check
-# read its values off the walk in pure Python (FusionSystem._values).
+# _mul_array gather per layer, orbits by rounds of label lowering over
+# index arrays, and make_hom by two _mul_array gathers.  replay_walk is the
+# array replay along a walk that permgroup.replay was until the saturation
+# check read its values off the walk in pure Python (FusionSystem._values).
 
 
 def cayley_table(self):
@@ -654,7 +688,7 @@ def array_walk(self, gens) -> tuple:
     frontier = np.array([self.identity], dtype=np.int32)
     reach, back, via, ends = [frontier], [(0,)], [(0,)], [0, 1]
     while len(gens):
-        y = self.mul_array(frontier[:, None], gens).ravel()
+        y = _mul_array(self, frontier[:, None], gens).ravel()
         at = (~seen[y]).nonzero()[0]
         if not at.size:
             break
@@ -676,14 +710,15 @@ def replay_walk(walk: tuple, states, codomain: FiniteGroup):
     """Entry (k, j) is the image of reach[k] of a walk (FiniteGroup.walk)
     under the map whose values at the walk's generators are row j of
     states, read off reach[k] = reach[back[k]] gens[via[k]].  One
-    mul_array gather per layer replays every state; nothing is checked."""
+    _mul_array gather per layer replays every state; nothing is checked."""
     reach, back, via, ends = walk
     back, via = np.array(back), np.array(via)
     st = np.asarray(states, dtype=np.int32).T
     img = np.empty((len(reach), st.shape[1]), dtype=np.int32)
     img[0] = codomain.identity
     for lo, hi in zip(ends[1:], ends[2:]):
-        img[lo:hi] = codomain.mul_array(img[back[lo:hi]], st[via[lo:hi]])
+        img[lo:hi] = _mul_array(codomain, img[back[lo:hi]],
+                                st[via[lo:hi]])
     return img
 
 
@@ -720,8 +755,9 @@ def array_make_hom(domain: Subgroup, gen_images, codomain: FiniteGroup = None,
     img = replay_walk(walk, gen_img[None, :], H)[:, 0]
     pos = np.full(G.order, -1, dtype=np.intp)
     pos[reach] = np.arange(len(reach))
-    lhs = img[pos[G.mul_array(reach[:, None], gens[None, :])]]
-    if not np.array_equal(lhs, H.mul_array(img[:, None], gen_img[None, :])):
+    lhs = img[pos[_mul_array(G, reach[:, None], gens[None, :])]]
+    rhs = _mul_array(H, img[:, None], gen_img[None, :])
+    if not np.array_equal(lhs, rhs):
         raise NotAHomomorphism("generator images are inconsistent")
     members = np.array(domain.members, dtype=np.int32)
     if len(reach) != domain.order or (pos[members] < 0).any():
@@ -777,10 +813,10 @@ def validate(self):
     img_a = np.array(self.images, dtype=np.int32)
     img_map = np.full(G.order, -1, dtype=np.int32)
     img_map[mem_a] = img_a
-    lhs = img_map[G.mul_array(mem_a[:, None], mem_a[None, :])]
+    lhs = img_map[_mul_array(G, mem_a[:, None], mem_a[None, :])]
     if (lhs < 0).any():
         raise NotAHomomorphism("domain is not multiplicatively closed")
-    rhs = self.codomain.mul_array(img_a[:, None], img_a[None, :])
+    rhs = _mul_array(self.codomain, img_a[:, None], img_a[None, :])
     if not np.array_equal(lhs, rhs):
         raise NotAHomomorphism("images violate the multiplication table")
 
@@ -894,7 +930,7 @@ def replay(self, gens: tuple, states) -> np.ndarray:
     img = np.empty((dom.order, len(states)), dtype=np.int32)
     img[dom.pos(S.identity)] = S.identity
     for y, x, i in steps:
-        img[y] = S.mul_array(img[x], st[i])
+        img[y] = _mul_array(S, img[x], st[i])
     return img
 
 
@@ -927,7 +963,7 @@ def inverse(self) -> "GroupHom":
 
 def closure(self, gen_indices) -> tuple:
     """Sorted member indices of the subgroup generated by gen_indices."""
-    t = self._table_array()
+    t = _table_array(self)
     current = {self.identity}
     current.update(int(g) for g in gen_indices)
     frontier = sorted(current)
@@ -1021,9 +1057,9 @@ def normalizer(self, sub: Subgroup) -> Subgroup:
 def derived_subgroup(G, H: Subgroup) -> tuple:
     """Members of [H, H]: the closure of the commutators x^-1 y^-1 x y."""
     mem = np.array(H.members)
-    inv = G.inv_array()[mem]
-    comms = G.mul_array(G.mul_array(inv[:, None], inv[None, :]),
-                        G.mul_array(mem[:, None], mem[None, :]))
+    inv = np.array([G.inv(x) for x in H.members])
+    comms = _mul_array(G, _mul_array(G, inv[:, None], inv[None, :]),
+                       _mul_array(G, mem[:, None], mem[None, :]))
     return G.closure(tuple(np.unique(comms).tolist()))
 
 
@@ -1035,7 +1071,7 @@ def check_linear_characters(G, H: Subgroup, rows, e: int):
     mem = np.array(H.members)
     pos = np.full(G.order, -1, dtype=np.int64)
     pos[mem] = np.arange(H.order)
-    prod = pos[G.mul_array(mem[:, None], mem[None, :])]
+    prod = pos[_mul_array(G, mem[:, None], mem[None, :])]
     assert (prod >= 0).all()
     for row in rows:
         assert ((row[:, None] + row[None, :] - row[prod]) % e == 0).all()

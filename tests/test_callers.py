@@ -281,3 +281,32 @@ def test_an_attribute_that_nothing_reads_is_reported():
         == ["point.Point.y", "point.Point.z"]
     assert unread_attributes({"point.py": point},
                              [ast.parse("p.z + p.y")]) == ["point.Point.x"]
+
+
+def numpy_imports(tree) -> list:
+    """Line numbers of the import statements of tree, at any depth, that
+    import numpy or a submodule of it."""
+    return [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Import)
+            and any(a.name.split(".")[0] == "numpy" for a in n.names)
+            or isinstance(n, ast.ImportFrom) and n.level == 0
+            and (n.module or "").split(".")[0] == "numpy"]
+
+
+def test_the_set_up_layers_import_no_numpy():
+    """Groups, subgroups, homomorphisms and the fusion system, the
+    saturation check included, run in pure Python: permgroup and fusion
+    import no numpy, not even inside a function."""
+    modules = _package()[0]
+    for f in ("permgroup.py", "fusion.py"):
+        assert numpy_imports(modules[f]) == [], f
+
+
+def test_a_numpy_import_at_any_depth_is_found():
+    lazy = ast.parse("import os\n"
+                     "from . import numpy\n\n\n"
+                     "def f():\n"
+                     "    import numpy as np\n"
+                     "    from numpy.linalg import norm\n"
+                     "    import os.path, numpy.ma\n")
+    assert numpy_imports(lazy) == [6, 7, 8]

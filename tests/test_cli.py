@@ -420,6 +420,35 @@ def test_json_errors(capsys, tmp_path, monkeypatch, argv, error_type,
     assert run(capsys, argv)[1] == ""
 
 
+@pytest.mark.parametrize("argv, command, message", [
+    (["adic", "a4.fus", "--k", "foo", "--json"], "adic",
+     "argument --k: invalid int value: 'foo'"),
+    (["nosuch", "a4.fus", "--json"], None,
+     "argument command: invalid choice: 'nosuch'"),
+    (["spectrum", "a4.fus", "--json", "--dot"], "spectrum",
+     "argument --dot: not allowed with argument --json"),
+    (["--json"], None, "the following arguments are required"),
+], ids=["bad-k", "unknown-command", "json-dot", "no-command"])
+def test_usage_errors_are_json(capsys, argv, command, message):
+    """A usage error exits 1 like any other input error: under --json with
+    the JSON error object, command null when the command is missing or
+    unknown; in text mode with the usage line on stderr and nothing on
+    stdout."""
+    code, out, err = run(capsys, argv)
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+    assert json.loads(out) == {"schema": 1, "command": command, "error": {
+        "type": "InputError", "message": err[len("error: "):-1],
+        "exit_code": 1}}
+    assert message in err
+    text = [a for a in argv if a != "--json"]
+    if "--dot" in text:  # --dot alone is no usage error
+        return
+    code, out, err = run(capsys, text)
+    usage, _, last = err.rpartition("\nerror: ")
+    assert code == 1 and out == "" and usage.startswith("usage: fusionrep ")
+    assert message in last and last.count("\n") == 1
+
+
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 @pytest.mark.parametrize("kind", ["spec", "cocycle"])
 def test_non_utf8_input_exits_1(capsys, tmp_path, kind, as_json):

@@ -186,30 +186,6 @@ def test_table_matches_the_oracle_on_every_fixture(pipeline, stem):
     _assert_table_matches_the_oracles(pipeline(stem).group)
 
 
-@pytest.mark.parametrize("table", [True, False])
-def test_the_array_table_is_the_rows_read_only(pipeline, monkeypatch, table):
-    """mul_array gathers on one read-only int32 copy of the rows, built on
-    first use; without a table it multiplies entry by entry and builds no
-    array."""
-    S = pipeline("sigma_5").group
-    if not table:
-        monkeypatch.setattr(permgroup, "_TABLE_LIMIT", 0)
-        S = FiniteGroup(S.degree, S.gens, S.elements)  # no cached tables
-    every = np.arange(S.order)
-    products = S.mul_array(every[:, None], every[None, :])
-    assert products.dtype == np.int32
-    assert products.tolist() == [[S.mul(x, y) for y in range(S.order)]
-                                 for x in range(S.order)]
-    A = S._table_array()
-    if not table:
-        assert A is None and S._array is None
-        return
-    assert A is S._table_array() and A.dtype == np.int32
-    assert A.tolist() == list(map(list, S.table()))
-    with pytest.raises(ValueError):
-        A[0, 0] = 0
-
-
 def test_table_matches_the_oracle_on_derived_groups(pipeline):
     S = extraspecial_p3(5)
     A = S.subgroup((S.names["a"],))
