@@ -44,11 +44,6 @@ from .errors import FusionRepError, InputError
 from .jobspec import load_jobspec, realize
 from .permgroup import is_prime
 
-# Set before any layer imports numpy: every array product here is small,
-# so a BLAS thread pool gains nothing and costs CPU to start.  A value the
-# caller set is kept.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 _MAPPING_KEY_RE = re.compile(r"[XvW][1-9][0-9]*\Z")
 _CAPS = ("order", "subgroups", "morphisms", "hilbert", "adic")
 
@@ -172,8 +167,7 @@ def _cmd_chartable(job, args):
              + ", ".join(job.group.describe_element(c[0]) for c in classes),
              *(f"chi{k + 1} ({d}): "
                + ", ".join(format_value(tab.conductor, v) for v in row)
-               for k, (d, row) in enumerate(zip(tab.degrees(),
-                                                tab.coords.tolist())))]
+               for k, (d, row) in enumerate(zip(tab.degrees(), tab.coords)))]
     return "\n".join(lines)
 
 

@@ -3,7 +3,7 @@
 A value is a row of integer coordinates in the basis 1, z, ..., z^(phi(e)-1)
 modulo the e-th cyclotomic polynomial; the row is canonical for a fixed
 conductor, so two values are equal iff their rows are.  The character
-kernel computes on arrays of such rows.  This module gives the polynomial,
+kernel computes on tuples of such rows.  This module gives the polynomial,
 the reduction of the powers z^m to rows, and the text and JSON forms of a
 row.
 """

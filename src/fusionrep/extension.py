@@ -7,10 +7,9 @@ realizes it as a permutation group on those pairs, and
 extension_from_groups takes an extension given by its group, a marked
 central generator and the projection onto S.
 
-This is the set-up half of the twisted pipeline: it runs in pure Python,
-so realizing a spec with an [extension] section imports no numpy.  Only a
-cocycle that fails the check has its violations listed, by a full scan
-on numpy over the products read off the rows of the table of S.
+This is the set-up half of the twisted pipeline.  Only a cocycle that
+fails the check has its violations listed, by a full scan over the rows
+of the table of S.
 """
 
 from __future__ import annotations
@@ -74,9 +73,9 @@ def validate_cocycle(alpha: Cocycle) -> list:
     the identity at t = g for every generator g makes the lifts (0, g)
     others; products of these reach every (a, s), so the identity holds at
     every t.  A table that fails either check has its violations listed
-    by a full scan, in the order (s1, s2, s3): the products s t, read once
-    off S.rows() into an array, give one comparison of |S| x |S| values
-    per s1.
+    by a full scan on the rows of the table of S, in the order
+    (s1, s2, s3): a pass over the |S| values of s3 for each (s1, s2)
+    finds whether it holds a violation, and only then are they listed.
     """
     S, n = alpha.group, alpha.coeff
     T = alpha.table
@@ -89,18 +88,20 @@ def validate_cocycle(alpha: Cocycle) -> list:
             out.append(f"alpha({s}, 1) = {T[s][e]} != 0")
     if not out and _associative_at_generators(alpha):
         return out
-    import numpy as np
-    Ta = np.array(T, dtype=np.int64)
-    t, every = S.rows(), range(S.order)
-    M = np.array([[t[x][y] for y in every] for x in every])
+    t = S.rows()
     for s1 in range(S.order):
-        lhs = Ta[s1][:, None] + Ta[M[s1], :]
-        rhs = Ta + Ta[s1][M]
-        for s2, s3 in np.argwhere((lhs - rhs) % n != 0).tolist():
-            if len(out) >= _VIOLATION_LIMIT:
-                out.append("... (further violations suppressed)")
-                return out
-            out.append(f"associativity fails at ({s1}, {s2}, {s3})")
+        T1, row1 = T[s1], t[s1]
+        for s2 in range(S.order):
+            a, lhs, rhs = T1[s2], T[row1[s2]], T[s2]
+            at = [T1[x] for x in t[s2]]
+            if not any((a + x - y - z) % n for x, y, z in zip(lhs, rhs, at)):
+                continue
+            for s3, (x, y, z) in enumerate(zip(lhs, rhs, at)):
+                if (a + x - y - z) % n:
+                    if len(out) >= _VIOLATION_LIMIT:
+                        out.append("... (further violations suppressed)")
+                        return out
+                    out.append(f"associativity fails at ({s1}, {s2}, {s3})")
     return out
 
 

@@ -10,9 +10,8 @@ current image lies in the relevant domain).  The search is exact for
 generated systems, where every morphism is a composite of restrictions of
 the listed maps, their inverses, and inner conjugations.
 
-Everything here runs in pure Python on the generating maps and the rows
-of S's multiplication table, the saturation check included, so no job that
-stops at fusion imports numpy.
+Everything here runs on the generating maps and the rows of S's
+multiplication table, the saturation check included.
 """
 
 from __future__ import annotations

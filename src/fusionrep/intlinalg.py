@@ -1,17 +1,9 @@
 """Exact linear algebra over Z and F_q.
 
-Inputs and results are lists of Python ints or integer numpy arrays.  Three
-kernels run on whole arrays and choose their representation from the
-values, under a proven bound:
-
-- int_matmul multiplies on float64 BLAS when max|A| * max|B| * k < 2^53
-  for inner dimension k (every product and partial sum is then an exactly
-  represented integer) and returns int64; otherwise it multiplies numpy
-  arrays of Python ints (dtype object);
-- hnf eliminates on an int64 array while every entry is below 2^31 and
-  on Python ints from the first step that reaches it;
-- nullspace_mod eliminates over F_q on int64 when q < 2^31, so every
-  product of two residues fits, and on Python ints otherwise.
+Matrices are lists of rows of Python ints, so no entry can overflow and
+every kernel has one representation whatever the size of its values.  A
+kernel converts the entries it takes in with int(), so a fixed-width
+integer scalar of another type never enters the arithmetic.
 
 Lattices are represented by their canonical row Hermite normal form, which
 makes equality, membership, sums, ranks and integer solves cheap and
@@ -20,41 +12,72 @@ deterministic.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
-
-import numpy as np
+from operator import sub
 
 from .errors import NotInSpan
 
 
-# float64 holds every integer of absolute value below this exactly
-_FLOAT_EXACT = 2 ** 53
+def int_matmul(A, B) -> list:
+    """A @ B over Z for matrices given as rows, as rows of Python ints.
+    Only pairs of nonzero entries are multiplied, so sparse factors, such
+    as the slices of a structure tensor, cost only their nonzero entries."""
+    B = list(B)
+    width = len(B[0]) if B else 0
+    B = [[(k, int(y)) for k, y in enumerate(row) if y] for row in B]
+    out = []
+    for a in A:
+        acc = [0] * width
+        for x, b in zip(a, B):
+            if x:
+                x = int(x)
+                for k, y in b:
+                    acc[k] += x * y
+        out.append(acc)
+    return out
 
 
-def int_matmul(A, B) -> np.ndarray:
-    """A @ B over Z, exact for any integer entries.
+class PackedRows:
+    """Fixed integer rows, for exact combinations sum_i c_i rows[i] by
+    Kronecker substitution: each row is packed into one integer with a
+    field of `size` bytes per entry, so a combination is one integer
+    multiply-add per nonzero coefficient.
 
-    With inner dimension k, every product and every partial sum of A @ B is
-    an integer of absolute value at most max|A| * max|B| * k.  When that is
-    below 2^53 (and so is every entry), float64 holds each of them exactly,
-    in any summation order and with or without FMA, so the product runs on
-    BLAS and comes back as int64.  Both operands reach BLAS C-contiguous,
-    whatever the layout they arrive in: BLAS takes more CPU time on a
-    transposed view.  Otherwise it runs in Python ints (dtype object).
+    A field holds its entry plus half = 2^(8 size - 1), so the sum of
+    c_i packed[i] and (1 - sum_i c_i) times half in every field holds each
+    entry of the combination plus half.  max(sum |c_i|, 1) times the
+    largest absolute entry of the rows bounds every entry, and the size is
+    the least power of two (8 bytes at least) that keeps the bound below
+    half, so the fields come back exactly.  Rows are packed when first
+    used at a size, and kept.
     """
-    A, B = _exact_array(A), _exact_array(B)
-    a, b = _max_abs(A), _max_abs(B)
-    if a < _FLOAT_EXACT and b < _FLOAT_EXACT and a * b * A.shape[-1] < _FLOAT_EXACT:
-        return (np.ascontiguousarray(A, dtype=np.float64)
-                @ np.ascontiguousarray(B, dtype=np.float64)).astype(np.int64)
-    return A.astype(object) @ B.astype(object)
 
+    __slots__ = ("rows", "bound", "_packed")
 
-def _max_abs(A: np.ndarray) -> int:
-    """max |entry| of an integer array, as a Python int (0 when empty)."""
-    if not A.size:
-        return 0
-    return max(int(A.max()), -int(A.min()))
+    def __init__(self, rows):
+        self.rows = [list(map(int, row)) for row in rows]
+        self.bound = max(map(abs, chain.from_iterable(self.rows)), default=0)
+        self._packed = {}  # size -> the packed rows, None until needed
+
+    def combine(self, coeffs: list) -> list:
+        """sum_i coeffs[i] rows[i], for Python-int coefficients."""
+        need = (max(sum(map(abs, coeffs)), 1) * self.bound).bit_length()
+        size = max(8, 1 << (need // 8).bit_length())
+        half, width = 1 << (8 * size - 1), len(self.rows[0])
+        packed = self._packed.setdefault(size, [None] * len(self.rows))
+        total = (1 - sum(coeffs)) * int.from_bytes(
+            half.to_bytes(size, "little") * width, "little")
+        for i, c in enumerate(coeffs):
+            if c:
+                if packed[i] is None:
+                    packed[i] = int.from_bytes(b"".join(
+                        [(x + half).to_bytes(size, "little")
+                         for x in self.rows[i]]), "little")
+                total += c * packed[i]
+        data = total.to_bytes(size * width, "little")
+        return [int.from_bytes(data[i:i + size], "little") - half
+                for i in range(0, len(data), size)]
 
 
 # --- Hermite normal form -----------------------------------------------------
@@ -66,93 +89,89 @@ def hnf(rows) -> list:
     are dropped.  The result is the unique canonical basis of the row span,
     as lists of Python ints.
 
-    Each elimination step updates every row below (or above) the pivot row
-    with one array operation; the pivot is the entry of least absolute value,
-    lowest row first.  The array is int64 while every entry is below 2^31,
-    so no product q * b reaches 2^62; once an entry reaches 2^31 the same
-    steps continue on Python ints.
+    The rows, each once, go into an echelon keyed by pivot column.  A row
+    is cleared column by column: where the pivot divides its entry, that
+    multiple of the pivot row is subtracted; otherwise one extended-gcd
+    step makes a combination with the gcd as pivot the new pivot row, and
+    the row zero there.  A new pivot row is reduced at the later pivots and
+    reduces the earlier ones at its column, which keeps the entries near
+    the size of the pivots.  A last pass reduces above each pivot.
     """
-    A = _exact_array(rows)
-    if A.ndim != 2 or not A.size:
-        return []
-    A = A[(A != 0).any(1)]
-    A, big = _widened(A, None if A.dtype == object else _max_abs(A))
-    m, n = A.shape
-    r = 0
-    for c in range(n):
-        while r < m:
-            col = A[r:, c]
-            nz = col.nonzero()[0]
-            if not len(nz):
+    tails = {}  # pivot column -> the pivot row from that column on
+    seen = set()
+    n = 0
+    for row in rows:
+        v = tuple(map(int, row))
+        if v in seen:
+            continue
+        seen.add(v)
+        v, n = list(v), len(v)
+        c = 0
+        while True:
+            while c < n and not v[c]:
+                c += 1
+            if c == n:
                 break
-            i0 = r + nz[np.abs(col[nz]).argmin()]
-            if i0 != r:
-                A[[r, i0]] = A[[i0, r]]
-            if len(nz) == 1:
+            t = tails.get(c)
+            if t is None:
+                _install(tails, c, v[c:] if v[c] > 0 else [-x for x in v[c:]])
                 break
-            A, big = _eliminate(A, slice(r + 1, m), r, c, big)
-            if not A[r + 1:, c].any():
-                break
-        if r < m and A[r, c]:
-            if A[r, c] < 0:
-                A[r] = -A[r]
+            a, b = t[0], v[c]
+            q, r = divmod(b, a)
             if r:
-                A, big = _eliminate(A, slice(0, r), r, c, big)
-            r += 1
-            if r == m:
-                break
-    return [row for row in A[:r].tolist() if any(row)]
+                # s a + u b = g = gcd(a, b)
+                g = gcd(a, b)
+                s = pow(a // g, -1, abs(b // g))
+                u = (g - s * a) // b
+                w = v[c:]
+                a, b = a // g, b // g
+                v[c:] = [a * y - b * x for x, y in zip(t, w)]
+                _install(tails, c, [s * x + u * y for x, y in zip(t, w)])
+            else:
+                v[c:] = map(sub, v[c:], map(q.__mul__, t))
+            c += 1
+    out = [[0] * c + tails[c] for c in sorted(tails)]
+    for i, (c, row) in enumerate(zip(sorted(tails), out)):
+        for above in out[:i]:
+            _subtract(above, above[c] // row[c], row, c)
+    return out
 
 
-# int64 HNF entries stay below this bound
-_HNF_INT64 = 2 ** 31
+def _subtract(row: list, q: int, tail: list, c: int) -> None:
+    """row -= q * (the row that is tail from column c on), in place."""
+    if q:
+        row[c:] = map(sub, row[c:], map(q.__mul__, tail[-(len(row) - c):]))
 
 
-def _eliminate(A: np.ndarray, rows: slice, r: int, c: int, big):
-    """Subtract q_i times the pivot row r from each row i of A[rows], with
-    q_i = floor(A[i, c] / A[r, c]).  big bounds the absolute entries of an
-    int64 A and is None on Python ints; returns A and the new bound.  Since
-    |q_i| <= |A[i, c]| <= big, big + big^2 bounds the result."""
-    block = A[rows]
-    block -= (block[:, c] // A[r, c])[:, None] * A[r]
-    if big is None:
-        return A, None
-    return _widened(A, big + big * big)
+def _install(tails: dict, c: int, new: list) -> None:
+    """Make new, the tail from column c of a row with positive entry at c,
+    the pivot row of column c: reduce it at the later pivots, then the
+    earlier pivot rows at column c."""
+    for d in sorted(tails):
+        if d > c:
+            _subtract(new, new[d - c] // tails[d][0], tails[d], d - c)
+    tails[c] = new
+    for d, above in tails.items():
+        if d < c:
+            _subtract(above, above[c - d] // new[0], new, c - d)
 
 
-def _widened(A: np.ndarray, big):
-    """(A, big) while big, an upper bound on the absolute entries of A, is
-    below 2^31; otherwise A is measured, and held in Python ints (bound
-    None) if an entry reaches 2^31."""
-    if big is None or big < _HNF_INT64:
-        return A, big
-    big = _max_abs(A)
-    if big < _HNF_INT64:
-        return A, big
-    return A.astype(object), None
-
-
-def _exact_array(rows) -> np.ndarray:
-    """rows as an int64 array, or as Python ints when some entry needs it."""
-    try:
-        return np.asarray(rows, dtype=np.int64)
-    except OverflowError:
-        return np.asarray(rows, dtype=object)
-
-
-def reduce_mod_lattice(basis_hnf: list, V) -> np.ndarray:
+def reduce_mod_lattice(basis_hnf: list, V) -> list:
     """Canonical representatives of the rows of the matrix V modulo the
-    lattice with the given canonical HNF rows, as an array of Python ints:
-    one array step per HNF row, over all rows of V at once."""
-    V = np.array(V, dtype=object)
-    for row in basis_hnf:
-        c = next(k for k, x in enumerate(row) if x)
-        V -= (V[:, c] // row[c])[:, None] * np.array(row, dtype=object)
-    return V
+    lattice with the given canonical HNF rows, as rows of Python ints."""
+    pivots = [(next(k for k, x in enumerate(row) if x), row)
+              for row in basis_hnf]
+    out = []
+    for v in V:
+        v = list(map(int, v))
+        for c, row in pivots:
+            _subtract(v, v[c] // row[c], row, c)
+        out.append(v)
+    return out
 
 
 def lattice_contains(big_hnf: list, small_rows) -> bool:
-    return not reduce_mod_lattice(big_hnf, small_rows).any()
+    return not any(map(any, reduce_mod_lattice(big_hnf, small_rows)))
 
 
 # --- integer kernels ---------------------------------------------------------
@@ -169,7 +188,11 @@ def _tagged_hnf(columns) -> list:
 
 
 def kernel_basis(M: list, n: int) -> list:
-    """Basis of {x in Z^n : M x = 0} for an integer matrix M (list of rows)."""
+    """Basis of {x in Z^n : M x = 0} for an integer matrix M (list of rows).
+
+    The HNF of M has the kernel of M and at most n rows, so the tagged HNF
+    runs on columns of at most n entries, however many rows M has."""
+    M = hnf(M)
     m = len(M)
     H = _tagged_hnf([[row[i] for row in M] for i in range(n)])
     return [row[m:] for row in H if not any(row[:m])]
@@ -185,12 +208,12 @@ class IntegerSpan:
     __slots__ = ("columns", "tagged")
 
     def __init__(self, columns):
-        self.columns = [list(col) for col in columns]
+        self.columns = [list(map(int, col)) for col in columns]
         self.tagged = _tagged_hnf(self.columns)
 
-    def solve(self, targets) -> np.ndarray:
-        """Python ints X with X @ columns = targets, one row per row of the
-        matrix targets, verified exactly.
+    def solve(self, targets) -> list:
+        """Rows X of Python ints with X @ columns = targets, one row per row
+        of the matrix targets, verified exactly.
 
         Reducing (targets | 0) against the tagged HNF of the columns leaves
         (targets - X @ columns | -X), with a zero first block exactly where
@@ -199,21 +222,19 @@ class IntegerSpan:
         columns are dependent or a target is no integer combination of them.
         """
         H, columns = self.tagged, self.columns
-        T = np.array(targets, dtype=object)
-        n = T.shape[1]
+        T = [list(map(int, t)) for t in targets]
+        n = len(columns[0]) if columns else 0
         if any(not any(row[:n]) for row in H):
             raise NotInSpan("the basis vectors are linearly dependent", row=0)
-        rest = reduce_mod_lattice(
-            H, np.hstack([T, np.zeros((len(T), len(columns)), dtype=object)]))
-        fails = rest[:, :n].any(1)
-        if fails.any():
-            raise NotInSpan("not an integer combination of the basis",
-                            row=int(fails.argmax()))
-        X = -rest[:, n:]
-        fails = (int_matmul(X, np.reshape(columns, (-1, n))) != T).any(1)
-        if fails.any():
-            raise NotInSpan("the basis does not span the vector",
-                            row=int(fails.argmax()))
+        rest = reduce_mod_lattice(H, [t + [0] * len(columns) for t in T])
+        for r, row in enumerate(rest):
+            if any(row[:n]):
+                raise NotInSpan("not an integer combination of the basis",
+                                row=r)
+        X = [[-x for x in row[n:]] for row in rest]
+        for r, (got, t) in enumerate(zip(int_matmul(X, columns), T)):
+            if got != t:
+                raise NotInSpan("the basis does not span the vector", row=r)
         return X
 
 
@@ -242,38 +263,32 @@ def smith_diagonal(M: list) -> list:
 def nullspace_mod(mat, q):
     """Basis of the kernel of a square matrix over F_q, q prime.
 
-    Gauss-Jordan elimination with one array operation per pivot: the
-    pivot row is scaled to a leading 1, then every other row with a
-    nonzero entry in the pivot column becomes (row - entry * pivot row)
-    mod q.  Entries stay in [0, q), so while q < 2^31 every product fits
-    an int64; from 2^31 on the same steps run on Python ints.  One basis
-    vector per free column, in column order: 1 there, minus the reduced
-    pivot rows' entries in that column at the pivot columns, 0 elsewhere.
+    Gauss-Jordan elimination: the pivot row is scaled to a leading 1, then
+    every other row with a nonzero entry in the pivot column becomes
+    (row - entry * pivot row) mod q.  One basis vector per free column, in
+    column order: 1 there, minus the reduced pivot rows' entries in that
+    column at the pivot columns, 0 elsewhere.
     """
-    m = np.array(mat, dtype=np.int64 if q < 2 ** 31 else object) % q
+    m = [[int(x) % q for x in row] for row in mat]
     n = len(m)
-    pivots = []  # (column, row)
-    r = 0
+    pivots = []  # the pivot column of each reduced row, in order
     for c in range(n):
-        nz = np.flatnonzero(m[r:, c])
-        if not nz.size:
+        r = len(pivots)
+        i = next((i for i in range(r, n) if m[i][c]), None)
+        if i is None:
             continue
-        if nz[0]:
-            m[[r, r + nz[0]]] = m[[r + nz[0], r]]
-        m[r] = m[r] * pow(int(m[r, c]), -1, q) % q
-        rows = np.flatnonzero(m[:, c])
-        rows = rows[rows != r]
-        m[rows] = (m[rows] - m[rows, c][:, None] * m[r]) % q
-        pivots.append((c, r))
-        r += 1
-    done = {c for c, _ in pivots}
+        m[r], m[i] = m[i], m[r]
+        inv = pow(m[r][c], -1, q)
+        m[r] = [x * inv % q for x in m[r]]
+        for k, row in enumerate(m):
+            f = row[c]
+            if f and k != r:
+                m[k] = [(x - f * y) % q for x, y in zip(row, m[r])]
+        pivots.append(c)
     basis = []
-    for fc in range(n):
-        if fc in done:
-            continue
-        vec = [0] * n
-        vec[fc] = 1
-        for c, pr in pivots:
-            vec[c] = int(-m[pr, fc] % q)
+    for fc in sorted(set(range(n)) - set(pivots)):
+        vec = [int(j == fc) for j in range(n)]
+        for r, c in enumerate(pivots):
+            vec[c] = -m[r][fc] % q
         basis.append(vec)
     return basis

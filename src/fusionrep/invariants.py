@@ -14,17 +14,17 @@ The minimal generators form the Hilbert basis of the monoid.  Columns that
 no condition touches split off as unit vectors.  The remaining columns are
 merged by the ray of their column in a kernel-lattice basis, which leaves
 at most six of the 55 columns on the order-343 fixtures, and a Pottier
-completion runs on the merged columns in small int64 arrays under an
-explicit entry bound, in rounds that reduce every pending pair sum at
-once; its non-negative minimal members lift back exactly.
+completion runs on the merged columns, in rounds that reduce every
+pending pair sum, with support bitmasks ruling out most comparisons
+before an entry is read; its non-negative minimal members lift back
+exactly.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from math import gcd
-
-import numpy as np
+from operator import add, sub
 
 from .chartable import character_table
 from .cyclotomic import value_json
@@ -37,7 +37,7 @@ from .errors import (
     NotInvariant,
 )
 from .fusion import FusionSystem
-from .intlinalg import IntegerSpan, _exact_array, int_matmul, kernel_basis
+from .intlinalg import IntegerSpan, PackedRows, kernel_basis
 
 DEFAULT_HILBERT_CAP = 100_000
 
@@ -72,7 +72,8 @@ def invariance_matrix(F: FusionSystem) -> list:
     for _, ks in sorted(_class_buckets(F).items()):
         base = ks[0]
         for k in ks[1:]:
-            for row in (X[:, k, :] - X[:, base, :]).T.tolist():
+            for row in zip(*[[x - y for x, y in zip(ch[k], ch[base])]
+                             for ch in X]):
                 if not any(row):
                     continue
                 g = 0
@@ -86,82 +87,44 @@ def invariance_matrix(F: FusionSystem) -> list:
 
 # --- Hilbert basis of a lattice monoid ----------------------------------------
 
-# Every stored completion vector has entries below this bound in absolute
-# value, so the sum of two of them fits in an int64.
-_INT64_BOUND = 2 ** 62
+
+def _support(v) -> int:
+    """The signs of v as one bitmask: bit j for v_j > 0, bit len(v) + j
+    for v_j < 0."""
+    mask, n = 0, len(v)
+    for j, x in enumerate(v):
+        if x:
+            mask |= 1 << (j if x > 0 else n + j)
+    return mask
 
 
-def _check_bound(largest) -> None:
-    if largest >= _INT64_BOUND:
-        raise FusionRepError("a Hilbert completion entry reaches 2^62, "
-                             "past the int64 bound")
+def _below(u, su: int, v, sv: int) -> bool:
+    """Whether u <= v, for their supports su and sv (_support): the masks
+    rule most pairs out before an entry is compared."""
+    return not su & ~sv and all(x <= y if x > 0 else y <= x
+                                for x, y in zip(u, v) if x)
 
 
-# bound on the entries of one temporary (rows x rows) of the completion
-_POOL_BLOCK = 1 << 16
+def _normal_form(v: tuple, members: list, supports: list) -> tuple:
+    """v less the first member, in insertion order, lying below it, until
+    none does."""
+    while True:
+        outside = ~_support(v)
+        for u, su in zip(members, supports):  # _below, inlined: the hot loop
+            if not su & outside and all(x <= y if x > 0 else y <= x
+                                        for x, y in zip(u, v) if x):
+                v = tuple(map(sub, v, u))
+                break
+        else:
+            return v
 
 
-def _parts(V: np.ndarray) -> np.ndarray:
-    """The positive parts of the rows of V, then their negative parts."""
-    return np.hstack([np.maximum(V, 0), np.maximum(-V, 0)])
-
-
-def _below(A: np.ndarray, B: np.ndarray, reduce) -> np.ndarray:
-    """reduce(hit) for each block of rows of B, concatenated, where
-    hit[a, b] says that A[a] <= B[b] componentwise.  One comparison per
-    column, so the temporaries are len(A) x block, about _POOL_BLOCK
-    entries whatever the number of rows of B."""
-    step = max(1, _POOL_BLOCK // max(1, len(A)))
-    out = [np.zeros(0, dtype=np.intp)]
-    for lo in range(0, len(B), step):
-        block = B[lo:lo + step]
-        hit = np.ones((len(A), len(block)), dtype=bool)
-        for c in range(A.shape[1]):
-            hit &= A[:, c, None] <= block[:, c]
-        out.append(reduce(hit))
-    return np.concatenate(out)
-
-
-def _minimal(A: np.ndarray) -> np.ndarray:
-    """Mask of the rows of A, pairwise distinct, with no other row below."""
-    return _below(A, A, lambda hit: hit.sum(0)) == 1
-
-
-def _clash_pairs(G: np.ndarray, new: range) -> tuple:
-    """(i, k) for each member k in new and each earlier member i with a
-    coordinate of sign opposite to k's, k-major with i ascending."""
-    P, N = G > 0, G < 0
-    k = np.arange(new.start, new.stop)
-    clash = (P[k] @ N.T) | (N[k] @ P.T)
-    clash &= np.arange(len(G)) < k[:, None]
-    kk, i = np.nonzero(clash)
-    return i, k[kk]
-
-
-def _normal_forms(pool: np.ndarray, G: np.ndarray,
-                  parts: np.ndarray) -> np.ndarray:
-    """Every pool row in normal form against the members G with the given
-    parts, in place: all rows that have one subtract the first member, in
-    insertion order, lying below them, until no row has one."""
-    active = np.arange(len(pool))
-    while active.size:
-        first = _below(parts, _parts(pool[active]),
-                       lambda hit: np.where(hit.any(0), hit.argmax(0), -1))
-        active, first = active[first >= 0], first[first >= 0]
-        pool[active] -= G[first]
-    return pool
-
-
-def _distinct(pool) -> np.ndarray:
-    """The nonzero rows of pool, each once, in order of first occurrence:
-    a stable lexicographic sort puts equal rows together, lowest index
-    first."""
-    pool = pool[pool.any(1)]
-    order = np.lexsort(pool.T)
-    ranked = pool[order]
-    first = np.ones(len(pool), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(1)
-    return pool[np.sort(order[first])]
+def _minimal(rows: list, supports: list) -> list:
+    """Whether each of the rows, pairwise distinct, has no other row
+    below it."""
+    return [not any(_below(u, su, v, sv) for u, su in zip(rows, supports)
+                    if u is not v)
+            for v, sv in zip(rows, supports)]
 
 
 def _column_rays(lattice: list, columns: list) -> tuple:
@@ -212,16 +175,12 @@ def hilbert_basis(rows, ncols: int = None, cap: int = DEFAULT_HILBERT_CAP) -> li
     positive and negative parts lie componentwise below (written u <= v).
     A pair whose members have no coordinate of opposite sign is skipped:
     its sum is already a sum of two members that lie below it.  The sums
-    go in rounds.  A round forms every pending sum as one pool, reduces
-    the whole pool against the current members, with one array pass per
-    subtraction step, and drops zero and repeated rows.  The survivors
+    go in rounds.  A round reduces every distinct pending sum against the
+    current members and drops zero and repeated rows.  The survivors
     minimal under <= among themselves become members; each other survivor
     has one of them below it and goes back into the next pool, with the
-    sums of the new members' pairs.  Members live in an int64 array G,
-    beside their positive parts and then negative parts; every entry stays
-    below 2^62 in absolute value, and an entry past that bound raises
-    FusionRepError.  The comparison temporaries hold about _POOL_BLOCK
-    entries each, however large the pool.
+    sums of the new members' pairs.  Sign supports, kept as bitmasks, rule
+    out most pairs and comparisons before an entry is read.
     The non-negative members, minimal componentwise, lift to the basis.
 
     `cap` bounds the members plus the rows of the pool.
@@ -253,35 +212,42 @@ def hilbert_basis(rows, ncols: int = None, cap: int = DEFAULT_HILBERT_CAP) -> li
         for b in lattice:
             v = [b[c] for c in reps]
             seeds += [v, [-x for x in v]]
-        _check_bound(max(abs(x) for v in seeds for x in v))
-        G = np.array(seeds, dtype=np.int64)
-        parts = _parts(G)
-        carried = G[:0]
-        new = range(len(G))
+        G = [tuple(v) for v in seeds]
+        supports = [_support(v) for v in G]
+        half = len(reps)
+        carried = []
+        new = 0
         while True:
-            # clash pairs (i, k), i < k, of each new member k
-            i, k = _clash_pairs(G, new)
-            if len(G) + len(carried) + len(i) > cap:
+            # clash pairs (i, k), i < k, of each new member k: the positive
+            # support of one meets the negative support of the other
+            pairs = [(i, k) for k in range(new, len(G)) for i in range(k)
+                     if (supports[i] >> half & supports[k]
+                         | supports[k] >> half & supports[i])]
+            if len(G) + len(carried) + len(pairs) > cap:
                 raise HilbertCapExceeded(
                     f"completion exceeded {cap} vectors; raise the cap to continue"
                 )
-            if not len(carried) + len(i):
+            if not carried and not pairs:
                 break
-            sums = G[i] + G[k]
-            if sums.size:
-                _check_bound(np.abs(sums).max())
-            pool = _distinct(_normal_forms(np.vstack([carried, sums]),
-                                           G, parts))
-            pool_parts = _parts(pool)
-            minimal = _minimal(pool_parts)
-            carried = pool[~minimal]
-            new = range(len(G), len(G) + int(minimal.sum()))
-            G = np.vstack([G, pool[minimal]])
-            parts = np.vstack([parts, pool_parts[minimal]])
+            # equal rows have equal normal forms, so each is reduced once
+            pool = dict.fromkeys(carried + [tuple(map(add, G[i], G[k]))
+                                            for i, k in pairs])
+            pool = [v for v in dict.fromkeys(
+                _normal_form(v, G, supports) for v in pool) if any(v)]
+            pool_supports = [_support(v) for v in pool]
+            minimal = _minimal(pool, pool_supports)
+            carried = [v for v, m in zip(pool, minimal) if not m]
+            new = len(G)
+            for v, sv, m in zip(pool, pool_supports, minimal):
+                if m:
+                    G.append(v)
+                    supports.append(sv)
 
         # members are pairwise distinct: each new one is in normal form
-        nonneg = G[(G >= 0).all(1)]
-        for y in nonneg[_minimal(nonneg)].tolist():
+        nonneg = [v for v in G if min(v) >= 0]
+        for y, m in zip(nonneg, _minimal(nonneg, list(map(_support, nonneg)))):
+            if not m:
+                continue
             x = [0] * n
             for j, k, g, g_rep in lift:
                 x[j], r = divmod(y[k] * g, g_rep)
@@ -299,35 +265,34 @@ def _by_sum(v: tuple) -> tuple:
 # --- bases of characters -----------------------------------------------------
 
 
-def canonical_rows(solutions, degrees) -> np.ndarray:
-    """Non-negative solutions over Irr as the rows of one int64 matrix:
+def canonical_rows(solutions, degrees) -> tuple:
+    """Non-negative solutions over Irr as the rows of one integer matrix:
     the trivial character (Irr index 0) first when it is among them, then
     the rest by (degree, row); degrees are those of Irr."""
     unit = tuple(int(j == 0) for j in range(len(degrees)))
-    rows = sorted(map(tuple, solutions), key=lambda v: (
-        v != unit, sum(m * d for m, d in zip(v, degrees)), v))
-    return np.array(rows, dtype=np.int64).reshape(len(rows), len(degrees))
+    return tuple(sorted(map(tuple, solutions), key=lambda v: (
+        v != unit, sum(m * d for m, d in zip(v, degrees)), v)))
 
 
 class InvariantBasis:
     """Characters of the group fusion.S that meet the invariance conditions.
 
-    Row i of the read-only int64 matrix mults holds the multiplicities of
-    member i over Irr in canonical order; degrees, coords and span are
-    read off it.  For R(F) the trivial character comes first, named "1",
-    and the rest follow in the order (degree, row), named X1, X2, ...
+    Row i of the integer matrix mults, a tuple of row tuples, holds the
+    multiplicities of member i over Irr in canonical order; degrees, coords
+    and span are read off it.  For R(F) the trivial character comes first,
+    named "1", and the rest follow in the order (degree, row), named X1,
+    X2, ...
     """
 
     def __init__(self, fusion: FusionSystem, mults, names, invariance_rows):
         table = character_table(fusion.S)
-        M = np.array(mults, dtype=np.int64).reshape(len(names), len(table))
-        M.flags.writeable = False
-        # Python ints, one row per invariance condition, for int_matmul
-        rows = np.array(invariance_rows, dtype=object).reshape(-1, len(table))
-        rows.flags.writeable = False
+        M = tuple(tuple(map(int, row)) for row in mults)
         vars(self).update(
-            fusion=fusion, mults=M, names=tuple(names), invariance_rows=rows,
-            degrees=tuple((M @ np.array(table.degrees())).tolist()))
+            fusion=fusion, mults=M, names=tuple(names),
+            invariance_rows=tuple(tuple(map(int, row))
+                                  for row in invariance_rows),
+            degrees=tuple(sum(m * d for m, d in zip(row, table.degrees()))
+                          for row in M))
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -336,17 +301,23 @@ class InvariantBasis:
         return len(self.mults)
 
     @cached_property
-    def coords(self) -> np.ndarray:
+    def coords(self) -> tuple:
         """Integer power-basis coordinates of the members, one row of
         values per member and class."""
-        C = np.tensordot(self.mults, character_table(self.fusion.S).coords, 1)
-        C.flags.writeable = False
-        return C
+        return tuple(map(character_table(self.fusion.S).combine, self.mults))
+
+    @cached_property
+    def conditions(self) -> PackedRows:
+        """The columns of the invariance rows, packed: a vector over Irr
+        meets the conditions when its combination of them vanishes."""
+        n = len(character_table(self.fusion.S))
+        return PackedRows([r[k] for r in self.invariance_rows]
+                          for k in range(n))
 
     @cached_property
     def span(self) -> IntegerSpan:
         """The Z-span of the members."""
-        return IntegerSpan(self.mults.tolist())
+        return IntegerSpan(self.mults)
 
     def to_json(self) -> dict:
         S = self.fusion.S
@@ -361,12 +332,11 @@ class InvariantBasis:
                 {
                     "name": name,
                     "degree": d,
-                    "multiplicities": row,
-                    "values": [value_json(e, v) for v in values],
+                    "multiplicities": list(row),
+                    "values": [value_json(e, values[c]) for c in at],
                 }
                 for name, d, row, values in zip(
-                    self.names, self.degrees, self.mults.tolist(),
-                    self.coords[:, at].tolist())
+                    self.names, self.degrees, self.mults, self.coords)
             ],
         }
 
@@ -388,12 +358,12 @@ def irreducible_invariants(F: FusionSystem, cap: int = DEFAULT_HILBERT_CAP) -> I
             f"{len(mults)} irreducible invariants for {nclasses} classes; "
             "the basis count must match the class count"
         )
-    if mults[0].tolist() != [int(i == 0) for i in range(len(table))]:
+    if mults[0] != tuple(int(i == 0) for i in range(len(table))):
         raise FusionRepError("the trivial character is missing from the basis")
     names = ["1"] + [f"X{k}" for k in range(1, len(mults))]
     basis = InvariantBasis(F, mults, names, rows)
     cls = [F.S.class_of()[c[0]] for c in F.element_classes()]
-    if table.rank(basis.coords[:, cls]) != nclasses:
+    if table.rank([[v[c] for c in cls] for v in basis.coords]) != nclasses:
         raise FusionRepError("basis characters do not separate the classes")
     return basis
 
@@ -401,26 +371,28 @@ def irreducible_invariants(F: FusionSystem, cap: int = DEFAULT_HILBERT_CAP) -> I
 # --- decomposition -----------------------------------------------------------
 
 
-def decompose(rows, B: InvariantBasis) -> np.ndarray:
+def decompose(rows, B: InvariantBasis) -> list:
     """Integer coordinates over the basis of every row of the matrix rows,
     each an invariant row of multiplicities over Irr (virtual, entries of
-    any size), by one product with the invariance conditions and one solve.
+    any size), by one packed combination of the invariance conditions per
+    row and one solve.
     Raises NotInvariant when a row fails the invariance conditions and
     NotInSpan when it is no integer combination of the basis; .row names
     the first failing row.
     """
-    V = _exact_array(rows)
-    if V.ndim != 2 or V.shape[1] != B.mults.shape[1]:
-        raise InputError("one multiplicity per irreducible required")
-    fails = int_matmul(B.invariance_rows, V.T).any(0)
-    if fails.any():
-        raise NotInvariant("character is not constant on the fusion classes",
-                           row=int(fails.argmax()))
+    n = len(character_table(B.fusion.S))
+    V = [list(map(int, v)) for v in rows]
+    for r, v in enumerate(V):
+        if len(v) != n:
+            raise InputError("one multiplicity per irreducible required")
+        if any(B.conditions.combine(v)):
+            raise NotInvariant(
+                "character is not constant on the fusion classes", row=r)
     return B.span.solve(V)
 
 
-def product_coefficients(coords, B: InvariantBasis) -> np.ndarray:
-    """C[i, j, k], the coefficient of member k of B in f_i * B_j, for the
+def product_coefficients(coords, B: InvariantBasis) -> list:
+    """C[i][j][k], the coefficient of member k of B in f_i * B_j, for the
     class functions f_i of the group B.fusion.S with power-basis
     coordinates coords[i] (one row per class, at the table's conductor).
 
@@ -432,12 +404,13 @@ def product_coefficients(coords, B: InvariantBasis) -> np.ndarray:
     table = character_table(B.fusion.S)
     products = table.products(coords, B.coords)
     try:
-        C = decompose(products.reshape(-1, len(table)), B)
+        C = decompose([m for row in products for m in row], B)
     except (NotInvariant, NotInSpan) as ex:
         i, j = divmod(ex.row, len(B))
         raise DecompositionNotIntegral(
             f"the product of f{i} with {B.names[j]}: {ex}") from ex
-    if (C < 0).any():
-        raise DecompositionNotIntegral(
-            f"coefficient {C[C < 0][0]} is not a non-negative integer")
-    return C.reshape(products.shape[:2] + (len(B),))
+    for c in (c for row in C for c in row):
+        if c < 0:
+            raise DecompositionNotIntegral(
+                f"coefficient {c} is not a non-negative integer")
+    return [C[i * len(B):(i + 1) * len(B)] for i in range(len(products))]

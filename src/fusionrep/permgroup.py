@@ -650,14 +650,25 @@ def make_hom(domain: Subgroup, gen_images, codomain: FiniteGroup = None,
 
 # --- p-group helpers ---------------------------------------------------------
 
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Miller-Rabin to the prime bases up to 41, which decides primality
+    below _MILLER_RABIN_BOUND (Sorenson and Webster, Math. Comp. 86, 2017);
+    InputError from there on."""
+    if n >= _MILLER_RABIN_BOUND:
+        raise InputError(f"the primality of {n} cannot be certified: it is "
+                         f"past {_MILLER_RABIN_BOUND}")
+    d, s = n - 1, 0
+    while n > 2 and not d % 2:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        if n % a == 0 or n < 2:
+            return n == a
+        x = [pow(a, d << r, n) for r in range(s)]  # a^(d 2^r), r < s
+        if x[0] != 1 and n - 1 not in x:
             return False
-        d += 1
     return True
 
 

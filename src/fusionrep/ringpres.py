@@ -15,14 +15,11 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import numpy as np
-
 from .chartable import character_table
 from .errors import (ExponentCapExceeded, FusionRepError, GroupMismatch,
                      InputError)
 from .fusion import FusionSystem
-from .intlinalg import (_exact_array, hnf, int_matmul, lattice_contains,
-                        smith_diagonal)
+from .intlinalg import hnf, int_matmul, lattice_contains, smith_diagonal
 from .invariants import (InvariantBasis, irreducible_invariants,
                          product_coefficients)
 from .permgroup import FiniteGroup
@@ -44,31 +41,39 @@ class Ring:
     """
 
     def __init__(self, degrees, tensor):
-        d = np.array(degrees, dtype=np.int64)
-        T = np.asarray(tensor, dtype=np.int64)
+        d = tuple(map(int, degrees))
+        T = tuple(tuple(tuple(map(int, v)) for v in row) for row in tensor)
         n = len(d)
-        if T.shape != (n, n, n):
+        if len(T) != n or any(len(row) != n or any(len(v) != n for v in row)
+                              for row in T):
             raise InputError("the structure tensor must be rank x rank x rank")
-        if d[0] != 1 or not np.array_equal(T[0], np.eye(n, dtype=np.int64)):
+        if d[0] != 1 or T[0] != tuple(tuple(int(i == j) for j in range(n))
+                                      for i in range(n)):
             raise FusionRepError("basis element 0 is not the unit")
-        if not np.array_equal(T, T.transpose(1, 0, 2)):
+        if any(T[i][j] != T[j][i] for i in range(n) for j in range(i)):
             raise FusionRepError("structure constants are not symmetric")
-        if (T < 0).any():
+        if any(x < 0 for row in T for v in row for x in v):
             raise FusionRepError("negative structure constant")
-        if not np.array_equal(int_matmul(T, d), int_matmul(d[:, None], d[None])):
+        if any(sum(map(int.__mul__, v, d)) != a * b
+               for a, row in zip(d, T) for b, v in zip(d, row)):
             raise FusionRepError("structure constants break the degrees")
-        self.degrees = tuple(d.tolist())
+        self.degrees = d
         self.tensor = T
         self.rank = n
         self._chains = {}  # generators -> (lattice_chain, powers drawn)
+        # (j, k, tensor[i][j][k]) for the nonzero entries, for each i
+        self._entries = [[(j, k, x) for j, v in enumerate(Ti)
+                          for k, x in enumerate(v) if x] for Ti in T]
 
-    def times(self, u) -> np.ndarray:
-        """The matrix of multiplication by u, acting on row vectors; the
-        work is one n x n slice per nonzero coordinate of u."""
-        n = self.rank
-        nz = [i for i, c in enumerate(u) if c]
-        return int_matmul([[u[i] for i in nz]],
-                          self.tensor[nz].reshape(len(nz), n * n)).reshape(n, n)
+    def times(self, u) -> list:
+        """The matrix of multiplication by u, acting on row vectors: the
+        nonzero entries of tensor[i] times u_i, for each u_i != 0."""
+        M = [[0] * self.rank for _ in range(self.rank)]
+        for c, entries in zip(map(int, u), self._entries):
+            if c:
+                for j, k, x in entries:
+                    M[j][k] += c * x
+        return M
 
     def ideal_power(self, generators, k: int) -> list:
         """I^k for the ideal I generated by the given elements, as
@@ -112,7 +117,9 @@ class RingPresentation:
     @property
     def relations(self) -> list:
         T = self.ring.tensor
-        return _relations(self.names, -T[1:, 1:, 1:], -T[1:, 1:, 0])
+        neg = [[[-x for x in v] for v in row[1:]] for row in T[1:]]
+        return _relations(self.names, [[v[1:] for v in row] for row in neg],
+                          [[v[0] for v in row] for row in neg])
 
     def __str__(self):
         return _ring_text("Z[{}]/( {} )", self.names, self.relations)
@@ -123,8 +130,8 @@ class RingPresentation:
             "generators": [
                 {"name": n, "degree": d} for n, d in zip(self.names, self.degrees)
             ],
-            "constants": T[1:, 1:, 0].tolist(),
-            "coefficients": T[1:, 1:, 1:].tolist(),
+            "constants": [[v[0] for v in row[1:]] for row in T[1:]],
+            "coefficients": [[list(v[1:]) for v in row[1:]] for row in T[1:]],
             "relations": self.relations,
             "ring": str(self),
         }
@@ -164,9 +171,9 @@ def _relations(names, linear, constant=None) -> list:
     out = []
     for i, j in [(i, i) for i in range(m)] + list(combinations(range(m), 2)):
         text = f"{names[i]}^2" if i == j else names[i] + names[j]
-        terms = list(zip(linear[i, j].tolist(), names))
+        terms = list(zip(linear[i][j], names))
         if constant is not None:
-            terms.append((int(constant[i, j]), ""))
+            terms.append((constant[i][j], ""))
         for c, name in terms:
             if c:
                 body = name if abs(c) == 1 and name else f"{abs(c)}{name}"
@@ -225,10 +232,10 @@ def completed_presentation(P: RingPresentation, names: dict = None) -> Completed
     its constant d_i d_j - sum_k T[i, j, k] d_k - T[i, j, 0] is zero by the
     degree identity that Ring checks."""
     new_names = apply_names([f"v{i + 1}" for i in range(len(P.names))], names)
-    d = np.array(P.degrees, dtype=np.int64)
-    eye = np.eye(len(d), dtype=np.int64)
-    linear = (eye[:, None, :] * d[None, :, None] + eye[None] * d[:, None, None]
-              - P.ring.tensor[1:, 1:, 1:])
+    d, T = P.degrees, P.ring.tensor
+    linear = [[[d[j] * (k == i) + d[i] * (k == j) - T[i + 1][j + 1][k + 1]
+                for k in range(len(d))] for j in range(len(d))]
+              for i in range(len(d))]
     return CompletedPresentation(new_names, P.degrees,
                                  _relations(new_names, linear))
 
@@ -250,15 +257,11 @@ def lattice_chain(maps, n: int):
 
     maps are n x n integer matrices acting on row vectors.  When they
     multiply by the generators of an ideal, L_k is the k-th power of the
-    ideal.  HNF entries have no bound, so each product runs through
-    int_matmul: on BLAS while its certificate holds, else on Python ints.
+    ideal.
     """
-    M = _exact_array(maps).reshape(len(maps), n, n)
     current = [[int(i == j) for j in range(n)] for i in range(n)]
     while True:
-        V = _exact_array(current).reshape(len(current), n)
-        current = hnf(int_matmul(V, M).reshape(len(M) * len(current), n)
-                      .tolist())
+        current = hnf([v for M in maps for v in int_matmul(current, M)])
         yield current
 
 
@@ -298,7 +301,7 @@ def adic_equivalence_exponent(F: FusionSystem, k: int = 1,
     ring = character_ring(F.S)
     # X - deg(X) over Irr(S) for every nontrivial member X
     gens = [[m - d * (j == 0) for j, m in enumerate(row)]
-            for row, d in zip(B.mults.tolist()[1:], B.degrees[1:])]
+            for row, d in zip(B.mults[1:], B.degrees[1:])]
     Jk = ring.ideal_power(gens, k)
     if not lattice_contains(ring.augmentation_power(k), Jk):
         raise FusionRepError("restricted ideal power escapes I(S)^k")

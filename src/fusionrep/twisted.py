@@ -21,8 +21,6 @@ matrices: the module itself when they are nilpotent, else symbolic.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .chartable import character_table
 from .cyclotomic import power_table
 from .errors import (AmbientMismatch, FusionRepError, GeneratorMovesA,
@@ -42,11 +40,10 @@ def a_representations(E: CentralExtensionData) -> tuple:
     central generator acts by the primitive root of unity."""
     tab = character_table(E.group)
     e = tab.conductor
-    zeta = np.array(power_table(e)[e // E.coeff], dtype=np.int64)
-    X = tab.coords
-    at_a = X[:, E.group.class_of()[E.a_gen]]
-    at_one = X[:, E.group.class_of()[E.group.identity], :1]
-    return tuple(np.flatnonzero((at_a == at_one * zeta).all(axis=1)).tolist())
+    zeta = power_table(e)[e // E.coeff]
+    a, one = E.group.class_of()[E.a_gen], E.group.class_of()[E.group.identity]
+    return tuple(k for k, ch in enumerate(tab.coords)
+                 if list(ch[a]) == [ch[one][0] * z for z in zeta])
 
 
 class TwistedBasis(InvariantBasis):
@@ -67,9 +64,8 @@ class TwistedBasis(InvariantBasis):
         return {
             "a_representations": list(self.a_reps),
             "basis": [
-                {"name": n, "degree": d, "multiplicities": row}
-                for n, d, row in zip(self.names, self.degrees,
-                                     self.mults.tolist())
+                {"name": n, "degree": d, "multiplicities": list(row)}
+                for n, d, row in zip(self.names, self.degrees, self.mults)
             ],
         }
 
@@ -129,9 +125,11 @@ def twisted_invariant_basis(E: CentralExtensionData, F_alpha: FusionSystem,
     rows = invariance_matrix(F_alpha)
     sols = hilbert_basis([[r[j] for j in a_reps] for r in rows],
                          ncols=len(a_reps), cap=cap)
-    full = np.zeros((len(sols), len(tab)), dtype=np.int64)
-    full[:, a_reps] = np.reshape(sols, (len(sols), len(a_reps)))
-    mults = canonical_rows(full.tolist(), tab.degrees())
+    full = [[0] * len(tab) for _ in sols]
+    for row, sol in zip(full, sols):
+        for j, x in zip(a_reps, sol):
+            row[j] = x
+    mults = canonical_rows(full, tab.degrees())
     names = tuple(f"W{k + 1}" for k in range(len(mults)))
     return TwistedBasis(E, F_alpha, a_reps, mults, names, rows)
 
@@ -159,7 +157,7 @@ class TwistedModule:
         }
 
 
-def action_matrices(TB: TwistedBasis, coords) -> np.ndarray:
+def action_matrices(TB: TwistedBasis, coords) -> list:
     """Matrix i of tensoring with the pullback of character i of the base
     group (power-basis coordinates coords[i], one row per base class): its
     column j rewrites the product with the j-th twisted basis vector over
@@ -171,7 +169,8 @@ def action_matrices(TB: TwistedBasis, coords) -> np.ndarray:
     at = [base_class[s[cls[0]]] for cls in E.group.conjugacy_classes()]
     pulled = character_table(E.group).pullback(
         coords, character_table(E.base).conductor, at)
-    return product_coefficients(pulled, TB).transpose(0, 2, 1)
+    return [[list(col) for col in zip(*C)]
+            for C in product_coefficients(pulled, TB)]
 
 
 def module_structure(F: FusionSystem, B, E: CentralExtensionData,
@@ -195,18 +194,17 @@ def module_structure(F: FusionSystem, B, E: CentralExtensionData,
     t = len(TB)
     # B lists the unit first, then the generators of P
     Ms = action_matrices(TB, B.coords)
-    if not np.array_equal(Ms[0], np.eye(t)):
+    if Ms[0] != [[int(i == j) for j in range(t)] for i in range(t)]:
         raise FusionRepError("unit does not act as the identity")
-    TM = TwistedModule(TB, P.names, P.degrees, Ms[1:].tolist())
-    n = P.ring.rank
-    lhs = int_matmul(Ms[:, None], Ms[None])
-    rhs = int_matmul(P.ring.tensor.reshape(n * n, n),
-                     Ms.reshape(n, t * t)).reshape(n, n, t, t)
-    if not np.array_equal(lhs, rhs):
-        raise FusionRepError("action matrices violate a ring relation")
-    tdegs = np.array(TB.degrees, dtype=object)
+    TM = TwistedModule(TB, P.names, P.degrees, Ms[1:])
+    flat = [sum(M, []) for M in Ms]
+    for Mi, Ti in zip(Ms, P.ring.tensor):
+        for Mj, Tij in zip(Ms, Ti):
+            if sum(int_matmul(Mi, Mj), []) != int_matmul([Tij], flat)[0]:
+                raise FusionRepError("action matrices violate a ring relation")
+    tdegs = TB.degrees
     for name, d, M in zip(TM.names, TM.degrees, Ms[1:]):
-        if (tdegs @ M != d * tdegs).any():
+        if int_matmul([tdegs], M)[0] != [d * x for x in tdegs]:
             raise FusionRepError(f"degree bookkeeping fails for {name}")
     return TM
 
@@ -283,8 +281,8 @@ def completed_module(TM: TwistedModule, P, names=None) -> CompletedModule:
                           for i, row in enumerate(M))
                     for M, d in zip(TM.matrices, TM.degrees))
     # squaring up to N^(2^j) with 2^j >= t: zero exactly when N^t is
-    powers = np.array(shifted, dtype=np.int64).reshape(len(shifted), t, t)
+    powers = list(shifted)
     for _ in range((t - 1).bit_length()):
-        powers = int_matmul(powers, powers)
-    kind = "symbolic" if powers.any() else "finite"
+        powers = [int_matmul(N, N) for N in powers]
+    kind = "symbolic" if any(any(r) for N in powers for r in N) else "finite"
     return CompletedModule(kind, TM.basis.names, names, shifted)

@@ -87,8 +87,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from fusionrep.chartable import (_class_sizes, _conjugation, _multipliers,
-                                 _product_matrix, character_table)
+from fusionrep.chartable import character_table
 from fusionrep.cyclotomic import (cyclotomic_polynomial, degree_phi,
                                   power_table)
 from fusionrep.errors import (AmbientMismatch, DecompositionNotIntegral,
@@ -101,8 +100,7 @@ from fusionrep.errors import (AmbientMismatch, DecompositionNotIntegral,
                               SubgroupEnumerationCapExceeded)
 from fusionrep.fusion import (DEFAULT_MORPHISM_CAP, SaturationReport,
                               _describe, _small_gens, build_fusion)
-from fusionrep.intlinalg import (int_matmul, kernel_basis, lattice_contains,
-                                 smith_diagonal)
+from fusionrep.intlinalg import kernel_basis, lattice_contains, smith_diagonal
 from fusionrep.invariants import (DEFAULT_HILBERT_CAP, hilbert_basis,
                                   invariance_matrix)
 from fusionrep.invariants import decompose as batched_decompose
@@ -115,6 +113,50 @@ from fusionrep.spectrum import (CycPrime, _mult_order, _polmod_divmod,
                                 _reduce_mod, primes_above)
 from fusionrep.twisted import a_representations
 
+
+
+# --- the array helpers of the character kernel --------------------------------
+# The numpy forms of the value arithmetic that chartable ran on before its
+# kernels moved to Python ints, kept as the oracles' own: int_matmul is an
+# exact product on arrays of Python ints, and a table's coordinates come in
+# through coords_array.
+
+
+def int_matmul(A, B) -> np.ndarray:
+    """A @ B over Z on arrays of Python ints (dtype object), exactly."""
+    return np.asarray(A, dtype=object) @ np.asarray(B, dtype=object)
+
+
+def coords_array(coords) -> np.ndarray:
+    """Nested coordinate tuples as one int64 array."""
+    return np.array(coords, dtype=np.int64)
+
+
+def _product_matrix(e: int) -> np.ndarray:
+    """M with (x outer y).reshape(phi^2) @ M = the coordinates of x*y."""
+    phi = degree_phi(e)
+    powers = np.array(power_table(e)[:2 * phi - 1], dtype=np.int64)
+    return powers[np.add.outer(np.arange(phi), np.arange(phi))].reshape(
+        phi * phi, phi)
+
+
+def _conjugation(e: int) -> np.ndarray:
+    """C with x @ C = the coordinates of the complex conjugate of x."""
+    powers = power_table(e)
+    return np.array([powers[-k % e] for k in range(degree_phi(e))],
+                    dtype=np.int64)
+
+
+def _multipliers(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """The matrices of multiplication by the values x: the coordinates of
+    x * y are y @ _multipliers(x, M), for each value of x."""
+    phi = M.shape[1]
+    return int_matmul(x, M.reshape(phi, phi * phi)).reshape(
+        np.shape(x)[:-1] + (phi, phi))
+
+
+def _class_sizes(G: FiniteGroup) -> np.ndarray:
+    return np.array([len(c) for c in G.conjugacy_classes()], dtype=np.int64)
 
 def _pos_neg(v):
     pos = tuple(x if x > 0 else 0 for x in v)
@@ -390,7 +432,7 @@ def _primitive_root(e: int, q: int) -> int:
 
 def structure_tensor(self) -> np.ndarray:
     modular = ModularImage(self.group)
-    X, q = self.coords, modular.q
+    X, q = coords_array(self.coords), modular.q
     n = len(self)
     flat = X.reshape(n, -1)
     V = modular.image(X)
@@ -425,12 +467,13 @@ def multiplicities(self, C) -> tuple:
     must be an integer, its other coordinates zero, and is divided by
     |G|.
     """
-    n, classes, phi = self.coords.shape
+    X = coords_array(self.coords)
+    n, classes, phi = X.shape
     # W[k, c] = |C_c| conj(chi_k(c)), and the integer dual
     # D[c, a, k] = zeta^a W[k, c]: sum_{c, a} f(c)_a D[c, a, k] is
     # |G| <f, chi_k> for the coordinates f(c)_a of a class function f.
     # Row b of _product_matrix, reshaped, is zeta^b times every zeta^a.
-    W = self.coords @ _conjugation(self.conductor) * _class_sizes(
+    W = X @ _conjugation(self.conductor) * _class_sizes(
         self.group)[:, None]
     D = int_matmul(W.reshape(-1, phi),
                    _product_matrix(self.conductor).reshape(phi, -1))
@@ -487,7 +530,7 @@ def decompose(v, B) -> tuple:
     combination of the basis.
     """
     mults = [int(x) for x in v]
-    if len(mults) != B.mults.shape[1]:
+    if len(mults) != len(B.mults[0]):
         raise InputError("one multiplicity per irreducible required")
     if int_matmul(B.invariance_rows, mults).any():
         raise NotInvariant("character is not constant on the fusion classes")
@@ -546,13 +589,14 @@ def structure_constants(B, names: dict = None) -> RingPresentation:
     m = len(degrees)
     T = np.zeros((m + 1,) * 3, dtype=np.int64)
     T[0] = T[:, 0] = np.eye(m + 1, dtype=np.int64)
-    mults = B.mults[1:]
+    mults = np.array(B.mults[1:], dtype=np.int64).reshape(m, len(table))
     # products[a, b] = multiplicities of X_a X_b over Irr(S)
-    products = np.einsum("bj,ajk->abk", mults,
-                         np.tensordot(mults, table.structure_tensor(), 1))
+    products = np.einsum("bj,ajk->abk", mults, np.tensordot(
+        mults, np.array(table.structure_tensor(), dtype=np.int64), 1))
     i, j = np.triu_indices(m)
     try:
-        coords = batched_decompose(products[i, j], B)
+        coords = np.array(batched_decompose(products[i, j], B),
+                          dtype=object).reshape(len(i), m + 1)
     except (NotInvariant, NotInSpan) as ex:
         r = ex.row
         raise DecompositionNotIntegral(
@@ -578,14 +622,18 @@ def action_matrices(TB, coords) -> np.ndarray:
     s = E.projection.images
     at = [base_class[s[cls[0]]] for cls in E.group.conjugacy_classes()]
     products = pullback_products(
-        tab, coords, character_table(E.base).conductor, at, TB.coords)
-    mults = tab.multiplicities(products)
+        tab, coords, character_table(E.base).conductor, at,
+        coords_array(TB.coords).reshape(len(TB), len(at), -1))
+    mults = np.array(tab.multiplicities(products.reshape(
+        (-1,) + products.shape[2:]).tolist()), dtype=object).reshape(
+            products.shape[:2] + (len(tab),))
     if (mults < 0).any():
         raise DecompositionNotIntegral(
             f"product multiplicity {mults[mults < 0][0]} is not a "
             "non-negative integer")
     try:
-        cols = TB.span.solve(mults.reshape(-1, len(tab)))
+        cols = np.array(TB.span.solve(mults.reshape(-1, len(tab))),
+                        dtype=object).reshape(-1, len(TB))
     except NotInSpan as ex:
         raise DecompositionNotIntegral(
             f"product with the twisted basis: {ex}") from ex

@@ -294,12 +294,15 @@ def numpy_imports(tree) -> list:
 
 
 def test_the_set_up_layers_import_no_numpy():
-    """Groups, subgroups, homomorphisms and the fusion system, the
-    saturation check included, run in pure Python: permgroup and fusion
-    import no numpy, not even inside a function."""
+    """Every layer runs on Python ints, the set-up (groups, subgroups,
+    homomorphisms, the fusion system and its saturation check) and the
+    array stages (characters, bases, rings, spectra, twisted modules)
+    alike: no module of the package imports numpy, not even inside a
+    function."""
     modules = _package()[0]
-    for f in ("permgroup.py", "fusion.py"):
-        assert numpy_imports(modules[f]) == [], f
+    assert {"permgroup.py", "fusion.py", "intlinalg.py"} <= set(modules)
+    for f, tree in modules.items():
+        assert numpy_imports(tree) == [], f
 
 
 def test_a_numpy_import_at_any_depth_is_found():

@@ -16,7 +16,7 @@ from oracles import inner_product, value_conjugate, value_product
 
 def rows(tab):
     """The irreducibles as nested tuples: row, class, coordinate."""
-    return [tuple(map(tuple, row)) for row in tab.coords.tolist()]
+    return list(tab.coords)
 
 
 def inner(tab, f, g):
@@ -35,15 +35,15 @@ def vanishes_off_the_center(tab, k):
     Z = S.centralizer(S.full_subgroup())
     for x in range(S.order):
         if not Z.contains(x):
-            assert not tab.coords[k, S.class_of()[x]].any()
+            assert not any(tab.coords[k][S.class_of()[x]])
 
 
 def test_cyclic_nine():
     G = build_group(9, ["(1 2 3 4 5 6 7 8 9)"], names=["s"])
     tab = character_table(G)
     assert tab.degrees() == (1,) * 9
-    assert (tab.coords[0, :, 0] == 1).all()  # trivial first
-    assert not tab.coords[0, :, 1:].any()
+    assert all(v[0] == 1 for v in tab.coords[0])  # trivial first
+    assert not any(any(v[1:]) for v in tab.coords[0])
     orthonormal(tab)
 
 
@@ -78,7 +78,7 @@ def test_extraspecial_seven():
         assert inner(tab, chars[i], chars[j]) == (1 if i == j else 0)
     c = S.class_of()[S.names["c"]]
     for k in range(49, 55):
-        assert tab.coords[k, c].any()
+        assert any(tab.coords[k][c])
         vanishes_off_the_center(tab, k)
 
 
@@ -140,12 +140,11 @@ def test_frobenius_reciprocity():
     # the enumeration's copy, which knows the pair it was built from
     H, = [H for H in S.all_subgroups() if H.members == a.members]
     exps = _linear_characters(S, H, {}, 7)
-    powers = np.array(power_table(7)[:7], dtype=np.int64)
-    induced = _induced_coords(S, H, exps, powers)
+    induced = _induced_coords(S, H, exps, power_table(7)[:7])
     chars = rows(tab)
     for r in (0, 3):
-        lam, ind = exps[r].tolist(), induced[r]
-        mults = tab.multiplicities(ind).tolist()
+        lam, ind = exps[r], induced[r]
+        mults, = tab.multiplicities([ind])
         for k in list(range(6)) + list(range(49, 55)):
             psi = chars[k]
             # sum over h in H of lambda(h) conj(psi(h)), in coordinates
@@ -155,16 +154,16 @@ def test_frobenius_reciprocity():
             total = [sum(cs) for cs in zip(*terms)]
             assert not any(total[1:])
             want = Fraction(total[0], H.order)
-            assert inner(tab, ind.tolist(), psi) == want
+            assert inner(tab, ind, psi) == want
             assert mults[k] == want
 
 
 def test_regular_character():
     S = extraspecial_p3(3)
     tab = character_table(S)
-    reg = np.zeros(tab.coords.shape[1:], dtype=np.int64)
-    reg[S.class_of()[S.identity], 0] = S.order
-    assert tab.multiplicities(reg).tolist() == list(tab.degrees())
+    reg = [[0, 0] for _ in S.conjugacy_classes()]
+    reg[S.class_of()[S.identity]][0] = S.order
+    assert tab.multiplicities([reg]) == [list(tab.degrees())]
 
 
 def test_tensor_multiplicities():
@@ -172,7 +171,7 @@ def test_tensor_multiplicities():
     tab = character_table(S)
     big = rows(tab)[9]
     prod = [value_product(3, v, value_conjugate(3, v)) for v in big]
-    mults = tab.multiplicities(np.array(prod)).tolist()
+    mults, = tab.multiplicities([prod])
     assert sum(mults) == 9 and mults[0] == 1
     assert all(type(m) is int and m >= 0 for m in mults)
     assert mults == [inner(tab, prod, chi) for chi in rows(tab)]
@@ -182,17 +181,17 @@ def test_conductor_uniform():
     for G in (build_group(3, ["(1 2 3)"]), extraspecial_p3(3)):
         tab = character_table(G)
         assert tab.conductor == G.exponent() == 3
-        assert tab.coords.shape == (len(tab), len(G.conjugacy_classes()), 2)
+        assert np.shape(tab.coords) == (len(tab), len(G.conjugacy_classes()),
+                                        2)
 
 
 def test_trivial_character_and_json():
     G = build_group(3, ["(1 2 3)"])
     tab = character_table(G)
-    triv = np.zeros(tab.coords.shape[1:], dtype=np.int64)
-    triv[:, 0] = 1
-    assert tab.multiplicities(triv).tolist() == [1, 0, 0]
-    assert inner(tab, triv.tolist(), rows(tab)[0]) == 1
+    triv = [[1, 0] for _ in range(3)]
+    assert tab.multiplicities([triv]) == [[1, 0, 0]]
+    assert inner(tab, triv, rows(tab)[0]) == 1
     j = tab.to_json()
     assert j["order"] == 3 and len(j["classes"]) == 3
     assert [ch["values"] for ch in j["characters"]] == [
-        [value_json(3, v) for v in row] for row in tab.coords.tolist()]
+        [value_json(3, v) for v in row] for row in tab.coords]

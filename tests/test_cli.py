@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -23,6 +24,23 @@ def test_usage(capsys):
     assert run(capsys, ["--help"])[0] == 0
     assert run(capsys, ["bogus", "x"])[0] == 1
     assert run(capsys, ["repring"])[0] == 1
+
+
+def test_primes_flag_takes_large_primes(capsys):
+    """The prime 2^61 - 1 is certified at once and its spectrum printed;
+    2^89 - 1 is past the proven Miller-Rabin bound, an input error."""
+    spec = fixture_path("sigma_5.fus")
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["spectrum", spec, "--primes",
+                                  str(2 ** 61 - 1)])
+    assert code == 0, err
+    assert time.perf_counter() - t0 < 1.0
+    assert f"({2 ** 61 - 1}, t + " in out
+    code, out, err = run(capsys, ["spectrum", spec, "--primes",
+                                  str(2 ** 89 - 1)])
+    assert code == 1 and out == ""
+    assert err == (f"error: the primality of {2 ** 89 - 1} cannot be "
+                   "certified: it is past 3317044064679887385961981\n")
 
 
 def test_repring_text(capsys):
@@ -268,7 +286,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps([code, sorted(name for name in sys.modules
                                if name.startswith("fusionrep.")),
-                  "numpy" in sys.modules]))
+                  [name for name in ("numpy", "fractions")
+                   if name in sys.modules]]))
 """
 
 
@@ -282,24 +301,28 @@ def _src_env(**extra) -> dict:
                 PYTHONPATH=src if not path else src + os.pathsep + path)
 
 
-@pytest.mark.parametrize("cmd,stem,loaded,numpy", [
-    ("fusion-classes", "sigma_5", set(), False),
-    ("fusion-classes", "he", set(), False),
-    ("saturation", "sigma_5", set(), False),
-    ("saturation", "onan", set(), False),
-    ("ktheory", "sigma_5", _LAYERS - {"spectrum", "twisted"}, True),
-    ("fusion-classes", "a4_sl23", set(), False),
-    ("fusion-classes", None, set(), False),
+@pytest.mark.parametrize("cmd,stem,loaded", [
+    ("fusion-classes", "sigma_5", set()),
+    ("fusion-classes", "he", set()),
+    ("saturation", "sigma_5", set()),
+    ("saturation", "onan", set()),
+    ("ktheory", "sigma_5", _LAYERS - {"spectrum", "twisted"}),
+    ("fusion-classes", "a4_sl23", set()),
+    ("fusion-classes", None, set()),
+    ("twisted", "a4_sl23", _LAYERS - {"spectrum"}),
+    ("adic", "a4", _LAYERS - {"spectrum", "twisted"}),
+    ("spectrum", "he", {"cyclotomic", "intlinalg", "spectrum"}),
 ], ids=["fusion-classes", "fusion-classes-he", "saturation", "saturation-onan",
-        "ktheory", "extension", "extension-explicit"])
-def test_a_command_loads_only_the_layers_it_runs(tmp_path, cmd, stem, loaded,
-                                                 numpy):
+        "ktheory", "extension", "extension-explicit", "twisted", "adic",
+        "spectrum-he"])
+def test_a_command_loads_only_the_layers_it_runs(tmp_path, cmd, stem, loaded):
     """In a fresh process, the modules a command imports: fusion-classes
     and saturation need none of the character, ring, twisted, spectrum
-    and linear-algebra layers and no numpy, saturation on an order-343
-    fixture (onan) included; ktheory loads no twisted or spectrum.  An [extension] section, by cocycle (a4_sl23) or by its
-    group (stem None: Q8 over V4, written out), is realized in pure
-    Python, with no twisted layer and no numpy."""
+    and linear-algebra layers, saturation on an order-343 fixture (onan)
+    included; ktheory loads no twisted or spectrum.  An [extension]
+    section, by cocycle (a4_sl23) or by its group (stem None: Q8 over V4,
+    written out), is realized with no twisted layer.  No command loads
+    numpy or fractions."""
     if stem is None:
         spec = tmp_path / "a4_sl23_explicit.fus"
         spec.write_text(A4_SL23_EXPLICIT)
@@ -308,70 +331,10 @@ def test_a_command_loads_only_the_layers_it_runs(tmp_path, cmd, stem, loaded,
     done = subprocess.run(
         [sys.executable, "-c", _LOADED, cmd, str(spec)],
         capture_output=True, text=True, env=_src_env(), check=True)
-    code, modules, has_numpy = json.loads(done.stdout)
+    code, modules, heavy = json.loads(done.stdout)
     assert code == 0
     assert {m.split(".")[1] for m in modules} & _LAYERS == loaded
-    assert has_numpy == numpy
-
-
-_LOADS_MA = """
-import contextlib, io, json, sys
-from fusionrep.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[1:])
-print(json.dumps([code, "numpy.ma" in sys.modules,
-                  "fractions" in sys.modules]))
-"""
-
-
-# the options of the spectrum job on he in the ring343 benchmark workload
-_MA_OPTIONS = {("spectrum", "he"): ("--conductor-order", "--primes", "2,3,7")}
-
-
-@pytest.mark.parametrize("cmd,stem", [
-    ("ktheory", "sigma_5"), ("adic", "a4"), ("twisted", "a4_sl23"),
-    ("saturation", "a4"), ("ktheory", "he"), ("spectrum", "he"),
-    ("fusion-classes", "he"),
-])
-def test_a_command_does_not_load_numpy_ma(cmd, stem):
-    """np.unique imports numpy.ma, about 15 ms of a cold process; no
-    command reaches it, the order-343 rounds of the Hilbert completion, the
-    elimination over F_2 of Berlekamp's split and the orbits of the set-up
-    probe's fusion-classes included."""
-    done = subprocess.run(
-        [sys.executable, "-c", _LOADS_MA, cmd, fixture_path(stem + ".fus"),
-         *_MA_OPTIONS.get((cmd, stem), ())],
-        capture_output=True, text=True, env=_src_env(), check=True)
-    assert json.loads(done.stdout) == [0, False, False]
-
-
-_THREADS = """
-import contextlib, io, json, os, sys
-from fusionrep.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[1:])
-print(json.dumps([code, len(os.listdir("/proc/self/task")),
-                  os.environ.get("OPENBLAS_NUM_THREADS")]))
-"""
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
-                    reason="no /proc/self/task to count threads")
-def test_a_job_starts_no_blas_threads():
-    """ktheory reaches numpy's products, yet its process keeps one thread:
-    the CLI asks OpenBLAS for one unless the caller set a count, which is
-    kept."""
-    argv = [sys.executable, "-c", _THREADS, "ktheory",
-            fixture_path("sigma_5.fus")]
-    env = _src_env()
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    done = subprocess.run(argv, capture_output=True, text=True, env=env,
-                          check=True)
-    assert json.loads(done.stdout) == [0, 1, "1"]
-    done = subprocess.run(argv, capture_output=True, text=True,
-                          env=_src_env(OPENBLAS_NUM_THREADS="2"), check=True)
-    code, _, threads = json.loads(done.stdout)
-    assert (code, threads) == (0, "2")
+    assert heavy == []
 
 
 def test_error_exit_codes(capsys, tmp_path):

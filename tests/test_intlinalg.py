@@ -128,9 +128,9 @@ def test_integer_solution_recovers_x(columns, data):
                          for i in range(n)] for x in X],
                        dtype=object).reshape(len(X), n)
     span = IntegerSpan(columns)
-    assert span.solve(targets).tolist() == X
+    assert span.solve(targets) == X
     assert [list(solve_oracle(span, t)) for t in targets.tolist()] == X
-    assert span.solve(targets[:0]).shape == (0, len(columns))
+    assert span.solve(targets[:0]) == []
 
 
 @pytest.mark.parametrize("columns, target", [
@@ -164,8 +164,7 @@ def _matrices(rows, cols, bound):
 
 @st.composite
 def hnf_inputs(draw):
-    """Small entries, entries just below 2^31 (whose elimination mostly
-    crosses it partway), and entries past int64 from the start."""
+    """Small entries, entries just below 2^31, and entries past int64."""
     bound = draw(st.sampled_from([3, 20, 2 ** 31 - 1, 2 ** 70]))
     return draw(_matrices(draw(st.integers(0, 7)), draw(st.integers(1, 7)),
                           bound))
@@ -183,27 +182,23 @@ def test_hnf_matches_the_oracle(rows, data):
     n = len(rows[0]) if rows else 1
     V = data.draw(_matrices(data.draw(st.integers(0, 3)), n, 2 ** 70))
     reduced = reduce_mod_lattice(H, np.array(V, dtype=object).reshape(-1, n))
-    assert reduced.tolist() == [reduce_oracle(H, v) for v in V]
+    assert reduced == [reduce_oracle(H, v) for v in V]
     assert lattice_contains(H, rows)
 
 
-def test_hnf_widens_to_python_ints_partway(monkeypatch):
-    """The entries start below 2^31 and the first elimination step takes
-    one past it: the steps before run on int64, the steps after on Python
-    ints, and the result is the oracle's."""
-    rows = [[2, 2 ** 30 + 1, 1], [3, -2 ** 30, 5], [7, 11, -2 ** 30]]
-    dtypes = []
-    real = intlinalg._eliminate
-
-    def spy(A, *args):
-        out = real(A, *args)
-        dtypes.append((A.dtype, out[0].dtype))
-        return out
-
-    monkeypatch.setattr(intlinalg, "_eliminate", spy)
-    assert hnf(rows) == hnf_oracle(rows)
-    assert dtypes[0] == (np.int64, object)
-    assert all(after == object for _, after in dtypes)
+def test_kernels_take_int64_input_exactly():
+    """int64 entries whose products wrap in int64 (2^40 * 2^40) come in
+    through int(), so hnf, int_matmul and reduce_mod_lattice give the
+    exact Python-int results."""
+    rows = np.array([[2 ** 40, 3, 0], [5, 2 ** 40, 7], [0, 11, 2 ** 40]],
+                    dtype=np.int64)
+    H = hnf(rows)
+    assert H == hnf_oracle(rows.tolist())
+    assert all(type(x) is int for row in H for x in row)
+    C = int_matmul(rows, rows)
+    assert C == _python_product(rows.tolist(), rows.tolist())
+    assert C[0][0] == 2 ** 80 + 15
+    assert reduce_mod_lattice(H, rows) == [[0, 0, 0]] * 3
 
 
 def _python_product(A, B):
@@ -222,50 +217,27 @@ def products(draw):
 @settings(max_examples=200, deadline=None)
 @given(products())
 @example(([[2 ** 53]], [[0]]))
+@example(([[2 ** 53 + 1, 1]], [[0], [1]]))
 def test_int_matmul_matches_python_ints(AB):
-    """Exact on both sides of the bound; int64 from BLAS exactly when
-    max|A| * max|B| * k < 2^53 and every entry is below 2^53."""
+    """Exact at any size of the entries, past 2^53 and 2^63 included."""
     A, B = AB
-    a = max(abs(x) for row in A for x in row)
-    b = max(abs(x) for row in B for x in row)
     C = int_matmul(A, B)
-    assert C.tolist() == _python_product(A, B)
-    assert (C.dtype == np.int64) == (max(a, b) < 2 ** 53
-                                     and a * b * len(B) < 2 ** 53)
-
-
-@pytest.mark.parametrize("A, B, dtype", [
-    # entries alone past 2^53: float64 would round 2^53 + 1 to 2^53
-    ([[2 ** 53 + 1]], [[1]], object),
-    ([[2 ** 53 + 1, 1]], [[0], [1]], object),
-    ([[2 ** 70, -3]], [[1], [2 ** 70]], object),
-    # just below the bound: every partial sum of odd terms is exact
-    ([[2 ** 26 - 1, 2 ** 26 - 1]], [[2 ** 26 + 1], [2 ** 26 + 1]], np.int64),
-    # just above it
-    ([[2 ** 26 + 1, 2 ** 26 + 1]], [[2 ** 26 + 1], [2 ** 26 + 1]], object),
-])
-def test_int_matmul_at_the_bound(A, B, dtype):
-    C = int_matmul(A, B)
-    assert C.dtype == dtype
-    assert C.tolist() == _python_product(A, B)
+    assert C == _python_product(A, B)
+    assert all(type(x) is int for row in C for x in row)
 
 
 def test_int_matmul_batched():
-    """Stacked operands broadcast as in numpy; the bound uses the inner
-    dimension."""
+    """The products of every pair of a stack of matrices, small and scaled
+    past int64."""
     rng = np.random.default_rng(5)
-    A = rng.integers(-9, 10, size=(3, 4, 4))
-    C = int_matmul(A[:, None], A[None])
-    assert C.shape == (3, 3, 4, 4) and C.dtype == np.int64
-    big = A.astype(object) * 2 ** 40
-    D = int_matmul(big[:, None], big[None])
-    assert D.dtype == object
+    A = rng.integers(-9, 10, size=(3, 4, 4)).tolist()
+    big = [[[x * 2 ** 40 for x in row] for row in M] for M in A]
     for i in range(3):
         for j in range(3):
-            assert C[i, j].tolist() == _python_product(A[i].tolist(),
-                                                       A[j].tolist())
-            assert D[i, j].tolist() == [[x * 2 ** 80 for x in row]
-                                        for row in C[i, j].tolist()]
+            C = int_matmul(A[i], A[j])
+            assert C == _python_product(A[i], A[j])
+            assert int_matmul(big[i], big[j]) == [[x * 2 ** 80 for x in row]
+                                                  for row in C]
 
 
 def test_integer_span_builds_its_hnf_once(monkeypatch):
@@ -280,18 +252,18 @@ def test_integer_span_builds_its_hnf_once(monkeypatch):
     for x in X:
         target = [sum(c * col[i] for c, col in zip(x, columns))
                   for i in range(3)]
-        assert span.solve([target]).tolist() == [x]
+        assert span.solve([target]) == [x]
     with pytest.raises(NotInSpan, match="not an integer combination"):
         span.solve([(0, 0, 1)])
     assert len(calls) == 1
-    assert IntegerSpan(columns).solve([(1, 5, 1)]).tolist() == [[1, 1]]
+    assert IntegerSpan(columns).solve([(1, 5, 1)]) == [[1, 1]]
     assert len(calls) == 2
     # a twisted job solves the action matrices of all basis elements of
     # R(F) against one span of the twisted basis, in one call, after one
     # call for all the products of pairs in R(F)
     job = realize(load_jobspec(fixture_path("a4_sl23.fus")), FIXTURES)
     assert len(job.basis) > 1
-    twisted = job.twisted_basis.mults.tolist()
+    twisted = [list(row) for row in job.twisted_basis.mults]
     spans, solves = [], []
     monkeypatch.setattr(intlinalg, "_tagged_hnf",
                         lambda cols: spans.append(cols) or _tagged_hnf(cols))
@@ -300,13 +272,12 @@ def test_integer_span_builds_its_hnf_once(monkeypatch):
         solves.append(self.columns) or real(self, targets)))
     job.module
     assert spans.count(twisted) == 1
-    assert solves == [job.basis.mults.tolist(), twisted]
+    assert solves == [[list(row) for row in job.basis.mults], twisted]
 
 
 # --- the kernel over F_q against the row-by-row oracle -----------------------
 
-# a prime above 2^31, where the elimination runs on Python ints: the
-# product of two residues passes 2^63
+# a prime above 2^32: the product of two residues passes 2^63
 BIG_PRIME = 2 ** 32 + 15
 
 

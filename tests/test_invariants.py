@@ -11,7 +11,7 @@ from oracles import (brute_hilbert, constant_on_fusion_classes,
 from oracles import decompose as decompose_oracle
 
 from fusionrep.chartable import character_table
-from fusionrep.errors import FusionRepError, HilbertCapExceeded, NotInvariant
+from fusionrep.errors import HilbertCapExceeded, NotInvariant
 from fusionrep.fusion import build_fusion
 from fusionrep.intlinalg import IntegerSpan, hnf, kernel_basis
 from fusionrep import twisted
@@ -51,10 +51,9 @@ def test_hilbert_lifts_merged_columns_exactly():
 
 
 def test_hilbert_entry_bound():
-    with pytest.raises(FusionRepError) as info:
-        hilbert_basis([[1, -(2 ** 63)]])
-    assert info.value.exit_code == 2
-    assert "int64" in str(info.value)
+    """x = 2^63 y has one minimal non-negative solution, whose entry is
+    past int64; the completion runs on it exactly."""
+    assert hilbert_basis([[1, -(2 ** 63)]]) == [(2 ** 63, 1)]
 
 
 @st.composite
@@ -124,23 +123,25 @@ def test_hilbert_matches_the_oracle_on_every_fixture(pipeline, stem,
 
 @pytest.mark.parametrize("stem", STEMS)
 def test_basis_reads_degrees_coords_and_span_off_its_rows(pipeline, stem):
-    """Both bases hold one read-only int64 matrix of multiplicities, and
-    their degrees, coordinates and span are those of its rows, one row at
-    a time."""
+    """Both bases hold one matrix of multiplicities, a tuple of row tuples
+    of Python ints, and their degrees, coordinates and span are those of
+    its rows, one row at a time."""
     job = pipeline(stem)
     for B in [job.basis] + ([job.twisted_basis] if job.extension else []):
         tab = character_table(B.fusion.S)
-        assert B.mults.dtype == np.int64 and not B.mults.flags.writeable
-        assert B.mults.shape == (len(B), len(tab))
-        rows = B.mults.tolist()
+        assert type(B.mults) is tuple and np.shape(B.mults) == (len(B),
+                                                                len(tab))
+        assert all(type(x) is int for row in B.mults for x in row)
+        rows = [list(row) for row in B.mults]
         assert B.degrees == tuple(
             sum(m * d for m, d in zip(row, tab.degrees())) for row in rows)
+        X = np.array(tab.coords)
         for row, coords in zip(rows, B.coords):
             assert np.array_equal(
-                coords, sum(m * tab.coords[i] for i, m in enumerate(row)))
+                coords, sum(m * X[i] for i, m in enumerate(row)))
         assert B.span.columns == rows
         assert B.span.tagged == IntegerSpan(rows).tagged
-        assert B.span.solve(rows).tolist() == np.eye(len(B), dtype=int).tolist()
+        assert B.span.solve(rows) == np.eye(len(B), dtype=int).tolist()
 
 
 def test_hilbert_against_bruteforce():
@@ -150,7 +151,7 @@ def test_hilbert_against_bruteforce():
         rows = invariance_matrix(F)
         ncols = len(character_table(F.S))
         B = irreducible_invariants(F)
-        computed = set(map(tuple, B.mults.tolist()))
+        computed = set(B.mults)
         bound = max(max(v) for v in computed) + 1
         assert computed == brute_hilbert(rows, ncols, bound)
 
@@ -163,7 +164,7 @@ def test_sigma3_basis():
     B = irreducible_invariants(F)
     assert B.names == ("1", "X1")
     assert list(B.degrees) == [1, 2]
-    assert B.mults[1].tolist() == [0, 1, 1]
+    assert B.mults[1] == (0, 1, 1)
 
 
 def test_trivial_fusion_basis_is_irr():
@@ -172,13 +173,13 @@ def test_trivial_fusion_basis_is_irr():
     assert invariance_matrix(F) == []
     B = irreducible_invariants(F)
     assert len(B) == 3
-    assert all(sum(row) == 1 for row in B.mults.tolist())
+    assert all(sum(row) == 1 for row in B.mults)
 
 
 def uncovered(B) -> list:
     """The irreducibles of S that occur in no basis element: the columns
     of the basis multiplicities that are zero throughout."""
-    return np.flatnonzero(~B.mults.any(0)).tolist()
+    return [k for k, col in enumerate(zip(*B.mults)) if not any(col)]
 
 
 def test_a4_basis_decompose_covering():
@@ -187,16 +188,16 @@ def test_a4_basis_decompose_covering():
     F = build_fusion(V4, [make_hom(V4.full_subgroup(), (y, V4.mul(x, y)))])
     B = irreducible_invariants(F)
     assert list(B.degrees) == [1, 3]
-    assert B.mults[1].tolist() == [0, 1, 1, 1]
+    assert B.mults[1] == (0, 1, 1, 1)
     assert decompose([[1, 1, 1, 1], [2, 1, 1, 1], [-1, -1, -1, -1]],
-                     B).tolist() == [[1, 1], [2, 1], [-1, -1]]
+                     B) == [[1, 1], [2, 1], [-1, -1]]
     with pytest.raises(NotInvariant):
         decompose([[0, 1, 0, 0]], B)
     assert uncovered(B) == []
     tab = character_table(V4)
     assert constant_on_fusion_classes(F, B.coords[1])
     assert not constant_on_fusion_classes(F, tab.coords[1])
-    regular = np.zeros(tab.coords.shape[1:], dtype=np.int64)
+    regular = np.zeros(np.shape(tab.coords)[1:], dtype=np.int64)
     regular[V4.class_of()[V4.identity], 0] = V4.order
     assert constant_on_fusion_classes(F, regular)
 
@@ -207,20 +208,20 @@ def test_decompose_rejects_every_non_invariant_vector(pipeline, stem):
     member; the check is exact for entries of any size, and a batch names
     its first failing row.  Every answer is the per-row oracle's."""
     B = pipeline(stem).basis
-    members = set(map(tuple, B.mults.tolist()))
-    n = B.mults.shape[1]
+    members = set(B.mults)
+    n = len(B.mults[0])
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     inside = [u for u in units if u in members]
-    assert decompose(inside, B).tolist() == [
+    assert decompose(inside, B) == [
         list(decompose_oracle(u, B)) for u in inside]
-    assert all(row.count(1) == 1 for row in decompose(inside, B).tolist())
+    assert all(row.count(1) == 1 for row in decompose(inside, B))
     rejected = 0
     for unit in units:
         if unit in members:
             continue
         # plus a huge invariant vector, beyond any fixed-width integer
         for v in (unit, [x + 10 ** 40 * m for x, m in
-                         zip(unit, B.mults[-1].tolist())]):
+                         zip(unit, B.mults[-1])]):
             with pytest.raises(NotInvariant, match="^character is not "
                                "constant on the fusion classes$") as ex:
                 decompose(inside + [v], B)
@@ -229,10 +230,10 @@ def test_decompose_rejects_every_non_invariant_vector(pipeline, stem):
                 decompose_oracle(v, B)
         rejected += 1
     assert rejected > 0
-    big = [10 ** 40 * m for m in B.mults[-1].tolist()]
-    assert decompose([big], B).tolist() == [list(decompose_oracle(big, B))] \
+    big = [10 ** 40 * m for m in B.mults[-1]]
+    assert decompose([big], B) == [list(decompose_oracle(big, B))] \
         == [[10 ** 40 * int(k == len(B) - 1) for k in range(len(B))]]
-    assert decompose(np.zeros((0, n), dtype=np.int64), B).shape == (0, len(B))
+    assert decompose(np.zeros((0, n), dtype=np.int64), B) == []
 
 
 def test_basis_count_matches_classes(pipeline):
@@ -248,7 +249,7 @@ def test_onan_basis(pipeline):
     assert list(B.degrees) == [1, 150, 192]
     tab = character_table(P.group)
     d7 = [i for i, d in enumerate(tab.degrees()) if d == 7]
-    vA, vB = B.mults[1].tolist(), B.mults[2].tolist()
+    vA, vB = B.mults[1], B.mults[2]
     assert all(vA[i] == 3 for i in d7)
     assert all(vB[i] == 4 for i in d7)
     assert uncovered(B) == []
@@ -257,7 +258,7 @@ def test_onan_basis(pipeline):
     for i in d7:
         zvec[i] = 1
     assert not constant_on_fusion_classes(
-        P.fusion, np.tensordot(zvec, tab.coords, 1))
+        P.fusion, np.tensordot(zvec, np.array(tab.coords), 1))
     assert all(constant_on_fusion_classes(P.fusion, c) for c in B.coords)
 
 
@@ -283,12 +284,12 @@ def test_exact_rank_when_the_modular_test_reports_a_kernel(pipeline,
 
     monkeypatch.setattr(chartable, "hnf", counted_hnf)
     for stem in stems:
-        assert np.array_equal(
-            irreducible_invariants(pipeline(stem).fusion).mults, want[stem])
+        assert irreducible_invariants(pipeline(stem).fusion).mults \
+            == want[stem]
     assert len(exact) == len(stems)
     for stem in ("sigma_7", "a4"):
         tab = character_table(pipeline(stem).group)
-        values = tab.coords.copy()
+        values = list(tab.coords)
         assert tab.rank(values) == len(tab)
         values[-1] = values[0]
         assert tab.rank(values) == len(tab) - 1

@@ -13,7 +13,8 @@ from oracles import (array_make_hom, array_orbits, array_walk, build_table,
 
 from fusionrep import permgroup
 from fusionrep.chartable import _linear_characters, character_table
-from fusionrep.errors import (EvenPrime, FusionRepError, NotAHomomorphism,
+from fusionrep.errors import (EvenPrime, FusionRepError, InputError,
+                              NotAHomomorphism,
                               NotAPermutation, NotAPrimePowerGroup,
                               NotInjective, OrderCapExceeded,
                               SubgroupEnumerationCapExceeded)
@@ -21,7 +22,7 @@ from fusionrep.fusion import DEFAULT_MORPHISM_CAP, build_fusion
 from fusionrep.jobspec import load_jobspec, realize
 from fusionrep.permgroup import (FiniteGroup, Subgroup, build_group, compose,
                                  extraspecial_p3, format_cycles, group_prime,
-                                 invert, make_hom, parse_cycles)
+                                 invert, is_prime, make_hom, parse_cycles)
 
 from conftest import FIXTURES
 
@@ -598,3 +599,32 @@ def test_small_fusions_match_the_oracle():
 @given(random_fusions())
 def test_fusions_match_the_oracle_on_random_p_groups(F):
     _assert_fusion_matches_the_oracle(F)
+
+
+def _prime_by_trial_division(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 10 ** 5)
+            if is_prime(n) != _prime_by_trial_division(n)] == []
+
+
+def test_is_prime_on_pseudoprimes_and_large_primes():
+    """561 is a Carmichael number; 3215031751 is a strong pseudoprime to
+    the bases 2, 3, 5 and 7, and 3825123056546413051 to every prime base
+    up to 23.  2^61 - 1 is a Mersenne prime."""
+    for n in (561, 3215031751, 3825123056546413051):
+        assert not is_prime(n), n
+    assert is_prime(2 ** 61 - 1)
+    assert not is_prime(2 ** 61 + 1)
+
+
+def test_is_prime_refuses_past_the_proven_bound():
+    """Miller-Rabin to the bases up to 41 is proven below
+    3,317,044,064,679,887,385,961,981; from there on is_prime answers
+    with an InputError, the Mersenne prime 2^89 - 1 included."""
+    assert not is_prime(3_317_044_064_679_887_385_961_979)
+    for n in (3_317_044_064_679_887_385_961_981, 2 ** 89 - 1):
+        with pytest.raises(InputError, match="cannot be certified"):
+            is_prime(n)

@@ -1,6 +1,7 @@
 import os
 import time
 
+import numpy as np
 import pytest
 from oracles import (PrimeSymbol, containments, is_connected, monic_factors,
                      symbol_leq, symbol_nodes)
@@ -161,10 +162,10 @@ def test_residue_membership(pipeline):
     of onan, and the trivial character does not."""
     P = pipeline("onan")
     F, S = P.fusion, P.group
-    one = P.basis.coords[0]
+    one = np.array(P.basis.coords[0])
     sym7 = PrimeSymbol(F, primes_above(7, 7)[0], 0)
     assert not in_prime(one, sym7)
-    for coords, d in zip(P.basis.coords, P.basis.degrees):
+    for coords, d in zip(np.array(P.basis.coords), P.basis.degrees):
         assert in_prime(coords - d * one, sym7)
     regular = 0 * one
     regular[S.class_of()[S.identity], 0] = S.order
