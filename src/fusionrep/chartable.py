@@ -83,6 +83,13 @@ class CharacterTable:
         return PackedRows([n * expanded[ch[c]][a] for ch in self.coords]
                           for c, n in enumerate(sizes) for a in range(phi))
 
+    def dual_sums(self, groups) -> list:
+        """The sum of the dual rows (c, a) over the classes c of each group
+        of class indices, for a < phi(e), group after group."""
+        phi, rows = degree_phi(self.conductor), self._dual.rows
+        return [list(map(sum, zip(*[rows[c * phi + a] for c in group])))
+                for group in groups for a in range(phi)]
+
     def products(self, X, Y) -> list:
         """N[i][j][k] = <x_i y_j, chi_k> for the stacks X and Y of class
         functions at this table's conductor, certified by multiplicities.

@@ -174,7 +174,7 @@ def lattice_contains(big_hnf: list, small_rows) -> bool:
     return not any(map(any, reduce_mod_lattice(big_hnf, small_rows)))
 
 
-# --- integer kernels ---------------------------------------------------------
+# --- integer relations -------------------------------------------------------
 
 def _tagged_hnf(columns) -> list:
     """HNF of the rows (columns[j] | e_j).
@@ -187,15 +187,18 @@ def _tagged_hnf(columns) -> list:
                 for j, col in enumerate(columns)])
 
 
-def kernel_basis(M: list, n: int) -> list:
-    """Basis of {x in Z^n : M x = 0} for an integer matrix M (list of rows).
-
-    The HNF of M has the kernel of M and at most n rows, so the tagged HNF
-    runs on columns of at most n entries, however many rows M has."""
-    M = hnf(M)
-    m = len(M)
-    H = _tagged_hnf([[row[i] for row in M] for i in range(n)])
-    return [row[m:] for row in H if not any(row[:m])]
+def divide_lattice(H: list, m: int) -> list:
+    """Canonical HNF of {x in Z^n : m x in L}, for the canonical HNF rows H
+    of a lattice L in Z^n and an integer m > 0: the rows y H / m for the y
+    with y H = 0 mod m, one condition per distinct column of H.  The y are
+    the relations (y, z) of the tagged HNF of the rows of H, on those
+    columns, and of m I."""
+    cols = list(dict.fromkeys(zip(*H)))
+    d = len(cols)
+    tagged = _tagged_hnf([list(row) for row in zip(*cols)]
+                         + [[m * (j == k) for j in range(d)] for k in range(d)])
+    ys = [row[d:d + len(H)] for row in tagged if not any(row[:d])]
+    return hnf([x // m for x in row] for row in int_matmul(ys, H))
 
 
 class IntegerSpan:

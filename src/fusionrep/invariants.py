@@ -1,21 +1,20 @@
 """Fusion-invariant characters.
 
 A character of S is F-invariant when it is constant on every F-class of
-elements.  Over the canonical irreducible order this is a system of integer
-linear conditions on multiplicity vectors; the non-negative solutions form a
-monoid whose minimal generators are the irreducible F-invariant characters.
-This module builds the condition matrix, computes the minimal generators,
-and decomposes invariant (possibly virtual) vectors over them, products
-with the members of a basis included.  A basis of characters is one
-integer matrix: its rows are the members, written as multiplicities over
-Irr.  The conditions are checked once, on the members the Hilbert basis
-returns; a decomposition is one exact solve over the members, so a row
-that solves is invariant.
+elements.  Over the canonical irreducible order the F-invariant virtual
+characters form the lattice R(F), read off the dual of the character
+table; the non-negative vectors of R(F) form a monoid whose minimal
+generators are the irreducible F-invariant characters.  This module builds
+the lattice, computes the minimal generators, and decomposes invariant
+(possibly virtual) vectors over them, products with the members of a basis
+included.  A basis of characters is one integer matrix: its rows are the
+members, written as multiplicities over Irr.  A basis certifies its
+members once, on their values; a decomposition is one exact solve over
+the members, so a row that solves is invariant.
 
-The minimal generators form the Hilbert basis of the monoid.  Columns that
-no condition touches split off as unit vectors.  The remaining columns are
-merged by the ray of their column in a kernel-lattice basis, which leaves
-at most six of the 55 columns on the order-343 fixtures, and a Pottier
+The minimal generators form the Hilbert basis of the monoid.  The columns
+are merged by the ray of their column in the lattice basis, which leaves
+at most seven of the 55 columns on the order-343 fixtures, and a Pottier
 completion runs on the merged columns, in rounds that reduce every
 pending pair sum, with support bitmasks ruling out most comparisons
 before an entry is read; its non-negative minimal members lift back
@@ -38,12 +37,12 @@ from .errors import (
     NotInSpan,
 )
 from .fusion import FusionSystem
-from .intlinalg import IntegerSpan, hnf, kernel_basis
+from .intlinalg import IntegerSpan, divide_lattice, hnf
 
 DEFAULT_HILBERT_CAP = 100_000
 
 
-# --- the invariance conditions ------------------------------------------------
+# --- the lattice R(F) ---------------------------------------------------------
 
 
 def _class_buckets(F: FusionSystem):
@@ -59,31 +58,24 @@ def _class_buckets(F: FusionSystem):
     return buckets
 
 
-def invariance_matrix(F: FusionSystem) -> list:
-    """Integer rows cutting out the F-invariant multiplicity vectors.
+def invariant_lattice(F: FusionSystem, columns=None) -> list:
+    """The canonical HNF rows of R(F), the F-invariant virtual characters
+    of S, over the irreducibles of S with the given indices (all of them
+    when columns is None).
 
-    Columns follow the canonical irreducible order of S.  For every F-class,
-    each S-class it contains beyond the first contributes the condition
-    "value here = value at the first", one row per power-basis coordinate of
-    the common cyclotomic field, divided by its content.  Zero rows are
-    dropped.
+    The sum of the dual rows (c, a) over the S-classes c of an F-class C
+    is |S| times the rational coordinate of the multiplicities of zeta^a
+    1_C, a combination of F-invariant Galois conjugates; and |S| <f, chi_k>
+    for f in R(F) combines these sums by the coordinates of the values of
+    f.  So the sums span L with |S| R(F) in L in R(F), and R(F) = {x : |S|
+    x in L}.  Projecting onto the a-representations of a central extension
+    keeps both inclusions.
     """
-    X = character_table(F.S).coords
-    rows = []
-    for _, ks in sorted(_class_buckets(F).items()):
-        base = ks[0]
-        for k in ks[1:]:
-            for row in zip(*[[x - y for x, y in zip(ch[k], ch[base])]
-                             for ch in X]):
-                if not any(row):
-                    continue
-                g = 0
-                for x in row:
-                    g = gcd(g, x)
-                if g > 1:
-                    row = [x // g for x in row]
-                rows.append(row)
-    return rows
+    table = character_table(F.S)
+    sums = table.dual_sums(v for _, v in sorted(_class_buckets(F).items()))
+    if columns is not None:
+        sums = [[row[j] for j in columns] for row in sums]
+    return divide_lattice(hnf(sums), F.S.order)
 
 
 # --- Hilbert basis of a lattice monoid ----------------------------------------
@@ -128,20 +120,17 @@ def _minimal(rows: list, supports: list) -> list:
             for v, sv in zip(rows, supports)]
 
 
-def _column_rays(lattice: list, columns: list) -> tuple:
+def _column_rays(lattice: list) -> tuple:
     """Group the columns by the ray of their column in the lattice basis.
 
-    lattice is a basis over the given columns, one coordinate per column.
-    Returns (reps, lift): reps lists the coordinate of one representative
-    per ray, in order of first occurrence, and lift lists (j, k, g, g_k)
-    for every column j whose lattice column is nonzero: its ray is the k-th,
-    and g and g_k are the contents of its column and of the
-    representative's.  Zero lattice columns are forced to zero and appear
-    in neither.
+    Returns (reps, lift): reps lists one representative column per ray, in
+    order of first occurrence, and lift lists (j, k, g, g_k) for every
+    column j whose lattice column is nonzero: its ray is the k-th, and g
+    and g_k are the contents of its column and of the representative's.
+    Zero lattice columns are forced to zero and appear in neither.
     """
     reps, lift, ray_of = [], [], {}
-    for c, j in enumerate(columns):
-        col = [b[c] for b in lattice]
+    for j, col in enumerate(zip(*lattice)):
         g = 0
         for x in col:
             g = gcd(g, x)
@@ -150,25 +139,24 @@ def _column_rays(lattice: list, columns: list) -> tuple:
         ray = tuple(x // g for x in col)
         if ray not in ray_of:
             ray_of[ray] = len(reps)
-            reps.append((c, g))
+            reps.append((j, g))
         k = ray_of[ray]
         lift.append((j, k, g, reps[k][1]))
-    return [c for c, _ in reps], lift
+    return [j for j, _ in reps], lift
 
 
-def hilbert_basis(rows, ncols: int = None, cap: int = DEFAULT_HILBERT_CAP) -> list:
-    """Minimal nonzero elements of {x in Z^n, x >= 0 : rows * x = 0}.
+def hilbert_basis(lattice, cap: int = DEFAULT_HILBERT_CAP) -> list:
+    """Minimal nonzero elements of {x in L, x >= 0} for the lattice L in
+    Z^n with the basis rows lattice; none when the basis is empty.
 
-    Columns that no row touches are free: each contributes its unit vector
-    and takes no part in the rest.  The other columns are grouped by the ray
-    of their column in one kernel-lattice basis, up to positive scaling;
-    columns with a zero kernel column are forced to zero and dropped.  On a
-    lattice vector the columns of one group are positive multiples of one
-    another, so projecting onto one representative column per group is
-    injective and keeps signs and dominance: the completion on the
-    projection is the completion on the full columns, and each result lifts
-    back exactly through x_j = x_k * g_j / g_k for the contents g of the
-    kernel columns.
+    The columns are grouped by the ray of their column in the basis, up to
+    positive scaling; columns with a zero column are forced to zero and
+    dropped.  On a lattice vector the columns of one group are positive
+    multiples of one another, so projecting onto one representative column
+    per group is injective and keeps signs and dominance: the completion on
+    the projection is the completion on the full columns, and each result
+    lifts back exactly through x_j = x_k * g_j / g_k for the contents g of
+    the columns.
 
     The completion (Pottier, ISSAC 1996) seeds with the projected lattice
     basis and its negatives and closes under pairwise sums reduced to
@@ -182,91 +170,59 @@ def hilbert_basis(rows, ncols: int = None, cap: int = DEFAULT_HILBERT_CAP) -> li
     has one of them below it and goes back into the next pool, with the
     sums of the new members' pairs.  Sign supports, kept as bitmasks, rule
     out most pairs and comparisons before an entry is read.
-    The non-negative members, minimal componentwise, lift to the basis,
-    and each lifted member is checked exactly against the rows, so every
-    member returned solves rows * x = 0.
+    The non-negative members, minimal componentwise, lift to the basis.
 
     `cap` bounds the members plus the rows of the pool.
     Output sorted by (coordinate sum, entries).
     """
-    rows = [list(r) for r in rows]
-    if rows:
-        n = len(rows[0])
-        if any(len(r) != n for r in rows):
-            raise InputError("ragged invariance matrix")
-        if ncols is not None and ncols != n:
-            raise InputError("ncols disagrees with the matrix width")
-    else:
-        if ncols is None:
-            raise InputError("ncols is required for an empty matrix")
-        n = ncols
-    touched = [j for j in range(n) if any(r[j] for r in rows)]
-    out = [tuple(int(i == j) for i in range(n))
-           for j in range(n) if j not in touched]
-    if not rows:
-        return sorted(out, key=_by_sum)
+    reps, lift = _column_rays(lattice)
+    if not reps:
+        return []
+    G = [tuple(s * b[c] for c in reps) for b in lattice for s in (1, -1)]
+    supports = [_support(v) for v in G]
+    half = len(reps)
+    carried = []
+    new = 0
+    while True:
+        # clash pairs (i, k), i < k, of each new member k: the positive
+        # support of one meets the negative support of the other
+        pairs = [(i, k) for k in range(new, len(G)) for i in range(k)
+                 if (supports[i] >> half & supports[k]
+                     | supports[k] >> half & supports[i])]
+        if len(G) + len(carried) + len(pairs) > cap:
+            raise HilbertCapExceeded(
+                f"completion exceeded {cap} vectors; raise the cap to continue"
+            )
+        if not carried and not pairs:
+            break
+        # equal rows have equal normal forms, so each is reduced once
+        pool = dict.fromkeys(carried + [tuple(map(add, G[i], G[k]))
+                                        for i, k in pairs])
+        pool = [v for v in dict.fromkeys(
+            _normal_form(v, G, supports) for v in pool) if any(v)]
+        pool_supports = [_support(v) for v in pool]
+        minimal = _minimal(pool, pool_supports)
+        carried = [v for v, m in zip(pool, minimal) if not m]
+        new = len(G)
+        for v, sv, m in zip(pool, pool_supports, minimal):
+            if m:
+                G.append(v)
+                supports.append(sv)
 
-    # rebinding frees the full copy before kernel_basis builds its own
-    rows = [[r[j] for j in touched] for r in rows]
-    lattice = kernel_basis(rows, len(touched)) if touched else []
-    reps, lift = _column_rays(lattice, touched)
-    if reps:
-        seeds = []
-        for b in lattice:
-            v = [b[c] for c in reps]
-            seeds += [v, [-x for x in v]]
-        G = [tuple(v) for v in seeds]
-        supports = [_support(v) for v in G]
-        half = len(reps)
-        carried = []
-        new = 0
-        while True:
-            # clash pairs (i, k), i < k, of each new member k: the positive
-            # support of one meets the negative support of the other
-            pairs = [(i, k) for k in range(new, len(G)) for i in range(k)
-                     if (supports[i] >> half & supports[k]
-                         | supports[k] >> half & supports[i])]
-            if len(G) + len(carried) + len(pairs) > cap:
-                raise HilbertCapExceeded(
-                    f"completion exceeded {cap} vectors; raise the cap to continue"
-                )
-            if not carried and not pairs:
-                break
-            # equal rows have equal normal forms, so each is reduced once
-            pool = dict.fromkeys(carried + [tuple(map(add, G[i], G[k]))
-                                            for i, k in pairs])
-            pool = [v for v in dict.fromkeys(
-                _normal_form(v, G, supports) for v in pool) if any(v)]
-            pool_supports = [_support(v) for v in pool]
-            minimal = _minimal(pool, pool_supports)
-            carried = [v for v, m in zip(pool, minimal) if not m]
-            new = len(G)
-            for v, sv, m in zip(pool, pool_supports, minimal):
-                if m:
-                    G.append(v)
-                    supports.append(sv)
-
-        # members are pairwise distinct: each new one is in normal form
-        nonneg = [v for v in G if min(v) >= 0]
-        for y, m in zip(nonneg, _minimal(nonneg, list(map(_support, nonneg)))):
-            if not m:
-                continue
-            x = [0] * n
-            for j, k, g, g_rep in lift:
-                x[j], r = divmod(y[k] * g, g_rep)
-                if r:
-                    raise FusionRepError(
-                        f"Hilbert basis lift gives column {j} a non-integer")
-            terms = [(c, x[j]) for c, j in enumerate(touched) if x[j]]
-            if any(sum(row[c] * v for c, v in terms) for row in rows):
+    # members are pairwise distinct: each new one is in normal form
+    nonneg = [v for v in G if min(v) >= 0]
+    out = []
+    for y, m in zip(nonneg, _minimal(nonneg, list(map(_support, nonneg)))):
+        if not m:
+            continue
+        x = [0] * len(lattice[0])
+        for j, k, g, g_rep in lift:
+            x[j], r = divmod(y[k] * g, g_rep)
+            if r:
                 raise FusionRepError(
-                    "a Hilbert basis member fails the invariance rows")
-            out.append(tuple(x))
-    return sorted(out, key=_by_sum)
-
-
-def _by_sum(v: tuple) -> tuple:
-    return sum(v), v
+                    f"Hilbert basis lift gives column {j} a non-integer")
+        out.append(tuple(x))
+    return sorted(out, key=lambda v: (sum(v), v))
 
 
 # --- bases of characters -----------------------------------------------------
@@ -282,8 +238,9 @@ def canonical_rows(solutions, degrees) -> tuple:
 
 
 class InvariantBasis:
-    """Characters of the group fusion.S that meet the invariance conditions,
-    as hilbert_basis certifies them.
+    """Characters of the group fusion.S that are constant on the classes
+    of the fusion system, each member checked on its values when the basis
+    is made: FusionRepError when one is not.
 
     Row i of the integer matrix mults, a tuple of row tuples, holds the
     multiplicities of member i over Irr in canonical order; degrees, coords
@@ -299,6 +256,12 @@ class InvariantBasis:
             fusion=fusion, mults=M, names=tuple(names),
             degrees=tuple(sum(m * d for m, d in zip(row, table.degrees()))
                           for row in M))
+        buckets = _class_buckets(fusion).values()
+        for name, values in zip(self.names, self.coords):
+            if any(values[c] != values[ks[0]] for ks in buckets for c in ks):
+                raise FusionRepError(
+                    f"basis member {name} is not constant on the classes "
+                    "of the fusion system")
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -340,18 +303,20 @@ class InvariantBasis:
 
 
 def irreducible_invariants(F: FusionSystem, cap: int = DEFAULT_HILBERT_CAP) -> InvariantBasis:
-    """The minimal F-invariant characters, wrapped as a canonical basis.
+    """The minimal F-invariant characters, the Hilbert basis of R(F)
+    (invariant_lattice), wrapped as a canonical basis.
 
-    Checks, on every run, that the basis size equals the number of F-classes
-    and that the basis characters separate the F-classes: the members are
-    F-invariant, so their value matrix at class representatives is
-    nonsingular exactly when their rows over Irr are rationally
-    independent, which the HNF of the rows reads off.
+    The basis checks that each member is constant on the F-classes; then
+    the size must equal the number of F-classes, and the members must
+    separate the F-classes: they are F-invariant, so their value matrix at
+    class representatives is nonsingular exactly when their rows over Irr
+    are rationally independent, which the HNF of the rows reads off.
     """
     table = character_table(F.S)
-    mults = canonical_rows(
-        hilbert_basis(invariance_matrix(F), ncols=len(table), cap=cap),
-        table.degrees())
+    mults = canonical_rows(hilbert_basis(invariant_lattice(F), cap=cap),
+                           table.degrees())
+    names = ["1"] + [f"X{k}" for k in range(1, len(mults))]
+    B = InvariantBasis(F, mults, names)
     nclasses = len(F.element_classes())
     if len(mults) != nclasses:
         raise FusionRepError(
@@ -362,8 +327,7 @@ def irreducible_invariants(F: FusionSystem, cap: int = DEFAULT_HILBERT_CAP) -> I
         raise FusionRepError("the trivial character is missing from the basis")
     if len(hnf(mults)) != nclasses:
         raise FusionRepError("basis characters do not separate the classes")
-    names = ["1"] + [f"X{k}" for k in range(1, len(mults))]
-    return InvariantBasis(F, mults, names)
+    return B
 
 
 # --- decomposition -----------------------------------------------------------

@@ -7,9 +7,11 @@ A acts by a fixed primitive root of unity.
 
 The twisted invariant group is the monoid of such A-representations whose
 characters are constant on the classes of a lifted fusion system on
-S_alpha.  The lift is checked against the fusion system on S through the
-projection alone: its generators fix A pointwise, and the projection
-carries their graphs onto the graphs of the generators on S.  The monoid
+S_alpha: the non-negative vectors of the invariant lattice of the lifted
+system over the a-representations, read off the dual table as R(F) is.
+The lift is checked against the fusion system on S through the projection
+alone: its generators fix A pointwise, and the projection carries their
+graphs onto the graphs of the generators on S.  The monoid
 is a module over the untwisted invariant ring: the action matrices rewrite
 the products of the pulled-back invariant basis with the twisted members
 over the twisted basis by invariants.product_coefficients, as the
@@ -30,7 +32,7 @@ from .extension import CentralExtensionData
 from .fusion import DEFAULT_MORPHISM_CAP, FusionSystem
 from .intlinalg import int_matmul
 from .invariants import (DEFAULT_HILBERT_CAP, InvariantBasis, canonical_rows,
-                         hilbert_basis, invariance_matrix,
+                         hilbert_basis, invariant_lattice,
                          product_coefficients)
 from .permgroup import GroupHom, Subgroup
 from .ringpres import apply_names, structure_constants
@@ -114,17 +116,16 @@ def twisted_invariant_basis(E: CentralExtensionData, F_alpha: FusionSystem,
     The lifted system must fix the kernel pointwise, and its quotient is
     checked against the base system (_check_lift).
     The members are the non-negative invariant vectors supported on the
-    a-representations, so the Hilbert basis is taken on those columns and
-    embedded into Irr of the big group.
+    a-representations, so the Hilbert basis is taken on the lattice of the
+    lifted system over those columns (invariant_lattice) and embedded into
+    Irr of the big group; the basis checks each member on its values.
     """
     if F_alpha.S is not E.group:
         raise GroupMismatch("lifted fusion system lives on the wrong group")
     _check_lift(E, F_alpha, base)
     a_reps = list(a_representations(E))
     tab = character_table(E.group)
-    sols = hilbert_basis([[r[j] for j in a_reps]
-                          for r in invariance_matrix(F_alpha)],
-                         ncols=len(a_reps), cap=cap)
+    sols = hilbert_basis(invariant_lattice(F_alpha, a_reps), cap=cap)
     full = [[0] * len(tab) for _ in sols]
     for row, sol in zip(full, sols):
         for j, x in zip(a_reps, sol):

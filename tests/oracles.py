@@ -70,6 +70,10 @@ is the completion of a twisted module that twisted.completed_module
 replaced by a nilpotency test: it runs the chain I^k M of the shifted
 matrices until two lattices agree, within a cap, and reads the quotient
 off the Smith form, reported as a ChainCompletedModule.
+invariance_matrix is R(F) as the conditions "value at each S-class =
+value at the first of its F-class", and kernel_basis the integer kernel
+of such rows, that invariants.invariant_lattice replaced by the F-class
+sums of the dual rows of the character table.
 unit_row_twisted_hilbert is the twisted Hilbert basis over all the
 columns of Irr of the extension, with a unit row for every irreducible
 that is not an a-representation, which twisted.twisted_invariant_basis
@@ -84,6 +88,7 @@ and named_subgroups realizes the subgroups its [subgroups] section names.
 """
 
 import itertools
+import math
 import weakref
 from collections import deque
 from fractions import Fraction
@@ -103,9 +108,10 @@ from fusionrep.errors import (AmbientMismatch, DecompositionNotIntegral,
                               SubgroupEnumerationCapExceeded)
 from fusionrep.fusion import (DEFAULT_MORPHISM_CAP, SaturationReport,
                               _describe, _small_gens, build_fusion)
-from fusionrep.intlinalg import kernel_basis, lattice_contains, smith_diagonal
-from fusionrep.invariants import (DEFAULT_HILBERT_CAP, hilbert_basis,
-                                  invariance_matrix)
+from fusionrep import intlinalg
+from fusionrep.intlinalg import lattice_contains, smith_diagonal
+from fusionrep.invariants import (DEFAULT_HILBERT_CAP, _class_buckets,
+                                  hilbert_basis)
 from fusionrep.jobspec import _word_element
 from fusionrep.invariants import decompose as batched_decompose
 from fusionrep.permgroup import (FiniteGroup, GroupHom, Subgroup, build_group,
@@ -161,6 +167,50 @@ def _multipliers(x: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 def _class_sizes(G: FiniteGroup) -> np.ndarray:
     return np.array([len(c) for c in G.conjugacy_classes()], dtype=np.int64)
+
+# --- the invariance conditions and their kernel ------------------------------
+# R(F) as the kernel of the conditions "value at each S-class = value at the
+# first S-class of its F-class", which invariants.invariant_lattice replaced
+# by the F-class sums of the dual rows of the character table.
+
+
+def kernel_basis(M: list, n: int) -> list:
+    """Basis of {x in Z^n : M x = 0} for an integer matrix M (list of rows).
+
+    The HNF of M has the kernel of M and at most n rows, so the tagged HNF
+    runs on columns of at most n entries, however many rows M has."""
+    M = intlinalg.hnf(M)
+    m = len(M)
+    H = intlinalg._tagged_hnf([[row[i] for row in M] for i in range(n)])
+    return [row[m:] for row in H if not any(row[:m])]
+
+
+def invariance_matrix(F) -> list:
+    """Integer rows cutting out the F-invariant multiplicity vectors.
+
+    Columns follow the canonical irreducible order of S.  For every F-class,
+    each S-class it contains beyond the first contributes the condition
+    "value here = value at the first", one row per power-basis coordinate of
+    the common cyclotomic field, divided by its content.  Zero rows are
+    dropped.
+    """
+    X = character_table(F.S).coords
+    rows = []
+    for _, ks in sorted(_class_buckets(F).items()):
+        base = ks[0]
+        for k in ks[1:]:
+            for row in zip(*[[x - y for x, y in zip(ch[k], ch[base])]
+                             for ch in X]):
+                if not any(row):
+                    continue
+                g = 0
+                for x in row:
+                    g = math.gcd(g, x)
+                if g > 1:
+                    row = [x // g for x in row]
+                rows.append(row)
+    return rows
+
 
 def _pos_neg(v):
     pos = tuple(x if x > 0 else 0 for x in v)
@@ -1479,7 +1529,7 @@ def unit_row_twisted_hilbert(E, F_alpha, cap: int = DEFAULT_HILBERT_CAP) -> list
             unit = [0] * m
             unit[i] = 1
             rows.append(unit)
-    return hilbert_basis(rows, ncols=m, cap=cap)
+    return hilbert_basis(kernel_basis(rows, m), cap=cap)
 
 
 # --- cocycles, ideals and job specs ------------------------------------------

@@ -18,15 +18,15 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES, fixture_path
-from oracles import (brute_hilbert, inner_product, is_centric, is_radical,
-                     named_subgroups, ring_product, small_fusions,
-                     value_conjugate)
+from oracles import (brute_hilbert, inner_product, invariance_matrix,
+                     is_centric, is_radical, named_subgroups, ring_product,
+                     small_fusions, value_conjugate)
 
 from fusionrep.chartable import _compute_table, character_table
 from fusionrep.cli import main
 from fusionrep.cyclotomic import power_table
 from fusionrep.fusion import build_fusion
-from fusionrep.invariants import invariance_matrix, irreducible_invariants
+from fusionrep.invariants import irreducible_invariants
 from fusionrep.jobspec import load_jobspec, realize
 from fusionrep.permgroup import extraspecial_p3, make_hom
 from fusionrep.ringpres import (adic_equivalence_exponent,

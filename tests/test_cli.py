@@ -230,19 +230,20 @@ _STAGES = (("invariants", "irreducible_invariants"),
            ("spectrum", "prime_symbols"))
 _BASIS = ("irreducible_invariants",)
 _PRESENTATION = ("structure_constants",)
+_LATTICE = ("invariant_lattice",)
 
 
 @pytest.mark.parametrize("argv,lines,stages", [
-    (["repring", "sigma_5.fus"], 3, [_BASIS, _PRESENTATION]),
+    (["repring", "sigma_5.fus"], 3, [_BASIS, _LATTICE, _PRESENTATION]),
     (["ktheory", "sigma_5.fus"], 1,
-     [_BASIS, _PRESENTATION, ("completed_presentation",)]),
+     [_BASIS, _LATTICE, _PRESENTATION, ("completed_presentation",)]),
     (["adic", "sigma_5.fus", "--k", "3"], 3,
-     [_BASIS, _PRESENTATION, ("structure_tensor",)]
+     [_BASIS, _LATTICE, _PRESENTATION, ("structure_tensor",)]
      + [(stage, k) for k in (1, 2, 3) for stage in
         ("adic_equivalence_exponent", "quotient_by_ideal_power")]),
     (["twisted", "a4_sl23.fus"], 6,
-     [_BASIS, _PRESENTATION, ("twisted_invariant_basis",),
-      ("module_structure",), ("completed_presentation",),
+     [_BASIS, _LATTICE, _PRESENTATION, ("twisted_invariant_basis",),
+      _LATTICE, ("module_structure",), ("completed_presentation",),
       ("completed_module",)]),
 ], ids=["repring", "ktheory", "adic", "twisted"])
 def test_each_stage_runs_once_per_job(capsys, monkeypatch, argv, lines,
@@ -250,9 +251,10 @@ def test_each_stage_runs_once_per_job(capsys, monkeypatch, argv, lines,
     """Wrap every stage function in the module that defines it (the job
     imports each one when it first runs the stage), the two library
     call sites that build the basis or the presentation when they are not
-    passed one, and the structure tensor of Irr(S), which only the
-    character ring of adic reads; tally the calls by name and integer
-    arguments (k)."""
+    passed one, the structure tensor of Irr(S), which only the character
+    ring of adic reads, and invariant_lattice where invariants and twisted
+    call it, once per basis; tally the calls by name and integer arguments
+    (k)."""
     import fusionrep.chartable
     import fusionrep.invariants
     import fusionrep.ringpres
@@ -262,7 +264,9 @@ def test_each_stage_runs_once_per_job(capsys, monkeypatch, argv, lines,
     sites = ([(getattr(fusionrep, mod), name) for mod, name in _STAGES]
              + [(fusionrep.ringpres, "irreducible_invariants"),
                 (fusionrep.twisted, "structure_constants"),
-                (fusionrep.chartable.CharacterTable, "structure_tensor")])
+                (fusionrep.chartable.CharacterTable, "structure_tensor")]
+             + [(mod, "invariant_lattice")
+                for mod in (fusionrep.invariants, fusionrep.twisted)])
     for mod, name in sites:
         def counted(*a, _real=getattr(mod, name), _name=name, **kw):
             calls[(_name,) + tuple(x for x in a if isinstance(x, int))] += 1

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from fusionrep import intlinalg
 from fusionrep.errors import NotInSpan
-from fusionrep.intlinalg import (IntegerSpan, _tagged_hnf, hnf, int_matmul,
-                                 kernel_basis, lattice_contains,
+from fusionrep.intlinalg import (IntegerSpan, _tagged_hnf, divide_lattice,
+                                 hnf, int_matmul, lattice_contains,
                                  nullspace_mod, reduce_mod_lattice,
                                  smith_diagonal)
 from fusionrep.jobspec import load_jobspec, realize
@@ -18,6 +18,7 @@ from fusionrep.permgroup import is_prime
 
 from conftest import FIXTURES, fixture_path
 from oracles import hnf as hnf_oracle
+from oracles import kernel_basis
 from oracles import nullspace_mod as nullspace_mod_oracle
 from oracles import reduce_mod_lattice as reduce_oracle
 from oracles import solve as solve_oracle
@@ -94,6 +95,35 @@ def test_snf_randomized():
     assert smith_diagonal([[2, 4], [3, 6]]) == [1, 0]
     assert smith_diagonal([[4, 0], [0, 6]]) == [2, 12]
     assert smith_diagonal([]) == []
+
+
+def test_divide_lattice_examples():
+    assert divide_lattice([], 5) == []
+    # 4 x in 6Z exactly when x in 3Z
+    assert divide_lattice([[6]], 4) == [[3]]
+    assert divide_lattice([[2, 0], [0, 4]], 4) == [[1, 0], [0, 1]]
+    # 3 (x, y) in the span of (3, 6) and (0, 9) when y - 2 x in 3Z
+    assert divide_lattice([[3, 6], [0, 9]], 3) == [[1, 2], [0, 3]]
+    # a lattice of lower rank: 2 (x, y, z) in the span of (2, 2, 4)
+    assert divide_lattice([[2, 2, 4]], 2) == [[1, 1, 2]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+             min_size=1, max_size=3),
+    st.integers(1, 12))))
+def test_divide_lattice_matches_brute_membership(case):
+    """{x : m x in L} by brute force: in a box, x is in the computed lattice
+    exactly when m x is in L; the result is a canonical HNF."""
+    rows, m = case
+    H = hnf(rows)
+    got = divide_lattice(H, m)
+    assert hnf(got) == got
+    n = len(rows[0])
+    for x in itertools.product(range(-4, 5), repeat=n):
+        assert lattice_contains(got, [x]) == lattice_contains(
+            H, [[m * v for v in x]]), (x, rows, m)
 
 
 def test_kernel_randomized():

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -6,47 +7,59 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
+from test_golden import A4_SL23_EXPLICIT
 from oracles import (NotInvariant, brute_hilbert,
-                     constant_on_fusion_classes, pottier_hilbert_basis,
-                     small_fusions)
+                     constant_on_fusion_classes, invariance_matrix,
+                     kernel_basis, pottier_hilbert_basis, small_fusions)
 from oracles import decompose as decompose_oracle
 
 from fusionrep.chartable import character_table
 from fusionrep.errors import FusionRepError, HilbertCapExceeded, NotInSpan
 from fusionrep.fusion import build_fusion
-from fusionrep.intlinalg import IntegerSpan, hnf, kernel_basis
+from fusionrep.jobspec import parse_jobspec, realize
+from fusionrep.intlinalg import IntegerSpan, hnf
 from fusionrep import invariants, twisted
-from fusionrep.invariants import (DEFAULT_HILBERT_CAP, decompose,
-                                  hilbert_basis, invariance_matrix,
+from fusionrep.invariants import (DEFAULT_HILBERT_CAP, InvariantBasis,
+                                  decompose, hilbert_basis, invariant_lattice,
                                   irreducible_invariants)
+from fusionrep.twisted import a_representations
 from fusionrep.permgroup import build_group, extraspecial_p3, make_hom
 
 
+def kernel_hilbert(rows, ncols=None, cap=DEFAULT_HILBERT_CAP) -> list:
+    """hilbert_basis on the kernel of the rows (the oracle kernel_basis):
+    the minimal non-negative solutions of rows * x = 0."""
+    n = len(rows[0]) if ncols is None else ncols
+    return hilbert_basis(kernel_basis(rows, n), cap=cap)
+
+
 def test_hilbert_unit():
-    assert hilbert_basis([], ncols=3) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
-    assert hilbert_basis([[0, 0, 0]]) == hilbert_basis([], ncols=3)
-    assert hilbert_basis([[1, -1]]) == [(1, 1)]
-    hb = hilbert_basis([[1, 1, -2]])
+    assert kernel_hilbert([], ncols=3) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert kernel_hilbert([[0, 0, 0]]) == kernel_hilbert([], ncols=3)
+    assert kernel_hilbert([[1, -1]]) == [(1, 1)]
+    hb = kernel_hilbert([[1, 1, -2]])
     assert set(hb) == {(1, 1, 1), (2, 0, 1), (0, 2, 1)}
-    assert hilbert_basis([[1, 1]]) == []
+    assert kernel_hilbert([[1, 1]]) == []
+    # an empty kernel has no members
+    assert kernel_hilbert([[1, 0], [0, 1]]) == hilbert_basis([]) == []
 
 
 def test_hilbert_cap():
     with pytest.raises(HilbertCapExceeded):
-        hilbert_basis([[1, 1, -2]], cap=2)
+        kernel_hilbert([[1, 1, -2]], cap=2)
 
 
 def test_hilbert_lifts_merged_columns_exactly():
     # columns 0 and 1 share one kernel ray with contents 3 and 2, so the
     # lift from the representative multiplies by the ratio 2/3
-    assert hilbert_basis([[2, -3]]) == [(3, 2)]
+    assert kernel_hilbert([[2, -3]]) == [(3, 2)]
     rows = [[2, -3, 1, -1, 0], [0, 0, 2, -2, 0]]
-    assert hilbert_basis(rows) == pottier_hilbert_basis(rows)
-    assert hilbert_basis(rows) == [(0, 0, 0, 0, 1), (0, 0, 1, 1, 0),
-                                   (3, 2, 0, 0, 0)]
-    # column 1 is forced to zero and column 4 is free
+    assert kernel_hilbert(rows) == pottier_hilbert_basis(rows)
+    assert kernel_hilbert(rows) == [(0, 0, 0, 0, 1), (0, 0, 1, 1, 0),
+                                    (3, 2, 0, 0, 0)]
+    # column 1 is forced to zero, and column 4 is a ray of its own
     rows = [[1, 0, 2, -4, 0], [0, 1, 0, 0, 0]]
-    assert hilbert_basis(rows) == pottier_hilbert_basis(rows) \
+    assert kernel_hilbert(rows) == pottier_hilbert_basis(rows) \
         == [(0, 0, 0, 0, 1), (0, 0, 2, 1, 0), (2, 0, 1, 1, 0),
             (4, 0, 0, 1, 0)]
 
@@ -54,7 +67,7 @@ def test_hilbert_lifts_merged_columns_exactly():
 def test_hilbert_entry_bound():
     """x = 2^63 y has one minimal non-negative solution, whose entry is
     past int64; the completion runs on it exactly."""
-    assert hilbert_basis([[1, -(2 ** 63)]]) == [(2 ** 63, 1)]
+    assert kernel_hilbert([[1, -(2 ** 63)]]) == [(2 ** 63, 1)]
 
 
 @st.composite
@@ -92,7 +105,7 @@ def test_hilbert_matches_the_pottier_oracle(rows):
         want = pottier_hilbert_basis(rows, cap=ORACLE_CAP)
     except HilbertCapExceeded:
         assume(False)
-    assert hilbert_basis(rows) == want
+    assert kernel_hilbert(rows) == want
 
 
 STEMS = sorted(f[:-4] for f in os.listdir(FIXTURES) if f.endswith(".fus"))
@@ -104,15 +117,19 @@ def test_hilbert_matches_the_oracle_on_every_fixture(pipeline, stem,
     job = pipeline(stem)
     rows = invariance_matrix(job.fusion)
     n = len(character_table(job.group))
-    assert hilbert_basis(rows, ncols=n) == pottier_hilbert_basis(rows, ncols=n)
+    assert hilbert_basis(invariant_lattice(job.fusion)) \
+        == pottier_hilbert_basis(rows, ncols=n)
     if job.extension is None:
         return
-    # the twisted basis runs on the a-representation columns
+    # the twisted basis runs on the a-representation columns; R(F) is
+    # saturated in Z^n, so it is the kernel of its own orthogonal rows
     checked = []
 
-    def checked_hilbert_basis(rows, ncols=None, cap=DEFAULT_HILBERT_CAP):
-        got = hilbert_basis(rows, ncols, cap)
-        assert got == pottier_hilbert_basis(rows, ncols, cap)
+    def checked_hilbert_basis(lattice, cap=DEFAULT_HILBERT_CAP):
+        got = hilbert_basis(lattice, cap)
+        m = len(lattice[0])
+        assert got == pottier_hilbert_basis(kernel_basis(lattice, m),
+                                            ncols=m, cap=cap)
         checked.append(len(got))
         return got
 
@@ -272,14 +289,16 @@ def test_covering_all_fixtures(pipeline):
 
 
 def test_separation_reads_one_hnf_of_the_basis_rows(pipeline, monkeypatch):
-    """irreducible_invariants checks separation by one hnf of the member
-    rows over Irr, and refuses a basis of the right size whose rows are
+    """irreducible_invariants calls hnf twice: once on the F-class sums of
+    the dual rows (invariant_lattice), once on the member rows over Irr for
+    separation; it refuses a basis of the right size whose rows are
     dependent: on he, the last member swapped for twice the one before."""
     stems = ("sigma_3", "a4", "onan", "he")
     want = {stem: pipeline(stem).basis.mults for stem in stems}
     exact = []
 
     def counted_hnf(rows):
+        rows = list(rows)
         exact.append(len(rows))
         return hnf(rows)
 
@@ -287,7 +306,12 @@ def test_separation_reads_one_hnf_of_the_basis_rows(pipeline, monkeypatch):
     for stem in stems:
         assert irreducible_invariants(pipeline(stem).fusion).mults \
             == want[stem]
-    assert exact == [len(want[stem]) for stem in stems]
+    sums = []
+    for stem in stems:
+        F = pipeline(stem).fusion
+        sums += [len(F.element_classes())
+                 * len(character_table(F.S).coords[0][0]), len(want[stem])]
+    assert exact == sums
     hilbert = invariants.hilbert_basis
 
     def dependent(*args, **kwargs):
@@ -299,18 +323,62 @@ def test_separation_reads_one_hnf_of_the_basis_rows(pipeline, monkeypatch):
         irreducible_invariants(pipeline("he").fusion)
 
 
-def test_hilbert_basis_checks_its_members_against_the_rows(pipeline,
-                                                           monkeypatch):
-    """A kernel lattice with its columns rotated is no kernel of the rows:
-    the completion on it runs, and the exact check of the lifted members
-    against the rows refuses them."""
+def test_basis_checks_its_members_on_their_values(pipeline, monkeypatch):
+    """A lattice with columns 1.. rotated is no lattice of invariants: the
+    completion on it runs, the trivial character stays first and the
+    members stay independent, and the value check of the basis refuses
+    them."""
     F = pipeline("he").fusion
-    rows = invariance_matrix(F)
+    lattice = invariants.invariant_lattice
+    monkeypatch.setattr(invariants, "invariant_lattice", lambda F: [
+        b[:1] + b[2:] + b[1:2] for b in lattice(F)])
+    with pytest.raises(FusionRepError, match="^basis member X1 is not "
+                       "constant on the classes of the fusion system$"):
+        irreducible_invariants(F)
+
+
+def test_invariant_basis_refuses_a_non_invariant_member(pipeline):
+    """On he, chi_2 alone is no F-invariant character, and the trivial
+    character is one."""
+    F = pipeline("he").fusion
     n = len(character_table(F.S))
-    kernel = invariants.kernel_basis
-    monkeypatch.setattr(invariants, "kernel_basis", lambda M, m: [
-        b[1:] + b[:1] for b in kernel(M, m)])
-    with pytest.raises(FusionRepError,
-                       match="^a Hilbert basis member fails the invariance "
-                       "rows$"):
-        hilbert_basis(rows, ncols=n)
+    with pytest.raises(FusionRepError, match="^basis member chi2 is not "
+                       "constant on the classes of the fusion system$"):
+        InvariantBasis(F, [[int(k == 1) for k in range(n)]], ["chi2"])
+    B = InvariantBasis(F, [[int(k == 0) for k in range(n)]], ["1"])
+    assert B.degrees == (1,)
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_invariant_lattice_is_the_kernel_of_the_conditions(pipeline, stem):
+    """R(F) from the dual table is the kernel of the invariance conditions,
+    in canonical HNF."""
+    F = pipeline(stem).fusion
+    n = len(character_table(F.S))
+    assert invariant_lattice(F) == hnf(kernel_basis(invariance_matrix(F), n))
+
+
+def test_invariant_lattice_on_the_small_fusions():
+    for F in small_fusions():
+        n = len(character_table(F.S))
+        assert invariant_lattice(F) == hnf(
+            kernel_basis(invariance_matrix(F), n))
+
+
+@pytest.mark.parametrize("form", ["cocycle", "explicit"])
+def test_invariant_lattice_on_the_a_representations(pipeline, form):
+    """The lattice of the lifted system of a4_sl23 over the
+    a-representations is the kernel of its conditions on those columns,
+    with the extension given by cocycle or as an explicit group."""
+    if form == "cocycle":
+        job = pipeline("a4_sl23")
+    else:
+        with open(os.path.join(FIXTURES, "a4_sl23.names.json")) as fh:
+            job = realize(parse_jobspec(A4_SL23_EXPLICIT), FIXTURES,
+                          names=json.load(fh))
+    a_reps = a_representations(job.extension)
+    rows = [[r[j] for j in a_reps]
+            for r in invariance_matrix(job.fusion_alpha)]
+    got = invariant_lattice(job.fusion_alpha, a_reps)
+    assert got == hnf(kernel_basis(rows, len(a_reps)))
+    assert got == [[1]]

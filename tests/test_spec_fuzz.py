@@ -2,9 +2,10 @@
 
 Each example takes a small spec, drops, duplicates or truncates one line or
 replaces one number in it, and runs fusion-classes, spectrum, repring,
-ktheory, twisted and adic on the result in-process.  A second test mutates the order-343 specs rv1 and
-onan the same way and runs fusion-classes, and saturation under a morphism
-cap of 1000 so that each example stays bounded.  Every outcome must be one
+ktheory, twisted and adic on the result in-process.  A second test
+mutates the order-343 specs rv1 and onan the same way and runs
+fusion-classes, saturation under a morphism cap of 1000, and repring and
+ktheory under a Hilbert cap of 2000, so that each example stays bounded.  Every outcome must be one
 of the documented exit codes: 0 success, 1 input problem, 2 validation
 failure, 3 cap exceeded.
 """
@@ -94,7 +95,9 @@ def test_mutated_order_343_specs_exit_cleanly(workdir, text):
     spec = workdir / "job.fus"
     spec.write_text(text)
     for command, extra in (("fusion-classes", ()),
-                           ("saturation", ("--cap-morphisms", "1000"))):
+                           ("saturation", ("--cap-morphisms", "1000")),
+                           ("repring", ("--cap-hilbert", "2000")),
+                           ("ktheory", ("--cap-hilbert", "2000"))):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = main([command, str(spec), *extra])

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from oracles import action_matrices as action_matrices_oracle
 from oracles import structure_constants as structure_constants_oracle
 from oracles import (chain_completed_module, cocycle_violations,
-                     quotient_fusion, quotient_match, section_cocycle,
-                     unit_row_twisted_hilbert, zero_section)
+                     invariance_matrix, quotient_fusion, quotient_match,
+                     section_cocycle, unit_row_twisted_hilbert, zero_section)
 from test_golden import A4_SL23_EXPLICIT
 
 from fusionrep import permgroup, twisted
@@ -20,7 +20,7 @@ from fusionrep.errors import (DecompositionNotIntegral, FusionRepError,
                               GeneratorMovesA, InvalidCocycle, NotCentral,
                               NotCyclicKernel, NotInjective, QuotientMismatch)
 from fusionrep.fusion import build_fusion
-from fusionrep.invariants import (invariance_matrix, irreducible_invariants,
+from fusionrep.invariants import (irreducible_invariants,
                                   product_coefficients)
 from fusionrep.jobspec import parse_jobspec, realize
 from fusionrep.permgroup import build_group, extraspecial_p3, make_hom
