@@ -1,4 +1,4 @@
-"""Exact linear algebra over Z and F_q.
+"""Exact linear algebra over Z.
 
 Matrices are lists of rows of Python ints, so no entry can overflow and
 every kernel has one representation whatever the size of its values.  A
@@ -262,36 +262,3 @@ def smith_diagonal(M: list) -> list:
             d[i], d[j] = g, d[i] // g * d[j]
     return d + [0] * (size - len(d))
 
-
-def nullspace_mod(mat, q):
-    """Basis of the kernel of a square matrix over F_q, q prime.
-
-    Gauss-Jordan elimination: the pivot row is scaled to a leading 1, then
-    every other row with a nonzero entry in the pivot column becomes
-    (row - entry * pivot row) mod q.  One basis vector per free column, in
-    column order: 1 there, minus the reduced pivot rows' entries in that
-    column at the pivot columns, 0 elsewhere.
-    """
-    m = [[int(x) % q for x in row] for row in mat]
-    n = len(m)
-    pivots = []  # the pivot column of each reduced row, in order
-    for c in range(n):
-        r = len(pivots)
-        i = next((i for i in range(r, n) if m[i][c]), None)
-        if i is None:
-            continue
-        m[r], m[i] = m[i], m[r]
-        inv = pow(m[r][c], -1, q)
-        m[r] = [x * inv % q for x in m[r]]
-        for k, row in enumerate(m):
-            f = row[c]
-            if f and k != r:
-                m[k] = [(x - f * y) % q for x, y in zip(row, m[r])]
-        pivots.append(c)
-    basis = []
-    for fc in sorted(set(range(n)) - set(pivots)):
-        vec = [int(j == fc) for j in range(n)]
-        for r, c in enumerate(pivots):
-            vec[c] = -m[r][fc] % q
-        basis.append(vec)
-    return basis

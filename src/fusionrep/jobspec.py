@@ -418,9 +418,9 @@ class Job:
             raise InputError(
                 "the twisted command needs an [extension] section")
         from .twisted import twisted_invariant_basis
-        TB = twisted_invariant_basis(self.extension, self.fusion_alpha,
-                                     base=self.fusion, **self._cap("hilbert"))
-        return TB.with_names(self.names)
+        return twisted_invariant_basis(self.extension, self.fusion_alpha,
+                                       base=self.fusion, names=self.names,
+                                       **self._cap("hilbert"))
 
     @cached_property
     def module(self):

@@ -3,7 +3,9 @@
 The coefficient ring is Z[zeta_n] in the power basis used everywhere else.
 Its prime ideals are handled Kummer-Dedekind style: the zero ideal, or a
 pair (q, f) with q a rational prime and f a monic irreducible factor of the
-n-th cyclotomic polynomial modulo q, found by Berlekamp's algorithm.
+n-th cyclotomic polynomial modulo q.  For q prime to n the factors are
+lifted, as g(x^(n/m)), from the factors g of Phi_m for the least conductor
+m that allows it, and those are found by equal-degree splitting.
 
 A prime of the invariant ring is a pair (coefficient prime, F-class).
 Over the defining prime p of S every class collapses to the class of the
@@ -19,7 +21,6 @@ import random
 from .cyclotomic import cyclotomic_polynomial
 from .errors import FusionRepError, InputError
 from .fusion import FusionSystem
-from .intlinalg import nullspace_mod
 from .permgroup import is_prime
 
 # an element of F_q[x] is a tuple of ints in [0, q), ascending degree,
@@ -38,29 +39,35 @@ def _reduce_mod(coeffs, q):
 
 
 def _polmod_mul(a, b, q):
+    """The product mod q, by Kronecker substitution: a polynomial packs
+    into one integer, w bytes a coefficient, wide enough for every
+    coefficient of the product, so one integer product does the work."""
     if not a or not b:
         return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % q
-    return _trim(out)
+    w = (min(len(a), len(b)) * (q - 1) ** 2).bit_length() // 8 + 1
+
+    def pack(p):
+        return int.from_bytes(
+            b"".join((c % q).to_bytes(w, "little") for c in p), "little")
+    out = (pack(a) * pack(b)).to_bytes(w * (len(a) + len(b) - 1), "little")
+    return _trim([int.from_bytes(out[i:i + w], "little") % q
+                  for i in range(0, len(out), w)])
 
 
 def _polmod_divmod(a, b, q):
-    """Divide by a monic b; returns (quotient, remainder)."""
+    """Divide by a monic b; returns (quotient, remainder).  Only the
+    nonzero lower coefficients of b are subtracted, and the entries of a
+    are reduced mod q when they are read, so sparse b costs little."""
     a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    quo = [0] * max(da - db + 1, 0)
-    while da >= db and any(a):
-        lead = a[da] % q
+    db = len(b) - 1
+    low = [(j, c) for j, c in enumerate(b[:db]) if c]
+    quo = [0] * max(len(a) - db, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        lead = quo[k] = a[k + db] % q
         if lead:
-            quo[da - db] = lead
-            for j, bj in enumerate(b):
-                a[da - db + j] = (a[da - db + j] - lead * bj) % q
-        da -= 1
-    return _trim(quo), _trim(a)
+            for j, c in low:
+                a[k + j] -= lead * c
+    return _trim(quo), _reduce_mod(a[:db], q)
 
 
 def _polmod_pow(a, e, modulus, q):
@@ -152,84 +159,54 @@ class CycPrime:
         return {"zero": False, "q": self.q, "factor": list(self.factor)}
 
 
-def _berlekamp_factors(f, q):
-    """Distinct irreducible factors of a squarefree monic f mod q.
+def _equal_degree_factors(f, d, q):
+    """The irreducible factors of a squarefree monic f mod q, q prime,
+    all of whose irreducible factors have degree d (Cantor and Zassenhaus).
 
-    Every v in the Berlekamp kernel {v : v^q = v mod f} is a constant mod
-    each irreducible factor, and the kernel dimension is the number of
-    factors.  Factors are split by gcds with splitting polynomials until
-    there are that many: for q = 2, v - c for each basis vector v and
-    c in {0, 1}; for odd q, v^((q-1)/2) - 1 for random combinations v of
-    the basis from a fixed seed, which separates two factors whenever the
-    constants of v there differ in being nonzero squares, with probability
-    about 1/2 per v.  The factors come back sorted, so the draws do not
-    show in the result.
+    For a drawn mod f from a fixed seed, w = a^((q^d - 1)/2) - 1 for odd q,
+    or the trace a + a^2 + ... + a^(2^(d-1)) for q = 2, is a constant mod
+    each irreducible factor: for odd q it is 0 exactly where a is a nonzero
+    square, for q = 2 it is 0 or 1 alike.  So gcd(g, w) separates any two
+    factors of a factor g of f with probability about 1/2 per draw.  Each
+    w is taken mod f, which is sparse for a cyclotomic f, and splits every
+    factor found so far.
     """
-    n = len(f) - 1
-    # Q matrix: row i = coefficients of x^(q i) mod f.  Row i + 1 is row i
-    # times x^q: for q < n, row i shifted up by q with its q top
-    # coefficients folded back by x^n = -(f - x^n), from the top down;
-    # else the product with x^q mod f, which then costs less.
-    low = [(j, c) for j, c in enumerate(f[:n]) if c]
-    xq = _polmod_pow((0, 1), q, f, q) if q >= n else None
-    rows = [[1] + [0] * (n - 1)]
-    for _ in range(n - 1):
-        if xq is None:
-            row = [0] * q + rows[-1]
-            for d in range(n + q - 1, n - 1, -1):
-                c = row.pop()
-                if c:
-                    for j, fj in low:
-                        row[d - n + j] = (row[d - n + j] - c * fj) % q
-        else:
-            row = list(_polmod_divmod(_polmod_mul(rows[-1], xq, q), f, q)[1])
-            row += [0] * (n - len(row))
-        rows.append(row)
-    # nullspace of (Q - I)^T acting on coefficient vectors
-    mat = [[(rows[j][i] - (1 if i == j else 0)) % q for j in range(n)]
-           for i in range(n)]
-    basis = nullspace_mod(mat, q)
+    rng = random.Random(0)
     factors = [f]
-    splitters = _splitters(basis, f, q)
-    while len(factors) < len(basis):
-        w = next(splitters)
+    while len(factors) < (len(f) - 1) // d:
+        a = [rng.randrange(q) for _ in range(len(f) - 1)]
+        if q == 2:
+            w, t = a[:], a
+            for _ in range(d - 1):
+                t = _polmod_divmod(_polmod_mul(t, t, q), f, q)[1]
+                for i, c in enumerate(t):
+                    w[i] ^= c
+        else:
+            w = list(_polmod_pow(a, (q ** d - 1) // 2, f, q)) or [0]
+            w[0] = (w[0] - 1) % q
         pieces = []
         for g in factors:
-            d = _polmod_gcd(g, _polmod_divmod(w, g, q)[1], q)
-            if 0 < len(d) - 1 < len(g) - 1:
-                pieces += [d, _polmod_divmod(g, d, q)[0]]
+            h = g
+            if len(g) - 1 > d:
+                h = _polmod_gcd(g, _polmod_divmod(w, g, q)[1], q)
+            if 0 < len(h) - 1 < len(g) - 1:
+                pieces += [h, _polmod_divmod(g, h, q)[0]]
             else:
                 pieces.append(g)
         factors = pieces
-    return sorted(_make_monic(g, q) for g in factors)
-
-
-def _splitters(basis, f, q):
-    """The splitting polynomials of _berlekamp_factors, mod f."""
-    if q == 2:
-        for v in basis:
-            for c in range(q):
-                yield _trim([(v[0] - c) % q] + v[1:])
-        return
-    rng = random.Random(0)
-    while True:
-        v = [0] * (len(f) - 1)
-        for b in basis:
-            k = rng.randrange(q)
-            v = [(x + k * y) % q for x, y in zip(v, b)]
-        w = _polmod_pow(_trim(v), (q - 1) // 2, f, q)
-        yield _trim([(w[0] - 1) % q if w else q - 1] + list(w[1:]))
+    return factors
 
 
 def primes_above(q: int, n: int) -> list:
     """All primes of Z[zeta_n] over the rational prime q, sorted.
 
-    When q does not divide n every irreducible factor of Phi_n mod q has
-    degree equal to the multiplicative order of q mod n, so Phi_n stays
-    irreducible when that order is phi(n); otherwise a deterministic
-    Berlekamp split gives the factors.  When q divides n the reduction
-    Phi_n = Phi_m^e mod q (m the prime-to-q part) hands the problem to the
-    smaller conductor.
+    When q divides n the reduction Phi_n = Phi_m^e mod q (m the prime-to-q
+    part) hands the problem to the smaller conductor.  Otherwise every
+    irreducible factor of Phi_n mod q has degree d = ord_n(q).  Take the
+    least m dividing n with the prime divisors of n and d = (n/m) ord_m(q):
+    then Phi_n(x) = Phi_m(x^(n/m)), and each irreducible factor g of Phi_m
+    mod q gives the factor g(x^(n/m)) of Phi_n, of degree d.  The factors
+    of Phi_m, all of degree ord_m(q), come from an equal-degree split.
     """
     if not is_prime(q):
         raise InputError(f"{q} is not prime")
@@ -243,12 +220,19 @@ def primes_above(q: int, n: int) -> list:
     if m != n:
         return [CycPrime(n, q, p.factor) for p in primes_above(q, m)]
 
-    phi = _reduce_mod(cyclotomic_polynomial(n), q)
     d = _mult_order(q, n)
-    count = (len(phi) - 1) // d
-    if count == 1:
-        return [CycPrime(n, q, phi)]
-    return [CycPrime(n, q, f) for f in _berlekamp_factors(phi, q)]
+    # m | n has every prime of n exactly when n divides m^(log2 n)
+    m = next(m for m in range(2, n + 1)
+             if n % m == 0 and pow(m, n.bit_length(), n) == 0
+             and n // m * _mult_order(q, m) == d)
+    k = n // m
+    lifted = []
+    for g in _equal_degree_factors(
+            _reduce_mod(cyclotomic_polynomial(m), q), d // k, q):
+        f = [0] * (d + 1)
+        f[::k] = g
+        lifted.append(tuple(f))
+    return [CycPrime(n, q, f) for f in sorted(lifted)]
 
 
 class SpectrumPoset:

@@ -58,10 +58,6 @@ class TwistedBasis(InvariantBasis):
         super().__init__(fusion, mults, names)
         vars(self).update(extension=extension, a_reps=tuple(a_reps))
 
-    def with_names(self, mapping: dict) -> "TwistedBasis":
-        return TwistedBasis(self.extension, self.fusion, self.a_reps,
-                            self.mults, apply_names(self.names, mapping))
-
     def to_json(self) -> dict:
         return {
             "a_representations": list(self.a_reps),
@@ -109,7 +105,8 @@ def _check_lift(E: CentralExtensionData, F_alpha: FusionSystem,
 
 def twisted_invariant_basis(E: CentralExtensionData, F_alpha: FusionSystem,
                             base: FusionSystem,
-                            cap: int = DEFAULT_HILBERT_CAP) -> TwistedBasis:
+                            cap: int = DEFAULT_HILBERT_CAP,
+                            names: dict = None) -> TwistedBasis:
     """Hilbert basis of the monoid of A-representations constant on the
     classes of the lifted fusion system.
 
@@ -119,6 +116,7 @@ def twisted_invariant_basis(E: CentralExtensionData, F_alpha: FusionSystem,
     a-representations, so the Hilbert basis is taken on the lattice of the
     lifted system over those columns (invariant_lattice) and embedded into
     Irr of the big group; the basis checks each member on its values.
+    names maps the automatic names W1.. to display names.
     """
     if F_alpha.S is not E.group:
         raise GroupMismatch("lifted fusion system lives on the wrong group")
@@ -131,7 +129,7 @@ def twisted_invariant_basis(E: CentralExtensionData, F_alpha: FusionSystem,
         for j, x in zip(a_reps, sol):
             row[j] = x
     mults = canonical_rows(full, tab.degrees())
-    names = tuple(f"W{k + 1}" for k in range(len(mults)))
+    names = apply_names([f"W{k + 1}" for k in range(len(mults))], names)
     return TwistedBasis(E, F_alpha, a_reps, mults, names)
 
 

@@ -28,12 +28,15 @@ make_hom and GroupHom.validate replaced.  conjugacy_classes,
 element_classes, recipe and replay are the scalar searches that
 FiniteGroup.walk, permgroup.replay and permgroup.orbits replaced, with
 the scalar conj they ran on, and inverse the inverse of an injective
-GroupHom.  hnf is the row-by-row
-Hermite normal form that intlinalg.hnf replaced, nullspace_mod the row-by-row
-kernel over F_q that the array steps of intlinalg.nullspace_mod
-replaced, and structure_tensor the row-by-row structure tensor mod a
-prime q, through the F_q image ModularImage, that the exact batched
-pairs of CharacterTable.structure_tensor replaced.
+GroupHom.  hnf is the row-by-row Hermite normal form that intlinalg.hnf
+replaced, and nullspace_mod the row-by-row kernel over F_q that
+berlekamp_factors runs on: Berlekamp's algorithm, with its splitting
+polynomials from _splitters, which the lift and equal-degree split of
+spectrum.primes_above replaced.  polmod_mul and polmod_divmod are the
+schoolbook products and divisions mod q that the Kronecker products and
+sparse divisions of spectrum replaced.  structure_tensor is the row-by-row
+structure tensor mod a prime q, through the F_q image ModularImage, that
+the exact batched pairs of CharacterTable.structure_tensor replaced.
 structure_constants and action_matrices are the presentation of R(F),
 contracted from the structure tensor of Irr(S), and the twisted module
 action through pullback_products, with their own solves and sign checks,
@@ -89,6 +92,7 @@ and named_subgroups realizes the subgroups its [subgroups] section names.
 
 import itertools
 import math
+import random
 import weakref
 from collections import deque
 from fractions import Fraction
@@ -119,8 +123,9 @@ from fusionrep.permgroup import (FiniteGroup, GroupHom, Subgroup, build_group,
                                  make_hom, p_part)
 from fusionrep.ringpres import (Ring, RingPresentation, apply_names,
                                 lattice_chain)
-from fusionrep.spectrum import (CycPrime, _mult_order, _polmod_divmod,
-                                _reduce_mod, primes_above)
+from fusionrep.spectrum import (CycPrime, _make_monic, _mult_order,
+                                _polmod_divmod, _polmod_gcd, _polmod_mul,
+                                _polmod_pow, _reduce_mod, _trim, primes_above)
 from fusionrep.twisted import a_representations
 
 
@@ -389,9 +394,11 @@ def hnf(rows) -> list:
     return [row for row in A[:r] if any(row)]
 
 
-# --- the kernel over F_q one row at a time -----------------------------------
-# The code that the array steps of intlinalg.nullspace_mod replaced, kept
-# verbatim: one list comprehension per row operation.
+# --- Berlekamp's algorithm on the kernel over F_q ----------------------------
+# nullspace_mod is kept verbatim from before the array steps of the library
+# kernel, one list comprehension per row operation; berlekamp_factors and
+# _splitters are the factoring of spectrum before the equal-degree split,
+# and polmod_mul and polmod_divmod its schoolbook polynomial arithmetic.
 
 
 def nullspace_mod(mat, q):
@@ -422,6 +429,101 @@ def nullspace_mod(mat, q):
             vec[c] = (-m[pr][fc]) % q
         basis.append(vec)
     return basis
+
+
+def berlekamp_factors(f, q):
+    """Distinct irreducible factors of a squarefree monic f mod q.
+
+    Every v in the Berlekamp kernel {v : v^q = v mod f} is a constant mod
+    each irreducible factor, and the kernel dimension is the number of
+    factors.  Factors are split by gcds with splitting polynomials until
+    there are that many: for q = 2, v - c for each basis vector v and
+    c in {0, 1}; for odd q, v^((q-1)/2) - 1 for random combinations v of
+    the basis from a fixed seed, which separates two factors whenever the
+    constants of v there differ in being nonzero squares, with probability
+    about 1/2 per v.  The factors come back sorted, so the draws do not
+    show in the result.
+    """
+    n = len(f) - 1
+    # Q matrix: row i = coefficients of x^(q i) mod f.  Row i + 1 is row i
+    # times x^q: for q < n, row i shifted up by q with its q top
+    # coefficients folded back by x^n = -(f - x^n), from the top down;
+    # else the product with x^q mod f, which then costs less.
+    low = [(j, c) for j, c in enumerate(f[:n]) if c]
+    xq = _polmod_pow((0, 1), q, f, q) if q >= n else None
+    rows = [[1] + [0] * (n - 1)]
+    for _ in range(n - 1):
+        if xq is None:
+            row = [0] * q + rows[-1]
+            for d in range(n + q - 1, n - 1, -1):
+                c = row.pop()
+                if c:
+                    for j, fj in low:
+                        row[d - n + j] = (row[d - n + j] - c * fj) % q
+        else:
+            row = list(_polmod_divmod(_polmod_mul(rows[-1], xq, q), f, q)[1])
+            row += [0] * (n - len(row))
+        rows.append(row)
+    # nullspace of (Q - I)^T acting on coefficient vectors
+    mat = [[(rows[j][i] - (1 if i == j else 0)) % q for j in range(n)]
+           for i in range(n)]
+    basis = nullspace_mod(mat, q)
+    factors = [f]
+    splitters = _splitters(basis, f, q)
+    while len(factors) < len(basis):
+        w = next(splitters)
+        pieces = []
+        for g in factors:
+            d = _polmod_gcd(g, _polmod_divmod(w, g, q)[1], q)
+            if 0 < len(d) - 1 < len(g) - 1:
+                pieces += [d, _polmod_divmod(g, d, q)[0]]
+            else:
+                pieces.append(g)
+        factors = pieces
+    return sorted(_make_monic(g, q) for g in factors)
+
+
+def _splitters(basis, f, q):
+    """The splitting polynomials of berlekamp_factors, mod f."""
+    if q == 2:
+        for v in basis:
+            for c in range(q):
+                yield _trim([(v[0] - c) % q] + v[1:])
+        return
+    rng = random.Random(0)
+    while True:
+        v = [0] * (len(f) - 1)
+        for b in basis:
+            k = rng.randrange(q)
+            v = [(x + k * y) % q for x, y in zip(v, b)]
+        w = _polmod_pow(_trim(v), (q - 1) // 2, f, q)
+        yield _trim([(w[0] - 1) % q if w else q - 1] + list(w[1:]))
+
+
+def polmod_mul(a, b, q):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % q
+    return _trim(out)
+
+
+def polmod_divmod(a, b, q):
+    """Divide by a monic b; returns (quotient, remainder)."""
+    a = list(a)
+    db, da = len(b) - 1, len(a) - 1
+    quo = [0] * max(da - db + 1, 0)
+    while da >= db and any(a):
+        lead = a[da] % q
+        if lead:
+            quo[da - db] = lead
+            for j, bj in enumerate(b):
+                a[da - db + j] = (a[da - db + j] - lead * bj) % q
+        da -= 1
+    return _trim(quo), _trim(a)
 
 
 # --- the structure tensor one row at a time, mod q --------------------------

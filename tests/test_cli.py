@@ -243,8 +243,8 @@ _LATTICE = ("invariant_lattice",)
         ("adic_equivalence_exponent", "quotient_by_ideal_power")]),
     (["twisted", "a4_sl23.fus"], 6,
      [_BASIS, _LATTICE, _PRESENTATION, ("twisted_invariant_basis",),
-      _LATTICE, ("module_structure",), ("completed_presentation",),
-      ("completed_module",)]),
+      _LATTICE, ("TwistedBasis",), ("module_structure",),
+      ("completed_presentation",), ("completed_module",)]),
 ], ids=["repring", "ktheory", "adic", "twisted"])
 def test_each_stage_runs_once_per_job(capsys, monkeypatch, argv, lines,
                                       stages):
@@ -252,9 +252,10 @@ def test_each_stage_runs_once_per_job(capsys, monkeypatch, argv, lines,
     imports each one when it first runs the stage), the two library
     call sites that build the basis or the presentation when they are not
     passed one, the structure tensor of Irr(S), which only the character
-    ring of adic reads, and invariant_lattice where invariants and twisted
-    call it, once per basis; tally the calls by name and integer arguments
-    (k)."""
+    ring of adic reads, invariant_lattice where invariants and twisted
+    call it, once per basis, and the TwistedBasis constructor, so the
+    twisted basis is built and certified once, under its display names;
+    tally the calls by name and integer arguments (k)."""
     import fusionrep.chartable
     import fusionrep.invariants
     import fusionrep.ringpres
@@ -264,6 +265,7 @@ def test_each_stage_runs_once_per_job(capsys, monkeypatch, argv, lines,
     sites = ([(getattr(fusionrep, mod), name) for mod, name in _STAGES]
              + [(fusionrep.ringpres, "irreducible_invariants"),
                 (fusionrep.twisted, "structure_constants"),
+                (fusionrep.twisted, "TwistedBasis"),
                 (fusionrep.chartable.CharacterTable, "structure_tensor")]
              + [(mod, "invariant_lattice")
                 for mod in (fusionrep.invariants, fusionrep.twisted)])
@@ -305,35 +307,39 @@ def _src_env(**extra) -> dict:
                 PYTHONPATH=src if not path else src + os.pathsep + path)
 
 
-@pytest.mark.parametrize("cmd,stem,loaded", [
-    ("fusion-classes", "sigma_5", set()),
-    ("fusion-classes", "he", set()),
-    ("saturation", "sigma_5", set()),
-    ("saturation", "onan", set()),
-    ("ktheory", "sigma_5", _LAYERS - {"spectrum", "twisted"}),
-    ("fusion-classes", "a4_sl23", set()),
-    ("fusion-classes", None, set()),
-    ("twisted", "a4_sl23", _LAYERS - {"spectrum"}),
-    ("adic", "a4", _LAYERS - {"spectrum", "twisted"}),
-    ("spectrum", "he", {"cyclotomic", "intlinalg", "spectrum"}),
+@pytest.mark.parametrize("cmd,stem,extra,loaded", [
+    ("fusion-classes", "sigma_5", (), set()),
+    ("fusion-classes", "he", (), set()),
+    ("saturation", "sigma_5", (), set()),
+    ("saturation", "onan", (), set()),
+    ("ktheory", "sigma_5", (), _LAYERS - {"spectrum", "twisted"}),
+    ("fusion-classes", "a4_sl23", (), set()),
+    ("fusion-classes", None, (), set()),
+    ("twisted", "a4_sl23", (), _LAYERS - {"spectrum"}),
+    ("adic", "a4", (), _LAYERS - {"spectrum", "twisted"}),
+    ("spectrum", "he", (), {"cyclotomic", "spectrum"}),
+    ("spectrum", "he", ("--conductor-order", "--primes", "2,3,7"),
+     {"cyclotomic", "spectrum"}),
 ], ids=["fusion-classes", "fusion-classes-he", "saturation", "saturation-onan",
         "ktheory", "extension", "extension-explicit", "twisted", "adic",
-        "spectrum-he"])
-def test_a_command_loads_only_the_layers_it_runs(tmp_path, cmd, stem, loaded):
+        "spectrum-he", "spectrum-he-order"])
+def test_a_command_loads_only_the_layers_it_runs(tmp_path, cmd, stem, extra,
+                                                 loaded):
     """In a fresh process, the modules a command imports: fusion-classes
     and saturation need none of the character, ring, twisted, spectrum
     and linear-algebra layers, saturation on an order-343 fixture (onan)
-    included; ktheory loads no twisted or spectrum.  An [extension]
-    section, by cocycle (a4_sl23) or by its group (stem None: Q8 over V4,
-    written out), is realized with no twisted layer.  No command loads
-    numpy or fractions."""
+    included; ktheory loads no twisted or spectrum, and spectrum, with or
+    without primes to factor over, no character, ring or linear-algebra
+    layer.  An [extension] section, by cocycle (a4_sl23) or by its group
+    (stem None: Q8 over V4, written out), is realized with no twisted
+    layer.  No command loads numpy or fractions."""
     if stem is None:
         spec = tmp_path / "a4_sl23_explicit.fus"
         spec.write_text(A4_SL23_EXPLICIT)
     else:
         spec = fixture_path(stem + ".fus")
     done = subprocess.run(
-        [sys.executable, "-c", _LOADED, cmd, str(spec)],
+        [sys.executable, "-c", _LOADED, cmd, str(spec), *extra],
         capture_output=True, text=True, env=_src_env(), check=True)
     code, modules, heavy = json.loads(done.stdout)
     assert code == 0

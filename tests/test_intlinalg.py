@@ -11,15 +11,13 @@ from fusionrep import intlinalg
 from fusionrep.errors import NotInSpan
 from fusionrep.intlinalg import (IntegerSpan, _tagged_hnf, divide_lattice,
                                  hnf, int_matmul, lattice_contains,
-                                 nullspace_mod, reduce_mod_lattice,
-                                 smith_diagonal)
+                                 reduce_mod_lattice, smith_diagonal)
 from fusionrep.jobspec import load_jobspec, realize
 from fusionrep.permgroup import is_prime
 
 from conftest import FIXTURES, fixture_path
 from oracles import hnf as hnf_oracle
 from oracles import kernel_basis
-from oracles import nullspace_mod as nullspace_mod_oracle
 from oracles import reduce_mod_lattice as reduce_oracle
 from oracles import solve as solve_oracle
 
@@ -305,43 +303,8 @@ def test_integer_span_builds_its_hnf_once(monkeypatch):
     assert solves == [[list(row) for row in job.basis.mults], twisted]
 
 
-# --- the kernel over F_q against the row-by-row oracle -----------------------
-
-# a prime above 2^32: the product of two residues passes 2^63
+# a prime above 2^32
 BIG_PRIME = 2 ** 32 + 15
-
-
-@st.composite
-def square_matrices_mod_q(draw):
-    """(matrix, q): n x n over F_q, n <= 7, of a drawn rank: zero, singular
-    or full rank (up to chance), its rows combinations of rank-many random
-    rows, entries in [0, q)."""
-    q = draw(st.sampled_from([2, 3, 7, BIG_PRIME]))
-    n = draw(st.integers(0, 7))
-    rank = draw(st.sampled_from([0, n, max(n - 1, 0), n // 2]))
-    entry = st.integers(0, q - 1)
-    base = [draw(st.lists(entry, min_size=n, max_size=n))
-            for _ in range(rank)]
-    rows = []
-    for _ in range(n):
-        mix = draw(st.lists(entry, min_size=rank, max_size=rank))
-        rows.append([sum(c * b[j] for c, b in zip(mix, base)) % q
-                     for j in range(n)])
-    return rows, q
-
-
-@settings(max_examples=200, deadline=None)
-@given(square_matrices_mod_q())
-@example(([[0] * 4 for _ in range(4)], 3))
-@example(([[1, 0], [0, 1]], BIG_PRIME))
-@example(([[BIG_PRIME - 1, 1], [1, BIG_PRIME - 1]], BIG_PRIME))
-def test_nullspace_mod_matches_the_oracle(case):
-    mat, q = case
-    got = nullspace_mod(mat, q)
-    assert got == nullspace_mod_oracle(mat, q)
-    assert all(type(x) is int for v in got for x in v)
-    for v in got:
-        assert all(sum(a * b for a, b in zip(row, v)) % q == 0 for row in mat)
 
 
 def test_big_prime_is_prime():

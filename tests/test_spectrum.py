@@ -3,7 +3,10 @@ import time
 
 import numpy as np
 import pytest
-from oracles import (PrimeSymbol, containments, is_connected, monic_factors,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (PrimeSymbol, berlekamp_factors, containments,
+                     is_connected, monic_factors, polmod_divmod, polmod_mul,
                      symbol_leq, symbol_nodes)
 
 from fusionrep.cli import main
@@ -41,7 +44,7 @@ def test_primes_above_small():
     assert len(ps) == 6 and all(len(p.factor) == 2 for p in ps)
 
 
-def test_primes_above_berlekamp():
+def test_primes_above_phi_343_mod_2():
     # 2 has order 147 mod 343, so Phi_343 mod 2 has two factors of
     # degree 147; far beyond the exhaustive search limit
     ps = primes_above(2, 343)
@@ -51,9 +54,9 @@ def test_primes_above_berlekamp():
     assert prod == _reduce_mod(cyclotomic_polynomial(343), 2)
 
 
-def test_berlekamp_factors_at_q_10007():
-    """The splits by random combinations give the factors that the search
-    over every constant c in F_q gave."""
+def test_primes_above_at_q_10007():
+    """The equal-degree splits by random draws give the factors that the
+    search over every constant c in F_q gave."""
     assert [p.factor for p in primes_above(10007, 7)] == [
         (10006, 4953, 4954, 1), (10006, 5053, 5054, 1)]
     assert [p.factor for p in primes_above(10007, 9)] == [
@@ -183,7 +186,7 @@ def test_mult_order():
 
 
 def test_primes_above_matches_the_search():
-    """Berlekamp against the search over monic polynomials, for every
+    """The factors against the search over monic polynomials, for every
     prime q < 30 and conductor n < 40 prime to q, with a search of at
     most 3000 candidates."""
     checked = 0
@@ -195,6 +198,42 @@ def test_primes_above_matches_the_search():
                 == monic_factors(q, n), (q, n)
             checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 19, 29, 10007, 1000003])
+def test_primes_above_matches_berlekamp(q):
+    """The lift and equal-degree split against Berlekamp's algorithm on
+    Phi_n mod q, for prime powers n of 2, 3, 5 and 7 and composite n prime
+    to q.  The grid holds Phi_16 mod 3, lifted from Phi_8 and not Phi_2,
+    and (19, 49), where the least conductor is n itself."""
+    for n in (8, 16, 32, 1024, 9, 27, 81, 25, 125, 49, 343, 12, 21, 45):
+        if n % q:
+            phi = _reduce_mod(cyclotomic_polynomial(n), q)
+            assert [p.factor for p in primes_above(q, n)] \
+                == berlekamp_factors(phi, q), (q, n)
+
+
+@st.composite
+def polynomials_mod_q(draw):
+    """(a, b, q): reduced polynomials mod q, ascending, b monic and
+    often sparse, q from 2 to above 2^32."""
+    q = draw(st.sampled_from([2, 3, 19, 10007, 2 ** 32 + 15]))
+    coeff = st.integers(0, q - 1)
+    a = _reduce_mod(draw(st.lists(coeff, max_size=40)), q)
+    low = draw(st.lists(st.sampled_from([0, 0, 1, q - 1]) | coeff,
+                        max_size=20))
+    return a, tuple(low) + (1,), q
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials_mod_q())
+def test_polmod_arithmetic_matches_the_schoolbook(case):
+    """The Kronecker product and the sparse division give the schoolbook
+    product and division, entries reduced and trimmed."""
+    a, b, q = case
+    assert _polmod_mul(a, b, q) == polmod_mul(a, b, q)
+    assert _polmod_mul(b, a, q) == polmod_mul(a, b, q)
+    assert _polmod_divmod(a, b, q) == polmod_divmod(a, b, q)
 
 
 def test_symbol_order(pipeline):
