@@ -1,13 +1,17 @@
 """Exact character tables of finite p-groups.
 
-Irreducible characters are found by monomial induction: every irreducible of
-a p-group is induced from a linear character of some subgroup H, and its
-degree [G:H] satisfies [G:H]^2 <= |G|.  So the subgroups of that index bound
-are taken from the cached enumeration G.all_subgroups(), the linear
-characters of each are extended layer by layer along the pairs (H, g) that
-enumeration built its subgroups from, and the induced characters are kept
-when their norm is 1.  The subgroups are walked from the largest down, and
-the search stops once the squared degrees found sum to |G|.
+Irr(G) is built by Clifford theory up a central series 1 = N_0 < ... <
+N_n = G read off the multiplication table, with N_{i+1} = N_i<g> for a g
+whose p-th power and commutators with the generators of G lie in N_i
+(Conlon, "Calculating characters of p-groups", J. Symbolic Comput. 9,
+1990).  Each irreducible theta of N_i is carried as a monomial pair, theta
+= Ind_H^{N_i} lambda for a linear character lambda of a subgroup H, with its
+values on N_i.  When some h in g N_i normalizes H and fixes lambda, theta
+extends to N_{i+1} in p ways, induced from H<h>; otherwise its p
+g-conjugates, found on the values, induce one irreducible.  The last step
+evaluates only at the class representatives of G, and no subgroup lattice
+is walked.  Every row of degree above 1 must have norm 1, and the rows must
+be distinct, one per class, with squared degrees summing to |G|.
 
 Character values lie in Z[zeta_e] for e = exp(G) and take one form, their
 integer power-basis coordinates: coords[irr][class] is a tuple of phi(e)
@@ -24,12 +28,11 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
-from math import inf
 
 from .cyclotomic import degree_phi, power_table, value_json
 from .errors import FusionRepError, NotAPrimePowerGroup
 from .intlinalg import PackedRows, int_matmul
-from .permgroup import FiniteGroup, Subgroup, group_prime
+from .permgroup import FiniteGroup, group_prime
 
 
 def _multiplier(x, powers: tuple, phi: int):
@@ -51,13 +54,13 @@ class CharacterTable:
     """Canonically ordered irreducible characters of a p-group.
 
     coords[i][c] holds the power-basis coordinates of chi_i at class c, at
-    the conductor e = exp(G).
+    the conductor e = exp(G): a tuple of rows, each a tuple of value tuples
+    of Python ints, taken as given.
     """
 
-    def __init__(self, group: FiniteGroup, coords):
+    def __init__(self, group: FiniteGroup, coords: tuple):
         self.group = group
-        self.coords = tuple(tuple(tuple(map(int, value)) for value in row)
-                            for row in coords)
+        self.coords = coords
         self.conductor = group.exponent()
         self._degrees = tuple(row[0][0] for row in self.coords)
         self.ring = None  # populated by ringpres.character_ring
@@ -210,99 +213,164 @@ class CharacterTable:
         }
 
 
-def _left_transversal(G: FiniteGroup, H: Subgroup) -> list:
-    """The least element of every left coset gH, in increasing order: the
-    least element not yet covered starts the next coset, and its row
-    covers the coset."""
-    rows = G.rows()
-    covered = [False] * G.order
-    out = []
-    for i in range(G.order):
-        if not covered[i]:
-            out.append(i)
-            row = rows[i]
-            for h in H.members:
-                covered[row[h]] = True
-    return out
+class _Clifford:
+    """The pass that builds Irr(G) of a p-group G up a central series.
 
+    The series 1 = N_0 < ... < N_n = G has N_{i+1} = N_i<g_i>, where g_i is
+    the least element outside N_i whose p-th power and commutators with
+    the generators of G lie in N_i.  So every N_i is normal in G and
+    N_{i+1}/N_i is central of order p; such an element exists while N_i < G,
+    as the centre of the p-group G/N_i is not trivial.  members lists G so
+    that N_i is members[:p^i] and members[j p^i + k] = members[k] g_i^j; a
+    position is an index into members.
 
-def _conjugates(G: FiniteGroup, transversal: list) -> list:
-    """x[t][c] = t^-1 g_c t for the class representatives g_c."""
-    rows, inv = G.rows(), G.inv
-    reps = [c[0] for c in G.conjugacy_classes()]
-    return [[rows[rows[inv(x)][r]][x] for r in reps] for x in transversal]
-
-
-def _positions(H: Subgroup) -> dict:
-    """The index of every member of H in H.members."""
-    return {x: m for m, x in enumerate(H.members)}
-
-
-def _induced_coords(G: FiniteGroup, H: Subgroup, exps: list,
-                    powers: tuple) -> list:
-    """Coordinates of the characters induced from linear characters of H.
-
-    exps[l][m] is the exponent k of the value zeta_e^k of the l-th linear
-    character at H.members[m]; powers[k] holds the coordinates of zeta_e^k.
-    The value at class c sums powers[exps[l][pos(t^-1 g_c t)]] over the
-    transversal elements t with t^-1 g_c t in H.
+    An irreducible theta of N_i is carried as (lam, gens, transversal,
+    values) with theta = Ind_H^{N_i} lam: lam maps each member of H to the
+    exponent k of its value zeta_e^k, gens generate H, transversal is a left
+    transversal of H in N_i, and values[k] holds the coordinates of theta at
+    position k.  A linear theta, with H = N_i, is (None, None, None, values),
+    its values exponents.
     """
-    pos = _positions(H)
-    conj = _conjugates(G, _left_transversal(G, H))
-    hits = [[pos[x] for x in at if x in pos] for at in zip(*conj)]
-    zero = (0,) * len(powers[0])
-    return [tuple(powers[row[at[0]]] if len(at) == 1 else
-                  tuple(map(sum, zip(zero, *[powers[row[m]] for m in at])))
-                  for at in hits) for row in exps]
 
+    def __init__(self, G: FiniteGroup, p: int, e: int):
+        self.identity, self.p, self.e = G.identity, p, e
+        self.rows, self.inv = G.rows(), G._inverses()
+        self.powers = power_table(e)[:e]
+        self.phi = len(self.powers[0])
+        rows, inv = self.rows, self.inv
+        inside = [False] * G.order
+        inside[G.identity] = True
+        self.gens, self.members = [], [G.identity]
+        while len(self.members) < G.order:
+            for g in range(G.order):
+                if inside[g]:
+                    continue
+                x = g
+                for _ in range(p - 1):
+                    x = rows[x][g]
+                if inside[x] and all(
+                        inside[rows[rows[rows[g][s]][inv[g]]][inv[s]]]
+                        for s in G.gen_indices):
+                    break
+            n = len(self.members)
+            for j in range(1, p):
+                self.members += [rows[y][g] for y in
+                                 self.members[(j - 1) * n:j * n]]
+            for x in self.members[n:]:
+                inside[x] = True
+            self.gens.append(g)
+        self.pos = [0] * G.order
+        for k, x in enumerate(self.members):
+            self.pos[x] = k
 
-# --- linear characters of a subgroup ------------------------------------------
+    def table(self, reps) -> list:
+        """The coordinates of every irreducible of G at the elements reps."""
+        irr = [(None, None, None, [0])]
+        for i in range(len(self.gens)):
+            last = i + 1 == len(self.gens)
+            irr = self._step(irr, i, [self.pos[x] for x in reps] if last
+                             else range(self.p ** (i + 1)), last)
+        return [tuple(values) for *_, values in irr]
 
-def _linear_characters(G: FiniteGroup, K: Subgroup, lin: dict,
-                       e: int) -> list:
-    """All linear characters of K as exponents mod e: row l, column m holds
-    k with lambda_l(K.members[m]) = zeta_e^k.
+    def _coords(self, counts, s: int) -> tuple:
+        """The coordinates of sum_m counts[m] zeta^(m + s): zeta^(k + (p-1)e/p)
+        is minus the sum of zeta^(k + j e/p) over j < p - 1."""
+        phi, q = self.phi, self.e // self.p
+        return tuple(counts[k - s] - counts[phi + k % q - s]
+                     for k in range(phi))
 
-    K = H<g> with H normal of index p (K.built_from), and the rows of H come
-    from the same recursion; lin keeps the rows of every subgroup reached.
-    K/H is cyclic, so a linear character mu of H extends to K when
-    mu(g h g^-1) = mu(h) on H, and then in exactly p ways (Isaacs, Character
-    Theory of Finite Groups, Cor. 11.22): lambda(h g^j) = mu(h) + j a with
-    p a = mu(g^p) mod e, that is a = mu(g^p)/p + t e/p for t < p.  Every
-    linear character of K restricts to such a mu, so the rows are all of
-    them, each once.
-    """
-    if K in lin:
-        return lin[K]
-    if K.built_from is None:  # the trivial subgroup
-        lin[K] = [[0]]
-        return lin[K]
-    H, g = K.built_from
-    p = K.order // H.order
-    rows = G.rows()
-    pos = _positions(H)
-    row_g, g_inv = rows[g], G.inv(g)
-    conj = [pos[rows[row_g[h]][g_inv]] for h in H.members]
-    gpow = [G.identity]
-    for _ in range(p):
-        gpow.append(rows[gpow[-1]][g])
-    at_gp = pos[gpow.pop()]
-    # h g^j goes to column cosets[h * p + j] of K's rows
-    where = _positions(K)
-    cosets = [where[rows[h][y]] for h in H.members for y in gpow]
-    out = []
-    for mu in _linear_characters(G, H, lin, e):
-        if any(mu[k] != x for k, x in zip(conj, mu)):
-            continue
-        for t in range(p):
-            a = mu[at_gp] // p + t * (e // p)
-            row = [0] * K.order
-            for k, x in zip(cosets, [(x + a * j) % e for x in mu
-                                     for j in range(p)]):
-                row[k] = x
-            out.append(row)
-    lin[K] = out
-    return out
+    def _step(self, irr, i: int, targets, last: bool) -> list:
+        """Irr(N_{i+1}) from Irr(N_i), valued at the positions targets; at
+        the last step the values are coordinates and the pairs are left out.
+
+        A theta of N_i is stable under g = g_i when some h = g t, t in its
+        transversal, normalizes H and fixes lam: then h^p lies in H, and the
+        p characters Ind_K mu_t of K = H<h>, mu_t(y h^j) = lam(y) + j a_t
+        with p a_t = lam(h^p) mod e, a_t = a_0 + t e/p, extend theta.  The
+        monomial pairs built this way are unique up to conjugacy in N_i, so
+        every stable theta finds such an h.  Every other theta has p
+        distinct g-conjugates, found on the values, and Ind theta, from H
+        with the transversal g^j t, is irreducible, built once per orbit.
+        """
+        p, e, rows, inv, pos = self.p, self.e, self.rows, self.inv, self.pos
+        members, powers, identity = self.members, self.powers, self.identity
+        n, g, shift = p ** i, self.gens[i], e // p
+        conj = [pos[rows[rows[g][x]][inv[g]]] for x in members[:n]]
+        gpow = [identity]
+        for _ in range(p - 1):
+            gpow.append(rows[gpow[-1]][g])
+        out, moved = [], []
+        for ch in irr:
+            lam, gens, tr, vals = ch
+            if lam is None:
+                # H = N_i, so h = g; the generators g_k of N_i sit at p^k
+                if any(vals[conj[p ** k]] != vals[p ** k] for k in range(i)):
+                    moved.append(ch)
+                    continue
+                a0 = vals[pos[rows[gpow[-1]][g]]] // p
+                for t in range(p):
+                    a = a0 + t * shift
+                    ext = [(vals[k % n] + k // n * a) % e for k in targets]
+                    out.append((None, None, None,
+                                [powers[x] for x in ext] if last else ext))
+                continue
+            h = next((h for h in (rows[g][x] for x in tr) if all(
+                lam.get(rows[rows[h][y]][inv[h]]) == lam[y] for y in gens)),
+                None)
+            if h is None:
+                moved.append(ch)
+                continue
+            hpow = [identity]  # h^j for j <= p
+            for _ in range(p):
+                hpow.append(rows[hpow[-1]][h])
+            a0 = lam[hpow[p]] // p
+            h_inv = [inv[x] for x in hpow]
+            counts = {}  # chi_0 off N_i: the exponents of mu_0 it sums
+            for k in targets:
+                if k >= n:
+                    j, x, c = k // n, members[k], [0] * e
+                    for u in tr:  # u^-1 x u = y h^j
+                        ex = lam.get(rows[rows[rows[inv[u]][x]][u]][h_inv[j]])
+                        if ex is not None:
+                            c[(ex + j * a0) % e] += 1
+                    counts[k] = c
+            for t in range(p):
+                values = [vals[k] if k < n else
+                          self._coords(counts[k], t * (k // n) * shift)
+                          for k in targets]
+                if last:
+                    out.append((None, None, None, values))
+                    continue
+                a, mu = a0 + t * shift, dict(lam)
+                for j in range(1, p):
+                    mu.update((rows[y][hpow[j]], (ex + j * a) % e)
+                              for y, ex in lam.items())
+                out.append((mu, gens + (h,), tr, values))
+        index = {tuple(ch[3]): m for m, ch in enumerate(moved)}
+        done = [False] * len(moved)
+        zero = (0,) * self.phi
+        for m, (lam, gens, tr, vals) in enumerate(moved):
+            if done[m]:
+                continue
+            done[m] = True
+            orbit = [vals]
+            for _ in range(p - 1):
+                orbit.append([orbit[-1][c] for c in conj])
+                c = index.get(tuple(orbit[-1]))
+                if c is None or done[c]:
+                    raise FusionRepError("a stable character of a normal "
+                                         "subgroup has no monomial extension")
+                done[c] = True
+            if lam is None:
+                orbit = [[powers[x] for x in theta] for theta in orbit]
+                lam, gens, tr = (dict(zip(members[:n], vals)),
+                                 tuple(self.gens[:i]), [identity])
+            values = [tuple(map(sum, zip(*[theta[k] for theta in orbit])))
+                      if k < n else zero for k in targets]
+            out.append((None, None, None, values) if last else
+                       (lam, gens, [rows[x][u] for x in gpow for u in tr],
+                        values))
+        return out
 
 
 def character_table(G: FiniteGroup) -> CharacterTable:
@@ -315,44 +383,35 @@ def character_table(G: FiniteGroup) -> CharacterTable:
 def _compute_table(G: FiniteGroup) -> CharacterTable:
     classes = G.conjugacy_classes()
     if G.order == 1:
-        return CharacterTable(G, [[[1]]])
-    if group_prime(G) is None:
+        return CharacterTable(G, (((1,),),))
+    p = group_prime(G)
+    if p is None:
         raise NotAPrimePowerGroup(f"order {G.order} is not a prime power")
     e = G.exponent()
     powers = power_table(e)[:e]
-    phi = len(powers[0])
     # rational[k] is the rational coordinate of zeta^k, and
     # zeta^a conj(zeta^b) = zeta^(a - b)
     rational = [z[0] for z in powers]
     sizes = [len(c) for c in classes]
-    found = {}
-    lin = {}  # subgroup -> _linear_characters, for this table only
-    squares = 0  # sum of the squared degrees found; |G| once Irr is complete
-    # the Irr search reads the whole enumeration, so it takes no subgroup cap
-    for H in reversed(G.all_subgroups(inf)):
-        if squares == G.order:
-            break
-        if (G.order // H.order) ** 2 > G.order:
-            continue
-        for ch in _induced_coords(G, H, _linear_characters(G, H, lin, e),
-                                  powers):
-            # |G| <psi, psi> = sum_c |C_c| psi(c) conj(psi(c)) is an
-            # integer, so the rational coordinates of the terms sum to it
-            if H.order < G.order and sum(
-                    n * x * y * rational[(a - b) % e]
-                    for n, v in zip(sizes, ch)
-                    for a, x in enumerate(v) if x
-                    for b, y in enumerate(v) if y) != G.order:
-                continue
-            if found.setdefault(ch, ch) is ch:
-                squares += ch[0][0] ** 2
-    chars = sorted(found, key=lambda ch: (ch[0][0], [-x for v in ch
-                                                     for x in v]))
-    if len(chars) != len(classes):
-        raise NotAPrimePowerGroup(
-            f"monomial search found {len(chars)} irreducibles, "
-            f"expected {len(classes)}"
-        )
+    chars = _Clifford(G, p, e).table([c[0] for c in classes])
+    for ch in chars:
+        # |G| <chi, chi> = sum_c |C_c| chi(c) conj(chi(c)) is an integer,
+        # so the rational coordinates of the terms sum to it; a linear
+        # character takes roots of unity only
+        if ch[0][0] > 1 and sum(
+                n * x * y * rational[(a - b) % e]
+                for n, v in zip(sizes, ch)
+                for a, x in enumerate(v) if x
+                for b, y in enumerate(v) if y) != G.order:
+            raise FusionRepError(
+                f"a character of degree {ch[0][0]} is not irreducible")
+    if len(set(chars)) != len(classes):
+        raise FusionRepError(
+            f"the Clifford pass found {len(set(chars))} irreducibles, "
+            f"expected {len(classes)}")
     total = sum(ch[0][0] ** 2 for ch in chars)
     assert total == G.order, f"degree check failed: {total} != {G.order}"
-    return CharacterTable(G, chars)
+    # by degree, then by descending coordinates: the values of a row have
+    # one length, so the rows compare as their flattened coordinates
+    return CharacterTable(G, tuple(sorted(sorted(chars, reverse=True),
+                                          key=lambda ch: ch[0][0])))

@@ -56,8 +56,9 @@ def identity_perm(degree: int) -> Perm:
 
 
 def compose(p: Perm, q: Perm) -> Perm:
-    """(p o q)(x) = p(q(x))."""
-    return tuple(p[i] for i in q)
+    """(p o q)(x) = p(q(x)), one itemgetter call; below degree 2 itemgetter
+    would not return a tuple."""
+    return itemgetter(*q)(p) if len(q) > 1 else tuple(p[i] for i in q)
 
 
 def invert(p: Perm) -> Perm:
@@ -368,9 +369,7 @@ class FiniteGroup:
         return members
 
     def all_subgroups(self, cap: int = DEFAULT_SUBGROUP_CAP) -> list:
-        """All subgroups of a p-group, ordered by (order, members).  Each
-        K > 1 records in K.built_from the pair (H, g) it was built from: H
-        is listed before K, normal in K of index p, and K = H<g>.  The
+        """All subgroups of a p-group, ordered by (order, members).  The
         enumeration is cached with its count of closures H<g> built, so a
         later call with a smaller cap raises as a fresh enumeration would;
         cap may be math.inf.  Raises NotAPrimePowerGroup when the order is
@@ -428,7 +427,7 @@ class FiniteGroup:
                         kmem = tuple(sorted(K))
                         found[K] = Subgroup(
                             self, kmem, (g,) if orders[g] == len(kmem)
-                            else H.gen_indices + (g,), built_from=(H, g))
+                            else H.gen_indices + (g,))
             layer = sorted(found.values(), key=lambda s: s.members)
             subs.extend(layer)
         return tuple(subs), candidates
@@ -444,13 +443,11 @@ class FiniteGroup:
 class Subgroup:
     """A subgroup given by its sorted member indices within a parent group."""
 
-    def __init__(self, parent: FiniteGroup, members: tuple, gen_indices: tuple,
-                 built_from=None):
+    def __init__(self, parent: FiniteGroup, members: tuple, gen_indices: tuple):
         self.parent = parent
         self.members = members
         self.gen_indices = tuple(gen_indices)
         self.order = len(members)
-        self.built_from = built_from  # (H, g), self = H<g>: see all_subgroups
         self._pos = None
 
     def _positions(self) -> dict:

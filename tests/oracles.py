@@ -10,9 +10,13 @@ of FiniteGroup.closure and FusionSystem.check_saturation replaced;
 enumerate_subgroups, normalizer and centralizer the pairwise-join search
 and the loops over the group that the subgroup layers and the normalizer
 and centralizer of FiniteGroup replaced.
-check_linear_characters holds the linear characters that chartable
-extends along the subgroup layers to their definition, with the derived
-subgroup as the closure of the commutators.
+search_table is the Irr(S) search over the subgroup lattice that the
+Clifford pass of chartable._compute_table replaced: linear_characters
+extends the linear characters along the subgroup layers, induced_coords
+induces them through left_transversal and conjugates, and built_from
+rebuilds from the enumeration the pairs (H, g) that each subgroup once
+recorded.  check_linear_characters holds those linear characters to their
+definition, with the derived subgroup as the closure of the commutators.
 build_table is the multiplication table by one tuple lookup per entry,
 which the Cayley-graph search of FiniteGroup._build_table replaced.
 cayley_table, array_walk, array_orbits and array_make_hom are the numpy
@@ -1286,6 +1290,158 @@ def check_linear_characters(G, H: Subgroup, rows, e: int):
         assert ((row[:, None] + row[None, :] - row[prod]) % e == 0).all()
     assert len(np.unique(rows, axis=0)) == len(rows)
     assert len(rows) * len(derived_subgroup(G, H)) == H.order
+
+
+# --- the Irr(S) search over the subgroup lattice -----------------------------
+# search_table is the monomial search that chartable._compute_table ran
+# before the Clifford pass, kept with its helpers; built_from gives it the
+# pairs (H, g) that the subgroup enumeration once recorded on each subgroup.
+
+
+def built_from(G) -> dict:
+    """K -> (H, g) for every subgroup K > 1 of G.all_subgroups(): H is the
+    first listed subgroup of index p in K, normal in K as every maximal
+    subgroup of a p-group is, and g the least member of K outside H, so
+    K = H<g>."""
+    subs = G.all_subgroups(math.inf)
+    out = {}
+    for K in subs[1:]:
+        inside = set(K.members)
+        H = next(H for H in subs if H.order * subs[1].order == K.order
+                 and inside.issuperset(H.members))
+        out[K] = H, min(inside.difference(H.members))
+    return out
+
+
+def left_transversal(G: FiniteGroup, H: Subgroup) -> list:
+    """The least element of every left coset gH, in increasing order: the
+    least element not yet covered starts the next coset, and its row
+    covers the coset."""
+    rows = G.rows()
+    covered = [False] * G.order
+    out = []
+    for i in range(G.order):
+        if not covered[i]:
+            out.append(i)
+            row = rows[i]
+            for h in H.members:
+                covered[row[h]] = True
+    return out
+
+
+def conjugates(G: FiniteGroup, transversal: list) -> list:
+    """x[t][c] = t^-1 g_c t for the class representatives g_c."""
+    rows, inv = G.rows(), G.inv
+    reps = [c[0] for c in G.conjugacy_classes()]
+    return [[rows[rows[inv(x)][r]][x] for r in reps] for x in transversal]
+
+
+def _positions(H: Subgroup) -> dict:
+    """The index of every member of H in H.members."""
+    return {x: m for m, x in enumerate(H.members)}
+
+
+def induced_coords(G: FiniteGroup, H: Subgroup, exps: list,
+                   powers: tuple) -> list:
+    """Coordinates of the characters induced from linear characters of H.
+
+    exps[l][m] is the exponent k of the value zeta_e^k of the l-th linear
+    character at H.members[m]; powers[k] holds the coordinates of zeta_e^k.
+    The value at class c sums powers[exps[l][pos(t^-1 g_c t)]] over the
+    transversal elements t with t^-1 g_c t in H.
+    """
+    pos = _positions(H)
+    conj = conjugates(G, left_transversal(G, H))
+    hits = [[pos[x] for x in at if x in pos] for at in zip(*conj)]
+    zero = (0,) * len(powers[0])
+    return [tuple(powers[row[at[0]]] if len(at) == 1 else
+                  tuple(map(sum, zip(zero, *[powers[row[m]] for m in at])))
+                  for at in hits) for row in exps]
+
+
+def linear_characters(G: FiniteGroup, K: Subgroup, lin: dict, e: int,
+                      pairs: dict) -> list:
+    """All linear characters of K as exponents mod e: row l, column m holds
+    k with lambda_l(K.members[m]) = zeta_e^k.
+
+    K = H<g> with H normal of index p (pairs[K], from built_from), and the
+    rows of H come from the same recursion; lin keeps the rows of every
+    subgroup reached.  K/H is cyclic, so a linear character mu of H extends
+    to K when mu(g h g^-1) = mu(h) on H, and then in exactly p ways
+    (Isaacs, Character Theory of Finite Groups, Cor. 11.22): lambda(h g^j)
+    = mu(h) + j a with p a = mu(g^p) mod e, that is a = mu(g^p)/p + t e/p
+    for t < p.  Every linear character of K restricts to such a mu, so the
+    rows are all of them, each once.
+    """
+    if K in lin:
+        return lin[K]
+    if K.order == 1:
+        lin[K] = [[0]]
+        return lin[K]
+    H, g = pairs[K]
+    p = K.order // H.order
+    rows = G.rows()
+    pos = _positions(H)
+    row_g, g_inv = rows[g], G.inv(g)
+    conj = [pos[rows[row_g[h]][g_inv]] for h in H.members]
+    gpow = [G.identity]
+    for _ in range(p):
+        gpow.append(rows[gpow[-1]][g])
+    at_gp = pos[gpow.pop()]
+    # h g^j goes to column cosets[h * p + j] of K's rows
+    where = _positions(K)
+    cosets = [where[rows[h][y]] for h in H.members for y in gpow]
+    out = []
+    for mu in linear_characters(G, H, lin, e, pairs):
+        if any(mu[k] != x for k, x in zip(conj, mu)):
+            continue
+        for t in range(p):
+            a = mu[at_gp] // p + t * (e // p)
+            row = [0] * K.order
+            for k, x in zip(cosets, [(x + a * j) % e for x in mu
+                                     for j in range(p)]):
+                row[k] = x
+            out.append(row)
+    lin[K] = out
+    return out
+
+
+def search_table(G: FiniteGroup) -> list:
+    """The coordinates of Irr(G), sorted as CharacterTable sorts them, by
+    the monomial search: every irreducible of a p-group is induced from a
+    linear character of some subgroup H with [G:H]^2 <= |G|, so the
+    subgroups are walked from the largest down, the characters induced
+    from the linear characters of each are kept when their norm is 1, and
+    the walk stops once the squared degrees found sum to |G|."""
+    classes = G.conjugacy_classes()
+    if G.order == 1:
+        return [((1,),)]
+    e = G.exponent()
+    powers = power_table(e)[:e]
+    rational = [z[0] for z in powers]
+    sizes = [len(c) for c in classes]
+    pairs = built_from(G)
+    found = {}
+    lin = {}
+    squares = 0
+    for H in reversed(G.all_subgroups(math.inf)):
+        if squares == G.order:
+            break
+        if (G.order // H.order) ** 2 > G.order:
+            continue
+        for ch in induced_coords(G, H, linear_characters(G, H, lin, e, pairs),
+                                 powers):
+            if H.order < G.order and sum(
+                    n * x * y * rational[(a - b) % e]
+                    for n, v in zip(sizes, ch)
+                    for a, x in enumerate(v) if x
+                    for b, y in enumerate(v) if y) != G.order:
+                continue
+            if found.setdefault(ch, ch) is ch:
+                squares += ch[0][0] ** 2
+    assert squares == G.order and len(found) == len(classes)
+    return sorted(found, key=lambda ch: (ch[0][0], [-x for v in ch
+                                                    for x in v]))
 
 
 # --- exact values on integer coordinates -------------------------------------

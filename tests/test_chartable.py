@@ -1,17 +1,21 @@
+import os
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fusionrep import chartable
-from fusionrep.chartable import (_compute_table, _induced_coords,
-                                 _linear_characters, character_table)
-from fusionrep.cyclotomic import power_table, value_json
+import oracles
+from fusionrep.chartable import CharacterTable, character_table
+from fusionrep.cyclotomic import degree_phi, power_table, value_json
 from fusionrep.errors import SubgroupEnumerationCapExceeded
-from fusionrep.permgroup import FiniteGroup, build_group, extraspecial_p3
+from fusionrep.jobspec import load_jobspec, realize
+from fusionrep.permgroup import (FiniteGroup, build_group, extraspecial_p3,
+                                 group_prime)
 
-from oracles import inner_product, value_conjugate, value_product
+from oracles import (built_from, induced_coords, inner_product,
+                     linear_characters, search_table, value_conjugate,
+                     value_product)
 
 
 def rows(tab):
@@ -82,12 +86,21 @@ def test_extraspecial_seven():
         vanishes_off_the_center(tab, k)
 
 
-def test_irr_shares_the_subgroup_enumeration_without_its_cap():
-    """character_table reads the cached enumeration that saturation caps
-    (73 closures for the 39 subgroups of 5^{1+2}) but takes no cap itself."""
+def test_irr_builds_no_subgroup_enumeration(monkeypatch):
+    """character_table never enumerates subgroups, so it leaves nothing
+    cached: the enumeration that saturation caps (73 closures for the 39
+    subgroups of 5^{1+2}) still counts from scratch afterwards, and a cap
+    that failed before does not stop the table."""
     S = extraspecial_p3(5)
     G = FiniteGroup(S.degree, S.gens, S.elements)
-    assert len(character_table(G)) == 29
+
+    def refuse(self, cap):
+        raise AssertionError("the subgroup lattice was enumerated")
+
+    with monkeypatch.context() as m:
+        m.setattr(FiniteGroup, "_enumerate_subgroups", refuse)
+        assert len(character_table(G)) == 29
+    assert G._subgroups is None
     with pytest.raises(SubgroupEnumerationCapExceeded):
         G.all_subgroups(72)
     assert len(G.all_subgroups(73)) == 39
@@ -105,9 +118,10 @@ def test_irr_shares_the_subgroup_enumeration_without_its_cap():
 ], ids=["7^{1+2}", "3^{1+2}", "(Z/2)^5"])
 def test_irr_search_stops_once_the_degrees_fill_the_order(monkeypatch, make,
                                                           calls):
-    """Walking the subgroups from the largest down, an abelian group is done
-    with its own linear characters and an extraspecial one after a single
-    maximal subgroup adds its p - 1 characters of degree p."""
+    """Walking the subgroups from the largest down, the oracle's search is
+    done with an abelian group's own linear characters, and with an
+    extraspecial group after a single maximal subgroup adds its p - 1
+    characters of degree p."""
     S = make()
     want = rows(character_table(S))
     G = FiniteGroup(S.degree, S.gens, S.elements)
@@ -115,10 +129,10 @@ def test_irr_search_stops_once_the_degrees_fill_the_order(monkeypatch, make,
 
     def counting(*a):
         counted.append(a)
-        return _induced_coords(*a)
+        return induced_coords(*a)
 
-    monkeypatch.setattr(chartable, "_induced_coords", counting)
-    assert rows(_compute_table(G)) == want
+    monkeypatch.setattr(oracles, "induced_coords", counting)
+    assert search_table(G) == want
     assert len(counted) == calls
 
 
@@ -133,14 +147,14 @@ def test_degree_sum_small_groups():
 
 def test_frobenius_reciprocity():
     """<Ind_H lambda, psi>_G = <lambda, Res_H psi>_H for the linear
-    characters lambda of H = <a> induced by the table search."""
+    characters lambda of H = <a> induced by the oracle's search."""
     S = extraspecial_p3(7)
     tab = character_table(S)
     a = S.subgroup((S.names["a"],))
-    # the enumeration's copy, which knows the pair it was built from
+    # the enumeration's copy, which built_from keys
     H, = [H for H in S.all_subgroups() if H.members == a.members]
-    exps = _linear_characters(S, H, {}, 7)
-    induced = _induced_coords(S, H, exps, power_table(7)[:7])
+    exps = linear_characters(S, H, {}, 7, built_from(S))
+    induced = induced_coords(S, H, exps, power_table(7)[:7])
     chars = rows(tab)
     for r in (0, 3):
         lam, ind = exps[r], induced[r]
@@ -195,3 +209,64 @@ def test_trivial_character_and_json():
     assert j["order"] == 3 and len(j["classes"]) == 3
     assert [ch["values"] for ch in j["characters"]] == [
         [value_json(3, v) for v in row] for row in tab.coords]
+
+
+SPECS = os.path.join(os.path.dirname(__file__), "specs")
+
+
+def _spec_group(stem):
+    """The group of a spec under tests/specs, realized with nothing cached."""
+    return realize(load_jobspec(os.path.join(SPECS, stem + ".fus")),
+                   SPECS).group
+
+
+def column_orthogonality(tab):
+    """Assert sum_chi chi(x) conj(chi(y)) = |C_G(x)| delta_xy for all
+    classes x, y, exactly: the sums are taken on exponent vectors of
+    length e and reduced to power-basis coordinates, zeta^(k + (p-1)e/p)
+    being minus the sum of zeta^(k + j e/p) over j < p - 1."""
+    G, e = tab.group, tab.conductor
+    phi, q = degree_phi(e), e // group_prime(G)
+    A = np.zeros((len(G.conjugacy_classes()), len(tab), e), dtype=np.int64)
+    A[:, :, :phi] = np.array(tab.coords).transpose(1, 0, 2)
+    conj = A[:, :, -np.arange(e) % e]  # conj(zeta^a) = zeta^(e - a)
+    P = np.einsum("xka,ykb->xyab", A, conj)
+    V = np.zeros(P.shape[:2] + (e,), dtype=np.int64)
+    for a in range(e):
+        for b in range(e):
+            V[:, :, (a + b) % e] += P[:, :, a, b]
+    got = V[:, :, :phi] - V[:, :, phi + np.arange(phi) % q]
+    want = np.zeros_like(got)
+    for x, cls in enumerate(G.conjugacy_classes()):
+        want[x, x, 0] = G.order // len(cls)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("stem,order,classes", [
+    ("syl2_s10", 256, 40), ("syl2_s12", 1024, 100), ("z2_7", 128, 128)])
+def test_larger_p_groups_satisfy_column_orthogonality(stem, order, classes):
+    """Irr of a Sylow 2-subgroup of S_10 and of S_12 and of (Z/2)^7, from
+    specs with their generators written out, checked by the second
+    orthogonality relation, which depends on no search."""
+    tab = character_table(_spec_group(stem))
+    assert (tab.group.order, len(tab)) == (order, classes)
+    assert sum(d * d for d in tab.degrees()) == order
+    column_orthogonality(tab)
+
+
+def test_sylow_2_of_s10_matches_the_search():
+    G = _spec_group("syl2_s10")
+    assert list(character_table(G).coords) == search_table(
+        FiniteGroup(G.degree, G.gens, G.elements))
+
+
+def test_column_orthogonality_rejects_a_changed_value():
+    tab = character_table(extraspecial_p3(3))
+    column_orthogonality(tab)
+    coords = [list(row) for row in tab.coords]
+    # chi10 at a central class off the identity, 3 zeta_3 or its conjugate
+    k = next(k for k, v in enumerate(coords[9]) if k and any(v))
+    coords[9][k] = value_conjugate(3, coords[9][k])
+    with pytest.raises(AssertionError):
+        column_orthogonality(CharacterTable(tab.group,
+                                            tuple(map(tuple, coords))))

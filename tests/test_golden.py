@@ -16,6 +16,7 @@ import sys
 import pytest
 
 from fusionrep.cli import main
+from fusionrep.permgroup import FiniteGroup
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
@@ -114,6 +115,35 @@ def test_explicit_extension_form_matches_the_a4_sl23_goldens(
     path = os.path.join(GOLDEN, _golden_name(cmd, "a4_sl23", (), json_mode))
     with open(path, "r", encoding="utf-8", newline="") as fh:
         assert out == fh.read()
+
+
+GUARDED = ([(cmd, stem, ()) for cmd in ("chartable", "repring", "ktheory",
+                                         "spectrum", "twisted")
+            for stem in STEMS]
+           + [("adic", stem, ("--k", "1")) for stem in STEMS])
+
+
+@pytest.mark.parametrize(
+    "cmd,stem,extra", GUARDED,
+    ids=[_golden_name(*case, False)[:-4] for case in GUARDED])
+def test_only_saturation_enumerates_subgroups(monkeypatch, cmd, stem, extra):
+    """Every command but saturation runs without the subgroup lattice: with
+    the enumeration raising, and all_subgroups too, so that a lattice
+    cached on a shared group by an earlier run counts as well, each run
+    prints its golden where there is one and otherwise exits 0, or 1 for
+    twisted on a spec without an [extension] section."""
+    def refuse(self, cap=None):
+        raise AssertionError("the subgroup lattice was enumerated")
+
+    monkeypatch.setattr(FiniteGroup, "_enumerate_subgroups", refuse)
+    monkeypatch.setattr(FiniteGroup, "all_subgroups", refuse)
+    code, out = _run(cmd, stem, extra, False)
+    path = os.path.join(GOLDEN, _golden_name(cmd, stem, extra, False))
+    if os.path.exists(path):
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            assert (code, out) == (0, fh.read())
+    else:
+        assert code == (1 if cmd == "twisted" else 0)
 
 
 if __name__ == "__main__":

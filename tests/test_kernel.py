@@ -176,6 +176,7 @@ def test_structure_tensor_certificate_rejects_a_bad_table():
     G = build_group(3, ["(1 2 3)"])
     coords = np.array(character_table(G).coords)
     coords[1] *= 2
+    coords = tuple(tuple(map(tuple, row)) for row in coords.tolist())
     with pytest.raises(FusionRepError, match="certificate"):
         CharacterTable(G, coords).structure_tensor()
 
@@ -184,6 +185,7 @@ def test_structure_tensor_certificate_names_the_first_failing_pair():
     G = build_group(3, ["(1 2 3)"])
     coords = np.array(character_table(G).coords)
     coords[2] *= 2
+    coords = tuple(tuple(map(tuple, row)) for row in coords.tolist())
     with pytest.raises(FusionRepError,
                        match="chi1 chi3 fails the integer certificate"):
         CharacterTable(G, coords).structure_tensor()

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from oracles import (array_make_hom, array_orbits, array_walk, build_table,
-                     cayley_table, centralizer, check_linear_characters,
-                     closure, conj, conjugacy_classes, core_p, coset_action,
+                     built_from, cayley_table, centralizer,
+                     check_linear_characters, closure, conj,
+                     conjugacy_classes, core_p, coset_action,
                      element_classes, enumerate_subgroups,
-                     make_hom_by_search, normalizer, replay, small_fusions,
+                     linear_characters, make_hom_by_search, normalizer,
+                     replay, search_table, small_fusions,
                      subgroup_group, validate)
 
 from fusionrep import permgroup
-from fusionrep.chartable import _linear_characters, character_table
+from fusionrep.chartable import character_table
 from fusionrep.errors import (EvenPrime, FusionRepError, InputError,
                               NotAHomomorphism,
                               NotAPermutation, NotAPrimePowerGroup,
@@ -317,9 +319,10 @@ def test_subgroups_match_the_oracle_on_random_p_groups(G):
 
 def _assert_linear_characters_match_the_oracle(G):
     e = G.exponent()
-    lin = {}
+    lin, pairs = {}, built_from(G)
     for K in G.all_subgroups():
-        check_linear_characters(G, K, _linear_characters(G, K, lin, e), e)
+        check_linear_characters(G, K, linear_characters(G, K, lin, e, pairs),
+                                e)
 
 
 @pytest.mark.parametrize("name", STEMS + ["a4_sl23.extension"])
@@ -333,6 +336,26 @@ def test_linear_characters_match_the_oracle(pipeline, name):
 @given(random_p_groups())
 def test_linear_characters_match_the_oracle_on_random_p_groups(G):
     _assert_linear_characters_match_the_oracle(G)
+
+
+def _assert_table_matches_the_search(G):
+    """The Clifford pass gives the rows that the subgroup search gives, on
+    a copy of G with nothing cached."""
+    fresh = [FiniteGroup(G.degree, G.gens, G.elements) for _ in range(2)]
+    assert list(character_table(fresh[0]).coords) == search_table(fresh[1])
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_table_matches_the_search(pipeline, name):
+    _assert_table_matches_the_search(_p_group(name, pipeline))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(random_p_groups())
+def test_table_matches_the_search_on_random_p_groups(G):
+    _assert_table_matches_the_search(G)
 
 
 def _assert_normalizers_and_centralizers_match_the_oracle(G):
