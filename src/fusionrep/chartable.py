@@ -273,8 +273,9 @@ class _Clifford:
         return [tuple(values) for *_, values in irr]
 
     def _coords(self, counts, s: int) -> tuple:
-        """The coordinates of sum_m counts[m] zeta^(m + s): zeta^(k + (p-1)e/p)
-        is minus the sum of zeta^(k + j e/p) over j < p - 1."""
+        """The coordinates of sum_m counts[m] zeta^(m + s), for 0 <= s < e:
+        zeta^(k + (p-1)e/p) is minus the sum of zeta^(k + j e/p) over
+        j < p - 1."""
         phi, q = self.phi, self.e // self.p
         return tuple(counts[k - s] - counts[phi + k % q - s]
                      for k in range(phi))
@@ -336,7 +337,7 @@ class _Clifford:
                     counts[k] = c
             for t in range(p):
                 values = [vals[k] if k < n else
-                          self._coords(counts[k], t * (k // n) * shift)
+                          self._coords(counts[k], t * (k // n) % p * shift)
                           for k in targets]
                 if last:
                     out.append((None, None, None, values))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from fusionrep import chartable
 from fusionrep.chartable import CharacterTable, character_table
 from fusionrep.cyclotomic import degree_phi, power_table, value_json
 from fusionrep.errors import SubgroupEnumerationCapExceeded
@@ -243,11 +244,13 @@ def column_orthogonality(tab):
 
 
 @pytest.mark.parametrize("stem,order,classes", [
-    ("syl2_s10", 256, 40), ("syl2_s12", 1024, 100), ("z2_7", 128, 128)])
+    ("syl2_s10", 256, 40), ("syl2_s12", 1024, 100), ("z2_7", 128, 128),
+    ("extraspecial_3_squared", 729, 121)])
 def test_larger_p_groups_satisfy_column_orthogonality(stem, order, classes):
-    """Irr of a Sylow 2-subgroup of S_10 and of S_12 and of (Z/2)^7, from
-    specs with their generators written out, checked by the second
-    orthogonality relation, which depends on no search."""
+    """Irr of a Sylow 2-subgroup of S_10 and of S_12, of (Z/2)^7 and of
+    3^{1+2} x 3^{1+2}, from specs with their generators written out,
+    checked by the second orthogonality relation, which depends on no
+    search."""
     tab = character_table(_spec_group(stem))
     assert (tab.group.order, len(tab)) == (order, classes)
     assert sum(d * d for d in tab.degrees()) == order
@@ -258,6 +261,45 @@ def test_sylow_2_of_s10_matches_the_search():
     G = _spec_group("syl2_s10")
     assert list(character_table(G).coords) == search_table(
         FiniteGroup(G.degree, G.gens, G.elements))
+
+
+def _count_stable_extensions(monkeypatch):
+    """A list that grows by one for each value of a stable non-linear
+    character's extension that the Clifford pass computes."""
+    calls, coords = [], chartable._Clifford._coords
+    monkeypatch.setattr(chartable._Clifford, "_coords",
+                        lambda self, counts, s: calls.append(s)
+                        or coords(self, counts, s))
+    return calls
+
+
+def test_square_of_extraspecial_3_matches_the_search(monkeypatch):
+    """On 3^{1+2} x 3^{1+2} the series runs up the second factor through
+    non-abelian proper normal subgroups whose characters of degree 3 are
+    stable, so the extension mu_t takes the shift t j e/p on the coset of
+    g^j, and 4e/3 at t = j = 2 must be taken mod e."""
+    G = _spec_group("extraspecial_3_squared")
+    calls = _count_stable_extensions(monkeypatch)
+    assert list(character_table(G).coords) == search_table(
+        FiniteGroup(G.degree, G.gens, G.elements))
+    assert calls
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_stable_characters_at_odd_p_match_the_search(monkeypatch, p):
+    """C_p x p^{1+2}, with C_p on the first p points: the series passes
+    through a non-abelian normal subgroup of order p^3, whose characters of
+    degree p are stable under the last generator and extend in p ways,
+    with shifts up to (p-1)^2 e/p."""
+    X = extraspecial_p3(p)
+    fixed = tuple(range(p))
+    G = build_group(p + p * p, [fixed[1:] + fixed[:1] + tuple(
+        range(p, p + p * p))] + [fixed + tuple(p + x for x in X.elements[i])
+                                 for i in X.gen_indices])
+    calls = _count_stable_extensions(monkeypatch)
+    assert list(character_table(G).coords) == search_table(
+        FiniteGroup(G.degree, G.gens, G.elements))
+    assert calls
 
 
 def test_column_orthogonality_rejects_a_changed_value():

@@ -262,6 +262,7 @@ SMALL_P_GROUPS = {  # name -> (degree, generators)
 }
 SYLOW_2_OF_S8 = build_group(8, ["(1 2)", "(1 3)(2 4)", "(1 5)(2 6)(3 7)(4 8)"])
 SYLOW_3_OF_S9 = build_group(9, ["(1 2 3)", "(1 4 7)(2 5 8)(3 6 9)"])
+EXTRASPECIAL_3 = build_group(9, ["(1 4 7)(2 5 8)(3 6 9)", "(1 2 3)(4 6 5)"])
 _ORACLE_SUBGROUPS = {}  # element tuple -> the oracle's subgroups
 
 
@@ -298,9 +299,24 @@ def test_subgroups_match_the_oracle(pipeline, name):
 
 
 @st.composite
-def random_p_groups(draw):
+def random_p_groups(draw, larger=False):
     """Subgroups of order at most 32 of a Sylow 2-subgroup of S_8, or of a
-    Sylow 3-subgroup of S_9 (order 81), on up to three random generators."""
+    Sylow 3-subgroup of S_9 (order 81), on up to three random generators.
+    With larger, half of them are subgroups of order 81 or 243 of
+    3^{1+2} x 3^{1+2} on up to three generators; the series of most of these
+    runs through a non-abelian proper normal subgroup with stable
+    characters of degree 3."""
+    if larger and draw(st.booleans()):
+        # x y with x in the first factor, on the points 1-9, and y in the
+        # second, on 10-18
+        F = EXTRASPECIAL_3.elements
+        pairs = draw(st.lists(st.tuples(st.integers(0, 26),
+                                        st.integers(0, 26)),
+                              min_size=1, max_size=3))
+        G = build_group(18, [F[i] + tuple(9 + x for x in F[j])
+                             for i, j in pairs])
+        assume(81 <= G.order)
+        return G
     P = draw(st.sampled_from([SYLOW_2_OF_S8, SYLOW_3_OF_S9]))
     picks = draw(st.lists(st.integers(0, P.order - 1), min_size=1,
                           max_size=3))
@@ -353,7 +369,7 @@ def test_table_matches_the_search(pipeline, name):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.filter_too_much])
-@given(random_p_groups())
+@given(random_p_groups(larger=True))
 def test_table_matches_the_search_on_random_p_groups(G):
     _assert_table_matches_the_search(G)
 
